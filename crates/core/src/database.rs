@@ -493,42 +493,50 @@ impl ColumnStore {
         }
     }
 
-    /// Appends `iv` to the tail of a tuple's component slab in place when it
-    /// lies entirely past the stored last component (merging into it when
+    /// Appends a sorted, non-connected `run` to the tail of a tuple's
+    /// component slab in place when it lies entirely past the stored last
+    /// component (merging the run's first component into it when
     /// connected), avoiding the decode → difference → full-copy round-trip
-    /// of the general path. Returns the `(before, after)` component counts,
-    /// or `None` when the interval may overlap stored components and the
-    /// caller must take the general path.
-    fn append_comp(&mut self, id: u32, iv: Interval) -> Option<(usize, usize)> {
+    /// of the general path: the slab is extended while its capacity allows
+    /// and re-allocated (one copy) when it does not. Returns the
+    /// `(before, after)` component counts, or `None` when the run may
+    /// overlap stored components and the caller must take the general path.
+    fn append_run(&mut self, id: u32, run: &[Interval]) -> Option<(usize, usize)> {
+        let (first, rest) = run.split_first()?;
         let h = self.handles[id as usize];
         if h.len == 0 {
-            let nh = self.arena.alloc(1);
-            self.arena.data[nh.off as usize] = iv;
+            let nh = self.arena.alloc(run.len());
+            let off = nh.off as usize;
+            self.arena.data[off..off + run.len()].copy_from_slice(run);
             self.handles[id as usize] = nh;
-            return Some((0, 1));
+            return Some((0, run.len()));
         }
-        let last_at = (h.off + h.len - 1) as usize;
-        let last = self.arena.data[last_at];
-        if !last.entirely_before(&iv) {
+        let before = h.len as usize;
+        let last = self.arena.data[h.off as usize + before - 1];
+        if !last.entirely_before(first) {
             return None;
         }
-        if let Some(u) = last.union_if_connected(&iv) {
-            // Touching at the boundary: extend the last component in place.
-            self.arena.data[last_at] = u;
-            Some((h.len as usize, h.len as usize))
-        } else if h.len < h.cap {
-            self.arena.data[(h.off + h.len) as usize] = iv;
-            self.handles[id as usize].len = h.len + 1;
-            Some((h.len as usize, h.len as usize + 1))
+        // Touching at the boundary extends the stored last component; the
+        // rest of the run is appended behind it either way.
+        let (last, tail) = match last.union_if_connected(first) {
+            Some(u) => (u, rest),
+            None => (last, run),
+        };
+        let after = before + tail.len();
+        let off = if after <= h.cap as usize {
+            self.handles[id as usize].len = after as u32;
+            h.off as usize
         } else {
-            let nh = self.arena.alloc(h.len as usize + 1);
+            let nh = self.arena.alloc(after);
             let (src, dst) = (h.off as usize, nh.off as usize);
-            self.arena.data.copy_within(src..src + h.len as usize, dst);
-            self.arena.data[dst + h.len as usize] = iv;
+            self.arena.data.copy_within(src..src + before, dst);
             self.arena.release(h);
             self.handles[id as usize] = nh;
-            Some((h.len as usize, h.len as usize + 1))
-        }
+            dst
+        };
+        self.arena.data[off + before - 1] = last;
+        self.arena.data[off + before..off + after].copy_from_slice(tail);
+        Some((before, after))
     }
 }
 
@@ -838,13 +846,17 @@ impl Relation {
     }
 
     /// Fast path shared by [`Relation::insert`] and [`Relation::merge`]:
-    /// when `iv` lies entirely past the stored last component (the common
-    /// shape for monotone temporal recursion, which appends one instant per
-    /// iteration), the genuinely new part is exactly `iv` and both layouts
-    /// can mutate the stored tail in place — no owned-set decode, no
-    /// difference, no full slab copy. Returns the delta, or `None` when the
-    /// interval may overlap and the general path must decide.
-    fn append_fast(&mut self, id: u32, iv: Interval) -> Option<IntervalSet> {
+    /// when the sorted, non-connected `run` lies entirely past the stored
+    /// last component (the shape monotone temporal recursion produces — one
+    /// instant per iteration, or a whole closed chain at once), the
+    /// genuinely new part is exactly `run` and both layouts can extend the
+    /// stored tail in place — no owned-set decode, no difference, no full
+    /// slab copy. Returns `false` when the run is empty or may overlap and
+    /// the general path must decide.
+    fn append_fast(&mut self, id: u32, run: &[Interval]) -> bool {
+        let Some(first) = run.first() else {
+            return false;
+        };
         let (before, after) = match &mut self.store {
             Store::Row(s) => {
                 let entry = &mut s.entries[id as usize].1;
@@ -852,25 +864,30 @@ impl Relation {
                 if entry
                     .components()
                     .last()
-                    .is_some_and(|l| !l.entirely_before(&iv))
+                    .is_some_and(|l| !l.entirely_before(first))
                 {
-                    return None;
+                    return false;
                 }
-                let grew = entry.insert(iv);
-                debug_assert!(grew, "an appended interval always grows the set");
+                for &iv in run {
+                    let grew = entry.insert(iv);
+                    debug_assert!(grew, "an appended interval always grows the set");
+                }
                 (before, entry.components().len())
             }
-            Store::Col(s) => s.append_comp(id, iv)?,
+            Store::Col(s) => match s.append_run(id, run) {
+                Some(counts) => counts,
+                None => return false,
+            },
         };
         self.apply_component_delta(id, before, after);
-        Some(IntervalSet::from_interval(iv))
+        true
     }
 
     /// Inserts an interval for a tuple; returns `true` iff the set grew.
     pub fn insert(&mut self, tuple: &[Value], interval: Interval) -> Result<bool> {
         let id = self.id_of(tuple)?;
-        if let Some(delta) = self.append_fast(id, interval) {
-            self.note_time(&delta, id);
+        if self.append_fast(id, &[interval]) {
+            self.note_time(&IntervalSet::from_interval(interval), id);
             return Ok(true);
         }
         let mut set = self.set_of(id);
@@ -886,11 +903,9 @@ impl Relation {
     /// (empty when nothing grew).
     pub fn merge(&mut self, tuple: &[Value], ivs: &IntervalSet) -> Result<IntervalSet> {
         let id = self.id_of(tuple)?;
-        if let [iv] = ivs.components() {
-            if let Some(delta) = self.append_fast(id, *iv) {
-                self.note_time(&delta, id);
-                return Ok(delta);
-            }
+        if self.append_fast(id, ivs.components()) {
+            self.note_time(ivs, id);
+            return Ok(ivs.clone());
         }
         let mut set = self.set_of(id);
         let delta = ivs.difference(&set);
@@ -1963,6 +1978,71 @@ mod tests {
             let rel = db.relation(pred).unwrap();
             assert_eq!(rel.components_of(&tup).unwrap(), oracle.components());
             assert_eq!(rel.live_component_count(), oracle.components().len());
+        }
+    }
+
+    /// Multi-component runs take the same in-place append: seeded runs that
+    /// land after the stored tail — with a gap, touching its closed end, or
+    /// extending it through an open boundary — and runs that overlap it
+    /// (general path) must all leave the components, deltas, and live
+    /// statistics the `IntervalSet` algebra predicts, in both layouts.
+    #[test]
+    fn append_run_fast_path_matches_general_path() {
+        use chronolog_obs::SmallRng;
+        for seed in 0..32u64 {
+            for mut db in both_modes() {
+                let mut rng = SmallRng::seed_from_u64(0xA99E ^ seed);
+                let pred = Symbol::new("p");
+                let tup = [Value::Int(seed as i64)];
+                let mut oracle = IntervalSet::new();
+                let mut end = 0i64;
+                for round in 0..12 {
+                    // Where the run starts relative to the stored tail: past
+                    // a gap, extending it through an open boundary, or
+                    // reaching back into it (general path).
+                    let (start, open) = match rng.gen_range_usize(0, 4) {
+                        0 | 1 => (end + rng.gen_range_i64(1, 4), false),
+                        2 => (end, true),
+                        _ => ((end - rng.gen_range_i64(0, 6)).max(0), false),
+                    };
+                    let mut run = IntervalSet::new();
+                    let mut t = start;
+                    for k in 0..rng.gen_range_usize(1, 40) {
+                        let open_lo = open && k == 0;
+                        let hi = t + rng.gen_range_i64(open_lo as i64, 3);
+                        let iv = Interval::new(
+                            Rational::integer(t).into(),
+                            !open_lo,
+                            Rational::integer(hi).into(),
+                            true,
+                        )
+                        .expect("non-empty by construction");
+                        run.insert(iv);
+                        end = end.max(hi);
+                        t = hi + rng.gen_range_i64(1, 4);
+                    }
+                    let expect = run.difference(&oracle);
+                    let delta = db.merge(pred, &tup, &run).unwrap();
+                    assert_eq!(
+                        delta.components(),
+                        expect.components(),
+                        "seed {seed} round {round}: delta"
+                    );
+                    oracle.union_with(&run);
+                    let rel = db.relation(pred).unwrap();
+                    assert_eq!(
+                        rel.components_of(&tup).unwrap(),
+                        oracle.components(),
+                        "seed {seed} round {round}: stored"
+                    );
+                    assert_eq!(rel.live_component_count(), oracle.components().len());
+                    assert_eq!(
+                        rel.probe_time(&Interval::closed_int(start, t)),
+                        vec![0],
+                        "seed {seed} round {round}: time index lost the run"
+                    );
+                }
+            }
         }
     }
 

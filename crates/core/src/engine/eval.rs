@@ -534,7 +534,7 @@ pub(crate) fn eval_matom(
 /// applied as a binary-searched clip at the relation leaves — exact, since
 /// the base points relevant to outputs in `mask` lie inside the pushed-down
 /// window.
-fn eval_matom_masked(
+pub(crate) fn eval_matom_masked(
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,

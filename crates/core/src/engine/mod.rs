@@ -8,6 +8,7 @@
 //! (see [`eval::delta_eligible`]).
 
 mod aggregate;
+mod chain;
 pub(crate) mod cost;
 mod eval;
 pub(crate) mod plan;
@@ -1358,6 +1359,13 @@ impl Reasoner {
             })
             .collect();
 
+        // Self-chain (frame) rules: their derived rows are closed over the
+        // guard set in the merge phase instead of one step per round.
+        let mut chains = chain::Chains::detect(
+            normal.iter().map(|&i| (i, &self.program.rules[i])),
+            &current_preds,
+        );
+
         // --- Fixpoint. ---
         // Physical plans, cached per `(rule, delta-literal)` variant for the
         // stratum's lifetime and rebuilt only when a body relation's size
@@ -1397,19 +1405,10 @@ impl Reasoner {
                 s
             });
             if iteration >= self.config.max_iterations {
-                return Err(Error::BudgetExceeded(format!(
-                    "stratum exceeded {} iterations (unbounded temporal recursion? \
-                     set a bounded horizon)",
-                    self.config.max_iterations
-                )));
+                return Err(budget_exceeded_iterations(&self.config));
             }
-            // component_count walks the whole database; sample it.
-            if iteration.is_multiple_of(64) && total.component_count() > self.config.max_components
-            {
-                return Err(Error::BudgetExceeded(format!(
-                    "materialization exceeded {} interval components",
-                    self.config.max_components
-                )));
+            if total.component_count() > self.config.max_components {
+                return Err(budget_exceeded_components(&self.config));
             }
             let mut next_delta = Database::with_mode(self.config.storage_mode());
             let mut grew = false;
@@ -1530,12 +1529,7 @@ impl Reasoner {
                     // dispatches to the pool this runs on a worker thread,
                     // so the span lands on that worker's own lane.
                     let mut rule_span = self.config.profiler.as_ref().map(|p| {
-                        let rule = &self.program.rules[rule_idx];
-                        let name = match &rule.label {
-                            Some(l) => format!("rule {l}"),
-                            None => format!("rule r{rule_idx}"),
-                        };
-                        let mut s = p.span(name);
+                        let mut s = p.span(rule_span_name(&self.program.rules[rule_idx], rule_idx));
                         if let Some(d) = delta_literal {
                             s.add("delta_literal", d as u64);
                         }
@@ -1593,15 +1587,46 @@ impl Reasoner {
                     for op in &rule.head.ops {
                         out = apply_head_op(op, &out)?;
                     }
-                    let out = out.intersect_interval(&horizon);
+                    let mut out = out.intersect_interval(&horizon);
                     if out.is_empty() {
                         continue;
                     }
-                    stats.rules[rule_idx].components_emitted += out.components().len();
-                    let is_new = total
+                    let stored = total
                         .relation(rule.head.atom.pred)
                         .and_then(|r| r.components_of(&tuple))
-                        .is_none_or(|c| c.is_empty());
+                        .unwrap_or(&[]);
+                    let is_new = stored.is_empty();
+                    if chains.contains(rule_idx) {
+                        // Guards read the finished lower strata of `total`;
+                        // the merge phase is sequential, so the closure is
+                        // identical for every thread count.
+                        let ctx = EvalCtx {
+                            total,
+                            delta: None,
+                            horizon,
+                            index_joins: self.config.index_joins,
+                            time_index: self.config.time_index,
+                            threads: 1,
+                            pool: None,
+                            counters: &counters,
+                            profiler: self.config.profiler.as_ref(),
+                        };
+                        let Some(closed) = chains.close(
+                            rule_idx,
+                            &binding,
+                            out,
+                            stored,
+                            &ctx,
+                            &self.config,
+                            iteration,
+                        )?
+                        else {
+                            continue;
+                        };
+                        stats.rules[rule_idx].derivations += closed.steps;
+                        out = closed.out;
+                    }
+                    stats.rules[rule_idx].components_emitted += out.components().len();
                     let added = total.merge(rule.head.atom.pred, &tuple, &out)?;
                     if !added.is_empty() {
                         grew = true;
@@ -1750,6 +1775,32 @@ impl Reasoner {
             );
         }
         Ok(iteration + 1)
+    }
+}
+
+/// The iteration-budget error, shared by the fixpoint loop and the chain
+/// closure (whose steps are charged against the same budget).
+fn budget_exceeded_iterations(config: &ReasonerConfig) -> Error {
+    Error::BudgetExceeded(format!(
+        "stratum exceeded {} iterations (unbounded temporal recursion? \
+         set a bounded horizon)",
+        config.max_iterations
+    ))
+}
+
+/// The component-budget error, shared like [`budget_exceeded_iterations`].
+fn budget_exceeded_components(config: &ReasonerConfig) -> Error {
+    Error::BudgetExceeded(format!(
+        "materialization exceeded {} interval components",
+        config.max_components
+    ))
+}
+
+/// Profiler span name of one rule's evaluation (and of its chain closures).
+fn rule_span_name(rule: &Rule, rule_idx: usize) -> String {
+    match &rule.label {
+        Some(l) => format!("rule {l}"),
+        None => format!("rule r{rule_idx}"),
     }
 }
 
@@ -1962,6 +2013,50 @@ mod tests {
             reasoner.materialize(&db),
             Err(Error::BudgetExceeded(_))
         ));
+    }
+
+    /// The chain closure runs inside one fixpoint round, so the budgets
+    /// must reach into it: under the default unbounded horizon a frame
+    /// rule never saturates, and the closure has to stop after O(budget)
+    /// steps (and components) instead of allocating until it is killed.
+    #[test]
+    fn unbounded_chain_closure_is_charged_against_the_budgets() {
+        let program = parse_program(
+            "p(X) :- q(X).\n\
+             p(X) :- boxminus p(X).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.extend_facts(&parse_facts("q(a)@0.").unwrap()).unwrap();
+        let run = |config: ReasonerConfig| {
+            let started = Instant::now();
+            let err = Reasoner::new(program.clone(), config)
+                .unwrap()
+                .materialize(&db)
+                .err()
+                .expect("an unbounded chain must exhaust a budget");
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "budget tripped only after {:?}",
+                started.elapsed()
+            );
+            match err {
+                Error::BudgetExceeded(msg) => msg,
+                other => panic!("expected a budget error, got {other}"),
+            }
+        };
+        let msg = run(ReasonerConfig {
+            max_iterations: 10_000,
+            ..ReasonerConfig::default()
+        });
+        assert!(msg.contains("10000 iterations"), "{msg}");
+        // A generous step budget leaves the component budget to bound the
+        // closure's memory.
+        let msg = run(ReasonerConfig {
+            max_components: 1_000,
+            ..ReasonerConfig::default()
+        });
+        assert!(msg.contains("1000 interval components"), "{msg}");
     }
 
     #[test]

@@ -210,9 +210,11 @@ impl Session {
 
     /// Answers a goal-driven point query against the session's surviving
     /// base facts, materializing only the query's demanded cone (see
-    /// [`Reasoner::query`]). The horizon is clipped to the watermark, so
-    /// answers agree byte-for-byte with querying [`Session::database`]
-    /// over the same window. Runs against a private snapshot: the
+    /// [`Reasoner::query`]). The horizon is clipped to the session's own
+    /// derivation window `[start, now]`, so answers agree byte-for-byte
+    /// with querying [`Session::database`] over the same window — and
+    /// backward demand stops at the session start even when the configured
+    /// horizon is unbounded. Runs against a private snapshot: the
     /// session's materialization, watermark, and statistics are
     /// untouched, and pending (not yet advanced-over) submissions are
     /// not visible.
@@ -223,11 +225,11 @@ impl Session {
             .reasoner
             .config()
             .horizon
-            .intersect(&Interval::up_to(self.now))
+            .intersect(&self.session_horizon(self.now)?)
             .ok_or_else(|| {
                 Error::EmptyWindow(format!(
-                    "session watermark {} is below the horizon start",
-                    self.now
+                    "session window {}..{} lies outside the configured horizon",
+                    self.start, self.now
                 ))
             })?;
         self.reasoner.query_within(&base, query, horizon)

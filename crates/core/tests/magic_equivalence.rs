@@ -12,7 +12,7 @@
 
 use chronolog_core::rewrite::Query;
 use chronolog_core::{
-    parse_query, parse_source, Database, Interval, Reasoner, ReasonerConfig, Value,
+    parse_query, parse_source, Database, Fact, Interval, Reasoner, ReasonerConfig, Value,
 };
 use chronolog_obs::SmallRng;
 
@@ -285,4 +285,45 @@ fn session_query_matches_database_query() {
     expected.sort_by(|a, b| a.0.cmp(&b.0));
     assert_eq!(render(&outcome.answers), render(&expected));
     assert_eq!(outcome.stats.magic.mode, "magic");
+}
+
+/// A session built on the default (unbounded) horizon still answers: the
+/// query is clipped to the session's own window `[start, now]`, so the
+/// backward demand of a persistence rule stops at the session start
+/// instead of spreading towards −∞ until the iteration budget trips.
+#[test]
+fn session_query_terminates_under_the_default_horizon() {
+    let (program, facts) = parse_source(
+        "state(A, V) :- set(A, V).\n\
+         changed(A) :- set(A, V).\n\
+         state(A, V) :- diamondminus state(A, V), not changed(A).\n\
+         set(a, 1)@2.\n\
+         set(b, 7)@3.\n",
+    )
+    .unwrap();
+    let mut genesis = Database::new();
+    genesis.extend_facts(&facts).unwrap();
+    let mut session = Reasoner::new(program, ReasonerConfig::default())
+        .unwrap()
+        .into_session(&genesis, 0)
+        .unwrap();
+    session
+        .submit(Fact::at("set", vec![Value::sym("a"), Value::Int(5)], 20))
+        .unwrap();
+    session.advance_to(30).unwrap();
+
+    let started = std::time::Instant::now();
+    for text in ["state(a, V)@17", "state(a, V)@[15, 25]", "state(X, V)@30"] {
+        let query = parse_query(text).unwrap();
+        let outcome = session.query(&query).unwrap();
+        let mut expected = session.database().query(&query.atom, query.window.as_ref());
+        expected.sort_by(|a, b| a.0.cmp(&b.0));
+        assert!(!expected.is_empty(), "{text}: nothing to compare");
+        assert_eq!(render(&outcome.answers), render(&expected), "{text}");
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(20),
+        "queries took {:?}: demand is not clipped to the session window",
+        started.elapsed()
+    );
 }

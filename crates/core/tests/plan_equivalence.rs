@@ -239,18 +239,21 @@ fn adaptive_replanning_is_equivalent_on_random_programs() {
 
 /// A skewed join inside punctual recursion misestimates every iteration:
 /// `fan` holds 64 tuples over 8 distinct keys (est 8 rows per probe), but
-/// the recursion only ever probes the heavy key's 57. The sustained error
+/// the recursion only ever probes the heavy key's 57. The head variable
+/// advances through `next`, so the rule is not a frame rule and the
+/// fixpoint really takes one round per time step. The sustained error
 /// must force an adaptive replan whose corrected estimate at least halves
 /// the observed error factor — without moving a single fact in any
 /// layout or thread count.
 #[test]
 fn adaptive_replanning_corrects_a_sustained_misestimate() {
     let src = "run(X) :- seed(X).\n\
-               run(X) :- boxminus[1, 1] run(X), fan(X, Y).";
+               run(Y) :- boxminus[1, 1] run(X), next(X, Y), fan(Y, Z).";
     let program = parse_program(src).unwrap();
     let mut db = Database::new();
     db.assert_at("seed", &[Value::Int(0)], 0);
     let span = chronolog_core::Interval::closed_int(0, 24);
+    db.assert_over("next", &[Value::Int(0), Value::Int(0)], span);
     for i in 0..57 {
         db.assert_over("fan", &[Value::Int(0), Value::Int(100 + i)], span);
     }

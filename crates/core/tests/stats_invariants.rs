@@ -251,12 +251,19 @@ fn join_path_counters_account_for_every_lookup() {
 #[test]
 fn corrected_estimates_preserve_tuple_volume_accounting() {
     let src = "run(X) :- seed(X).\n\
-               run(X) :- boxminus[1, 1] run(X), fan(X, Y).\n\
+               run(Y) :- boxminus[1, 1] run(X), next(X, Y), fan(Y, Z).\n\
                seed(0)@0.";
     let (program, facts) = parse_source(src).unwrap();
     let mut db = Database::new();
     db.extend_facts(&facts).unwrap();
     let span = chronolog_core::Interval::closed_int(0, 24);
+    // The head variable advances through `next`: not a frame rule, so the
+    // recursion keeps its one round (and one misestimated probe) per step.
+    db.assert_over(
+        "next",
+        &[chronolog_core::Value::Int(0), chronolog_core::Value::Int(0)],
+        span,
+    );
     for i in 0..57 {
         db.assert_over(
             "fan",

@@ -24,6 +24,13 @@ test-slow:
     cargo test --release -p chronolog-cli --test repair_corpus
     cargo test --release -p chronolog-perp
 
+# The end-to-end benchmark's own tests plus a tenth-size run of every
+# workload with all output oracles on (non-zero exit on any failed
+# operation). CI mirrors this; `benchmark/README.md` has the full runs.
+bench-e2e-smoke:
+    cargo test --manifest-path benchmark/Cargo.toml
+    cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke
+
 # Lints are errors.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings

@@ -36,10 +36,14 @@ struct Materialized {
 }
 
 fn materialize_with_provenance() -> Materialized {
+    materialize_on(TimelineMode::EventEpochs)
+}
+
+fn materialize_on(mode: TimelineMode) -> Materialized {
     let params = MarketParams::default();
     let trace = scenario();
-    let program = build_program(&params, TimelineMode::EventEpochs).unwrap();
-    let encoded = encode_trace(&trace, TimelineMode::EventEpochs);
+    let program = build_program(&params, mode).unwrap();
+    let encoded = encode_trace(&trace, mode);
     let out = Reasoner::new(
         program.clone(),
         ReasonerConfig {
@@ -126,6 +130,30 @@ fn propagated_state_explains_through_the_shift_rules() {
     // Margin at epoch 2 (no event for the margin) exists via rule 7.
     let text = explain_fact(&m, "margin", 2);
     assert!(text.contains("rule 7 (margin propagate)"), "{text}");
+}
+
+/// On the unix-seconds timeline the persistence rules are closed over a
+/// whole gap in one step, recorded as one derivation covering the run. A
+/// fact deep inside a gap must still explain second by second through the
+/// frame rule and bottom out in the user action that opened the gap.
+#[test]
+fn facts_deep_inside_a_jumped_gap_reach_the_user_action() {
+    let m = materialize_on(TimelineMode::DenseSeconds);
+    // The gap 20 → 60 between the order and the close: t = 45 is 25 s in.
+    let text = explain_fact(&m, "position", 45);
+    assert!(text.contains("position(acc0001, 2.0, 2610.0)@45"), "{text}");
+    assert!(text.contains("rule 13 (position propagate)"), "{text}");
+    assert!(text.contains("position(acc0001, 2.0, 2610.0)@21"), "{text}");
+    assert!(text.contains("rule 14 (position modify)"), "{text}");
+    assert!(text.contains("modPos(acc0001, 2.0)@20   [input]"), "{text}");
+    // One record per closed run, not one per second.
+    let log = m.out.provenance.as_ref().unwrap();
+    let runs = log
+        .steps()
+        .iter()
+        .filter(|s| s.pred == Symbol::new("position") && s.added.components().len() > 1)
+        .count();
+    assert!(runs >= 1, "no position run was recorded as one derivation");
 }
 
 #[test]
