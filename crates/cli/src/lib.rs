@@ -803,7 +803,7 @@ fn parse_stream_fact(text: &str, n: usize) -> Result<Fact, CliError> {
 /// output is deterministic and golden-testable.
 fn render_plans(out: &mut String, stats: &RunStats) {
     let _ = writeln!(out, "-- plans --");
-    let mut plans: Vec<_> = stats.plan_explains.iter().collect();
+    let mut plans = stats.plan_explains();
     plans.sort_by_key(|p| (p.rule, p.delta_literal));
     for p in plans {
         let variant = match p.delta_literal {

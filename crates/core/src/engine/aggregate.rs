@@ -225,6 +225,7 @@ mod tests {
             total: &db,
             delta: None,
             horizon: Interval::closed_int(0, 100),
+            top: Interval::closed_int(0, 100),
             index_joins: true,
             time_index: true,
             threads: 1,

@@ -32,11 +32,19 @@
 //! and the surrounding fixpoint loop still runs to quiescence, so the least
 //! model — which is unique — is unchanged. Rules that do not match take the
 //! ordinary path.
+//!
+//! The same argument makes everything the rule merges (`fresh ∪ closure`)
+//! *closed under the rule*: `op(fresh ∪ closure) ∩ P` lies inside what the
+//! tuple stores afterwards. The fixpoint driver therefore hands a self-chain
+//! rule, as its semi-naive delta, only what *other* rules added to its head
+//! predicate — re-entering its own closed run could derive nothing.
+//!
+//! Detection is static ([`Chains::detect`] runs once per stratum in
+//! `Reasoner::new`); only the guard sets ([`GuardSets`]) are per stratum run.
 
 use super::eval::{eval_matom_masked, Bindings, EvalCtx};
-use super::{
-    budget_exceeded_components, budget_exceeded_iterations, rule_span_name, ReasonerConfig,
-};
+use super::ReasonerConfig;
+use super::{budget_exceeded_components, budget_exceeded_iterations, rule_span_name};
 use crate::ast::{Atom, Literal, MetricAtom, Rule};
 use crate::error::Result;
 use crate::symbol::Symbol;
@@ -44,27 +52,29 @@ use crate::value::Value;
 use mtl_temporal::{Interval, IntervalSet, MetricInterval, Rational, TimeBound};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// The statically recognised parts of a self-chain rule.
-struct SelfChain<'r> {
-    /// The rule itself (names the closure's profiler span).
-    rule: &'r Rule,
-    /// Operator tree of the chain literal (`op p(x̄)`).
-    chain: &'r MetricAtom,
-    /// The frozen literals: `(positive, metric atom)`.
-    guards: Vec<(bool, &'r MetricAtom)>,
+/// The statically recognised parts of a self-chain rule, as indices into
+/// the rule's body (the rule itself stays in the program).
+struct SelfChain {
+    /// Head predicate — the one relation the rule both reads and writes.
+    head: Symbol,
+    /// Body index of the chain literal (`op p(x̄)`).
+    chain: usize,
+    /// The frozen literals: `(positive, body index)`.
+    guards: Vec<(bool, usize)>,
     /// Head variables the guards mention, sorted: their values determine
     /// the guard set and key its cache.
     key_vars: Vec<Symbol>,
 }
 
-/// The self-chain rules of one stratum run, by rule index, with the guard
-/// sets evaluated so far — keyed by `(rule, values of the guards' head
-/// variables)`. Each set remembers the window it was evaluated over; a
-/// closure starting earlier re-evaluates.
-pub(crate) struct Chains<'r> {
-    rules: BTreeMap<usize, SelfChain<'r>>,
-    guard_sets: HashMap<(usize, Vec<Value>), (Interval, IntervalSet)>,
+/// The self-chain rules of one stratum, by rule index.
+pub(crate) struct Chains {
+    rules: BTreeMap<usize, SelfChain>,
 }
+
+/// The guard sets one stratum run has evaluated so far, keyed by `(rule,
+/// values of the guards' head variables)`. Each set remembers the window it
+/// was evaluated over; a closure starting earlier re-evaluates.
+pub(crate) type GuardSets = HashMap<(usize, Vec<Value>), (Interval, IntervalSet)>;
 
 /// What closing one row produced.
 pub(crate) struct Closed {
@@ -95,17 +105,55 @@ fn is_past_chain_over(m: &MetricAtom, head: &Atom, depth: usize) -> bool {
     }
 }
 
-/// Applies the chain's operators, innermost first, to a set of time points
-/// at which the atom holds.
-fn apply_chain(m: &MetricAtom, at: IntervalSet) -> Result<IntervalSet> {
+/// The metric atom of a positive or negated body literal.
+fn matom(rule: &Rule, literal: usize) -> &MetricAtom {
+    match &rule.body[literal] {
+        Literal::Pos(m) | Literal::Neg(m) => m,
+        Literal::Constraint(..) => unreachable!("detection admits no constraints"),
+    }
+}
+
+/// Applies the chain's operators, innermost first, in place to the sorted,
+/// pairwise non-connected components `at` (time points at which the atom
+/// holds); the result satisfies the same invariant.
+fn apply_chain(m: &MetricAtom, at: &mut Vec<Interval>) -> Result<()> {
     match m {
-        MetricAtom::Rel(_) => Ok(at),
+        MetricAtom::Rel(_) => {}
         MetricAtom::DiamondMinus(rho, inner) => {
-            Ok(apply_chain(inner, at)?.checked_diamond_minus(rho)?)
+            apply_chain(inner, at)?;
+            // Every component widens by the same window, so the order holds;
+            // neighbours the window bridges are re-coalesced.
+            let mut kept = 0usize;
+            for i in 0..at.len() {
+                let c = at[i].checked_diamond_minus(rho)?;
+                let bridged = kept
+                    .checked_sub(1)
+                    .and_then(|last| at[last].union_if_connected(&c));
+                match bridged {
+                    Some(u) => at[kept - 1] = u,
+                    None => {
+                        at[kept] = c;
+                        kept += 1;
+                    }
+                }
+            }
+            at.truncate(kept);
         }
-        MetricAtom::BoxMinus(rho, inner) => Ok(apply_chain(inner, at)?.checked_box_minus(rho)?),
+        MetricAtom::BoxMinus(rho, inner) => {
+            apply_chain(inner, at)?;
+            // Punctual `⊟` is a plain shift: order and gaps are preserved.
+            let mut kept = 0usize;
+            for i in 0..at.len() {
+                if let Some(c) = at[i].checked_box_minus(rho)? {
+                    at[kept] = c;
+                    kept += 1;
+                }
+            }
+            at.truncate(kept);
+        }
         _ => unreachable!("detection admits only ◇⁻/⊟ chains"),
     }
+    Ok(())
 }
 
 /// `set ∖ stored`, reading only the stored components `set` can overlap.
@@ -118,17 +166,17 @@ fn minus_stored(set: IntervalSet, stored: &[Interval]) -> IntervalSet {
     }
 }
 
-impl<'r> SelfChain<'r> {
+impl SelfChain {
     /// Recognises a self-chain rule of the stratum whose head predicates
     /// are `current`; `None` sends the rule down the ordinary path.
-    fn detect(rule: &'r Rule, current: &HashSet<Symbol>) -> Option<SelfChain<'r>> {
+    fn detect(rule: &Rule, current: &HashSet<Symbol>) -> Option<SelfChain> {
         let head = &rule.head;
         if !head.ops.is_empty() || head.aggregate.is_some() || head.atom.time_var.is_some() {
             return None;
         }
         let mut chain = None;
         let mut guards = Vec::new();
-        for lit in &rule.body {
+        for (li, lit) in rule.body.iter().enumerate() {
             let (positive, m) = match lit {
                 Literal::Pos(m) => (true, m),
                 Literal::Neg(m) => (false, m),
@@ -139,19 +187,19 @@ impl<'r> SelfChain<'r> {
                 if !positive || chain.is_some() || !is_past_chain_over(m, &head.atom, 0) {
                     return None;
                 }
-                chain = Some(m);
+                chain = Some(li);
             } else if atoms.iter().any(|a| a.time_var.is_some()) {
                 return None;
             } else {
-                guards.push((positive, m));
+                guards.push((positive, li));
             }
         }
         let chain = chain?;
         let head_vars = head.atom.variables();
         let mut key_vars: Vec<Symbol> = Vec::new();
         let mut locals: HashSet<Symbol> = HashSet::new();
-        for (_, m) in &guards {
-            let vars: HashSet<Symbol> = m.variables().into_iter().collect();
+        for &(_, li) in &guards {
+            let vars: HashSet<Symbol> = matom(rule, li).variables().into_iter().collect();
             for v in vars {
                 if head_vars.contains(&v) {
                     if !key_vars.contains(&v) {
@@ -166,7 +214,7 @@ impl<'r> SelfChain<'r> {
         }
         key_vars.sort();
         Some(SelfChain {
-            rule,
+            head: head.atom.pred,
             chain,
             guards,
             key_vars,
@@ -177,6 +225,7 @@ impl<'r> SelfChain<'r> {
     /// `window`.
     fn eval_guards(
         &self,
+        rule: &Rule,
         key_vals: &[Value],
         window: Interval,
         ctx: &EvalCtx<'_>,
@@ -188,13 +237,14 @@ impl<'r> SelfChain<'r> {
             .zip(key_vals.iter().copied())
             .collect();
         let mut set = IntervalSet::from_interval(window);
-        for (positive, m) in &self.guards {
+        for &(positive, li) in &self.guards {
             let Some(mask) = set.hull() else { break };
             let mut hits = IntervalSet::new();
+            let m = matom(rule, li);
             for (_, ivs) in eval_matom_masked(m, ctx, false, &binding, Some(mask), None)? {
                 hits.union_with(&ivs);
             }
-            set = if *positive {
+            set = if positive {
                 set.intersect(&hits)
             } else {
                 set.difference(&hits)
@@ -204,18 +254,17 @@ impl<'r> SelfChain<'r> {
     }
 }
 
-impl<'r> Chains<'r> {
+impl Chains {
     /// Recognises the self-chain rules among `rules` (index, rule) of the
     /// stratum whose head predicates are `current`.
-    pub(crate) fn detect(
+    pub(crate) fn detect<'r>(
         rules: impl Iterator<Item = (usize, &'r Rule)>,
         current: &HashSet<Symbol>,
-    ) -> Chains<'r> {
+    ) -> Chains {
         Chains {
             rules: rules
                 .filter_map(|(i, rule)| SelfChain::detect(rule, current).map(|c| (i, c)))
                 .collect(),
-            guard_sets: HashMap::new(),
         }
     }
 
@@ -224,9 +273,22 @@ impl<'r> Chains<'r> {
         self.rules.contains_key(&rule_idx)
     }
 
-    /// Closes one derived row of self-chain rule `rule_idx`: drops the part
-    /// of `row` the tuple already stores (its consequences were, or are
-    /// being, derived through the delta), then iterates
+    /// The self-chain rules over head predicate `head` other than `except`:
+    /// the rules whose delta a row merged into `head` by `except` belongs to.
+    pub(crate) fn others_over(
+        &self,
+        head: Symbol,
+        except: usize,
+    ) -> impl Iterator<Item = usize> + '_ {
+        self.rules
+            .iter()
+            .filter(move |(&i, c)| i != except && c.head == head)
+            .map(|(&i, _)| i)
+    }
+
+    /// Closes one derived row of self-chain rule `rule_idx` (`rule`): drops
+    /// the part of `row` the tuple already stores (its consequences were, or
+    /// are being, derived through the delta), then iterates
     /// `cur ← op(cur) ∩ P` from the rest until nothing new appears. `None`
     /// when the row held nothing new.
     ///
@@ -236,8 +298,10 @@ impl<'r> Chains<'r> {
     /// O(budget) work instead of never returning.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn close(
-        &mut self,
+        &self,
+        guard_sets: &mut GuardSets,
         rule_idx: usize,
+        rule: &Rule,
         binding: &Bindings,
         row: IntervalSet,
         stored: &[Interval],
@@ -247,12 +311,10 @@ impl<'r> Chains<'r> {
     ) -> Result<Option<Closed>> {
         let chain = &self.rules[&rule_idx];
         let fresh = minus_stored(row, stored);
-        let Some(first) = fresh.components().first() else {
+        let Some(first) = fresh.components().first().copied() else {
             return Ok(None);
         };
-        let _rule_span = ctx
-            .profiler
-            .map(|p| p.span(rule_span_name(chain.rule, rule_idx)));
+        let _rule_span = ctx.profiler.map(|p| p.span(rule_span_name(rule, rule_idx)));
         let mut span = ctx.profiler.map(|p| p.span("chain"));
         // The chain only moves forward in time, so the guards matter from
         // the first new point on: a session advance never scans history.
@@ -273,52 +335,78 @@ impl<'r> Chains<'r> {
             })
             .collect();
         let key = (rule_idx, key_vals);
-        let guard_cached = self
-            .guard_sets
+        let guard_cached = guard_sets
             .get(&key)
             .is_some_and(|(w, _)| w.contains_interval(&window));
         if !guard_cached {
-            let set = chain.eval_guards(&key.1, window, ctx)?;
-            self.guard_sets.insert(key.clone(), (window, set));
+            let set = chain.eval_guards(rule, &key.1, window, ctx)?;
+            guard_sets.insert(key.clone(), (window, set));
         }
-        let guard = &self.guard_sets[&key].1;
+        let guard = guard_sets[&key].1.components();
         let components_left = config
             .max_components
             .saturating_sub(ctx.total.component_count());
-        let mut out = fresh.clone();
-        let mut cur = fresh;
+        let op = matom(rule, chain.chain);
+        // Two component buffers swap roles every step: `cur` is shifted in
+        // place, `next` receives its clip against the guard set.
+        let mut cur: Vec<Interval> = fresh.components().to_vec();
+        let mut next: Vec<Interval> = Vec::new();
+        let mut out = fresh;
+        // First guard component not entirely before the piece being
+        // clipped. The chain is strictly past, so the piece — and with it
+        // the cursor — only moves forward: one binary search (a cached guard
+        // set can start far before the row), then monotone steps.
+        let mut cursor = guard.partition_point(|p| p.entirely_before(&first));
         let mut steps = 0usize;
         loop {
             if iteration + steps >= config.max_iterations {
                 return Err(budget_exceeded_iterations(config));
             }
-            let shifted = apply_chain(chain.chain, cur)?;
-            // Binary-search clips: `P` can hold one component per timeline
-            // second, the shifted piece rarely more than one.
-            let mut next = IntervalSet::new();
-            for c in shifted.components() {
-                next.union_with(&IntervalSet::clip_components(guard.components(), c));
+            apply_chain(op, &mut cur)?;
+            let Some(lead) = cur.first() else {
+                break;
+            };
+            while guard.get(cursor).is_some_and(|p| p.entirely_before(lead)) {
+                cursor += 1;
             }
-            let Some(first) = next.components().first() else {
+            let mut g = cursor;
+            next.clear();
+            for c in &cur {
+                // A row seeded at several instants closes them in lockstep;
+                // the pieces after the lead can lie hundreds of guard
+                // components ahead, so they search instead of walking.
+                if guard.get(g).is_some_and(|p| p.entirely_before(c)) {
+                    g += guard[g..].partition_point(|p| p.entirely_before(c));
+                }
+                // The last guard component a piece touches may reach into
+                // the following piece too, so `g` stays on it.
+                for p in guard[g..].iter().take_while(|p| !c.entirely_before(p)) {
+                    next.extend(p.intersect(c));
+                }
+            }
+            let Some(first) = next.first().copied() else {
                 break;
             };
             // A strictly-past chain mostly lands past everything known for
             // the tuple; only a piece that reaches back needs subtracting.
-            let past = |known: &[Interval]| known.last().is_none_or(|l| l.entirely_before(first));
-            let next = if past(out.components()) && past(stored) {
-                next
-            } else {
-                minus_stored(next.difference(&out), stored)
-            };
+            let past = |known: &[Interval]| known.last().is_none_or(|l| l.entirely_before(&first));
+            if !(past(out.components()) && past(stored)) {
+                let reached_back = IntervalSet::from_sorted(next.clone());
+                let rest = minus_stored(reached_back.difference(&out), stored);
+                next.clear();
+                next.extend_from_slice(rest.components());
+            }
             if next.is_empty() {
                 break;
             }
             steps += 1;
-            out.union_with(&next);
+            for &c in &next {
+                out.insert(c);
+            }
             if out.components().len() > components_left {
                 return Err(budget_exceeded_components(config));
             }
-            cur = next;
+            std::mem::swap(&mut cur, &mut next);
         }
         if let Some(s) = span.as_mut() {
             s.add("steps", steps as u64);

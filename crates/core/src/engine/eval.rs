@@ -81,8 +81,14 @@ pub(crate) struct EvalCtx<'a> {
     pub total: &'a Database,
     /// Per-iteration delta of current-stratum predicates (semi-naive).
     pub delta: Option<&'a Database>,
-    /// The reasoning horizon.
+    /// The derivation window: bodies are evaluated and heads clipped inside
+    /// it. The whole reasoning horizon for a batch run; a session re-derives
+    /// only the part of its horizon that can still change.
     pub horizon: Interval,
+    /// Where `top` holds: the whole reasoning horizon, even when `horizon`
+    /// is a narrower re-derivation window — a past operator over `top`
+    /// reads below the window like one over any other atom.
+    pub top: Interval,
     /// Probe secondary value indexes instead of scanning relations
     /// (`false` is the ablation baseline).
     pub index_joins: bool,
@@ -574,7 +580,7 @@ pub(crate) fn eval_matom_masked(
         Ok(out)
     }
     match m {
-        MetricAtom::Top => Ok(vec![(binding.clone(), ctx.horizon_set())]),
+        MetricAtom::Top => Ok(vec![(binding.clone(), IntervalSet::from_interval(ctx.top))]),
         MetricAtom::Bottom => Ok(vec![]),
         MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, binding, mask, planned),
         MetricAtom::DiamondMinus(rho, inner) => transform(
@@ -1041,6 +1047,7 @@ mod tests {
             total: &db,
             delta: None,
             horizon: Interval::closed_int(0, 100),
+            top: Interval::closed_int(0, 100),
             index_joins: true,
             time_index: true,
             threads: 1,
@@ -1128,6 +1135,7 @@ mod tests {
             total: &db,
             delta: None,
             horizon: Interval::closed_int(0, 100),
+            top: Interval::closed_int(0, 100),
             index_joins: true,
             time_index: true,
             threads: 1,
@@ -1206,6 +1214,7 @@ mod tests {
                     total: &db,
                     delta: None,
                     horizon: Interval::closed_int(0, 100),
+                    top: Interval::closed_int(0, 100),
                     index_joins,
                     // The unindexed baseline disables the time index too so
                     // its counters show pure full scans.

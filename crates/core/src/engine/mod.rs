@@ -22,19 +22,20 @@ pub use provenance::{Explanation, ProvenanceLog};
 pub use session::{BaseEvent, RepairPath, RepairReport, Session};
 
 use crate::analysis::{check_program, DependencyGraph, Stratification};
-use crate::ast::{HeadOp, Program, Rule, Term};
+use crate::ast::{HeadOp, Literal, Program, Rule, Term};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::rewrite::{self, Query};
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
+use chain::{Chains, GuardSets};
 use chronolog_obs::{Json, SpanRecorder, Tracer};
 use eval::{delta_eligible, execute_plan, EvalCtx, JoinCounters};
 use mtl_temporal::{Interval, IntervalSet};
 use pool::WorkerPool;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Minimum evaluation wall time of the *previous* fixpoint iteration for
@@ -227,9 +228,9 @@ pub struct RuleStats {
     pub wall: Duration,
 }
 
-/// Per-stratum statistics of one fixpoint run. A batch materialization has
-/// one entry per stratum; a [`Session`] appends one entry per stratum per
-/// advance.
+/// Per-stratum statistics: one entry per stratum. A batch materialization
+/// runs each stratum once; a [`Session`] re-runs every stratum per advance
+/// and per repair and sums those runs into the stratum's one entry.
 #[derive(Clone, Debug, Default)]
 pub struct StratumStats {
     /// Stratum index.
@@ -347,7 +348,8 @@ impl Default for MagicStats {
 /// Statistics of one materialization run.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
-    /// Fixpoint iterations per stratum.
+    /// Fixpoint iterations per stratum (`iterations[s.stratum] ==
+    /// s.iterations` for every entry `s` of `strata`, sessions included).
     pub iterations: Vec<usize>,
     /// Number of rule applications (body evaluations).
     pub rule_evaluations: usize,
@@ -378,11 +380,13 @@ pub struct RunStats {
     /// Secondary indexes carried over by database clones (session advances,
     /// snapshot copies) instead of being rebuilt from scratch.
     pub index_rebuilds_avoided: u64,
-    /// Physical plans compiled (one per `(rule, delta-literal)` variant per
-    /// stratum, plus re-plans).
+    /// Physical plans compiled: one per `(rule, delta-literal, cardinality
+    /// fingerprint)` the run met for the first time in the reasoner's
+    /// lifetime, plus adaptive rebuilds. A warm session builds none.
     pub plans_built: u64,
-    /// Plans rebuilt because input cardinalities crossed a magnitude
-    /// boundary mid-fixpoint, or because adaptive feedback forced it.
+    /// Plans built for a variant that already had one: its input
+    /// cardinalities reached a magnitude combination not seen before, or
+    /// adaptive feedback forced a rebuild.
     pub replans: u64,
     /// Replans forced by the adaptive feedback trigger alone — a sustained
     /// misestimate on a plan whose cardinality fingerprint never moved.
@@ -401,13 +405,12 @@ pub struct RunStats {
     /// Worker-pool constructions (`<= strata` by the pool-lifecycle
     /// invariant; the old scoped path respawned per iteration).
     pub pool_respawns: u64,
-    /// Final compiled plan per `(rule, delta-literal)` variant, with
-    /// estimated vs. accumulated actual rows (what `--explain-plans`
-    /// prints).
-    pub plan_explains: Vec<PlanExplain>,
+    /// The plan each `(rule, delta-literal)` variant ran last — rendered
+    /// on demand by [`RunStats::plan_explains`].
+    used_plans: UsedPlans,
     /// Per-rule breakdown, indexed by rule position in the program.
     pub rules: Vec<RuleStats>,
-    /// Per-stratum breakdown (one entry per stratum fixpoint executed).
+    /// Per-stratum breakdown (one entry per stratum, indexed by stratum).
     pub strata: Vec<StratumStats>,
     /// Per-worker breakdown of the evaluation pool (one entry per worker,
     /// accumulated across strata and advances).
@@ -476,13 +479,88 @@ pub struct PlanFeedback {
     pub error_factor: f64,
 }
 
+/// Per `(rule, delta-literal)` variant, a plan and a reading of its
+/// counters.
+type VariantPlans = BTreeMap<(usize, Option<usize>), (Arc<plan::RulePlan>, plan::PlanCounts)>;
+
+/// The plan every `(rule, delta-literal)` variant ran last and what it
+/// executed and produced for this [`RunStats`], with the program whose
+/// rules the plans index — what [`RunStats::plan_explains`] renders from.
+/// The plans are shared with the reasoner's cache and keep counting for
+/// later runs; the counts here are this run's own and stay put. Recording
+/// copies a few integers per variant per stratum run; the explain text is
+/// only built when somebody reads it.
+#[derive(Clone, Default)]
+struct UsedPlans {
+    program: Option<Arc<Program>>,
+    plans: VariantPlans,
+}
+
+impl UsedPlans {
+    /// Records the plans one stratum run used, each with the reading taken
+    /// before it first ran there. A variant still on the plan an earlier
+    /// run recorded (sessions re-run strata) adds to that plan's counts; a
+    /// different plan replaces it (the latest plan wins).
+    fn record(&mut self, program: &Arc<Program>, used: VariantPlans) {
+        if self.program.is_none() {
+            self.program = Some(Arc::clone(program));
+        }
+        for (variant, (plan, before)) in used {
+            let slot = self
+                .plans
+                .entry(variant)
+                .or_insert_with(|| (Arc::clone(&plan), plan::PlanCounts::default()));
+            if !Arc::ptr_eq(&slot.0, &plan) {
+                *slot = (Arc::clone(&plan), plan::PlanCounts::default());
+            }
+            slot.1.add_since(&plan.counts(), &before);
+        }
+    }
+}
+
+impl std::fmt::Debug for UsedPlans {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "UsedPlans({} variants)", self.plans.len())
+    }
+}
+
 impl RunStats {
+    /// The plan each `(rule, delta-literal)` variant ran last, with
+    /// estimated vs. accumulated actual rows (what `--explain-plans`
+    /// prints), in stratum, rule, variant order. The execution and row
+    /// counts are those of this run alone — in a session, of every advance
+    /// and repair the plan served.
+    pub fn plan_explains(&self) -> Vec<PlanExplain> {
+        let Some(program) = &self.used_plans.program else {
+            return Vec::new();
+        };
+        let mut out: Vec<PlanExplain> = self
+            .used_plans
+            .plans
+            .iter()
+            .map(|(&(rule, _), (compiled, counts))| {
+                plan::explain(
+                    rule,
+                    &self.rules[rule].label,
+                    &program.rules[rule],
+                    compiled,
+                    counts,
+                )
+            })
+            .collect();
+        out.sort_by_key(|e| (self.rules[e.rule].stratum, e.rule, e.delta_literal));
+        out
+    }
+
     /// Per-plan actual-vs-estimated feedback, worst misestimate first
     /// (ties broken by rule index then delta literal, so the order is
     /// deterministic across runs).
     pub fn plan_feedback(&self) -> Vec<PlanFeedback> {
-        let mut out: Vec<PlanFeedback> = self
-            .plan_explains
+        Self::feedback_of(&self.plan_explains())
+    }
+
+    fn feedback_of(explains: &[PlanExplain]) -> Vec<PlanFeedback> {
+        let mut out: Vec<PlanFeedback> = explains
             .iter()
             .filter(|p| p.executions > 0)
             .map(|p| {
@@ -588,8 +666,9 @@ impl RunStats {
                 })
                 .collect(),
         );
+        let explains = self.plan_explains();
         let plans = Json::Arr(
-            self.plan_explains
+            explains
                 .iter()
                 .map(|p| {
                     Json::from_pairs([
@@ -640,7 +719,7 @@ impl RunStats {
                 .collect(),
         );
         let misestimates = Json::Arr(
-            self.plan_feedback()
+            Self::feedback_of(&explains)
                 .into_iter()
                 .map(|f| {
                     Json::from_pairs([
@@ -769,8 +848,14 @@ impl Materialization {
 
 /// A compiled, validated DatalogMTL reasoner.
 pub struct Reasoner {
-    program: Program,
+    /// Shared with the [`RunStats`] of every run, which render their plan
+    /// explains from it on demand.
+    program: Arc<Program>,
     strat: Stratification,
+    /// Per stratum, what the fixpoint driver needs and the program alone
+    /// determines (aggregate groups, fixpoint modes, variants, self-chain
+    /// rules) — compiled here once instead of on every stratum run.
+    compiled: Vec<CompiledStratum>,
     config: ReasonerConfig,
     /// Persistent evaluation worker pool, spawned lazily on the first
     /// multi-threaded dispatch and reused across fixpoint iterations,
@@ -783,12 +868,30 @@ pub struct Reasoner {
     /// session advances and keep compounding. A `BTreeMap` so the slice
     /// handed to the planner is deterministically ordered.
     corrections: Mutex<BTreeMap<(usize, usize), f64>>,
+    /// Physical plans, kept beside the corrections for the same reason: a
+    /// session advance reuses what the previous one compiled.
+    plans: Mutex<PlanCache>,
     /// Magic (demand) predicates of a goal-driven sub-program, set only on
     /// the inner reasoner built by [`Reasoner::query`]. The planner floors
     /// their cardinality estimates: demand relations start empty (the seed
     /// lands mid-plan, derived demand propagates per iteration), and a
     /// zero estimate would price the guard as producing nothing.
     magic_preds: HashSet<Symbol>,
+}
+
+/// Physical plans by `(rule, delta literal, cardinality fingerprint)`. Kept
+/// on the reasoner, so a session advance or a repair finds the plans the
+/// previous one compiled, and a fingerprint that flips back (a
+/// multi-component delta coming and going) finds its old plan again.
+type PlanCache = BTreeMap<(usize, Option<usize>, u64), Arc<plan::RulePlan>>;
+
+/// One semi-naive variant of a rule: the body literal read from the delta,
+/// and the predicate of that literal (whose delta relation must be
+/// non-empty for the variant to derive anything).
+#[derive(Clone, Copy)]
+struct Variant {
+    literal: usize,
+    pred: Symbol,
 }
 
 /// How a rule participates in its stratum's fixpoint (distinct from the
@@ -798,11 +901,155 @@ enum FixpointMode {
     /// No body dependency on the current stratum: runs only on iteration 0.
     Once,
     /// Every current-stratum dependency sits in a delta-eligible literal:
-    /// these literal indices drive semi-naive variants.
-    SemiNaive(Vec<usize>),
+    /// these variants drive the semi-naive rounds.
+    SemiNaive(Vec<Variant>),
     /// Some current-stratum dependency is not delta-eligible (non-punctual
     /// box, since/until): full re-evaluation each iteration.
     Full,
+}
+
+/// The program-only facts about one non-aggregate rule of a stratum.
+struct CompiledRule {
+    /// Index into [`Program::rules`].
+    idx: usize,
+    mode: FixpointMode,
+    /// Iteration 0 of a seeded (session) run: one variant per positive
+    /// literal, read from the seed. `None` when some positive literal is
+    /// not delta-eligible and the rule is evaluated in full over the
+    /// (narrow) re-derivation window instead.
+    seeded: Option<Vec<Variant>>,
+}
+
+/// Everything about one stratum that depends on the program alone.
+struct CompiledStratum {
+    /// Aggregate rules grouped by head predicate, in first-rule order.
+    agg_groups: Vec<(Symbol, Vec<usize>)>,
+    /// The remaining rules in program order — also the task, merge and
+    /// therefore output order of every round.
+    rules: Vec<CompiledRule>,
+    /// The stratum's self-chain (frame) rules.
+    chains: Chains,
+}
+
+impl CompiledStratum {
+    /// Compiles the rules `rule_indices` of one stratum of `program`.
+    fn compile(program: &Program, rule_indices: &[usize], semi_naive: bool) -> CompiledStratum {
+        let current_preds: HashSet<Symbol> = rule_indices
+            .iter()
+            .map(|&i| program.rules[i].head.atom.pred)
+            .collect();
+        let mut agg_groups: Vec<(Symbol, Vec<usize>)> = Vec::new();
+        let mut normal: Vec<usize> = Vec::new();
+        for &i in rule_indices {
+            let rule = &program.rules[i];
+            if rule.head.aggregate.is_some() {
+                match agg_groups
+                    .iter_mut()
+                    .find(|(p, _)| *p == rule.head.atom.pred)
+                {
+                    Some((_, v)) => v.push(i),
+                    None => agg_groups.push((rule.head.atom.pred, vec![i])),
+                }
+            } else {
+                normal.push(i);
+            }
+        }
+        let rules = normal
+            .iter()
+            .map(|&idx| {
+                let rule = &program.rules[idx];
+                let variant = |literal: usize| {
+                    delta_eligible(&rule.body[literal]).map(|pred| Variant { literal, pred })
+                };
+                let mut dep_variants = Vec::new();
+                let mut blocked = false;
+                let mut has_dep = false;
+                for (li, lit) in rule.body.iter().enumerate() {
+                    let mentions_current = match lit {
+                        Literal::Pos(m) | Literal::Neg(m) => {
+                            m.atoms().iter().any(|a| current_preds.contains(&a.pred))
+                        }
+                        Literal::Constraint(..) => false,
+                    };
+                    if !mentions_current {
+                        continue;
+                    }
+                    has_dep = true;
+                    match variant(li) {
+                        Some(v) => dep_variants.push(v),
+                        None => blocked = true,
+                    }
+                }
+                let mode = if !has_dep {
+                    FixpointMode::Once
+                } else if blocked || !semi_naive {
+                    FixpointMode::Full
+                } else {
+                    FixpointMode::SemiNaive(dep_variants)
+                };
+                let seeded: Option<Vec<Variant>> = rule
+                    .body
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| matches!(l, Literal::Pos(_)))
+                    .map(|(li, _)| variant(li))
+                    .collect();
+                CompiledRule { idx, mode, seeded }
+            })
+            .collect();
+        let chains = Chains::detect(
+            normal.iter().map(|&i| (i, &program.rules[i])),
+            &current_preds,
+        );
+        CompiledStratum {
+            agg_groups,
+            rules,
+            chains,
+        }
+    }
+}
+
+/// One body evaluation of a round: the rule, the semi-naive variant (`None`
+/// = full evaluation) and the delta database that variant reads.
+struct Task<'d> {
+    rule: usize,
+    variant: Option<Variant>,
+    delta: Option<&'d Database>,
+}
+
+impl<'d> Task<'d> {
+    fn full(rule: usize) -> Task<'d> {
+        Task {
+            rule,
+            variant: None,
+            delta: None,
+        }
+    }
+
+    fn delta_literal(&self) -> Option<usize> {
+        self.variant.map(|v| v.literal)
+    }
+}
+
+/// Pushes one task per variant whose delta relation in `delta` holds
+/// anything; an empty delta relation cannot derive, so the variant is
+/// neither planned nor dispatched.
+fn push_variants<'d>(
+    tasks: &mut Vec<Task<'d>>,
+    rule: usize,
+    variants: &[Variant],
+    delta: Option<&'d Database>,
+) {
+    let Some(delta) = delta else { return };
+    for &v in variants {
+        if delta.relation(v.pred).is_some_and(|r| r.live_len() > 0) {
+            tasks.push(Task {
+                rule,
+                variant: Some(v),
+                delta: Some(delta),
+            });
+        }
+    }
 }
 
 impl Reasoner {
@@ -810,12 +1057,19 @@ impl Reasoner {
     pub fn new(program: Program, config: ReasonerConfig) -> Result<Reasoner> {
         check_program(&program)?;
         let strat = Stratification::compute(&program)?;
+        let compiled = strat
+            .rules_by_stratum
+            .iter()
+            .map(|rules| CompiledStratum::compile(&program, rules, config.semi_naive))
+            .collect();
         Ok(Reasoner {
-            program,
+            program: Arc::new(program),
             strat,
+            compiled,
             config,
             pool: OnceLock::new(),
             corrections: Mutex::new(BTreeMap::new()),
+            plans: Mutex::new(PlanCache::new()),
             magic_preds: HashSet::new(),
         })
     }
@@ -876,18 +1130,17 @@ impl Reasoner {
             );
         }
 
-        for (stratum, rule_indices) in self.strat.rules_by_stratum.iter().enumerate() {
-            let iterations = self.run_stratum(
+        for stratum in 0..self.compiled.len() {
+            self.run_stratum(
                 stratum,
-                rule_indices,
                 &mut total,
                 &mut provenance,
                 &mut stats,
                 self.config.horizon,
+                self.config.horizon,
                 None,
                 None,
             )?;
-            stats.iterations.push(iterations);
         }
 
         stats.derived_tuples = total.tuple_count().saturating_sub(input_tuples);
@@ -1140,10 +1393,10 @@ impl Reasoner {
     }
 
     /// Re-derivation driver shared by the session's watermark advance and
-    /// the repair path: runs every stratum over `horizon`, seeding
-    /// iteration 0 with `seed` (semi-naive against the delta) and folding
-    /// each stratum's additions back into the seed so later strata see
-    /// them. Appends per-stratum iteration counts to `stats.iterations`.
+    /// the repair path: runs every stratum over the window `horizon` of the
+    /// session's whole horizon `top`, seeding iteration 0 with `seed`
+    /// (semi-naive against the delta) and folding each stratum's additions
+    /// back into the seed so later strata see them.
     pub(crate) fn rederive(
         &self,
         total: &mut Database,
@@ -1151,20 +1404,20 @@ impl Reasoner {
         provenance: &mut Option<ProvenanceLog>,
         stats: &mut RunStats,
         horizon: Interval,
+        top: Interval,
     ) -> Result<()> {
-        for (stratum, rule_indices) in self.strat.rules_by_stratum.iter().enumerate() {
+        for stratum in 0..self.compiled.len() {
             let mut collected = Database::with_mode(self.config.storage_mode());
-            let iterations = self.run_stratum(
+            self.run_stratum(
                 stratum,
-                rule_indices,
                 total,
                 provenance,
                 stats,
                 horizon,
-                Some(seed),
+                top,
+                Some(&mut *seed),
                 Some(&mut collected),
             )?;
-            stats.iterations.push(iterations);
             for (pred, tuple, ivs) in collected.iter() {
                 seed.merge(
                     pred,
@@ -1178,7 +1431,7 @@ impl Reasoner {
 
     /// Cold re-derivation driver for the session fallback: runs every
     /// stratum over `horizon` with no seed — a full batch fixpoint
-    /// against `total` — appending per-stratum iteration counts.
+    /// against `total`.
     pub(crate) fn rematerialize(
         &self,
         total: &mut Database,
@@ -1186,43 +1439,45 @@ impl Reasoner {
         stats: &mut RunStats,
         horizon: Interval,
     ) -> Result<()> {
-        for (stratum, rule_indices) in self.strat.rules_by_stratum.iter().enumerate() {
-            let iterations = self.run_stratum(
-                stratum,
-                rule_indices,
-                total,
-                provenance,
-                stats,
-                horizon,
-                None,
-                None,
+        for stratum in 0..self.compiled.len() {
+            self.run_stratum(
+                stratum, total, provenance, stats, horizon, horizon, None, None,
             )?;
-            stats.iterations.push(iterations);
         }
         Ok(())
     }
 
     /// Runs one stratum to fixpoint.
     ///
-    /// * `horizon` — clipping window (the session engine grows it).
+    /// * `horizon` — the re-derivation window: bodies are evaluated and
+    ///   heads clipped inside it (the whole reasoning horizon for a batch
+    ///   run; `[now, t]` for a session advance, `[cut, now]` for a repair).
+    /// * `top` — where `top` holds: the whole reasoning horizon, of which a
+    ///   session's `horizon` is only the end.
     /// * `seed` — incremental mode: iteration 0 evaluates semi-naive
     ///   variants against this delta (covering *all* predicates) instead of
     ///   re-evaluating every rule in full; rules with a positive literal
-    ///   that is not delta-eligible fall back to a full evaluation.
+    ///   that is not delta-eligible fall back to a full evaluation. What
+    ///   the stratum's aggregate groups add is merged into the seed first,
+    ///   so same-stratum readers of an aggregate head see it in iteration 0.
     /// * `collected` — when present, every fact added by this stratum is
     ///   also merged here (the session's cross-stratum seed accumulator).
+    ///
+    /// Folds the run into `stats.strata[stratum]` and
+    /// `stats.iterations[stratum]` (one row per stratum, however many times
+    /// a session re-runs it).
     #[allow(clippy::too_many_arguments)]
     fn run_stratum(
         &self,
         stratum: usize,
-        rule_indices: &[usize],
         total: &mut Database,
         provenance: &mut Option<ProvenanceLog>,
         stats: &mut RunStats,
         horizon: Interval,
-        seed: Option<&Database>,
+        top: Interval,
+        mut seed: Option<&mut Database>,
         mut collected: Option<&mut Database>,
-    ) -> Result<usize> {
+    ) -> Result<()> {
         // Opened before the wall-clock so the span always contains the
         // measured stratum wall time (span dur ≥ `StratumStats::wall`).
         let mut stratum_span = self
@@ -1231,6 +1486,9 @@ impl Reasoner {
             .as_ref()
             .map(|p| p.span(format!("stratum {stratum}")));
         let stratum_start = Instant::now();
+        let compiled = &self.compiled[stratum];
+        let rules = &self.program.rules;
+        let mode = self.config.storage_mode();
         let evals_before = stats.rule_evaluations;
         let mut stratum_tuples = 0usize;
         let mut stratum_components = 0usize;
@@ -1246,35 +1504,16 @@ impl Reasoner {
                 });
             }
         }
-        let current_preds: HashSet<Symbol> = rule_indices
-            .iter()
-            .map(|&i| self.program.rules[i].head.atom.pred)
-            .collect();
 
         // --- Aggregate rules: once, inputs are strictly lower strata. ---
-        let mut agg_groups: Vec<(Symbol, Vec<usize>)> = Vec::new();
-        let mut normal: Vec<usize> = Vec::new();
-        for &i in rule_indices {
-            let rule = &self.program.rules[i];
-            if rule.head.aggregate.is_some() {
-                match agg_groups
-                    .iter_mut()
-                    .find(|(p, _)| *p == rule.head.atom.pred)
-                {
-                    Some((_, v)) => v.push(i),
-                    None => agg_groups.push((rule.head.atom.pred, vec![i])),
-                }
-            } else {
-                normal.push(i);
-            }
-        }
-        for (pred, indices) in &agg_groups {
+        for (pred, indices) in &compiled.agg_groups {
             let group_start = Instant::now();
-            let rules: Vec<&Rule> = indices.iter().map(|&i| &self.program.rules[i]).collect();
+            let group: Vec<&Rule> = indices.iter().map(|&i| &rules[i]).collect();
             let ctx = EvalCtx {
                 total,
                 delta: None,
                 horizon,
+                top,
                 index_joins: self.config.index_joins,
                 time_index: self.config.time_index,
                 threads: 1,
@@ -1282,7 +1521,7 @@ impl Reasoner {
                 counters: &counters,
                 profiler: self.config.profiler.as_ref(),
             };
-            let derived = aggregate::eval_aggregate_rules(&rules, &ctx)?;
+            let derived = aggregate::eval_aggregate_rules(&group, &ctx)?;
             stats.rule_evaluations += indices.len();
             for &i in indices.iter() {
                 stats.rules[i].body_evaluations += 1;
@@ -1293,7 +1532,7 @@ impl Reasoner {
             stats.rules[lead].derivations += derived.len();
             for (tuple, interval) in derived {
                 let mut ivs = IntervalSet::from_interval(interval);
-                for op in &rules[0].head.ops {
+                for op in &group[0].head.ops {
                     ivs = apply_head_op(op, &ivs)?;
                 }
                 let ivs = ivs.intersect_interval(&horizon);
@@ -1313,6 +1552,9 @@ impl Reasoner {
                     }
                     stats.rules[lead].components_added += added.components().len();
                     stratum_components += added.components().len();
+                    if let Some(seed) = seed.as_deref_mut() {
+                        seed.merge(*pred, &tuple, &added)?;
+                    }
                     if let Some(acc) = collected.as_deref_mut() {
                         acc.merge(*pred, &tuple, &added)?;
                     }
@@ -1323,53 +1565,9 @@ impl Reasoner {
             }
             stats.rules[lead].wall += group_start.elapsed();
         }
-
-        // --- Fixpoint participation modes for the normal rules. ---
-        let modes: Vec<(usize, FixpointMode)> = normal
-            .iter()
-            .map(|&i| {
-                let rule = &self.program.rules[i];
-                let mut dep_literals = Vec::new();
-                let mut blocked = false;
-                let mut has_dep = false;
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let mentions_current = match lit {
-                        crate::ast::Literal::Pos(m) | crate::ast::Literal::Neg(m) => {
-                            m.atoms().iter().any(|a| current_preds.contains(&a.pred))
-                        }
-                        crate::ast::Literal::Constraint(..) => false,
-                    };
-                    if !mentions_current {
-                        continue;
-                    }
-                    has_dep = true;
-                    match delta_eligible(lit) {
-                        Some(_) => dep_literals.push(li),
-                        None => blocked = true,
-                    }
-                }
-                let mode = if !has_dep {
-                    FixpointMode::Once
-                } else if blocked || !self.config.semi_naive {
-                    FixpointMode::Full
-                } else {
-                    FixpointMode::SemiNaive(dep_literals)
-                };
-                (i, mode)
-            })
-            .collect();
-
-        // Self-chain (frame) rules: their derived rows are closed over the
-        // guard set in the merge phase instead of one step per round.
-        let mut chains = chain::Chains::detect(
-            normal.iter().map(|&i| (i, &self.program.rules[i])),
-            &current_preds,
-        );
+        let seed: Option<&Database> = seed.as_deref();
 
         // --- Fixpoint. ---
-        // Physical plans, cached per `(rule, delta-literal)` variant for the
-        // stratum's lifetime and rebuilt only when a body relation's size
-        // crosses a power-of-two boundary (the fingerprint check below).
         let plan_cfg = plan::PlanConfig {
             cost_based: self.config.cost_based_reorder,
             index_joins: self.config.index_joins,
@@ -1379,14 +1577,20 @@ impl Reasoner {
             // degrade guard in `eval_rel`).
             authoritative: true,
         };
-        let mut plan_cache: BTreeMap<(usize, Option<usize>), plan::RulePlan> = BTreeMap::new();
+        let mut guard_sets = GuardSets::new();
+        // The plan each variant ran last, with its counters as they stood
+        // before it first ran here, for `RunStats::plan_explains`.
+        let mut used_plans = VariantPlans::new();
         let mut plans_built = 0u64;
         let mut replans = 0u64;
         let mut replans_triggered = 0u64;
         let mut reorders_applied = 0u64;
         let mut planner_estimated_rows = 0u64;
         let mut planner_actual_rows = 0u64;
-        let mut prev_delta = Database::with_mode(self.config.storage_mode());
+        // Last round's additions: all of them, and per self-chain rule the
+        // ones *other* rules made to its head predicate.
+        let mut prev_delta = Database::with_mode(mode);
+        let mut chain_prev: BTreeMap<usize, Database> = BTreeMap::new();
         let mut iteration = 0usize;
         // Adaptive parallelism gate: an iteration only pays for worker
         // threads when the *previous* iteration's evaluation was expensive
@@ -1410,67 +1614,58 @@ impl Reasoner {
             if total.component_count() > self.config.max_components {
                 return Err(budget_exceeded_components(&self.config));
             }
-            let mut next_delta = Database::with_mode(self.config.storage_mode());
+            let mut next_delta = Database::with_mode(mode);
+            let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
 
             // Which evaluations to run this iteration, flattened into a
-            // fixed-order `(rule, delta literal)` task list. The task order
-            // is also the merge order, so output, stats, and provenance are
-            // bit-identical for every thread count.
-            let mut tasks: Vec<(usize, Option<usize>)> = Vec::new();
-            for (rule_idx, mode) in &modes {
-                let rule = &self.program.rules[*rule_idx];
-                let variants: Vec<Option<usize>> = match (mode, iteration, seed) {
+            // fixed-order task list. The task order is also the merge
+            // order, so output, stats, and provenance are bit-identical for
+            // every thread count.
+            let mut tasks: Vec<Task<'_>> = Vec::new();
+            for rule in &compiled.rules {
+                match (&rule.mode, iteration, seed) {
                     // Incremental iteration 0: semi-naive against the seed
                     // when every positive literal supports it.
-                    (_, 0, Some(_)) => {
-                        let pos: Vec<usize> = rule
-                            .body
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, l)| matches!(l, crate::ast::Literal::Pos(_)))
-                            .map(|(i, _)| i)
-                            .collect();
-                        if pos.iter().all(|&i| delta_eligible(&rule.body[i]).is_some()) {
-                            pos.into_iter().map(Some).collect()
+                    (_, 0, Some(seed)) => match &rule.seeded {
+                        Some(variants) => push_variants(&mut tasks, rule.idx, variants, Some(seed)),
+                        None => tasks.push(Task::full(rule.idx)),
+                    },
+                    (FixpointMode::Once, 0, None) => tasks.push(Task::full(rule.idx)),
+                    (FixpointMode::Once, _, _) => {}
+                    (FixpointMode::Full, _, _) => tasks.push(Task::full(rule.idx)),
+                    (FixpointMode::SemiNaive(_), 0, None) => tasks.push(Task::full(rule.idx)),
+                    (FixpointMode::SemiNaive(variants), _, _) => {
+                        let delta = if compiled.chains.contains(rule.idx) {
+                            chain_prev.get(&rule.idx)
                         } else {
-                            vec![None]
-                        }
+                            Some(&prev_delta)
+                        };
+                        push_variants(&mut tasks, rule.idx, variants, delta);
                     }
-                    (FixpointMode::Once, 0, None) => vec![None],
-                    (FixpointMode::Once, _, _) => continue,
-                    (FixpointMode::Full, _, _) => vec![None],
-                    (FixpointMode::SemiNaive(_), 0, None) => vec![None],
-                    (FixpointMode::SemiNaive(lits), _, _) => {
-                        lits.iter().map(|&l| Some(l)).collect()
-                    }
-                };
-                tasks.extend(variants.into_iter().map(|m| (*rule_idx, m)));
+                }
             }
-            let delta_base: &Database = if iteration == 0 {
-                seed.unwrap_or(&prev_delta)
-            } else {
-                &prev_delta
-            };
 
-            // Compile (or refresh) the physical plan of every task due this
-            // iteration. The fingerprint is a coarse hash of live input
-            // cardinalities, so plans survive ordinary delta ticks and only
-            // rebuild when a relation changes magnitude.
-            {
-                let cards = cost::DbCardinalities {
-                    total,
-                    delta: Some(delta_base),
-                    magic_floor: &self.magic_preds,
-                };
+            // The physical plan of every task: the cached one while its
+            // cardinality fingerprint (a coarse hash of live input sizes)
+            // names it and no sustained misestimate condemns it, a fresh
+            // build otherwise.
+            let task_plans: Vec<Arc<plan::RulePlan>> = {
+                let mut cache = self.plans.lock().expect("plan cache mutex poisoned");
                 let mut corr = self.corrections.lock().expect("corrections mutex poisoned");
-                for &(rule_idx, delta_literal) in &tasks {
-                    let rule = &self.program.rules[rule_idx];
-                    let key = (rule_idx, delta_literal);
-                    let fresh = plan::fingerprint(rule, delta_literal, &cards);
-                    let existing = plan_cache.get(&key);
-                    if let Some(p) = existing {
-                        if p.fingerprint == fresh {
+                tasks
+                    .iter()
+                    .map(|task| {
+                        let rule = &rules[task.rule];
+                        let delta_literal = task.delta_literal();
+                        let cards = cost::DbCardinalities {
+                            total,
+                            delta: task.delta,
+                            magic_floor: &self.magic_preds,
+                        };
+                        let fingerprint = plan::fingerprint(rule, delta_literal, &cards);
+                        let key = (task.rule, delta_literal, fingerprint);
+                        if let Some(p) = cache.get(&key) {
                             // Fingerprint unchanged: only a sustained,
                             // large misestimate forces a rebuild (the
                             // adaptive feedback trigger).
@@ -1480,31 +1675,52 @@ impl Reasoner {
                                         && err >= ADAPTIVE_ERROR_THRESHOLD
                                 });
                             if !sustained {
-                                continue;
+                                return Arc::clone(p);
                             }
                             // Harvest this incarnation's learned factors
                             // so the rebuild estimates with them.
                             for (lit, c) in p.corrected_factors(&p.corrections) {
-                                corr.insert((rule_idx, lit), c);
+                                corr.insert((task.rule, lit), c);
                             }
                             replans_triggered += 1;
                         }
-                        replans += 1;
-                    }
-                    let rule_corrections: Vec<(usize, f64)> = if self.config.adaptive {
-                        corr.range((rule_idx, 0)..=(rule_idx, usize::MAX))
-                            .map(|(&(_, lit), &c)| (lit, c))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let compiled =
-                        plan::build_plan(rule, delta_literal, &plan_cfg, &cards, &rule_corrections);
-                    plans_built += 1;
-                    if compiled.reordered {
-                        reorders_applied += 1;
-                    }
-                    plan_cache.insert(key, compiled);
+                        let variant_plans = (task.rule, delta_literal, u64::MIN)
+                            ..=(task.rule, delta_literal, u64::MAX);
+                        if cache.range(variant_plans).next().is_some() {
+                            replans += 1;
+                        }
+                        let rule_corrections: Vec<(usize, f64)> = if self.config.adaptive {
+                            corr.range((task.rule, 0)..=(task.rule, usize::MAX))
+                                .map(|(&(_, lit), &c)| (lit, c))
+                                .collect()
+                        } else {
+                            Vec::new()
+                        };
+                        let compiled = Arc::new(plan::build_plan(
+                            rule,
+                            delta_literal,
+                            &plan_cfg,
+                            &cards,
+                            &rule_corrections,
+                        ));
+                        plans_built += 1;
+                        if compiled.reordered {
+                            reorders_applied += 1;
+                        }
+                        cache.insert(key, Arc::clone(&compiled));
+                        compiled
+                    })
+                    .collect()
+            };
+            // A plan new to this stratum run has its counters read before
+            // it runs, so the run reports its own executions only.
+            for (task, p) in tasks.iter().zip(&task_plans) {
+                let variant = (task.rule, task.delta_literal());
+                if !used_plans
+                    .get(&variant)
+                    .is_some_and(|(q, _)| Arc::ptr_eq(q, p))
+                {
+                    used_plans.insert(variant, (Arc::clone(p), p.counts()));
                 }
             }
 
@@ -1522,23 +1738,23 @@ impl Reasoner {
             type EvalOut = (Result<Vec<(eval::Bindings, IntervalSet)>>, Duration);
             let eval_out: Vec<EvalOut> = {
                 let total_snapshot: &Database = total;
-                let plan_cache = &plan_cache;
                 fan_out(tasks.len(), pool_threads, pool, &mut stats.workers, |i| {
-                    let (rule_idx, delta_literal) = tasks[i];
+                    let task = &tasks[i];
                     // One span per rule evaluation. When the rule fan-out
                     // dispatches to the pool this runs on a worker thread,
                     // so the span lands on that worker's own lane.
                     let mut rule_span = self.config.profiler.as_ref().map(|p| {
-                        let mut s = p.span(rule_span_name(&self.program.rules[rule_idx], rule_idx));
-                        if let Some(d) = delta_literal {
+                        let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
+                        if let Some(d) = task.delta_literal() {
                             s.add("delta_literal", d as u64);
                         }
                         s
                     });
                     let ctx = EvalCtx {
                         total: total_snapshot,
-                        delta: delta_literal.is_some().then_some(delta_base),
+                        delta: task.delta,
                         horizon,
+                        top,
                         index_joins: self.config.index_joins,
                         time_index: self.config.time_index,
                         threads: inner_threads,
@@ -1549,11 +1765,8 @@ impl Reasoner {
                         counters: &counters,
                         profiler: self.config.profiler.as_ref(),
                     };
-                    let rule_plan = plan_cache
-                        .get(&(rule_idx, delta_literal))
-                        .expect("plan compiled before dispatch");
                     let eval_start = Instant::now();
-                    let r = execute_plan(&self.program.rules[rule_idx], rule_plan, &ctx);
+                    let r = execute_plan(&rules[task.rule], &task_plans[i], &ctx);
                     if let (Some(s), Ok(rows)) = (rule_span.as_mut(), &r) {
                         s.add("derivations", rows.len() as u64);
                     }
@@ -1563,22 +1776,22 @@ impl Reasoner {
             last_eval_wall = eval_out.iter().map(|(_, d)| *d).sum();
 
             // Merge every task's derivations back in fixed task order.
-            for ((rule_idx, delta_literal), (results, eval_wall)) in
-                tasks.iter().copied().zip(eval_out)
+            for ((task, rule_plan), (results, eval_wall)) in
+                tasks.iter().zip(task_plans).zip(eval_out)
             {
-                let rule = &self.program.rules[rule_idx];
+                let rule_idx = task.rule;
+                let rule = &rules[rule_idx];
+                let head = rule.head.atom.pred;
                 let merge_start = Instant::now();
                 let results = results?;
-                if let Some(p) = plan_cache.get(&(rule_idx, delta_literal)) {
-                    planner_estimated_rows += p.est_total;
-                    planner_actual_rows += results.len() as u64;
-                }
+                planner_estimated_rows += rule_plan.est_total;
+                planner_actual_rows += results.len() as u64;
                 stats.rule_evaluations += 1;
                 let rstats = &mut stats.rules[rule_idx];
                 rstats.body_evaluations += 1;
                 rstats.wall += eval_wall;
-                if delta_literal.is_some() {
-                    rstats.delta_tuples += delta_base.tuple_count();
+                if let Some(delta) = task.delta {
+                    rstats.delta_tuples += delta.tuple_count();
                 }
                 rstats.derivations += results.len();
                 for (binding, ivs) in results {
@@ -1592,11 +1805,11 @@ impl Reasoner {
                         continue;
                     }
                     let stored = total
-                        .relation(rule.head.atom.pred)
+                        .relation(head)
                         .and_then(|r| r.components_of(&tuple))
                         .unwrap_or(&[]);
                     let is_new = stored.is_empty();
-                    if chains.contains(rule_idx) {
+                    if compiled.chains.contains(rule_idx) {
                         // Guards read the finished lower strata of `total`;
                         // the merge phase is sequential, so the closure is
                         // identical for every thread count.
@@ -1604,6 +1817,7 @@ impl Reasoner {
                             total,
                             delta: None,
                             horizon,
+                            top,
                             index_joins: self.config.index_joins,
                             time_index: self.config.time_index,
                             threads: 1,
@@ -1611,8 +1825,10 @@ impl Reasoner {
                             counters: &counters,
                             profiler: self.config.profiler.as_ref(),
                         };
-                        let Some(closed) = chains.close(
+                        let Some(closed) = compiled.chains.close(
+                            &mut guard_sets,
                             rule_idx,
+                            rule,
                             &binding,
                             out,
                             stored,
@@ -1627,7 +1843,7 @@ impl Reasoner {
                         out = closed.out;
                     }
                     stats.rules[rule_idx].components_emitted += out.components().len();
-                    let added = total.merge(rule.head.atom.pred, &tuple, &out)?;
+                    let added = total.merge(head, &tuple, &out)?;
                     if !added.is_empty() {
                         grew = true;
                         let rstats = &mut stats.rules[rule_idx];
@@ -1637,14 +1853,20 @@ impl Reasoner {
                         }
                         rstats.components_added += added.components().len();
                         stratum_components += added.components().len();
-                        next_delta.merge(rule.head.atom.pred, &tuple, &added)?;
+                        next_delta.merge(head, &tuple, &added)?;
+                        for other in compiled.chains.others_over(head, rule_idx) {
+                            chain_next
+                                .entry(other)
+                                .or_insert_with(|| Database::with_mode(mode))
+                                .merge(head, &tuple, &added)?;
+                        }
                         if let Some(acc) = collected.as_deref_mut() {
-                            acc.merge(rule.head.atom.pred, &tuple, &added)?;
+                            acc.merge(head, &tuple, &added)?;
                         }
                         if let Some(log) = provenance {
                             let b: Vec<(Symbol, Value)> =
                                 binding.iter().map(|(k, v)| (*k, *v)).collect();
-                            log.record(rule_idx, rule.head.atom.pred, tuple, added, b);
+                            log.record(rule_idx, head, tuple, added, b);
                         }
                     }
                 }
@@ -1670,6 +1892,7 @@ impl Reasoner {
                 break;
             }
             prev_delta = next_delta;
+            chain_prev = chain_next;
             iteration += 1;
         }
 
@@ -1730,51 +1953,45 @@ impl Reasoner {
             registry.counter("engine.pool_respawns").add(respawns);
             registry.counter("engine.pool_reuses").add(reuses);
         }
-        // The final compiled plan of every variant this stratum executed,
-        // replacing any explain recorded for the same variant by an
-        // earlier stratum pass (sessions re-run strata; latest plan wins).
-        for ((rule_idx, delta_literal), compiled) in &plan_cache {
-            let label = &stats.rules[*rule_idx].label;
-            let rendered =
-                plan::explain(*rule_idx, label, &self.program.rules[*rule_idx], compiled);
-            match stats
-                .plan_explains
-                .iter_mut()
-                .find(|e| e.rule == *rule_idx && e.delta_literal == *delta_literal)
-            {
-                Some(slot) => *slot = rendered,
-                None => stats.plan_explains.push(rendered),
-            }
-        }
+        stats.used_plans.record(&self.program, used_plans);
 
+        let iterations = iteration + 1;
         if let Some(s) = stratum_span.as_mut() {
-            s.add("iterations", (iteration + 1) as u64);
+            s.add("iterations", iterations as u64);
             s.add("tuples_derived", stratum_tuples as u64);
             s.add("components_added", stratum_components as u64);
         }
         let wall = stratum_start.elapsed();
-        stats.strata.push(StratumStats {
-            stratum,
-            iterations: iteration + 1,
-            rule_evaluations: stats.rule_evaluations - evals_before,
-            tuples_derived: stratum_tuples,
-            components_added: stratum_components,
-            wall,
-        });
+        // One row per stratum: a session's advances and repairs re-run the
+        // strata and sum into the rows instead of appending new ones.
+        for s in stats.strata.len()..=stratum {
+            stats.strata.push(StratumStats {
+                stratum: s,
+                ..StratumStats::default()
+            });
+            stats.iterations.push(0);
+        }
+        stats.iterations[stratum] += iterations;
+        let row = &mut stats.strata[stratum];
+        row.iterations += iterations;
+        row.rule_evaluations += stats.rule_evaluations - evals_before;
+        row.tuples_derived += stratum_tuples;
+        row.components_added += stratum_components;
+        row.wall += wall;
         stats.derived_components += stratum_components;
         if let Some(tracer) = &self.config.tracer {
             tracer.emit(
                 "stratum",
                 vec![
                     ("stratum", Json::from(stratum)),
-                    ("iterations", Json::from(iteration + 1)),
+                    ("iterations", Json::from(iterations)),
                     ("tuples_derived", Json::from(stratum_tuples)),
                     ("components_added", Json::from(stratum_components)),
                     ("wall_us", Json::from(wall.as_micros() as u64)),
                 ],
             );
         }
-        Ok(iteration + 1)
+        Ok(())
     }
 }
 

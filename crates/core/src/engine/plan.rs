@@ -1,5 +1,5 @@
-//! Physical plans: each rule body is compiled — once per stratum, and again
-//! whenever its input cardinalities shift — into an ordered list of
+//! Physical plans: each rule body is compiled — once per cardinality
+//! fingerprint, cached on the reasoner — into an ordered list of
 //! [`PlanStep`]s that both evaluators execute.
 //!
 //! A plan fixes three decisions that `eval_body` used to make interpretively
@@ -29,12 +29,12 @@
 //!    calls keep the legacy per-lookup selection. Composite (`since` /
 //!    `until`) steps always resolve per leaf at runtime.
 //!
-//! Plans are cheap to build (linear passes over the body) and carry a
-//! [`RulePlan::fingerprint`] over coarse (power-of-two bucketed) relation
-//! sizes, so the stratum loop only re-plans when a relation crosses a
-//! magnitude boundary, not on every delta tick. On top of that fingerprint
-//! gate the stratum loop *forces* a replan when a plan's observed rows
-//! drift a sustained factor from its estimate (see
+//! Plans are cheap to build (linear passes over the body) and are cached
+//! under a [`fingerprint`] over coarse (power-of-two bucketed) relation
+//! sizes, so the stratum loop only plans when a relation crosses into a
+//! magnitude combination it has not met before, not on every delta tick. On
+//! top of that fingerprint gate the stratum loop *forces* a replan when a
+//! plan's observed rows drift a sustained factor from its estimate (see
 //! [`RulePlan::observed_error`]), feeding per-literal correction factors
 //! back into [`build_plan`] — the self-tuning loop described in
 //! `docs/PERFORMANCE.md`.
@@ -164,8 +164,6 @@ pub(crate) struct RulePlan {
     /// plan then raises [`Unsafe`](crate::Error::Unsafe) instead of
     /// silently returning an empty result.
     pub has_unschedulable: bool,
-    /// Hash over coarse input cardinalities; see [`fingerprint`].
-    pub fingerprint: u64,
     /// `true` iff the compiled access paths are binding for the executor
     /// (see [`PlanConfig::authoritative`]).
     pub authoritative: bool,
@@ -180,9 +178,40 @@ pub(crate) struct RulePlan {
     pub executions: AtomicU64,
 }
 
+/// A reading of a plan's execution counters: `executions`, and per step the
+/// accumulated `actual_rows`. Plans are shared and keep counting; a reading
+/// does not.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PlanCounts {
+    pub executions: u64,
+    pub step_rows: Vec<u64>,
+}
+
+impl PlanCounts {
+    /// `self += later − earlier`: what the plan did between two readings.
+    pub(crate) fn add_since(&mut self, later: &PlanCounts, earlier: &PlanCounts) {
+        self.executions += later.executions - earlier.executions;
+        self.step_rows.resize(later.step_rows.len(), 0);
+        for (i, rows) in self.step_rows.iter_mut().enumerate() {
+            *rows += later.step_rows[i] - earlier.step_rows[i];
+        }
+    }
+}
+
 impl RulePlan {
     pub(crate) fn note_execution(&self) {
         self.executions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn counts(&self) -> PlanCounts {
+        PlanCounts {
+            executions: self.executions.load(Ordering::Relaxed),
+            step_rows: self
+                .steps
+                .iter()
+                .map(|s| s.actual_rows.load(Ordering::Relaxed))
+                .collect(),
+        }
     }
 
     /// The plan's observed symmetric error factor — how far the average
@@ -575,7 +604,6 @@ pub(crate) fn build_plan(
         est_total,
         reordered,
         has_unschedulable,
-        fingerprint: fingerprint(rule, delta_literal, cards),
         authoritative: cfg.authoritative,
         corrections: applied,
         executions: AtomicU64::new(0),
@@ -625,12 +653,21 @@ pub struct PlanStepExplain {
     pub actual_rows: u64,
 }
 
-/// Renders a plan for explain output / stats-json.
-pub(crate) fn explain(rule_idx: usize, label: &str, rule: &Rule, plan: &RulePlan) -> PlanExplain {
+/// Renders a plan for explain output / stats-json, with the execution and
+/// row counts of `counts` (a reading of `plan`'s counters, or a difference
+/// of two).
+pub(crate) fn explain(
+    rule_idx: usize,
+    label: &str,
+    rule: &Rule,
+    plan: &RulePlan,
+    counts: &PlanCounts,
+) -> PlanExplain {
     let steps = plan
         .steps
         .iter()
-        .map(|s| {
+        .zip(&counts.step_rows)
+        .map(|(s, &actual_rows)| {
             let lit = &rule.body[s.literal];
             let (desc, access) = match &s.kind {
                 StepKind::Join { access } => {
@@ -657,19 +694,20 @@ pub(crate) fn explain(rule_idx: usize, label: &str, rule: &Rule, plan: &RulePlan
                 desc,
                 access,
                 est_rows: s.est_rows,
-                actual_rows: s.actual_rows.load(Ordering::Relaxed),
+                actual_rows,
             }
         })
         .collect();
-    let executions = plan.executions.load(Ordering::Relaxed);
+    let executions = counts.executions;
     // Bindings out of the join pipeline: the accumulated rows after the
     // last join step. A join-free plan seeds one row per execution.
     let actual_rows = plan
         .steps
         .iter()
+        .zip(&counts.step_rows)
         .rev()
-        .find(|s| matches!(s.kind, StepKind::Join { .. }))
-        .map_or(executions, |s| s.actual_rows.load(Ordering::Relaxed));
+        .find(|(s, _)| matches!(s.kind, StepKind::Join { .. }))
+        .map_or(executions, |(_, &rows)| rows);
     PlanExplain {
         rule: rule_idx,
         label: label.to_string(),

@@ -12,7 +12,10 @@
 //! facts and (b) the boundary slice `[now − reach, now]` of the existing
 //! materialization, where `reach` is the program's maximal temporal
 //! look-back — exactly the facts a boundary-crossing derivation could
-//! consume.
+//! consume — and re-derives only over the window `[now, t]` that can still
+//! change (a repair: `[cut, now]`). Bodies are evaluated and heads clipped
+//! inside that window, so aggregates, rules evaluated in full and the
+//! seeded variants never rescan the session's history.
 
 use crate::ast::{Literal, MetricAtom, Program};
 use crate::database::Database;
@@ -604,7 +607,6 @@ impl Session {
                 self.now
             ))
         })?;
-        let horizon = self.session_horizon(self.now)?;
         let mut seed = Database::with_mode(self.reasoner.config().storage_mode());
         for (pred, tuple, ivs) in self.total.iter() {
             let clipped = IntervalSet::clip_components(ivs, &seed_window);
@@ -620,12 +622,18 @@ impl Session {
                 .as_ref()
                 .map(|p| p.span("rederive"));
             let mut provenance: Option<ProvenanceLog> = None;
+            // Everything below the cut is untouched by the edit and final
+            // (forward-propagating fragment), so only the repair window is
+            // re-derived; the seed carries what it reads from before it,
+            // and `top` keeps holding from the session start.
+            let top = self.session_horizon(self.now)?;
             self.reasoner.rederive(
                 &mut self.total,
                 &mut seed,
                 &mut provenance,
                 &mut self.stats,
-                horizon,
+                window,
+                top,
             )?;
             if let Some(s) = rd_span.as_mut() {
                 s.add("seed_tuples", seed.tuple_count() as u64);
@@ -670,7 +678,9 @@ impl Session {
         })
     }
 
-    /// The session's derivation horizon `[start, t]` as an interval.
+    /// The session's whole derivation horizon `[start, t]` as an interval:
+    /// what a cold run (the fallback, a goal-driven query) covers, and
+    /// where `top` holds while a warm run re-derives only the end of it.
     fn session_horizon(&self, t: Rational) -> Result<Interval> {
         Interval::new(
             TimeBound::Finite(self.start),
@@ -736,7 +746,24 @@ impl Session {
         }
         let seed_tuples = seed.tuple_count();
 
-        let horizon = self.session_horizon(t)?;
+        // Everything at or below the watermark is final, and the seed
+        // already carries the `reach`-wide slice a derivation above it can
+        // read: only `[now, t]` is re-derived (`top`, which no seed
+        // carries, keeps holding on all of `[start, t]`).
+        let horizon = Interval::new(
+            TimeBound::Finite(self.now),
+            true,
+            TimeBound::Finite(t),
+            true,
+        )
+        .ok_or_else(|| {
+            Error::EmptyWindow(format!(
+                "advance window {}..{t} collapsed (target below the watermark)",
+                self.now
+            ))
+        })?;
+
+        let top = self.session_horizon(t)?;
 
         // Each stratum's new facts also become seeds for the next stratum.
         let mut provenance: Option<ProvenanceLog> = None;
@@ -746,6 +773,7 @@ impl Session {
             &mut provenance,
             &mut self.stats,
             horizon,
+            top,
         )?;
         self.now = t;
         if let Some(s) = advance_span.as_mut() {

@@ -138,6 +138,27 @@ const TEMPLATES: &[Template] = &[
         "tag(a0, A, A) :- ev(A).\n\
          tag(a0, A, A) :- diamondminus tag(a0, A, A), not stop(A).",
     ),
+    // ---- the per-rule delta: a frame rule never re-reads its own closed
+    // run, so everything *other* rules add to its head must still reach it
+    chain(
+        "two frame rules over one head",
+        "p(A) :- ev(A).\n\
+         p(A) :- diamondminus[1, 1] p(A), not stop(A).\n\
+         p(A) :- boxminus[2, 2] p(A), pulse(A).",
+    ),
+    chain(
+        "frame rule fed by a same-stratum non-frame rule",
+        "p(A) :- ev(A).\n\
+         p(A) :- diamondminus p(A), not stop(A).\n\
+         q(A) :- p(A), pulse(A).\n\
+         p(A) :- boxminus[2, 2] q(A).",
+    ),
+    chain(
+        "diamond[1,3] with overlapping shifted pieces",
+        "p(A) :- ev(A).\n\
+         p(A) :- set(A, V).\n\
+         p(A) :- diamondminus[1, 3] p(A), not stop(A), not order(A, _).",
+    ),
     // ---- near-misses: one condition short, ordinary path ----
     near_miss(
         "head arguments permuted",
@@ -330,7 +351,7 @@ fn check_against_oracle(template: &Template, events: &[Event], what: &str) -> us
 
 #[test]
 fn every_template_matches_the_oracle_on_seeded_traces() {
-    // 21 templates × 4 seeds = 84 cases.
+    // 24 templates × 4 seeds = 96 cases.
     let mut cases = 0;
     for (i, template) in TEMPLATES.iter().enumerate() {
         for seed in 0..4u64 {

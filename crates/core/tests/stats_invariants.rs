@@ -362,8 +362,8 @@ fn retraction_shrinks_planner_estimates_to_survivors() {
     // rule against 4 surviving `big` rows; stale length accounting would
     // have kept it at the 40-row scale.
     let plan = stats
-        .plan_explains
-        .iter()
+        .plan_explains()
+        .into_iter()
         .find(|p| p.rule == 0)
         .expect("rule 0 plan explain");
     assert!(
@@ -371,6 +371,67 @@ fn retraction_shrinks_planner_estimates_to_survivors() {
         "estimate still sees phantom rows: est {} rows after 36 of 40 retracted",
         plan.est_rows
     );
+}
+
+/// A semi-naive variant runs only in rounds where its delta relation holds
+/// something — and does run when that delta arrives rounds later. `p`, `q`
+/// and `r` share a stratum: round 0 evaluates all three in full and derives
+/// `p`; round 1 has Δp only, so `q`'s variant and `r`'s Δp variant run and
+/// `r`'s Δq variant is skipped; round 2 has Δq only, so `r`'s Δq variant
+/// fires (and derives `r`) while its Δp variant and `q` are skipped; round 3
+/// has Δr, which nobody reads.
+#[test]
+fn empty_delta_variants_are_skipped_and_late_deltas_still_fire() {
+    let (stats, text) = materialize(
+        "p(X) :- e(X).\n\
+         q(X) :- diamondminus[1, 1] p(X).\n\
+         r(X) :- p(X), q(X).\n\
+         e(a)@[0, 5].",
+        0,
+        10,
+        true,
+    );
+    assert!(text.contains("r(a)@[1,5]."), "{text}");
+    assert_eq!(stats.iterations, [4]);
+    let evals: Vec<usize> = stats.rules.iter().map(|r| r.body_evaluations).collect();
+    assert_eq!(evals, [1, 2, 3], "p once, q full + Δp, r full + Δp + Δq");
+    assert_eq!(stats.rule_evaluations, 6);
+    check_breakdown_ties_out("late delta", &stats);
+}
+
+/// Plans are cached on the reasoner and keep counting executions for later
+/// runs; the explains of a `RunStats` are that run's own and do not move.
+#[test]
+fn plan_explains_are_a_snapshot_of_their_own_run() {
+    let (program, facts) = parse_source(
+        "p(X) :- e(X).\n\
+         p(X) :- diamondminus[1, 1] p(X), e(X).\n\
+         e(a)@[0, 5].",
+    )
+    .unwrap();
+    let mut db = Database::new();
+    db.extend_facts(&facts).unwrap();
+    let reasoner = Reasoner::new(program, ReasonerConfig::default().with_horizon(0, 10)).unwrap();
+    let first = reasoner.materialize(&db).unwrap().stats;
+    let before = first.plan_explains();
+    let second = reasoner.materialize(&db).unwrap().stats;
+    assert_eq!(
+        first.plan_explains(),
+        before,
+        "a later run moved the counts"
+    );
+    assert_eq!(second.plan_explains(), before, "same input, same plans");
+    for stats in [&first, &second] {
+        for r in &stats.rules {
+            let executions: u64 = stats
+                .plan_explains()
+                .iter()
+                .filter(|p| p.rule == r.rule)
+                .map(|p| p.executions)
+                .sum();
+            assert_eq!(executions, r.body_evaluations as u64, "rule {}", r.rule);
+        }
+    }
 }
 
 /// A lookup against a relation with no facts at all is still a lookup:

@@ -148,6 +148,9 @@ impl Rational {
 
     /// Checked addition: `None` if the reduced result overflows `i64`.
     pub fn checked_add(self, rhs: Rational) -> Option<Rational> {
+        if let Some(sum) = self.integer_op(rhs, i64::checked_add) {
+            return Some(sum);
+        }
         let num = self.num as i128 * rhs.den as i128 + rhs.num as i128 * self.den as i128;
         let den = self.den as i128 * rhs.den as i128;
         Self::try_from_i128(num, den)
@@ -155,6 +158,9 @@ impl Rational {
 
     /// Checked subtraction: `None` if the reduced result overflows `i64`.
     pub fn checked_sub(self, rhs: Rational) -> Option<Rational> {
+        if let Some(diff) = self.integer_op(rhs, i64::checked_sub) {
+            return Some(diff);
+        }
         let num = self.num as i128 * rhs.den as i128 - rhs.num as i128 * self.den as i128;
         let den = self.den as i128 * rhs.den as i128;
         Self::try_from_i128(num, den)
@@ -166,6 +172,20 @@ impl Rational {
             self.num as i128 * rhs.num as i128,
             self.den as i128 * rhs.den as i128,
         )
+    }
+
+    /// Integer fast path of `+`/`-`: unix-seconds timelines never leave ℤ,
+    /// so the common case is one checked `i64` op — no `i128` products, no
+    /// gcd. `None` (a fractional operand, or `i64` overflow) sends the
+    /// caller down the exact path, which decides between a result, `None`
+    /// and a panic exactly as it always did.
+    #[inline]
+    fn integer_op(self, rhs: Rational, op: fn(i64, i64) -> Option<i64>) -> Option<Rational> {
+        if self.den == 1 && rhs.den == 1 {
+            op(self.num, rhs.num).map(Rational::integer)
+        } else {
+            None
+        }
     }
 
     fn try_from_i128(num: i128, den: i128) -> Option<Rational> {
@@ -200,6 +220,9 @@ impl From<i32> for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
+        if let Some(sum) = self.integer_op(rhs, i64::checked_add) {
+            return sum;
+        }
         let num = self.num as i128 * rhs.den as i128 + rhs.num as i128 * self.den as i128;
         let den = self.den as i128 * rhs.den as i128;
         Rational::from_i128(num, den)
@@ -252,6 +275,11 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        // Equal (positive) denominators order like their numerators — the
+        // whole-seconds timeline never takes the wide path below.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // Cross-multiplication keeps the comparison exact; denominators are positive.
         (self.num as i128 * other.den as i128).cmp(&(other.num as i128 * self.den as i128))
     }
@@ -399,6 +427,55 @@ mod tests {
             Rational::new(1, 2).checked_add(Rational::new(1, 2)),
             Some(Rational::ONE)
         );
+    }
+
+    /// The integer fast path of `+`, `checked_add`, `checked_sub` and `cmp`
+    /// against the exact `i128` formulas it short-cuts, over mixed
+    /// integer/fractional operands including the `i64` edges.
+    #[test]
+    fn integer_fast_path_agrees_with_the_i128_path() {
+        let edges = [
+            i64::MIN,
+            i64::MIN + 1,
+            -(1 << 40),
+            -7,
+            -1,
+            0,
+            1,
+            2,
+            1_664_274_600, // a unix-seconds timestamp
+            1 << 40,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let mut rng = chronolog_obs::SmallRng::seed_from_u64(13);
+        let mut operands: Vec<Rational> = edges.iter().map(|&n| Rational::integer(n)).collect();
+        for &n in &edges[1..] {
+            operands.push(Rational::new(n, 2));
+            operands.push(Rational::new(n, 3));
+        }
+        for _ in 0..64 {
+            let n = rng.gen_range_i64(-1_000_000, 1_000_000);
+            operands.push(Rational::integer(n));
+            operands.push(Rational::new(n, rng.gen_range_i64(1, 12)));
+        }
+        let exact = |num: i128, den: i128| Rational::try_from_i128(num, den);
+        for &a in &operands {
+            for &b in &operands {
+                let (an, ad, bn, bd) = (a.num as i128, a.den as i128, b.num as i128, b.den as i128);
+                let sum = exact(an * bd + bn * ad, ad * bd);
+                assert_eq!(a.checked_add(b), sum, "{a} + {b}");
+                assert_eq!(
+                    a.checked_sub(b),
+                    exact(an * bd - bn * ad, ad * bd),
+                    "{a} - {b}"
+                );
+                assert_eq!(a.cmp(&b), (an * bd).cmp(&(bn * ad)), "{a} <=> {b}");
+                // `+` panics exactly where the checked form is `None`.
+                let added = std::panic::catch_unwind(|| a + b).ok();
+                assert_eq!(added, sum, "{a} + {b} (operator)");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,13 @@ bench-e2e-smoke:
     cargo test --manifest-path benchmark/Cargo.toml
     cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke
 
+# Alternating driver-style pairs of the BENCHMARK.json command: REV (checked
+# out and built in a temporary directory) against the working tree, seed i
+# for pair i. Prints each side's median and quartiles and the working
+# tree's wins per end-to-end metric — the evidence a perf PR has to show.
+bench-pairs REV WORKLOAD PAIRS="10":
+    python3 scripts/bench_pairs.py {{REV}} {{WORKLOAD}} {{PAIRS}}
+
 # Lints are errors.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
