@@ -3,7 +3,7 @@
 
 use chronolog_bench::microbench::{black_box, Bench};
 use chronolog_core::{
-    parse_program, parse_source, Database, Fact, Reasoner, ReasonerConfig, StorageMode, Value,
+    parse_program, parse_source, Database, Fact, Reasoner, ReasonerConfig, Value,
 };
 use mtl_temporal::{Interval, IntervalSet, MetricInterval, Rational};
 
@@ -108,10 +108,10 @@ fn bench_small_materialization(c: &mut Bench) {
 }
 
 /// A join-heavy workload: two 600-tuple relations joined on a key drawn
-/// from 40 distinct values, plus a second rule re-joining the result. The
-/// full-scan path walks 600 tuples per binding; the indexed path probes a
-/// ~15-tuple bucket. The workload has >256 bindings per rule, so the
-/// `threads4` variant also exercises the binding fan-out inside a rule.
+/// from 40 distinct values, plus a second rule re-joining the result. Each
+/// binding probes a ~15-tuple value-index bucket instead of walking the 600
+/// tuples. The workload has >256 bindings per rule, so the `threads4`
+/// variant also exercises the binding fan-out inside a rule.
 fn bench_join_heavy(c: &mut Bench) {
     let src = "linked(X, Z) :- r(X, K), s(K, Z).\n\
                closed(X, Z) :- linked(X, Z), r(Z, K2), s(K2, X).";
@@ -122,13 +122,10 @@ fn bench_join_heavy(c: &mut Bench) {
         db.assert_at("s", &[Value::Int(i % 40), Value::Int(i)], i % 8);
     }
 
-    let run = |index_joins: bool, threads: usize, db: &Database| {
-        let config = ReasonerConfig {
-            index_joins,
-            ..ReasonerConfig::default()
-                .with_horizon(0, 8)
-                .with_threads(threads)
-        };
+    let run = |threads: usize, db: &Database| {
+        let config = ReasonerConfig::default()
+            .with_horizon(0, 8)
+            .with_threads(threads);
         Reasoner::new(program.clone(), config)
             .unwrap()
             .materialize(db)
@@ -137,28 +134,15 @@ fn bench_join_heavy(c: &mut Bench) {
 
     let mut group = c.group("join_heavy");
     group.sample_size(10);
-    group.bench_function("full_scan/threads1", |b| {
-        b.iter(|| black_box(run(false, 1, &db)))
-    });
-    group.bench_function("full_scan/threads4", |b| {
-        b.iter(|| black_box(run(false, 4, &db)))
-    });
-    group.bench_function("indexed/threads1", |b| {
-        b.iter(|| black_box(run(true, 1, &db)))
-    });
-    group.bench_function("indexed/threads4", |b| {
-        b.iter(|| black_box(run(true, 4, &db)))
-    });
+    group.bench_function("indexed/threads1", |b| b.iter(|| black_box(run(1, &db))));
+    group.bench_function("indexed/threads4", |b| b.iter(|| black_box(run(4, &db))));
     // Same workload, but one `Reasoner` — and therefore one persistent
     // worker pool — reused across runs. The plain `threads4` variant above
     // builds a fresh `Reasoner` per run, so every run pays the pool spawn;
     // this one pays it once.
     let warm = Reasoner::new(
         program.clone(),
-        ReasonerConfig {
-            index_joins: true,
-            ..ReasonerConfig::default().with_horizon(0, 8).with_threads(4)
-        },
+        ReasonerConfig::default().with_horizon(0, 8).with_threads(4),
     )
     .unwrap();
     group.bench_function("indexed/threads4_warm_pool", |b| {
@@ -170,8 +154,8 @@ fn bench_join_heavy(c: &mut Bench) {
 /// Cost-based join reordering on a selective-last body: `sel` holds two
 /// tuples per instant but is written after two 600-tuple relations. The
 /// planner hoists it to the front, collapsing the binding fan-out before
-/// the wide joins; the `no_reorder` ablation executes the textual order,
-/// enumerating the full wide1⋈wide2 product before filtering on `sel`.
+/// the wide joins (the textual order would enumerate the full wide1⋈wide2
+/// product before filtering on `sel`).
 fn bench_reorder_heavy(c: &mut Bench) {
     let src = "hot(X, Y) :- wide1(X, K), wide2(K, Y), sel(X).\n\
                chain(X, Z) :- hot(X, Y), wide2(Y, Z).";
@@ -186,32 +170,30 @@ fn bench_reorder_heavy(c: &mut Bench) {
         db.assert_at("sel", &[Value::Int(23)], t);
     }
 
-    let run = |cost_based_reorder: bool, db: &Database| {
-        let config = ReasonerConfig {
-            cost_based_reorder,
-            ..ReasonerConfig::default().with_horizon(0, 8)
-        };
-        Reasoner::new(program.clone(), config)
-            .unwrap()
-            .materialize(db)
-            .unwrap()
+    let run = |db: &Database| {
+        Reasoner::new(
+            program.clone(),
+            ReasonerConfig::default().with_horizon(0, 8),
+        )
+        .unwrap()
+        .materialize(db)
+        .unwrap()
     };
 
     let mut group = c.group("reorder_heavy");
     group.sample_size(10);
-    group.bench_function("no_reorder", |b| b.iter(|| black_box(run(false, &db))));
-    group.bench_function("cost_based", |b| b.iter(|| black_box(run(true, &db))));
+    group.bench_function("cost_based", |b| b.iter(|| black_box(run(&db))));
     group.finish();
 }
 
 /// A windowed join over a long-lived relation: `load` holds 4000 punctual
 /// tuples spread over t∈[0,4000), but each outer binding only needs the
-/// ~3-instant slice its pushed-down mask selects. The time-indexed path
-/// binary-searches the sorted endpoint array for that slice; the ablated
-/// path clips every candidate tuple's interval set against the mask.
+/// ~3-instant slice its pushed-down mask selects: the time index
+/// binary-searches the sorted endpoint array for that slice instead of
+/// clipping every candidate tuple's interval set against the mask.
 fn bench_windowed_join(c: &mut Bench) {
     // `unkeyed`: the inner literal has no bound argument, so the time
-    // index is the only selective access path (vs a full clipping scan).
+    // index is the only selective access path.
     // `keyed`: the inner literal is also value-bound, so the probe is the
     // composed (value, window) lookup from the most-selective bucket.
     let src = "near(X, L) :- ev(X), diamondminus[0, 2] load(L).\n\
@@ -227,21 +209,19 @@ fn bench_windowed_join(c: &mut Bench) {
         db.assert_at("evk", &[Value::Int(i), Value::Int(i % 40)], i);
     }
 
-    let run = |time_index: bool, db: &Database| {
-        let config = ReasonerConfig {
-            time_index,
-            ..ReasonerConfig::default().with_horizon(0, 50)
-        };
-        Reasoner::new(program.clone(), config)
-            .unwrap()
-            .materialize(db)
-            .unwrap()
+    let run = |db: &Database| {
+        Reasoner::new(
+            program.clone(),
+            ReasonerConfig::default().with_horizon(0, 50),
+        )
+        .unwrap()
+        .materialize(db)
+        .unwrap()
     };
 
     let mut group = c.group("windowed_join");
     group.sample_size(10);
-    group.bench_function("clipped", |b| b.iter(|| black_box(run(false, &db))));
-    group.bench_function("time_indexed", |b| b.iter(|| black_box(run(true, &db))));
+    group.bench_function("time_indexed", |b| b.iter(|| black_box(run(&db))));
     group.finish();
 }
 
@@ -347,50 +327,42 @@ fn bench_session_stream(c: &mut Bench) {
     group.finish();
 }
 
-/// Raw scan throughput of the two relation layouts: one full-scan rule
-/// over a 20k-tuple relation, so evaluation time is dominated by walking
-/// stored tuples. The columnar layout runs dense `u32` semantic-id
-/// compares over flat columns; the row layout unifies against boxed
-/// tuples. Alongside wall time, each layout's storage footprint is
-/// reported as `bytes_per_tuple` in the JSON report (schema v3), with the
-/// `Value` / `Interval` ABI sizes in `environment` for context.
+/// One selective rule over a 20k-tuple relation, and the relation's storage
+/// footprint as `bytes_per_tuple` in the JSON report (with the `Value` /
+/// `Interval` ABI sizes in `environment` for context). The figure recorded
+/// in `BENCH_engine.json` was taken with the value and time indexes
+/// switched off — a raw scan of the flat `u32` columns per binding; that
+/// switch is retired (`docs/PERFORMANCE.md`, "Retired ablations"), so a
+/// fresh run times the default probe of the same workload instead.
 fn bench_columnar_scan(c: &mut Bench) {
-    // index_joins off so every lookup is a full scan of `big`; the guard
-    // `sel` relation keeps the binding count small, isolating scan cost.
     let src = "hit(X, V) :- sel(X), big(X, V).";
     let program = parse_program(src).unwrap();
     const TUPLES: i64 = 20_000;
-    let mut col_db = Database::new();
+    let mut db = Database::new();
     for i in 0..TUPLES {
-        col_db.assert_at("big", &[Value::Int(i % 500), Value::Int(i)], i % 16);
+        db.assert_at("big", &[Value::Int(i % 500), Value::Int(i)], i % 16);
     }
     for t in 0..16i64 {
-        col_db.assert_at("sel", &[Value::Int(7)], t);
-        col_db.assert_at("sel", &[Value::Int(333)], t);
+        db.assert_at("sel", &[Value::Int(7)], t);
+        db.assert_at("sel", &[Value::Int(333)], t);
     }
-    let row_db = col_db.to_mode(StorageMode::Row);
 
-    let run = |row_store: bool, db: &Database| {
-        let config = ReasonerConfig {
-            index_joins: false,
-            time_index: false,
-            row_store,
-            ..ReasonerConfig::default().with_horizon(0, 16)
-        };
-        Reasoner::new(program.clone(), config)
-            .unwrap()
-            .materialize(db)
-            .unwrap()
+    let run = |db: &Database| {
+        Reasoner::new(
+            program.clone(),
+            ReasonerConfig::default().with_horizon(0, 16),
+        )
+        .unwrap()
+        .materialize(db)
+        .unwrap()
     };
 
     let mut group = c.group("columnar_scan");
     group.sample_size(10);
-    group.bench_function("columnar", |b| b.iter(|| black_box(run(false, &col_db))));
-    group.bench_function("row_store", |b| b.iter(|| black_box(run(true, &row_db))));
+    group.bench_function("columnar", |b| b.iter(|| black_box(run(&db))));
     group.finish();
-    let per_tuple = |db: &Database| db.storage_bytes() as f64 / db.tuple_count().max(1) as f64;
-    c.annotate_bytes_per_tuple("columnar_scan/columnar", per_tuple(&col_db));
-    c.annotate_bytes_per_tuple("columnar_scan/row_store", per_tuple(&row_db));
+    let per_tuple = db.storage_bytes() as f64 / db.tuple_count().max(1) as f64;
+    c.annotate_bytes_per_tuple("columnar_scan/columnar", per_tuple);
 }
 
 fn bench_repair(c: &mut Bench) {
@@ -399,9 +371,9 @@ fn bench_repair(c: &mut Bench) {
     // the session is identical before and after and iterations are
     // comparable. `repair_small_cone` takes the incremental DRed path
     // (overdelete the affected cone, rederive from the boundary);
-    // `repair_fallback_cold` forces the cold re-materialization fallback
-    // that a budget trip would also take — the gap between the two is the
-    // payoff of the incremental path.
+    // `repair_fallback_cold` runs on a zero repair budget, which every cone
+    // trips into the cold re-materialization fallback — the gap between
+    // the two is the payoff of the incremental path.
     let src = "isOpen(A) :- tranM(A, M).\n\
                isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
                changeM(A) :- tranM(A, M).\n\
@@ -451,7 +423,7 @@ fn bench_repair(c: &mut Bench) {
         })
     });
     assert!(warm.stats().repairs.incremental > 0);
-    let mut cold = build_session(ReasonerConfig::default().with_repair(false));
+    let mut cold = build_session(ReasonerConfig::default().with_repair_budget(0));
     cold.retract(churn.clone()).unwrap();
     cold.submit_late(churn.clone()).unwrap();
     group.bench_function("repair_fallback_cold", |b| {

@@ -37,20 +37,11 @@
 //!                         fact, a bare `<fact>.` is submitted (late facts
 //!                         trigger an incremental repair). `#`/`%` lines
 //!                         and blanks are skipped.
-//!   --no-repair           disable incremental repair: every out-of-order
-//!                         correction falls back to cold re-materialization
 //!   --repair-budget N     max tuples the repair cone may touch before
-//!                         falling back to cold re-materialization
-//!   --no-time-index       disable the sorted-endpoint time index (ablation)
-//!   --no-reorder          disable cost-based join reordering (ablation;
-//!                         rules run in textual delta-first order)
-//!   --no-adaptive         disable adaptive planner feedback (ablation;
-//!                         sustained misestimates no longer force replans
-//!                         with corrected estimates — identical facts)
-//!   --row-store           store relations row-major instead of the default
-//!                         columnar layout (ablation; byte-identical output)
+//!                         falling back to cold re-materialization (0 sends
+//!                         every correction down the cold path)
 //!   --explain-plans       print each rule's compiled physical plan with
-//!                         the chosen access paths and estimated vs. actual
+//!                         the access-path label and estimated vs. actual
 //!                         rows per step, plus the top planner misestimates
 //!   --profile FILE        write a Chrome trace_event JSON profile (open in
 //!                         Perfetto or chrome://tracing; one track per
@@ -71,26 +62,11 @@ use chronolog_obs::{Json, Registry, Tracer};
 use std::fmt::Write as _;
 
 /// Schema version of the `--stats-json` report; bump on breaking changes.
-/// v2 added join-path counters to `totals` and the `workers` section.
-/// v3 added the time-index counters `time_index_probes`,
-/// `interval_clips_avoided`, and `index_rebuilds_avoided` to `totals`.
-/// v4 added `probed_tuples` to `totals`, the `planner` section (plan
-/// compilation counters plus per-rule plans with estimated vs. actual
-/// rows), and the `pool` section (worker-pool reuse counters).
-/// v5 added `planner.misestimates` (per-plan actual-vs-estimated feedback,
-/// worst first) and `executions` / `actual_rows` to each `planner.plans`
-/// entry.
-/// v6 added the `repairs` section (out-of-order correction accounting:
-/// attempted / incremental / fallbacks / budget_trips / cone_tuples /
-/// overdeleted_components).
-/// v7 added the `storage` section (relation-storage layout, interner and
-/// arena figures, clone traffic).
-/// v8 added `planner.replans_triggered` (adaptive-feedback replans), a
-/// `corrections` array (learned per-literal correction factors) to each
-/// `planner.plans` entry, and `access_path` to each plan step.
-/// v9 added the `magic` section (goal-driven query evaluation: mode,
-/// degradation flag, cone/rewrite counters, demanded vs. magic tuples).
-pub const REPORT_SCHEMA_VERSION: u64 = 9;
+/// The report carries run metadata, then the engine's `totals`, `strata`,
+/// `rules`, `workers`, `planner`, `pool`, `repairs`, `storage` and `magic`
+/// sections, then a `metrics` registry snapshot (`docs/OBSERVABILITY.md`
+/// describes every field; `tests/fixtures/stats_schema.txt` pins the shape).
+pub const REPORT_SCHEMA_VERSION: u64 = 10;
 
 /// CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -153,9 +129,7 @@ const USAGE: &str = "usage: chronolog <check|run|graph|validate-trace> <file>...
   run options: --horizon LO..HI  --threads N  --query 'p(X)@[lo,hi]'\n\
                --no-magic  --explain-query  --explain 'p(a)@5'\n\
                --facts  --stats  --stats-json FILE  --trace FILE\n\
-               --session  --stream FILE  --no-repair  --repair-budget N\n\
-               --no-time-index  --no-reorder  --no-adaptive  --row-store\n\
-               --explain-plans\n\
+               --session  --stream FILE  --repair-budget N  --explain-plans\n\
                --profile FILE  --profile-folded FILE";
 
 fn load_sources(
@@ -334,12 +308,7 @@ fn cmd_run(
     let mut profile_folded_file: Option<String> = None;
     let mut session_mode = false;
     let mut stream_file: Option<String> = None;
-    let mut repair = true;
     let mut repair_budget: Option<u64> = None;
-    let mut time_index = true;
-    let mut cost_based_reorder = true;
-    let mut adaptive = true;
-    let mut row_store = false;
     let mut explain_plans = false;
     let mut magic = true;
     let mut explain_query = false;
@@ -443,11 +412,6 @@ fn cmd_run(
             "--facts" => dump_facts = true,
             "--stats" => stats = true,
             "--session" => session_mode = true,
-            "--no-repair" => repair = false,
-            "--no-time-index" => time_index = false,
-            "--no-reorder" => cost_based_reorder = false,
-            "--no-adaptive" => adaptive = false,
-            "--row-store" => row_store = true,
             "--explain-plans" => explain_plans = true,
             "--no-magic" => magic = false,
             "--explain-query" => explain_query = true,
@@ -491,11 +455,6 @@ fn cmd_run(
         tracer: tracer.clone(),
         profiler: profiler.clone(),
         threads,
-        time_index,
-        cost_based_reorder,
-        adaptive,
-        repair,
-        row_store,
         ..ReasonerConfig::default()
     };
     if let Some(budget) = repair_budget {
@@ -798,7 +757,7 @@ fn parse_stream_fact(text: &str, n: usize) -> Result<Fact, CliError> {
 }
 
 /// Renders the `--explain-plans` report: every compiled rule plan (one per
-/// semi-naive variant) in execution order, with the chosen access path and
+/// semi-naive variant) in execution order, with the access-path label and
 /// estimated vs. actual rows per step. Contains no wall times, so the
 /// output is deterministic and golden-testable.
 fn render_plans(out: &mut String, stats: &RunStats) {
@@ -909,9 +868,8 @@ fn render_stats(out: &mut String, stats: &RunStats) {
     let s = &stats.storage;
     let _ = writeln!(
         out,
-        "storage: {} layout, {} symbols + {} values interned, {} interval bytes, \
+        "storage: {} symbols + {} values interned, {} interval bytes, \
          {} value bytes, {} column clones, arena slabs {} freed / {} reused",
-        s.mode,
         s.interned_symbols,
         s.interned_values,
         s.interval_bytes,
@@ -996,42 +954,14 @@ pub fn run_report(stats: &RunStats, files: &[String], horizon: Option<(i64, i64)
         },
     );
     let stats_json = stats.to_json();
-    report.set(
-        "totals",
-        stats_json.get("totals").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "strata",
-        stats_json.get("strata").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "rules",
-        stats_json.get("rules").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "workers",
-        stats_json.get("workers").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "planner",
-        stats_json.get("planner").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "pool",
-        stats_json.get("pool").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "repairs",
-        stats_json.get("repairs").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "storage",
-        stats_json.get("storage").cloned().unwrap_or(Json::Null),
-    );
-    report.set(
-        "magic",
-        stats_json.get("magic").cloned().unwrap_or(Json::Null),
-    );
+    for section in [
+        "totals", "strata", "rules", "workers", "planner", "pool", "repairs", "storage", "magic",
+    ] {
+        report.set(
+            section,
+            stats_json.get(section).cloned().unwrap_or(Json::Null),
+        );
+    }
     report.set("metrics", Registry::global().snapshot());
     report
 }
@@ -1260,8 +1190,8 @@ mod tests {
             sum(strata, "tuples_derived"),
             totals.get("derived_tuples").and_then(Json::as_u64).unwrap()
         );
-        // v4: the planner section ties out against its own plan list, and
-        // the pool section exists (all-zero for a sequential run).
+        // The planner section ties out against its own plan list, and the
+        // pool section exists (all-zero for a sequential run).
         let planner = report.get("planner").unwrap();
         let plans = planner.get("plans").and_then(Json::as_array).unwrap();
         assert!(planner.get("plans_built").and_then(Json::as_u64).unwrap() >= plans.len() as u64);
@@ -1661,11 +1591,6 @@ mod tests {
         assert_eq!(get(&report, "incremental"), 0);
         assert_eq!(get(&report, "fallbacks"), 1);
         assert_eq!(get(&report, "budget_trips"), 1);
-        // --no-repair forces the fallback without a budget trip.
-        let report = report_for(&["--no-repair"], "norepair.json");
-        assert_eq!(get(&report, "attempted"), 1);
-        assert_eq!(get(&report, "fallbacks"), 1);
-        assert_eq!(get(&report, "budget_trips"), 0);
     }
 
     #[test]
@@ -1693,11 +1618,10 @@ mod tests {
             )
             .unwrap()
         };
+        // Budget 0 is the run without repair: every correction goes cold.
         let repaired = run_with(&[]);
-        let cold = run_with(&["--no-repair"]);
-        let tripped = run_with(&["--repair-budget", "0"]);
+        let cold = run_with(&["--repair-budget", "0"]);
         assert_eq!(repaired, cold);
-        assert_eq!(repaired, tripped);
     }
 
     #[test]
@@ -1745,51 +1669,17 @@ mod tests {
     }
 
     #[test]
-    fn disabling_reordering_changes_nothing_but_counters() {
-        // Multi-join bodies with one selective atom: the planner reorders,
-        // the ablated run keeps textual order, and the derived facts must
-        // be byte-identical either way.
-        let scenario = "hot(X, Y) :- wide(X, K), fan(K, Y), sel(X).\n\
-                        chain(X, Z) :- hot(X, Y), fan(Y, Z).\n\
-                        wide(a, k1)@[0, 9]. wide(b, k1)@[0, 9]. wide(c, k2)@[0, 9].\n\
-                        wide(d, k2)@[0, 9]. wide(e, k3)@[0, 9].\n\
-                        fan(k1, u)@[0, 9]. fan(k1, v)@[0, 9]. fan(k2, u)@[0, 9].\n\
-                        fan(k3, w)@[0, 9]. fan(u, t)@[0, 9].\n\
-                        sel(c)@[0, 9].";
-        let reordered = run_cli(
-            &args(&["run", "g.dmtl", "--horizon", "0..9", "--facts"]),
-            fake_fs(&[("g.dmtl", scenario)]),
-        )
-        .unwrap();
-        let ablated = run_cli(
-            &args(&[
-                "run",
-                "g.dmtl",
-                "--horizon",
-                "0..9",
-                "--facts",
-                "--no-reorder",
-            ]),
-            fake_fs(&[("g.dmtl", scenario)]),
-        )
-        .unwrap();
-        assert_eq!(reordered, ablated);
-        assert!(reordered.contains("hot(c, u)"), "{reordered}");
-    }
-
-    #[test]
     fn explain_plans_output_is_stable() {
         // Golden: the plan listing carries no wall times, so the exact
         // bytes are deterministic for a fixed program and input.
         let scenario = "h(X) :- e(X), ghost(X).\n\
                         d(X) :- e(X).\n\
                         e(a)@0. e(b)@0.";
-        let run = |extra: &[&str]| {
-            let mut a = vec!["run", "g.dmtl", "--horizon", "0..2", "--explain-plans"];
-            a.extend_from_slice(extra);
-            run_cli(&args(&a), fake_fs(&[("g.dmtl", scenario)])).unwrap()
-        };
-        let out = run(&[]);
+        let out = run_cli(
+            &args(&["run", "g.dmtl", "--horizon", "0..2", "--explain-plans"]),
+            fake_fs(&[("g.dmtl", scenario)]),
+        )
+        .unwrap();
         assert!(out.starts_with("-- plans --\n"), "{out}");
         // The planner hoists the empty `ghost` ahead of `e` in rule 0.
         // Both plans estimate within the noise threshold, so the
@@ -1803,32 +1693,6 @@ mod tests {
              plan r1 (full): est 2 rows\n  \
              join e(X)                                    scan             est      2  actual      2\n"
         );
-        // Ablated: textual order, nothing reordered.
-        let ablated = run(&["--no-reorder"]);
-        assert!(!ablated.contains("reordered"), "{ablated}");
-        assert!(ablated.contains("plan r0 (full): est 0 rows"), "{ablated}");
-    }
-
-    #[test]
-    fn disabling_the_time_index_changes_nothing_but_counters() {
-        let indexed = run_cli(
-            &args(&["run", "demo.dmtl", "--horizon", "0..20", "--facts"]),
-            fake_fs(&[("demo.dmtl", STREAMABLE)]),
-        )
-        .unwrap();
-        let ablated = run_cli(
-            &args(&[
-                "run",
-                "demo.dmtl",
-                "--horizon",
-                "0..20",
-                "--facts",
-                "--no-time-index",
-            ]),
-            fake_fs(&[("demo.dmtl", STREAMABLE)]),
-        )
-        .unwrap();
-        assert_eq!(indexed, ablated);
     }
 
     #[test]

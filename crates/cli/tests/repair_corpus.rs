@@ -3,7 +3,8 @@
 //! a real fact retracted and re-delivered late — that leaves the
 //! surviving base facts identical to the shipped file. The streamed
 //! session must therefore be byte-identical to the plain batch run, both
-//! with incremental repair and with `--no-repair` (cold fallback only).
+//! with incremental repair and with `--repair-budget 0` (cold fallback
+//! only).
 
 use chronolog_cli::run_cli;
 
@@ -58,7 +59,8 @@ fn assert_churn_equivalent(corpus: &str, horizon: &str, stream: &str) {
             "--session",
             "--stream",
             "churn.stream",
-            "--no-repair",
+            "--repair-budget",
+            "0",
         ]),
         &fs,
     )

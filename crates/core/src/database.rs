@@ -4,24 +4,14 @@
 //! `(P, v̄)` maps to the coalesced [`IntervalSet`] of all its annotations,
 //! which is the canonical representation of the induced interpretation.
 //!
-//! ## Storage layouts
+//! ## Storage layout
 //!
-//! Relations support two layouts behind one API, selected per database via
-//! [`StorageMode`]:
-//!
-//! * **Columnar** (default) — constants are interned to dense `u32` vids
-//!   (see `crate::intern`) and stored struct-of-arrays: one flat `Vec<u32>`
-//!   per argument position, plus a single interval **arena** per relation
-//!   holding every tuple's components contiguously behind `(offset, len)`
-//!   handles. Joins, value-index probes, and the time index walk flat
-//!   memory; a snapshot `clone` is a handful of column memcpys.
-//! * **Row** (`--row-store` ablation) — the historical layout: one boxed
-//!   `Tuple` and one owned [`IntervalSet`] per entry. Kept as the
-//!   bit-for-bit reference the CI ablation diff compares against.
-//!
-//! Both layouts share the same tuple-id space semantics, the same secondary
-//! value indexes, and the same time index, so candidate sets — and with
-//! them every scanned/probed/avoided counter — are identical across modes.
+//! Relations are columnar: constants are interned to dense `u32` vids (see
+//! `crate::intern`) and stored struct-of-arrays — one flat `Vec<u32>` per
+//! argument position, plus a single interval **arena** per relation holding
+//! every tuple's components contiguously behind `(offset, len)` handles.
+//! Joins, value-index probes, and the time index walk flat memory; a
+//! snapshot `clone` is a handful of column memcpys.
 
 use crate::ast::Fact;
 use crate::error::Result;
@@ -34,19 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::RwLock;
 
-/// Which physical layout a [`Database`] (and every relation it creates)
-/// uses. See the module docs; `Columnar` is the default, `Row` is the
-/// ablation baseline behind the `--row-store` flag.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StorageMode {
-    /// Struct-of-arrays columns of interned value ids + interval arena.
-    #[default]
-    Columnar,
-    /// Row-oriented `Vec<(Tuple, IntervalSet)>` (ablation baseline).
-    Row,
-}
-
-/// Process-wide count of flat column buffers copied by columnar
+/// Process-wide count of flat column buffers copied by
 /// `Relation::clone` (value columns + interval arena per clone). Surfaced
 /// in the stats-json `storage` section as `column_clones`.
 static COLUMN_CLONES: AtomicU64 = AtomicU64::new(0);
@@ -231,13 +209,6 @@ impl TimeIndex {
     }
 }
 
-/// Row layout: one boxed tuple and one owned interval set per entry.
-#[derive(Default, Debug, Clone)]
-pub(crate) struct RowStore {
-    pub(crate) entries: Vec<(Tuple, IntervalSet)>,
-    ids: FxHashMap<Tuple, u32>,
-}
-
 /// Arena slab handle: `len` live components at `off`, in a slab of
 /// power-of-two capacity `cap` (0 for the never-allocated empty handle).
 #[derive(Clone, Copy, Default, Debug)]
@@ -362,7 +333,8 @@ impl IdTable {
     }
 }
 
-/// Columnar layout: interned-vid columns + interval arena (module docs).
+/// The columnar tuple store: interned-vid columns + interval arena (module
+/// docs).
 #[derive(Default, Debug, Clone)]
 pub(crate) struct ColumnStore {
     /// One column per argument position up to the widest arity seen;
@@ -540,26 +512,19 @@ impl ColumnStore {
     }
 }
 
-/// A borrowed tuple from either storage layout. Row tuples hand out their
-/// values directly; columnar tuples decode vids through the global
+/// A borrowed tuple. Values are decoded from their vids through the global
 /// interner on access (display, query, and snapshot paths — the join hot
 /// path compares interned ids and never materializes a `TupleRef`).
 #[derive(Clone, Copy)]
-pub struct TupleRef<'a>(TupleRefInner<'a>);
-
-#[derive(Clone, Copy)]
-enum TupleRefInner<'a> {
-    Row(&'a [Value]),
-    Col { store: &'a ColumnStore, id: u32 },
+pub struct TupleRef<'a> {
+    store: &'a ColumnStore,
+    id: u32,
 }
 
-impl<'a> TupleRef<'a> {
+impl TupleRef<'_> {
     /// Number of arguments.
     pub fn len(&self) -> usize {
-        match self.0 {
-            TupleRefInner::Row(t) => t.len(),
-            TupleRefInner::Col { store, id } => store.len_of(id),
-        }
+        self.store.len_of(self.id)
     }
 
     /// `true` iff the tuple has no arguments.
@@ -569,26 +534,16 @@ impl<'a> TupleRef<'a> {
 
     /// The value at position `i` (panics out of bounds).
     pub fn value(&self, i: usize) -> Value {
-        match self.0 {
-            TupleRefInner::Row(t) => t[i],
-            TupleRefInner::Col { store, id } => {
-                assert!(i < store.len_of(id), "tuple position out of bounds");
-                intern::read().decode(store.vid_at(i, id))
-            }
-        }
+        assert!(i < self.len(), "tuple position out of bounds");
+        intern::read().decode(self.store.vid_at(i, self.id))
     }
 
     /// All values, decoded once.
     pub fn to_vec(&self) -> Vec<Value> {
-        match self.0 {
-            TupleRefInner::Row(t) => t.to_vec(),
-            TupleRefInner::Col { store, id } => {
-                let g = intern::read();
-                (0..store.len_of(id))
-                    .map(|p| g.decode(store.vid_at(p, id)))
-                    .collect()
-            }
-        }
+        let g = intern::read();
+        (0..self.len())
+            .map(|p| g.decode(self.store.vid_at(p, self.id)))
+            .collect()
     }
 
     /// An owned boxed tuple.
@@ -603,36 +558,14 @@ impl fmt::Debug for TupleRef<'_> {
     }
 }
 
-/// Borrowed store view for the executor's hot loops (`eval_rel` matches on
-/// this once per call and runs a layout-specialized candidate loop).
-pub(crate) enum StoreRef<'a> {
-    Row(&'a RowStore),
-    Col(&'a ColumnStore),
-}
-
-enum Store {
-    Row(RowStore),
-    Col(ColumnStore),
-}
-
-impl Store {
-    fn len(&self) -> usize {
-        match self {
-            Store::Row(s) => s.entries.len(),
-            Store::Col(s) => s.len(),
-        }
-    }
-}
-
 /// All tuples of one predicate with their validity intervals.
 ///
 /// Tuples live in a dense, insertion-ordered id space with a hash lookup
 /// for exact-tuple access; value indexes hang off the side under a lock so
-/// read-only evaluation threads can build them on first use. The physical
-/// layout behind the id space is the enclosing database's [`StorageMode`].
-#[derive(Debug)]
+/// read-only evaluation threads can build them on first use.
+#[derive(Debug, Default)]
 pub struct Relation {
-    store: Store,
+    store: ColumnStore,
     /// Live interval components across all tuples, maintained on every
     /// mutation so `Database::component_count` is O(relations).
     live_components: usize,
@@ -642,21 +575,6 @@ pub struct Relation {
     /// phantom rows after repair churn.
     live_tuples: usize,
     indexes: RwLock<SecondaryIndexes>,
-}
-
-impl fmt::Debug for Store {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Store::Row(s) => f.debug_tuple("Row").field(&s.entries.len()).finish(),
-            Store::Col(s) => f.debug_tuple("Col").field(&s.len()).finish(),
-        }
-    }
-}
-
-impl Default for Relation {
-    fn default() -> Relation {
-        Relation::with_mode(StorageMode::Columnar)
-    }
 }
 
 impl Clone for Relation {
@@ -670,17 +588,11 @@ impl Clone for Relation {
             .read()
             .expect("relation index lock poisoned")
             .clone();
-        let store = match &self.store {
-            Store::Row(s) => Store::Row(s.clone()),
-            Store::Col(s) => {
-                // Snapshot clone of a columnar relation is a flat-buffer
-                // memcpy per value column plus one for the interval arena.
-                COLUMN_CLONES.fetch_add(s.cols.len() as u64 + 1, AtomicOrdering::Relaxed);
-                Store::Col(s.clone())
-            }
-        };
+        // A snapshot clone is a flat-buffer memcpy per value column plus one
+        // for the interval arena.
+        COLUMN_CLONES.fetch_add(self.store.cols.len() as u64 + 1, AtomicOrdering::Relaxed);
         Relation {
-            store,
+            store: self.store.clone(),
             live_components: self.live_components,
             live_tuples: self.live_tuples,
             indexes: RwLock::new(indexes),
@@ -689,99 +601,57 @@ impl Clone for Relation {
 }
 
 impl Relation {
-    /// Empty relation in the given layout.
-    pub fn with_mode(mode: StorageMode) -> Relation {
-        let store = match mode {
-            StorageMode::Columnar => Store::Col(ColumnStore::default()),
-            StorageMode::Row => Store::Row(RowStore::default()),
-        };
-        Relation {
-            store,
-            live_components: 0,
-            live_tuples: 0,
-            indexes: RwLock::new(SecondaryIndexes::default()),
-        }
-    }
-
-    /// The layout this relation stores tuples in.
-    pub fn mode(&self) -> StorageMode {
-        match self.store {
-            Store::Row(_) => StorageMode::Row,
-            Store::Col(_) => StorageMode::Columnar,
-        }
-    }
-
-    pub(crate) fn store(&self) -> StoreRef<'_> {
-        match &self.store {
-            Store::Row(s) => StoreRef::Row(s),
-            Store::Col(s) => StoreRef::Col(s),
-        }
+    /// The tuple store, for the executor's hot loops (`eval_rel` hoists the
+    /// column slices once and runs its candidate loop on flat memory).
+    pub(crate) fn store(&self) -> &ColumnStore {
+        &self.store
     }
 
     /// The id of `tuple`, allocating a fresh entry (and updating any built
-    /// indexes) when unseen. Fails only when the columnar value interner
-    /// exhausts its id space.
+    /// indexes) when unseen. Fails only when the value interner exhausts
+    /// its id space.
     fn id_of(&mut self, tuple: &[Value]) -> Result<u32> {
-        let (id, fresh) = match &mut self.store {
-            Store::Row(s) => {
-                if let Some(&id) = s.ids.get(tuple) {
-                    (id, false)
-                } else {
-                    let id = u32::try_from(s.entries.len()).expect("relation tuple-id overflow");
-                    let boxed: Tuple = tuple.to_vec().into_boxed_slice();
-                    s.ids.insert(boxed.clone(), id);
-                    s.entries.push((boxed, IntervalSet::new()));
-                    (id, true)
-                }
+        let s = &mut self.store;
+        let mut vids = Vec::with_capacity(tuple.len());
+        for v in tuple {
+            vids.push(intern::intern(*v)?);
+        }
+        if let Some(id) = s.find_id(&vids) {
+            return Ok(id);
+        }
+        let id = u32::try_from(s.len()).expect("relation tuple-id overflow");
+        if s.cols.len() < tuple.len() {
+            // Widest arity grew: pad new columns for old rows.
+            s.cols
+                .resize_with(tuple.len(), || vec![NONE_VID; id as usize]);
+            s.sid_live.resize_with(tuple.len(), FxHashMap::default);
+        }
+        // Distinct stats are deliberately NOT touched here: a fresh entry
+        // holds no intervals yet, and `sid_live` is maintained on the
+        // empty↔non-empty transitions by `apply_component_delta`.
+        for (pos, col) in s.cols.iter_mut().enumerate() {
+            match vids.get(pos) {
+                Some(&vid) => col.push(vid),
+                None => col.push(NONE_VID),
             }
-            Store::Col(s) => {
-                let mut vids = Vec::with_capacity(tuple.len());
-                for v in tuple {
-                    vids.push(intern::intern(*v)?);
-                }
-                if let Some(id) = s.find_id(&vids) {
-                    (id, false)
-                } else {
-                    let id = u32::try_from(s.len()).expect("relation tuple-id overflow");
-                    if s.cols.len() < tuple.len() {
-                        // Widest arity grew: pad new columns for old rows.
-                        s.cols
-                            .resize_with(tuple.len(), || vec![NONE_VID; id as usize]);
-                        s.sid_live.resize_with(tuple.len(), FxHashMap::default);
-                    }
-                    // Distinct stats are deliberately NOT touched here: a
-                    // fresh entry holds no intervals yet, and `sid_live` is
-                    // maintained on the empty↔non-empty transitions by
-                    // `apply_component_delta`.
-                    for (pos, col) in s.cols.iter_mut().enumerate() {
-                        match vids.get(pos) {
-                            Some(&vid) => col.push(vid),
-                            None => col.push(NONE_VID),
-                        }
-                    }
-                    s.lens.push(tuple.len() as u32);
-                    s.handles.push(Handle::default());
-                    let h = hash_ids(vids.iter().copied());
-                    let ColumnStore {
-                        ids, cols, lens, ..
-                    } = s;
-                    ids.insert_new(h, id, |other| {
-                        let len = lens[other as usize] as usize;
-                        hash_ids((0..len).map(|p| cols[p][other as usize]))
-                    });
-                    (id, true)
-                }
-            }
-        };
-        if fresh {
-            let indexes = self
-                .indexes
-                .get_mut()
-                .expect("relation index lock poisoned");
-            for (&pos, buckets) in indexes.by_pos.iter_mut() {
-                if let Some(v) = tuple.get(pos) {
-                    buckets.entry(IndexKey::of(v)).or_default().push(id);
-                }
+        }
+        s.lens.push(tuple.len() as u32);
+        s.handles.push(Handle::default());
+        let h = hash_ids(vids.iter().copied());
+        let ColumnStore {
+            ids, cols, lens, ..
+        } = s;
+        ids.insert_new(h, id, |other| {
+            let len = lens[other as usize] as usize;
+            hash_ids((0..len).map(|p| cols[p][other as usize]))
+        });
+        let indexes = self
+            .indexes
+            .get_mut()
+            .expect("relation index lock poisoned");
+        for (&pos, buckets) in indexes.by_pos.iter_mut() {
+            if let Some(v) = tuple.get(pos) {
+                buckets.entry(IndexKey::of(v)).or_default().push(id);
             }
         }
         Ok(id)
@@ -802,31 +672,20 @@ impl Relation {
         }
     }
 
-    /// Reads a tuple's current interval set (owned; both layouts).
+    /// Reads a tuple's current interval set (owned).
     fn set_of(&self, id: u32) -> IntervalSet {
-        match &self.store {
-            Store::Row(s) => s.entries[id as usize].1.clone(),
-            Store::Col(s) => IntervalSet::from_sorted(s.comps_of(id).to_vec()),
-        }
+        IntervalSet::from_sorted(self.store.comps_of(id).to_vec())
     }
 
     /// Writes a tuple's interval set back, updating the live statistics.
     fn write_set(&mut self, id: u32, set: &IntervalSet) {
-        let (before, after) = match &mut self.store {
-            Store::Row(s) => {
-                let entry = &mut s.entries[id as usize].1;
-                let before = entry.components().len();
-                *entry = set.clone();
-                (before, set.components().len())
-            }
-            Store::Col(s) => s.store_comps(id, set.components()),
-        };
+        let (before, after) = self.store.store_comps(id, set.components());
         self.apply_component_delta(id, before, after);
     }
 
     /// Folds one tuple's `(before, after)` component-count transition into
     /// the relation's live statistics: the O(1) component total, the live
-    /// tuple count, and (columnar) the per-position distinct stats. Every
+    /// tuple count, and the per-position distinct stats. Every
     /// mutation path — general write-back and in-place append alike — funnels
     /// through here, so the planner's cardinality inputs can never drift
     /// from the stored intervals.
@@ -834,14 +693,10 @@ impl Relation {
         self.live_components = self.live_components - before + after;
         if before == 0 && after > 0 {
             self.live_tuples += 1;
-            if let Store::Col(s) = &mut self.store {
-                s.note_liveness(id, true);
-            }
+            self.store.note_liveness(id, true);
         } else if before > 0 && after == 0 {
             self.live_tuples -= 1;
-            if let Store::Col(s) = &mut self.store {
-                s.note_liveness(id, false);
-            }
+            self.store.note_liveness(id, false);
         }
     }
 
@@ -849,35 +704,13 @@ impl Relation {
     /// when the sorted, non-connected `run` lies entirely past the stored
     /// last component (the shape monotone temporal recursion produces — one
     /// instant per iteration, or a whole closed chain at once), the
-    /// genuinely new part is exactly `run` and both layouts can extend the
-    /// stored tail in place — no owned-set decode, no difference, no full
-    /// slab copy. Returns `false` when the run is empty or may overlap and
-    /// the general path must decide.
+    /// genuinely new part is exactly `run` and the stored tail is extended
+    /// in place ([`ColumnStore::append_run`]) — no owned-set decode, no
+    /// difference, no full slab copy. Returns `false` when the run is empty
+    /// or may overlap and the general path must decide.
     fn append_fast(&mut self, id: u32, run: &[Interval]) -> bool {
-        let Some(first) = run.first() else {
+        let Some((before, after)) = self.store.append_run(id, run) else {
             return false;
-        };
-        let (before, after) = match &mut self.store {
-            Store::Row(s) => {
-                let entry = &mut s.entries[id as usize].1;
-                let before = entry.components().len();
-                if entry
-                    .components()
-                    .last()
-                    .is_some_and(|l| !l.entirely_before(first))
-                {
-                    return false;
-                }
-                for &iv in run {
-                    let grew = entry.insert(iv);
-                    debug_assert!(grew, "an appended interval always grows the set");
-                }
-                (before, entry.components().len())
-            }
-            Store::Col(s) => match s.append_run(id, run) {
-                Some(counts) => counts,
-                None => return false,
-            },
         };
         self.apply_component_delta(id, before, after);
         true
@@ -923,18 +756,14 @@ impl Relation {
     /// The entry itself is kept even when its interval set empties out:
     /// tuple ids stay dense and stable, so the per-position value indexes
     /// remain exact (a probe returning an emptied tuple yields no intervals
-    /// after the caller's clip). In the columnar layout the emptied tuple's
+    /// after the caller's clip). The emptied tuple's
     /// arena slab is released to a free list and reused by later merges, so
     /// repair churn does not leak arena space. The time index is
     /// deliberately left untouched — its contract is over-approximation
     /// (coverage ⊇ truth), and removal only shrinks truth, so stale entries
     /// can produce false positives but never a missed tuple.
     pub fn remove(&mut self, tuple: &[Value], ivs: &IntervalSet) -> IntervalSet {
-        let id = match &self.store {
-            Store::Row(s) => s.ids.get(tuple).copied(),
-            Store::Col(s) => s.lookup(tuple),
-        };
-        let Some(id) = id else {
+        let Some(id) = self.store.lookup(tuple) else {
             return IntervalSet::new();
         };
         let set = self.set_of(id);
@@ -948,13 +777,7 @@ impl Relation {
     /// The interval components of a tuple, if present (sorted,
     /// non-connected; empty slice for emptied-but-kept entries).
     pub fn components_of(&self, tuple: &[Value]) -> Option<&[Interval]> {
-        match &self.store {
-            Store::Row(s) => s
-                .ids
-                .get(tuple)
-                .map(|&id| s.entries[id as usize].1.components()),
-            Store::Col(s) => s.lookup(tuple).map(|id| s.comps_of(id)),
-        }
+        self.store.lookup(tuple).map(|id| self.store.comps_of(id))
     }
 
     /// Iterates `(tuple, components)` in insertion order (deterministic).
@@ -966,16 +789,8 @@ impl Relation {
     /// The tuple and interval components stored under a tuple id (from
     /// [`Relation::probe`]).
     pub fn entry(&self, id: u32) -> (TupleRef<'_>, &[Interval]) {
-        match &self.store {
-            Store::Row(s) => {
-                let (t, ivs) = &s.entries[id as usize];
-                (TupleRef(TupleRefInner::Row(t)), ivs.components())
-            }
-            Store::Col(s) => (
-                TupleRef(TupleRefInner::Col { store: s, id }),
-                s.comps_of(id),
-            ),
-        }
+        let store = &self.store;
+        (TupleRef { store, id }, store.comps_of(id))
     }
 
     /// Number of distinct tuples, *including* emptied-but-kept entries
@@ -1004,38 +819,20 @@ impl Relation {
         self.live_components
     }
 
-    /// Bytes held by interval storage: the arena buffer (columnar) or the
-    /// per-tuple component vectors (row).
+    /// Bytes held by interval storage (the arena buffer).
     pub(crate) fn interval_bytes(&self) -> usize {
-        let comp = std::mem::size_of::<Interval>();
-        match &self.store {
-            Store::Row(s) => s
-                .entries
-                .iter()
-                .map(|(_, ivs)| std::mem::size_of_val(ivs.components()))
-                .sum(),
-            Store::Col(s) => s.arena.data.len() * comp,
-        }
+        std::mem::size_of_val(self.store.arena.data.as_slice())
     }
 
-    /// Approximate bytes held by tuple-value storage (columns or rows).
+    /// Bytes held by tuple-value storage (the vid and arity columns).
     pub(crate) fn value_bytes(&self) -> usize {
-        match &self.store {
-            Store::Row(s) => s
-                .entries
-                .iter()
-                .map(|(t, _)| t.len() * std::mem::size_of::<Value>())
-                .sum(),
-            Store::Col(s) => s.cols.iter().map(|c| c.len() * 4).sum::<usize>() + s.lens.len() * 4,
-        }
+        let s = &self.store;
+        s.cols.iter().map(|c| c.len() * 4).sum::<usize>() + s.lens.len() * 4
     }
 
-    /// `(freed, reused)` arena slab counts (columnar; zeros for row).
+    /// `(freed, reused)` arena slab counts.
     pub(crate) fn arena_reuse(&self) -> (u64, u64) {
-        match &self.store {
-            Store::Row(_) => (0, 0),
-            Store::Col(s) => (s.arena.freed, s.arena.reused),
-        }
+        (self.store.arena.freed, self.store.arena.reused)
     }
 
     /// Ensures the position index for `pos` exists, building it from the
@@ -1056,27 +853,17 @@ impl Relation {
             return;
         }
         let mut buckets: FxHashMap<IndexKey, Vec<u32>> = FxHashMap::default();
-        match &self.store {
-            Store::Row(s) => {
-                for (id, (tuple, _)) in s.entries.iter().enumerate() {
-                    if let Some(v) = tuple.get(pos) {
-                        buckets.entry(IndexKey::of(v)).or_default().push(id as u32);
-                    }
-                }
-            }
-            Store::Col(s) => {
-                let g = intern::read();
-                for id in 0..s.len() as u32 {
-                    let vid = s.vid_at(pos, id);
-                    if vid != NONE_VID {
-                        buckets
-                            .entry(IndexKey::of(&g.decode(vid)))
-                            .or_default()
-                            .push(id);
-                    }
-                }
+        let g = intern::read();
+        for id in 0..self.store.len() as u32 {
+            let vid = self.store.vid_at(pos, id);
+            if vid != NONE_VID {
+                buckets
+                    .entry(IndexKey::of(&g.decode(vid)))
+                    .or_default()
+                    .push(id);
             }
         }
+        drop(g);
         w.by_pos.insert(pos, buckets);
     }
 
@@ -1146,17 +933,10 @@ impl Relation {
         }
         let mut w = self.indexes.write().expect("relation index lock poisoned");
         if w.time.is_none() {
-            w.time = Some(match &self.store {
-                Store::Row(s) => TimeIndex::build(
-                    s.entries
-                        .iter()
-                        .enumerate()
-                        .map(|(id, (_, ivs))| (id as u32, ivs.components())),
-                ),
-                Store::Col(s) => {
-                    TimeIndex::build((0..s.len() as u32).map(|id| (id, s.comps_of(id))))
-                }
-            });
+            let s = &self.store;
+            w.time = Some(TimeIndex::build(
+                (0..s.len() as u32).map(|id| (id, s.comps_of(id))),
+            ));
         }
     }
 
@@ -1199,86 +979,26 @@ impl Relation {
     }
 
     /// Number of distinct semantic values at argument position `pos`,
-    /// among *live* tuples. Columnar relations answer exactly from their
-    /// per-column live semantic-class counts (maintained on tuple
-    /// birth/death, so retractions shrink the answer); row relations only
-    /// know once the per-position value index has been built, and that
-    /// answer still counts emptied entries. Strictly read-only — never
-    /// triggers an index build — so the planner can consult cardinalities
-    /// without perturbing access-path counters.
+    /// among *live* tuples: exact, from the per-column live semantic-class
+    /// counts (maintained on tuple birth/death, so retractions shrink the
+    /// answer); `None` past the widest arity stored. Strictly read-only —
+    /// never triggers an index build — so the planner can consult
+    /// cardinalities without perturbing access-path counters.
     pub fn distinct_count(&self, pos: usize) -> Option<usize> {
-        if let Store::Col(s) = &self.store {
-            if let Some(live) = s.sid_live.get(pos) {
-                return Some(live.len());
-            }
-        }
-        self.indexes
-            .read()
-            .expect("relation index lock poisoned")
-            .by_pos
-            .get(&pos)
-            .map(|buckets| buckets.len())
-    }
-
-    /// Number of indexed interval components (sorted entries plus pending
-    /// tail), when the time index has already been built. Read-only, like
-    /// [`Relation::distinct_count`].
-    pub fn time_entry_count(&self) -> Option<usize> {
-        self.indexes
-            .read()
-            .expect("relation index lock poisoned")
-            .time
-            .as_ref()
-            .map(|t| t.entries.len() + t.pending.len())
+        self.store.sid_live.get(pos).map(FxHashMap::len)
     }
 }
 
-/// A temporal database: one [`Relation`] per predicate, all in the same
-/// [`StorageMode`].
-#[derive(Clone, Debug)]
+/// A temporal database: one [`Relation`] per predicate.
+#[derive(Clone, Debug, Default)]
 pub struct Database {
     rels: FxHashMap<Symbol, Relation>,
-    mode: StorageMode,
-}
-
-impl Default for Database {
-    fn default() -> Database {
-        Database::with_mode(StorageMode::default())
-    }
 }
 
 impl Database {
-    /// Empty database in the default (columnar) layout.
+    /// Empty database.
     pub fn new() -> Database {
         Database::default()
-    }
-
-    /// Empty database in an explicit layout.
-    pub fn with_mode(mode: StorageMode) -> Database {
-        Database {
-            rels: FxHashMap::default(),
-            mode,
-        }
-    }
-
-    /// The layout new relations are created in.
-    pub fn mode(&self) -> StorageMode {
-        self.mode
-    }
-
-    /// A copy of this database in `mode`: a cheap structural clone when the
-    /// mode already matches, otherwise a full re-load (indexes start cold).
-    pub fn to_mode(&self, mode: StorageMode) -> Database {
-        if self.mode == mode {
-            return self.clone();
-        }
-        let mut out = Database::with_mode(mode);
-        for (pred, tuple, comps) in self.iter() {
-            let ivs = IntervalSet::from_sorted(comps.to_vec());
-            out.merge(pred, &tuple.to_vec(), &ivs)
-                .expect("re-interning an existing database cannot overflow");
-        }
-        out
     }
 
     /// Inserts a parsed fact. Returns `true` iff the database grew.
@@ -1295,16 +1015,13 @@ impl Database {
     }
 
     /// Inserts a single `(pred, tuple)@interval`. Returns `true` iff grew.
-    /// Fails only on value-interner exhaustion (columnar mode).
+    /// Fails only on value-interner exhaustion.
     pub fn insert(&mut self, pred: Symbol, tuple: &[Value], interval: Interval) -> Result<bool> {
         self.rel_mut(pred).insert(tuple, interval)
     }
 
     fn rel_mut(&mut self, pred: Symbol) -> &mut Relation {
-        let mode = self.mode;
-        self.rels
-            .entry(pred)
-            .or_insert_with(|| Relation::with_mode(mode))
+        self.rels.entry(pred).or_default()
     }
 
     /// Convenience insertion with builder-style values (panics on the
@@ -1485,8 +1202,7 @@ impl Database {
         self.rels.values().map(Relation::built_index_count).sum()
     }
 
-    /// Bytes held by interval storage across relations (the columnar
-    /// arenas, or the row layout's per-tuple component vectors).
+    /// Bytes held by interval storage across relations (the arenas).
     pub fn interval_arena_bytes(&self) -> usize {
         self.rels.values().map(Relation::interval_bytes).sum()
     }
@@ -1501,8 +1217,7 @@ impl Database {
             .sum()
     }
 
-    /// `(freed, reused)` interval-arena slab counts summed over relations
-    /// (all zeros in row mode).
+    /// `(freed, reused)` interval-arena slab counts summed over relations.
     pub fn arena_reuse_counts(&self) -> (u64, u64) {
         self.rels
             .values()
@@ -1521,567 +1236,565 @@ impl fmt::Display for Database {
 mod tests {
     use super::*;
 
-    fn both_modes() -> [Database; 2] {
-        [
-            Database::with_mode(StorageMode::Columnar),
-            Database::with_mode(StorageMode::Row),
-        ]
-    }
-
     #[test]
     fn insert_and_query() {
-        for mut db in both_modes() {
-            db.assert_at("price", &[Value::num(1300.0)], 10);
-            assert!(db.holds_at("price", &[Value::num(1300.0)], 10));
-            assert!(!db.holds_at("price", &[Value::num(1300.0)], 11));
-            assert!(!db.holds_at("price", &[Value::num(9.0)], 10));
-        }
+        let mut db = Database::new();
+        db.assert_at("price", &[Value::num(1300.0)], 10);
+        assert!(db.holds_at("price", &[Value::num(1300.0)], 10));
+        assert!(!db.holds_at("price", &[Value::num(1300.0)], 11));
+        assert!(!db.holds_at("price", &[Value::num(9.0)], 10));
     }
 
     #[test]
     fn repeated_insert_reports_growth_correctly() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            let tup = [Value::Int(1)];
-            assert!(db.insert(pred, &tup, Interval::closed_int(0, 5)).unwrap());
-            assert!(!db.insert(pred, &tup, Interval::closed_int(2, 4)).unwrap());
-            assert!(db.insert(pred, &tup, Interval::closed_int(4, 8)).unwrap());
-        }
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        let tup = [Value::Int(1)];
+        assert!(db.insert(pred, &tup, Interval::closed_int(0, 5)).unwrap());
+        assert!(!db.insert(pred, &tup, Interval::closed_int(2, 4)).unwrap());
+        assert!(db.insert(pred, &tup, Interval::closed_int(4, 8)).unwrap());
     }
 
     #[test]
     fn merge_returns_only_new_part() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            let tup = [Value::Int(1)];
-            db.insert(pred, &tup, Interval::closed_int(0, 5)).unwrap();
-            let delta = db
-                .merge(
-                    pred,
-                    &tup,
-                    &IntervalSet::from_interval(Interval::closed_int(3, 8)),
-                )
-                .unwrap();
-            assert_eq!(
-                delta.components(),
-                &[Interval::new(
-                    Rational::integer(5).into(),
-                    false,
-                    Rational::integer(8).into(),
-                    true
-                )
-                .unwrap()]
-            );
-        }
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        let tup = [Value::Int(1)];
+        db.insert(pred, &tup, Interval::closed_int(0, 5)).unwrap();
+        let delta = db
+            .merge(
+                pred,
+                &tup,
+                &IntervalSet::from_interval(Interval::closed_int(3, 8)),
+            )
+            .unwrap();
+        assert_eq!(
+            delta.components(),
+            &[Interval::new(
+                Rational::integer(5).into(),
+                false,
+                Rational::integer(8).into(),
+                true
+            )
+            .unwrap()]
+        );
     }
 
     #[test]
     fn facts_text_is_sorted_and_parseable() {
-        for mut db in both_modes() {
-            db.assert_at("b", &[Value::Int(2)], 3);
-            db.assert_at("a", &[Value::sym("x")], 1);
-            let text = db.to_facts_text();
-            assert!(text.starts_with("a(x)@[1]."));
-            let reparsed = crate::parser::parse_facts(&text).unwrap();
-            assert_eq!(reparsed.len(), 2);
-        }
+        let mut db = Database::new();
+        db.assert_at("b", &[Value::Int(2)], 3);
+        db.assert_at("a", &[Value::sym("x")], 1);
+        let text = db.to_facts_text();
+        assert!(text.starts_with("a(x)@[1]."));
+        let reparsed = crate::parser::parse_facts(&text).unwrap();
+        assert_eq!(reparsed.len(), 2);
     }
 
     #[test]
     fn query_patterns() {
-        for mut db in both_modes() {
-            db.extend_facts(
-                &crate::parser::parse_facts("p(a, 1)@3.\np(a, 2)@5.\np(b, 1)@4.\nq(a)@1.").unwrap(),
-            )
-            .unwrap();
-            use crate::ast::{Atom, Term};
-            // All p-tuples.
-            let all = db.query(&Atom::new("p", vec![Term::var("X"), Term::var("Y")]), None);
-            assert_eq!(all.len(), 3);
-            // Constant filter.
-            let a_only = db.query(
-                &Atom::new("p", vec![Term::Val(Value::sym("a")), Term::var("Y")]),
-                None,
-            );
-            assert_eq!(a_only.len(), 2);
-            // Repeated variable: p(X, X) matches nothing here.
-            let diag = db.query(&Atom::new("p", vec![Term::var("X"), Term::var("X")]), None);
-            assert!(diag.is_empty());
-            // Window restriction.
-            let windowed = db.query(
-                &Atom::new("p", vec![Term::var("X"), Term::var("Y")]),
-                Some(&Interval::closed_int(4, 5)),
-            );
-            assert_eq!(windowed.len(), 2);
-            // Unknown predicate.
-            assert!(db.query(&Atom::new("zzz", vec![]), None).is_empty());
-        }
+        let mut db = Database::new();
+        db.extend_facts(
+            &crate::parser::parse_facts("p(a, 1)@3.\np(a, 2)@5.\np(b, 1)@4.\nq(a)@1.").unwrap(),
+        )
+        .unwrap();
+        use crate::ast::{Atom, Term};
+        // All p-tuples.
+        let all = db.query(&Atom::new("p", vec![Term::var("X"), Term::var("Y")]), None);
+        assert_eq!(all.len(), 3);
+        // Constant filter.
+        let a_only = db.query(
+            &Atom::new("p", vec![Term::Val(Value::sym("a")), Term::var("Y")]),
+            None,
+        );
+        assert_eq!(a_only.len(), 2);
+        // Repeated variable: p(X, X) matches nothing here.
+        let diag = db.query(&Atom::new("p", vec![Term::var("X"), Term::var("X")]), None);
+        assert!(diag.is_empty());
+        // Window restriction.
+        let windowed = db.query(
+            &Atom::new("p", vec![Term::var("X"), Term::var("Y")]),
+            Some(&Interval::closed_int(4, 5)),
+        );
+        assert_eq!(windowed.len(), 2);
+        // Unknown predicate.
+        assert!(db.query(&Atom::new("zzz", vec![]), None).is_empty());
     }
 
     #[test]
     fn snapshot_roundtrip() {
-        for mut db in both_modes() {
-            db.extend_facts(
-                &crate::parser::parse_facts(
-                    "margin(acc1, 97.5)@[3, 9].\nprice(1330.0)@4.\nflag(true).",
-                )
-                .unwrap(),
+        let mut db = Database::new();
+        db.extend_facts(
+            &crate::parser::parse_facts(
+                "margin(acc1, 97.5)@[3, 9].\nprice(1330.0)@4.\nflag(true).",
             )
-            .unwrap();
-            let text = db.to_facts_text();
-            let back = Database::from_facts_text(&text).unwrap();
-            assert_eq!(back.to_facts_text(), text);
-        }
+            .unwrap(),
+        )
+        .unwrap();
+        let text = db.to_facts_text();
+        let back = Database::from_facts_text(&text).unwrap();
+        assert_eq!(back.to_facts_text(), text);
     }
 
     #[test]
     fn probe_finds_semantic_matches_in_scan_order() {
-        for mut db in both_modes() {
-            db.extend_facts(
-                &crate::parser::parse_facts(
-                    "p(a, 1)@0.\np(b, 2)@1.\np(a, 3.0)@2.\np(c, 1.0)@3.\np(a, 2)@4.",
-                )
-                .unwrap(),
+        let mut db = Database::new();
+        db.extend_facts(
+            &crate::parser::parse_facts(
+                "p(a, 1)@0.\np(b, 2)@1.\np(a, 3.0)@2.\np(c, 1.0)@3.\np(a, 2)@4.",
             )
-            .unwrap();
-            let rel = db.relation(Symbol::new("p")).unwrap();
-            // Probe on position 0 = a.
-            let ids = rel.probe(&[(0, Value::sym("a"))]);
-            assert_eq!(ids.len(), 3);
-            // Insertion (scan) order preserved.
-            assert_eq!(rel.entry(ids[0]).0.value(1), Value::Int(1));
-            assert_eq!(rel.entry(ids[1]).0.value(1), Value::num(3.0));
-            assert_eq!(rel.entry(ids[2]).0.value(1), Value::Int(2));
-            // Numeric buckets are semantic: Int 1 and Num 1.0 share one.
-            let ids = rel.probe(&[(1, Value::num(1.0))]);
-            assert_eq!(ids.len(), 2);
-            let ids = rel.probe(&[(1, Value::Int(3))]);
-            assert_eq!(ids.len(), 1);
-            // Most selective position wins: (a, 3.0) → bucket of size 1.
-            let ids = rel.probe(&[(0, Value::sym("a")), (1, Value::Int(3))]);
-            assert_eq!(ids.len(), 1);
-            // A ground value with no bucket short-circuits to no candidates.
-            assert!(rel.probe(&[(0, Value::sym("zzz"))]).is_empty());
-        }
+            .unwrap(),
+        )
+        .unwrap();
+        let rel = db.relation(Symbol::new("p")).unwrap();
+        // Probe on position 0 = a.
+        let ids = rel.probe(&[(0, Value::sym("a"))]);
+        assert_eq!(ids.len(), 3);
+        // Insertion (scan) order preserved.
+        assert_eq!(rel.entry(ids[0]).0.value(1), Value::Int(1));
+        assert_eq!(rel.entry(ids[1]).0.value(1), Value::num(3.0));
+        assert_eq!(rel.entry(ids[2]).0.value(1), Value::Int(2));
+        // Numeric buckets are semantic: Int 1 and Num 1.0 share one.
+        let ids = rel.probe(&[(1, Value::num(1.0))]);
+        assert_eq!(ids.len(), 2);
+        let ids = rel.probe(&[(1, Value::Int(3))]);
+        assert_eq!(ids.len(), 1);
+        // Most selective position wins: (a, 3.0) → bucket of size 1.
+        let ids = rel.probe(&[(0, Value::sym("a")), (1, Value::Int(3))]);
+        assert_eq!(ids.len(), 1);
+        // A ground value with no bucket short-circuits to no candidates.
+        assert!(rel.probe(&[(0, Value::sym("zzz"))]).is_empty());
     }
 
     #[test]
     fn probe_indexes_stay_fresh_under_inserts_and_merges() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            db.assert_at("p", &[Value::sym("a"), Value::Int(1)], 0);
-            // Build the index...
-            assert_eq!(
-                db.relation(pred)
-                    .unwrap()
-                    .probe(&[(0, Value::sym("a"))])
-                    .len(),
-                1
-            );
-            // ...then grow the relation through both mutation paths.
-            db.assert_at("p", &[Value::sym("a"), Value::Int(2)], 1);
-            db.merge(
-                pred,
-                &[Value::sym("a"), Value::num(2.0)],
-                &IntervalSet::from_interval(Interval::at(2)),
-            )
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        db.assert_at("p", &[Value::sym("a"), Value::Int(1)], 0);
+        // Build the index...
+        assert_eq!(
+            db.relation(pred)
+                .unwrap()
+                .probe(&[(0, Value::sym("a"))])
+                .len(),
+            1
+        );
+        // ...then grow the relation through both mutation paths.
+        db.assert_at("p", &[Value::sym("a"), Value::Int(2)], 1);
+        db.merge(
+            pred,
+            &[Value::sym("a"), Value::num(2.0)],
+            &IntervalSet::from_interval(Interval::at(2)),
+        )
+        .unwrap();
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.probe(&[(0, Value::sym("a"))]).len(), 3);
+        // Int 2 and Num 2.0 are distinct tuples but share a value bucket.
+        assert_eq!(rel.probe(&[(1, Value::Int(2))]).len(), 2);
+        // Cloning keeps both built position indexes warm...
+        let mut cloned = rel.clone();
+        assert_eq!(cloned.built_index_count(), 2);
+        assert_eq!(cloned.probe(&[(0, Value::sym("a"))]).len(), 3);
+        // ...and the carried-over index stays fresh under further growth.
+        cloned
+            .insert(&[Value::sym("a"), Value::Int(9)], Interval::at(5))
             .unwrap();
-            let rel = db.relation(pred).unwrap();
-            assert_eq!(rel.probe(&[(0, Value::sym("a"))]).len(), 3);
-            // Int 2 and Num 2.0 are distinct tuples but share a value bucket.
-            assert_eq!(rel.probe(&[(1, Value::Int(2))]).len(), 2);
-            // Cloning keeps both built position indexes warm...
-            let mut cloned = rel.clone();
-            assert_eq!(cloned.built_index_count(), 2);
-            assert_eq!(cloned.probe(&[(0, Value::sym("a"))]).len(), 3);
-            // ...and the carried-over index stays fresh under further growth.
-            cloned
-                .insert(&[Value::sym("a"), Value::Int(9)], Interval::at(5))
-                .unwrap();
-            assert_eq!(cloned.probe(&[(0, Value::sym("a"))]).len(), 4);
-        }
+        assert_eq!(cloned.probe(&[(0, Value::sym("a"))]).len(), 4);
     }
 
     #[test]
     fn time_probe_overlaps_only_window() {
-        for mut db in both_modes() {
-            db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 4));
-            db.assert_over("p", &[Value::Int(1)], Interval::closed_int(10, 12));
-            db.assert_over("p", &[Value::Int(2)], Interval::closed_int(20, 24));
-            db.assert_over(
-                "p",
-                &[Value::Int(3)],
-                Interval::from_instant(Rational::integer(100)),
-            );
-            let rel = db.relation(Symbol::new("p")).unwrap();
-            // Unbounded tuple 3 is always a candidate; exact clipping is the
-            // caller's job.
-            assert_eq!(rel.probe_time(&Interval::closed_int(11, 21)), vec![1, 2, 3]);
-            assert_eq!(rel.probe_time(&Interval::closed_int(5, 9)), vec![3]);
-            assert_eq!(
-                rel.probe_time(&Interval::closed_int(0, 100)),
-                vec![0, 1, 2, 3]
-            );
-        }
+        let mut db = Database::new();
+        db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 4));
+        db.assert_over("p", &[Value::Int(1)], Interval::closed_int(10, 12));
+        db.assert_over("p", &[Value::Int(2)], Interval::closed_int(20, 24));
+        db.assert_over(
+            "p",
+            &[Value::Int(3)],
+            Interval::from_instant(Rational::integer(100)),
+        );
+        let rel = db.relation(Symbol::new("p")).unwrap();
+        // Unbounded tuple 3 is always a candidate; exact clipping is the
+        // caller's job.
+        assert_eq!(rel.probe_time(&Interval::closed_int(11, 21)), vec![1, 2, 3]);
+        assert_eq!(rel.probe_time(&Interval::closed_int(5, 9)), vec![3]);
+        assert_eq!(
+            rel.probe_time(&Interval::closed_int(0, 100)),
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]
     fn time_index_stays_fresh_under_growth_and_clone() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 2));
-            // Build the index, then grow through both mutation paths.
-            assert_eq!(
-                db.relation(pred)
-                    .unwrap()
-                    .probe_time(&Interval::closed_int(0, 100))
-                    .len(),
-                1
-            );
-            db.assert_over("p", &[Value::Int(0)], Interval::closed_int(50, 52));
-            db.merge(
-                pred,
-                &[Value::Int(1)],
-                &IntervalSet::from_interval(Interval::closed_int(60, 61)),
-            )
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 2));
+        // Build the index, then grow through both mutation paths.
+        assert_eq!(
+            db.relation(pred)
+                .unwrap()
+                .probe_time(&Interval::closed_int(0, 100))
+                .len(),
+            1
+        );
+        db.assert_over("p", &[Value::Int(0)], Interval::closed_int(50, 52));
+        db.merge(
+            pred,
+            &[Value::Int(1)],
+            &IntervalSet::from_interval(Interval::closed_int(60, 61)),
+        )
+        .unwrap();
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.probe_time(&Interval::closed_int(49, 70)), vec![0, 1]);
+        assert_eq!(rel.probe_time(&Interval::closed_int(0, 3)), vec![0]);
+        assert!(rel.probe_time(&Interval::closed_int(10, 20)).is_empty());
+        // The clone carries the index and keeps patching it.
+        let mut cloned = rel.clone();
+        assert_eq!(cloned.built_index_count(), 1);
+        cloned
+            .insert(&[Value::Int(2)], Interval::closed_int(15, 16))
             .unwrap();
-            let rel = db.relation(pred).unwrap();
-            assert_eq!(rel.probe_time(&Interval::closed_int(49, 70)), vec![0, 1]);
-            assert_eq!(rel.probe_time(&Interval::closed_int(0, 3)), vec![0]);
-            assert!(rel.probe_time(&Interval::closed_int(10, 20)).is_empty());
-            // The clone carries the index and keeps patching it.
-            let mut cloned = rel.clone();
-            assert_eq!(cloned.built_index_count(), 1);
-            cloned
-                .insert(&[Value::Int(2)], Interval::closed_int(15, 16))
-                .unwrap();
-            assert_eq!(cloned.probe_time(&Interval::closed_int(10, 20)), vec![2]);
-        }
+        assert_eq!(cloned.probe_time(&Interval::closed_int(10, 20)), vec![2]);
     }
 
     #[test]
     fn time_probe_never_misses_after_coalescing() {
         // Coalescing leaves stale sub-entries behind; they may only add
         // false positives, never hide a tuple.
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 1));
-            db.relation(pred).unwrap().probe_time(&Interval::at(0)); // build
-            db.assert_over("p", &[Value::Int(0)], Interval::closed_int(3, 9));
-            db.assert_over("p", &[Value::Int(0)], Interval::closed_int(1, 3)); // glue
-            let rel = db.relation(pred).unwrap();
-            for t in 0..=9 {
-                assert_eq!(rel.probe_time(&Interval::at(t)), vec![0], "at t={t}");
-            }
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 1));
+        db.relation(pred).unwrap().probe_time(&Interval::at(0)); // build
+        db.assert_over("p", &[Value::Int(0)], Interval::closed_int(3, 9));
+        db.assert_over("p", &[Value::Int(0)], Interval::closed_int(1, 3)); // glue
+        let rel = db.relation(pred).unwrap();
+        for t in 0..=9 {
+            assert_eq!(rel.probe_time(&Interval::at(t)), vec![0], "at t={t}");
         }
     }
 
     #[test]
     fn remove_clips_exactly_and_keeps_entries() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            let tup = [Value::Int(1)];
-            db.insert(pred, &tup, Interval::closed_int(0, 10)).unwrap();
-            // Removing the middle leaves two components.
-            let removed = db.remove(
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        let tup = [Value::Int(1)];
+        db.insert(pred, &tup, Interval::closed_int(0, 10)).unwrap();
+        // Removing the middle leaves two components.
+        let removed = db.remove(
+            pred,
+            &tup,
+            &IntervalSet::from_interval(Interval::closed_int(4, 6)),
+        );
+        assert_eq!(removed.components(), &[Interval::closed_int(4, 6)]);
+        assert!(db.holds_at("p", &[Value::Int(1)], 3));
+        assert!(!db.holds_at("p", &[Value::Int(1)], 5));
+        assert!(db.holds_at("p", &[Value::Int(1)], 7));
+        // Disjoint removal is a no-op; unknown tuples and predicates too.
+        assert!(db
+            .remove(
                 pred,
                 &tup,
-                &IntervalSet::from_interval(Interval::closed_int(4, 6)),
-            );
-            assert_eq!(removed.components(), &[Interval::closed_int(4, 6)]);
-            assert!(db.holds_at("p", &[Value::Int(1)], 3));
-            assert!(!db.holds_at("p", &[Value::Int(1)], 5));
-            assert!(db.holds_at("p", &[Value::Int(1)], 7));
-            // Disjoint removal is a no-op; unknown tuples and predicates too.
-            assert!(db
-                .remove(
-                    pred,
-                    &tup,
-                    &IntervalSet::from_interval(Interval::closed_int(40, 60)),
-                )
-                .is_empty());
-            assert!(db
-                .remove(
-                    pred,
-                    &[Value::Int(9)],
-                    &IntervalSet::from_interval(Interval::ALL),
-                )
-                .is_empty());
-            assert!(db
-                .remove(
-                    Symbol::new("zzz"),
-                    &tup,
-                    &IntervalSet::from_interval(Interval::ALL),
-                )
-                .is_empty());
-            // Emptying the set keeps the entry (stable ids) but drops it
-            // from the rendered facts and the component count.
-            db.remove(pred, &tup, &IntervalSet::from_interval(Interval::ALL));
-            assert_eq!(db.tuple_count(), 1);
-            assert_eq!(db.component_count(), 0);
-            assert_eq!(db.to_facts_text(), "");
-            // The tuple can come back through the ordinary merge path.
-            let added = db
-                .merge(
-                    pred,
-                    &tup,
-                    &IntervalSet::from_interval(Interval::closed_int(1, 2)),
-                )
-                .unwrap();
-            assert!(!added.is_empty());
-            assert!(db.holds_at("p", &[Value::Int(1)], 2));
-        }
+                &IntervalSet::from_interval(Interval::closed_int(40, 60)),
+            )
+            .is_empty());
+        assert!(db
+            .remove(
+                pred,
+                &[Value::Int(9)],
+                &IntervalSet::from_interval(Interval::ALL),
+            )
+            .is_empty());
+        assert!(db
+            .remove(
+                Symbol::new("zzz"),
+                &tup,
+                &IntervalSet::from_interval(Interval::ALL),
+            )
+            .is_empty());
+        // Emptying the set keeps the entry (stable ids) but drops it
+        // from the rendered facts and the component count.
+        db.remove(pred, &tup, &IntervalSet::from_interval(Interval::ALL));
+        assert_eq!(db.tuple_count(), 1);
+        assert_eq!(db.component_count(), 0);
+        assert_eq!(db.to_facts_text(), "");
+        // The tuple can come back through the ordinary merge path.
+        let added = db
+            .merge(
+                pred,
+                &tup,
+                &IntervalSet::from_interval(Interval::closed_int(1, 2)),
+            )
+            .unwrap();
+        assert!(!added.is_empty());
+        assert!(db.holds_at("p", &[Value::Int(1)], 2));
     }
 
     #[test]
     fn remove_keeps_value_and_time_probes_sound() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            db.assert_over("p", &[Value::sym("a")], Interval::closed_int(0, 4));
-            db.assert_over("p", &[Value::sym("b")], Interval::closed_int(10, 14));
-            // Build both index kinds, then remove tuple `a` entirely.
-            assert_eq!(
-                db.relation(pred).unwrap().probe(&[(0, Value::sym("a"))]),
-                vec![0]
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        db.assert_over("p", &[Value::sym("a")], Interval::closed_int(0, 4));
+        db.assert_over("p", &[Value::sym("b")], Interval::closed_int(10, 14));
+        // Build both index kinds, then remove tuple `a` entirely.
+        assert_eq!(
+            db.relation(pred).unwrap().probe(&[(0, Value::sym("a"))]),
+            vec![0]
+        );
+        assert_eq!(
+            db.relation(pred)
+                .unwrap()
+                .probe_time(&Interval::closed_int(0, 4)),
+            vec![0]
+        );
+        db.remove(
+            pred,
+            &[Value::sym("a")],
+            &IntervalSet::from_interval(Interval::ALL),
+        );
+        let rel = db.relation(pred).unwrap();
+        // Probes may still surface the emptied tuple (over-approximation)
+        // but its interval set is empty, so the exact clip drops it.
+        for &id in &rel.probe(&[(0, Value::sym("a"))]) {
+            assert!(
+                IntervalSet::clip_components(rel.entry(id).1, &Interval::closed_int(0, 4))
+                    .is_empty()
             );
-            assert_eq!(
-                db.relation(pred)
-                    .unwrap()
-                    .probe_time(&Interval::closed_int(0, 4)),
-                vec![0]
-            );
-            db.remove(
-                pred,
-                &[Value::sym("a")],
-                &IntervalSet::from_interval(Interval::ALL),
-            );
-            let rel = db.relation(pred).unwrap();
-            // Probes may still surface the emptied tuple (over-approximation)
-            // but its interval set is empty, so the exact clip drops it.
-            for &id in &rel.probe(&[(0, Value::sym("a"))]) {
-                assert!(
-                    IntervalSet::clip_components(rel.entry(id).1, &Interval::closed_int(0, 4))
-                        .is_empty()
-                );
-            }
-            assert_eq!(rel.probe(&[(0, Value::sym("b"))]), vec![1]);
-            assert!(rel
-                .probe_time(&Interval::closed_int(10, 14))
-                .contains(&1u32));
         }
+        assert_eq!(rel.probe(&[(0, Value::sym("b"))]), vec![1]);
+        assert!(rel
+            .probe_time(&Interval::closed_int(10, 14))
+            .contains(&1u32));
     }
 
     #[test]
     fn counts() {
-        for mut db in both_modes() {
-            db.assert_at("p", &[Value::Int(1)], 0);
-            db.assert_at("p", &[Value::Int(1)], 2); // second component
-            db.assert_at("p", &[Value::Int(2)], 0);
-            assert_eq!(db.tuple_count(), 2);
-            assert_eq!(db.component_count(), 3);
-        }
+        let mut db = Database::new();
+        db.assert_at("p", &[Value::Int(1)], 0);
+        db.assert_at("p", &[Value::Int(1)], 2); // second component
+        db.assert_at("p", &[Value::Int(2)], 0);
+        assert_eq!(db.tuple_count(), 2);
+        assert_eq!(db.component_count(), 3);
     }
 
     /// Retracting most of a relation must shrink the planner-facing live
-    /// statistics (`live_len`, columnar `distinct_count`) even though the
+    /// statistics (`live_len`, `distinct_count`) even though the
     /// dense id space — and with it `len()` — keeps the emptied entries.
     #[test]
     fn remove_shrinks_live_stats_to_survivors() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            for i in 0..20 {
-                db.insert(pred, &[Value::Int(i), Value::sym("hub")], Interval::at(0))
-                    .unwrap();
-            }
-            {
-                let rel = db.relation(pred).unwrap();
-                assert_eq!(rel.len(), 20);
-                assert_eq!(rel.live_len(), 20);
-                if rel.mode() == StorageMode::Columnar {
-                    assert_eq!(rel.distinct_count(0), Some(20));
-                    assert_eq!(rel.distinct_count(1), Some(1));
-                }
-            }
-            // Retract 18 of the 20 tuples entirely.
-            for i in 0..18 {
-                db.remove(
-                    pred,
-                    &[Value::Int(i), Value::sym("hub")],
-                    &IntervalSet::from_interval(Interval::ALL),
-                );
-            }
-            {
-                let rel = db.relation(pred).unwrap();
-                assert_eq!(rel.len(), 20, "ids stay dense");
-                assert_eq!(rel.live_len(), 2, "live count tracks survivors");
-                if rel.mode() == StorageMode::Columnar {
-                    assert_eq!(rel.distinct_count(0), Some(2));
-                    assert_eq!(rel.distinct_count(1), Some(1));
-                }
-            }
-            // Revival through merge counts the tuple (and its values) again.
-            db.merge(
-                pred,
-                &[Value::Int(0), Value::sym("hub")],
-                &IntervalSet::from_interval(Interval::at(1)),
-            )
-            .unwrap();
-            let rel = db.relation(pred).unwrap();
-            assert_eq!(rel.live_len(), 3);
-            if rel.mode() == StorageMode::Columnar {
-                assert_eq!(rel.distinct_count(0), Some(3));
-            }
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        for i in 0..20 {
+            db.insert(pred, &[Value::Int(i), Value::sym("hub")], Interval::at(0))
+                .unwrap();
         }
+        {
+            let rel = db.relation(pred).unwrap();
+            assert_eq!(rel.len(), 20);
+            assert_eq!(rel.live_len(), 20);
+            assert_eq!(rel.distinct_count(0), Some(20));
+            assert_eq!(rel.distinct_count(1), Some(1));
+        }
+        // Retract 18 of the 20 tuples entirely.
+        for i in 0..18 {
+            db.remove(
+                pred,
+                &[Value::Int(i), Value::sym("hub")],
+                &IntervalSet::from_interval(Interval::ALL),
+            );
+        }
+        {
+            let rel = db.relation(pred).unwrap();
+            assert_eq!(rel.len(), 20, "ids stay dense");
+            assert_eq!(rel.live_len(), 2, "live count tracks survivors");
+            assert_eq!(rel.distinct_count(0), Some(2));
+            assert_eq!(rel.distinct_count(1), Some(1));
+        }
+        // Revival through merge counts the tuple (and its values) again.
+        db.merge(
+            pred,
+            &[Value::Int(0), Value::sym("hub")],
+            &IntervalSet::from_interval(Interval::at(1)),
+        )
+        .unwrap();
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.live_len(), 3);
+        assert_eq!(rel.distinct_count(0), Some(3));
     }
 
     /// The in-place tail-append fast path in `insert`/`merge` must produce
     /// exactly the same stored components, deltas, and live statistics as
     /// the general difference/union path — across disjoint appends, touching
-    /// merges, slab growth, and overlap fallbacks, in both layouts.
+    /// merges, slab growth, and overlap fallbacks.
     #[test]
     fn append_fast_path_matches_general_path() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            let tup = [Value::Int(7)];
-            let mut oracle = IntervalSet::new();
-            let steps = [
-                Interval::closed_int(0, 2),   // birth
-                Interval::closed_int(5, 6),   // disjoint append
-                Interval::closed_int(8, 9),   // append forcing slab growth
-                Interval::closed_int(12, 12), // punctual append
-                Interval::closed_int(1, 7),   // overlap: general path
-                Interval::closed_int(20, 21), // append again after fallback
-            ];
-            for iv in steps {
-                let expect = IntervalSet::from_interval(iv).difference(&oracle);
-                let delta = db
-                    .merge(pred, &tup, &IntervalSet::from_interval(iv))
-                    .unwrap();
-                assert_eq!(delta.components(), expect.components(), "delta for {iv}");
-                oracle.union_with(&IntervalSet::from_interval(iv));
-                let rel = db.relation(pred).unwrap();
-                assert_eq!(rel.components_of(&tup).unwrap(), oracle.components());
-                assert_eq!(rel.live_len(), 1);
-                assert_eq!(rel.live_component_count(), oracle.components().len());
-            }
-            // A touching append extends the last component in place.
-            let open_touch = Interval::new(
-                Rational::integer(21).into(),
-                false,
-                Rational::integer(25).into(),
-                true,
-            )
-            .unwrap();
-            db.merge(pred, &tup, &IntervalSet::from_interval(open_touch))
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        let tup = [Value::Int(7)];
+        let mut oracle = IntervalSet::new();
+        let steps = [
+            Interval::closed_int(0, 2),   // birth
+            Interval::closed_int(5, 6),   // disjoint append
+            Interval::closed_int(8, 9),   // append forcing slab growth
+            Interval::closed_int(12, 12), // punctual append
+            Interval::closed_int(1, 7),   // overlap: general path
+            Interval::closed_int(20, 21), // append again after fallback
+        ];
+        for iv in steps {
+            let expect = IntervalSet::from_interval(iv).difference(&oracle);
+            let delta = db
+                .merge(pred, &tup, &IntervalSet::from_interval(iv))
                 .unwrap();
-            oracle.union_with(&IntervalSet::from_interval(open_touch));
+            assert_eq!(delta.components(), expect.components(), "delta for {iv}");
+            oracle.union_with(&IntervalSet::from_interval(iv));
             let rel = db.relation(pred).unwrap();
             assert_eq!(rel.components_of(&tup).unwrap(), oracle.components());
+            assert_eq!(rel.live_len(), 1);
             assert_eq!(rel.live_component_count(), oracle.components().len());
         }
+        // A touching append extends the last component in place.
+        let open_touch = Interval::new(
+            Rational::integer(21).into(),
+            false,
+            Rational::integer(25).into(),
+            true,
+        )
+        .unwrap();
+        db.merge(pred, &tup, &IntervalSet::from_interval(open_touch))
+            .unwrap();
+        oracle.union_with(&IntervalSet::from_interval(open_touch));
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.components_of(&tup).unwrap(), oracle.components());
+        assert_eq!(rel.live_component_count(), oracle.components().len());
     }
 
     /// Multi-component runs take the same in-place append: seeded runs that
     /// land after the stored tail — with a gap, touching its closed end, or
     /// extending it through an open boundary — and runs that overlap it
     /// (general path) must all leave the components, deltas, and live
-    /// statistics the `IntervalSet` algebra predicts, in both layouts.
+    /// statistics the `IntervalSet` algebra predicts.
     #[test]
     fn append_run_fast_path_matches_general_path() {
         use chronolog_obs::SmallRng;
         for seed in 0..32u64 {
-            for mut db in both_modes() {
-                let mut rng = SmallRng::seed_from_u64(0xA99E ^ seed);
-                let pred = Symbol::new("p");
-                let tup = [Value::Int(seed as i64)];
-                let mut oracle = IntervalSet::new();
-                let mut end = 0i64;
-                for round in 0..12 {
-                    // Where the run starts relative to the stored tail: past
-                    // a gap, extending it through an open boundary, or
-                    // reaching back into it (general path).
-                    let (start, open) = match rng.gen_range_usize(0, 4) {
-                        0 | 1 => (end + rng.gen_range_i64(1, 4), false),
-                        2 => (end, true),
-                        _ => ((end - rng.gen_range_i64(0, 6)).max(0), false),
-                    };
-                    let mut run = IntervalSet::new();
-                    let mut t = start;
-                    for k in 0..rng.gen_range_usize(1, 40) {
-                        let open_lo = open && k == 0;
-                        let hi = t + rng.gen_range_i64(open_lo as i64, 3);
-                        let iv = Interval::new(
-                            Rational::integer(t).into(),
-                            !open_lo,
-                            Rational::integer(hi).into(),
-                            true,
-                        )
-                        .expect("non-empty by construction");
-                        run.insert(iv);
-                        end = end.max(hi);
-                        t = hi + rng.gen_range_i64(1, 4);
-                    }
-                    let expect = run.difference(&oracle);
-                    let delta = db.merge(pred, &tup, &run).unwrap();
-                    assert_eq!(
-                        delta.components(),
-                        expect.components(),
-                        "seed {seed} round {round}: delta"
-                    );
-                    oracle.union_with(&run);
-                    let rel = db.relation(pred).unwrap();
-                    assert_eq!(
-                        rel.components_of(&tup).unwrap(),
-                        oracle.components(),
-                        "seed {seed} round {round}: stored"
-                    );
-                    assert_eq!(rel.live_component_count(), oracle.components().len());
-                    assert_eq!(
-                        rel.probe_time(&Interval::closed_int(start, t)),
-                        vec![0],
-                        "seed {seed} round {round}: time index lost the run"
-                    );
+            let mut db = Database::new();
+            let mut rng = SmallRng::seed_from_u64(0xA99E ^ seed);
+            let pred = Symbol::new("p");
+            let tup = [Value::Int(seed as i64)];
+            let mut oracle = IntervalSet::new();
+            let mut end = 0i64;
+            for round in 0..12 {
+                // Where the run starts relative to the stored tail: past
+                // a gap, extending it through an open boundary, or
+                // reaching back into it (general path).
+                let (start, open) = match rng.gen_range_usize(0, 4) {
+                    0 | 1 => (end + rng.gen_range_i64(1, 4), false),
+                    2 => (end, true),
+                    _ => ((end - rng.gen_range_i64(0, 6)).max(0), false),
+                };
+                let mut run = IntervalSet::new();
+                let mut t = start;
+                for k in 0..rng.gen_range_usize(1, 40) {
+                    let open_lo = open && k == 0;
+                    let hi = t + rng.gen_range_i64(open_lo as i64, 3);
+                    let iv = Interval::new(
+                        Rational::integer(t).into(),
+                        !open_lo,
+                        Rational::integer(hi).into(),
+                        true,
+                    )
+                    .expect("non-empty by construction");
+                    run.insert(iv);
+                    end = end.max(hi);
+                    t = hi + rng.gen_range_i64(1, 4);
                 }
+                let expect = run.difference(&oracle);
+                let delta = db.merge(pred, &tup, &run).unwrap();
+                assert_eq!(
+                    delta.components(),
+                    expect.components(),
+                    "seed {seed} round {round}: delta"
+                );
+                oracle.union_with(&run);
+                let rel = db.relation(pred).unwrap();
+                assert_eq!(
+                    rel.components_of(&tup).unwrap(),
+                    oracle.components(),
+                    "seed {seed} round {round}: stored"
+                );
+                assert_eq!(rel.live_component_count(), oracle.components().len());
+                assert_eq!(
+                    rel.probe_time(&Interval::closed_int(start, t)),
+                    vec![0],
+                    "seed {seed} round {round}: time index lost the run"
+                );
             }
         }
     }
 
+    /// `probe` / `probe_time` against a linear filter over the stored
+    /// entries, on seeded relations, after `remove` and on a `clone`: the
+    /// value probe returns exactly the ids whose position matches
+    /// semantically (`3` finds `3.0`); the time probe may over-approximate
+    /// but never misses a tuple whose validity meets the window.
     #[test]
-    fn row_and_columnar_agree_everywhere() {
-        let facts = crate::parser::parse_facts(
-            "p(a, 1)@[0, 5].\np(a, 2.0)@3.\np(b, 2)@[1, 4].\nq(1.0)@2.\nq(1)@7.\nr(true, x)@[2, 9].",
-        )
-        .unwrap();
-        let mut col = Database::with_mode(StorageMode::Columnar);
-        let mut row = Database::with_mode(StorageMode::Row);
-        col.extend_facts(&facts).unwrap();
-        row.extend_facts(&facts).unwrap();
-        assert_eq!(col.to_facts_text(), row.to_facts_text());
-        assert_eq!(col.tuple_count(), row.tuple_count());
-        assert_eq!(col.component_count(), row.component_count());
-        let pred = Symbol::new("p");
-        let (c, r) = (col.relation(pred).unwrap(), row.relation(pred).unwrap());
-        assert_eq!(
-            c.probe(&[(0, Value::sym("a"))]),
-            r.probe(&[(0, Value::sym("a"))])
-        );
-        assert_eq!(
-            c.probe(&[(1, Value::num(2.0))]),
-            r.probe(&[(1, Value::num(2.0))])
-        );
-        assert_eq!(
-            c.probe_time(&Interval::closed_int(0, 2)),
-            r.probe_time(&Interval::closed_int(0, 2))
-        );
-        // Mode conversion round-trips byte-identically.
-        assert_eq!(
-            col.to_mode(StorageMode::Row).to_facts_text(),
-            col.to_facts_text()
-        );
-        assert_eq!(
-            row.to_mode(StorageMode::Columnar).to_facts_text(),
-            row.to_facts_text()
-        );
+    fn probes_agree_with_a_linear_filter_after_remove_and_clone() {
+        use chronolog_obs::SmallRng;
+        fn check(rel: &Relation, rng: &mut SmallRng, what: &str) {
+            for _ in 0..24 {
+                let (pos, key) = match rng.gen_range_usize(0, 3) {
+                    0 => (0, Value::sym(&format!("k{}", rng.gen_range_i64(0, 5)))),
+                    1 => (1, Value::Int(rng.gen_range_i64(0, 7))),
+                    _ => (1, Value::num(rng.gen_range_i64(0, 7) as f64)),
+                };
+                let want: Vec<u32> = (0..rel.len() as u32)
+                    .filter(|&id| rel.entry(id).0.value(pos).semantic_eq(&key))
+                    .collect();
+                assert_eq!(rel.probe(&[(pos, key)]), want, "{what}: probe {pos}={key}");
+                let lo = rng.gen_range_i64(0, 60);
+                let window = Interval::closed_int(lo, lo + rng.gen_range_i64(0, 12));
+                let got = rel.probe_time(&window);
+                assert!(got.windows(2).all(|w| w[0] < w[1]), "{what}: id order");
+                for id in 0..rel.len() as u32 {
+                    let live = !IntervalSet::clip_components(rel.entry(id).1, &window).is_empty();
+                    assert!(!live || got.contains(&id), "{what}: {window} missed {id}");
+                }
+            }
+        }
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0x9E0B ^ seed);
+            let mut rel = Relation::default();
+            let mut tuples = Vec::new();
+            for _ in 0..40 {
+                let n = rng.gen_range_i64(0, 7);
+                let second = if rng.gen_bool(0.5) {
+                    Value::Int(n)
+                } else {
+                    Value::num(n as f64)
+                };
+                let tuple = [Value::sym(&format!("k{}", rng.gen_range_i64(0, 5))), second];
+                let lo = rng.gen_range_i64(0, 60);
+                let iv = Interval::closed_int(lo, lo + rng.gen_range_i64(0, 9));
+                rel.insert(&tuple, iv).unwrap();
+                tuples.push((tuple, iv));
+                if tuples.len() == 10 {
+                    // Build both index kinds early so later inserts and
+                    // removes exercise the incremental maintenance.
+                    check(&rel, &mut rng, "built");
+                }
+            }
+            for (tuple, iv) in tuples.iter().step_by(3) {
+                rel.remove(tuple, &IntervalSet::from_interval(*iv));
+            }
+            check(&rel, &mut rng, "after remove");
+            let mut copy = rel.clone();
+            copy.insert(
+                &[Value::sym("k1"), Value::Int(3)],
+                Interval::closed_int(70, 71),
+            )
+            .unwrap();
+            check(&copy, &mut rng, "clone");
+            check(&rel, &mut rng, "original after clone");
+        }
     }
 
     #[test]
@@ -2157,9 +1870,7 @@ mod tests {
         let clone = db.clone();
         let (orig, copy) = (db.relation(pred).unwrap(), clone.relation(pred).unwrap());
         assert_eq!(orig.len(), copy.len());
-        let (Store::Col(a), Store::Col(b)) = (&orig.store, &copy.store) else {
-            panic!("default layout is columnar");
-        };
+        let (a, b) = (&orig.store, &copy.store);
         for id in 0..orig.len() as u32 {
             assert_eq!(a.len_of(id), b.len_of(id));
             for pos in 0..a.len_of(id) {
@@ -2188,19 +1899,18 @@ mod tests {
 
     #[test]
     fn mixed_arity_tuples_coexist() {
-        for mut db in both_modes() {
-            let pred = Symbol::new("p");
-            db.insert(pred, &[Value::Int(1)], Interval::at(0)).unwrap();
-            db.insert(pred, &[Value::Int(1), Value::Int(2)], Interval::at(1))
-                .unwrap();
-            let rel = db.relation(pred).unwrap();
-            assert_eq!(rel.len(), 2);
-            assert_eq!(rel.entry(0).0.len(), 1);
-            assert_eq!(rel.entry(1).0.len(), 2);
-            assert_eq!(rel.entry(1).0.value(1), Value::Int(2));
-            assert!(db.holds_at("p", &[Value::Int(1)], 0));
-            assert!(db.holds_at("p", &[Value::Int(1), Value::Int(2)], 1));
-            assert!(!db.holds_at("p", &[Value::Int(1), Value::Int(2)], 0));
-        }
+        let mut db = Database::new();
+        let pred = Symbol::new("p");
+        db.insert(pred, &[Value::Int(1)], Interval::at(0)).unwrap();
+        db.insert(pred, &[Value::Int(1), Value::Int(2)], Interval::at(1))
+            .unwrap();
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.len(), 2);
+        assert_eq!(rel.entry(0).0.len(), 1);
+        assert_eq!(rel.entry(1).0.len(), 2);
+        assert_eq!(rel.entry(1).0.value(1), Value::Int(2));
+        assert!(db.holds_at("p", &[Value::Int(1)], 0));
+        assert!(db.holds_at("p", &[Value::Int(1), Value::Int(2)], 1));
+        assert!(!db.holds_at("p", &[Value::Int(1), Value::Int(2)], 0));
     }
 }

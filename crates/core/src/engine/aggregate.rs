@@ -226,8 +226,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            index_joins: true,
-            time_index: true,
             threads: 1,
             pool: None,
             counters: &counters,

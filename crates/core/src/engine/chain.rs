@@ -241,7 +241,7 @@ impl SelfChain {
             let Some(mask) = set.hull() else { break };
             let mut hits = IntervalSet::new();
             let m = matom(rule, li);
-            for (_, ivs) in eval_matom_masked(m, ctx, false, &binding, Some(mask), None)? {
+            for (_, ivs) in eval_matom_masked(m, ctx, false, &binding, Some(mask))? {
                 hits.union_with(&ivs);
             }
             set = if positive {

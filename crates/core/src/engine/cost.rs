@@ -1,14 +1,11 @@
 //! Cardinality estimation for the physical planner.
 //!
 //! Estimates are derived from *live* relation sizes and per-position
-//! distinct counts. Columnar relations maintain distinct interned-id
-//! (semantic-class) counts per column as tuples are inserted, so the
-//! planner gets exact distincts for free; row relations only expose a
-//! distinct count once a value index for that position exists. Reads are
-//! strictly read-only: the planner never forces an index build, it only
-//! consults whatever the storage layer and evaluation paths have already
-//! built. Unknown quantities fall back to conservative defaults, so a cold
-//! start plans like the old interpretive order and only deviates once the
+//! distinct counts: relations maintain distinct semantic-class counts per
+//! column as tuples are born and die, so the planner gets exact distincts
+//! for free. Reads are strictly read-only — the planner never forces an
+//! index build. Unknown quantities fall back to conservative defaults, so
+//! a cold start plans in textual order and only deviates once the
 //! statistics justify it.
 
 use crate::database::Database;
@@ -16,10 +13,10 @@ use crate::symbol::Symbol;
 use std::collections::HashSet;
 
 /// Assumed distinct values per argument position when the storage layer
-/// has no count yet (row layout before any value index). Deliberately
-/// small: it keeps the estimated selectivity
-/// of a bound position modest, so cold plans only reorder on large size
-/// differences (which are reliable even without distinct counts).
+/// has no count (no relation yet, or a position past its widest arity).
+/// Deliberately small: it keeps the estimated selectivity of a bound
+/// position modest, so cold plans only reorder on large size differences
+/// (which are reliable even without distinct counts).
 const DEFAULT_DISTINCT: usize = 8;
 
 /// Live cardinalities the planner reads when costing a rule body.
@@ -28,9 +25,7 @@ pub(crate) trait CardinalitySource {
     fn relation_size(&self, pred: Symbol) -> usize;
     /// Number of distinct tuples of `pred` in the current delta.
     fn delta_size(&self, pred: Symbol) -> usize;
-    /// Distinct values at argument position `pos`, when already known:
-    /// columnar relations track per-column distinct semantic ids on
-    /// insert, row relations report once a value index has been built.
+    /// Distinct live values at argument position `pos`, when known.
     fn distinct_at(&self, pred: Symbol, pos: usize) -> Option<usize>;
 }
 
@@ -76,8 +71,8 @@ impl CardinalitySource for DbCardinalities<'_> {
 }
 
 /// A source that knows nothing: every estimate degenerates to the default,
-/// so plans keep the original literal order. The naive oracle plans with
-/// this (it has no cost model and must stay maximally obvious).
+/// so plans keep the original literal order. `eval_body` (aggregate
+/// bodies, unit tests) plans with this.
 pub(crate) struct NoCardinalities;
 
 impl CardinalitySource for NoCardinalities {

@@ -6,7 +6,7 @@
 //! points at which the whole conjunction holds.
 
 use crate::ast::{Atom, CmpOp, Expr, Literal, MetricAtom, Rule, Term};
-use crate::database::{Database, StoreRef};
+use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::hash::FxHashMap;
 use crate::intern::{self, NONE_VID};
@@ -14,21 +14,16 @@ use crate::symbol::Symbol;
 use crate::value::Value;
 use chronolog_obs::SpanRecorder;
 use mtl_temporal::{Interval, IntervalSet};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::cost::NoCardinalities;
-use super::plan::{build_plan, AccessPath, ConstraintMode, PlanConfig, RulePlan, StepKind};
+use super::plan::{build_plan, AccessPath, ConstraintMode, RulePlan, StepKind};
 use super::pool::WorkerPool;
 
 /// A variable assignment. Fx-hashed: binding maps are cloned once per
 /// emitted tuple, which makes rehash speed a join-throughput term.
 pub(crate) type Bindings = FxHashMap<Symbol, Value>;
-
-/// Relations smaller than this are scanned directly: probing (and possibly
-/// building) an index costs more than walking a handful of tuples.
-pub(crate) const INDEX_MIN_TUPLES: usize = 8;
 
 /// Minimum accumulated bindings before `join_positive` considers fanning
 /// the per-binding work across the worker pool. Lower than the old scoped
@@ -60,7 +55,7 @@ pub(crate) struct JoinCounters {
     /// Candidate tuples visited by index probes. Together with the other
     /// two tuple counters this partitions every lookup: per `eval_rel`
     /// call on a present relation, `scanned + probed + avoided` equals the
-    /// relation's size — an invariant across all four index configs.
+    /// relation's size.
     pub probed_tuples: AtomicU64,
     /// `eval_rel` calls that consulted the sorted-endpoint time index.
     pub time_index_probes: AtomicU64,
@@ -89,12 +84,6 @@ pub(crate) struct EvalCtx<'a> {
     /// is a narrower re-derivation window — a past operator over `top`
     /// reads below the window like one over any other atom.
     pub top: Interval,
-    /// Probe secondary value indexes instead of scanning relations
-    /// (`false` is the ablation baseline).
-    pub index_joins: bool,
-    /// Probe the sorted-endpoint time index for masked reads instead of
-    /// clipping every candidate tuple (`false` is the ablation baseline).
-    pub time_index: bool,
     /// Worker budget for the binding fan-out inside [`join_positive`];
     /// `1` keeps body evaluation single-threaded.
     pub threads: usize,
@@ -143,12 +132,11 @@ pub(crate) fn delta_eligible(lit: &Literal) -> Option<Symbol> {
 /// Evaluates a rule body. When `delta_literal` is set, that literal's base
 /// relation is read from `ctx.delta` instead of `ctx.total`.
 ///
-/// This is the unplanned entry point (aggregates, tests): it compiles an
-/// order-preserving plan on the spot — no cardinality information, no
-/// reordering, so the join order is exactly the old interpretive
-/// delta-first order — and executes it. The fixpoint loop in `mod.rs`
-/// builds and caches cost-based plans instead and calls
-/// [`execute_plan`] directly.
+/// This is the unplanned entry point (aggregates, tests): it compiles a
+/// plan on the spot with no cardinality information — every estimate ties,
+/// so the join order is the textual delta-first order — and executes it.
+/// The fixpoint loop in `mod.rs` builds and caches plans against live
+/// cardinalities instead and calls [`execute_plan`] directly.
 ///
 /// Returns deduplicated `(binding, intervals)` pairs with non-empty interval
 /// sets.
@@ -157,21 +145,13 @@ pub(crate) fn eval_body(
     ctx: &EvalCtx<'_>,
     delta_literal: Option<usize>,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let cfg = PlanConfig {
-        cost_based: false,
-        index_joins: ctx.index_joins,
-        time_index: ctx.time_index,
-        // Planned blind (no cardinalities): access paths stay advisory and
-        // `eval_rel` keeps its legacy per-lookup selection.
-        authoritative: false,
-    };
-    let plan = build_plan(rule, delta_literal, &cfg, &NoCardinalities, &[]);
+    let plan = build_plan(rule, delta_literal, &NoCardinalities, &[]);
     execute_plan(rule, &plan, ctx)
 }
 
 /// Executes a compiled rule-body plan: one shared executor for every step
-/// kind, used by the semi-naive fixpoint (with cached cost-based plans)
-/// and by [`eval_body`] (with throwaway order-preserving plans).
+/// kind, used by the fixpoint loop (with cached plans) and by
+/// [`eval_body`] (with throwaway textual-order plans).
 ///
 /// The delta-restricted literal is taken from the plan, joins push the
 /// accumulated interval hull down as a read mask, and constraints run in
@@ -200,16 +180,12 @@ pub(crate) fn execute_plan(
             s
         });
         match &step.kind {
-            StepKind::Join { access } => {
+            StepKind::Join { .. } => {
                 let Literal::Pos(m) = &rule.body[step.literal] else {
                     unreachable!("join step on a non-positive literal");
                 };
                 let use_delta = plan.delta_literal == Some(step.literal);
-                // Authoritative plans bind the access path for the step's
-                // relation leaf; advisory (throwaway) plans leave the
-                // per-lookup runtime selection in place.
-                let planned = plan.authoritative.then_some(*access);
-                acc = join_positive(acc, m, ctx, use_delta, step.est_rows, planned)?;
+                acc = join_positive(acc, m, ctx, use_delta, step.est_rows)?;
                 step.note_actual(acc.len());
                 if let Some(s) = step_span.as_mut() {
                     s.add("rows", acc.len() as u64);
@@ -266,44 +242,8 @@ pub(crate) fn execute_plan(
         .collect())
 }
 
-/// Applies a constraint to one binding in its scheduled mode: assignments
-/// extend the binding, filters keep or drop it. Shared by the engine
-/// executor (which threads interval sets alongside) and the naive oracle
-/// (which works on plain bindings).
-pub(crate) fn apply_constraint_row(
-    mut b: Bindings,
-    lhs: &Expr,
-    op: CmpOp,
-    rhs: &Expr,
-    mode: ConstraintMode,
-) -> Result<Option<Bindings>> {
-    match mode {
-        ConstraintMode::AssignLeft => {
-            let v = eval_expr(rhs, &b)?;
-            let var = match lhs {
-                Expr::Term(Term::Var(x)) => *x,
-                _ => unreachable!("mode implies lone variable"),
-            };
-            b.insert(var, v);
-            Ok(Some(b))
-        }
-        ConstraintMode::AssignRight => {
-            let v = eval_expr(lhs, &b)?;
-            let var = match rhs {
-                Expr::Term(Term::Var(x)) => *x,
-                _ => unreachable!("mode implies lone variable"),
-            };
-            b.insert(var, v);
-            Ok(Some(b))
-        }
-        ConstraintMode::Filter => {
-            let l = eval_expr(lhs, &b)?;
-            let r = eval_expr(rhs, &b)?;
-            Ok(compare(l, op, r)?.then_some(b))
-        }
-    }
-}
-
+/// Applies a constraint to every binding in its scheduled mode: assignments
+/// extend the binding, filters keep or drop it.
 fn apply_constraint(
     acc: Vec<(Bindings, IntervalSet)>,
     lhs: &Expr,
@@ -311,16 +251,35 @@ fn apply_constraint(
     rhs: &Expr,
     mode: ConstraintMode,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
+    let lone_var = |e: &Expr| match e {
+        Expr::Term(Term::Var(x)) => *x,
+        _ => unreachable!("mode implies lone variable"),
+    };
     let mut out = Vec::with_capacity(acc.len());
-    for (b, ivs) in acc {
-        if let Some(b2) = apply_constraint_row(b, lhs, op, rhs, mode)? {
-            out.push((b2, ivs));
+    for (mut b, ivs) in acc {
+        match mode {
+            ConstraintMode::AssignLeft => {
+                let v = eval_expr(rhs, &b)?;
+                b.insert(lone_var(lhs), v);
+            }
+            ConstraintMode::AssignRight => {
+                let v = eval_expr(lhs, &b)?;
+                b.insert(lone_var(rhs), v);
+            }
+            ConstraintMode::Filter => {
+                if !compare(eval_expr(lhs, &b)?, op, eval_expr(rhs, &b)?)? {
+                    continue;
+                }
+            }
         }
+        out.push((b, ivs));
     }
     Ok(out)
 }
 
-fn compare(l: Value, op: CmpOp, r: Value) -> Result<bool> {
+/// The comparison built-ins: `=`/`!=` are semantic (`3 = 3.0`), the order
+/// comparisons fail on incomparable values.
+pub(crate) fn compare(l: Value, op: CmpOp, r: Value) -> Result<bool> {
     match op {
         CmpOp::Eq => Ok(l.semantic_eq(&r)),
         CmpOp::Ne => Ok(!l.semantic_eq(&r)),
@@ -452,7 +411,6 @@ fn join_positive(
     ctx: &EvalCtx<'_>,
     use_delta: bool,
     est_rows: u64,
-    planned: Option<AccessPath>,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     let enough_work = acc.len() >= PAR_FANOUT_MIN
         && (acc.len() as u64).saturating_mul(est_rows.max(1)) >= PAR_FANOUT_WORK_MIN;
@@ -466,7 +424,7 @@ fn join_positive(
                 s.add("bindings", chunks[i].len() as u64);
                 s
             });
-            let r = join_chunk(chunks[i], m, ctx, use_delta, planned);
+            let r = join_chunk(chunks[i], m, ctx, use_delta);
             if let (Some(s), Ok(rows)) = (chunk_span.as_mut(), &r) {
                 s.add("rows", rows.len() as u64);
             }
@@ -478,7 +436,7 @@ fn join_positive(
         }
         Ok(out)
     } else {
-        join_chunk(&acc, m, ctx, use_delta, planned)
+        join_chunk(&acc, m, ctx, use_delta)
     }
 }
 
@@ -487,12 +445,11 @@ fn join_chunk(
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
-    planned: Option<AccessPath>,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     let mut out = Vec::new();
     for (b, ivs) in acc {
         let mask = ivs.hull();
-        for (b2, ivs2) in eval_matom_masked(m, ctx, use_delta, b, mask, planned)? {
+        for (b2, ivs2) in eval_matom_masked(m, ctx, use_delta, b, mask)? {
             let joined = ivs.intersect(&ivs2);
             if !joined.is_empty() {
                 out.push((b2, joined));
@@ -512,7 +469,7 @@ fn apply_negation(
     for (b, ivs) in acc {
         let mask = ivs.hull();
         let mut neg = IntervalSet::new();
-        for (_, nivs) in eval_matom_masked(m, ctx, false, &b, mask, None)? {
+        for (_, nivs) in eval_matom_masked(m, ctx, false, &b, mask)? {
             neg.union_with(&nivs);
         }
         let rest = ivs.difference(&neg);
@@ -531,7 +488,7 @@ pub(crate) fn eval_matom(
     use_delta: bool,
     binding: &Bindings,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
-    eval_matom_masked(m, ctx, use_delta, binding, None, None)
+    eval_matom_masked(m, ctx, use_delta, binding, None)
 }
 
 /// Masked evaluation: `mask`, when present, is a time window such that only
@@ -546,7 +503,6 @@ pub(crate) fn eval_matom_masked(
     use_delta: bool,
     binding: &Bindings,
     mask: Option<Interval>,
-    planned: Option<AccessPath>,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     // Base times contributing to past-operator outputs in `mask` lie in
     // mask ⊕ mirrored-ρ, which is exactly the hull transform below. All
@@ -582,21 +538,21 @@ pub(crate) fn eval_matom_masked(
     match m {
         MetricAtom::Top => Ok(vec![(binding.clone(), IntervalSet::from_interval(ctx.top))]),
         MetricAtom::Bottom => Ok(vec![]),
-        MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, binding, mask, planned),
+        MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, binding, mask),
         MetricAtom::DiamondMinus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, past_mask(rho)?, planned)?,
+            eval_matom_masked(inner, ctx, use_delta, binding, past_mask(rho)?)?,
             |ivs| ivs.checked_diamond_minus(rho),
         ),
         MetricAtom::DiamondPlus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, future_mask(rho)?, planned)?,
+            eval_matom_masked(inner, ctx, use_delta, binding, future_mask(rho)?)?,
             |ivs| ivs.checked_diamond_plus(rho),
         ),
         MetricAtom::BoxMinus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, past_mask(rho)?, planned)?,
+            eval_matom_masked(inner, ctx, use_delta, binding, past_mask(rho)?)?,
             |ivs| ivs.checked_box_minus(rho),
         ),
         MetricAtom::BoxPlus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, future_mask(rho)?, planned)?,
+            eval_matom_masked(inner, ctx, use_delta, binding, future_mask(rho)?)?,
             |ivs| ivs.checked_box_plus(rho),
         ),
         MetricAtom::Since(m1, rho, m2) => {
@@ -658,17 +614,17 @@ thread_local! {
 
 /// Base-relation lookup with unification and optional `@T` time capture.
 ///
-/// When the atom has arguments that are ground under the current binding,
-/// the relation's secondary value index is probed for the most selective
-/// position instead of scanning every tuple; candidates still pass through
-/// full unification, so the probe is purely an access-path optimization.
+/// The access path is chosen per lookup by [`AccessPath::choose`] from what
+/// is observed here — the relation's size, whether any argument is ground
+/// under the current binding, whether a read mask restricts the window.
+/// Candidates still pass through full unification, so the path is purely an
+/// optimization.
 fn eval_rel(
     atom: &Atom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
     binding: &Bindings,
     mask: Option<Interval>,
-    access: Option<AccessPath>,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     let db = if use_delta {
         ctx.delta
@@ -688,274 +644,196 @@ fn eval_rel(
     // capacity reuse.
     let mut scr = PROBE_SCRATCH.take();
 
-    // Access-path selection: an authoritative plan binds the choice made at
-    // plan time; without one (throwaway plans, negation re-checks, Since/
-    // Until arms) the legacy config toggles decide. Either way a runtime
-    // degrade guard drops to a scan on tiny relations — probing a relation
-    // below `INDEX_MIN_TUPLES` never builds (or consults) an index, so a
-    // plan chosen against stale sizes can't force a pointless index build.
-    let (want_value, want_time) = match access {
-        Some(p) => (p.uses_value(), p.uses_time()),
-        None => (ctx.index_joins, ctx.time_index),
-    };
-
-    // Argument positions that are ground under the current binding.
+    // Argument positions that are ground under the current binding: the
+    // probe keys, and below the semantic-id checks of the visit loop.
     scr.ground.clear();
-    if want_value && rel.len() >= INDEX_MIN_TUPLES {
-        for (i, t) in atom.args.iter().enumerate() {
-            match t {
-                Term::Val(c) => scr.ground.push((i, *c)),
-                Term::Var(x) => {
-                    if let Some(v) = binding.get(x) {
-                        scr.ground.push((i, *v));
-                    }
+    for (i, t) in atom.args.iter().enumerate() {
+        match t {
+            Term::Val(c) => scr.ground.push((i, *c)),
+            Term::Var(x) => {
+                if let Some(v) = binding.get(x) {
+                    scr.ground.push((i, *v));
                 }
             }
         }
     }
-    let use_time = want_time && mask.is_some() && rel.len() >= INDEX_MIN_TUPLES;
 
-    // Candidate selection is shared across storage layouts: both modes see
-    // the same index buckets and bump the same counters, so the
-    // scanned + probed + avoided invariants hold bit-for-bit under
-    // `--row-store`. `None` means full scan.
-    let candidates: Option<&[u32]> = if scr.ground.is_empty() && !use_time {
-        JoinCounters::bump(&ctx.counters.full_scans, 1);
-        JoinCounters::bump(&ctx.counters.scanned_tuples, rel.len() as u64);
-        None
-    } else {
-        // Value probe, time probe, or both: both candidate lists come back
-        // in ascending id (= insertion) order, so their intersection visits
-        // tuples in scan order and determinism is preserved.
-        let candidates: &[u32] = match (scr.ground.is_empty(), use_time) {
-            (false, false) => {
-                rel.probe_into(&scr.ground, &mut scr.value);
-                &scr.value
-            }
-            (true, true) => {
-                let w = mask.as_ref().expect("use_time implies a mask");
+    // `None` means full scan. Value and time candidate lists both come back
+    // in ascending id (= insertion) order, so their intersection visits
+    // tuples in scan order and determinism is preserved.
+    let path = AccessPath::choose(rel.len(), !scr.ground.is_empty(), mask.is_some());
+    let candidates: Option<&[u32]> = match path {
+        AccessPath::Scan => {
+            JoinCounters::bump(&ctx.counters.full_scans, 1);
+            JoinCounters::bump(&ctx.counters.scanned_tuples, rel.len() as u64);
+            None
+        }
+        AccessPath::ValueProbe => {
+            rel.probe_into(&scr.ground, &mut scr.value);
+            Some(&scr.value)
+        }
+        AccessPath::TimeProbe => {
+            let w = mask.as_ref().expect("a time probe implies a mask");
+            rel.probe_time_into(w, &mut scr.time);
+            JoinCounters::bump(&ctx.counters.time_index_probes, 1);
+            JoinCounters::bump(
+                &ctx.counters.interval_clips_avoided,
+                (rel.len() - scr.time.len()) as u64,
+            );
+            Some(&scr.time)
+        }
+        AccessPath::ValueTimeProbe => {
+            rel.probe_into(&scr.ground, &mut scr.value);
+            if scr.value.len() <= rel.len() / 8 {
+                // A small (or empty) value bucket: clipping a handful
+                // of candidates directly is cheaper than walking the
+                // time index's window range (which costs a sort of
+                // every overlapping id); skipping also means an empty
+                // bucket neither builds the time index nor re-counts
+                // its pending tail against the clip counters.
+                Some(&scr.value)
+            } else {
+                let w = mask.as_ref().expect("a time probe implies a mask");
                 rel.probe_time_into(w, &mut scr.time);
                 JoinCounters::bump(&ctx.counters.time_index_probes, 1);
+                intersect_sorted_into(&scr.value, &scr.time, &mut scr.both);
                 JoinCounters::bump(
                     &ctx.counters.interval_clips_avoided,
-                    (rel.len() - scr.time.len()) as u64,
+                    (scr.value.len() - scr.both.len()) as u64,
                 );
-                &scr.time
+                Some(&scr.both)
             }
-            (false, true) => {
-                rel.probe_into(&scr.ground, &mut scr.value);
-                if scr.value.len() <= rel.len() / 8 {
-                    // A small (or empty) value bucket: clipping a handful
-                    // of candidates directly is cheaper than walking the
-                    // time index's window range (which costs a sort of
-                    // every overlapping id); skipping also means an empty
-                    // bucket neither builds the time index nor re-counts
-                    // its pending tail against the clip counters.
-                    &scr.value
-                } else {
-                    let w = mask.as_ref().expect("use_time implies a mask");
-                    rel.probe_time_into(w, &mut scr.time);
-                    JoinCounters::bump(&ctx.counters.time_index_probes, 1);
-                    intersect_sorted_into(&scr.value, &scr.time, &mut scr.both);
-                    JoinCounters::bump(
-                        &ctx.counters.interval_clips_avoided,
-                        (scr.value.len() - scr.both.len()) as u64,
-                    );
-                    &scr.both
-                }
-            }
-            (true, false) => unreachable!("handled by the full-scan branch"),
-        };
+        }
+    };
+    if let Some(c) = candidates {
         JoinCounters::bump(&ctx.counters.index_probes, 1);
-        JoinCounters::bump(&ctx.counters.probed_tuples, candidates.len() as u64);
+        JoinCounters::bump(&ctx.counters.probed_tuples, c.len() as u64);
         JoinCounters::bump(
             &ctx.counters.index_scan_avoided,
-            (rel.len() - candidates.len()) as u64,
+            (rel.len() - c.len()) as u64,
         );
-        Some(candidates)
-    };
+    }
 
-    let mut out = Vec::new();
-    match rel.store() {
-        StoreRef::Row(s) => {
-            let mut emit = |tuple: &crate::value::Tuple, ivs: &IntervalSet| -> Result<()> {
-                let Some(b2) = unify(atom, tuple, binding) else {
-                    return Ok(());
-                };
-                // Clip lazily: the unmasked path borrows the stored set and
-                // only clones if the tuple is actually emitted.
-                let clipped: Cow<'_, IntervalSet> = match &mask {
-                    Some(w) => Cow::Owned(ivs.intersect_interval(w)),
-                    None => Cow::Borrowed(ivs),
-                };
-                if clipped.is_empty() {
-                    return Ok(());
-                }
-                match atom.time_var {
-                    None => out.push((b2, clipped.into_owned())),
-                    Some(tv) => {
-                        // The capture refers to the base fact's own time
-                        // points, so the fact must be punctual.
-                        let points = clipped.punctual_points().ok_or_else(|| {
-                            Error::Eval(format!(
-                                "time capture @{tv} on non-punctual fact {}{:?}",
-                                atom.pred, tuple
-                            ))
-                        })?;
-                        for p in points {
-                            let tval = Value::from_time(p);
-                            match b2.get(&tv) {
-                                Some(existing) if !existing.semantic_eq(&tval) => continue,
-                                _ => {}
-                            }
-                            let mut b3 = b2.clone();
-                            b3.insert(tv, tval);
-                            out.push((b3, IntervalSet::from_interval(Interval::point(p))));
-                        }
-                    }
-                }
-                Ok(())
+    // Unification: compile the atom's argument pattern into per-position
+    // checks ONCE, then run every candidate through dense `u32`
+    // semantic-id compares — no per-tuple Value materialization, no
+    // hashing. One interner read guard covers the whole loop.
+    enum Chk<'c> {
+        /// Stored value's semantic class must equal this id. A constant
+        /// absent from the interner gets the `NONE_VID` sentinel, which
+        /// matches nothing.
+        Sid { col: &'c [u32], sid: u32 },
+        /// Repeated fresh variable: positions must agree pairwise.
+        Repeat { col: &'c [u32], first: &'c [u32] },
+        /// First occurrence of a fresh variable: bind on success.
+        Bind { col: &'c [u32], var: Symbol },
+    }
+    let s = rel.store();
+    let g = intern::read();
+    let arity = atom.args.len();
+    // Column slices are hoisted into the checks once: the visit loop then
+    // runs on flat `&[u32]` indexing with no outer-vector lookups. A
+    // missing column means no stored tuple reaches this arity, so nothing
+    // can match and the visit loop is skipped outright (candidate counters
+    // were already charged above).
+    let mut checks: Vec<Chk> = Vec::with_capacity(arity);
+    let mut unmatchable = false;
+    let mut ground = scr.ground.iter().peekable();
+    for (i, t) in atom.args.iter().enumerate() {
+        let Some(col) = s.col(i) else {
+            unmatchable = true;
+            break;
+        };
+        if let Some((_, v)) = ground.next_if(|(pos, _)| *pos == i) {
+            checks.push(Chk::Sid {
+                col,
+                sid: g.sid_of(v).unwrap_or(NONE_VID),
+            });
+        } else if let Some(first) = atom.args[..i].iter().position(|t2| t2 == t) {
+            checks.push(Chk::Repeat {
+                col,
+                first: s.col(first).expect("earlier position has a column"),
+            });
+        } else {
+            let Term::Var(var) = t else {
+                unreachable!("constants are ground positions");
             };
-            match candidates {
-                None => {
-                    for (tuple, ivs) in &s.entries {
-                        emit(tuple, ivs)?;
+            checks.push(Chk::Bind { col, var: *var });
+        }
+    }
+    let lens = s.lens();
+    let arity_u32 = arity as u32;
+    let mut out = Vec::new();
+    let mut visit = |id: u32| -> Result<()> {
+        if lens[id as usize] != arity_u32 {
+            return Ok(());
+        }
+        for c in &checks {
+            match *c {
+                Chk::Sid { col, sid } => {
+                    if g.sid(col[id as usize]) != sid {
+                        return Ok(());
                     }
                 }
-                Some(c) => {
-                    for &id in c {
-                        let (tuple, ivs) = &s.entries[id as usize];
-                        emit(tuple, ivs)?;
+                Chk::Repeat { col, first } => {
+                    if g.sid(col[id as usize]) != g.sid(first[id as usize]) {
+                        return Ok(());
                     }
+                }
+                Chk::Bind { .. } => {}
+            }
+        }
+        let comps = s.comps_of(id);
+        let clipped = match &mask {
+            Some(w) => IntervalSet::clip_components(comps, w),
+            None => IntervalSet::from_sorted(comps.to_vec()),
+        };
+        if clipped.is_empty() {
+            return Ok(());
+        }
+        let mut b2 = binding.clone();
+        for c in &checks {
+            if let Chk::Bind { col, var } = *c {
+                b2.entry(var).or_insert_with(|| g.decode(col[id as usize]));
+            }
+        }
+        match atom.time_var {
+            None => out.push((b2, clipped)),
+            Some(tv) => {
+                // The capture refers to the base fact's own time points, so
+                // the fact must be punctual.
+                let points = clipped.punctual_points().ok_or_else(|| {
+                    let vals: Vec<Value> = (0..arity).map(|p| g.decode(s.vid_at(p, id))).collect();
+                    Error::Eval(format!(
+                        "time capture @{tv} on non-punctual fact {}{:?}",
+                        atom.pred,
+                        vals.into_boxed_slice()
+                    ))
+                })?;
+                for p in points {
+                    let tval = Value::from_time(p);
+                    match b2.get(&tv) {
+                        Some(existing) if !existing.semantic_eq(&tval) => continue,
+                        _ => {}
+                    }
+                    let mut b3 = b2.clone();
+                    b3.insert(tv, tval);
+                    out.push((b3, IntervalSet::from_interval(Interval::point(p))));
                 }
             }
         }
-        StoreRef::Col(s) => {
-            // Columnar unification: compile the atom's argument pattern into
-            // per-position checks ONCE, then run every candidate through
-            // dense `u32` semantic-id compares — no per-tuple Value
-            // materialization, no hashing. One interner read guard covers
-            // the whole loop.
-            enum Chk<'c> {
-                /// Stored value's semantic class must equal this id. A
-                /// constant absent from the interner gets the `NONE_VID`
-                /// sentinel, which matches nothing — the loop still visits
-                /// every candidate so counters stay identical to row mode.
-                Sid { col: &'c [u32], sid: u32 },
-                /// Repeated fresh variable: positions must agree pairwise.
-                Repeat { col: &'c [u32], first: &'c [u32] },
-                /// First occurrence of a fresh variable: bind on success.
-                Bind { col: &'c [u32], var: Symbol },
-            }
-            let g = intern::read();
-            let arity = atom.args.len();
-            // Column slices are hoisted into the checks once: the visit loop
-            // then runs on flat `&[u32]` indexing with no outer-vector
-            // lookups. A missing column means no stored tuple reaches this
-            // arity, so nothing can match and the visit loop is skipped
-            // outright (candidate counters were already charged above).
-            let mut checks: Vec<Chk> = Vec::with_capacity(arity);
-            let mut unmatchable = false;
-            for (i, t) in atom.args.iter().enumerate() {
-                let Some(col) = s.col(i) else {
-                    unmatchable = true;
-                    break;
-                };
-                match t {
-                    Term::Val(c) => checks.push(Chk::Sid {
-                        col,
-                        sid: g.sid_of(c).unwrap_or(NONE_VID),
-                    }),
-                    Term::Var(x) => {
-                        if let Some(v) = binding.get(x) {
-                            checks.push(Chk::Sid {
-                                col,
-                                sid: g.sid_of(v).unwrap_or(NONE_VID),
-                            });
-                        } else if let Some(first) = atom.args[..i].iter().position(|t2| t2 == t) {
-                            checks.push(Chk::Repeat {
-                                col,
-                                first: s.col(first).expect("earlier position has a column"),
-                            });
-                        } else {
-                            checks.push(Chk::Bind { col, var: *x });
-                        }
-                    }
+        Ok(())
+    };
+    if !unmatchable {
+        match candidates {
+            None => {
+                for id in 0..s.len() as u32 {
+                    visit(id)?;
                 }
             }
-            let lens = s.lens();
-            let arity_u32 = arity as u32;
-            let mut visit = |id: u32| -> Result<()> {
-                if lens[id as usize] != arity_u32 {
-                    return Ok(());
-                }
-                for c in &checks {
-                    match *c {
-                        Chk::Sid { col, sid } => {
-                            if g.sid(col[id as usize]) != sid {
-                                return Ok(());
-                            }
-                        }
-                        Chk::Repeat { col, first } => {
-                            if g.sid(col[id as usize]) != g.sid(first[id as usize]) {
-                                return Ok(());
-                            }
-                        }
-                        Chk::Bind { .. } => {}
-                    }
-                }
-                let comps = s.comps_of(id);
-                let clipped = match &mask {
-                    Some(w) => IntervalSet::clip_components(comps, w),
-                    None => IntervalSet::from_sorted(comps.to_vec()),
-                };
-                if clipped.is_empty() {
-                    return Ok(());
-                }
-                let mut b2 = binding.clone();
-                for c in &checks {
-                    if let Chk::Bind { col, var } = *c {
-                        b2.entry(var).or_insert_with(|| g.decode(col[id as usize]));
-                    }
-                }
-                match atom.time_var {
-                    None => out.push((b2, clipped)),
-                    Some(tv) => {
-                        let points = clipped.punctual_points().ok_or_else(|| {
-                            let vals: Vec<Value> =
-                                (0..arity).map(|p| g.decode(s.vid_at(p, id))).collect();
-                            Error::Eval(format!(
-                                "time capture @{tv} on non-punctual fact {}{:?}",
-                                atom.pred,
-                                vals.into_boxed_slice()
-                            ))
-                        })?;
-                        for p in points {
-                            let tval = Value::from_time(p);
-                            match b2.get(&tv) {
-                                Some(existing) if !existing.semantic_eq(&tval) => continue,
-                                _ => {}
-                            }
-                            let mut b3 = b2.clone();
-                            b3.insert(tv, tval);
-                            out.push((b3, IntervalSet::from_interval(Interval::point(p))));
-                        }
-                    }
-                }
-                Ok(())
-            };
-            if !unmatchable {
-                match candidates {
-                    None => {
-                        for id in 0..s.len() as u32 {
-                            visit(id)?;
-                        }
-                    }
-                    Some(c) => {
-                        for &id in c {
-                            visit(id)?;
-                        }
-                    }
+            Some(c) => {
+                for &id in c {
+                    visit(id)?;
                 }
             }
         }
@@ -982,52 +860,6 @@ fn intersect_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Unifies an atom's argument pattern with a ground tuple under a binding.
-/// Numeric values unify semantically (`3 = 3.0`), so integer-initialized
-/// state joins with float-updated state.
-///
-/// Checked in two passes: match first without allocating, clone the binding
-/// only on success — this runs once per scanned tuple and is the hottest
-/// spot of dense-timeline materialization.
-fn unify(atom: &Atom, tuple: &[Value], binding: &Bindings) -> Option<Bindings> {
-    if atom.args.len() != tuple.len() {
-        return None;
-    }
-    // Pass 1: consistency check. Repeated fresh variables (e.g. p(X, X))
-    // are validated against the tuple's own values.
-    for (i, (t, v)) in atom.args.iter().zip(tuple.iter()).enumerate() {
-        match t {
-            Term::Val(c) => {
-                if !c.semantic_eq(v) {
-                    return None;
-                }
-            }
-            Term::Var(x) => {
-                if let Some(bound) = binding.get(x) {
-                    if !bound.semantic_eq(v) {
-                        return None;
-                    }
-                } else {
-                    // First occurrence in this atom; check later repeats.
-                    for (t2, v2) in atom.args[..i].iter().zip(tuple.iter()) {
-                        if t2 == t && !v2.semantic_eq(v) {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Pass 2: build the extended binding.
-    let mut b = binding.clone();
-    for (t, v) in atom.args.iter().zip(tuple.iter()) {
-        if let Term::Var(x) = t {
-            b.entry(*x).or_insert(*v);
-        }
-    }
-    Some(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1048,8 +880,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            index_joins: true,
-            time_index: true,
             threads: 1,
             pool: None,
             counters: &counters,
@@ -1136,8 +966,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            index_joins: true,
-            time_index: true,
             threads: 1,
             pool: None,
             counters: &counters,
@@ -1207,39 +1035,31 @@ mod tests {
         facts.push_str("q(a7)@[0, 100].");
         let rule = parse_rule("h(X, N) :- q(X), p(X, N).").unwrap();
         let db = ctx_db(&facts);
-        let run = |index_joins: bool| {
-            let counters = JoinCounters::default();
-            let out = {
-                let ctx = EvalCtx {
-                    total: &db,
-                    delta: None,
-                    horizon: Interval::closed_int(0, 100),
-                    top: Interval::closed_int(0, 100),
-                    index_joins,
-                    // The unindexed baseline disables the time index too so
-                    // its counters show pure full scans.
-                    time_index: index_joins,
-                    threads: 1,
-                    pool: None,
-                    counters: &counters,
-                    profiler: None,
-                };
-                eval_body(&rule, &ctx, None).unwrap()
-            };
-            (out, counters)
+        let counters = JoinCounters::default();
+        let ctx = EvalCtx {
+            total: &db,
+            delta: None,
+            horizon: Interval::closed_int(0, 100),
+            top: Interval::closed_int(0, 100),
+            threads: 1,
+            pool: None,
+            counters: &counters,
+            profiler: None,
         };
-        let (indexed, ic) = run(true);
-        let (scanned, sc) = run(false);
-        // Same derivations either way (eval_body output order is stable).
+        let indexed = eval_body(&rule, &ctx, None).unwrap();
+        // The full scan: `Database::query` walks every tuple of `p`.
+        let pattern = Atom::new("p", vec![Term::Val(Value::sym("a7")), Term::var("N")]);
+        let scanned = db.query(&pattern, None);
         assert_eq!(indexed.len(), 1);
         assert_eq!(indexed.len(), scanned.len());
-        assert_eq!(indexed[0].0, scanned[0].0);
+        assert_eq!(indexed[0].0[&Symbol::new("N")], scanned[0].0[1]);
         assert_eq!(indexed[0].1.components(), scanned[0].1.components());
-        // The indexed run probed p(X, N) with X bound and skipped 49 tuples.
-        assert!(ic.index_probes.load(Ordering::Relaxed) >= 1);
-        assert!(ic.index_scan_avoided.load(Ordering::Relaxed) >= 49);
-        assert_eq!(sc.index_probes.load(Ordering::Relaxed), 0);
-        assert!(sc.scanned_tuples.load(Ordering::Relaxed) >= 50);
+        // `q` (one tuple) was scanned; `p(X, N)` with X bound was probed and
+        // 49 of its 50 tuples skipped.
+        assert_eq!(counters.full_scans.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.index_probes.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.probed_tuples.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.index_scan_avoided.load(Ordering::Relaxed), 49);
     }
 
     #[test]

@@ -16,7 +16,7 @@ mod pool;
 mod provenance;
 mod session;
 
-pub(crate) use eval::apply_constraint_row;
+pub(crate) use eval::{compare, eval_expr};
 pub use plan::{PlanExplain, PlanStepExplain};
 pub use provenance::{Explanation, ProvenanceLog};
 pub use session::{BaseEvent, RepairPath, RepairReport, Session};
@@ -66,8 +66,9 @@ pub struct ReasonerConfig {
     pub max_iterations: usize,
     /// Maximum total interval components in the materialization.
     pub max_components: usize,
-    /// Semi-naive evaluation (`false` re-evaluates every rule fully on every
-    /// iteration — the ablation baseline).
+    /// Semi-naive evaluation. `false` re-evaluates every rule fully on every
+    /// iteration: the reference for programs outside the naive oracle's
+    /// integer-punctual fragment.
     pub semi_naive: bool,
     /// Record provenance for [`Materialization::explain`].
     pub provenance: bool,
@@ -85,48 +86,13 @@ pub struct ReasonerConfig {
     /// evaluation always reads the iteration-start snapshot and merges in
     /// fixed rule order.
     pub threads: usize,
-    /// Probe lazily built secondary value indexes during joins instead of
-    /// scanning relations (`false` is the ablation baseline).
-    pub index_joins: bool,
-    /// Probe the lazily built sorted-endpoint time index for masked reads
-    /// instead of clipping every candidate tuple's interval set against the
-    /// window (`false` is the ablation baseline).
-    pub time_index: bool,
-    /// Cost-based join reordering: compile each rule into a physical plan
-    /// whose positive literals are ordered by estimated rows, re-planned
-    /// when input cardinalities shift (`false` keeps the textual
-    /// delta-first order — the `--no-reorder` ablation baseline). Either
-    /// setting produces identical output; only the evaluation order and
-    /// the access-path counters move.
-    pub cost_based_reorder: bool,
-    /// Adaptive planner feedback: when a cached plan's runtime row counts
-    /// show a sustained misestimate (error factor ≥ 4 over ≥ 8 executions),
-    /// force a replan whose cost estimates carry per-literal correction
-    /// factors learned from the observed rows — even though the input
-    /// cardinalities never crossed a fingerprint boundary. `false` is the
-    /// `--no-adaptive` ablation baseline: identical facts and join-path
-    /// counters, estimates just stay uncorrected. Facts can never differ
-    /// because join order and access paths only affect evaluation order.
-    pub adaptive: bool,
-    /// Incremental repair for out-of-order session corrections
-    /// ([`Session::retract`] / [`Session::submit_late`]): overdelete the
-    /// affected temporal cone, then re-derive from the surviving base
-    /// facts. `false` forces every correction onto the cold
-    /// re-materialization fallback (the `--no-repair` ablation baseline —
-    /// identical output, different path).
-    pub repair: bool,
-    /// Budget for one repair's overdelete cone, counted in tuples whose
-    /// validity intersects the repair window. Exceeding it abandons the
-    /// incremental path and falls back to cold re-materialization from
-    /// the session's base-fact log — past this size a full rebuild is
-    /// cheaper than patching.
+    /// Budget for one repair's overdelete cone ([`Session::retract`] /
+    /// [`Session::submit_late`]), counted in tuples whose validity
+    /// intersects the repair window. Exceeding it abandons the incremental
+    /// path and falls back to cold re-materialization from the session's
+    /// base-fact log — past this size a full rebuild is cheaper than
+    /// patching. `0` sends every correction down the cold path.
     pub repair_budget: u64,
-    /// Store relations as row-major `(tuple, interval set)` entries instead
-    /// of the default columnar layout (interned `u32` value columns plus an
-    /// interval arena) — the `--row-store` ablation baseline. Either layout
-    /// produces byte-identical facts, counters, and provenance; only memory
-    /// traffic and clone cost move.
-    pub row_store: bool,
 }
 
 impl Default for ReasonerConfig {
@@ -140,13 +106,7 @@ impl Default for ReasonerConfig {
             tracer: None,
             profiler: None,
             threads: 1,
-            index_joins: true,
-            time_index: true,
-            cost_based_reorder: true,
-            adaptive: true,
-            repair: true,
             repair_budget: 50_000,
-            row_store: false,
         }
     }
 }
@@ -164,33 +124,10 @@ impl ReasonerConfig {
         self
     }
 
-    /// Convenience: enable or disable incremental session repair
-    /// (`false` = fallback-only, the ablation baseline).
-    pub fn with_repair(mut self, repair: bool) -> Self {
-        self.repair = repair;
-        self
-    }
-
     /// Convenience: set the repair overdelete budget (tuples touched).
     pub fn with_repair_budget(mut self, budget: u64) -> Self {
         self.repair_budget = budget;
         self
-    }
-
-    /// Convenience: select the row-major relation layout (`true` is the
-    /// `--row-store` ablation baseline; `false` the columnar default).
-    pub fn with_row_store(mut self, row_store: bool) -> Self {
-        self.row_store = row_store;
-        self
-    }
-
-    /// The relation storage layout this configuration selects.
-    pub(crate) fn storage_mode(&self) -> crate::database::StorageMode {
-        if self.row_store {
-            crate::database::StorageMode::Row
-        } else {
-            crate::database::StorageMode::Columnar
-        }
     }
 }
 
@@ -259,7 +196,7 @@ pub struct WorkerStats {
 }
 
 /// Statistics of the session repair path (out-of-order corrections):
-/// the `repairs` section of stats-json v6. A cold fallback still counts
+/// the `repairs` section of stats-json. A cold fallback still counts
 /// as one attempt, so `incremental + fallbacks == attempted`.
 #[derive(Clone, Debug, Default)]
 pub struct RepairStats {
@@ -269,7 +206,7 @@ pub struct RepairStats {
     /// Attempts completed by in-place overdelete + re-derive.
     pub incremental: u64,
     /// Attempts completed by cold re-materialization from the base-fact
-    /// log (budget trips, incremental errors, or repair disabled).
+    /// log (budget trips or incremental errors).
     pub fallbacks: u64,
     /// Fallbacks caused specifically by the overdelete cone exceeding
     /// [`ReasonerConfig::repair_budget`].
@@ -390,7 +327,7 @@ pub struct RunStats {
     pub replans: u64,
     /// Replans forced by the adaptive feedback trigger alone — a sustained
     /// misestimate on a plan whose cardinality fingerprint never moved.
-    /// A subset of `replans`; always 0 with adaptivity disabled.
+    /// A subset of `replans`.
     pub replans_triggered: u64,
     /// Built plans whose cost-based join order differs from the textual
     /// delta-first order.
@@ -423,23 +360,19 @@ pub struct RunStats {
     pub magic: MagicStats,
 }
 
-/// Relation-storage statistics: what the columnar layout interns and
+/// Relation-storage statistics: what the columnar store interns and
 /// allocates. The interner and symbol counts are process-global (interning
 /// is shared across databases); the byte and clone figures are snapshots
 /// taken when the run's stats were captured.
 #[derive(Clone, Debug, Default)]
 pub struct StorageStats {
-    /// Storage layout of the run (`"columnar"` or `"row"`).
-    pub mode: String,
     /// Distinct predicate/constant/variable names interned process-wide.
     pub interned_symbols: usize,
-    /// Distinct constant values interned process-wide (columnar ids).
+    /// Distinct constant values interned process-wide.
     pub interned_values: usize,
-    /// Bytes held by the result database's interval storage (arena slabs
-    /// for columnar relations, per-tuple `IntervalSet`s for row ones).
+    /// Bytes held by the result database's interval arenas.
     pub interval_bytes: usize,
-    /// Bytes held by the result database's value storage (`u32` columns
-    /// for columnar relations, boxed tuples for row ones).
+    /// Bytes held by the result database's `u32` value columns.
     pub value_bytes: usize,
     /// Arena slabs released by `Relation::remove` emptying a tuple
     /// (result database, cumulative over its relations' lifetimes).
@@ -447,8 +380,7 @@ pub struct StorageStats {
     /// Freed arena slabs later reused by another tuple's intervals.
     pub arena_slabs_reused: u64,
     /// Flat column vectors copied by database clones, process-wide — the
-    /// columnar snapshot cost (row-store clones copy per-tuple boxes
-    /// instead and don't count here).
+    /// snapshot cost.
     pub column_clones: u64,
 }
 
@@ -764,7 +696,6 @@ impl RunStats {
             ),
         ]);
         let storage = Json::from_pairs([
-            ("mode", Json::from(self.storage.mode.as_str())),
             (
                 "interned_symbols",
                 Json::from(self.storage.interned_symbols),
@@ -915,8 +846,9 @@ struct CompiledRule {
     mode: FixpointMode,
     /// Iteration 0 of a seeded (session) run: one variant per positive
     /// literal, read from the seed. `None` when some positive literal is
-    /// not delta-eligible and the rule is evaluated in full over the
-    /// (narrow) re-derivation window instead.
+    /// not delta-eligible — or there is none at all, and no seed could
+    /// reach the rule — and the rule is evaluated in full over the (narrow)
+    /// re-derivation window instead.
     seeded: Option<Vec<Variant>>,
 }
 
@@ -993,7 +925,8 @@ impl CompiledStratum {
                     .enumerate()
                     .filter(|(_, l)| matches!(l, Literal::Pos(_)))
                     .map(|(li, _)| variant(li))
-                    .collect();
+                    .collect::<Option<Vec<_>>>()
+                    .filter(|variants| !variants.is_empty());
                 CompiledRule { idx, mode, seeded }
             })
             .collect();
@@ -1106,9 +1039,7 @@ impl Reasoner {
     pub fn materialize(&self, input: &Database) -> Result<Materialization> {
         let _mat_span = self.config.profiler.as_ref().map(|p| p.span("materialize"));
         let start = Instant::now();
-        // Same-mode inputs clone structurally (columnar: flat column
-        // memcpys plus an index patch); a mode mismatch re-loads.
-        let mut total = input.to_mode(self.config.storage_mode());
+        let mut total = input.clone();
         let mut provenance = self.config.provenance.then(ProvenanceLog::default);
         let mut stats = RunStats::default();
         // Cloning preserves already-built secondary indexes: every index the
@@ -1228,7 +1159,7 @@ impl Reasoner {
         };
         let mut inner = Reasoner::new(program, config)?;
         inner.magic_preds = rw.magic_preds.clone();
-        let mut db = input.to_mode(self.config.storage_mode());
+        let mut db = input.clone();
         let mut seeds_inserted = 0u64;
         if magic {
             for seed in &rw.seeds {
@@ -1407,7 +1338,7 @@ impl Reasoner {
         top: Interval,
     ) -> Result<()> {
         for stratum in 0..self.compiled.len() {
-            let mut collected = Database::with_mode(self.config.storage_mode());
+            let mut collected = Database::new();
             self.run_stratum(
                 stratum,
                 total,
@@ -1488,7 +1419,6 @@ impl Reasoner {
         let stratum_start = Instant::now();
         let compiled = &self.compiled[stratum];
         let rules = &self.program.rules;
-        let mode = self.config.storage_mode();
         let evals_before = stats.rule_evaluations;
         let mut stratum_tuples = 0usize;
         let mut stratum_components = 0usize;
@@ -1514,8 +1444,6 @@ impl Reasoner {
                 delta: None,
                 horizon,
                 top,
-                index_joins: self.config.index_joins,
-                time_index: self.config.time_index,
                 threads: 1,
                 pool: None,
                 counters: &counters,
@@ -1568,15 +1496,6 @@ impl Reasoner {
         let seed: Option<&Database> = seed.as_deref();
 
         // --- Fixpoint. ---
-        let plan_cfg = plan::PlanConfig {
-            cost_based: self.config.cost_based_reorder,
-            index_joins: self.config.index_joins,
-            time_index: self.config.time_index,
-            // Fixpoint plans estimate against live cardinalities, so their
-            // compiled access paths bind the executor (with the runtime
-            // degrade guard in `eval_rel`).
-            authoritative: true,
-        };
         let mut guard_sets = GuardSets::new();
         // The plan each variant ran last, with its counters as they stood
         // before it first ran here, for `RunStats::plan_explains`.
@@ -1589,7 +1508,7 @@ impl Reasoner {
         let mut planner_actual_rows = 0u64;
         // Last round's additions: all of them, and per self-chain rule the
         // ones *other* rules made to its head predicate.
-        let mut prev_delta = Database::with_mode(mode);
+        let mut prev_delta = Database::new();
         let mut chain_prev: BTreeMap<usize, Database> = BTreeMap::new();
         let mut iteration = 0usize;
         // Adaptive parallelism gate: an iteration only pays for worker
@@ -1614,7 +1533,7 @@ impl Reasoner {
             if total.component_count() > self.config.max_components {
                 return Err(budget_exceeded_components(&self.config));
             }
-            let mut next_delta = Database::with_mode(mode);
+            let mut next_delta = Database::new();
             let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
 
@@ -1669,11 +1588,9 @@ impl Reasoner {
                             // Fingerprint unchanged: only a sustained,
                             // large misestimate forces a rebuild (the
                             // adaptive feedback trigger).
-                            let sustained = self.config.adaptive
-                                && p.observed_error().is_some_and(|(err, execs)| {
-                                    execs >= ADAPTIVE_MIN_EXECUTIONS
-                                        && err >= ADAPTIVE_ERROR_THRESHOLD
-                                });
+                            let sustained = p.observed_error().is_some_and(|(err, execs)| {
+                                execs >= ADAPTIVE_MIN_EXECUTIONS && err >= ADAPTIVE_ERROR_THRESHOLD
+                            });
                             if !sustained {
                                 return Arc::clone(p);
                             }
@@ -1689,17 +1606,13 @@ impl Reasoner {
                         if cache.range(variant_plans).next().is_some() {
                             replans += 1;
                         }
-                        let rule_corrections: Vec<(usize, f64)> = if self.config.adaptive {
-                            corr.range((task.rule, 0)..=(task.rule, usize::MAX))
-                                .map(|(&(_, lit), &c)| (lit, c))
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
+                        let rule_corrections: Vec<(usize, f64)> = corr
+                            .range((task.rule, 0)..=(task.rule, usize::MAX))
+                            .map(|(&(_, lit), &c)| (lit, c))
+                            .collect();
                         let compiled = Arc::new(plan::build_plan(
                             rule,
                             delta_literal,
-                            &plan_cfg,
                             &cards,
                             &rule_corrections,
                         ));
@@ -1755,8 +1668,6 @@ impl Reasoner {
                         delta: task.delta,
                         horizon,
                         top,
-                        index_joins: self.config.index_joins,
-                        time_index: self.config.time_index,
                         threads: inner_threads,
                         // The binding fan-out only gets the pool when the
                         // rule fan-out is not using it (a lone task), so
@@ -1818,8 +1729,6 @@ impl Reasoner {
                             delta: None,
                             horizon,
                             top,
-                            index_joins: self.config.index_joins,
-                            time_index: self.config.time_index,
                             threads: 1,
                             pool: None,
                             counters: &counters,
@@ -1857,7 +1766,7 @@ impl Reasoner {
                         for other in compiled.chains.others_over(head, rule_idx) {
                             chain_next
                                 .entry(other)
-                                .or_insert_with(|| Database::with_mode(mode))
+                                .or_default()
                                 .merge(head, &tuple, &added)?;
                         }
                         if let Some(acc) = collected.as_deref_mut() {
@@ -2070,10 +1979,6 @@ fn apply_head_op(op: &HeadOp, ivs: &IntervalSet) -> Result<IntervalSet> {
 pub(crate) fn capture_storage_stats(db: &Database, stats: &mut RunStats) {
     let (freed, reused) = db.arena_reuse_counts();
     stats.storage = StorageStats {
-        mode: match db.mode() {
-            crate::database::StorageMode::Columnar => "columnar".to_string(),
-            crate::database::StorageMode::Row => "row".to_string(),
-        },
         interned_symbols: Symbol::interned_count(),
         interned_values: crate::intern::interned_value_count(),
         interval_bytes: db.interval_arena_bytes(),

@@ -1,33 +1,26 @@
 //! Physical plans: each rule body is compiled — once per cardinality
 //! fingerprint, cached on the reasoner — into an ordered list of
-//! [`PlanStep`]s that both evaluators execute.
+//! [`PlanStep`]s that the executor runs.
 //!
-//! A plan fixes three decisions that `eval_body` used to make interpretively
-//! on every fixpoint iteration:
+//! A plan fixes two decisions, and labels a third:
 //!
 //! 1. **Join order.** The delta-restricted literal always goes first (that is
 //!    what makes semi-naive evaluation pay off); the remaining positive
-//!    literals are ordered greedily by estimated output rows when
-//!    [`PlanConfig::cost_based`] is set, and keep their textual order
-//!    otherwise. Ties break toward textual order, so a plan with no
-//!    cardinality information is exactly the old interpretive order.
+//!    literals are ordered greedily by estimated output rows. Ties break
+//!    toward textual order, so a plan built with no cardinality information
+//!    ([`NoCardinalities`](crate::engine::cost::NoCardinalities)) keeps the
+//!    textual order.
 //! 2. **Constraint scheduling.** Constraints are batched after the join that
-//!    binds their variables, replicating the runtime scheduling passes
-//!    statically from the rule text alone. A constraint whose variables can
-//!    never be bound compiles to an explicit unschedulable step that raises
-//!    [`Error::Unsafe`] when reached — unconditionally, where the old
-//!    interpretive loop could mask the error behind an empty accumulator.
-//! 3. **Access path.** Each join step carries the access path the executor
-//!    takes (scan / value probe / time probe / both), derived at plan time
-//!    from the same thresholds `eval_rel` used to re-derive per lookup. For
-//!    plans built with live cardinalities ([`PlanConfig::authoritative`])
-//!    the choice is binding: `eval_rel` follows it, keeping only a runtime
-//!    guard that degrades to a scan when the chosen index's preconditions
-//!    do not hold at execution time (relation shrank below the index
-//!    threshold, no read mask for a time probe). Throwaway plans (compiled
-//!    with no cardinality information) stay advisory, so their `eval_rel`
-//!    calls keep the legacy per-lookup selection. Composite (`since` /
-//!    `until`) steps always resolve per leaf at runtime.
+//!    binds their variables, statically from the rule text alone. A
+//!    constraint whose variables can never be bound compiles to an explicit
+//!    unschedulable step that raises [`Error::Unsafe`](crate::Error::Unsafe)
+//!    when reached — even behind an empty accumulator.
+//! 3. **Access path (a label).** The executor picks scan / value probe /
+//!    time probe / both per lookup, from what it observes at that moment,
+//!    through [`AccessPath::choose`]. The planner calls the same function on
+//!    its plan-time cardinalities only to label each join step for
+//!    `--explain-plans` and the stats-json `access_path` field. Composite
+//!    (`since` / `until`) steps resolve per leaf and are labelled `scan`.
 //!
 //! Plans are cheap to build (linear passes over the body) and are cached
 //! under a [`fingerprint`] over coarse (power-of-two bucketed) relation
@@ -41,34 +34,18 @@
 
 use crate::ast::{CmpOp, Expr, Literal, MetricAtom, Rule, Term};
 use crate::engine::cost::{estimate_rows, size_bucket, CardinalitySource};
-use crate::engine::eval::INDEX_MIN_TUPLES;
 use crate::symbol::Symbol;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Planner knobs, mirroring the [`ReasonerConfig`](crate::ReasonerConfig)
-/// switches that influence physical plans.
-pub(crate) struct PlanConfig {
-    /// Reorder positive literals by estimated cost (`false` preserves the
-    /// textual order — the `--no-reorder` ablation baseline).
-    pub cost_based: bool,
-    /// Value indexes are enabled, so ground positions can probe.
-    pub index_joins: bool,
-    /// The time index is enabled, so masked reads can probe by window.
-    pub time_index: bool,
-    /// The compiled access paths are binding for the executor. Set by the
-    /// fixpoint loop, whose plans see live cardinalities; `false` for
-    /// throwaway plans (`eval_body`, the naive oracle), which plan against
-    /// [`NoCardinalities`](crate::engine::cost::NoCardinalities) and would
-    /// otherwise pin every step to a size-0 scan.
-    pub authoritative: bool,
-}
+/// Relations smaller than this are scanned directly: probing (and possibly
+/// building) an index costs more than walking a handful of tuples. Sits on
+/// a [`size_bucket`] edge, so every size sharing a plan's fingerprint is on
+/// the same side of it.
+pub(crate) const INDEX_MIN_TUPLES: usize = 8;
 
-/// The access path a join step takes. For authoritative plans the executor
-/// follows it (with a runtime degrade-to-scan guard when the index
-/// preconditions no longer hold); for throwaway plans `eval_rel` re-derives
-/// the decision per lookup.
+/// How a lookup reaches a relation's tuples.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum AccessPath {
     /// Full relation scan (small relation, or no usable index).
@@ -82,6 +59,23 @@ pub(crate) enum AccessPath {
 }
 
 impl AccessPath {
+    /// The one access-path decision: what a lookup over `len` stored tuples
+    /// does given whether any argument position is ground and whether a read
+    /// mask restricts the time window. `eval_rel` calls it on what it
+    /// observes at lookup time; the planner calls it on plan-time
+    /// cardinalities to label the step.
+    pub(crate) fn choose(len: usize, any_ground: bool, masked: bool) -> AccessPath {
+        if len < INDEX_MIN_TUPLES {
+            return AccessPath::Scan;
+        }
+        match (any_ground, masked) {
+            (false, false) => AccessPath::Scan,
+            (true, false) => AccessPath::ValueProbe,
+            (false, true) => AccessPath::TimeProbe,
+            (true, true) => AccessPath::ValueTimeProbe,
+        }
+    }
+
     pub(crate) fn tag(self) -> &'static str {
         match self {
             AccessPath::Scan => "scan",
@@ -90,20 +84,10 @@ impl AccessPath {
             AccessPath::ValueTimeProbe => "value+time-probe",
         }
     }
-
-    /// Whether this path probes the secondary value index.
-    pub(crate) fn uses_value(self) -> bool {
-        matches!(self, AccessPath::ValueProbe | AccessPath::ValueTimeProbe)
-    }
-
-    /// Whether this path probes the sorted-endpoint time index.
-    pub(crate) fn uses_time(self) -> bool {
-        matches!(self, AccessPath::TimeProbe | AccessPath::ValueTimeProbe)
-    }
 }
 
-/// How a scheduled constraint executes (moved here from `eval.rs`; the
-/// planner decides the mode statically, both executors apply it).
+/// How a scheduled constraint executes: the planner decides the mode
+/// statically, the executor applies it.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) enum ConstraintMode {
     /// All variables bound: evaluate and filter.
@@ -164,9 +148,6 @@ pub(crate) struct RulePlan {
     /// plan then raises [`Unsafe`](crate::Error::Unsafe) instead of
     /// silently returning an empty result.
     pub has_unschedulable: bool,
-    /// `true` iff the compiled access paths are binding for the executor
-    /// (see [`PlanConfig::authoritative`]).
-    pub authoritative: bool,
     /// Misestimate correction factors applied to this build, as
     /// `(literal index, factor)` pairs — empty until runtime feedback has
     /// forced a replan of this variant. Surfaced by `--explain-plans` and
@@ -337,15 +318,13 @@ fn est_positive(
     }
 }
 
-/// Advisory access path for a join step, mirroring the thresholds
-/// `eval_rel` applies at runtime (`INDEX_MIN_TUPLES`, ground positions,
-/// masked reads — joins after the first always carry a hull mask, and the
-/// first carries the horizon).
+/// The access-path label of a join step: [`AccessPath::choose`] on the
+/// plan-time size, with a read mask assumed (joins after the first always
+/// carry a hull mask, and the first carries the horizon).
 fn access_for(
     m: &MetricAtom,
     is_delta: bool,
     bound: &HashSet<Symbol>,
-    cfg: &PlanConfig,
     cards: &dyn CardinalitySource,
 ) -> AccessPath {
     let atoms = m.atoms();
@@ -357,26 +336,16 @@ fn access_for(
     } else {
         cards.relation_size(a.pred)
     };
-    if size < INDEX_MIN_TUPLES {
-        return AccessPath::Scan;
-    }
-    let value = cfg.index_joins
-        && a.args.iter().any(|t| match t {
-            Term::Val(_) => true,
-            Term::Var(x) => bound.contains(x),
-        });
-    match (value, cfg.time_index) {
-        (false, false) => AccessPath::Scan,
-        (true, false) => AccessPath::ValueProbe,
-        (false, true) => AccessPath::TimeProbe,
-        (true, true) => AccessPath::ValueTimeProbe,
-    }
+    let any_ground = a.args.iter().any(|t| match t {
+        Term::Val(_) => true,
+        Term::Var(x) => bound.contains(x),
+    });
+    AccessPath::choose(size, any_ground, true)
 }
 
 /// Scheduling mode for a constraint under a set of bound variables, or
-/// `None` when it cannot run yet. Shared by the static scheduler here and
-/// (transitively) both executors.
-pub(crate) fn constraint_mode(
+/// `None` when it cannot run yet.
+fn constraint_mode(
     lhs: &Expr,
     op: CmpOp,
     rhs: &Expr,
@@ -405,10 +374,9 @@ pub(crate) fn constraint_mode(
 }
 
 /// Appends every not-yet-planned constraint that is schedulable under the
-/// current bound set, repeating in passes exactly like the old runtime
-/// loop: within one pass the bound set is frozen, so an assignment only
-/// enables later constraints from the next pass on. This keeps the
-/// compiled constraint order identical to what `eval_body` used to do.
+/// current bound set, repeating in passes: within one pass the bound set
+/// is frozen, so an assignment only enables later constraints from the
+/// next pass on.
 fn schedule_constraints(
     rule: &Rule,
     done: &mut [bool],
@@ -469,12 +437,10 @@ fn corrected(est: u64, literal: usize, corrections: &[(usize, f64)]) -> u64 {
 ///
 /// `corrections` holds per-literal misestimate correction factors for this
 /// rule (from [`RulePlan::corrected_factors`] of the variant's previous
-/// incarnation); pass an empty slice for a cold build or when adaptive
-/// replanning is disabled.
+/// incarnation); pass an empty slice for a cold build.
 pub(crate) fn build_plan(
     rule: &Rule,
     delta_literal: Option<usize>,
-    cfg: &PlanConfig,
     cards: &dyn CardinalitySource,
     corrections: &[(usize, f64)],
 ) -> RulePlan {
@@ -483,7 +449,7 @@ pub(crate) fn build_plan(
         .filter(|&i| matches!(rule.body[i], Literal::Pos(_)))
         .collect();
 
-    // The order `eval_body` always used: delta first, then textual order.
+    // The baseline order: delta first, then textual order.
     let base_order: Vec<usize> = match delta_literal {
         Some(d) => std::iter::once(d)
             .chain(positives.iter().copied().filter(|&i| i != d))
@@ -491,7 +457,7 @@ pub(crate) fn build_plan(
         None => positives.clone(),
     };
 
-    let join_order: Vec<usize> = if !cfg.cost_based || positives.len() <= 1 {
+    let join_order: Vec<usize> = if positives.len() <= 1 {
         base_order.clone()
     } else {
         // Greedy: repeatedly pick the cheapest remaining literal under the
@@ -545,7 +511,7 @@ pub(crate) fn build_plan(
         steps.push(PlanStep {
             literal: i,
             kind: StepKind::Join {
-                access: access_for(m, is_delta, &bound, cfg, cards),
+                access: access_for(m, is_delta, &bound, cards),
             },
             est_rows: est,
             actual_rows: AtomicU64::new(0),
@@ -604,14 +570,13 @@ pub(crate) fn build_plan(
         est_total,
         reordered,
         has_unschedulable,
-        authoritative: cfg.authoritative,
         corrections: applied,
         executions: AtomicU64::new(0),
     }
 }
 
 /// A rendered plan for one rule variant: what `--explain-plans` prints and
-/// what the stats-json v4 `planner.plans` array carries.
+/// what the stats-json `planner.plans` array carries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanExplain {
     /// Rule index in the program.
@@ -643,7 +608,7 @@ pub struct PlanExplain {
 pub struct PlanStepExplain {
     /// Human-readable step description, e.g. `join Δprice(S, P)`.
     pub desc: String,
-    /// The compiled access path's tag for join steps (`scan`,
+    /// The planner's access-path label for join steps (`scan`,
     /// `value-probe`, `time-probe`, `value+time-probe`); `-` for
     /// constraints and negations.
     pub access: &'static str,

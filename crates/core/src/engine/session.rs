@@ -145,7 +145,7 @@ impl Reasoner {
     pub fn into_session(self, initial: &Database, start: i64) -> Result<Session> {
         let reach = program_reach(self.program())?;
         let start = Rational::integer(start);
-        let total = initial.to_mode(self.config().storage_mode());
+        let total = initial.clone();
         let mut stats = RunStats::default();
         // The clone carries the initial database's built indexes with it, so
         // the session never rebuilds them.
@@ -222,7 +222,7 @@ impl Session {
     /// untouched, and pending (not yet advanced-over) submissions are
     /// not visible.
     pub fn query(&self, query: &crate::rewrite::Query) -> Result<super::QueryOutcome> {
-        let mut base = Database::with_mode(self.reasoner.config().storage_mode());
+        let mut base = Database::new();
         base.extend_facts(&self.asserted)?;
         let horizon = self
             .reasoner
@@ -448,7 +448,7 @@ impl Session {
     /// The surviving base-fact set as a database (what the cold fallback
     /// rebuilds from, and what overdeletion must not remove).
     fn surviving_base(&self) -> Database {
-        let mut base = Database::with_mode(self.reasoner.config().storage_mode());
+        let mut base = Database::new();
         for fact in &self.asserted {
             base.insert_fact(fact).expect("value interner exhausted");
         }
@@ -458,11 +458,11 @@ impl Session {
     /// Patches the materialization after a base edit whose cut is `cut`:
     /// overdelete the affected cone within `[cut, now]`, then re-derive
     /// from the surviving facts — transparently falling back to cold
-    /// re-materialization when the cone exceeds the configured budget,
-    /// when the incremental pass returns any error, or when repair is
-    /// disabled ([`ReasonerConfig::repair`]).
+    /// re-materialization when the cone exceeds the configured budget
+    /// ([`ReasonerConfig::repair_budget`]; `0` always does) or when the
+    /// incremental pass returns any error.
     ///
-    /// [`ReasonerConfig::repair`]: crate::ReasonerConfig::repair
+    /// [`ReasonerConfig::repair_budget`]: crate::ReasonerConfig::repair_budget
     fn repair(&mut self, changed: Vec<Symbol>, cut: Rational) -> Result<RepairReport> {
         let started = std::time::Instant::now();
         self.reasoner.init_rule_stats(&mut self.stats);
@@ -486,8 +486,6 @@ impl Session {
                 cone_tuples: 0,
                 overdeleted_components: 0,
             }
-        } else if !self.reasoner.config().repair {
-            self.cold_rematerialize()?
         } else {
             match self.try_incremental(&changed, cut) {
                 Ok(Some(report)) => report,
@@ -607,7 +605,7 @@ impl Session {
                 self.now
             ))
         })?;
-        let mut seed = Database::with_mode(self.reasoner.config().storage_mode());
+        let mut seed = Database::new();
         for (pred, tuple, ivs) in self.total.iter() {
             let clipped = IntervalSet::clip_components(ivs, &seed_window);
             if !clipped.is_empty() {
@@ -729,7 +727,7 @@ impl Session {
                 self.now
             ))
         })?;
-        let mut seed = Database::with_mode(self.reasoner.config().storage_mode());
+        let mut seed = Database::new();
         for (pred, tuple, ivs) in self.total.iter() {
             let clipped = IntervalSet::clip_components(ivs, &window);
             if !clipped.is_empty() {
@@ -1266,8 +1264,9 @@ mod tests {
 
     #[test]
     fn repair_disabled_always_falls_back() {
+        // Budget 0 is how repair is switched off: every cone trips it.
         let program = parse_program(MARGIN_RULES).unwrap();
-        let mut s = Reasoner::new(program, ReasonerConfig::default().with_repair(false))
+        let mut s = Reasoner::new(program, ReasonerConfig::default().with_repair_budget(0))
             .unwrap()
             .into_session(&Database::new(), 0)
             .unwrap();
@@ -1293,6 +1292,7 @@ mod tests {
         let r = &s.stats().repairs;
         assert_eq!(r.attempted, 2);
         assert_eq!(r.fallbacks, 2);
+        assert_eq!(r.budget_trips, 2);
         assert_eq!(r.incremental, 0);
         assert_eq!(
             s.database().to_facts_text(),

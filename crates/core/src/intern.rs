@@ -4,8 +4,8 @@
 //! id) so argument columns are flat `Vec<u32>`s. Two ids matter per value:
 //!
 //! * **vid** — structural identity. `Int(3)` and `Num(3.0)` get *different*
-//!   vids because they render differently (`3` vs `3.0`) and output must stay
-//!   byte-identical to the row store.
+//!   vids because they render differently (`3` vs `3.0`) and output must
+//!   print what was stored.
 //! * **sid** — semantic class. `Int(3)` and `Num(3.0)` share a sid because
 //!   `Value::semantic_eq` coerces Int/Num through `f64`, exactly like the
 //!   secondary-index buckets (`IndexKey::of`). Join unification compares

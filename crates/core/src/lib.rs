@@ -61,7 +61,7 @@ pub use analysis::{DependencyGraph, EdgeKind, Stratification};
 pub use ast::{
     AggFn, Atom, CmpOp, Expr, Fact, Head, HeadOp, Literal, MetricAtom, Program, Rule, Term,
 };
-pub use database::{Database, Relation, StorageMode, TupleRef};
+pub use database::{Database, Relation, TupleRef};
 pub use engine::{
     BaseEvent, Explanation, MagicStats, Materialization, PlanExplain, PlanFeedback,
     PlanStepExplain, ProvenanceLog, QueryOutcome, Reasoner, ReasonerConfig, RepairPath,

@@ -12,14 +12,15 @@
 //!
 //! The implementation maximizes obviousness, not speed: truth is a set of
 //! `(predicate, tuple, time)` triples and rules are evaluated by exhaustive
-//! grounding at every time point until fixpoint.
+//! grounding at every time point until fixpoint. It shares no planning or
+//! join code with the engine — only the built-in arithmetic and comparison
+//! semantics (`eval_expr`, `compare`): bodies run on the oracle's own
+//! [`schedule`], textual order, no indexes, no cost model.
 
 use crate::analysis::{check_program, Stratification};
-use crate::ast::{AggFn, Atom, HeadOp, Literal, MetricAtom, Program, Rule, Term};
+use crate::ast::{AggFn, Atom, CmpOp, Expr, HeadOp, Literal, MetricAtom, Program, Rule, Term};
 use crate::database::Database;
-use crate::engine::apply_constraint_row;
-use crate::engine::cost::NoCardinalities;
-use crate::engine::plan::{build_plan, PlanConfig, RulePlan, StepKind};
+use crate::engine::{compare, eval_expr};
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
@@ -125,11 +126,12 @@ pub fn naive_materialize(
         }
         for (pred, rules) in groups {
             let (fun, pos) = rules[0].head.aggregate.expect("aggregate rule");
-            let plans: Vec<RulePlan> = rules.iter().map(|r| oracle_plan(r)).collect();
+            let schedules: Vec<Vec<Step>> =
+                rules.iter().map(|r| schedule(r)).collect::<Result<_>>()?;
             for t in t_min..=t_max {
                 let mut contribs: Vec<(Vec<Value>, Value)> = Vec::new();
-                for (rule, plan) in rules.iter().zip(&plans) {
-                    for b in satisfy_body(rule, plan, &interp, t)? {
+                for (rule, steps) in rules.iter().zip(&schedules) {
+                    for b in satisfy_body(steps, &interp, t)? {
                         let mut key = Vec::new();
                         for (i, term) in rule.head.atom.args.iter().enumerate() {
                             if i != pos {
@@ -167,14 +169,15 @@ pub fn naive_materialize(
             }
         }
 
-        // Normal rules: exhaustive fixpoint. Plans are input-independent
-        // (the oracle uses no cardinalities), so compile once per stratum.
-        let plans: Vec<RulePlan> = normal.iter().map(|r| oracle_plan(r)).collect();
+        // Normal rules: exhaustive fixpoint. Schedules depend on the rule
+        // text alone, so compile once per stratum.
+        let schedules: Vec<Vec<Step>> =
+            normal.iter().map(|r| schedule(r)).collect::<Result<_>>()?;
         loop {
             let mut changed = false;
-            for (rule, plan) in normal.iter().zip(&plans) {
+            for (rule, steps) in normal.iter().zip(&schedules) {
                 for t in t_min..=t_max {
-                    for b in satisfy_body(rule, plan, &interp, t)? {
+                    for b in satisfy_body(steps, &interp, t)? {
                         let tuple: Vec<Value> = rule
                             .head
                             .atom
@@ -261,74 +264,119 @@ fn closed_int_bounds(rho: &MetricInterval) -> Result<(i64, i64)> {
     }
 }
 
-/// Compiles the oracle's physical plan for one rule: no cost model, no
-/// indexes — the same step schedule the engine produces with reordering
-/// disabled, so both drivers execute one plan semantics.
-fn oracle_plan(rule: &Rule) -> RulePlan {
-    let cfg = PlanConfig {
-        cost_based: false,
-        index_joins: false,
-        time_index: false,
-        authoritative: false,
-    };
-    build_plan(rule, None, &cfg, &NoCardinalities, &[])
+/// One step of the oracle's body schedule.
+enum Step<'r> {
+    /// Extend every binding with the matches of a positive literal.
+    Join(&'r MetricAtom),
+    /// Bind a variable to the value of an expression over bound variables.
+    Assign(Symbol, &'r Expr),
+    /// Keep the bindings satisfying a comparison over bound variables.
+    Filter(&'r Expr, CmpOp, &'r Expr),
+    /// Drop the bindings under which a negated literal has a match.
+    Negate(&'r MetricAtom),
 }
 
-/// All bindings making the body true at time `t`, by executing the rule's
-/// compiled [`RulePlan`] against the brute-force interpretation.
-fn satisfy_body(
-    rule: &Rule,
-    plan: &RulePlan,
-    interp: &NaiveInterpretation,
-    t: i64,
-) -> Result<Vec<Bindings>> {
-    let mut acc: Vec<Bindings> = vec![Bindings::default()];
-    for step in &plan.steps {
-        match &step.kind {
-            StepKind::Join { .. } => {
-                let Literal::Pos(m) = &rule.body[step.literal] else {
-                    unreachable!("join step points at a positive literal");
-                };
-                let mut out = Vec::new();
-                for b in acc {
-                    out.extend(sat_matom(m, interp, t, &b)?);
-                }
-                acc = dedup(out);
-                if acc.is_empty() && !plan.has_unschedulable {
-                    return Ok(vec![]);
-                }
+/// Moves every constraint of `waiting` that is runnable under `bound` into
+/// the schedule — a filter when all its variables are bound; for `=` with a
+/// single unbound variable alone on one side, an assignment — repeating
+/// while an assignment binds a variable another constraint was waiting for.
+fn run_ready<'r>(
+    waiting: &mut Vec<(&'r Expr, CmpOp, &'r Expr)>,
+    steps: &mut Vec<Step<'r>>,
+    bound: &mut HashSet<Symbol>,
+) {
+    loop {
+        let before = waiting.len();
+        waiting.retain(|&(lhs, op, rhs)| {
+            let is_bound = |e: &Expr| e.variables().iter().all(|v| bound.contains(v));
+            let unbound_var = |e: &Expr| match e {
+                Expr::Term(Term::Var(x)) if !bound.contains(x) => Some(*x),
+                _ => None,
+            };
+            if is_bound(lhs) && is_bound(rhs) {
+                steps.push(Step::Filter(lhs, op, rhs));
+            } else if let (CmpOp::Eq, Some(x), true) = (op, unbound_var(lhs), is_bound(rhs)) {
+                steps.push(Step::Assign(x, rhs));
+                bound.insert(x);
+            } else if let (CmpOp::Eq, Some(x), true) = (op, unbound_var(rhs), is_bound(lhs)) {
+                steps.push(Step::Assign(x, lhs));
+                bound.insert(x);
+            } else {
+                return true;
             }
-            StepKind::Constraint { mode: Some(mode) } => {
-                let Literal::Constraint(lhs, op, rhs) = &rule.body[step.literal] else {
-                    unreachable!("constraint step points at a constraint literal");
-                };
-                let mut out = Vec::with_capacity(acc.len());
-                for b in acc {
-                    if let Some(b2) = apply_constraint_row(b, lhs, *op, rhs, *mode)? {
-                        out.push(b2);
+            false
+        });
+        if waiting.len() == before {
+            return;
+        }
+    }
+}
+
+/// The oracle's own body schedule: positive literals in textual order, each
+/// constraint as soon as it is runnable ([`run_ready`]), negations last. A
+/// constraint that never becomes runnable makes the rule [`Error::Unsafe`],
+/// whatever the data.
+fn schedule(rule: &Rule) -> Result<Vec<Step<'_>>> {
+    let mut steps = Vec::new();
+    let mut bound: HashSet<Symbol> = HashSet::new();
+    let mut waiting: Vec<(&Expr, CmpOp, &Expr)> = Vec::new();
+    for lit in &rule.body {
+        if let Literal::Constraint(lhs, op, rhs) = lit {
+            waiting.push((lhs, *op, rhs));
+        }
+    }
+    run_ready(&mut waiting, &mut steps, &mut bound);
+    for lit in &rule.body {
+        if let Literal::Pos(m) = lit {
+            steps.push(Step::Join(m));
+            bound.extend(m.variables());
+            run_ready(&mut waiting, &mut steps, &mut bound);
+        }
+    }
+    if let Some(&(lhs, op, rhs)) = waiting.first() {
+        return Err(Error::Unsafe(format!(
+            "constraint `{}` could not be scheduled",
+            Literal::Constraint(lhs.clone(), op, rhs.clone())
+        )));
+    }
+    for lit in &rule.body {
+        if let Literal::Neg(m) = lit {
+            steps.push(Step::Negate(m));
+        }
+    }
+    Ok(steps)
+}
+
+/// All bindings making the body true at time `t`, by running the rule's
+/// [`schedule`] against the brute-force interpretation.
+fn satisfy_body(steps: &[Step<'_>], interp: &NaiveInterpretation, t: i64) -> Result<Vec<Bindings>> {
+    let mut acc: Vec<Bindings> = vec![Bindings::default()];
+    for step in steps {
+        let mut out = Vec::new();
+        for mut b in acc {
+            match step {
+                Step::Join(m) => out.extend(sat_matom(m, interp, t, &b)?),
+                Step::Assign(x, expr) => {
+                    let v = eval_expr(expr, &b)?;
+                    b.insert(*x, v);
+                    out.push(b);
+                }
+                Step::Filter(lhs, op, rhs) => {
+                    if compare(eval_expr(lhs, &b)?, *op, eval_expr(rhs, &b)?)? {
+                        out.push(b);
                     }
                 }
-                acc = out;
-            }
-            StepKind::Constraint { mode: None } => {
-                return Err(Error::Unsafe(format!(
-                    "constraint `{}` could not be scheduled",
-                    rule.body[step.literal]
-                )))
-            }
-            StepKind::Negation => {
-                let Literal::Neg(m) = &rule.body[step.literal] else {
-                    unreachable!("negation step points at a negated literal");
-                };
-                let mut out = Vec::new();
-                for b in acc {
+                Step::Negate(m) => {
                     if sat_matom(m, interp, t, &b)?.is_empty() {
                         out.push(b);
                     }
                 }
-                acc = out;
             }
         }
+        acc = match step {
+            Step::Join(_) => dedup(out),
+            _ => out,
+        };
     }
     Ok(acc)
 }

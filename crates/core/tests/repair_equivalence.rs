@@ -103,10 +103,6 @@ fn gen_events(rng: &mut SmallRng) -> Vec<(&'static str, Vec<Value>, i64)> {
 /// watermark (late submits), and a random subset is retracted again.
 /// Returns how many corrections entered the repair path.
 fn run_interleaved(threads: usize, repair: bool) -> u64 {
-    run_interleaved_with_layout(threads, repair, false)
-}
-
-fn run_interleaved_with_layout(threads: usize, repair: bool, row_store: bool) -> u64 {
     let mut attempted_total = 0u64;
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x0EA12 ^ (case << 4));
@@ -133,10 +129,11 @@ fn run_interleaved_with_layout(threads: usize, repair: bool, row_store: bool) ->
             }
         }
 
-        let config = ReasonerConfig::default()
-            .with_threads(threads)
-            .with_repair(repair)
-            .with_row_store(row_store);
+        // Budget 0 sends every correction down the cold fallback.
+        let mut config = ReasonerConfig::default().with_threads(threads);
+        if !repair {
+            config = config.with_repair_budget(0);
+        }
         let mut session = Reasoner::new(program.clone(), config)
             .unwrap_or_else(|e| panic!("case {case}: program must validate: {e}\n{src}"))
             .into_session(&initial, T_MIN)
@@ -205,13 +202,14 @@ fn run_interleaved_with_layout(threads: usize, repair: bool, row_store: bool) ->
         assert_eq!(
             session.database().to_facts_text(),
             cold.database.to_facts_text(),
-            "case {case} (threads={threads}, repair={repair}, \
-             row_store={row_store}): \
+            "case {case} (threads={threads}, repair={repair}): \
              patched session diverged from cold run over survivors\n{src}"
         );
 
         // Path accounting: every correction lands on exactly one path,
-        // and force-disabling repair really forces the fallback.
+        // and a zero budget really forces the fallback: the first cone
+        // tuple trips it, so nothing is ever overdeleted in place (an edit
+        // with an empty cone has nothing to patch and stays incremental).
         let r = &session.stats().repairs;
         assert_eq!(
             r.incremental + r.fallbacks,
@@ -219,7 +217,9 @@ fn run_interleaved_with_layout(threads: usize, repair: bool, row_store: bool) ->
             "case {case}: every attempt resolves to one path"
         );
         if !repair {
-            assert_eq!(r.incremental, 0, "case {case}: repair disabled");
+            assert_eq!(r.overdeleted_components, 0, "case {case}: budget 0");
+            assert_eq!(r.fallbacks, r.budget_trips, "case {case}: budget 0");
+            assert_eq!(r.cone_tuples, r.budget_trips, "case {case}: budget 0");
         }
         attempted_total += r.attempted;
     }
@@ -248,13 +248,4 @@ fn interleaved_corrections_equal_cold_1_thread_fallback_only() {
 fn interleaved_corrections_equal_cold_4_threads_fallback_only() {
     let attempted = run_interleaved(4, false);
     assert!(attempted > 0, "the interleavings must exercise fallbacks");
-}
-
-#[test]
-fn interleaved_corrections_equal_cold_row_store_repair() {
-    // The --row-store ablation must repair to the same bytes the cold run
-    // over survivors produces, on both thread counts.
-    let attempted =
-        run_interleaved_with_layout(1, true, true) + run_interleaved_with_layout(4, true, true);
-    assert!(attempted > 0, "the interleavings must exercise repairs");
 }

@@ -131,46 +131,28 @@ fn warm_session_chain_equals_cold_materialization() {
         for (pred, args, t) in events.iter().filter(|(_, _, t)| *t <= T_MIN) {
             initial.assert_at(pred, args, *t);
         }
-        // Both storage layouts drive the same warm chain: the columnar
-        // default and the --row-store ablation must each land on the cold
-        // output byte-for-byte.
-        let mut sessions = [false, true].map(|row_store| {
-            let mut session = Reasoner::new(
-                program.clone(),
-                ReasonerConfig {
-                    row_store,
-                    ..ReasonerConfig::default()
-                },
-            )
+        let mut session = Reasoner::new(program.clone(), ReasonerConfig::default())
             .unwrap()
             .into_session(&initial, T_MIN)
             .unwrap_or_else(|e| {
                 panic!("case {case}: program must be session-eligible: {e}\n{src}")
             });
-            let mut times: Vec<i64> = events
-                .iter()
-                .map(|(_, _, t)| *t)
-                .filter(|&t| t > T_MIN)
-                .collect();
-            times.sort_unstable();
-            times.dedup();
-            for &t in &times {
-                for (pred, args, et) in events.iter().filter(|(_, _, et)| *et == t) {
-                    session
-                        .submit(Fact::at(pred, args.clone(), *et))
-                        .unwrap_or_else(|e| panic!("case {case}: submit at {t}: {e}"));
-                }
-                session.advance_to(t).unwrap();
+        let mut times: Vec<i64> = events
+            .iter()
+            .map(|(_, _, t)| *t)
+            .filter(|&t| t > T_MIN)
+            .collect();
+        times.sort_unstable();
+        times.dedup();
+        for &t in &times {
+            for (pred, args, et) in events.iter().filter(|(_, _, et)| *et == t) {
+                session
+                    .submit(Fact::at(pred, args.clone(), *et))
+                    .unwrap_or_else(|e| panic!("case {case}: submit at {t}: {e}"));
             }
-            session.advance_to(T_MAX).unwrap();
-            session
-        });
-        assert_eq!(
-            sessions[0].database().to_facts_text(),
-            sessions[1].database().to_facts_text(),
-            "case {case}: row-store session diverged from columnar\n{src}"
-        );
-        let session = &mut sessions[0];
+            session.advance_to(t).unwrap();
+        }
+        session.advance_to(T_MAX).unwrap();
 
         // Bit-identical final state: the facts text is the canonical
         // serialization, so byte equality pins tuples, intervals, and

@@ -163,6 +163,51 @@ fn top_under_a_past_operator_holds_from_the_session_start() {
     }
 }
 
+/// A rule with no positive literal has no seeded variant to wake it, so a
+/// warm advance or a repair must evaluate it in full over the window it
+/// re-derives — or `quiet` is never derived after the session's first
+/// instant, and never comes back when an `alarm` is retracted.
+#[test]
+fn a_rule_without_a_positive_literal_is_rederived_in_every_window() {
+    let rules = "quiet(a) :- not alarm(a).\n\
+                 calm(X) :- quiet(X), not diamondminus[1, 1] alarm(X).";
+    let alarm = |t: i64| Fact::at("alarm", vec![Value::sym("a")], t);
+    let run = |times: &[i64]| {
+        let mut db = Database::new();
+        db.extend_facts(&times.iter().map(|&t| alarm(t)).collect::<Vec<_>>())
+            .unwrap();
+        Reasoner::new(
+            parse_program(rules).unwrap(),
+            ReasonerConfig::default().with_horizon(0, 12),
+        )
+        .unwrap()
+        .materialize(&db)
+        .unwrap()
+        .database
+        .to_facts_text()
+    };
+    let mut s = Reasoner::new(parse_program(rules).unwrap(), ReasonerConfig::default())
+        .unwrap()
+        .into_session(&Database::new(), 0)
+        .unwrap();
+    for t in [3, 4, 9] {
+        s.submit(alarm(t)).unwrap();
+        s.advance_to(t).unwrap();
+    }
+    s.advance_to(12).unwrap();
+    assert_eq!(s.database().to_facts_text(), run(&[3, 4, 9]));
+    assert!(s.database().holds_at("quiet", &[Value::sym("a")], 7));
+
+    // Retracting an alarm gives `quiet` back over the repair window; a late
+    // one takes it away again.
+    let report = s.retract(alarm(4)).unwrap();
+    assert_eq!(report.path, RepairPath::Incremental);
+    assert_eq!(s.database().to_facts_text(), run(&[3, 9]));
+    let report = s.submit_late(alarm(6)).unwrap();
+    assert_eq!(report.path, RepairPath::Incremental);
+    assert_eq!(s.database().to_facts_text(), run(&[3, 6, 9]));
+}
+
 /// Tuples one advance visited, scanning or probing.
 fn visited(stats: &RunStats) -> u64 {
     stats.probed_tuples + stats.scanned_tuples

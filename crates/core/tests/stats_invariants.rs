@@ -166,88 +166,35 @@ fn every_rule_is_accounted_for() {
     }
 }
 
-/// `index_probes + full_scans` counts every positive-atom lookup, so it is
-/// an access-path-independent quantity: flipping the value index or the
-/// time index on/off only moves lookups between the two buckets.
+/// Every positive-atom lookup lands in exactly one of `index_probes` /
+/// `full_scans`, the time index is only ever consulted by an index probe,
+/// and it can only rule out tuples that probe skipped.
 #[test]
 fn join_path_counters_account_for_every_lookup() {
     for (name, src, lo, hi) in corpus() {
-        let (program, facts) = parse_source(&src).unwrap();
-        let mut db = Database::new();
-        db.extend_facts(&facts).unwrap();
-        let mut totals = Vec::new();
-        let mut tuple_totals = Vec::new();
-        for (index_joins, time_index, row_store) in [
-            (true, true, false),
-            (true, false, false),
-            (false, true, false),
-            (false, false, false),
-            (true, true, true),
-            (true, false, true),
-            (false, true, true),
-            (false, false, true),
-        ] {
-            // Reordering is pinned off: the call-multiset comparison below
-            // needs the same join order in all eight configurations, and the
-            // cost model's distinct counts (hence the chosen order) depend
-            // on which indexes exist. Reorder-on equivalence is covered by
-            // the plan_equivalence suite. The row-store half of the matrix
-            // proves the counters are a property of the access path, not of
-            // the storage layout underneath it.
-            let stats = Reasoner::new(
-                program.clone(),
-                ReasonerConfig {
-                    index_joins,
-                    time_index,
-                    row_store,
-                    cost_based_reorder: false,
-                    ..ReasonerConfig::default().with_horizon(lo, hi)
-                },
-            )
-            .unwrap()
-            .materialize(&db)
-            .unwrap()
-            .stats;
-            assert!(
-                stats.time_index_probes <= stats.index_probes,
-                "{name}: time-index probes are a subset of index probes"
-            );
-            if !time_index {
-                assert_eq!(
-                    stats.time_index_probes, 0,
-                    "{name}: ablated run must not touch the time index"
-                );
-                assert_eq!(stats.interval_clips_avoided, 0, "{name}: ablated clips");
-            }
-            assert!(
-                stats.interval_clips_avoided <= stats.index_scan_avoided,
-                "{name}: clips avoided only on tuples an index already skipped"
-            );
-            totals.push(stats.index_probes + stats.full_scans);
-            // Per lookup against a present relation every stored tuple is
-            // either walked (`scanned`), visited through an index probe
-            // (`probed`), or skipped by that probe (`avoided`) — so the sum
-            // is the total tuple volume, independent of access path.
-            tuple_totals
-                .push(stats.scanned_tuples + stats.probed_tuples + stats.index_scan_avoided);
-        }
+        let (stats, _) = materialize(&src, lo, hi, true);
         assert!(
-            totals.windows(2).all(|w| w[0] == w[1]),
-            "{name}: lookup totals differ across access paths: {totals:?}"
+            stats.index_probes + stats.full_scans >= stats.rule_evaluations as u64,
+            "{name}: a body evaluation performs at least one lookup"
         );
         assert!(
-            tuple_totals.windows(2).all(|w| w[0] == w[1]),
-            "{name}: tuple-volume totals differ across access paths: {tuple_totals:?}"
+            stats.time_index_probes <= stats.index_probes,
+            "{name}: time-index probes are a subset of index probes"
+        );
+        assert!(
+            stats.interval_clips_avoided <= stats.index_scan_avoided,
+            "{name}: clips avoided only on tuples an index already skipped"
         );
     }
 }
 
 /// Corrected estimates change what the planner believes, never what a
-/// lookup does: on a workload whose sustained misestimate forces adaptive
-/// replans, the join-path counters — including the
-/// `scanned + probed + avoided` tuple-volume partition — must be identical
-/// with adaptivity on and off, across the full access-path matrix (join
-/// order pinned, as in `join_path_counters_account_for_every_lookup`).
+/// lookup does. On a workload whose sustained misestimate forces adaptive
+/// replans, the step spans of the profiler say how many bindings reached
+/// each join step — one lookup each — and against which relation; the
+/// join-path counters must account for exactly those lookups
+/// (`index_probes + full_scans`) and exactly the tuples stored behind them
+/// (`scanned + probed + avoided`), whichever access path each one took.
 #[test]
 fn corrected_estimates_preserve_tuple_volume_accounting() {
     let src = "run(X) :- seed(X).\n\
@@ -281,51 +228,73 @@ fn corrected_estimates_preserve_tuple_volume_accounting() {
             span,
         );
     }
-    let mut totals = Vec::new();
-    let mut tuple_totals = Vec::new();
-    let mut triggered_any = false;
-    for adaptive in [true, false] {
-        for (index_joins, time_index) in
-            [(true, true), (true, false), (false, true), (false, false)]
-        {
-            let stats = Reasoner::new(
-                program.clone(),
-                ReasonerConfig {
-                    adaptive,
-                    index_joins,
-                    time_index,
-                    cost_based_reorder: false,
-                    ..ReasonerConfig::default().with_horizon(0, 24)
-                },
-            )
-            .unwrap()
-            .materialize(&db)
-            .unwrap()
-            .stats;
-            triggered_any |= adaptive && stats.replans_triggered > 0;
-            totals.push(stats.index_probes + stats.full_scans);
-            tuple_totals
-                .push(stats.scanned_tuples + stats.probed_tuples + stats.index_scan_avoided);
-        }
-    }
+    let recorder = SpanRecorder::new();
+    let stats = Reasoner::new(
+        program.clone(),
+        ReasonerConfig {
+            profiler: Some(recorder.clone()),
+            ..ReasonerConfig::default().with_horizon(0, 24)
+        },
+    )
+    .unwrap()
+    .materialize(&db)
+    .unwrap()
+    .stats;
     assert!(
-        triggered_any,
+        stats.replans_triggered > 0,
         "workload must actually exercise the adaptive replan path"
     );
-    assert!(
-        totals.windows(2).all(|w| w[0] == w[1]),
-        "lookup totals differ across adaptive/access configs: {totals:?}"
-    );
-    assert!(
-        tuple_totals.windows(2).all(|w| w[0] == w[1]),
-        "tuple-volume totals differ across adaptive/access configs: {tuple_totals:?}"
+    assert_eq!(recorder.dropped(), 0);
+
+    // Tuples stored behind a lookup of `pred`: the EDB sizes are fixed;
+    // `run` holds its one tuple `run(0)` in every delta, and is still
+    // absent when round 0 evaluates the recursive rule in full.
+    let stored = |pred: &str, reads_delta: bool| match pred {
+        "seed" | "next" => 1,
+        "fan" => 64,
+        "run" => u64::from(reads_delta),
+        other => panic!("unexpected predicate {other}"),
+    };
+    let counter = |s: &chronolog_obs::SpanRecord, key: &str| {
+        s.counters.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    };
+    let (mut lookups, mut volume) = (0u64, 0u64);
+    for (_, records) in recorder.lanes() {
+        // Records come in end order: a rule's step spans, then the rule.
+        let mut steps: Vec<&chronolog_obs::SpanRecord> = Vec::new();
+        for record in &records {
+            if matches!(record.name.as_str(), "join" | "constraint" | "negate") {
+                steps.push(record);
+            } else if let Some(idx) = record.name.strip_prefix("rule r") {
+                let rule = &program.rules[idx.parse::<usize>().unwrap()];
+                let delta_literal = counter(record, "delta_literal");
+                let mut bindings = 1;
+                for step in steps.drain(..) {
+                    let literal = counter(step, "literal").unwrap();
+                    if step.name != "constraint" {
+                        let chronolog_core::Literal::Pos(m) = &rule.body[literal as usize] else {
+                            panic!("the workload has no negation");
+                        };
+                        let pred = m.atoms()[0].pred.to_string();
+                        lookups += bindings;
+                        volume += bindings * stored(&pred, delta_literal == Some(literal));
+                    }
+                    bindings = counter(step, "rows").unwrap();
+                }
+            }
+        }
+    }
+    assert_eq!(stats.index_probes + stats.full_scans, lookups);
+    assert_eq!(
+        stats.scanned_tuples + stats.probed_tuples + stats.index_scan_avoided,
+        volume
     );
 }
 
 /// `Relation::remove` must shrink what the planner sees: after a session
 /// retracts most of a relation, the repair's replanned estimate reflects
 /// the survivors, not the phantom rows the emptied entries used to count
-/// (the statistics-staleness bug fixed alongside stats-json v8).
+/// (a statistics-staleness bug this pins).
 #[test]
 fn retraction_shrinks_planner_estimates_to_survivors() {
     let src = "out(X, Y) :- big(X, Y), sel(X).";
@@ -441,36 +410,18 @@ fn missing_relations_count_as_zero_tuple_full_scans() {
     let (program, facts) = parse_source("h(X) :- e(X), ghost(X).\ne(a)@0.").unwrap();
     let mut db = Database::new();
     db.extend_facts(&facts).unwrap();
-    // Textual order: both `e` and `ghost` are looked up before the join
-    // comes up empty.
-    let stats = Reasoner::new(
-        program.clone(),
-        ReasonerConfig {
-            cost_based_reorder: false,
-            ..ReasonerConfig::default().with_horizon(0, 5)
-        },
-    )
-    .unwrap()
-    .materialize(&db)
-    .unwrap()
-    .stats;
-    assert!(
-        stats.full_scans >= 1,
-        "ghost lookup must be accounted: {stats:?}"
-    );
-    assert!(stats.index_probes + stats.full_scans >= 2);
-
-    // The cost-based planner estimates `ghost` at zero rows, orders it
-    // first, and proves the join empty after that single lookup — fewer
-    // lookups, but the one performed is still accounted.
+    // The planner estimates `ghost` at zero rows, orders it first, and
+    // proves the join empty after that single lookup — which is still
+    // accounted, as a scan of zero tuples.
     let stats = Reasoner::new(program, ReasonerConfig::default().with_horizon(0, 5))
         .unwrap()
         .materialize(&db)
         .unwrap()
         .stats;
-    assert!(
-        stats.full_scans + stats.index_probes >= 1,
-        "reordered ghost lookup must be accounted: {stats:?}"
+    assert_eq!(
+        (stats.full_scans, stats.index_probes, stats.scanned_tuples),
+        (1, 0, 0),
+        "the ghost lookup must be accounted: {stats:?}"
     );
     assert!(
         stats.reorders_applied >= 1,

@@ -70,7 +70,7 @@ pub fn run_datalog_with(
     mode: TimelineMode,
     semi_naive: bool,
 ) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, true, semi_naive, 1, None)
+    run_datalog_configured(trace, params, mode, semi_naive, 1, None)
 }
 
 /// Like [`run_datalog`] with an explicit evaluation thread count.
@@ -80,18 +80,7 @@ pub fn run_datalog_threaded(
     mode: TimelineMode,
     threads: usize,
 ) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, true, true, threads, None)
-}
-
-/// Like [`run_datalog`] with cost-based join reordering toggled
-/// (the `--no-reorder` ablation).
-pub fn run_datalog_reordered(
-    trace: &Trace,
-    params: &MarketParams,
-    mode: TimelineMode,
-    cost_based_reorder: bool,
-) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, cost_based_reorder, true, 1, None)
+    run_datalog_configured(trace, params, mode, true, threads, None)
 }
 
 /// Like [`run_datalog`] with a span profiler attached: the recorder
@@ -103,15 +92,13 @@ pub fn run_datalog_profiled(
     mode: TimelineMode,
     profiler: chronolog_obs::SpanRecorder,
 ) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, true, true, 1, Some(profiler))
+    run_datalog_configured(trace, params, mode, true, 1, Some(profiler))
 }
 
-#[allow(clippy::fn_params_excessive_bools)]
 fn run_datalog_configured(
     trace: &Trace,
     params: &MarketParams,
     mode: TimelineMode,
-    cost_based_reorder: bool,
     semi_naive: bool,
     threads: usize,
     profiler: Option<chronolog_obs::SpanRecorder>,
@@ -120,7 +107,6 @@ fn run_datalog_configured(
     let program = build_program(params, mode)?;
     let encoded = encode_trace(trace, mode);
     let config = ReasonerConfig {
-        cost_based_reorder,
         semi_naive,
         profiler,
         ..ReasonerConfig::default()
