@@ -26,7 +26,6 @@
 //!   --facts               dump the full materialization as fact text
 //!   --stats               print run statistics (totals + per-rule hot list)
 //!   --stats-json FILE     write a machine-readable run report (JSON)
-//!   --trace FILE          write structured engine events (JSON Lines)
 //!   --session             stream the facts through a live session instead
 //!                         of one batch materialization (requires --horizon;
 //!                         the output must be byte-identical to the batch)
@@ -58,15 +57,15 @@ use chronolog_core::{
     Program, Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Term, Value,
 };
 use chronolog_core::{Interval, IntervalSet, Tuple};
-use chronolog_obs::{Json, Registry, Tracer};
+use chronolog_obs::Json;
 use std::fmt::Write as _;
 
 /// Schema version of the `--stats-json` report; bump on breaking changes.
 /// The report carries run metadata, then the engine's `totals`, `strata`,
 /// `rules`, `workers`, `planner`, `pool`, `repairs`, `storage` and `magic`
-/// sections, then a `metrics` registry snapshot (`docs/OBSERVABILITY.md`
-/// describes every field; `tests/fixtures/stats_schema.txt` pins the shape).
-pub const REPORT_SCHEMA_VERSION: u64 = 10;
+/// sections (`docs/OBSERVABILITY.md` describes every field;
+/// `tests/fixtures/stats_schema.txt` pins the shape).
+pub const REPORT_SCHEMA_VERSION: u64 = 11;
 
 /// CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -128,7 +127,7 @@ pub fn run_cli(
 const USAGE: &str = "usage: chronolog <check|run|graph|validate-trace> <file>... [options]\n\
   run options: --horizon LO..HI  --threads N  --query 'p(X)@[lo,hi]'\n\
                --no-magic  --explain-query  --explain 'p(a)@5'\n\
-               --facts  --stats  --stats-json FILE  --trace FILE\n\
+               --facts  --stats  --stats-json FILE\n\
                --session  --stream FILE  --repair-budget N  --explain-plans\n\
                --profile FILE  --profile-folded FILE";
 
@@ -303,7 +302,6 @@ fn cmd_run(
     let mut dump_facts = false;
     let mut stats = false;
     let mut stats_json: Option<String> = None;
-    let mut trace_file: Option<String> = None;
     let mut profile_file: Option<String> = None;
     let mut profile_folded_file: Option<String> = None;
     let mut session_mode = false;
@@ -321,14 +319,6 @@ fn cmd_run(
                 stats_json = Some(
                     args.get(i)
                         .ok_or_else(|| CliError::usage("--stats-json needs a file path"))?
-                        .clone(),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_file = Some(
-                    args.get(i)
-                        .ok_or_else(|| CliError::usage("--trace needs a file path"))?
                         .clone(),
                 );
             }
@@ -362,6 +352,11 @@ fn cmd_run(
                 let hi: i64 = hi
                     .parse()
                     .map_err(|_| CliError::usage("bad horizon bound"))?;
+                if lo > hi {
+                    return Err(CliError::usage(format!(
+                        "--horizon {lo}..{hi} is empty: LO must not exceed HI"
+                    )));
+                }
                 horizon = Some((lo, hi));
             }
             "--threads" => {
@@ -447,12 +442,10 @@ fn cmd_run(
         })
         .collect::<Result<_, _>>()?;
 
-    let tracer = trace_file.as_ref().map(|_| Tracer::new());
     let profiler = (profile_file.is_some() || profile_folded_file.is_some())
         .then(chronolog_obs::SpanRecorder::new);
     let mut config = ReasonerConfig {
         provenance: !explains.is_empty(),
-        tracer: tracer.clone(),
         profiler: profiler.clone(),
         threads,
         ..ReasonerConfig::default()
@@ -567,10 +560,6 @@ fn cmd_run(
         report_stats.magic.demanded_tuples = materialized.map_or(0, |db| db.tuple_count() as u64);
     }
 
-    if let (Some(path), Some(tracer)) = (&trace_file, &tracer) {
-        std::fs::write(path, tracer.drain_jsonl())
-            .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
-    }
     if let (Some(path), Some(p)) = (&profile_file, &profiler) {
         std::fs::write(path, p.to_chrome_trace().to_pretty())
             .map_err(|e| CliError::failed(format!("cannot write {path}: {e}")))?;
@@ -935,9 +924,9 @@ fn render_stats(out: &mut String, stats: &RunStats) {
 }
 
 /// Builds the machine-readable run report written by `--stats-json`: run
-/// metadata, the engine's totals/strata/rules sections, and a snapshot of
-/// the global metric registry. The shape is pinned by the schema golden
-/// test; bump [`REPORT_SCHEMA_VERSION`] on breaking changes.
+/// metadata, then the engine's sections straight from [`RunStats`]. The
+/// shape is pinned by the schema golden test; bump
+/// [`REPORT_SCHEMA_VERSION`] on breaking changes.
 pub fn run_report(stats: &RunStats, files: &[String], horizon: Option<(i64, i64)>) -> Json {
     let mut report = Json::object();
     report.set("schema_version", REPORT_SCHEMA_VERSION);
@@ -962,7 +951,6 @@ pub fn run_report(stats: &RunStats, files: &[String], horizon: Option<(i64, i64)
             stats_json.get(section).cloned().unwrap_or(Json::Null),
         );
     }
-    report.set("metrics", Registry::global().snapshot());
     report
 }
 
@@ -1203,49 +1191,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_writes_jsonl_events() {
-        let dir = std::env::temp_dir().join("chronolog-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        let fs = fake_fs(&[("demo.dmtl", DEMO)]);
-        run_cli(
-            &args(&[
-                "run",
-                "demo.dmtl",
-                "--horizon",
-                "0..20",
-                "--trace",
-                path.to_str().unwrap(),
-            ]),
-            fs,
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(!text.trim().is_empty());
-        let mut names = Vec::new();
-        for line in text.lines() {
-            let ev = Json::parse(line).unwrap_or_else(|e| panic!("bad JSONL `{line}`: {e}"));
-            names.push(ev.get("ev").and_then(Json::as_str).unwrap().to_string());
-        }
-        assert!(
-            names.contains(&"materialize_start".to_string()),
-            "{names:?}"
-        );
-        assert!(names.contains(&"stratum".to_string()), "{names:?}");
-        assert!(names.contains(&"materialize_end".to_string()), "{names:?}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn new_flags_report_usage_errors() {
         let fs = fake_fs(&[("demo.dmtl", DEMO)]);
         let err = run_cli(&args(&["run", "demo.dmtl", "--stats-json"]), fs).unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("--stats-json"), "{}", err.message);
-        let fs = fake_fs(&[("demo.dmtl", DEMO)]);
-        let err = run_cli(&args(&["run", "demo.dmtl", "--trace"]), fs).unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--trace"), "{}", err.message);
         let fs = fake_fs(&[("demo.dmtl", DEMO)]);
         let err = run_cli(&args(&["run", "demo.dmtl", "--profile"]), fs).unwrap_err();
         assert_eq!(err.code, 2);
@@ -1258,6 +1208,30 @@ mod tests {
         let err = run_cli(&args(&["run", "demo.dmtl", "--trance", "x"]), fs).unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("unknown option"), "{}", err.message);
+        // `--profile FILE` is the one machine-readable timeline: there is
+        // no `--trace`.
+        let fs = fake_fs(&[("demo.dmtl", DEMO)]);
+        let err = run_cli(
+            &args(&["run", "demo.dmtl", "--horizon", "0..20", "--trace", "x"]),
+            fs,
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 2);
+        assert_eq!(err.message, "unknown option --trace");
+        // A reversed horizon is a usage error naming both bounds, batch
+        // and session alike (`Interval::closed_int` panics on one).
+        for extra in [&[][..], &["--session"]] {
+            let mut argv = vec!["run", "demo.dmtl", "--horizon", "20..0"];
+            argv.extend_from_slice(extra);
+            let fs = fake_fs(&[("demo.dmtl", DEMO)]);
+            let err = run_cli(&args(&argv), fs).unwrap_err();
+            assert_eq!(err.code, 2, "{argv:?}");
+            assert!(
+                err.message.contains("--horizon") && err.message.contains("20..0"),
+                "{}",
+                err.message
+            );
+        }
     }
 
     #[test]
@@ -1542,7 +1516,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_v6_reports_repairs_and_budget_trips() {
+    fn stats_json_reports_repairs_and_budget_trips() {
         let dir = std::env::temp_dir().join("chronolog-cli-repairs-test");
         std::fs::create_dir_all(&dir).unwrap();
         let stream = "advance 10\nretract tranM(acc1, 20.0)@3.\n";
@@ -1909,7 +1883,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_v9_reports_demand_restriction() {
+    fn stats_json_reports_demand_restriction() {
         let dir = std::env::temp_dir().join("chronolog-cli-magic-test");
         std::fs::create_dir_all(&dir).unwrap();
         let report_for = |extra: &[&str], name: &str| {

@@ -29,7 +29,7 @@ use crate::rewrite::{self, Query};
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
 use chain::{Chains, GuardSets};
-use chronolog_obs::{Json, SpanRecorder, Tracer};
+use chronolog_obs::{Json, SpanRecorder};
 use eval::{delta_eligible, execute_plan, EvalCtx, JoinCounters};
 use mtl_temporal::{Interval, IntervalSet};
 use pool::WorkerPool;
@@ -72,9 +72,6 @@ pub struct ReasonerConfig {
     pub semi_naive: bool,
     /// Record provenance for [`Materialization::explain`].
     pub provenance: bool,
-    /// When set, the engine emits structured events (stratum/iteration
-    /// boundaries, fixpoint deltas) into this bounded buffer.
-    pub tracer: Option<Tracer>,
     /// When set, the engine records hierarchical timing spans
     /// (materialize → stratum → iteration → rule → join step) into this
     /// recorder, one lane per evaluating thread. `None` (the default)
@@ -103,7 +100,6 @@ impl Default for ReasonerConfig {
             max_components: 50_000_000,
             semi_naive: true,
             provenance: false,
-            tracer: None,
             profiler: None,
             threads: 1,
             repair_budget: 50_000,
@@ -340,7 +336,7 @@ pub struct RunStats {
     /// Worker-pool dispatches that reused already-running workers.
     pub pool_reuses: u64,
     /// Worker-pool constructions (`<= strata` by the pool-lifecycle
-    /// invariant; the old scoped path respawned per iteration).
+    /// invariant: the pool is spawned once per reasoner and reused).
     pub pool_respawns: u64,
     /// The plan each `(rule, delta-literal)` variant ran last — rendered
     /// on demand by [`RunStats::plan_explains`].
@@ -1037,7 +1033,7 @@ impl Reasoner {
 
     /// Materializes all consequences of the program over `input`.
     pub fn materialize(&self, input: &Database) -> Result<Materialization> {
-        let _mat_span = self.config.profiler.as_ref().map(|p| p.span("materialize"));
+        let mut mat_span = self.config.profiler.as_ref().map(|p| p.span("materialize"));
         let start = Instant::now();
         let mut total = input.clone();
         let mut provenance = self.config.provenance.then(ProvenanceLog::default);
@@ -1045,21 +1041,8 @@ impl Reasoner {
         // Cloning preserves already-built secondary indexes: every index the
         // input carries over is one the fixpoint loop does not rebuild.
         stats.index_rebuilds_avoided += total.built_index_count() as u64;
-        chronolog_obs::Registry::global()
-            .counter("engine.index_rebuilds_avoided")
-            .add(total.built_index_count() as u64);
         self.init_rule_stats(&mut stats);
         let input_tuples = input.tuple_count();
-        if let Some(tracer) = &self.config.tracer {
-            tracer.emit(
-                "materialize_start",
-                vec![
-                    ("rules", Json::from(self.program.rules.len())),
-                    ("strata", Json::from(self.strat.rules_by_stratum.len())),
-                    ("input_tuples", Json::from(input_tuples)),
-                ],
-            );
-        }
 
         for stratum in 0..self.compiled.len() {
             self.run_stratum(
@@ -1078,16 +1061,13 @@ impl Reasoner {
         stats.total_components = total.component_count();
         stats.elapsed = start.elapsed();
         capture_storage_stats(&total, &mut stats);
-        if let Some(tracer) = &self.config.tracer {
-            tracer.emit(
-                "materialize_end",
-                vec![
-                    ("derived_tuples", Json::from(stats.derived_tuples)),
-                    ("total_components", Json::from(stats.total_components)),
-                    ("rule_evaluations", Json::from(stats.rule_evaluations)),
-                    ("elapsed_us", Json::from(stats.elapsed.as_micros() as u64)),
-                ],
-            );
+        if let Some(s) = mat_span.as_mut() {
+            s.add("rules", self.program.rules.len() as u64);
+            s.add("strata", self.compiled.len() as u64);
+            s.add("input_tuples", input_tuples as u64);
+            s.add("derived_tuples", stats.derived_tuples as u64);
+            s.add("total_components", stats.total_components as u64);
+            s.add("rule_evaluations", stats.rule_evaluations as u64);
         }
         Ok(Materialization {
             database: total,
@@ -1786,17 +1766,6 @@ impl Reasoner {
                 s.add("delta_tuples", next_delta.tuple_count() as u64);
                 s.add("grew", grew as u64);
             }
-            if let Some(tracer) = &self.config.tracer {
-                tracer.emit(
-                    "iteration",
-                    vec![
-                        ("stratum", Json::from(stratum)),
-                        ("iteration", Json::from(iteration)),
-                        ("delta_tuples", Json::from(next_delta.tuple_count())),
-                        ("grew", Json::from(grew)),
-                    ],
-                );
-            }
             if !grew {
                 break;
             }
@@ -1805,38 +1774,14 @@ impl Reasoner {
             iteration += 1;
         }
 
-        // Fold the join-path counters into the run totals and mirror them
-        // into the global metric registry (picked up by `--stats-json`).
-        let index_probes = counters.index_probes.load(Ordering::Relaxed);
-        let index_scan_avoided = counters.index_scan_avoided.load(Ordering::Relaxed);
-        let full_scans = counters.full_scans.load(Ordering::Relaxed);
-        let scanned_tuples = counters.scanned_tuples.load(Ordering::Relaxed);
-        let probed_tuples = counters.probed_tuples.load(Ordering::Relaxed);
-        let time_index_probes = counters.time_index_probes.load(Ordering::Relaxed);
-        let interval_clips_avoided = counters.interval_clips_avoided.load(Ordering::Relaxed);
-        stats.index_probes += index_probes;
-        stats.index_scan_avoided += index_scan_avoided;
-        stats.full_scans += full_scans;
-        stats.scanned_tuples += scanned_tuples;
-        stats.probed_tuples += probed_tuples;
-        stats.time_index_probes += time_index_probes;
-        stats.interval_clips_avoided += interval_clips_avoided;
-        let registry = chronolog_obs::Registry::global();
-        registry.counter("engine.index_probes").add(index_probes);
-        registry
-            .counter("engine.index_scan_avoided")
-            .add(index_scan_avoided);
-        registry.counter("engine.full_scans").add(full_scans);
-        registry
-            .counter("engine.scanned_tuples")
-            .add(scanned_tuples);
-        registry.counter("engine.probed_tuples").add(probed_tuples);
-        registry
-            .counter("engine.time_index_probes")
-            .add(time_index_probes);
-        registry
-            .counter("engine.interval_clips_avoided")
-            .add(interval_clips_avoided);
+        // Fold the join-path counters into the run totals.
+        stats.index_probes += counters.index_probes.load(Ordering::Relaxed);
+        stats.index_scan_avoided += counters.index_scan_avoided.load(Ordering::Relaxed);
+        stats.full_scans += counters.full_scans.load(Ordering::Relaxed);
+        stats.scanned_tuples += counters.scanned_tuples.load(Ordering::Relaxed);
+        stats.probed_tuples += counters.probed_tuples.load(Ordering::Relaxed);
+        stats.time_index_probes += counters.time_index_probes.load(Ordering::Relaxed);
+        stats.interval_clips_avoided += counters.interval_clips_avoided.load(Ordering::Relaxed);
 
         // Planner counters, and the stratum's share of pool lifecycle
         // events (swapped out so a session advance only counts its own).
@@ -1846,21 +1791,9 @@ impl Reasoner {
         stats.reorders_applied += reorders_applied;
         stats.planner_estimated_rows += planner_estimated_rows;
         stats.planner_actual_rows += planner_actual_rows;
-        registry.counter("engine.plans_built").add(plans_built);
-        registry.counter("engine.replans").add(replans);
-        registry
-            .counter("engine.replans_triggered")
-            .add(replans_triggered);
-        registry
-            .counter("engine.reorders_applied")
-            .add(reorders_applied);
         if let Some(pool) = self.pool.get() {
-            let respawns = pool.respawns.swap(0, Ordering::Relaxed);
-            let reuses = pool.reuses.swap(0, Ordering::Relaxed);
-            stats.pool_respawns += respawns;
-            stats.pool_reuses += reuses;
-            registry.counter("engine.pool_respawns").add(respawns);
-            registry.counter("engine.pool_reuses").add(reuses);
+            stats.pool_respawns += pool.respawns.swap(0, Ordering::Relaxed);
+            stats.pool_reuses += pool.reuses.swap(0, Ordering::Relaxed);
         }
         stats.used_plans.record(&self.program, used_plans);
 
@@ -1888,18 +1821,6 @@ impl Reasoner {
         row.components_added += stratum_components;
         row.wall += wall;
         stats.derived_components += stratum_components;
-        if let Some(tracer) = &self.config.tracer {
-            tracer.emit(
-                "stratum",
-                vec![
-                    ("stratum", Json::from(stratum)),
-                    ("iterations", Json::from(iterations)),
-                    ("tuples_derived", Json::from(stratum_tuples)),
-                    ("components_added", Json::from(stratum_components)),
-                    ("wall_us", Json::from(wall.as_micros() as u64)),
-                ],
-            );
-        }
         Ok(())
     }
 }

@@ -53,7 +53,7 @@ pub enum RepairPath {
     /// cone, then re-derive from the surviving base facts.
     Incremental,
     /// Cold re-materialization from the surviving base-fact set (budget
-    /// trip, incremental error, or repair disabled).
+    /// trip — always, at `repair_budget` 0 — or incremental error).
     ColdFallback,
 }
 
@@ -79,6 +79,13 @@ fn same_fact(a: &Fact, b: &Fact) -> bool {
         && a.interval == b.interval
         && a.args.len() == b.args.len()
         && a.args.iter().zip(&b.args).all(|(x, y)| x.semantic_eq(y))
+}
+
+/// The closed window `[lo, hi]`, or [`Error::EmptyWindow`] saying `what`
+/// collapsed when `lo > hi`.
+fn closed_window(lo: Rational, hi: Rational, what: std::fmt::Arguments<'_>) -> Result<Interval> {
+    Interval::new(TimeBound::Finite(lo), true, TimeBound::Finite(hi), true)
+        .ok_or_else(|| Error::EmptyWindow(what.to_string()))
 }
 
 fn unknown_fact(fact: &Fact) -> Error {
@@ -150,9 +157,6 @@ impl Reasoner {
         // The clone carries the initial database's built indexes with it, so
         // the session never rebuilds them.
         stats.index_rebuilds_avoided += total.built_index_count() as u64;
-        chronolog_obs::Registry::global()
-            .counter("engine.index_rebuilds_avoided")
-            .add(total.built_index_count() as u64);
         // Genesis facts seed the base-fact log, so the cold fallback can
         // rebuild them without the caller's original database.
         let mut asserted = Vec::new();
@@ -261,9 +265,6 @@ impl Session {
     /// submission exactly (predicate, arguments, interval); to shrink an
     /// interval, retract the original fact and late-submit the remainder.
     pub fn retract(&mut self, fact: Fact) -> Result<RepairReport> {
-        chronolog_obs::Registry::global()
-            .counter("session.retractions")
-            .inc();
         // A queued fact was never materialized: cancelling it is free.
         if let Some(pos) = self.pending.iter().position(|p| same_fact(p, &fact)) {
             self.pending.remove(pos);
@@ -291,9 +292,6 @@ impl Session {
                 overdeleted_components: 0,
             });
         }
-        chronolog_obs::Registry::global()
-            .counter("session.late_facts")
-            .inc();
         let beyond = match fact.interval.hi() {
             TimeBound::Finite(hi) => hi > self.now,
             _ => true,
@@ -315,9 +313,6 @@ impl Session {
     /// rules as [`Session::submit_late`]. Validation happens before any
     /// mutation, so an error leaves the session unchanged.
     pub fn correct(&mut self, old: Fact, new: Fact) -> Result<RepairReport> {
-        chronolog_obs::Registry::global()
-            .counter("session.corrections")
-            .inc();
         let old_pending = self.pending.iter().position(|p| same_fact(p, &old));
         if old_pending.is_none() && !self.asserted.iter().any(|a| same_fact(a, &old)) {
             return Err(unknown_fact(&old));
@@ -467,8 +462,7 @@ impl Session {
         let started = std::time::Instant::now();
         self.reasoner.init_rule_stats(&mut self.stats);
         self.stats.repairs.attempted += 1;
-        let registry = chronolog_obs::Registry::global();
-        registry.counter("session.repairs").inc();
+        let before = self.stats.repairs.clone();
         let mut repair_span = self
             .reasoner
             .config()
@@ -493,7 +487,6 @@ impl Session {
                     // Budget trip: the collection phase left the
                     // materialization untouched, rebuild from the log.
                     self.stats.repairs.budget_trips += 1;
-                    registry.counter("session.repair_budget_trips").inc();
                     self.cold_rematerialize()?
                 }
                 // Any incremental error degrades to the cold path — the
@@ -504,41 +497,19 @@ impl Session {
         };
 
         if let Some(s) = repair_span.as_mut() {
-            s.add("cone_tuples", report.cone_tuples);
-            s.add("fallback", (report.path == RepairPath::ColdFallback) as u64);
+            // This repair's share of the `repairs` section (a budget
+            // trip's inspected cone included), so the spans sum to it.
+            let after = &self.stats.repairs;
+            s.add("cone_tuples", after.cone_tuples - before.cone_tuples);
+            s.add(
+                "overdeleted_components",
+                after.overdeleted_components - before.overdeleted_components,
+            );
+            s.add("fallback", after.fallbacks - before.fallbacks);
         }
-        let latency = started.elapsed();
-        self.stats.elapsed += latency;
+        self.stats.elapsed += started.elapsed();
         self.stats.total_components = self.total.component_count();
         super::capture_storage_stats(&self.total, &mut self.stats);
-        registry
-            .histogram("session.repair_latency_us")
-            .record(latency.as_micros() as u64);
-        if let Some(tracer) = &self.reasoner.config().tracer {
-            tracer.emit(
-                "repair",
-                vec![
-                    (
-                        "path",
-                        chronolog_obs::Json::from(match report.path {
-                            RepairPath::Pending => "pending",
-                            RepairPath::Incremental => "incremental",
-                            RepairPath::ColdFallback => "cold_fallback",
-                        }),
-                    ),
-                    ("cut", chronolog_obs::Json::from(format!("{cut}"))),
-                    ("cone_tuples", chronolog_obs::Json::from(report.cone_tuples)),
-                    (
-                        "overdeleted_components",
-                        chronolog_obs::Json::from(report.overdeleted_components),
-                    ),
-                    (
-                        "latency_us",
-                        chronolog_obs::Json::from(latency.as_micros() as u64),
-                    ),
-                ],
-            );
-        }
         Ok(report)
     }
 
@@ -550,15 +521,11 @@ impl Session {
         changed: &[Symbol],
         cut: Rational,
     ) -> Result<Option<RepairReport>> {
-        let window = Interval::new(
-            TimeBound::Finite(cut),
-            true,
-            TimeBound::Finite(self.now),
-            true,
-        )
-        .ok_or_else(|| {
-            Error::EmptyWindow(format!("repair window {cut}..{} collapsed", self.now))
-        })?;
+        let window = closed_window(
+            cut,
+            self.now,
+            format_args!("repair window {cut}..{} collapsed", self.now),
+        )?;
         let base = self.surviving_base();
         let affected = self.reasoner.affected_predicates(changed);
         let outcome = {
@@ -593,25 +560,11 @@ impl Session {
                 self.reach
             ))
         })?;
-        let seed_window = Interval::new(
-            TimeBound::Finite(window_lo),
-            true,
-            TimeBound::Finite(self.now),
-            true,
-        )
-        .ok_or_else(|| {
-            Error::EmptyWindow(format!(
-                "repair seed window {window_lo}..{} collapsed",
-                self.now
-            ))
-        })?;
-        let mut seed = Database::new();
-        for (pred, tuple, ivs) in self.total.iter() {
-            let clipped = IntervalSet::clip_components(ivs, &seed_window);
-            if !clipped.is_empty() {
-                seed.merge(pred, &tuple.to_vec(), &clipped)?;
-            }
-        }
+        let mut seed = self.boundary_seed(closed_window(
+            window_lo,
+            self.now,
+            format_args!("repair seed window {window_lo}..{} collapsed", self.now),
+        )?)?;
         {
             let mut rd_span = self
                 .reasoner
@@ -651,9 +604,6 @@ impl Session {
     /// to degrade to — and leave the previous materialization in place.
     fn cold_rematerialize(&mut self) -> Result<RepairReport> {
         self.stats.repairs.fallbacks += 1;
-        chronolog_obs::Registry::global()
-            .counter("session.repair_fallbacks")
-            .inc();
         let mut span = self
             .reasoner
             .config()
@@ -680,18 +630,28 @@ impl Session {
     /// what a cold run (the fallback, a goal-driven query) covers, and
     /// where `top` holds while a warm run re-derives only the end of it.
     fn session_horizon(&self, t: Rational) -> Result<Interval> {
-        Interval::new(
-            TimeBound::Finite(self.start),
-            true,
-            TimeBound::Finite(t),
-            true,
-        )
-        .ok_or_else(|| {
-            Error::EmptyWindow(format!(
+        closed_window(
+            self.start,
+            t,
+            format_args!(
                 "session horizon {}..{t} collapsed (target below start)",
                 self.start
-            ))
-        })
+            ),
+        )
+    }
+
+    /// The slice of the materialization a derivation inside `window` can
+    /// read: every tuple of `total` clipped to `window`, as a fresh
+    /// database (the seed of an advance or of a repair's re-derivation).
+    fn boundary_seed(&self, window: Interval) -> Result<Database> {
+        let mut seed = Database::new();
+        for (pred, tuple, ivs) in self.total.iter() {
+            let clipped = IntervalSet::clip_components(ivs, &window);
+            if !clipped.is_empty() {
+                seed.merge(pred, &tuple.to_vec(), &clipped)?;
+            }
+        }
+        Ok(seed)
     }
 
     fn run_advance(&mut self, t: Rational) -> Result<()> {
@@ -703,7 +663,6 @@ impl Session {
             .map(|p| p.span("advance"));
         let started = std::time::Instant::now();
         self.reasoner.init_rule_stats(&mut self.stats);
-        let from = self.now;
         let pending_count = self.pending.len();
         let tuples_before = self.total.tuple_count();
         // Seed: boundary slice of the existing materialization plus the
@@ -714,26 +673,15 @@ impl Session {
                 self.now, self.reach
             ))
         })?;
-        let window = Interval::new(
-            TimeBound::Finite(window_lo),
-            true,
-            TimeBound::Finite(t),
-            true,
-        )
-        .ok_or_else(|| {
-            Error::EmptyWindow(format!(
+        let mut seed = self.boundary_seed(closed_window(
+            window_lo,
+            t,
+            format_args!(
                 "advance seed window {window_lo}..{t} collapsed (target below \
                  the watermark {})",
                 self.now
-            ))
-        })?;
-        let mut seed = Database::new();
-        for (pred, tuple, ivs) in self.total.iter() {
-            let clipped = IntervalSet::clip_components(ivs, &window);
-            if !clipped.is_empty() {
-                seed.merge(pred, &tuple.to_vec(), &clipped)?;
-            }
-        }
+            ),
+        )?)?;
         for fact in self.pending.drain(..) {
             self.total.insert_fact(&fact)?;
             seed.insert(fact.pred, &fact.args, fact.interval)?;
@@ -748,18 +696,14 @@ impl Session {
         // already carries the `reach`-wide slice a derivation above it can
         // read: only `[now, t]` is re-derived (`top`, which no seed
         // carries, keeps holding on all of `[start, t]`).
-        let horizon = Interval::new(
-            TimeBound::Finite(self.now),
-            true,
-            TimeBound::Finite(t),
-            true,
-        )
-        .ok_or_else(|| {
-            Error::EmptyWindow(format!(
+        let horizon = closed_window(
+            self.now,
+            t,
+            format_args!(
                 "advance window {}..{t} collapsed (target below the watermark)",
                 self.now
-            ))
-        })?;
+            ),
+        )?;
 
         let top = self.session_horizon(t)?;
 
@@ -778,44 +722,13 @@ impl Session {
             s.add("pending", pending_count as u64);
             s.add("seed_tuples", seed_tuples as u64);
         }
-        let latency = started.elapsed();
         self.stats.derived_tuples += self
             .total
             .tuple_count()
             .saturating_sub(tuples_before + pending_count);
-        self.stats.elapsed += latency;
+        self.stats.elapsed += started.elapsed();
         self.stats.total_components = self.total.component_count();
         super::capture_storage_stats(&self.total, &mut self.stats);
-
-        // Tick-latency histogram and watermark-lag gauge: always cheap
-        // enough to record (atomics), named under `session.*` in the global
-        // registry.
-        let registry = chronolog_obs::Registry::global();
-        registry
-            .histogram("session.advance_latency_us")
-            .record(latency.as_micros() as u64);
-        registry.counter("session.advances").inc();
-        registry
-            .counter("session.facts_submitted")
-            .add(pending_count as u64);
-        registry
-            .gauge("session.watermark_advance")
-            .set((t.to_f64() - from.to_f64()) as i64);
-        if let Some(tracer) = &self.reasoner.config().tracer {
-            tracer.emit(
-                "advance",
-                vec![
-                    ("from", chronolog_obs::Json::from(format!("{from}"))),
-                    ("to", chronolog_obs::Json::from(format!("{t}"))),
-                    ("pending", chronolog_obs::Json::from(pending_count)),
-                    ("seed_tuples", chronolog_obs::Json::from(seed_tuples)),
-                    (
-                        "latency_us",
-                        chronolog_obs::Json::from(latency.as_micros() as u64),
-                    ),
-                ],
-            );
-        }
         Ok(())
     }
 }
@@ -1263,8 +1176,8 @@ mod tests {
     }
 
     #[test]
-    fn repair_disabled_always_falls_back() {
-        // Budget 0 is how repair is switched off: every cone trips it.
+    fn zero_repair_budget_always_falls_back() {
+        // At budget 0 every cone trips it: each correction rebuilds cold.
         let program = parse_program(MARGIN_RULES).unwrap();
         let mut s = Reasoner::new(program, ReasonerConfig::default().with_repair_budget(0))
             .unwrap()

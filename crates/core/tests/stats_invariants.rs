@@ -7,7 +7,7 @@
 //! the corpus programs and the random-program generator's fact shapes.
 
 use chronolog_core::{parse_source, Database, Reasoner, ReasonerConfig, RunStats};
-use chronolog_obs::SpanRecorder;
+use chronolog_obs::{SpanRecord, SpanRecorder};
 
 /// Every checked-in corpus program, with a horizon wide enough to cover
 /// its inline facts.
@@ -38,6 +38,14 @@ fn materialize(src: &str, lo: i64, hi: i64, semi_naive: bool) -> (RunStats, Stri
     .unwrap();
     let text = m.database.to_facts_text();
     (m.stats, text)
+}
+
+/// The value of a span's counter, if it carries one named `key`.
+fn counter(span: &SpanRecord, key: &str) -> Option<u64> {
+    span.counters
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map(|&(_, v)| v)
 }
 
 /// Per-rule and per-stratum sections must sum exactly to the run totals.
@@ -255,13 +263,10 @@ fn corrected_estimates_preserve_tuple_volume_accounting() {
         "run" => u64::from(reads_delta),
         other => panic!("unexpected predicate {other}"),
     };
-    let counter = |s: &chronolog_obs::SpanRecord, key: &str| {
-        s.counters.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-    };
     let (mut lookups, mut volume) = (0u64, 0u64);
     for (_, records) in recorder.lanes() {
         // Records come in end order: a rule's step spans, then the rule.
-        let mut steps: Vec<&chronolog_obs::SpanRecord> = Vec::new();
+        let mut steps: Vec<&SpanRecord> = Vec::new();
         for record in &records {
             if matches!(record.name.as_str(), "join" | "constraint" | "negate") {
                 steps.push(record);
@@ -494,13 +499,13 @@ fn profiler_spans_tie_out_against_stratum_walls() {
             .stats;
 
             let lanes = recorder.lanes();
-            let span_dur = |target: &str| -> Option<u64> {
+            let span = |target: &str| -> Option<&SpanRecord> {
                 lanes
                     .iter()
                     .flat_map(|(_, records)| records.iter())
                     .find(|r| r.name == target)
-                    .map(|r| r.dur_us)
             };
+            let span_dur = |target: &str| span(target).map(|r| r.dur_us);
             for s in &stats.strata {
                 let dur = span_dur(&format!("stratum {}", s.stratum))
                     .unwrap_or_else(|| panic!("{name}: no span for stratum {}", s.stratum));
@@ -525,6 +530,22 @@ fn profiler_spans_tie_out_against_stratum_walls() {
                 mat_us,
                 stats.elapsed
             );
+            // Its counters are the run totals.
+            let mat = span("materialize").unwrap();
+            for (key, expected) in [
+                ("rules", stats.rules.len()),
+                ("strata", stats.strata.len()),
+                ("input_tuples", db.tuple_count()),
+                ("derived_tuples", stats.derived_tuples),
+                ("total_components", stats.total_components),
+                ("rule_evaluations", stats.rule_evaluations),
+            ] {
+                assert_eq!(
+                    counter(mat, key),
+                    Some(expected as u64),
+                    "{name} ({threads} threads): materialize span counter {key}"
+                );
+            }
             for (lane, records) in &lanes {
                 let roots: Vec<_> = records.iter().filter(|r| r.depth == 0).collect();
                 let sum: u64 = roots.iter().map(|r| r.dur_us).sum();
@@ -539,6 +560,88 @@ fn profiler_spans_tie_out_against_stratum_walls() {
                 );
             }
         }
+    }
+}
+
+/// The spans are the one timeline: over a session that advances, retracts
+/// and late-submits — at the default repair budget and at budget 0, where
+/// every correction trips the cold fallback — the `iteration`, `stratum`,
+/// `advance` and `repair` spans count and sum to exactly what `RunStats`
+/// reports, so nothing the stats say needs a second event stream.
+#[test]
+fn session_spans_tie_out_against_run_stats() {
+    use chronolog_core::{Fact, Value};
+    let rules = "isOpen(A) :- tranM(A, M).\n\
+         isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
+         margin(A, M) :- tranM(A, M), not boxminus isOpen(A).\n\
+         changeM(A) :- tranM(A, M).\n\
+         changeM(A) :- withdraw(A).\n\
+         margin(A, M) :- diamondminus margin(A, M), not changeM(A).\n\
+         margin(A, M) :- boxminus isOpen(A), diamondminus margin(A, X), tranM(A, Y), M = X + Y.";
+    let tran = |m: f64, t: i64| Fact::at("tranM", vec![Value::sym("acc"), Value::num(m)], t);
+    for budget in [ReasonerConfig::default().repair_budget, 0] {
+        let (program, _) = parse_source(rules).unwrap();
+        let recorder = SpanRecorder::new();
+        let config = ReasonerConfig {
+            profiler: Some(recorder.clone()),
+            ..ReasonerConfig::default().with_repair_budget(budget)
+        };
+        let mut session = Reasoner::new(program, config)
+            .unwrap()
+            .into_session(&Database::new(), 0)
+            .unwrap();
+        session.submit(tran(97.0, 3)).unwrap();
+        session.advance_to(10).unwrap();
+        session.submit_late(tran(3.0, 5)).unwrap();
+        session.retract(tran(97.0, 3)).unwrap();
+        session
+            .submit(Fact::at("withdraw", vec![Value::sym("acc")], 12))
+            .unwrap();
+        session.advance_to(15).unwrap();
+        // `into_session` materializes the starting instant: one advance.
+        let advances = 3;
+
+        let stats = session.stats();
+        assert_eq!(recorder.dropped(), 0);
+        let lanes = recorder.lanes();
+        let spans: Vec<&SpanRecord> = lanes.iter().flat_map(|(_, r)| r.iter()).collect();
+        let named = |name: &str| -> Vec<&SpanRecord> {
+            spans.iter().copied().filter(|s| s.name == name).collect()
+        };
+        let sum = |of: &[&SpanRecord], key: &str| -> u64 {
+            of.iter()
+                .map(|s| counter(s, key).unwrap_or_else(|| panic!("{} has no {key}", s.name)))
+                .sum()
+        };
+
+        assert_eq!(
+            named("iteration").len(),
+            stats.iterations.iter().sum::<usize>(),
+            "budget {budget}: one iteration span per counted fixpoint round"
+        );
+        for row in &stats.strata {
+            let of = named(&format!("stratum {}", row.stratum));
+            assert_eq!(sum(&of, "iterations"), row.iterations as u64);
+            assert_eq!(sum(&of, "tuples_derived"), row.tuples_derived as u64);
+            assert_eq!(sum(&of, "components_added"), row.components_added as u64);
+        }
+        assert_eq!(named("advance").len(), advances, "budget {budget}");
+
+        let repairs = named("repair");
+        let r = &stats.repairs;
+        assert_eq!(r.attempted, 2);
+        assert_eq!(repairs.len() as u64, r.attempted, "budget {budget}");
+        assert_eq!(sum(&repairs, "cone_tuples"), r.cone_tuples);
+        assert_eq!(
+            sum(&repairs, "overdeleted_components"),
+            r.overdeleted_components
+        );
+        assert_eq!(sum(&repairs, "fallback"), r.fallbacks);
+        // Both budgets do what they are here for.
+        assert_eq!(r.fallbacks, if budget == 0 { 2 } else { 0 });
+        assert_eq!(r.budget_trips, r.fallbacks);
+        assert!(r.cone_tuples > 0, "budget {budget}: {r:?}");
+        assert_eq!(r.overdeleted_components > 0, budget != 0, "{r:?}");
     }
 }
 

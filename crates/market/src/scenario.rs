@@ -281,11 +281,6 @@ pub fn generate(config: &ScenarioConfig) -> Trace {
     trace
         .validate()
         .unwrap_or_else(|e| panic!("generator produced an invalid trace: {e}"));
-    let registry = chronolog_obs::Registry::global();
-    registry.counter("market.scenarios_generated").inc();
-    registry
-        .counter("market.events_generated")
-        .add(trace.events.len() as u64);
     trace
 }
 

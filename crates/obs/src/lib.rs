@@ -1,17 +1,14 @@
 //! # chronolog-obs
 //!
-//! The observability substrate of the chronolog workspace: counters,
-//! gauges, and fixed-bucket latency histograms built on atomics; a bounded
-//! structured-event ring buffer for execution traces; a hand-rolled JSON
-//! value type with a writer and parser; and a small deterministic RNG.
+//! The observability substrate of the chronolog workspace: a hierarchical
+//! span recorder (the engine's one timeline); a hand-rolled JSON value
+//! type with a writer and parser; and a small deterministic RNG.
 //!
 //! Everything here is dependency-free by design: the workspace builds in
 //! fully offline environments, so this crate supplies the pieces that
-//! would otherwise come from `serde_json`, `rand`, or a metrics crate.
+//! would otherwise come from `serde_json`, `rand`, or a tracing crate.
 //!
 //! * [`json`] — [`Json`] value, compact/pretty writers, a strict parser.
-//! * [`metrics`] — [`Counter`], [`Gauge`], [`Histogram`], [`Registry`].
-//! * [`trace`] — [`Tracer`], a bounded ring of [`TraceEvent`]s, JSONL out.
 //! * [`span`] — [`SpanRecorder`], hierarchical timing with per-thread
 //!   lanes, Chrome `trace_event` and folded-flamegraph export.
 //! * [`rng`] — [`SmallRng`], a seeded SplitMix64 generator.
@@ -19,13 +16,9 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod metrics;
 pub mod rng;
 pub mod span;
-pub mod trace;
 
 pub use json::{Json, JsonError};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use rng::SmallRng;
 pub use span::{spans_started, SpanGuard, SpanRecord, SpanRecorder};
-pub use trace::{TraceEvent, Tracer};

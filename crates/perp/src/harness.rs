@@ -116,15 +116,6 @@ fn run_datalog_configured(
     let reasoner = Reasoner::new(program, config)?;
     let m = reasoner.materialize(&encoded.database)?;
     let run = extract_run(&m.database, trace, &encoded)?;
-    let registry = chronolog_obs::Registry::global();
-    registry.counter("perp.runs").inc();
-    registry
-        .counter("perp.events")
-        .add(trace.events.len() as u64);
-    registry.counter("perp.trades").add(run.trades.len() as u64);
-    registry
-        .histogram("perp.run_latency_us")
-        .record(m.stats.elapsed.as_micros() as u64);
     Ok(DatalogRun {
         run,
         stats: m.stats,
@@ -216,13 +207,7 @@ pub fn validate(
 ) -> Result<ValidationReport, HarnessError> {
     let datalog = run_datalog(trace, params, mode)?;
     let subgraph = ReferenceEngine::<Fixed18>::run_trace(*params, trace);
-    let report = build_report(datalog, subgraph);
-    let registry = chronolog_obs::Registry::global();
-    registry.counter("perp.validations").inc();
-    registry
-        .counter("perp.settlements")
-        .add(report.datalog.trades.len() as u64);
-    Ok(report)
+    Ok(build_report(datalog, subgraph))
 }
 
 fn build_report(datalog: DatalogRun, subgraph: MarketRun) -> ValidationReport {
