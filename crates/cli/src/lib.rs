@@ -983,7 +983,8 @@ fn query_database(db: &Database, pattern: &Atom, window: Option<&Interval>) -> V
     render_answers(pattern, &db.query(pattern, window))
 }
 
-/// Renders query answers one line per validity component, in the same
+/// Renders query answers one line per validity interval (every second of
+/// a persistence run its own line, however the run is stored), in the same
 /// format for both the goal-driven and the full-materialization path (CI
 /// diffs the two byte for byte).
 fn render_answers(pattern: &Atom, answers: &[(Tuple, IntervalSet)]) -> Vec<String> {
@@ -994,7 +995,7 @@ fn render_answers(pattern: &Atom, answers: &[(Tuple, IntervalSet)]) -> Vec<Strin
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join(", ");
-        for iv in ivs.iter() {
+        for iv in ivs.atoms() {
             out.push(format!("{}({args})@{iv}", pattern.pred));
         }
     }

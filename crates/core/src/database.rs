@@ -79,38 +79,58 @@ struct SecondaryIndexes {
 const TIME_INDEX_PENDING_MAX: usize = 64;
 
 /// Sorted-endpoint time index: every finite interval component of every
-/// tuple as a `(lo, hi, id)` entry ordered by `lo`. A window probe
-/// binary-searches the entries whose component can overlap the window —
-/// `lo ∈ [window.lo − max_len, window.hi]` — and filters by `hi`.
+/// tuple as a `(lo, hi, id)` entry ordered by `lo`, one sorted run per
+/// *length class* (class `k` holds the components shorter than `16^k`). A
+/// window probe binary-searches, in each class, the entries whose component
+/// can overlap the window — `lo ∈ [window.lo − max_len, window.hi]`, with
+/// `max_len` the longest component the class has seen — and filters by `hi`.
 ///
-/// The index is an over-approximation: endpoint closedness is ignored and
-/// components superseded by later coalescing are retained. That is sound
-/// because the union of all indexed components always covers the tuple's
-/// true interval set (every `insert`ed interval and every `merge` delta is
-/// indexed), so a probe can return false positives — removed by the
-/// caller's exact `intersect_interval` clip — but never false negatives.
-#[derive(Clone, Debug)]
+/// A progression is indexed by its hull, as one entry. The classes are what
+/// keep that cheap: one 7 200 s persistence run widens the scan of its own
+/// (sparsely populated) class only, not the scan over the thousands of
+/// punctual entries next to it, which a single index-wide length bound
+/// would start at 0.
+///
+/// The index is an over-approximation: endpoint closedness and the gaps
+/// between teeth are ignored, and components superseded by later coalescing
+/// (a run extended in place leaves its shorter self behind) are retained.
+/// That is sound because the union of all indexed extents always covers the
+/// tuple's true interval set (every `insert`ed interval and every `merge`
+/// delta is indexed), so a probe can return false positives — removed by
+/// the caller's exact `intersect_interval` clip — but never false negatives.
+#[derive(Clone, Debug, Default)]
 struct TimeIndex {
-    /// Sorted by `(lo, hi, id)`.
-    entries: Vec<(Rational, Rational, u32)>,
-    /// Recent insertions not yet merged into `entries`, scanned linearly.
+    /// `classes[k]`: the entries of length `< 16^k`.
+    classes: Vec<LengthClass>,
+    /// Recent insertions not yet merged into `classes`, scanned linearly.
     pending: Vec<(Rational, Rational, u32)>,
+    /// Total entries across `classes`.
+    sorted: usize,
     /// Ids of tuples with an unbounded (or overflow-length) component;
     /// always candidates. Sorted, deduplicated.
     unbounded: Vec<u32>,
-    /// Upper bound on the length of any indexed component; bounds how far
-    /// before a window an overlapping component can start.
+}
+
+/// The entries of one length class of a [`TimeIndex`].
+#[derive(Clone, Debug, Default)]
+struct LengthClass {
+    /// Sorted by `(lo, hi, id)`.
+    entries: Vec<(Rational, Rational, u32)>,
+    /// Upper bound on the length of any entry; bounds how far before a
+    /// window an overlapping entry can start.
     max_len: Rational,
+}
+
+/// The length class of a component `len` long: the least `k` with
+/// `len < 16^k`.
+fn length_class(len: Rational) -> usize {
+    let bits = u64::BITS - (len.floor() as u64).leading_zeros();
+    bits.div_ceil(4) as usize
 }
 
 impl TimeIndex {
     fn build<'a>(entries: impl Iterator<Item = (u32, &'a [Interval])>) -> TimeIndex {
-        let mut idx = TimeIndex {
-            entries: Vec::new(),
-            pending: Vec::new(),
-            unbounded: Vec::new(),
-            max_len: Rational::ZERO,
-        };
+        let mut idx = TimeIndex::default();
         for (id, comps) in entries {
             for comp in comps {
                 idx.note(comp, id);
@@ -122,17 +142,14 @@ impl TimeIndex {
 
     /// Records one interval component of tuple `id`.
     fn note(&mut self, comp: &Interval, id: u32) {
-        let bounded = comp.finite_endpoints().and_then(|(lo, hi)| {
-            // Overflow-length components are demoted to `unbounded`.
-            hi.checked_sub(lo).map(|len| (lo, hi, len))
-        });
+        // Overflow-length components are demoted to `unbounded`.
+        let bounded = comp
+            .finite_endpoints()
+            .filter(|(lo, hi)| hi.checked_sub(*lo).is_some());
         match bounded {
-            Some((lo, hi, len)) => {
-                if len > self.max_len {
-                    self.max_len = len;
-                }
+            Some((lo, hi)) => {
                 self.pending.push((lo, hi, id));
-                if self.pending.len() > TIME_INDEX_PENDING_MAX.max(self.entries.len() / 8) {
+                if self.pending.len() > TIME_INDEX_PENDING_MAX.max(self.sorted / 8) {
                     self.flush();
                 }
             }
@@ -144,35 +161,51 @@ impl TimeIndex {
         }
     }
 
-    /// Merges the pending tail into the sorted entries. Only the tail is
-    /// sorted; the runs are then stitched with a linear merge (or a plain
-    /// append when the tail lands entirely after the sorted run, the
+    /// Merges the pending tail into the sorted classes. Only the tail is
+    /// sorted; each class's share is then stitched in with a linear merge
+    /// (or a plain append when it lands entirely after the sorted run, the
     /// common case for monotone streams), so a flush never re-sorts the
     /// full index.
     fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
         self.pending.sort_unstable();
-        if self.entries.last() <= self.pending.first() {
-            self.entries.append(&mut self.pending);
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.entries.len() + self.pending.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < self.pending.len() {
-            if self.entries[i] <= self.pending[j] {
-                merged.push(self.entries[i]);
-                i += 1;
-            } else {
-                merged.push(self.pending[j]);
-                j += 1;
+        self.sorted += self.pending.len();
+        let mut tails: Vec<Vec<(Rational, Rational, u32)>> = Vec::new();
+        for e in self.pending.drain(..) {
+            let len = e.1 - e.0;
+            let class = length_class(len);
+            if tails.len() <= class {
+                tails.resize_with(class + 1, Vec::new);
+                self.classes
+                    .resize_with(self.classes.len().max(class + 1), Default::default);
             }
+            let max_len = &mut self.classes[class].max_len;
+            *max_len = len.max(*max_len);
+            tails[class].push(e);
         }
-        merged.extend_from_slice(&self.entries[i..]);
-        merged.extend_from_slice(&self.pending[j..]);
-        self.entries = merged;
-        self.pending.clear();
+        for (class, mut tail) in self.classes.iter_mut().zip(tails) {
+            let entries = &mut class.entries;
+            if tail.is_empty() {
+                continue;
+            }
+            if entries.last() <= tail.first() {
+                entries.append(&mut tail);
+                continue;
+            }
+            let mut merged = Vec::with_capacity(entries.len() + tail.len());
+            let (mut i, mut j) = (0, 0);
+            while i < entries.len() && j < tail.len() {
+                if entries[i] <= tail[j] {
+                    merged.push(entries[i]);
+                    i += 1;
+                } else {
+                    merged.push(tail[j]);
+                    j += 1;
+                }
+            }
+            merged.extend_from_slice(&entries[i..]);
+            merged.extend_from_slice(&tail[j..]);
+            *entries = merged;
+        }
     }
 
     /// Tuple ids whose indexed extent can overlap `window`, in ascending
@@ -180,23 +213,25 @@ impl TimeIndex {
     fn probe_into(&self, window: &Interval, ids: &mut Vec<u32>) {
         let wlo = window.lo().finite();
         let whi = window.hi().finite();
-        let start = match wlo.and_then(|a| a.checked_sub(self.max_len)) {
-            // A component starting before `window.lo − max_len` ends
-            // before the window; skip it. On −∞ or overflow, scan from 0.
-            Some(cut) => self.entries.partition_point(|&(lo, _, _)| lo < cut),
-            None => 0,
-        };
-        let end = match whi {
-            Some(b) => self.entries.partition_point(|&(lo, _, _)| lo <= b),
-            None => self.entries.len(),
-        };
         let overlaps =
             |lo: Rational, hi: Rational| wlo.is_none_or(|a| hi >= a) && whi.is_none_or(|b| lo <= b);
         ids.clear();
         ids.extend_from_slice(&self.unbounded);
-        for &(lo, hi, id) in &self.entries[start..end] {
-            if overlaps(lo, hi) {
-                ids.push(id);
+        for class in self.classes.iter().filter(|c| !c.entries.is_empty()) {
+            let entries = &class.entries;
+            let start = match wlo.and_then(|a| a.checked_sub(class.max_len)) {
+                // An entry starting before `window.lo − max_len` ends
+                // before the window; skip it. On −∞ or overflow, scan from 0.
+                Some(cut) => entries.partition_point(|&(lo, _, _)| lo < cut),
+                None => 0,
+            };
+            for &(lo, hi, id) in &entries[start..] {
+                if whi.is_some_and(|b| lo > b) {
+                    break;
+                }
+                if overlaps(lo, hi) {
+                    ids.push(id);
+                }
             }
         }
         for &(lo, hi, id) in &self.pending {
@@ -488,10 +523,19 @@ impl ColumnStore {
         if !last.entirely_before(first) {
             return None;
         }
-        // Touching at the boundary extends the stored last component; the
-        // rest of the run is appended behind it either way.
+        // Touching at the boundary — or continuing a stored progression by
+        // exactly one step — extends the stored last component; the rest of
+        // the run is appended behind it either way.
         let (last, tail) = match last.union_if_connected(first) {
+            // A lone point that becomes the start of a run may in turn
+            // continue the lone point before it: a reshaping again.
+            Some(u) if before > 1 && u.is_strided() && !last.is_strided() => return None,
             Some(u) => (u, rest),
+            // A tooth touching an interval has to be absorbed by it: that
+            // reshapes the stored component, so the general path decides.
+            None if last.hi() == first.lo() && (last.is_strided() || first.is_strided()) => {
+                return None
+            }
             None => (last, run),
         };
         let after = before + tail.len();
@@ -743,7 +787,9 @@ impl Relation {
         let mut set = self.set_of(id);
         let delta = ivs.difference(&set);
         if !delta.is_empty() {
-            set.union_with(&delta);
+            // All of `ivs`, not just the new part: a run that overlaps a
+            // stored tooth joins it.
+            set.union_with(ivs);
             self.write_set(id, &set);
             self.note_time(&delta, id);
         }
@@ -1110,8 +1156,11 @@ impl Database {
                     .map(|v| v.to_string())
                     .collect::<Vec<_>>()
                     .join(", ");
+                // One line per tooth: the text never shows how a run is
+                // stored.
                 comps
                     .iter()
+                    .flat_map(Interval::atoms)
                     .map(move |iv| format!("{p}({args})@{iv}."))
                     .collect::<Vec<_>>()
             })
@@ -1471,6 +1520,37 @@ mod tests {
         for t in 0..=9 {
             assert_eq!(rel.probe_time(&Interval::at(t)), vec![0], "at t={t}");
         }
+        // The same for persistence runs, indexed by their hull: one that is
+        // extended in place, one cut in two by a removal, one removed
+        // altogether — a probe may name a tuple that no longer holds there
+        // (the caller's clip drops it), never miss one that does.
+        let run = |from: i64, steps: u32| {
+            let run = Interval::progression(from.into(), Rational::ONE, steps);
+            IntervalSet::from_interval(run.expect("a small progression"))
+        };
+        for id in 1..=3 {
+            db.merge(pred, &[Value::Int(id)], &run(100 * id, 40))
+                .unwrap();
+        }
+        db.merge(pred, &[Value::Int(1)], &run(141, 30)).unwrap(); // extend
+        db.remove(pred, &[Value::Int(2)], &run(210, 10)); // split
+        db.remove(pred, &[Value::Int(3)], &run(300, 40)); // remove
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.components_of(&[Value::Int(1)]).unwrap().len(), 1);
+        assert_eq!(rel.components_of(&[Value::Int(2)]).unwrap().len(), 2);
+        for t in 0..400 {
+            let holding: Vec<u32> = (0..4)
+                .filter(|&id| IntervalSet::components_contain(rel.entry(id).1, t.into()))
+                .collect();
+            let probed = rel.probe_time(&Interval::at(t));
+            assert!(
+                holding.iter().all(|id| probed.contains(id)),
+                "at t={t}: probe {probed:?} misses one of {holding:?}"
+            );
+        }
+        // A long run does not drag the short entries of other tuples into
+        // every probe: far from tuple 0's [0, 9], only the run answers.
+        assert_eq!(rel.probe_time(&Interval::at(150)), vec![1]);
     }
 
     #[test]
@@ -1695,14 +1775,29 @@ mod tests {
                 let mut t = start;
                 for k in 0..rng.gen_range_usize(1, 40) {
                     let open_lo = open && k == 0;
-                    let hi = t + rng.gen_range_i64(open_lo as i64, 3);
-                    let iv = Interval::new(
-                        Rational::integer(t).into(),
-                        !open_lo,
-                        Rational::integer(hi).into(),
-                        true,
-                    )
-                    .expect("non-empty by construction");
+                    // A third of the pieces are persistence runs: with the
+                    // 1–3 s gaps between pieces they continue the piece (or
+                    // the stored tail) before them, start a run of another
+                    // step, or land one step short of coalescing.
+                    let (iv, hi) = if !open_lo && rng.gen_bool(0.35) {
+                        let step = rng.gen_range_i64(1, 4);
+                        let steps = rng.gen_range_i64(1, 20);
+                        let run = Interval::progression(
+                            Rational::integer(t),
+                            Rational::integer(step),
+                            steps as u32,
+                        );
+                        (run.expect("a small progression"), t + step * steps)
+                    } else {
+                        let hi = t + rng.gen_range_i64(open_lo as i64, 3);
+                        let iv = Interval::new(
+                            Rational::integer(t).into(),
+                            !open_lo,
+                            Rational::integer(hi).into(),
+                            true,
+                        );
+                        (iv.expect("non-empty by construction"), hi)
+                    };
                     run.insert(iv);
                     end = end.max(hi);
                     t = hi + rng.gen_range_i64(1, 4);
@@ -1727,6 +1822,15 @@ mod tests {
                     vec![0],
                     "seed {seed} round {round}: time index lost the run"
                 );
+                // Every stored second is reachable through the index, also
+                // those of a run extended in place.
+                for at in oracle.atoms().filter_map(|a| a.punctual_value()) {
+                    assert_eq!(
+                        rel.probe_time(&Interval::point(at)),
+                        vec![0],
+                        "seed {seed} round {round}: time index lost second {at}"
+                    );
+                }
             }
         }
     }

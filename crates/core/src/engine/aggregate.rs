@@ -101,7 +101,9 @@ fn decompose_and_aggregate(
     let mut has_neg_inf = false;
     let mut has_pos_inf = false;
     for c in contribs {
-        for iv in c.active.iter() {
+        // Every tooth of a persisted (strided) contribution is a boundary of
+        // its own: between two teeth the contribution is not active.
+        for iv in c.active.atoms() {
             match iv.lo() {
                 TimeBound::Finite(r) => points.push(r),
                 TimeBound::NegInf => has_neg_inf = true,

@@ -33,6 +33,15 @@
 //! model — which is unique — is unchanged. Rules that do not match take the
 //! ordinary path.
 //!
+//! When every operator of the chain is punctual — a plain shift by `c` — and
+//! the row holds only points, that iteration has a closed form: from a seed
+//! `s` it derives `s + c, s + 2c, …` for as long as each point lies in `P`,
+//! and how long that is inside one component of `P` is a division
+//! ([`Interval::run_length`]). [`Chains::close`] then emits one arithmetic
+//! progression per guard piece the run crosses instead of one point per
+//! step; only chains with a window of positive length, and rows with
+//! components of positive length, are stepped.
+//!
 //! The same argument makes everything the rule merges (`fresh ∪ closure`)
 //! *closed under the rule*: `op(fresh ∪ closure) ∩ P` lies inside what the
 //! tuple stores afterwards. The fixpoint driver therefore hands a self-chain
@@ -46,7 +55,7 @@ use super::eval::{eval_matom_masked, Bindings, EvalCtx};
 use super::ReasonerConfig;
 use super::{budget_exceeded_components, budget_exceeded_iterations, rule_span_name};
 use crate::ast::{Atom, Literal, MetricAtom, Rule};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::symbol::Symbol;
 use crate::value::Value;
 use mtl_temporal::{Interval, IntervalSet, MetricInterval, Rational, TimeBound};
@@ -64,6 +73,8 @@ struct SelfChain {
     /// Head variables the guards mention, sorted: their values determine
     /// the guard set and key its cache.
     key_vars: Vec<Symbol>,
+    /// The chain's total shift when all its operators are punctual.
+    shift: Option<Rational>,
 }
 
 /// The self-chain rules of one stratum, by rule index.
@@ -79,7 +90,8 @@ pub(crate) type GuardSets = HashMap<(usize, Vec<Value>), (Interval, IntervalSet)
 /// What closing one row produced.
 pub(crate) struct Closed {
     /// The part of the row not yet stored plus everything the closure
-    /// derived from it — disjoint from the stored intervals.
+    /// derived from it — disjoint from the stored intervals but for the one
+    /// stored second a lone new one is anchored to (see [`jump`]).
     pub out: IntervalSet,
     /// Closure steps that derived something new (each stands for one
     /// `(binding, intervals)` result of the round-by-round path).
@@ -113,47 +125,29 @@ fn matom(rule: &Rule, literal: usize) -> &MetricAtom {
     }
 }
 
-/// Applies the chain's operators, innermost first, in place to the sorted,
-/// pairwise non-connected components `at` (time points at which the atom
-/// holds); the result satisfies the same invariant.
-fn apply_chain(m: &MetricAtom, at: &mut Vec<Interval>) -> Result<()> {
+/// The total shift of a chain whose operators are all punctual.
+fn punctual_shift(m: &MetricAtom) -> Option<Rational> {
     match m {
-        MetricAtom::Rel(_) => {}
-        MetricAtom::DiamondMinus(rho, inner) => {
-            apply_chain(inner, at)?;
-            // Every component widens by the same window, so the order holds;
-            // neighbours the window bridges are re-coalesced.
-            let mut kept = 0usize;
-            for i in 0..at.len() {
-                let c = at[i].checked_diamond_minus(rho)?;
-                let bridged = kept
-                    .checked_sub(1)
-                    .and_then(|last| at[last].union_if_connected(&c));
-                match bridged {
-                    Some(u) => at[kept - 1] = u,
-                    None => {
-                        at[kept] = c;
-                        kept += 1;
-                    }
-                }
-            }
-            at.truncate(kept);
-        }
-        MetricAtom::BoxMinus(rho, inner) => {
-            apply_chain(inner, at)?;
-            // Punctual `⊟` is a plain shift: order and gaps are preserved.
-            let mut kept = 0usize;
-            for i in 0..at.len() {
-                if let Some(c) = at[i].checked_box_minus(rho)? {
-                    at[kept] = c;
-                    kept += 1;
-                }
-            }
-            at.truncate(kept);
-        }
-        _ => unreachable!("detection admits only ◇⁻/⊟ chains"),
+        MetricAtom::Rel(_) => Some(Rational::ZERO),
+        MetricAtom::DiamondMinus(rho, inner) | MetricAtom::BoxMinus(rho, inner) => rho
+            .as_interval()
+            .punctual_value()?
+            .checked_add(punctual_shift(inner)?),
+        _ => None,
     }
-    Ok(())
+}
+
+/// Applies the chain's operators, innermost first, to the time points `at`
+/// at which the atom holds.
+fn apply_chain(m: &MetricAtom, at: IntervalSet) -> Result<IntervalSet> {
+    Ok(match m {
+        MetricAtom::Rel(_) => at,
+        MetricAtom::DiamondMinus(rho, inner) => {
+            apply_chain(inner, at)?.checked_diamond_minus(rho)?
+        }
+        MetricAtom::BoxMinus(rho, inner) => apply_chain(inner, at)?.checked_box_minus(rho)?,
+        _ => unreachable!("detection admits only ◇⁻/⊟ chains"),
+    })
 }
 
 /// `set ∖ stored`, reading only the stored components `set` can overlap.
@@ -164,6 +158,171 @@ fn minus_stored(set: IntervalSet, stored: &[Interval]) -> IntervalSet {
         }
         _ => set,
     }
+}
+
+/// What one closure may still spend: its steps count against
+/// `max_iterations` on top of the `iteration`s the stratum already ran, its
+/// components against `max_components`, so an unbounded horizon errs after
+/// O(budget) work instead of never returning.
+struct Budget<'c> {
+    steps: usize,
+    components: usize,
+    config: &'c ReasonerConfig,
+}
+
+impl Budget<'_> {
+    fn charge(&self, steps: u64, out: &IntervalSet) -> Result<()> {
+        if steps >= self.steps as u64 {
+            return Err(budget_exceeded_iterations(self.config));
+        }
+        if out.components().len() > self.components {
+            return Err(budget_exceeded_components(self.config));
+        }
+        Ok(())
+    }
+}
+
+/// The closure of `fresh` under a chain that shifts by `shift`, in closed
+/// form: every seed is [`follow`]ed through the guard set. Returns the
+/// closure with `fresh` and the length of the longest run — the number of
+/// steps the round-by-round iteration would have taken.
+fn jump(
+    shift: Rational,
+    fresh: IntervalSet,
+    stored: &[Interval],
+    guard: &[Interval],
+    budget: &Budget<'_>,
+) -> Result<(IntervalSet, usize)> {
+    let overflow = || Error::from(mtl_temporal::TimeOverflow);
+    let mut out = fresh.clone();
+    let mut longest = 0u64;
+    for seed in fresh.components() {
+        // Within a run of the chain's own step every tooth but the last is
+        // followed by the next one: only the last starts something new.
+        let settled = if seed.step() == Some(shift) {
+            seed.steps() as usize
+        } else {
+            0
+        };
+        for start in seed.atoms().skip(settled) {
+            let from = start.punctual_value().expect("the row holds only points");
+            longest = longest.max(follow(from, shift, stored, guard, budget, &mut out)?);
+        }
+    }
+    // A lone new second next to the lone stored second it was derived from
+    // would stay a component of its own for ever — two points never
+    // coalesce, and a session advancing one second at a time only ever
+    // delivers points. Handed over as one two-tooth run (the merge drops the
+    // tooth it already stores), every later second extends it.
+    let lone = |i: &Interval| i.punctual_value();
+    if let (Some(new), Some(old)) = (
+        out.components().first().and_then(lone),
+        stored.last().and_then(lone),
+    ) {
+        if old.checked_add(shift) == Some(new) {
+            out.insert(Interval::progression(old, shift, 1).ok_or_else(overflow)?);
+        }
+    }
+    Ok((out, longest as usize))
+}
+
+/// Adds to `out` the run `from + shift, from + 2·shift, …` for as long as
+/// each point lies in the guard set, and returns its length: one progression
+/// per guard piece the run crosses, its tooth count a division
+/// ([`Interval::run_length`]) and charged against the budget before the
+/// piece is built. The run ends early at the first point already known for
+/// the tuple (in `stored`, or derived here) — that point's own consequences
+/// are, or were, derived from it.
+fn follow(
+    mut from: Rational,
+    shift: Rational,
+    stored: &[Interval],
+    guard: &[Interval],
+    budget: &Budget<'_>,
+    out: &mut IntervalSet,
+) -> Result<u64> {
+    let overflow = || Error::from(mtl_temporal::TimeOverflow);
+    let mut length = 0u64;
+    // The run only moves forward, so one binary search finds its first
+    // guard piece (a cached guard set can start far before the row) and the
+    // cursor walks on from there.
+    let mut at = guard.partition_point(|p| p.entirely_before(&Interval::point(from)));
+    while at < guard.len() {
+        let next = from.checked_add(shift).ok_or_else(overflow)?;
+        let here = Interval::point(next);
+        at += guard[at..].partition_point(|p| p.entirely_before(&here));
+        let mut teeth = guard.get(at).map_or(0, |p| p.run_length(next, shift));
+        if teeth == 0 {
+            break;
+        }
+        budget.charge(length.saturating_add(teeth), out)?;
+        // A progression holds at most 2³² teeth; a longer stretch becomes
+        // several.
+        while teeth > 0 {
+            let count = teeth.min(u32::MAX as u64) as u32;
+            // Anchored on the tooth it continues (which `out` holds), so
+            // that even a single new second joins its run: two lone points
+            // would never coalesce.
+            let piece = Interval::progression(from, shift, count).ok_or_else(overflow)?;
+            let new = Interval::new(from.into(), false, TimeBound::PosInf, false)
+                .and_then(|after| piece.intersect(&after))
+                .expect("the piece has a tooth past its anchor");
+            let known = [out.components(), stored]
+                .iter()
+                .filter_map(|k| IntervalSet::clip_components(k, &new).min_point())
+                .min();
+            let piece = match known {
+                None => piece,
+                Some(k) => Interval::new(TimeBound::NegInf, false, k, false)
+                    .and_then(|before| piece.intersect(&before))
+                    .expect("the anchor lies before every new tooth"),
+            };
+            length += piece.steps() as u64;
+            out.insert(piece);
+            if known.is_some() {
+                return Ok(length);
+            }
+            teeth -= count as u64;
+            from = piece
+                .hi()
+                .finite()
+                .expect("a progression has finite endpoints");
+        }
+    }
+    Ok(length)
+}
+
+/// The closure of `fresh` by iterating `cur ← op(cur) ∩ P` until nothing new
+/// appears: for the shapes [`jump`] has no closed form for. Returns the
+/// closure with `fresh` and the number of steps that derived something.
+fn step(
+    op: &MetricAtom,
+    fresh: IntervalSet,
+    stored: &[Interval],
+    guard: &[Interval],
+    budget: &Budget<'_>,
+) -> Result<(IntervalSet, usize)> {
+    let mut out = fresh.clone();
+    let mut cur = fresh;
+    let mut steps = 0usize;
+    loop {
+        budget.charge(steps as u64, &out)?;
+        cur = apply_chain(op, cur)?;
+        let Some(hull) = cur.hull() else {
+            break;
+        };
+        // The chain is strictly past, so the piece only moves forward and
+        // mostly lands past everything known for the tuple.
+        let inside = cur.intersect(&IntervalSet::clip_components(guard, &hull));
+        let next = minus_stored(inside.difference(&out), stored);
+        if next.is_empty() {
+            break;
+        }
+        steps += 1;
+        out.union_with(&next);
+        cur = next;
+    }
+    Ok((out, steps))
 }
 
 impl SelfChain {
@@ -218,6 +377,7 @@ impl SelfChain {
             chain,
             guards,
             key_vars,
+            shift: punctual_shift(matom(rule, chain)),
         })
     }
 
@@ -343,71 +503,21 @@ impl Chains {
             guard_sets.insert(key.clone(), (window, set));
         }
         let guard = guard_sets[&key].1.components();
-        let components_left = config
-            .max_components
-            .saturating_sub(ctx.total.component_count());
-        let op = matom(rule, chain.chain);
-        // Two component buffers swap roles every step: `cur` is shifted in
-        // place, `next` receives its clip against the guard set.
-        let mut cur: Vec<Interval> = fresh.components().to_vec();
-        let mut next: Vec<Interval> = Vec::new();
-        let mut out = fresh;
-        // First guard component not entirely before the piece being
-        // clipped. The chain is strictly past, so the piece — and with it
-        // the cursor — only moves forward: one binary search (a cached guard
-        // set can start far before the row), then monotone steps.
-        let mut cursor = guard.partition_point(|p| p.entirely_before(&first));
-        let mut steps = 0usize;
-        loop {
-            if iteration + steps >= config.max_iterations {
-                return Err(budget_exceeded_iterations(config));
-            }
-            apply_chain(op, &mut cur)?;
-            let Some(lead) = cur.first() else {
-                break;
-            };
-            while guard.get(cursor).is_some_and(|p| p.entirely_before(lead)) {
-                cursor += 1;
-            }
-            let mut g = cursor;
-            next.clear();
-            for c in &cur {
-                // A row seeded at several instants closes them in lockstep;
-                // the pieces after the lead can lie hundreds of guard
-                // components ahead, so they search instead of walking.
-                if guard.get(g).is_some_and(|p| p.entirely_before(c)) {
-                    g += guard[g..].partition_point(|p| p.entirely_before(c));
-                }
-                // The last guard component a piece touches may reach into
-                // the following piece too, so `g` stays on it.
-                for p in guard[g..].iter().take_while(|p| !c.entirely_before(p)) {
-                    next.extend(p.intersect(c));
-                }
-            }
-            let Some(first) = next.first().copied() else {
-                break;
-            };
-            // A strictly-past chain mostly lands past everything known for
-            // the tuple; only a piece that reaches back needs subtracting.
-            let past = |known: &[Interval]| known.last().is_none_or(|l| l.entirely_before(&first));
-            if !(past(out.components()) && past(stored)) {
-                let reached_back = IntervalSet::from_sorted(next.clone());
-                let rest = minus_stored(reached_back.difference(&out), stored);
-                next.clear();
-                next.extend_from_slice(rest.components());
-            }
-            if next.is_empty() {
-                break;
-            }
-            steps += 1;
-            for &c in &next {
-                out.insert(c);
-            }
-            if out.components().len() > components_left {
-                return Err(budget_exceeded_components(config));
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
+        let budget = Budget {
+            steps: config.max_iterations.saturating_sub(iteration),
+            components: config
+                .max_components
+                .saturating_sub(ctx.total.component_count()),
+            config,
+        };
+        let only_points = fresh
+            .components()
+            .iter()
+            .all(|i| i.is_strided() || i.is_punctual());
+        let (out, steps) = match chain.shift {
+            Some(shift) if only_points => jump(shift, fresh, stored, guard, &budget)?,
+            _ => step(matom(rule, chain.chain), fresh, stored, guard, &budget)?,
+        };
         if let Some(s) = span.as_mut() {
             s.add("steps", steps as u64);
             s.add("components", out.components().len() as u64);

@@ -2069,9 +2069,9 @@ mod tests {
              p(X) :- boxminus p(X).",
         )
         .unwrap();
-        let mut db = Database::new();
-        db.extend_facts(&parse_facts("q(a)@0.").unwrap()).unwrap();
-        let run = |config: ReasonerConfig| {
+        let run = |facts: &str, config: ReasonerConfig| {
+            let mut db = Database::new();
+            db.extend_facts(&parse_facts(facts).unwrap()).unwrap();
             let started = Instant::now();
             let err = Reasoner::new(program.clone(), config)
                 .unwrap()
@@ -2088,17 +2088,33 @@ mod tests {
                 other => panic!("expected a budget error, got {other}"),
             }
         };
-        let msg = run(ReasonerConfig {
-            max_iterations: 10_000,
-            ..ReasonerConfig::default()
-        });
-        assert!(msg.contains("10000 iterations"), "{msg}");
-        // A generous step budget leaves the component budget to bound the
+        // A run of points is charged its teeth before it is built: one
+        // unbounded progression costs no memory, only steps — whatever the
+        // step budget is.
+        for max_iterations in [10_000, usize::MAX] {
+            let msg = run(
+                "q(a)@0.",
+                ReasonerConfig {
+                    max_iterations,
+                    max_components: 1_000,
+                    ..ReasonerConfig::default()
+                },
+            );
+            assert!(
+                msg.contains(&format!("{max_iterations} iterations")),
+                "{msg}"
+            );
+        }
+        // A row of positive length is stepped, one component a step: there
+        // a generous step budget leaves the component budget to bound the
         // closure's memory.
-        let msg = run(ReasonerConfig {
-            max_components: 1_000,
-            ..ReasonerConfig::default()
-        });
+        let msg = run(
+            "q(a)@[0, 0.5].",
+            ReasonerConfig {
+                max_components: 1_000,
+                ..ReasonerConfig::default()
+            },
+        );
         assert!(msg.contains("1000 interval components"), "{msg}");
     }
 

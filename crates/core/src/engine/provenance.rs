@@ -11,7 +11,7 @@ use crate::ast::{Literal, MetricAtom, Program, Term};
 use crate::database::Database;
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
-use mtl_temporal::{IntervalSet, Rational};
+use mtl_temporal::{Interval, IntervalSet, Rational};
 use std::fmt;
 
 /// One recorded derivation step.
@@ -183,15 +183,11 @@ fn witness_time(ivs: &IntervalSet, t: Rational) -> Option<Rational> {
     if ivs.contains(t) {
         return Some(t);
     }
-    let mut best: Option<Rational> = None;
-    for iv in ivs.iter() {
-        if let mtl_temporal::TimeBound::Finite(hi) = iv.hi() {
-            if hi <= t {
-                best = Some(best.map_or(hi, |b: Rational| b.max(hi)));
-            }
-        }
-    }
-    best
+    // Clipping first makes the upper bound the last tooth at or before `t`
+    // when `t` falls between the teeth of a run.
+    ivs.intersect_interval(&Interval::up_to(t))
+        .max_point()
+        .and_then(|hi| hi.finite())
 }
 
 fn render_args(args: &[Value]) -> String {

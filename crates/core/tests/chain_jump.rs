@@ -509,7 +509,9 @@ fn closures_are_visible_in_spans_and_rule_stats() {
                         && r.start_us + r.dur_us >= chain.start_us + chain.dur_us
                 })
                 .unwrap_or_else(|| panic!("chain span outside a rule span: {chain:?}"));
-            assert!(counter(chain, "steps") <= counter(chain, "components"));
+            // Every step used to store a component of its own; a jumped
+            // run stores one per guard piece it crosses.
+            assert!(counter(chain, "components") <= counter(chain, "steps").max(1));
             let totals = per_rule.entry(parent.name.clone()).or_default();
             totals.0 += counter(chain, "components");
             totals.1 += counter(chain, "steps");
@@ -532,6 +534,70 @@ fn closures_are_visible_in_spans_and_rule_stats() {
     assert!(
         cached >= 1,
         "skew's guards mention no head variable: its second closure must hit the cache"
+    );
+}
+
+/// A punctual chain is closed arithmetically: no component per step, and
+/// no time per step either. The `chain` span of a 5 000 s gap reports one
+/// step per second but at most one component per guard piece the run
+/// crossed (plus the seed's), and a gap of 10⁸ seconds — minutes of work if
+/// anything were done per second — closes like a short one.
+#[test]
+fn a_punctual_chain_is_closed_without_a_component_or_a_moment_per_step() {
+    let src = "p(A) :- ev(A).\n\
+               p(A) :- diamondminus[1, 1] p(A), not stop(A), not pause(A).";
+    let close = |horizon: i64, stops: &[i64]| {
+        let mut db = Database::new();
+        db.assert_at("ev", &[acc(0)], 0);
+        for &t in stops {
+            db.assert_at("pause", &[acc(1)], t);
+            db.assert_at("stop", &[acc(0)], t);
+        }
+        let recorder = chronolog_obs::SpanRecorder::new();
+        let started = std::time::Instant::now();
+        let out = Reasoner::new(
+            parse_program(src).unwrap(),
+            ReasonerConfig {
+                profiler: Some(recorder.clone()),
+                max_iterations: usize::MAX,
+                ..ReasonerConfig::default().with_horizon(0, horizon)
+            },
+        )
+        .unwrap()
+        .materialize(&db)
+        .unwrap();
+        let wall = started.elapsed();
+        let chains: Vec<(u64, u64)> = recorder
+            .lanes()
+            .iter()
+            .flat_map(|(_, records)| records.iter())
+            .filter(|r| r.name == "chain")
+            .map(|r| {
+                let get = |key: &str| r.counters.iter().find(|(k, _)| *k == key).unwrap().1;
+                (get("steps"), get("components"))
+            })
+            .collect();
+        (out, chains, wall)
+    };
+    // No blocker: one guard piece, one run (the rule body derives second 1,
+    // the closure the rest), one stored component.
+    let (out, chains, _) = close(5_000, &[]);
+    assert_eq!(chains, [(4_999, 1)]);
+    let p = chronolog_core::Symbol::new("p");
+    assert_eq!(out.database.intervals(p, &[acc(0)]).components().len(), 1);
+    assert_eq!(out.database.to_facts_text().lines().count(), 5_002);
+    // A blocker ends the run; what lies past it is never touched.
+    let (out, chains, _) = close(5_000, &[3_000, 4_000]);
+    assert_eq!(chains, [(2_998, 1)]);
+    assert!(out.database.holds_at("p", &[acc(0)], 2_999));
+    assert!(!out.database.holds_at("p", &[acc(0)], 3_000));
+    // Gap length costs nothing.
+    let (out, chains, wall) = close(100_000_000, &[]);
+    assert_eq!(chains, [(99_999_999, 1)]);
+    assert!(out.database.holds_at("p", &[acc(0)], 99_999_999));
+    assert!(
+        wall < std::time::Duration::from_secs(2),
+        "a 10⁸ s gap took {wall:?}: the closure is walking the run"
     );
 }
 

@@ -54,6 +54,23 @@ const PROGRAMS: &[&str] = &[
     "perAcc(A, count(S)) :- modPos(A, S).\n\
      best(max(S)) :- modPos(A, S).\n\
      worst(min(S)) :- modPos(A, S).",
+    // 9. Aggregates over persisted predicates: the contributions are runs
+    //    of isolated seconds, active on their teeth and nowhere between.
+    "isOpen(A) :- tranM(A, M).\n\
+     isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
+     held(A, M) :- tranM(A, M).\n\
+     held(A, M) :- diamondminus held(A, M), not withdraw(A).\n\
+     openCount(count(A)) :- isOpen(A).\n\
+     total(sum(M)) :- held(A, M).\n\
+     perAcc(A, max(M)) :- held(A, M), not modPos(A, _).",
+    // 10. Time capture over a persisted predicate binds every second of
+    //     the run, and a run of step 2 only every other one.
+    "live() :- start(K).\n\
+     live() :- boxminus live().\n\
+     at(T) :- live()@T.\n\
+     every2(K) :- start(K).\n\
+     every2(K) :- diamondminus[2, 2] every2(K).\n\
+     beat(K, T) :- every2(K)@T, live().",
 ];
 
 #[derive(Debug, Clone)]

@@ -182,3 +182,125 @@ fn warm_session_chain_equals_cold_materialization() {
         }
     }
 }
+
+/// The paper's margin-account skeleton: every persisted predicate is a
+/// frame rule, `rich` reads a persisted run from outside its stratum.
+const MARGIN: &str = "isOpen(A) :- tranM(A, M).\n\
+     isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
+     changeM(A) :- tranM(A, M).\n\
+     changeM(A) :- withdraw(A).\n\
+     margin(A, M) :- tranM(A, M), not boxminus isOpen(A).\n\
+     margin(A, M) :- diamondminus margin(A, M), not changeM(A).\n\
+     margin(A, M) :- boxminus isOpen(A), diamondminus margin(A, X), tranM(A, Y), M = X + Y.\n\
+     rich(A) :- margin(A, M), M > 50.";
+
+/// Components stored per relation, by predicate name.
+fn components_per_relation(db: &Database) -> std::collections::BTreeMap<String, usize> {
+    let mut counts = std::collections::BTreeMap::new();
+    for (pred, _, comps) in db.iter() {
+        *counts.entry(pred.to_string()).or_default() += comps.len();
+    }
+    counts
+}
+
+/// A persistence run is one stored component however the advances cut it:
+/// 200 advances of 2–9 s each leave every relation with exactly the
+/// components one batch run over the same stream stores, because a run
+/// continued by the next advance is extended in place.
+#[test]
+fn a_run_is_stored_the_same_however_the_advances_cut_it() {
+    let mut rng = SmallRng::seed_from_u64(0x57A1DE);
+    let acc = |i: i64| Value::sym(&format!("acc{i}"));
+    let mut events: Vec<(&'static str, Vec<Value>, i64)> = Vec::new();
+    let mut t = 0;
+    let mut times = Vec::new();
+    for _ in 0..200 {
+        t += rng.gen_range_i64(2, 10);
+        times.push(t);
+        let a = acc(rng.gen_range_i64(0, 4));
+        match rng.gen_range_usize(0, 10) {
+            0..=2 => events.push(("tranM", vec![a, Value::Int(rng.gen_range_i64(1, 60))], t)),
+            3 => events.push(("withdraw", vec![a], t)),
+            _ => {} // an advance with nothing to ingest
+        }
+    }
+    let program = chronolog_core::parse_program(MARGIN).unwrap();
+    let mut db = Database::new();
+    for (pred, args, at) in &events {
+        db.assert_at(pred, args, *at);
+    }
+    let cold = Reasoner::new(
+        program.clone(),
+        ReasonerConfig::default().with_horizon(0, t),
+    )
+    .unwrap()
+    .materialize(&db)
+    .unwrap();
+    let mut session = Reasoner::new(program, ReasonerConfig::default())
+        .unwrap()
+        .into_session(&Database::new(), 0)
+        .unwrap();
+    for &at in &times {
+        for (pred, args, _) in events.iter().filter(|e| e.2 == at) {
+            session.submit(Fact::at(pred, args.clone(), at)).unwrap();
+        }
+        session.advance_to(at).unwrap();
+    }
+    assert_eq!(
+        session.database().to_facts_text(),
+        cold.database.to_facts_text()
+    );
+    assert_eq!(
+        components_per_relation(session.database()),
+        components_per_relation(&cold.database)
+    );
+    // The runs are what is stored: far fewer components than seconds.
+    let seconds = cold.database.to_facts_text().lines().count();
+    assert!(
+        cold.stats.total_components * 20 < seconds,
+        "{} components for {seconds} fact-seconds",
+        cold.stats.total_components
+    );
+}
+
+/// One-second advances only ever deliver single points — which never
+/// coalesce with each other — yet a frame rule's run still ends up as one
+/// component, because each new second is handed over anchored on the
+/// stored second it was derived from. A blocker submitted late in the
+/// middle of the run cuts it in two; retracting the blocker again restores
+/// the untouched run: same facts, one component.
+#[test]
+fn a_run_survives_one_second_advances_and_a_cut_and_its_repair() {
+    let program = chronolog_core::parse_program(MARGIN).unwrap();
+    let a = Value::sym("acc0");
+    let mut session = Reasoner::new(program, ReasonerConfig::default())
+        .unwrap()
+        .into_session(&Database::new(), 0)
+        .unwrap();
+    for t in 1..=60 {
+        if t == 3 {
+            session
+                .submit(Fact::at("tranM", vec![a, Value::Int(70)], 3))
+                .unwrap();
+        }
+        session.advance_to(t).unwrap();
+    }
+    let stored = |session: &chronolog_core::Session, pred: &str, args: &[Value]| {
+        session
+            .database()
+            .relation(chronolog_core::Symbol::new(pred))
+            .and_then(|r| r.components_of(args))
+            .map_or(0, |c| c.len())
+    };
+    assert_eq!(stored(&session, "isOpen", &[a]), 1);
+    assert_eq!(stored(&session, "margin", &[a, Value::Int(70)]), 1);
+    let untouched = session.database().to_facts_text();
+
+    let blocker = Fact::at("withdraw", vec![a], 30);
+    session.submit_late(blocker.clone()).unwrap();
+    assert!(!session.database().holds_at("isOpen", &[a], 31));
+    session.retract(blocker).unwrap();
+    assert_eq!(session.database().to_facts_text(), untouched);
+    assert_eq!(stored(&session, "isOpen", &[a]), 1);
+    assert_eq!(stored(&session, "margin", &[a, Value::Int(70)]), 1);
+}

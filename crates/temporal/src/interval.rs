@@ -11,6 +11,8 @@ use crate::Rational;
 use std::cmp::Ordering;
 use std::fmt;
 
+mod stride;
+
 /// Endpoint arithmetic overflowed the rational timeline: a shifted endpoint
 /// no longer fits an `i64` numerator/denominator after reduction.
 ///
@@ -125,12 +127,17 @@ impl fmt::Display for TimeBound {
     }
 }
 
-/// A non-empty interval `⟨lo, hi⟩` over ℚ ∪ {±∞}.
+/// A non-empty interval `⟨lo, hi⟩` over ℚ ∪ {±∞} — or, from the one
+/// dedicated constructor [`Interval::progression`], an arithmetic progression
+/// of punctual points `{lo + k·c | 0 ≤ k ≤ n}` with `hi = lo + n·c`.
 ///
 /// Invariants (enforced by every constructor):
 /// * the interval is non-empty (`lo < hi`, or `lo == hi` with both endpoints
 ///   closed and finite);
-/// * infinite endpoints are open.
+/// * infinite endpoints are open;
+/// * a progression has `n ≥ 1`, finite closed endpoints and `lo < hi`; its
+///   `lo()`/`hi()` are its first and last tooth, so the endpoint accessors
+///   describe its *hull*, not a solid extent.
 ///
 /// ```
 /// use mtl_temporal::{Interval, Rational};
@@ -145,6 +152,10 @@ pub struct Interval {
     hi: TimeBound,
     lo_closed: bool,
     hi_closed: bool,
+    /// `0`: the solid interval `⟨lo, hi⟩`. `n ≥ 1`: the `n + 1` punctual
+    /// points `lo + k·(hi − lo)/n`. Sits in what was padding: the struct
+    /// stays 56 bytes.
+    steps: u32,
 }
 
 impl Interval {
@@ -154,6 +165,7 @@ impl Interval {
         hi: TimeBound::PosInf,
         lo_closed: false,
         hi_closed: false,
+        steps: 0,
     };
 
     /// General constructor; returns `None` if the described set is empty.
@@ -169,6 +181,7 @@ impl Interval {
                         hi,
                         lo_closed,
                         hi_closed,
+                        steps: 0,
                     })
                 } else {
                     // Includes the degenerate infinite cases (-inf,-inf).
@@ -180,6 +193,7 @@ impl Interval {
                 hi,
                 lo_closed,
                 hi_closed,
+                steps: 0,
             }),
         }
     }
@@ -211,6 +225,7 @@ impl Interval {
             hi: t.into(),
             lo_closed: true,
             hi_closed: true,
+            steps: 0,
         }
     }
 
@@ -231,6 +246,7 @@ impl Interval {
             hi: TimeBound::PosInf,
             lo_closed: true,
             hi_closed: false,
+            steps: 0,
         }
     }
 
@@ -241,15 +257,16 @@ impl Interval {
             hi: hi.into(),
             lo_closed: false,
             hi_closed: true,
+            steps: 0,
         }
     }
 
-    /// Lower endpoint.
+    /// Lower endpoint (of a progression: its first tooth).
     pub fn lo(&self) -> TimeBound {
         self.lo
     }
 
-    /// Upper endpoint.
+    /// Upper endpoint (of a progression: its last tooth).
     pub fn hi(&self) -> TimeBound {
         self.hi
     }
@@ -264,7 +281,8 @@ impl Interval {
         self.hi_closed
     }
 
-    /// `true` iff the interval is a single point `[t, t]`.
+    /// `true` iff the interval is a single point `[t, t]` (a progression has
+    /// at least two teeth and never is).
     pub fn is_punctual(&self) -> bool {
         self.lo == self.hi
     }
@@ -280,6 +298,11 @@ impl Interval {
 
     /// Membership test for a finite time point.
     pub fn contains(&self, t: Rational) -> bool {
+        if self.steps > 0 {
+            return self
+                .index_of(t)
+                .is_some_and(|k| (0..=self.steps as i128).contains(&k));
+        }
         let t = TimeBound::Finite(t);
         let above = match self.lo.cmp(&t) {
             Ordering::Less => true,
@@ -296,6 +319,15 @@ impl Interval {
 
     /// `true` iff `other` is a subset of `self`.
     pub fn contains_interval(&self, other: &Interval) -> bool {
+        if self.steps > 0 {
+            // Only points and progressions fit inside a progression.
+            return match other.punctual_value() {
+                Some(t) => self.contains(t),
+                None => other.steps > 0 && self.intersect(other) == Some(*other),
+            };
+        }
+        // A progression's hull is closed at both teeth, so the endpoint
+        // comparison below decides it like a solid `[lo, hi]`.
         let lo_ok = match self.lo.cmp(&other.lo) {
             Ordering::Less => true,
             Ordering::Equal => self.lo_closed || !other.lo_closed,
@@ -309,8 +341,17 @@ impl Interval {
         lo_ok && hi_ok
     }
 
-    /// Set intersection; `None` when disjoint.
+    /// Set intersection; `None` when disjoint. With a progression on either
+    /// side the result is again one component: the teeth inside the other
+    /// interval, or the common teeth of two progressions (an arithmetic
+    /// progression itself).
     pub fn intersect(&self, other: &Interval) -> Option<Interval> {
+        match (self.steps, other.steps) {
+            (0, 0) => {}
+            (_, 0) => return self.clip_teeth(other),
+            (0, _) => return other.clip_teeth(self),
+            _ => return self.common_teeth(other),
+        }
         let (lo, lo_closed) = match self.lo.cmp(&other.lo) {
             Ordering::Less => (other.lo, other.lo_closed),
             Ordering::Greater => (self.lo, self.lo_closed),
@@ -324,9 +365,13 @@ impl Interval {
         Interval::new(lo, lo_closed, hi, hi_closed)
     }
 
-    /// `true` iff the two intervals overlap or touch without a gap, i.e.
-    /// their union is a single interval.
+    /// `true` iff the union of the two is a single component: solid
+    /// intervals that overlap or touch without a gap, or a progression
+    /// continued (or overlapped) by a congruent point or progression.
     pub fn connected(&self, other: &Interval) -> bool {
+        if self.steps > 0 || other.steps > 0 {
+            return self.coalesce(other).is_some();
+        }
         // Gap between self.hi and other.lo?
         let no_gap_right = match self.hi.cmp(&other.lo) {
             Ordering::Greater => true,
@@ -341,8 +386,14 @@ impl Interval {
         no_gap_right && no_gap_left
     }
 
-    /// Union of two connected intervals; `None` when there is a gap.
+    /// Union of two connected intervals; `None` when there is a gap. A
+    /// progression absorbs a point or progression of the same step and phase
+    /// that overlaps it or continues it by exactly one step; two isolated
+    /// points never form a progression.
     pub fn union_if_connected(&self, other: &Interval) -> Option<Interval> {
+        if self.steps > 0 || other.steps > 0 {
+            return self.coalesce(other);
+        }
         if !self.connected(other) {
             return None;
         }
@@ -359,7 +410,8 @@ impl Interval {
         Interval::new(lo, lo_closed, hi, hi_closed)
     }
 
-    /// `true` iff every point of `self` precedes every point of `other`.
+    /// `true` iff every point of `self` precedes every point of `other`
+    /// (for progressions: the hulls are in that order).
     pub fn entirely_before(&self, other: &Interval) -> bool {
         match self.hi.cmp(&other.lo) {
             Ordering::Less => true,
@@ -368,7 +420,8 @@ impl Interval {
         }
     }
 
-    /// Total order by (lo, lo_closed, hi, hi_closed) for sorted interval sets.
+    /// Total order by (lo, lo_closed, hi, hi_closed, teeth) for sorted
+    /// interval sets.
     pub fn cmp_position(&self, other: &Interval) -> Ordering {
         self.lo
             .cmp(&other.lo)
@@ -376,9 +429,11 @@ impl Interval {
             .then_with(|| other.lo_closed.cmp(&self.lo_closed))
             .then_with(|| self.hi.cmp(&other.hi))
             .then_with(|| self.hi_closed.cmp(&other.hi_closed))
+            .then_with(|| self.steps.cmp(&other.steps))
     }
 
-    /// Both endpoints as rationals, if the interval is bounded. Used by the
+    /// Both endpoints (of a progression: of its hull) as rationals, if the
+    /// interval is bounded. Used by the
     /// engine's per-relation time index, which keys tuples by component
     /// endpoints (closedness is handled by the exact clip afterwards).
     pub fn finite_endpoints(&self) -> Option<(Rational, Rational)> {
@@ -388,7 +443,7 @@ impl Interval {
         }
     }
 
-    /// Length of the interval (`None` if unbounded).
+    /// Length of the interval or hull (`None` if unbounded).
     pub fn length(&self) -> Option<Rational> {
         match (self.lo, self.hi) {
             (TimeBound::Finite(a), TimeBound::Finite(b)) => Some(b - a),
@@ -405,7 +460,16 @@ impl Interval {
     /// holds at some `s` with `t − s ∈ ρ`, i.e. `t ∈ ι ⊕ ρ`.
     ///
     /// Errs when a shifted endpoint overflows the rational timeline.
+    ///
+    /// # Panics
+    /// On a progression `ρ` must be punctual (the result is the shifted
+    /// progression); a window of positive length smears every tooth into its
+    /// own interval, which only [`crate::IntervalSet::diamond_minus`] can
+    /// represent.
     pub fn checked_diamond_minus(&self, rho: &MetricInterval) -> Result<Interval, TimeOverflow> {
+        if self.steps > 0 {
+            return self.shifted(shift_of(rho), true);
+        }
         let rho = rho.as_interval();
         let lo = self.lo.checked_add(rho.lo).ok_or(TimeOverflow)?;
         let hi = self.hi.checked_add(rho.hi).ok_or(TimeOverflow)?;
@@ -439,6 +503,13 @@ impl Interval {
         &self,
         rho: &MetricInterval,
     ) -> Result<Option<Interval>, TimeOverflow> {
+        if self.steps > 0 {
+            // No window of positive length fits inside isolated points.
+            return match rho.as_interval().punctual_value() {
+                Some(c) => self.shifted(c, true).map(Some),
+                None => Ok(None),
+            };
+        }
         let rho = rho.as_interval();
         // Window of obligation for candidate t: [t - rho.hi, t - rho.lo]
         // (endpoint closedness inherited from rho, reversed). It must be a
@@ -470,7 +541,14 @@ impl Interval {
     /// `s − t ∈ ρ`, i.e. `t ∈ ι ⊖ ρ` pointwise: `⟨lo − ρ⁺, hi − ρ⁻⟩`.
     ///
     /// Errs when a shifted endpoint overflows the rational timeline.
+    ///
+    /// # Panics
+    /// On a progression `ρ` must be punctual, as for
+    /// [`Interval::checked_diamond_minus`].
     pub fn checked_diamond_plus(&self, rho: &MetricInterval) -> Result<Interval, TimeOverflow> {
+        if self.steps > 0 {
+            return self.shifted(shift_of(rho), false);
+        }
         let rho = rho.as_interval();
         let (lo, lo_closed) = if !rho.hi.is_finite() {
             (TimeBound::NegInf, false)
@@ -499,6 +577,12 @@ impl Interval {
     /// `Ok(None)` means the interval is too short for the window;
     /// `Err` means a shifted endpoint overflowed the timeline.
     pub fn checked_box_plus(&self, rho: &MetricInterval) -> Result<Option<Interval>, TimeOverflow> {
+        if self.steps > 0 {
+            return match rho.as_interval().punctual_value() {
+                Some(c) => self.shifted(c, false).map(Some),
+                None => Ok(None),
+            };
+        }
         let rho = rho.as_interval();
         if !rho.hi.is_finite() && self.hi != TimeBound::PosInf {
             return Ok(None);
@@ -534,8 +618,26 @@ impl fmt::Debug for Interval {
     }
 }
 
+/// The shift of a punctual `ρ`, for the operator transforms of a progression.
+fn shift_of(rho: &MetricInterval) -> Rational {
+    rho.as_interval().punctual_value().expect(
+        "a progression shifts by punctual windows only; IntervalSet handles windows of positive length",
+    )
+}
+
 impl fmt::Display for Interval {
+    /// A progression prints as its teeth, `[1] ∪ [2] ∪ [3]`: text never shows
+    /// how a point set is stored.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.steps > 0 {
+            for (k, t) in self.teeth().enumerate() {
+                if k > 0 {
+                    write!(f, " ∪ ")?;
+                }
+                write!(f, "[{t}]")?;
+            }
+            return Ok(());
+        }
         if self.is_punctual() {
             if let Some(t) = self.punctual_value() {
                 return write!(f, "[{t}]");
@@ -571,6 +673,9 @@ impl MetricInterval {
 
     /// Validating constructor: requires a non-negative lower bound.
     pub fn new(interval: Interval) -> Result<MetricInterval, String> {
+        if interval.steps > 0 {
+            return Err(format!("metric interval {interval} is not an interval"));
+        }
         match interval.lo() {
             TimeBound::NegInf => Err(format!("metric interval {interval} has negative bound")),
             TimeBound::Finite(r) if r < Rational::ZERO => {
@@ -603,6 +708,23 @@ impl MetricInterval {
     /// `true` iff `ρ` is a single point `[c, c]`.
     pub fn is_punctual(&self) -> bool {
         self.0.is_punctual()
+    }
+
+    /// Do the `◇ρ` images of two points `step` apart form one interval?
+    pub(crate) fn bridges(&self, step: Rational) -> bool {
+        // An unbounded (or unrepresentably wide) window bridges any step.
+        let width = self
+            .0
+            .finite_endpoints()
+            .and_then(|(lo, hi)| hi.checked_sub(lo));
+        match width {
+            None => true,
+            Some(width) => match width.cmp(&step) {
+                Ordering::Greater => true,
+                Ordering::Equal => self.0.lo_closed || self.0.hi_closed,
+                Ordering::Less => false,
+            },
+        }
     }
 }
 

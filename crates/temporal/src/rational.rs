@@ -29,7 +29,7 @@ pub struct Rational {
 }
 
 /// Greatest common divisor of two non-negative `i128`s (Euclid).
-fn gcd128(mut a: i128, mut b: i128) -> i128 {
+pub(crate) fn gcd128(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -188,7 +188,9 @@ impl Rational {
         }
     }
 
-    fn try_from_i128(num: i128, den: i128) -> Option<Rational> {
+    /// `num / den` reduced to lowest terms; `None` if either part of the
+    /// reduced fraction leaves `i64`.
+    pub(crate) fn try_from_i128(num: i128, den: i128) -> Option<Rational> {
         debug_assert!(den != 0);
         let sign: i128 = if (num < 0) != (den < 0) { -1 } else { 1 };
         let (num, den) = (num.unsigned_abs() as i128, den.unsigned_abs() as i128);

@@ -2,16 +2,32 @@
 //!
 //! Every ground atom in an interpretation maps to an [`IntervalSet`] — the set
 //! of time points at which the atom holds, represented as a sorted vector of
-//! disjoint, *non-connected* intervals (overlapping or merely touching
+//! disjoint, *non-connected* components (overlapping or merely touching
 //! intervals are merged eagerly). Full coalescing is not just a space
 //! optimization: erosion (the `⊟ρ` operator) distributes over components only
 //! when no two components can be bridged by an obligation window, which the
 //! no-touching invariant guarantees.
+//!
+//! A component is an interval or an arithmetic progression of points
+//! ([`Interval::progression`]). The invariant, spelled out for both shapes:
+//!
+//! * components are sorted and their *hulls* are pairwise disjoint — whatever
+//!   lands between two teeth splits the progression — so every binary search
+//!   over a component slice stays valid;
+//! * no two neighbouring *atoms* (an interval, or one tooth) are connected: a
+//!   tooth touching an interval is absorbed by it;
+//! * a progression continued by a congruent point or progression is one
+//!   component wherever an operation sees the two side by side (`insert`,
+//!   `union`): compactness, not correctness, rests on it.
+//!
+//! Which points a set holds never depends on how they are stored: equality,
+//! hashing and `Display` go through [`IntervalSet::atoms`].
 
 use crate::{Interval, MetricInterval, Rational, TimeBound, TimeOverflow};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// A set of rational time points stored as maximal disjoint intervals.
+/// A set of rational time points stored as maximal disjoint components.
 ///
 /// ```
 /// use mtl_temporal::{Interval, IntervalSet, Rational};
@@ -24,10 +40,28 @@ use std::fmt;
 /// // (2,3) glues [0,2] and [3,3] together
 /// assert_eq!(s.components().len(), 2);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct IntervalSet {
-    /// Sorted by position, pairwise non-connected.
+    /// Sorted by position, hulls disjoint, atoms pairwise non-connected.
     items: Vec<Interval>,
+}
+
+impl PartialEq for IntervalSet {
+    /// Equality of the point sets: `{[1] ∪ [2] ∪ [3]}` equals the three-tooth
+    /// progression.
+    fn eq(&self, other: &IntervalSet) -> bool {
+        self.items == other.items || self.atoms().eq(other.atoms())
+    }
+}
+
+impl Eq for IntervalSet {}
+
+impl Hash for IntervalSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for atom in self.atoms() {
+            atom.hash(state);
+        }
+    }
 }
 
 impl IntervalSet {
@@ -62,8 +96,11 @@ impl IntervalSet {
     }
 
     /// Clips a sorted, non-connected component slice against one interval —
-    /// [`IntervalSet::intersect_interval`] for callers that hold raw
-    /// components (arena slabs) rather than a set.
+    /// the set-level [`IntervalSet::intersect_interval`] for callers that
+    /// hold raw components (arena slabs) rather than a set. Binary search:
+    /// O(log n + |output|), the engine's masked-read primitive — a semi-naive
+    /// delta join touches only a tiny time window of a relation whose
+    /// interval set may have accumulated thousands of components.
     pub fn clip_components(items: &[Interval], interval: &Interval) -> IntervalSet {
         let start = items.partition_point(|i| i.entirely_before(interval));
         let mut out = Vec::new();
@@ -78,16 +115,23 @@ impl IntervalSet {
         IntervalSet { items: out }
     }
 
-    /// [`IntervalSet::punctual_points`] over a raw component slice.
+    /// The time points of a component slice that holds only points and
+    /// progressions — every tooth, in order; `None` if any component has
+    /// positive length or is unbounded.
     pub fn punctual_points_of(items: &[Interval]) -> Option<Vec<Rational>> {
-        items
-            .iter()
-            .map(|i| i.punctual_value())
-            .collect::<Option<Vec<_>>>()
+        let mut out = Vec::with_capacity(items.len());
+        for i in items {
+            if i.is_strided() {
+                out.extend(i.teeth());
+            } else {
+                out.push(i.punctual_value()?);
+            }
+        }
+        Some(out)
     }
 
-    /// Membership test over a raw component slice ([`IntervalSet::contains`]
-    /// without constructing a set).
+    /// Membership test over a raw component slice (binary search on the
+    /// component ordering).
     pub fn components_contain(items: &[Interval], t: Rational) -> bool {
         let idx = items.partition_point(|i| match i.hi() {
             TimeBound::Finite(h) => h < t,
@@ -102,7 +146,7 @@ impl IntervalSet {
                 .unwrap_or(false)
     }
 
-    /// The maximal disjoint intervals, in increasing order.
+    /// The maximal disjoint components, in increasing order.
     pub fn components(&self) -> &[Interval] {
         &self.items
     }
@@ -117,20 +161,15 @@ impl IntervalSet {
         self.items.iter()
     }
 
+    /// The set as plain intervals, every tooth of a progression its own
+    /// `[t, t]`: the one view that does not depend on the representation.
+    pub fn atoms(&self) -> impl Iterator<Item = Interval> + '_ {
+        self.items.iter().flat_map(Interval::atoms)
+    }
+
     /// Membership test for a time point.
     pub fn contains(&self, t: Rational) -> bool {
-        // Binary search on component ordering.
-        let idx = self.items.partition_point(|i| match i.hi() {
-            TimeBound::Finite(h) => h < t,
-            TimeBound::NegInf => true,
-            TimeBound::PosInf => false,
-        });
-        self.items.get(idx).map(|i| i.contains(t)).unwrap_or(false)
-            || idx
-                .checked_sub(1)
-                .and_then(|j| self.items.get(j))
-                .map(|i| i.contains(t))
-                .unwrap_or(false)
+        IntervalSet::components_contain(&self.items, t)
     }
 
     /// Index of the first component that is not entirely before `interval`
@@ -141,10 +180,15 @@ impl IntervalSet {
 
     /// `true` iff `interval` is entirely contained in the set.
     pub fn contains_interval(&self, interval: &Interval) -> bool {
-        // Only one component can contain it: the first not entirely before.
+        // Only one component can contain a solid interval: the first not
+        // entirely before it. The teeth of a progression may spread over
+        // several.
+        let start = self.first_candidate(interval);
         self.items
-            .get(self.first_candidate(interval))
+            .get(start)
             .is_some_and(|i| i.contains_interval(interval))
+            || (interval.is_strided()
+                && difference_sorted(&[*interval], &self.items[start..]).is_empty())
     }
 
     /// Inserts an interval, merging as needed. Returns `true` iff the set of
@@ -155,51 +199,45 @@ impl IntervalSet {
     pub fn insert(&mut self, interval: Interval) -> bool {
         // Fast path: appending past the end (possibly extending the last
         // component).
-        match self.items.last_mut() {
-            None => {
-                self.items.push(interval);
-                return true;
-            }
-            Some(last) if last.entirely_before(&interval) => {
-                if let Some(u) = last.union_if_connected(&interval) {
-                    if u == *last {
-                        return false;
-                    }
-                    *last = u;
-                } else {
-                    self.items.push(interval);
-                }
-                return true;
-            }
-            _ => {}
+        if self
+            .items
+            .last()
+            .is_none_or(|last| last.entirely_before(&interval))
+        {
+            push(&mut self.items, interval);
+            return true;
         }
-        // General case: find the run of components connected to `interval`.
+        // Next: reaching no further back than the last component and
+        // forming one component with it (overlap, or a run continued from
+        // its own last tooth).
+        let last = self.items.len() - 1;
+        if self.items[last].cmp_position(&interval).is_le() {
+            if let Some(u) = self.items[last].union_if_connected(&interval) {
+                let grew = u != self.items[last];
+                self.items[last] = u;
+                coalesce_chain(&mut self.items, last);
+                return grew;
+            }
+        }
+        // General case: the components whose hull `interval`'s hull meets.
         let start = self.first_candidate(&interval);
-        if let Some(i) = self.items.get(start) {
-            if i.contains_interval(&interval) {
-                return false;
-            }
+        let end = start + self.items[start..].partition_point(|i| !interval.entirely_before(i));
+        let met = &self.items[start..end];
+        if met.len() == 1 && met[0].contains_interval(&interval) {
+            return false;
         }
-        // Components before `start` are entirely before and (by invariant)
-        // not connected... except possibly items[start - 1] touching by
-        // adjacency; `entirely_before` allows touching at an open/closed
-        // boundary pair, so check one to the left.
-        let mut lo = start;
-        if lo > 0 && self.items[lo - 1].connected(&interval) {
-            lo -= 1;
+        if !met.is_empty() && difference_sorted(&[interval], met).is_empty() {
+            return false;
         }
-        let mut merged = interval;
-        let mut hi = lo;
-        while hi < self.items.len() {
-            match merged.union_if_connected(&self.items[hi]) {
-                Some(u) => {
-                    merged = u;
-                    hi += 1;
-                }
-                None => break,
-            }
-        }
-        self.items.splice(lo..hi, std::iter::once(merged));
+        // One neighbour further on each side: a point landing in the gap
+        // between two congruent runs joins them.
+        let (start, end) = (start.saturating_sub(1), (end + 1).min(self.items.len()));
+        let merged = union_sorted(&self.items[start..end], &[interval]);
+        let merged_end = start + merged.len();
+        self.items.splice(start..end, merged);
+        // What the merge turned into a run may now continue its neighbours.
+        coalesce_chain(&mut self.items, merged_end - 1);
+        coalesce_chain(&mut self.items, start);
         true
     }
 
@@ -240,21 +278,9 @@ impl IntervalSet {
     }
 
     /// Intersection with a single interval (clipping), via binary search:
-    /// O(log n + |output|). This is the engine's masked-read primitive — a
-    /// semi-naive delta join touches only a tiny time window of a relation
-    /// whose interval set may have accumulated thousands of components.
+    /// see [`IntervalSet::clip_components`].
     pub fn intersect_interval(&self, interval: &Interval) -> IntervalSet {
-        let start = self.first_candidate(interval);
-        let mut items = Vec::new();
-        for i in &self.items[start..] {
-            if interval.entirely_before(i) {
-                break;
-            }
-            if let Some(x) = i.intersect(interval) {
-                items.push(x);
-            }
-        }
-        IntervalSet { items }
+        IntervalSet::clip_components(&self.items, interval)
     }
 
     /// The convex hull `[min, max]` of the set, if non-empty.
@@ -270,30 +296,9 @@ impl IntervalSet {
         if other.is_empty() {
             return self.clone();
         }
-        let mut out = Vec::new();
-        for &a in &self.items {
-            let mut remaining = vec![a];
-            // Skip cutters entirely before `a` in O(log n).
-            let start = other.items.partition_point(|b| b.entirely_before(&a));
-            for &b in &other.items[start..] {
-                if a.entirely_before(&b) {
-                    break;
-                }
-                let mut next = Vec::new();
-                for piece in remaining {
-                    subtract_into(&piece, &b, &mut next);
-                }
-                remaining = next;
-                if remaining.is_empty() {
-                    break;
-                }
-            }
-            out.extend(remaining);
+        IntervalSet {
+            items: difference_sorted(&self.items, &other.items),
         }
-        // Pieces from a single component stay sorted and non-connected
-        // (subtracting re-opens gaps), and components were non-connected
-        // already, so `out` satisfies the invariant directly.
-        IntervalSet { items: out }
     }
 
     /// Complement relative to a horizon interval: `horizon \ self`.
@@ -310,13 +315,39 @@ impl IntervalSet {
     // MTL operator transforms
     // ------------------------------------------------------------------
 
+    /// A diamond operator over every component. A progression shifts under
+    /// a punctual `ρ`; a wider `ρ` turns it into one interval when the
+    /// images of neighbouring teeth meet, and into one interval per tooth —
+    /// the result inherently has that many — when they do not.
+    fn diamond(
+        &self,
+        rho: &MetricInterval,
+        op: fn(&Interval, &MetricInterval) -> Result<Interval, TimeOverflow>,
+    ) -> Result<IntervalSet, TimeOverflow> {
+        let mut out = IntervalSet::new();
+        for i in &self.items {
+            match i.step() {
+                Some(step) if !rho.is_punctual() => {
+                    if rho.bridges(step) {
+                        out.insert(op(&i.hull(), rho)?);
+                    } else {
+                        for tooth in i.atoms() {
+                            out.insert(op(&tooth, rho)?);
+                        }
+                    }
+                }
+                _ => {
+                    out.insert(op(i, rho)?);
+                }
+            }
+        }
+        Ok(out)
+    }
+
     /// `◇⁻ρ`: Minkowski sum of every component with `ρ` (re-coalesced).
     /// Errs when a shifted endpoint overflows the rational timeline.
     pub fn checked_diamond_minus(&self, rho: &MetricInterval) -> Result<IntervalSet, TimeOverflow> {
-        self.items
-            .iter()
-            .map(|i| i.checked_diamond_minus(rho))
-            .collect()
+        self.diamond(rho, Interval::checked_diamond_minus)
     }
 
     /// Panicking shorthand for [`IntervalSet::checked_diamond_minus`].
@@ -327,7 +358,8 @@ impl IntervalSet {
 
     /// `⊟ρ`: erosion. Exact per component thanks to the full-coalescing
     /// invariant — an obligation window of positive length cannot straddle a
-    /// gap, and punctual windows reduce to shifts.
+    /// gap (nor fit between the teeth of a progression), and punctual
+    /// windows reduce to shifts.
     /// Errs when a shifted endpoint overflows the rational timeline.
     pub fn checked_box_minus(&self, rho: &MetricInterval) -> Result<IntervalSet, TimeOverflow> {
         let mut out = IntervalSet::new();
@@ -348,10 +380,7 @@ impl IntervalSet {
     /// `◇⁺ρ`: future diamond (Minkowski sum towards the past).
     /// Errs when a shifted endpoint overflows the rational timeline.
     pub fn checked_diamond_plus(&self, rho: &MetricInterval) -> Result<IntervalSet, TimeOverflow> {
-        self.items
-            .iter()
-            .map(|i| i.checked_diamond_plus(rho))
-            .collect()
+        self.diamond(rho, Interval::checked_diamond_plus)
     }
 
     /// Panicking shorthand for [`IntervalSet::checked_diamond_plus`].
@@ -382,44 +411,46 @@ impl IntervalSet {
     /// `t − s ∈ ρ` where `other` holds, and `self` holds throughout the open
     /// interval `(s, t)`.
     pub fn since(&self, other: &IntervalSet, rho: &MetricInterval) -> IntervalSet {
-        let mut out = IntervalSet::new();
-        // s = t case: when 0 ∈ ρ the continuity obligation is vacuous.
-        if metric_contains_zero(rho) {
-            out.union_with(other);
-        }
-        for kappa in &self.items {
-            let closure = closure_of(kappa);
-            // t must not exceed kappa.hi (equality always allowed: (s, hi) ⊆ kappa).
-            let upper_cut = Interval::new(TimeBound::NegInf, false, kappa.hi(), true)
-                .expect("upper cut is non-empty");
-            for iota in &other.items {
-                if let Some(s_range) = iota.intersect(&closure) {
-                    let t_range = s_range.diamond_minus(rho);
-                    if let Some(t) = t_range.intersect(&upper_cut) {
-                        out.insert(t);
-                    }
-                }
-            }
-        }
-        out
+        self.since_or_until(other, rho, true)
     }
 
     /// `self U_ρ other` (Until): mirror of [`IntervalSet::since`] towards the
     /// future: holds at `t` iff there is `s` with `s − t ∈ ρ` where `other`
     /// holds and `self` holds throughout `(t, s)`.
     pub fn until(&self, other: &IntervalSet, rho: &MetricInterval) -> IntervalSet {
+        self.since_or_until(other, rho, false)
+    }
+
+    fn since_or_until(&self, other: &IntervalSet, rho: &MetricInterval, past: bool) -> IntervalSet {
         let mut out = IntervalSet::new();
+        // s = t case: when 0 ∈ ρ the continuity obligation is vacuous.
         if metric_contains_zero(rho) {
             out.union_with(other);
         }
-        for kappa in &self.items {
+        // A continuity interval `(s, t)` of positive length fits no isolated
+        // point, so the teeth of a progression carry only the s = t case.
+        for kappa in self.items.iter().filter(|k| !k.is_strided()) {
             let closure = closure_of(kappa);
-            let lower_cut = Interval::new(kappa.lo(), true, TimeBound::PosInf, false)
-                .expect("lower cut is non-empty");
+            // t must stay on kappa's side of the witness (the far endpoint
+            // always allowed: `(s, hi)` ⊆ kappa).
+            let cut = if past {
+                Interval::new(TimeBound::NegInf, false, kappa.hi(), true)
+            } else {
+                Interval::new(kappa.lo(), true, TimeBound::PosInf, false)
+            }
+            .expect("the cut is non-empty");
             for iota in &other.items {
-                if let Some(s_range) = iota.intersect(&closure) {
-                    let t_range = s_range.diamond_plus(rho);
-                    if let Some(t) = t_range.intersect(&lower_cut) {
+                let Some(s_range) = iota.intersect(&closure) else {
+                    continue;
+                };
+                // Each witness tooth reaches its own stretch of `t`.
+                for witness in s_range.atoms() {
+                    let t_range = if past {
+                        witness.diamond_minus(rho)
+                    } else {
+                        witness.diamond_plus(rho)
+                    };
+                    if let Some(t) = t_range.intersect(&cut) {
                         out.insert(t);
                     }
                 }
@@ -428,32 +459,33 @@ impl IntervalSet {
         out
     }
 
-    /// The time points of a set whose components are all punctual; `None`
-    /// if any component has positive length or is unbounded. Used by the
-    /// Vadalog-style `@T` time-capture extension.
+    /// The time points of a set whose components are all points or
+    /// progressions — every tooth; `None` if any component has positive
+    /// length or is unbounded. Used by the Vadalog-style `@T` time-capture
+    /// extension.
     pub fn punctual_points(&self) -> Option<Vec<Rational>> {
-        self.items
-            .iter()
-            .map(|i| i.punctual_value())
-            .collect::<Option<Vec<_>>>()
+        IntervalSet::punctual_points_of(&self.items)
     }
 
-    /// The earliest finite endpoint, if any.
+    /// The lower bound of the earliest component (`-inf` included).
     pub fn min_point(&self) -> Option<TimeBound> {
         self.items.first().map(|i| i.lo())
     }
 
-    /// The latest finite endpoint, if any.
+    /// The upper bound of the latest component (`+inf` included).
     pub fn max_point(&self) -> Option<TimeBound> {
         self.items.last().map(|i| i.hi())
     }
 
-    /// Debug helper: asserts the internal invariant.
+    /// Debug helper: asserts the internal invariant (module docs): hulls in
+    /// order and apart, neighbouring atoms not connected. That congruent
+    /// neighbours are coalesced is best effort — it decides how compactly a
+    /// point set is stored, never which points it holds.
     #[doc(hidden)]
     pub fn check_invariant(&self) {
         for w in self.items.windows(2) {
             assert!(
-                w[0].entirely_before(&w[1]) && !w[0].connected(&w[1]),
+                w[0].entirely_before(&w[1]) && !final_atom(&w[0]).connected(&leading_atom(&w[1])),
                 "IntervalSet invariant violated: {} then {}",
                 w[0],
                 w[1]
@@ -474,21 +506,208 @@ fn closure_of(i: &Interval) -> Interval {
     Interval::new(i.lo(), true, i.hi(), true).expect("closure of non-empty interval")
 }
 
-/// Appends `a \ b` (zero, one, or two pieces) to `out`.
-fn subtract_into(a: &Interval, b: &Interval, out: &mut Vec<Interval>) {
-    match a.intersect(b) {
-        None => out.push(*a),
-        Some(x) => {
-            // Left remainder: ⟨a.lo, x.lo⟩ with right end open iff x.lo closed.
-            if let Some(left) = Interval::new(a.lo(), a.lo_closed(), x.lo(), !x.lo_closed()) {
-                out.push(left);
-            }
-            // Right remainder.
-            if let Some(right) = Interval::new(x.hi(), !x.hi_closed(), a.hi(), a.hi_closed()) {
-                out.push(right);
+/// The first atom of a component: its first tooth, or the interval itself.
+fn leading_atom(i: &Interval) -> Interval {
+    if i.is_strided() {
+        i.sub(0, 0)
+    } else {
+        *i
+    }
+}
+
+/// The last atom of a component.
+fn final_atom(i: &Interval) -> Interval {
+    if i.is_strided() {
+        i.sub(i.steps(), i.steps())
+    } else {
+        *i
+    }
+}
+
+/// Appends `x` to the normalised component list `items`, keeping it
+/// normalised. `x` must start at or after the start of the last component
+/// and, when that one is a progression, at or after its last tooth — what a
+/// left-to-right sweep over sorted pieces guarantees.
+fn push(items: &mut Vec<Interval>, x: Interval) {
+    let Some(last) = items.last_mut() else {
+        items.push(x);
+        return;
+    };
+    // Overlapping or touching intervals, a congruent continuation, a point
+    // the run already holds.
+    if let Some(u) = last.union_if_connected(&x) {
+        *last = u;
+        // A point that just became the start of a run may continue the
+        // lone point before it, and so on down the list.
+        coalesce_chain(items, items.len() - 1);
+        return;
+    }
+    match (last.is_strided(), x.is_strided()) {
+        (false, false) => items.push(x),
+        (false, true) => {
+            // The teeth inside the closure of `last` are absorbed (one on an
+            // open endpoint closes it); the rest follows.
+            let Some((_, inside)) = x.teeth_within(&closure_of(last)) else {
+                items.push(x);
+                return;
+            };
+            let lo_closed = last.lo_closed() || last.lo() == x.lo();
+            let hi_closed = last.hi_closed() || last.hi() == x.sub(inside, inside).hi();
+            *last = Interval::new(last.lo(), lo_closed, last.hi(), hi_closed)
+                .expect("closing an endpoint keeps an interval non-empty");
+            if inside < x.steps() {
+                push(items, x.sub(inside + 1, x.steps()));
             }
         }
+        (true, _) if last.hi() != x.lo() => items.push(x),
+        (true, false) => {
+            // An interval starting on the last tooth takes it over.
+            let x = Interval::new(x.lo(), true, x.hi(), x.hi_closed())
+                .expect("closing an endpoint keeps an interval non-empty");
+            *last = last.sub(0, last.steps() - 1);
+            items.push(x);
+        }
+        // Two runs of different step sharing a tooth.
+        (true, true) => push(items, x.sub(1, x.steps())),
     }
+}
+
+/// Re-coalesces around `items[at]`, which has just become or extended a
+/// run: lone points chaining onto it from the right are folded into it, then
+/// it into lone points chaining onto it from the left.
+fn coalesce_chain(items: &mut Vec<Interval>, mut at: usize) {
+    if at >= items.len() {
+        return;
+    }
+    while let Some(u) = items
+        .get(at + 1)
+        .and_then(|next| items[at].union_if_connected(next))
+    {
+        items[at] = u;
+        items.remove(at + 1);
+    }
+    while let Some(u) = at
+        .checked_sub(1)
+        .and_then(|before| items[before].union_if_connected(&items[at]))
+    {
+        items[at - 1] = u;
+        items.remove(at);
+        at -= 1;
+    }
+}
+
+/// Union of two normalised component lists: a left-to-right sweep that
+/// hands [`push`] the pieces in order, cutting a progression where a
+/// component of the other list lands between (or on) its teeth.
+fn union_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut a, mut b) = (a.iter().copied(), b.iter().copied());
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        let (first, other) = match (x, y) {
+            (Some(p), Some(q)) => {
+                if q.cmp_position(&p).is_lt() {
+                    std::mem::swap(&mut a, &mut b);
+                    (q, p)
+                } else {
+                    (p, q)
+                }
+            }
+            (Some(p), None) | (None, Some(p)) => {
+                push(&mut out, p);
+                for rest in a.by_ref().chain(b.by_ref()) {
+                    push(&mut out, rest);
+                }
+                return out;
+            }
+            (None, None) => return out,
+        };
+        // From here `first` heads list `a` and starts no later than `other`.
+        if let Some(u) = first.union_if_connected(&other) {
+            // The union takes the slot of whichever reached further, so it
+            // still ends before the next component of that list.
+            let first_ends_last = match first.hi().cmp(&other.hi()) {
+                std::cmp::Ordering::Equal => first.hi_closed() >= other.hi_closed(),
+                ord => ord.is_gt(),
+            };
+            (x, y) = if first_ends_last {
+                (Some(u), b.next())
+            } else {
+                (a.next(), Some(u))
+            };
+        } else if first.entirely_before(&other) || !first.is_strided() {
+            // A solid piece goes whole: `push` absorbs what overlaps it.
+            push(&mut out, first);
+            (x, y) = (a.next(), Some(other));
+        } else {
+            // A progression reaching into `other`: emit the teeth strictly
+            // before it (at least one, so the sweep advances).
+            let before = Interval::new(TimeBound::NegInf, false, other.lo(), !other.lo_closed())
+                .and_then(|w| first.teeth_within(&w))
+                .map_or(0, |(_, k)| k);
+            push(&mut out, first.sub(0, before));
+            (x, y) = (Some(first.sub(before + 1, first.steps())), Some(other));
+        }
+    }
+}
+
+/// `a ∖ b` over normalised component lists. Linear: the cutters are sorted
+/// and apart, so only what remains to the right of one can meet the next.
+fn difference_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
+    let mut out = Vec::new();
+    for &a in a {
+        // Skip cutters entirely before `a` in O(log n).
+        let start = b.partition_point(|c| c.entirely_before(&a));
+        let mut rest = Some(a);
+        for cutter in &b[start..] {
+            match rest {
+                Some(r) if !r.entirely_before(cutter) => rest = subtract_into(&r, cutter, &mut out),
+                _ => break,
+            }
+        }
+        out.extend(rest);
+    }
+    // Pieces of one component stay sorted and non-connected (subtracting
+    // re-opens gaps), and components were non-connected already, so `out`
+    // satisfies the invariant directly.
+    out
+}
+
+/// Appends the pieces of `a ∖ b` that end at or before `b`'s last point to
+/// `out` and returns the piece after it — the only one a later cutter can
+/// still meet. Everything but interval ∖ progression (inherently one piece
+/// per tooth) and progression ∖ coarser progression is at most two pieces.
+fn subtract_into(a: &Interval, b: &Interval, out: &mut Vec<Interval>) -> Option<Interval> {
+    let Some(x) = a.intersect(b) else {
+        return Some(*a);
+    };
+    if !a.is_strided() {
+        // Left remainder: ⟨a.lo, x.lo⟩ with right end open iff x.lo closed;
+        // between the teeth of a strided `x`, the open gaps.
+        let mut lo = (a.lo(), a.lo_closed());
+        for cut in x.atoms() {
+            out.extend(Interval::new(lo.0, lo.1, cut.lo(), !cut.lo_closed()));
+            lo = (cut.hi(), !cut.hi_closed());
+        }
+        return Interval::new(lo.0, lo.1, a.hi(), a.hi_closed());
+    }
+    // `x` is a point or progression on `a`'s lattice: teeth `first`,
+    // `first + period`, …, `last` of `a` go.
+    let index = |t: TimeBound| {
+        let t = t.finite().expect("teeth are finite");
+        a.index_of(t).expect("a common tooth lies on the lattice") as u32
+    };
+    let (first, last) = (index(x.lo()), index(x.hi()));
+    let period = (last - first).checked_div(x.steps()).unwrap_or(1);
+    if first > 0 {
+        out.push(a.sub(0, first - 1));
+    }
+    if period > 1 {
+        for k in (first..last).step_by(period as usize) {
+            out.push(a.sub(k + 1, k + period - 1));
+        }
+    }
+    (last < a.steps()).then(|| a.sub(last + 1, a.steps()))
 }
 
 impl FromIterator<Interval> for IntervalSet {
@@ -709,6 +928,22 @@ mod tests {
         assert_eq!(s.punctual_points(), Some(vec![r(1), r(5)]));
         assert_eq!(set(&[(1, 2)]).punctual_points(), None);
         assert_eq!(IntervalSet::new().punctual_points(), Some(vec![]));
+    }
+
+    #[test]
+    fn lone_points_chain_onto_a_run_from_both_sides() {
+        let run = |first, steps| Interval::progression(r(first), r(2), steps).unwrap();
+        // Lone points two apart never coalesce among themselves …
+        let mut s = IntervalSet::from_intervals([0, 2, 4, 10, 12].map(Interval::at));
+        assert_eq!(s.components().len(), 5);
+        // … until a run lands between them: everything congruent joins it.
+        s.insert(run(6, 1));
+        assert_eq!(s.components(), &[run(0, 6)]);
+        // A point off the lattice splits the run; taking it out again
+        // leaves two runs that only an insert between them rejoins.
+        s.insert(Interval::at(7));
+        assert_eq!(s.components(), &[run(0, 3), Interval::at(7), run(8, 2)]);
+        s.check_invariant();
     }
 
     #[test]

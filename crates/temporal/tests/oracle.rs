@@ -13,11 +13,20 @@
 use mtl_temporal::{Interval, IntervalSet, Rational};
 
 /// Every valid interval with endpoints on the integer grid `0..=3`,
-/// covering all four closedness combinations plus punctual points.
+/// covering all four closedness combinations plus punctual points, and
+/// every progression of step ½, 1, 1½, 2 or 3 starting on the grid and
+/// ending inside it — so triples put intervals between, on and across the
+/// teeth of a run, and runs of different step across each other.
 fn grid_intervals() -> Vec<Interval> {
     let mut out = Vec::new();
     for lo in 0..=3i64 {
         let l = Rational::integer(lo);
+        for step in [1, 2, 3, 4, 6] {
+            for steps in 1..=(2 * (3 - lo) / step) {
+                let run = Interval::progression(l, Rational::new(step, 2), steps as u32);
+                out.push(run.expect("a small progression is representable"));
+            }
+        }
         out.push(Interval::point(l));
         for hi in lo + 1..=3 {
             let h = Rational::integer(hi);

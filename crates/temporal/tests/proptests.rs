@@ -3,7 +3,10 @@
 //! Strategy: generate random interval sets with endpoints on the half-integer
 //! grid (so open/closed distinctions matter at sample points), then check
 //! every operation pointwise against its set-theoretic definition evaluated
-//! by brute force over a grid of sample points.
+//! by brute force over a grid of sample points. Three draws in ten are
+//! arithmetic progressions (rational steps, 2–41 teeth) whose hulls overlap
+//! their neighbours, so every suite below also covers the strided shape
+//! meeting intervals between, on and across its teeth.
 //!
 //! Randomness comes from the deterministic in-repo `SmallRng`, one seed per
 //! case, so failures reproduce from the printed case number.
@@ -22,8 +25,17 @@ fn sample_points() -> Vec<Rational> {
     (-4..=84).map(|k| r(k, 2)).collect()
 }
 
-/// Random interval with integer endpoints in [0, 40] and random closedness.
+/// Random interval with integer endpoints in [0, 40] and random closedness,
+/// or a progression with teeth on the half-integer grid inside [0, 40].
 fn gen_interval(rng: &mut SmallRng) -> Interval {
+    if rng.gen_bool(0.3) {
+        let first = rng.gen_range_i64(0, 70);
+        let step = rng.gen_range_i64(1, 7);
+        let room = (80 - first) / step;
+        let steps = rng.gen_range_i64(1, 41).min(room.max(1));
+        return Interval::progression(r(first, 2), r(step, 2), steps as u32)
+            .expect("a small progression is representable");
+    }
     loop {
         let lo = rng.gen_range_i64(0, 40);
         let len = rng.gen_range_i64(0, 6);
@@ -80,7 +92,12 @@ fn for_each_case(test: &str, f: impl Fn(&mut SmallRng)) {
 #[test]
 fn invariant_holds_after_inserts() {
     for_each_case("invariant", |rng| {
-        gen_set(rng).check_invariant();
+        let set = gen_set(rng);
+        set.check_invariant();
+        // Built by inserts, no two neighbours are left that would coalesce.
+        for w in set.components().windows(2) {
+            assert!(!w[0].connected(&w[1]), "{} then {} in {set}", w[0], w[1]);
+        }
     });
 }
 
@@ -105,6 +122,10 @@ fn intersection_is_pointwise_and() {
         for t in sample_points() {
             assert_eq!(x.contains(t), a.contains(t) && b.contains(t), "at {t}");
         }
+        // Containment, whichever shapes cover which.
+        assert!(x.subset_of(&a) && x.subset_of(&b));
+        assert_eq!(a.subset_of(&x), a == x);
+        assert!(x.iter().all(|i| a.contains_interval(i)));
     });
 }
 
@@ -274,6 +295,59 @@ fn mirror_interval(i: &Interval) -> Interval {
         TimeBound::NegInf => TimeBound::PosInf,
         TimeBound::PosInf => TimeBound::NegInf,
     };
+    if let (Some(step), TimeBound::Finite(first)) = (i.step(), flip(i.hi())) {
+        return Interval::progression(first, step, i.steps())
+            .expect("mirror of a progression is a progression");
+    }
     Interval::new(flip(i.hi()), i.hi_closed(), flip(i.lo()), i.lo_closed())
         .expect("mirror of non-empty interval is non-empty")
+}
+
+/// A set is its points: built tooth by tooth, as one progression, or cut
+/// and re-joined, it compares and hashes the same — and the stored shape
+/// costs no bytes over a plain interval.
+#[test]
+fn equality_and_hash_ignore_the_representation() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    assert_eq!(std::mem::size_of::<Interval>(), 56);
+    let hash = |s: &IntervalSet| {
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    };
+    for_each_case("representation", |rng| {
+        let run = loop {
+            let i = gen_interval(rng);
+            // Four teeth or more: whichever one is cut out, a run remains
+            // for it to rejoin (two lone points never form one).
+            if i.steps() >= 3 {
+                break i;
+            }
+        };
+        let strided = IntervalSet::from_interval(run);
+        let pointwise = IntervalSet::from_intervals(run.teeth().map(Interval::point));
+        assert_eq!(pointwise.components().len(), run.steps() as usize + 1);
+        assert_eq!(strided, pointwise);
+        assert_eq!(hash(&strided), hash(&pointwise));
+        assert_eq!(strided.to_string(), pointwise.to_string());
+        // Cutting a tooth out and putting it back restores one component.
+        let tooth = Interval::point(
+            run.teeth()
+                .nth(rng.gen_range_usize(0, run.steps() as usize + 1))
+                .unwrap(),
+        );
+        let mut cut = strided.difference(&IntervalSet::from_interval(tooth));
+        assert_ne!(cut, strided);
+        assert!(cut.insert(tooth));
+        assert_eq!(cut.components(), strided.components());
+        // A set that differs in one point differs.
+        let other = gen_set(rng);
+        assert_eq!(
+            strided == other,
+            sample_points()
+                .iter()
+                .all(|&t| strided.contains(t) == other.contains(t)),
+        );
+    });
 }

@@ -31,6 +31,24 @@ bench-e2e-smoke:
     cargo test --manifest-path benchmark/Cargo.toml
     cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke
 
+# The exact-count gate CI runs: the margin corpus over a 2 000 s horizon
+# derives the same facts batch and streamed, and stores its persistence
+# runs as progressions (under 1 KiB of interval arena).
+exact-counts:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    out=$(mktemp -d)
+    cargo run --release -q -p chronolog-cli -- run corpus/margin.dmtl \
+        --horizon 0..2000 --facts --stats-json "$out/batch.json" > "$out/batch.txt"
+    cargo run --release -q -p chronolog-cli -- run corpus/margin.dmtl \
+        --horizon 0..2000 --facts --session --stats-json "$out/session.json" > "$out/session.txt"
+    diff "$out/batch.txt" "$out/session.txt"
+    for report in "$out/batch.json" "$out/session.json"; do
+        bytes=$(grep -o '"interval_bytes": [0-9]*' "$report" | grep -o '[0-9]*$')
+        echo "$report: $bytes interval bytes"
+        test "$bytes" -lt 1024
+    done
+
 # Alternating driver-style pairs of the BENCHMARK.json command: REV (checked
 # out and built in a temporary directory) against the working tree, seed i
 # for pair i. Prints each side's median and quartiles and the working
