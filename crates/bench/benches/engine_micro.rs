@@ -69,10 +69,7 @@ fn bench_interval_sets(c: &mut Bench) {
 }
 
 fn bench_parser(c: &mut Bench) {
-    let perp_source = chronolog_perp::program::program_source(
-        &chronolog_perp::MarketParams::default(),
-        chronolog_perp::program::TimelineMode::DenseSeconds,
-    );
+    let perp_source = chronolog_perp::program::source(&chronolog_perp::MarketParams::default());
     c.bench_function("parse_ethperp_program", |b| {
         b.iter(|| parse_program(black_box(&perp_source)).unwrap())
     });
@@ -470,9 +467,8 @@ fn bench_point_query(c: &mut Bench) {
     let config = chronolog_market::paper_intervals().remove(1);
     let trace = chronolog_market::generate(&config);
     let params = chronolog_perp::MarketParams::default();
-    let mode = chronolog_perp::program::TimelineMode::EventEpochs;
-    let perp_program = chronolog_perp::program::build_program(&params, mode).unwrap();
-    let encoded = chronolog_perp::encode::encode_trace(&trace, mode);
+    let perp_program = chronolog_perp::program::build(&params).unwrap();
+    let encoded = chronolog_perp::encode::encode(&trace);
     let perp_reasoner = Reasoner::new(
         perp_program,
         ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1),

@@ -7,9 +7,8 @@
 //! repro --table perf          # §4.2 runtimes
 //! repro --table fig1          # predicate dependency graph (DOT)
 //! repro --table fig2          # market-metric formulas
-//! repro --table ablations     # dense-vs-epoch and semi-naive ablations
-//! repro --table all           # everything above (default; perf uses epochs)
-//! repro --table perf --dense  # §4.2 on the dense (unix-seconds) timeline
+//! repro --table ablations     # semi-naive vs naive fixpoint
+//! repro --table all           # everything above (default)
 //! repro --table export        # write the three interval ledgers to data/
 //! repro --table perf --json out.json   # also write a machine-readable report
 //! ```
@@ -23,15 +22,13 @@ use chronolog_cli::run_report;
 use chronolog_core::{DependencyGraph, Reasoner, ReasonerConfig};
 use chronolog_market::TraceStats;
 use chronolog_obs::Json;
-use chronolog_perp::harness::{run_datalog_with, validate, ErrorStats};
-use chronolog_perp::program::{build_program, TimelineMode};
-use chronolog_perp::MarketParams;
+use chronolog_perp::harness::{run_datalog, run_datalog_with, validate, ErrorStats};
+use chronolog_perp::{program, MarketParams};
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut table = "all".to_string();
-    let mut dense = false;
     let mut json_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -43,7 +40,6 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--dense" => dense = true,
             "--json" => {
                 i += 1;
                 json_path = Some(args.get(i).cloned().unwrap_or_else(|| {
@@ -52,7 +48,7 @@ fn main() {
                 }));
             }
             "--help" | "-h" => {
-                println!("usage: repro [--table fig1|fig2|fig3|fig4|fig5|perf|ablations|all] [--dense] [--json FILE]");
+                println!("usage: repro [--table fig1|fig2|fig3|fig4|fig5|perf|ablations|all] [--json FILE]");
                 return;
             }
             other => {
@@ -69,7 +65,7 @@ fn main() {
         "fig3" => fig3(),
         "fig4" => fig4(),
         "fig5" => fig5(),
-        "perf" => perf(dense, json_path.as_deref()),
+        "perf" => perf(json_path.as_deref()),
         "ablations" => ablations(),
         "export" => export(),
         "all" => {
@@ -78,7 +74,7 @@ fn main() {
             fig3();
             fig4();
             fig5();
-            perf(dense, json_path.as_deref());
+            perf(json_path.as_deref());
             ablations();
         }
         other => {
@@ -103,8 +99,7 @@ fn export() {
 /// Figure 1: the predicate dependency graph of the ETH-PERP program.
 fn fig1() {
     println!("== Figure 1: dependency graph of the DatalogMTL program (DOT) ==\n");
-    let program = build_program(&MarketParams::default(), TimelineMode::DenseSeconds)
-        .expect("program builds");
+    let program = program::build(&MarketParams::default()).expect("program builds");
     let graph = DependencyGraph::build(&program);
     println!("{}", graph.to_dot());
     let reasoner = Reasoner::new(program, ReasonerConfig::default().with_horizon(0, 1))
@@ -191,7 +186,7 @@ fn fig4() {
     println!("== Figure 4: funding rate sequence, Subgraph vs DatalogMTL ==\n");
     let params = MarketParams::default();
     for (config, trace) in paper_traces() {
-        let report = validate(&trace, &params, TimelineMode::EventEpochs).expect("validation runs");
+        let report = validate(&trace, &params).expect("validation runs");
         println!("-- interval {} --", config.name);
         let shown = 8.min(report.frs_rows.len());
         let rows: Vec<Vec<String>> = report.frs_rows[..shown]
@@ -230,7 +225,7 @@ fn fig5() {
     let mut fees = Vec::new();
     let mut fundings = Vec::new();
     for (_, trace) in paper_traces() {
-        let report = validate(&trace, &params, TimelineMode::EventEpochs).expect("validation runs");
+        let report = validate(&trace, &params).expect("validation runs");
         for (a, b) in report.datalog.trades.iter().zip(&report.subgraph.trades) {
             returns.push(a.pnl - b.pnl);
             fees.push(a.fee - b.fee);
@@ -268,55 +263,37 @@ fn fig5() {
     println!("(paper: means ~1e-15..1e-17, std devs ~1e-14..1e-16)\n");
 }
 
-/// §4.2 performance: runtime per interval. The dense (unix-seconds)
-/// timeline is the apples-to-apples comparison with the Vadalog numbers;
-/// the event-epoch timeline shows what the compressed encoding buys.
+/// §4.2 performance: runtime per interval, on the paper's own timeline
+/// (one point per unix second), next to the Vadalog numbers it reports.
 /// With `json_path`, also writes a machine-readable report: one entry per
 /// materialization in the CLI's `--stats-json` shape.
-fn perf(dense_only: bool, json_path: Option<&str>) {
+fn perf(json_path: Option<&str>) {
     println!("== §4.2 performance: DatalogMTL materialization runtime ==\n");
     let params = MarketParams::default();
     let paper_runtimes = [1140.0, 540.0, 420.0];
     let mut rows = Vec::new();
     let mut reports = Vec::new();
-    let mut add_report =
-        |stats: &chronolog_core::RunStats, name: &str, timeline: &str, secs: f64| {
-            let mut rep = run_report(stats, &[name.to_string()], None);
-            rep.set("command", "repro");
-            rep.set("timeline", timeline);
-            rep.set("runtime_secs", secs);
-            reports.push(rep);
-        };
     for ((config, trace), paper_secs) in paper_traces().into_iter().zip(paper_runtimes) {
         let t0 = Instant::now();
-        let dense_run = run_datalog_with(&trace, &params, TimelineMode::DenseSeconds, true)
-            .expect("dense run succeeds");
-        let dense_t = t0.elapsed().as_secs_f64();
-        add_report(&dense_run.stats, &config.name, "dense_seconds", dense_t);
-        let epoch_t = if dense_only {
-            None
-        } else {
-            let t0 = Instant::now();
-            let epoch_run = run_datalog_with(&trace, &params, TimelineMode::EventEpochs, true)
-                .expect("epoch run succeeds");
-            let secs = t0.elapsed().as_secs_f64();
-            add_report(&epoch_run.stats, &config.name, "event_epochs", secs);
-            Some(secs)
-        };
+        let run = run_datalog(&trace, &params).expect("run succeeds");
+        let secs = t0.elapsed().as_secs_f64();
+        let mut rep = run_report(&run.stats, std::slice::from_ref(&config.name), None);
+        rep.set("command", "repro");
+        rep.set("runtime_secs", secs);
+        reports.push(rep);
         rows.push(vec![
             config.name.clone(),
             trace.event_count().to_string(),
-            format!("{dense_t:.2}s"),
-            epoch_t.map_or("-".to_string(), |t| format!("{t:.2}s")),
+            format!("{secs:.3}s"),
             format!("{paper_secs:.0}s"),
             format!("{:.0}s", trace.span_secs()),
-            (if dense_t < trace.span_secs() as f64 {
+            (if secs < trace.span_secs() as f64 {
                 "yes"
             } else {
                 "NO"
             })
             .to_string(),
-            dense_run.stats.derived_tuples.to_string(),
+            run.stats.derived_tuples.to_string(),
         ]);
     }
     println!(
@@ -325,8 +302,7 @@ fn perf(dense_only: bool, json_path: Option<&str>) {
             &[
                 "interval",
                 "# events",
-                "dense (ours)",
-                "epochs (ours)",
+                "ours",
                 "Vadalog",
                 "window",
                 "realtime?",
@@ -347,60 +323,27 @@ fn perf(dense_only: bool, json_path: Option<&str>) {
     }
 }
 
-/// Ablations: timeline granularity and semi-naive evaluation.
+/// Ablation: semi-naive vs naive fixpoint on the 108-event interval.
 fn ablations() {
     println!("== Ablations ==\n");
     let params = MarketParams::default();
-    let (config, trace) = &paper_traces()[1]; // the 108-event interval
+    let (config, trace) = &paper_traces()[1];
 
-    // A: dense vs epoch timeline (identical outputs, different cost).
     let t0 = Instant::now();
-    let dense = run_datalog_with(trace, &params, TimelineMode::DenseSeconds, true).unwrap();
-    let dense_t = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let epoch = run_datalog_with(trace, &params, TimelineMode::EventEpochs, true).unwrap();
-    let epoch_t = t0.elapsed().as_secs_f64();
-    assert_eq!(dense.run.frs, epoch.run.frs, "timelines must agree exactly");
-    assert_eq!(dense.run.trades, epoch.run.trades);
-    println!(
-        "-- A: timeline granularity (interval {}, outputs identical) --",
-        config.name
-    );
-    println!(
-        "{}",
-        render_table(
-            &[
-                "timeline",
-                "runtime",
-                "derived tuples",
-                "iterations (max stratum)"
-            ],
-            &[
-                vec![
-                    "dense seconds".into(),
-                    format!("{dense_t:.3}s"),
-                    dense.stats.derived_tuples.to_string(),
-                    dense.stats.iterations.iter().max().unwrap().to_string(),
-                ],
-                vec![
-                    "event epochs".into(),
-                    format!("{epoch_t:.3}s"),
-                    epoch.stats.derived_tuples.to_string(),
-                    epoch.stats.iterations.iter().max().unwrap().to_string(),
-                ],
-            ]
-        )
-    );
-
-    // B: semi-naive vs naive fixpoint (epoch timeline).
-    let t0 = Instant::now();
-    let semi = run_datalog_with(trace, &params, TimelineMode::EventEpochs, true).unwrap();
+    let semi = run_datalog(trace, &params).unwrap();
     let semi_t = t0.elapsed().as_secs_f64();
+    let naive_config = ReasonerConfig {
+        semi_naive: false,
+        ..ReasonerConfig::default()
+    };
     let t0 = Instant::now();
-    let naive = run_datalog_with(trace, &params, TimelineMode::EventEpochs, false).unwrap();
+    let naive = run_datalog_with(trace, &params, naive_config).unwrap();
     let naive_t = t0.elapsed().as_secs_f64();
     assert_eq!(semi.run.frs, naive.run.frs, "fixpoint modes must agree");
-    println!("-- B: fixpoint strategy (event epochs, outputs identical) --");
+    println!(
+        "-- fixpoint strategy (interval {}, outputs identical) --",
+        config.name
+    );
     println!(
         "{}",
         render_table(

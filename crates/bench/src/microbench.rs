@@ -14,8 +14,8 @@
 //! Wall-clock numbers from this harness are indicative, not
 //! statistically rigorous: there is no outlier rejection and no
 //! regression tracking. They are good enough for the relative
-//! comparisons the repro tables make (semi-naive vs naive, dense vs
-//! epoch timelines, engine vs oracle).
+//! comparisons the benches make (indexed vs scanned joins, warm vs cold
+//! sessions, goal-driven vs full queries).
 
 use chronolog_obs::Json;
 use std::time::{Duration, Instant};

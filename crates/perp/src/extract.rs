@@ -20,7 +20,7 @@ impl std::error::Error for ExtractError {}
 
 /// Finds the unique tuple of `pred` holding at `t` whose leading arguments
 /// equal `prefix`, returning its remaining arguments.
-fn lookup_unique(
+pub(crate) fn lookup_unique(
     db: &Database,
     pred: &str,
     prefix: &[Value],
@@ -55,7 +55,7 @@ fn lookup_unique(
     found.ok_or_else(|| ExtractError(format!("{pred}{prefix:?} does not hold at t={t}")))
 }
 
-fn as_f64(v: &Value, what: &str) -> Result<f64, ExtractError> {
+pub(crate) fn as_f64(v: &Value, what: &str) -> Result<f64, ExtractError> {
     v.as_f64()
         .ok_or_else(|| ExtractError(format!("{what} is not numeric: {v}")))
 }

@@ -2,11 +2,11 @@
 //! runs the reference engines, and compares the funding rate sequence
 //! (Figure 4) and per-trade results (Figure 5).
 
-use crate::encode::encode_trace;
+use crate::encode::encode;
 use crate::extract::{extract_run, ExtractError};
 use crate::fixed::Fixed18;
 use crate::params::MarketParams;
-use crate::program::{build_program, TimelineMode};
+use crate::program;
 use crate::reference::ReferenceEngine;
 use crate::types::{MarketRun, Trace};
 use chronolog_core::{Reasoner, ReasonerConfig, RunStats};
@@ -55,64 +55,21 @@ pub struct DatalogRun {
 }
 
 /// Executes the ETH-PERP DatalogMTL program over a trace.
-pub fn run_datalog(
-    trace: &Trace,
-    params: &MarketParams,
-    mode: TimelineMode,
-) -> Result<DatalogRun, HarnessError> {
-    run_datalog_with(trace, params, mode, true)
+pub fn run_datalog(trace: &Trace, params: &MarketParams) -> Result<DatalogRun, HarnessError> {
+    run_datalog_with(trace, params, ReasonerConfig::default())
 }
 
-/// Like [`run_datalog`] with an explicit semi-naive switch (ablation).
+/// Like [`run_datalog`] under an explicit engine configuration (fixpoint
+/// strategy, threads, profiler); the horizon is always the trace window.
 pub fn run_datalog_with(
     trace: &Trace,
     params: &MarketParams,
-    mode: TimelineMode,
-    semi_naive: bool,
-) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, semi_naive, 1, None)
-}
-
-/// Like [`run_datalog`] with an explicit evaluation thread count.
-pub fn run_datalog_threaded(
-    trace: &Trace,
-    params: &MarketParams,
-    mode: TimelineMode,
-    threads: usize,
-) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, true, threads, None)
-}
-
-/// Like [`run_datalog`] with a span profiler attached: the recorder
-/// collects the engine's materialization spans for Chrome-trace or
-/// flamegraph export.
-pub fn run_datalog_profiled(
-    trace: &Trace,
-    params: &MarketParams,
-    mode: TimelineMode,
-    profiler: chronolog_obs::SpanRecorder,
-) -> Result<DatalogRun, HarnessError> {
-    run_datalog_configured(trace, params, mode, true, 1, Some(profiler))
-}
-
-fn run_datalog_configured(
-    trace: &Trace,
-    params: &MarketParams,
-    mode: TimelineMode,
-    semi_naive: bool,
-    threads: usize,
-    profiler: Option<chronolog_obs::SpanRecorder>,
+    config: ReasonerConfig,
 ) -> Result<DatalogRun, HarnessError> {
     trace.validate().map_err(HarnessError::Trace)?;
-    let program = build_program(params, mode)?;
-    let encoded = encode_trace(trace, mode);
-    let config = ReasonerConfig {
-        semi_naive,
-        profiler,
-        ..ReasonerConfig::default()
-            .with_horizon(encoded.horizon.0, encoded.horizon.1)
-            .with_threads(threads)
-    };
+    let program = program::build(params)?;
+    let encoded = encode(trace);
+    let config = config.with_horizon(encoded.horizon.0, encoded.horizon.1);
     let reasoner = Reasoner::new(program, config)?;
     let m = reasoner.materialize(&encoded.database)?;
     let run = extract_run(&m.database, trace, &encoded)?;
@@ -200,12 +157,8 @@ impl ValidationReport {
 
 /// Runs the full validation of §4 on one trace: DatalogMTL vs the
 /// fixed-point reference.
-pub fn validate(
-    trace: &Trace,
-    params: &MarketParams,
-    mode: TimelineMode,
-) -> Result<ValidationReport, HarnessError> {
-    let datalog = run_datalog(trace, params, mode)?;
+pub fn validate(trace: &Trace, params: &MarketParams) -> Result<ValidationReport, HarnessError> {
+    let datalog = run_datalog(trace, params)?;
     let subgraph = ReferenceEngine::<Fixed18>::run_trace(*params, trace);
     Ok(build_report(datalog, subgraph))
 }
@@ -315,7 +268,7 @@ mod tests {
     fn datalog_matches_f64_reference_exactly() {
         let trace = small_trace();
         let params = MarketParams::default();
-        let datalog = run_datalog(&trace, &params, TimelineMode::EventEpochs).unwrap();
+        let datalog = run_datalog(&trace, &params).unwrap();
         let float_ref = ReferenceEngine::<f64>::run_trace(params, &trace);
         assert_eq!(datalog.run.frs.len(), float_ref.frs.len());
         for ((t1, a), (t2, b)) in datalog.run.frs.iter().zip(&float_ref.frs) {
@@ -333,34 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_epoch_modes_agree_exactly() {
-        let trace = Trace {
-            // Shrunk window so the dense run stays fast in the test suite.
-            start_time: 0,
-            end_time: 700,
-            initial_skew: 1302.88,
-            initial_price: 1320.0,
-            events: vec![
-                ev(10, 1, Method::TransferMargin { amount: 5_000.0 }, 1320.0),
-                ev(35, 1, Method::ModifyPosition { size: -0.8 }, 1321.5),
-                ev(300, 2, Method::TransferMargin { amount: 2_000.0 }, 1318.0),
-                ev(420, 2, Method::ModifyPosition { size: 1.2 }, 1319.0),
-                ev(550, 1, Method::ClosePosition, 1322.25),
-                ev(620, 2, Method::ClosePosition, 1317.75),
-            ],
-        };
-        let params = MarketParams::default();
-        let dense = run_datalog(&trace, &params, TimelineMode::DenseSeconds).unwrap();
-        let epoch = run_datalog(&trace, &params, TimelineMode::EventEpochs).unwrap();
-        assert_eq!(dense.run.frs, epoch.run.frs);
-        assert_eq!(dense.run.trades, epoch.run.trades);
-        assert_eq!(dense.run.final_skew, epoch.run.final_skew);
-    }
-
-    #[test]
     fn validation_report_shows_dust_vs_subgraph() {
         let trace = small_trace();
-        let report = validate(&trace, &MarketParams::default(), TimelineMode::EventEpochs).unwrap();
+        let report = validate(&trace, &MarketParams::default()).unwrap();
         assert_eq!(report.frs_rows.len(), 8);
         assert_eq!(report.returns.count, 2);
         // The float/fixed divergence exists but is dust (the paper's 1e-12
@@ -375,8 +303,12 @@ mod tests {
     fn seminaive_ablation_is_equivalent() {
         let trace = small_trace();
         let params = MarketParams::default();
-        let a = run_datalog_with(&trace, &params, TimelineMode::EventEpochs, true).unwrap();
-        let b = run_datalog_with(&trace, &params, TimelineMode::EventEpochs, false).unwrap();
+        let a = run_datalog(&trace, &params).unwrap();
+        let naive = ReasonerConfig {
+            semi_naive: false,
+            ..ReasonerConfig::default()
+        };
+        let b = run_datalog_with(&trace, &params, naive).unwrap();
         assert_eq!(a.run.frs, b.run.frs);
         assert_eq!(a.run.trades, b.run.trades);
     }
@@ -385,11 +317,13 @@ mod tests {
     fn profiled_run_is_equivalent_and_records_spans() {
         let trace = small_trace();
         let params = MarketParams::default();
-        let plain = run_datalog(&trace, &params, TimelineMode::EventEpochs).unwrap();
+        let plain = run_datalog(&trace, &params).unwrap();
         let recorder = chronolog_obs::SpanRecorder::new();
-        let profiled =
-            run_datalog_profiled(&trace, &params, TimelineMode::EventEpochs, recorder.clone())
-                .unwrap();
+        let config = ReasonerConfig {
+            profiler: Some(recorder.clone()),
+            ..ReasonerConfig::default()
+        };
+        let profiled = run_datalog_with(&trace, &params, config).unwrap();
         assert_eq!(plain.run.frs, profiled.run.frs);
         assert_eq!(plain.run.trades, profiled.run.trades);
         assert_eq!(plain.run.final_skew, profiled.run.final_skew);
@@ -406,7 +340,7 @@ mod tests {
         let mut trace = small_trace();
         trace.events.swap(0, 1);
         assert!(matches!(
-            run_datalog(&trace, &MarketParams::default(), TimelineMode::EventEpochs),
+            run_datalog(&trace, &MarketParams::default()),
             Err(HarnessError::Trace(_))
         ));
     }

@@ -11,7 +11,7 @@
 //! it, so the Figure 4/5 exactness results are untouched.
 
 use crate::params::MarketParams;
-use crate::program::{program_source, TimelineMode};
+use crate::program;
 use chronolog_core::{parse_program, Program, Result};
 
 /// Thresholds for the monitoring rules.
@@ -56,23 +56,15 @@ pub fn monitor_source(monitor: &MonitorParams) -> String {
 }
 
 /// Builds the contract program extended with the monitoring rules.
-pub fn build_monitored_program(
-    params: &MarketParams,
-    monitor: &MonitorParams,
-    mode: TimelineMode,
-) -> Result<Program> {
-    let src = format!(
-        "{}{}",
-        program_source(params, mode),
-        monitor_source(monitor)
-    );
+pub fn build_monitored_program(params: &MarketParams, monitor: &MonitorParams) -> Result<Program> {
+    let src = format!("{}{}", program::source(params), monitor_source(monitor));
     parse_program(&src)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::{account_value, encode_trace};
+    use crate::encode::{account_value, encode};
     use crate::types::{AccountId, Event, Method, Trace};
     use chronolog_core::{Reasoner, ReasonerConfig, Symbol, Value};
 
@@ -86,13 +78,8 @@ mod tests {
     }
 
     fn run_monitored(trace: &Trace, monitor: MonitorParams) -> chronolog_core::Database {
-        let program = build_monitored_program(
-            &MarketParams::default(),
-            &monitor,
-            TimelineMode::EventEpochs,
-        )
-        .unwrap();
-        let encoded = encode_trace(trace, TimelineMode::EventEpochs);
+        let program = build_monitored_program(&MarketParams::default(), &monitor).unwrap();
+        let encoded = encode(trace);
         Reasoner::new(
             program,
             ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1),
@@ -124,22 +111,22 @@ mod tests {
     fn exposure_and_leverage_track_positions() {
         let db = run_monitored(&trace(), MonitorParams::default());
         let acc = account_value(AccountId(1));
-        // Epoch 2: position 0.5 @ 1000$ -> exposure 500.
-        assert!(db.holds_at("exposure", &[acc, Value::num(500.0)], 2));
-        assert!(db.holds_at("leverage", &[acc, Value::num(5.0)], 2));
+        // @20: position 0.5 @ 1000$ -> exposure 500.
+        assert!(db.holds_at("exposure", &[acc, Value::num(500.0)], 20));
+        assert!(db.holds_at("leverage", &[acc, Value::num(5.0)], 20));
         // Not highly leveraged yet (threshold 10).
-        assert!(!db.holds_at("highLeverage", &[acc], 2));
-        // Epoch 3: 2.5 ETH -> exposure 2500, leverage 25 -> alert.
-        assert!(db.holds_at("exposure", &[acc, Value::num(2500.0)], 3));
-        assert!(db.holds_at("highLeverage", &[acc], 3));
+        assert!(!db.holds_at("highLeverage", &[acc], 20));
+        // @30: 2.5 ETH -> exposure 2500, leverage 25 -> alert.
+        assert!(db.holds_at("exposure", &[acc, Value::num(2500.0)], 30));
+        assert!(db.holds_at("highLeverage", &[acc], 30));
         // After close the exposure is zero and alerts clear.
-        assert!(db.holds_at("exposure", &[acc, Value::num(0.0)], 4));
-        assert!(!db.holds_at("highLeverage", &[acc], 4));
+        assert!(db.holds_at("exposure", &[acc, Value::num(0.0)], 40));
+        assert!(!db.holds_at("highLeverage", &[acc], 40));
     }
 
     #[test]
     fn under_margin_alert_uses_maintenance_ratio() {
-        // maintenance 10%: margin 100 < 2500 * 0.1 -> alert at epoch 3 only.
+        // maintenance 10%: margin 100 < 2500 * 0.1 -> alert at @30 only.
         let db = run_monitored(
             &trace(),
             MonitorParams {
@@ -148,8 +135,8 @@ mod tests {
             },
         );
         let acc = account_value(AccountId(1));
-        assert!(!db.holds_at("underMargin", &[acc], 2));
-        assert!(db.holds_at("underMargin", &[acc], 3));
+        assert!(!db.holds_at("underMargin", &[acc], 20));
+        assert!(db.holds_at("underMargin", &[acc], 30));
     }
 
     #[test]
@@ -167,29 +154,23 @@ mod tests {
             ],
         };
         let db = run_monitored(&trace, MonitorParams::default());
-        // Epoch 4: |1*1000| + |-2*1000| = 3000 (shorts count absolutely).
-        assert!(db.holds_at("openInterest", &[Value::num(3000.0)], 4));
+        // @40: |1*1000| + |-2*1000| = 3000 (shorts count absolutely).
+        assert!(db.holds_at("openInterest", &[Value::num(3000.0)], 40));
     }
 
     #[test]
     fn report_feed_lists_position_sizes() {
         let db = run_monitored(&trace(), MonitorParams::default());
         let acc = account_value(AccountId(1));
-        assert!(db.holds_at("reportPosition", &[acc, Value::num(0.5)], 2));
-        assert!(db.holds_at("reportPosition", &[acc, Value::num(2.5)], 3));
+        assert!(db.holds_at("reportPosition", &[acc, Value::num(0.5)], 20));
+        assert!(db.holds_at("reportPosition", &[acc, Value::num(2.5)], 30));
     }
 
     #[test]
     fn monitored_program_still_validates_and_extends_rule_count() {
-        let base =
-            crate::program::build_program(&MarketParams::default(), TimelineMode::EventEpochs)
-                .unwrap();
-        let ext = build_monitored_program(
-            &MarketParams::default(),
-            &MonitorParams::default(),
-            TimelineMode::EventEpochs,
-        )
-        .unwrap();
+        let base = program::build(&MarketParams::default()).unwrap();
+        let ext =
+            build_monitored_program(&MarketParams::default(), &MonitorParams::default()).unwrap();
         assert_eq!(ext.rules.len(), base.rules.len() + 6);
         // Contract predicates do not depend on monitor predicates.
         let g = chronolog_core::DependencyGraph::build(&ext);

@@ -11,14 +11,13 @@
 //! the combined declarative run must equal one procedural reference engine
 //! per market, bit for bit.
 
+use crate::encode::{account_value, method_call};
+use crate::extract::{as_f64, lookup_unique};
 use crate::params::MarketParams;
 #[cfg(test)]
 use crate::reference::ReferenceEngine;
 use crate::types::{MarketRun, Method, Trace};
-use chronolog_core::{
-    parse_program, Database, IntervalSet, Program, Rational, Reasoner, ReasonerConfig, Result,
-    Symbol, Value,
-};
+use chronolog_core::{parse_program, Database, Program, Reasoner, ReasonerConfig, Result, Value};
 use std::collections::HashMap;
 
 /// A market identifier (e.g. `ethperp`, `btcperp`).
@@ -81,10 +80,10 @@ pub fn multi_market_source() -> String {
      skew(Mkt, K) :- diamondminus skew(Mkt, K), not event(Mkt, _), live().\n\
      skew(Mkt, K) :- diamondminus skew(Mkt, X), event(Mkt, S), K = X + S.\n\
      \n\
-     % ----- TDIFF, per market (epoch encoding with shared ts feed) -----\n\
-     tdiff(Mkt, U, U) :- start(Mkt), ts(U).\n\
+     % ----- TDIFF, per market, via @T capture -----\n\
+     tdiff(Mkt, T, T) :- start(Mkt)@T.\n\
      tdiff(Mkt, T1, T2) :- diamondminus tdiff(Mkt, T1, T2), not event(Mkt, _), live().\n\
-     tdiff(Mkt, T2, U) :- diamondminus tdiff(Mkt, T1, T2), event(Mkt, S), ts(U).\n\
+     tdiff(Mkt, T2, T) :- diamondminus tdiff(Mkt, T1, T2), event(Mkt, S)@T.\n\
      diff(Mkt, D) :- tdiff(Mkt, T1, T2), event(Mkt, S), D = T2 - T1.\n\
      \n\
      % ----- RATE & FRS, per market, parameters from mparams -----\n\
@@ -123,55 +122,29 @@ pub fn build_multi_market_program() -> Result<Program> {
     parse_program(&multi_market_source())
 }
 
-/// Encodes several markets onto one shared epoch timeline. All traces must
-/// share the same `start_time`; the global epoch order is the merged event
-/// order across markets (ties broken by market order — traces are expected
-/// to use disjoint timestamps, as chains totally order transactions).
+/// Several markets encoded onto the one unix-second timeline.
 pub struct MultiEncoded {
     /// The combined input database.
     pub database: Database,
-    /// Shared horizon (epochs).
+    /// Shared horizon: earliest window start to latest window end.
     pub horizon: (i64, i64),
-    /// `(market index, event index within its trace, epoch)` per event.
-    pub schedule: Vec<(usize, usize, i64)>,
 }
 
-/// Encodes the markets. Panics if traces disagree on `start_time`.
+/// Encodes the markets, each over its own window: a market's initial
+/// conditions hold at its own `start_time`, its events at their own
+/// seconds (two markets may trade in the same second).
 pub fn encode_markets(markets: &[MarketSpec]) -> MultiEncoded {
     let mut db = Database::new();
-    let start_time = markets
-        .first()
-        .map(|m| m.trace.start_time)
-        .unwrap_or_default();
-    // Merge all events into one global timeline.
-    let mut schedule: Vec<(usize, usize, i64)> = Vec::new();
-    {
-        let mut all: Vec<(i64, usize, usize)> = Vec::new();
-        for (mi, market) in markets.iter().enumerate() {
-            assert_eq!(
-                market.trace.start_time, start_time,
-                "all markets share the window start"
-            );
-            for (ei, e) in market.trace.events.iter().enumerate() {
-                all.push((e.time, mi, ei));
-            }
-        }
-        all.sort();
-        for (epoch0, (_, mi, ei)) in all.into_iter().enumerate() {
-            schedule.push((mi, ei, epoch0 as i64 + 1));
-        }
-    }
-
-    db.assert_at("ts", &[Value::Int(start_time)], 0);
-    for (mi, market) in markets.iter().enumerate() {
+    for market in markets {
         let mkt = Value::sym(&market.id);
-        db.assert_at("start", &[mkt], 0);
+        let trace = &market.trace;
+        db.assert_at("start", &[mkt], trace.start_time);
         db.assert_at(
             "startSkew",
-            &[mkt, Value::num(market.trace.initial_skew)],
-            0,
+            &[mkt, Value::num(trace.initial_skew)],
+            trace.start_time,
         );
-        db.assert_at("startFrs", &[mkt, Value::num(0.0)], 0);
+        db.assert_at("startFrs", &[mkt, Value::num(0.0)], trace.start_time);
         let p = market.params;
         db.assert_over(
             "mparams",
@@ -185,35 +158,20 @@ pub fn encode_markets(markets: &[MarketSpec]) -> MultiEncoded {
             ],
             chronolog_core::Interval::ALL,
         );
-        let _ = mi;
-    }
-    for &(mi, ei, epoch) in &schedule {
-        let market = &markets[mi];
-        let event = &market.trace.events[ei];
-        let mkt = Value::sym(&market.id);
-        let acc = Value::sym(&event.account.to_string());
-        match event.method {
-            Method::TransferMargin { amount } => {
-                db.assert_at("tranM", &[mkt, acc, Value::num(amount)], epoch);
-            }
-            Method::Withdraw => {
-                db.assert_at("withdraw", &[mkt, acc], epoch);
-            }
-            Method::ModifyPosition { size } => {
-                db.assert_at("modPos", &[mkt, acc, Value::num(size)], epoch);
-            }
-            Method::ClosePosition => {
-                db.assert_at("closePos", &[mkt, acc], epoch);
-            }
+        for event in &trace.events {
+            let acc = account_value(event.account);
+            match method_call(event.method) {
+                (pred, Some(x)) => db.assert_at(pred, &[mkt, acc, Value::num(x)], event.time),
+                (pred, None) => db.assert_at(pred, &[mkt, acc], event.time),
+            };
+            db.assert_at("price", &[mkt, Value::num(event.price)], event.time);
         }
-        db.assert_at("price", &[mkt, Value::num(event.price)], epoch);
-        db.assert_at("ts", &[Value::Int(event.time)], epoch);
     }
-
+    let start = markets.iter().map(|m| m.trace.start_time).min();
+    let end = markets.iter().map(|m| m.trace.end_time).max();
     MultiEncoded {
         database: db,
-        horizon: (0, schedule.len() as i64),
-        schedule,
+        horizon: (start.unwrap_or(0), end.unwrap_or(0)),
     }
 }
 
@@ -228,74 +186,38 @@ pub fn run_multi_market(markets: &[MarketSpec]) -> Result<HashMap<MarketId, Mark
     )?;
     let m = reasoner.materialize(&encoded.database)?;
 
-    let mut runs: HashMap<MarketId, MarketRun> = markets
-        .iter()
-        .map(|s| (s.id.clone(), MarketRun::default()))
-        .collect();
-    let frs_pred = Symbol::new("frs");
-    for &(mi, ei, epoch) in &encoded.schedule {
-        let market = &markets[mi];
-        let event = &market.trace.events[ei];
+    let mut runs = HashMap::new();
+    for market in markets {
         let mkt = Value::sym(&market.id);
-        let frs = lookup(&m.database, frs_pred, &[mkt], epoch)
-            .ok_or_else(|| chronolog_core::Error::Eval(format!("frs missing for {}", market.id)))?;
-        let run = runs.get_mut(&market.id).expect("initialized above");
-        run.frs.push((event.time, frs));
-        if matches!(event.method, Method::ClosePosition) {
-            let acc = Value::sym(&event.account.to_string());
-            let get = |pred: &str| {
-                lookup(&m.database, Symbol::new(pred), &[mkt, acc], epoch).ok_or_else(|| {
-                    chronolog_core::Error::Eval(format!("{pred} missing for {}", market.id))
-                })
-            };
-            run.trades.push(crate::types::TradeSettlement {
-                account: event.account,
-                time: event.time,
-                pnl: get("pnl")?,
-                fee: get("finalFee")?,
-                funding: get("funding")?,
-            });
+        let number = |pred: &str, prefix: &[Value], t: i64| {
+            lookup_unique(&m.database, pred, prefix, t)
+                .and_then(|rest| as_f64(&rest[0], pred))
+                .map_err(|e| chronolog_core::Error::Eval(format!("{}: {}", market.id, e.0)))
+        };
+        let mut run = MarketRun {
+            final_skew: market.trace.initial_skew,
+            ..MarketRun::default()
+        };
+        for event in &market.trace.events {
+            run.frs
+                .push((event.time, number("frs", &[mkt], event.time)?));
+            if matches!(event.method, Method::ClosePosition) {
+                let acc = account_value(event.account);
+                run.trades.push(crate::types::TradeSettlement {
+                    account: event.account,
+                    time: event.time,
+                    pnl: number("pnl", &[mkt, acc], event.time)?,
+                    fee: number("finalFee", &[mkt, acc], event.time)?,
+                    funding: number("funding", &[mkt, acc], event.time)?,
+                });
+            }
         }
-    }
-    for spec in markets {
-        if let Some(&(_, _, last)) = encoded
-            .schedule
-            .iter()
-            .rev()
-            .find(|&&(mi, _, _)| markets[mi].id == spec.id)
-        {
-            let run = runs.get_mut(&spec.id).expect("initialized");
-            run.final_skew = lookup(
-                &m.database,
-                Symbol::new("skew"),
-                &[Value::sym(&spec.id)],
-                last,
-            )
-            .unwrap_or(spec.trace.initial_skew);
+        if let Some(last) = market.trace.events.last() {
+            run.final_skew = number("skew", &[mkt], last.time)?;
         }
+        runs.insert(market.id.clone(), run);
     }
     Ok(runs)
-}
-
-/// Unique numeric lookup of `pred(prefix..., X)` at an epoch.
-fn lookup(db: &Database, pred: Symbol, prefix: &[Value], epoch: i64) -> Option<f64> {
-    let rel = db.relation(pred)?;
-    let t = Rational::integer(epoch);
-    let mut found = None;
-    for (tuple, ivs) in rel.iter() {
-        if tuple.len() != prefix.len() + 1 || !IntervalSet::components_contain(ivs, t) {
-            continue;
-        }
-        if !(0..prefix.len()).all(|i| tuple.value(i).semantic_eq(&prefix[i])) {
-            continue;
-        }
-        let v = tuple.value(prefix.len()).as_f64()?;
-        match found {
-            Some(prev) if prev != v => return None, // ambiguous
-            _ => found = Some(v),
-        }
-    }
-    found
 }
 
 #[cfg(test)]
@@ -362,17 +284,33 @@ mod tests {
         Reasoner::new(program, ReasonerConfig::default().with_horizon(0, 10)).unwrap();
     }
 
-    #[test]
-    fn combined_run_equals_independent_references() {
-        let markets = eth_and_btc();
-        let runs = run_multi_market(&markets).unwrap();
-        for spec in &markets {
+    fn assert_equals_independent_references(markets: &[MarketSpec]) {
+        let runs = run_multi_market(markets).unwrap();
+        for spec in markets {
             let reference = ReferenceEngine::<f64>::run_trace(spec.params, &spec.trace);
             let run = &runs[&spec.id];
             assert_eq!(run.frs, reference.frs, "{} FRS", spec.id);
             assert_eq!(run.trades, reference.trades, "{} trades", spec.id);
             assert_eq!(run.final_skew, reference.final_skew, "{} skew", spec.id);
         }
+    }
+
+    #[test]
+    fn combined_run_equals_independent_references() {
+        assert_equals_independent_references(&eth_and_btc());
+    }
+
+    #[test]
+    fn staggered_windows_and_same_second_events_match_references() {
+        // BTC opens 5 s after ETH and both markets trade in seconds 10 and 30.
+        let mut markets = eth_and_btc();
+        let btc = &mut markets[1].trace;
+        btc.start_time = 5;
+        btc.events[0].time = 10;
+        btc.events[1].time = 30;
+        assert_eq!(markets[0].trace.events[0].time, 10);
+        assert_eq!(markets[0].trace.events[1].time, 30);
+        assert_equals_independent_references(&markets);
     }
 
     #[test]

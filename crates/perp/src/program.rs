@@ -3,14 +3,9 @@
 //! MARGIN, POSITION, RETURNS, F-RATE (events/skew/tdiff/rate/frs/indF),
 //! and FEES.
 //!
-//! Two timeline encodings produce bit-identical results:
-//! * [`TimelineMode::DenseSeconds`] — the timeline is Unix seconds, exactly
-//!   as the paper runs it; rules 23/25 use the `@T` time capture (the
-//!   Vadalog `unix(t)` promotion).
-//! * [`TimelineMode::EventEpochs`] — the timeline is compressed to
-//!   consecutive event indices and real timestamps flow through `ts(U)`
-//!   facts; funding arithmetic still uses real second differences. This is
-//!   the ablation variant (orders of magnitude fewer propagation steps).
+//! The timeline is Unix seconds, exactly as the paper runs it: `[1,1]`
+//! operators step one second and rules 23/25 read the event times with the
+//! `@T` time capture (the Vadalog `unix(t)` promotion).
 //!
 //! Deviations from the paper's printed rules are deliberate and documented
 //! in DESIGN.md: the rule-36 typo fix, fee-rate naming per the §3.7 table,
@@ -21,40 +16,13 @@
 use crate::params::MarketParams;
 use chronolog_core::{parse_program, Program, Result};
 
-/// Which timeline the generated program runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TimelineMode {
-    /// Unix-second timeline; `[1,1]` operators step one second.
-    DenseSeconds,
-    /// Event-epoch timeline; `[1,1]` operators step one event, real
-    /// timestamps come from `ts(U)` facts.
-    EventEpochs,
-}
-
 /// Renders the full DatalogMTL source with the market parameters inlined.
-pub fn program_source(params: &MarketParams, mode: TimelineMode) -> String {
+pub fn source(params: &MarketParams) -> String {
     let taker = fmt_f64(params.taker_fee);
     let maker = fmt_f64(params.maker_fee);
     let imax = fmt_f64(params.max_funding_rate);
     let scale = fmt_f64(params.skew_scale_notional);
     let period = fmt_f64(params.funding_period_secs);
-
-    let tdiff_module = match mode {
-        TimelineMode::DenseSeconds => {
-            "% ----- TDIFF (rules 23-26): seconds between events, via @T capture -----\n\
-             tdiff(T, T) :- start()@T.\n\
-             tdiff(T1, T2) :- diamondminus tdiff(T1, T2), not event(_), live().\n\
-             tdiff(T2, T) :- diamondminus tdiff(T1, T2), event(S)@T.\n\
-             diff(D) :- tdiff(T1, T2), event(S), D = T2 - T1.\n"
-        }
-        TimelineMode::EventEpochs => {
-            "% ----- TDIFF (rules 23-26): seconds between events, via ts(U) facts -----\n\
-             tdiff(U, U) :- start(), ts(U).\n\
-             tdiff(T1, T2) :- diamondminus tdiff(T1, T2), not event(_), live().\n\
-             tdiff(T2, U) :- diamondminus tdiff(T1, T2), event(S), ts(U).\n\
-             diff(D) :- tdiff(T1, T2), event(S), D = T2 - T1.\n"
-        }
-    };
 
     format!(
         "% ============================================================\n\
@@ -99,7 +67,11 @@ pub fn program_source(params: &MarketParams, mode: TimelineMode) -> String {
          skew(K) :- diamondminus skew(K), not event(_), live().\n\
          skew(K) :- diamondminus skew(X), event(S), K = X + S.\n\
          \n\
-         {tdiff_module}\
+         % ----- TDIFF (rules 23-26): seconds between events, via @T capture -----\n\
+         tdiff(T, T) :- start()@T.\n\
+         tdiff(T1, T2) :- diamondminus tdiff(T1, T2), not event(_), live().\n\
+         tdiff(T2, T) :- diamondminus tdiff(T1, T2), event(S)@T.\n\
+         diff(D) :- tdiff(T1, T2), event(S), D = T2 - T1.\n\
          \n\
          % ----- RATE (rules 27-30): instantaneous funding rate -----\n\
          rate(I) :- event(S), boxminus skew(K), price(P), I = -K * P / {scale}.\n\
@@ -203,8 +175,8 @@ const RULE_LABELS: &[&str] = &[
 ];
 
 /// Parses the generated source into a labeled [`Program`].
-pub fn build_program(params: &MarketParams, mode: TimelineMode) -> Result<Program> {
-    let mut program = parse_program(&program_source(params, mode))?;
+pub fn build(params: &MarketParams) -> Result<Program> {
+    let mut program = parse_program(&source(params))?;
     assert_eq!(
         program.rules.len(),
         RULE_LABELS.len(),
@@ -216,24 +188,41 @@ pub fn build_program(params: &MarketParams, mode: TimelineMode) -> Result<Progra
     Ok(program)
 }
 
+/// The one timeline. Kept for `benchmark/src/perp.rs`, which names it;
+/// goes with the next `benchmark` PR.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TimelineMode {
+    /// Unix-second timeline; `[1,1]` operators step one second.
+    DenseSeconds,
+}
+
+/// [`source`]. Kept for `benchmark/src/perp.rs`; goes with the next
+/// `benchmark` PR.
+pub fn program_source(params: &MarketParams, _: TimelineMode) -> String {
+    source(params)
+}
+
+/// [`build`]. Kept for `benchmark/src/perp.rs`; goes with the next
+/// `benchmark` PR.
+pub fn build_program(params: &MarketParams, _: TimelineMode) -> Result<Program> {
+    build(params)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use chronolog_core::{Reasoner, ReasonerConfig, Stratification, Symbol};
 
     #[test]
-    fn both_variants_parse_and_stratify() {
-        for mode in [TimelineMode::DenseSeconds, TimelineMode::EventEpochs] {
-            let program = build_program(&MarketParams::default(), mode).unwrap();
-            assert_eq!(program.rules.len(), RULE_LABELS.len());
-            Reasoner::new(program, ReasonerConfig::default().with_horizon(0, 100))
-                .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
-        }
+    fn program_parses_and_stratifies() {
+        let program = build(&MarketParams::default()).unwrap();
+        assert_eq!(program.rules.len(), RULE_LABELS.len());
+        Reasoner::new(program, ReasonerConfig::default().with_horizon(0, 100)).unwrap();
     }
 
     #[test]
     fn stratification_orders_the_modules() {
-        let program = build_program(&MarketParams::default(), TimelineMode::DenseSeconds).unwrap();
+        let program = build(&MarketParams::default()).unwrap();
         let s = Stratification::compute(&program).unwrap();
         let stratum = |p: &str| s.strata[&Symbol::new(p)];
         // event aggregates over position, skew negates event, rate reads skew,
@@ -255,7 +244,7 @@ mod tests {
             max_funding_rate: 0.125,
             ..MarketParams::default()
         };
-        let src = program_source(&params, TimelineMode::DenseSeconds);
+        let src = source(&params);
         assert!(src.contains("0.00345"));
         assert!(src.contains("0.00121"));
         assert!(src.contains("0.125"));
@@ -272,12 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_variant_uses_time_capture_epoch_variant_uses_ts() {
-        let d = program_source(&MarketParams::default(), TimelineMode::DenseSeconds);
-        let e = program_source(&MarketParams::default(), TimelineMode::EventEpochs);
-        assert!(d.contains("start()@T"));
-        assert!(!d.contains("ts(U)"));
-        assert!(e.contains("ts(U)"));
-        assert!(!e.contains("start()@T"));
+    fn event_times_come_from_time_capture_not_ts_facts() {
+        let src = source(&MarketParams::default());
+        assert!(src.contains("start()@T"));
+        assert!(src.contains("event(S)@T"));
+        assert!(!src.contains("ts("));
     }
 }

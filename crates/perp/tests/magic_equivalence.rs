@@ -6,25 +6,8 @@
 //! 52-rule program, not just on synthetic fixtures.
 
 use chronolog_core::{parse_query, Reasoner, ReasonerConfig};
-use chronolog_perp::encode::encode_trace;
-use chronolog_perp::program::{build_program, TimelineMode};
-use chronolog_perp::MarketParams;
-
-fn render(answers: &[(chronolog_core::Tuple, chronolog_core::IntervalSet)]) -> String {
-    let mut lines: Vec<String> = answers
-        .iter()
-        .flat_map(|(tuple, ivs)| {
-            let args = tuple
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            ivs.iter().map(move |iv| format!("({args})@{iv}"))
-        })
-        .collect();
-    lines.sort();
-    lines.join("\n")
-}
+use chronolog_perp::encode::encode;
+use chronolog_perp::{program, MarketParams};
 
 #[cfg_attr(debug_assertions, ignore = "slow in debug profile; run with --release")]
 #[test]
@@ -32,9 +15,8 @@ fn perp_queries_match_full_materialization() {
     let config = chronolog_market::paper_intervals().remove(1);
     let trace = chronolog_market::generate(&config);
     let params = MarketParams::default();
-    let mode = TimelineMode::EventEpochs;
-    let program = build_program(&params, mode).unwrap();
-    let encoded = encode_trace(&trace, mode);
+    let program = program::build(&params).unwrap();
+    let encoded = encode(&trace);
 
     let reasoner = Reasoner::new(
         program,
@@ -48,13 +30,13 @@ fn perp_queries_match_full_materialization() {
         let mut expected = full.database.query(&query.atom, None);
         expected.sort_by(|a, b| a.0.cmp(&b.0));
         let outcome = reasoner.query(&encoded.database, &query).unwrap();
+        // A persisted answer is one strided component in the full model
+        // and single points on the goal-driven path: compare point sets.
         assert_eq!(
-            render(&outcome.answers),
-            render(&expected),
+            outcome.answers, expected,
             "query {text} diverged from the full materialization \
              (mode {}, degraded {})",
-            outcome.stats.magic.mode,
-            outcome.stats.magic.degraded
+            outcome.stats.magic.mode, outcome.stats.magic.degraded
         );
     }
 }

@@ -1,35 +1,30 @@
 //! The generated ETH-PERP program must survive a pretty-print → reparse
 //! round trip (the paper's transparency argument presumes the program *is*
-//! its text), and the dense/epoch encodings must agree on a full paper-
-//! scale window.
+//! its text).
 
 use chronolog_core::{parse_program, Stratification};
-use chronolog_perp::harness::run_datalog;
-use chronolog_perp::program::{build_program, program_source, TimelineMode};
-use chronolog_perp::MarketParams;
+use chronolog_perp::{program, MarketParams};
 
 #[test]
 fn program_text_roundtrips_through_the_parser() {
-    for mode in [TimelineMode::DenseSeconds, TimelineMode::EventEpochs] {
-        let original = build_program(&MarketParams::default(), mode).unwrap();
-        let printed = original.to_string();
-        let reparsed = parse_program(&printed)
-            .unwrap_or_else(|e| panic!("printed program must reparse: {e}\n{printed}"));
-        assert_eq!(original.rules.len(), reparsed.rules.len());
-        for (a, b) in original.rules.iter().zip(&reparsed.rules) {
-            assert_eq!(a.head, b.head, "head of {:?}", a.label);
-            assert_eq!(a.body.len(), b.body.len(), "body of {:?}", a.label);
-        }
-        // Identical stratification.
-        let s1 = Stratification::compute(&original).unwrap();
-        let s2 = Stratification::compute(&reparsed).unwrap();
-        assert_eq!(s1.count(), s2.count());
+    let original = program::build(&MarketParams::default()).unwrap();
+    let printed = original.to_string();
+    let reparsed = parse_program(&printed)
+        .unwrap_or_else(|e| panic!("printed program must reparse: {e}\n{printed}"));
+    assert_eq!(original.rules.len(), reparsed.rules.len());
+    for (a, b) in original.rules.iter().zip(&reparsed.rules) {
+        assert_eq!(a.head, b.head, "head of {:?}", a.label);
+        assert_eq!(a.body.len(), b.body.len(), "body of {:?}", a.label);
     }
+    // Identical stratification.
+    let s1 = Stratification::compute(&original).unwrap();
+    let s2 = Stratification::compute(&reparsed).unwrap();
+    assert_eq!(s1.count(), s2.count());
 }
 
 #[test]
 fn program_source_is_commented_per_module() {
-    let src = program_source(&MarketParams::default(), TimelineMode::DenseSeconds);
+    let src = program::source(&MarketParams::default());
     for module in [
         "MARGIN", "POSITION", "RETURNS", "SKEW", "TDIFF", "RATE", "FRS", "INDF", "FEES",
     ] {
@@ -39,19 +34,4 @@ fn program_source_is_commented_per_module() {
     let rules = src.lines().filter(|l| l.contains(":-")).count();
     // 48 paper rules + live init/propagate + skew/frs init rules.
     assert_eq!(rules, 52);
-}
-
-/// Full paper-scale dense/epoch agreement (a few seconds in release; the
-/// debug-profile run is skipped to keep `cargo test` snappy).
-#[cfg_attr(debug_assertions, ignore = "slow in debug profile; run with --release")]
-#[test]
-fn dense_and_epoch_agree_on_a_full_two_hour_window() {
-    let config = chronolog_market::paper_intervals().remove(1); // 108 events
-    let trace = chronolog_market::generate(&config);
-    let params = MarketParams::default();
-    let dense = run_datalog(&trace, &params, TimelineMode::DenseSeconds).unwrap();
-    let epoch = run_datalog(&trace, &params, TimelineMode::EventEpochs).unwrap();
-    assert_eq!(dense.run.frs, epoch.run.frs);
-    assert_eq!(dense.run.trades, epoch.run.trades);
-    assert_eq!(dense.run.final_skew, epoch.run.final_skew);
 }

@@ -9,11 +9,11 @@
 //! cargo run --release -p chronolog-bench --example live_contract
 //! ```
 
-use chronolog_core::{Database, Fact, Reasoner, ReasonerConfig, Value};
+use chronolog_core::{Reasoner, ReasonerConfig};
 use chronolog_market::{generate, ScenarioConfig};
+use chronolog_perp::encode::{event_facts, genesis};
 use chronolog_perp::extract::{margin_at, position_at};
-use chronolog_perp::program::{build_program, TimelineMode};
-use chronolog_perp::{MarketParams, Method};
+use chronolog_perp::{program, MarketParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = MarketParams::default();
@@ -21,15 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.duration_secs = 900;
     let trace = generate(&config);
 
-    // Boot the contract: genesis facts at epoch 0, empty order book.
-    let program = build_program(&params, TimelineMode::EventEpochs)?;
-    let mut genesis = Database::new();
-    genesis.assert_at("start", &[], 0);
-    genesis.assert_at("startSkew", &[Value::num(trace.initial_skew)], 0);
-    genesis.assert_at("startFrs", &[Value::num(0.0)], 0);
-    genesis.assert_at("ts", &[Value::Int(trace.start_time)], 0);
+    // Boot the contract: genesis facts at the window start, empty order book.
+    let program = program::build(&params)?;
+    let horizon = ReasonerConfig::default().with_horizon(trace.start_time, trace.end_time);
     let mut contract =
-        Reasoner::new(program, ReasonerConfig::default())?.into_session(&genesis, 0)?;
+        Reasoner::new(program, horizon)?.into_session(&genesis(&trace), trace.start_time)?;
 
     println!(
         "contract booted at unix {}, skew {:+.2}\n",
@@ -37,38 +33,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Stream every on-chain interaction into the running contract.
-    for (i, event) in trace.events.iter().enumerate() {
-        let epoch = i as i64 + 1;
-        let acc_sym = Value::sym(&event.account.to_string());
-        let (label, fact) = match event.method {
-            Method::TransferMargin { amount } => (
-                format!("tranM({}, {amount:.2}$)", event.account),
-                Fact::at("tranM", vec![acc_sym, Value::num(amount)], epoch),
-            ),
-            Method::Withdraw => (
-                format!("withdraw({})", event.account),
-                Fact::at("withdraw", vec![acc_sym], epoch),
-            ),
-            Method::ModifyPosition { size } => (
-                format!("modPos({}, {size:+.4})", event.account),
-                Fact::at("modPos", vec![acc_sym, Value::num(size)], epoch),
-            ),
-            Method::ClosePosition => (
-                format!("closePos({})", event.account),
-                Fact::at("closePos", vec![acc_sym], epoch),
-            ),
-        };
-        contract.submit(fact)?;
-        contract.submit(Fact::at("price", vec![Value::num(event.price)], epoch))?;
-        contract.submit(Fact::at("ts", vec![Value::Int(event.time)], epoch))?;
-        contract.advance_to(epoch)?;
+    for event in &trace.events {
+        let [call, price] = event_facts(event);
+        let label = call.to_string();
+        contract.submit(call)?;
+        contract.submit(price)?;
+        contract.advance_to(event.time)?;
 
         // Query the live state right after the interaction.
         let db = contract.database();
-        let margin = margin_at(db, event.account, epoch);
-        let position = position_at(db, event.account, epoch);
+        let margin = margin_at(db, event.account, event.time);
+        let position = position_at(db, event.account, event.time);
         println!(
-            "t+{:>4}s  {label:<28} -> margin {}  position {}",
+            "t+{:>4}s  {label:<40} -> margin {}  position {}",
             event.time - trace.start_time,
             margin.map_or("-".into(), |m| format!("{m:10.2}$")),
             position.map_or("-".into(), |(s, _)| format!("{s:+.4} ETH")),

@@ -9,7 +9,6 @@
 
 use chronolog_market::{generate, ScenarioConfig, TraceStats};
 use chronolog_perp::harness::validate;
-use chronolog_perp::program::TimelineMode;
 use chronolog_perp::MarketParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("simulated window: {stats:#?}\n");
 
     let params = MarketParams::default();
-    let report = validate(&trace, &params, TimelineMode::EventEpochs)?;
+    let report = validate(&trace, &params)?;
 
     println!("funding rate sequence (first 5 events):");
     for row in report.frs_rows.iter().take(5) {

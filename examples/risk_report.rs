@@ -7,13 +7,37 @@
 //! cargo run --release -p chronolog-bench --example risk_report
 //! ```
 
-use chronolog_core::{Reasoner, ReasonerConfig};
+use chronolog_core::{Explanation, Reasoner, ReasonerConfig};
 use chronolog_ledger::{from_json, to_json, Ledger, SubgraphIndex};
 use chronolog_market::{generate, ScenarioConfig};
-use chronolog_perp::encode::{account_value, encode_trace};
+use chronolog_perp::encode::{account_value, encode};
 use chronolog_perp::extract::margin_at;
-use chronolog_perp::program::{build_program, TimelineMode};
-use chronolog_perp::{MarketParams, Method};
+use chronolog_perp::{program, MarketParams, Method};
+
+/// Prints a derivation tree. A state amount persists second by second
+/// through its frame rule; such a chain is printed as its newest fact, its
+/// length, and the premises of its oldest step (none where the engine's
+/// explanation depth limit cut the chain).
+fn print_tree(e: &Explanation, depth: usize) {
+    let pad = "  ".repeat(depth);
+    let Some(rule) = &e.rule else {
+        println!("{pad}{}   [input]", e.fact);
+        return;
+    };
+    println!("{pad}{}   [by {rule}]", e.fact);
+    let mut oldest = e;
+    let mut steps = 0;
+    while let Some(prev) = oldest.premises.iter().find(|p| p.rule == e.rule) {
+        oldest = prev;
+        steps += 1;
+    }
+    if steps > 0 {
+        println!("{pad}  … {steps} more one-second steps of the same rule");
+    }
+    for premise in &oldest.premises {
+        print_tree(premise, depth + 1);
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A market window arrives as a persisted ledger (e.g. from an
@@ -41,10 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  final skew     : {:+.4}", index.final_skew());
 
     // 3. The declarative run gives the supervisor the *full state history*:
-    //    every margin account at every epoch, with provenance.
+    //    every margin account at every second, with provenance.
     let trace = ledger.to_trace();
-    let program = build_program(&params, TimelineMode::EventEpochs)?;
-    let encoded = encode_trace(&trace, TimelineMode::EventEpochs);
+    let program = program::build(&params)?;
+    let encoded = encode(&trace);
     let reasoner = Reasoner::new(
         program.clone(),
         ReasonerConfig {
@@ -54,17 +78,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let out = reasoner.materialize(&encoded.database)?;
 
-    println!("\n-- margin evolution per account (rows = epochs) --");
+    println!("\n-- margin evolution per account (rows = interactions) --");
     let accounts = trace.accounts();
-    print!("epoch |");
+    print!("    t+ |");
     for a in &accounts {
         print!(" {a:>10} |");
     }
     println!();
-    for epoch in 0..=trace.events.len() as i64 {
-        print!("{epoch:5} |");
+    for t in std::iter::once(trace.start_time).chain(trace.events.iter().map(|e| e.time)) {
+        print!("{:5}s |", t - trace.start_time);
         for a in &accounts {
-            match margin_at(&out.database, *a, epoch) {
+            match margin_at(&out.database, *a, t) {
                 Some(m) => print!(" {m:10.2} |"),
                 None => print!(" {:>10} |", "-"),
             }
@@ -73,17 +97,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Explainability: pick the first settlement and ask *why*.
-    let close_epoch = trace
+    let close = trace
         .events
         .iter()
-        .position(|e| matches!(e.method, Method::ClosePosition))
-        .expect("the window contains trades") as i64
-        + 1;
-    let account = trace.events[close_epoch as usize - 1].account;
+        .find(|e| matches!(e.method, Method::ClosePosition))
+        .expect("the window contains trades");
+    let (account, close_time) = (close.account, close.time);
     let pnl = index.trades_of(account)[0].pnl;
-    println!("\n-- why did {account} settle pnl {pnl:+.4}$ at epoch {close_epoch}? --");
+    println!("\n-- why did {account} settle pnl {pnl:+.4}$ at unix {close_time}? --");
     // Find the pnl value the DatalogMTL run derived (bit-equal to f64 ref).
-    let derived = chronolog_perp::extract::position_at(&out.database, account, close_epoch - 1);
+    let derived = chronolog_perp::extract::position_at(&out.database, account, close_time - 1);
     println!("position before close: {derived:?}");
     if let Some(explanation) = out.provenance.as_ref().and_then(|log| {
         // locate the derived pnl fact's value by scanning the relation
@@ -93,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tuple.value(0).semantic_eq(&acc_val)
                 && chronolog_core::IntervalSet::components_contain(
                     ivs,
-                    chronolog_core::Rational::integer(close_epoch),
+                    chronolog_core::Rational::integer(close_time),
                 )
         })?;
         log.explain(
@@ -101,10 +124,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &out.database,
             chronolog_core::Symbol::new("pnl"),
             &tuple.to_vec(),
-            close_epoch,
+            close_time,
         )
     }) {
-        println!("{explanation}");
+        print_tree(&explanation, 0);
     }
 
     // The declarative PnL agrees with the on-chain value to fixed-point dust.

@@ -66,7 +66,7 @@ fmt:
 fmt-check:
     cargo fmt --check
 
-# Regenerate every paper table/figure (slow: includes dense-timeline runs).
+# Regenerate every paper table/figure.
 repro:
     cargo run --release -p chronolog-bench --bin repro -- --table all
 
@@ -77,7 +77,3 @@ repro-json out="perf.json":
 # Micro-benchmarks (in-tree harness; pass a substring filter after --).
 bench *ARGS:
     cargo bench --workspace {{ARGS}}
-
-# Engine micro-benchmarks with a machine-readable report (BENCH_engine.json).
-bench-engine out="BENCH_engine.json":
-    cargo bench -p chronolog-bench --bench engine_micro -- --json {{justfile_directory()}}/{{out}}

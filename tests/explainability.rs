@@ -3,9 +3,8 @@
 //! user actions (input facts) that caused it.
 
 use chronolog_core::{Reasoner, ReasonerConfig, Symbol};
-use chronolog_perp::encode::{account_value, encode_trace};
-use chronolog_perp::program::{build_program, TimelineMode};
-use chronolog_perp::{AccountId, Event, MarketParams, Method, Trace};
+use chronolog_perp::encode::{account_value, encode};
+use chronolog_perp::{program, AccountId, Event, MarketParams, Method, Trace};
 
 fn ev(t: i64, acc: u32, m: Method, price: f64) -> Event {
     Event {
@@ -36,14 +35,10 @@ struct Materialized {
 }
 
 fn materialize_with_provenance() -> Materialized {
-    materialize_on(TimelineMode::EventEpochs)
-}
-
-fn materialize_on(mode: TimelineMode) -> Materialized {
     let params = MarketParams::default();
     let trace = scenario();
-    let program = build_program(&params, mode).unwrap();
-    let encoded = encode_trace(&trace, mode);
+    let program = program::build(&params).unwrap();
+    let encoded = encode(&trace);
     let out = Reasoner::new(
         program.clone(),
         ReasonerConfig {
@@ -94,8 +89,8 @@ fn explain_fact(m: &Materialized, pred: &str, t: i64) -> String {
 #[test]
 fn pnl_explanation_reaches_user_actions() {
     let m = materialize_with_provenance();
-    // Trade closes at epoch 3.
-    let text = explain_fact(&m, "pnl", 3);
+    // Trade closes at @60.
+    let text = explain_fact(&m, "pnl", 60);
     assert!(text.contains("rule 16 (PNL)"), "{text}");
     assert!(text.contains("closePos(acc0001)"), "{text}");
     // The position premise traces back to the opening order and deposit.
@@ -108,7 +103,7 @@ fn pnl_explanation_reaches_user_actions() {
 #[test]
 fn funding_explanation_cites_the_funding_pipeline() {
     let m = materialize_with_provenance();
-    let text = explain_fact(&m, "funding", 3);
+    let text = explain_fact(&m, "funding", 60);
     assert!(text.contains("rule 37 (funding settle)"), "{text}");
     assert!(text.contains("frs("), "{text}");
     assert!(text.contains("indF("), "{text}");
@@ -117,7 +112,7 @@ fn funding_explanation_cites_the_funding_pipeline() {
 #[test]
 fn margin_settlement_explanation_combines_all_modules() {
     let m = materialize_with_provenance();
-    let text = explain_fact(&m, "margin", 3);
+    let text = explain_fact(&m, "margin", 60);
     assert!(text.contains("rule 9 (margin settle)"), "{text}");
     assert!(text.contains("pnl("), "{text}");
     assert!(text.contains("finalFee("), "{text}");
@@ -127,18 +122,18 @@ fn margin_settlement_explanation_combines_all_modules() {
 #[test]
 fn propagated_state_explains_through_the_shift_rules() {
     let m = materialize_with_provenance();
-    // Margin at epoch 2 (no event for the margin) exists via rule 7.
-    let text = explain_fact(&m, "margin", 2);
+    // Margin at @20 (no event for the margin) exists via rule 7.
+    let text = explain_fact(&m, "margin", 20);
     assert!(text.contains("rule 7 (margin propagate)"), "{text}");
 }
 
-/// On the unix-seconds timeline the persistence rules are closed over a
-/// whole gap in one step, recorded as one derivation covering the run. A
-/// fact deep inside a gap must still explain second by second through the
-/// frame rule and bottom out in the user action that opened the gap.
+/// The persistence rules are closed over a whole gap in one step, recorded
+/// as one derivation covering the run. A fact deep inside a gap must still
+/// explain second by second through the frame rule and bottom out in the
+/// user action that opened the gap.
 #[test]
 fn facts_deep_inside_a_jumped_gap_reach_the_user_action() {
-    let m = materialize_on(TimelineMode::DenseSeconds);
+    let m = materialize_with_provenance();
     // The gap 20 → 60 between the order and the close: t = 45 is 25 s in.
     let text = explain_fact(&m, "position", 45);
     assert!(text.contains("position(acc0001, 2.0, 2610.0)@45"), "{text}");
@@ -166,7 +161,7 @@ fn absent_facts_are_not_explained() {
             &m.out.database,
             Symbol::new("pnl"),
             &[account_value(AccountId(1)), chronolog_core::Value::num(1.0)],
-            3,
+            60,
         )
         .is_none());
 }

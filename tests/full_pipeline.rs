@@ -5,7 +5,6 @@
 use chronolog_bench::paper_traces;
 use chronolog_ledger::{Ledger, SubgraphIndex};
 use chronolog_perp::harness::{run_datalog, validate};
-use chronolog_perp::program::TimelineMode;
 use chronolog_perp::{MarketParams, ReferenceEngine};
 
 #[test]
@@ -18,8 +17,7 @@ fn figure_3_intervals_validate_end_to_end() {
         assert_eq!(ledger.to_trace(), trace);
 
         // §4 validation: DatalogMTL vs the fixed-point Subgraph stand-in.
-        let report = validate(&trace, &params, TimelineMode::EventEpochs)
-            .unwrap_or_else(|e| panic!("{}: {e}", config.name));
+        let report = validate(&trace, &params).unwrap_or_else(|e| panic!("{}: {e}", config.name));
         assert_eq!(report.frs_rows.len(), config.n_events, "{}", config.name);
         assert_eq!(
             report.datalog.trades.len(),
@@ -65,8 +63,8 @@ fn datalog_is_bit_identical_to_float_reference_on_paper_intervals() {
     // every FRS value and every settlement of all three intervals.
     let params = MarketParams::default();
     for (config, trace) in paper_traces() {
-        let datalog = run_datalog(&trace, &params, TimelineMode::EventEpochs)
-            .unwrap_or_else(|e| panic!("{}: {e}", config.name));
+        let datalog =
+            run_datalog(&trace, &params).unwrap_or_else(|e| panic!("{}: {e}", config.name));
         let float_ref = ReferenceEngine::<f64>::run_trace(params, &trace);
         assert_eq!(datalog.run.frs, float_ref.frs, "{}", config.name);
         assert_eq!(datalog.run.trades, float_ref.trades, "{}", config.name);
@@ -86,7 +84,7 @@ fn custom_market_params_flow_through_the_whole_stack() {
         funding_period_secs: 3_600.0,
     };
     let (_, trace) = &paper_traces()[1];
-    let datalog = run_datalog(trace, &params, TimelineMode::EventEpochs).unwrap();
+    let datalog = run_datalog(trace, &params).unwrap();
     let float_ref = ReferenceEngine::<f64>::run_trace(params, trace);
     assert_eq!(datalog.run.trades, float_ref.trades);
     // Sanity: the aggressive parameters actually change the outcome.
@@ -100,11 +98,10 @@ fn custom_market_params_flow_through_the_whole_stack() {
 /// paper's conclusion gestures at (an L2 feeding a reasoning node).
 #[test]
 fn chain_replay_block_by_block_equals_batch() {
-    use chronolog_core::{Database, Fact, Reasoner, ReasonerConfig, Value};
+    use chronolog_core::{Reasoner, ReasonerConfig};
     use chronolog_ledger::Chain;
-    use chronolog_perp::encode::encode_trace;
-    use chronolog_perp::program::{build_program, TimelineMode};
-    use chronolog_perp::Method;
+    use chronolog_perp::encode::{encode, event_facts, genesis};
+    use chronolog_perp::{program, AccountId, Event};
 
     let params = MarketParams::default();
     let config = chronolog_market::ScenarioConfig::new("chain", 31, 0, 20, 6, -300.0, 1400.0);
@@ -115,53 +112,36 @@ fn chain_replay_block_by_block_equals_batch() {
     assert!(chain.blocks.len() > 1, "window spans several blocks");
 
     // Batch reference.
-    let program = build_program(&params, TimelineMode::EventEpochs).unwrap();
-    let encoded = encode_trace(&trace, TimelineMode::EventEpochs);
-    let batch = Reasoner::new(
-        program.clone(),
-        ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1),
-    )
-    .unwrap()
-    .materialize(&encoded.database)
-    .unwrap()
-    .database;
-
-    // Per-block session replay (epochs global across blocks).
-    let mut genesis = Database::new();
-    genesis.assert_at("start", &[], 0);
-    genesis.assert_at("startSkew", &[Value::num(trace.initial_skew)], 0);
-    genesis.assert_at("startFrs", &[Value::num(0.0)], 0);
-    genesis.assert_at("ts", &[Value::Int(trace.start_time)], 0);
-    let mut session = Reasoner::new(program, ReasonerConfig::default())
+    let program = program::build(&params).unwrap();
+    let encoded = encode(&trace);
+    let horizon = ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1);
+    let batch = Reasoner::new(program.clone(), horizon.clone())
         .unwrap()
-        .into_session(&genesis, 0)
+        .materialize(&encoded.database)
+        .unwrap()
+        .database;
+
+    // Per-block session replay.
+    let mut session = Reasoner::new(program, horizon)
+        .unwrap()
+        .into_session(&genesis(&trace), trace.start_time)
         .unwrap();
-    let mut epoch = 0i64;
     for block in &chain.blocks {
         for tx in &block.txs {
-            epoch += 1;
-            let acc = Value::sym(&chronolog_perp::AccountId(tx.account).to_string());
-            let fact = match chronolog_perp::Method::from(tx.method) {
-                Method::TransferMargin { amount } => {
-                    Fact::at("tranM", vec![acc, Value::num(amount)], epoch)
-                }
-                Method::Withdraw => Fact::at("withdraw", vec![acc], epoch),
-                Method::ModifyPosition { size } => {
-                    Fact::at("modPos", vec![acc, Value::num(size)], epoch)
-                }
-                Method::ClosePosition => Fact::at("closePos", vec![acc], epoch),
+            let event = Event {
+                time: tx.time,
+                account: AccountId(tx.account),
+                method: tx.method.into(),
+                price: tx.price,
             };
-            session.submit(fact).unwrap();
-            session
-                .submit(Fact::at("price", vec![Value::num(tx.price)], epoch))
-                .unwrap();
-            session
-                .submit(Fact::at("ts", vec![Value::Int(tx.time)], epoch))
-                .unwrap();
+            for fact in event_facts(&event) {
+                session.submit(fact).unwrap();
+            }
         }
         // One advance per sealed block.
-        session.advance_to(epoch).unwrap();
+        session.advance_to(block.timestamp).unwrap();
     }
+    session.advance_to(trace.end_time).unwrap();
     assert_eq!(session.database().to_facts_text(), batch.to_facts_text());
     // Far fewer advances than transactions.
     assert!(chain.blocks.len() < chain.tx_count());

@@ -3,12 +3,11 @@
 //! conclusion: a supervisor watching leverage and margin alerts *as the
 //! market happens*, with every alert final the moment it is derived.
 
-use chronolog_core::{Database, Fact, Reasoner, ReasonerConfig, Value};
+use chronolog_core::{Reasoner, ReasonerConfig};
 use chronolog_market::{generate, ScenarioConfig};
-use chronolog_perp::encode::account_value;
+use chronolog_perp::encode::{account_value, event_facts, genesis};
 use chronolog_perp::monitor::{build_monitored_program, MonitorParams};
-use chronolog_perp::program::TimelineMode;
-use chronolog_perp::{AccountId, MarketParams, MarketSpec, Method};
+use chronolog_perp::{AccountId, Event, MarketParams, MarketSpec, Method, Trace};
 
 #[test]
 fn monitored_contract_streams_with_live_alerts() {
@@ -17,54 +16,54 @@ fn monitored_contract_streams_with_live_alerts() {
         max_leverage: 10.0,
         maintenance_ratio: 0.05,
     };
-    let program = build_monitored_program(&params, &monitor, TimelineMode::EventEpochs).unwrap();
+    let program = build_monitored_program(&params, &monitor).unwrap();
 
-    // Hand-built scenario: a trader levers up past the threshold.
-    let events: Vec<(Method, f64)> = vec![
-        (Method::TransferMargin { amount: 1_000.0 }, 1_000.0),
-        (Method::ModifyPosition { size: 2.0 }, 1_000.0), // 2k exposure, 2x
-        (Method::ModifyPosition { size: 13.0 }, 1_000.0), // 15k exposure, 15x
-        (Method::ClosePosition, 1_000.0),
+    // Hand-built scenario, one interaction a minute: a trader levers up
+    // past the threshold.
+    let methods = [
+        Method::TransferMargin { amount: 1_000.0 },
+        Method::ModifyPosition { size: 2.0 },  // 2k exposure, 2x
+        Method::ModifyPosition { size: 13.0 }, // 15k exposure, 15x
+        Method::ClosePosition,
     ];
-    let mut genesis = Database::new();
-    genesis.assert_at("start", &[], 0);
-    genesis.assert_at("startSkew", &[Value::num(0.0)], 0);
-    genesis.assert_at("startFrs", &[Value::num(0.0)], 0);
-    genesis.assert_at("ts", &[Value::Int(0)], 0);
-    let mut session = Reasoner::new(program, ReasonerConfig::default())
+    let trace = Trace {
+        start_time: 0,
+        end_time: 300,
+        initial_skew: 0.0,
+        initial_price: 1_000.0,
+        events: (1..)
+            .zip(methods)
+            .map(|(minute, method)| Event {
+                time: minute * 60,
+                account: AccountId(1),
+                method,
+                price: 1_000.0,
+            })
+            .collect(),
+    };
+    let config = ReasonerConfig::default().with_horizon(trace.start_time, trace.end_time);
+    let mut session = Reasoner::new(program, config)
         .unwrap()
-        .into_session(&genesis, 0)
+        .into_session(&genesis(&trace), trace.start_time)
         .unwrap();
 
     let acc = account_value(AccountId(1));
-    let mut alert_epochs = Vec::new();
-    for (i, (method, price)) in events.iter().enumerate() {
-        let epoch = i as i64 + 1;
-        let fact = match *method {
-            Method::TransferMargin { amount } => {
-                Fact::at("tranM", vec![acc, Value::num(amount)], epoch)
-            }
-            Method::Withdraw => Fact::at("withdraw", vec![acc], epoch),
-            Method::ModifyPosition { size } => {
-                Fact::at("modPos", vec![acc, Value::num(size)], epoch)
-            }
-            Method::ClosePosition => Fact::at("closePos", vec![acc], epoch),
-        };
-        session.submit(fact).unwrap();
-        session
-            .submit(Fact::at("price", vec![Value::num(*price)], epoch))
-            .unwrap();
-        session
-            .submit(Fact::at("ts", vec![Value::Int(epoch * 60)], epoch))
-            .unwrap();
-        session.advance_to(epoch).unwrap();
+    let mut alert_times = Vec::new();
+    for event in &trace.events {
+        for fact in event_facts(event) {
+            session.submit(fact).unwrap();
+        }
+        session.advance_to(event.time).unwrap();
         // The supervisor reads alerts at the watermark, live.
-        if session.database().holds_at("highLeverage", &[acc], epoch) {
-            alert_epochs.push(epoch);
+        if session
+            .database()
+            .holds_at("highLeverage", &[acc], event.time)
+        {
+            alert_times.push(event.time);
         }
     }
     // The alert fires exactly while the oversized position is open.
-    assert_eq!(alert_epochs, vec![3]);
+    assert_eq!(alert_times, vec![180]);
     // And the margin keeps being tracked after the close.
     assert!(session
         .database()

@@ -1,14 +1,15 @@
-//! The whole ETH-PERP program (epoch variant) lives inside the
-//! integer-punctual fragment that the brute-force discrete oracle supports,
-//! so the optimized engine's output must coincide with the oracle's on
-//! every predicate at every epoch — including the float values.
+//! The whole ETH-PERP program as the paper prints it — unix-second
+//! timeline, event times read with the `@T` capture of rules 23/25 — lives
+//! inside the integer-punctual fragment that the brute-force discrete
+//! oracle supports, so the optimized engine's output must coincide with the
+//! oracle's on every predicate at every second — including the float
+//! values. The oracle enumerates time points, hence the 10-minute windows.
 
 use chronolog_core::naive::naive_materialize;
 use chronolog_core::{IntervalSet, Rational, Reasoner, ReasonerConfig};
 use chronolog_market::{generate, ScenarioConfig};
-use chronolog_perp::encode::encode_trace;
-use chronolog_perp::program::{build_program, TimelineMode};
-use chronolog_perp::MarketParams;
+use chronolog_perp::encode::encode;
+use chronolog_perp::{program, MarketParams};
 
 /// Renders all derived facts on the integer grid, sorted.
 fn engine_text(db: &chronolog_core::Database, lo: i64, hi: i64) -> String {
@@ -28,11 +29,12 @@ fn engine_text(db: &chronolog_core::Database, lo: i64, hi: i64) -> String {
     lines.join("\n")
 }
 
-fn check_scenario(config: &ScenarioConfig) {
+fn check_scenario(mut config: ScenarioConfig) {
+    config.duration_secs = 600;
     let params = MarketParams::default();
-    let trace = generate(config);
-    let program = build_program(&params, TimelineMode::EventEpochs).unwrap();
-    let encoded = encode_trace(&trace, TimelineMode::EventEpochs);
+    let trace = generate(&config);
+    let program = program::build(&params).unwrap();
+    let encoded = encode(&trace);
     let (lo, hi) = encoded.horizon;
 
     let oracle = naive_materialize(&program, &encoded.database, lo, hi)
@@ -53,7 +55,7 @@ fn check_scenario(config: &ScenarioConfig) {
 
 #[test]
 fn tiny_market_window() {
-    check_scenario(&ScenarioConfig::new(
+    check_scenario(ScenarioConfig::new(
         "oracle-tiny",
         3,
         0,
@@ -66,7 +68,7 @@ fn tiny_market_window() {
 
 #[test]
 fn small_market_window_with_negative_skew() {
-    check_scenario(&ScenarioConfig::new(
+    check_scenario(ScenarioConfig::new(
         "oracle-small",
         5,
         1_000_000,
@@ -79,7 +81,7 @@ fn small_market_window_with_negative_skew() {
 
 #[test]
 fn medium_market_window() {
-    check_scenario(&ScenarioConfig::new(
+    check_scenario(ScenarioConfig::new(
         "oracle-medium",
         9,
         500,
@@ -94,7 +96,7 @@ fn medium_market_window() {
 fn window_with_no_trades() {
     // Only deposits and withdrawals: funding accrues on the initial skew
     // but no settlements happen.
-    check_scenario(&ScenarioConfig::new(
+    check_scenario(ScenarioConfig::new(
         "oracle-no-trades",
         13,
         0,
@@ -108,7 +110,7 @@ fn window_with_no_trades() {
 #[test]
 fn several_seeds_agree() {
     for seed in [21, 22, 23, 24] {
-        check_scenario(&ScenarioConfig::new(
+        check_scenario(ScenarioConfig::new(
             "oracle-seeded",
             seed,
             0,

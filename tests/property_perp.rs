@@ -9,7 +9,6 @@ use chronolog_ledger::{from_json, to_json, Ledger, SubgraphIndex};
 use chronolog_market::{generate, ScenarioConfig};
 use chronolog_obs::SmallRng;
 use chronolog_perp::harness::run_datalog;
-use chronolog_perp::program::TimelineMode;
 use chronolog_perp::{MarketParams, ReferenceEngine};
 
 const CASES: u64 = 24;
@@ -43,7 +42,7 @@ fn declarative_equals_procedural() {
         let config = gen_scenario(rng);
         let params = MarketParams::default();
         let trace = generate(&config);
-        let datalog = run_datalog(&trace, &params, TimelineMode::EventEpochs).unwrap();
+        let datalog = run_datalog(&trace, &params).unwrap();
         let reference = ReferenceEngine::<f64>::run_trace(params, &trace);
         assert_eq!(&datalog.run.frs, &reference.frs, "config {config:?}");
         assert_eq!(&datalog.run.trades, &reference.trades, "config {config:?}");
@@ -138,61 +137,38 @@ fn settlement_sanity() {
 /// smart contract) and compare with the one-shot batch materialization.
 #[test]
 fn live_session_equals_batch_on_streamed_markets() {
-    use chronolog_core::{Database, Fact, Reasoner, ReasonerConfig, Value};
-    use chronolog_perp::encode::encode_trace;
-    use chronolog_perp::program::{build_program, TimelineMode};
-    use chronolog_perp::Method;
+    use chronolog_core::{Reasoner, ReasonerConfig};
+    use chronolog_perp::encode::{encode, event_facts, genesis};
+    use chronolog_perp::program;
 
     let params = MarketParams::default();
     for seed in [1u64, 2, 3] {
         let config = ScenarioConfig::new("live", seed, 0, 14, 4, 75.0, 1420.0);
         let trace = generate(&config);
-        let program = build_program(&params, TimelineMode::EventEpochs).unwrap();
+        let program = program::build(&params).unwrap();
 
         // Batch run.
-        let encoded = encode_trace(&trace, TimelineMode::EventEpochs);
-        let batch = Reasoner::new(
-            program.clone(),
-            ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1),
-        )
-        .unwrap()
-        .materialize(&encoded.database)
-        .unwrap()
-        .database;
-
-        // Streamed session: genesis facts at epoch 0, then one advance per
-        // event epoch.
-        let mut genesis = Database::new();
-        genesis.assert_at("start", &[], 0);
-        genesis.assert_at("startSkew", &[Value::num(trace.initial_skew)], 0);
-        genesis.assert_at("startFrs", &[Value::num(0.0)], 0);
-        genesis.assert_at("ts", &[Value::Int(trace.start_time)], 0);
-        let mut session = Reasoner::new(program, ReasonerConfig::default())
+        let encoded = encode(&trace);
+        let horizon = ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1);
+        let batch = Reasoner::new(program.clone(), horizon.clone())
             .unwrap()
-            .into_session(&genesis, 0)
+            .materialize(&encoded.database)
+            .unwrap()
+            .database;
+
+        // Streamed session: genesis facts at the window start, then one
+        // advance per event, then the quiet tail of the window.
+        let mut session = Reasoner::new(program, horizon)
+            .unwrap()
+            .into_session(&genesis(&trace), trace.start_time)
             .unwrap();
-        for (i, event) in trace.events.iter().enumerate() {
-            let epoch = i as i64 + 1;
-            let acc = Value::sym(&event.account.to_string());
-            let fact = match event.method {
-                Method::TransferMargin { amount } => {
-                    Fact::at("tranM", vec![acc, Value::num(amount)], epoch)
-                }
-                Method::Withdraw => Fact::at("withdraw", vec![acc], epoch),
-                Method::ModifyPosition { size } => {
-                    Fact::at("modPos", vec![acc, Value::num(size)], epoch)
-                }
-                Method::ClosePosition => Fact::at("closePos", vec![acc], epoch),
-            };
-            session.submit(fact).unwrap();
-            session
-                .submit(Fact::at("price", vec![Value::num(event.price)], epoch))
-                .unwrap();
-            session
-                .submit(Fact::at("ts", vec![Value::Int(event.time)], epoch))
-                .unwrap();
-            session.advance_to(epoch).unwrap();
+        for event in &trace.events {
+            for fact in event_facts(event) {
+                session.submit(fact).unwrap();
+            }
+            session.advance_to(event.time).unwrap();
         }
+        session.advance_to(trace.end_time).unwrap();
         assert_eq!(
             session.database().to_facts_text(),
             batch.to_facts_text(),
