@@ -148,41 +148,6 @@ fn bench_join_heavy(c: &mut Bench) {
     group.finish();
 }
 
-/// Cost-based join reordering on a selective-last body: `sel` holds two
-/// tuples per instant but is written after two 600-tuple relations. The
-/// planner hoists it to the front, collapsing the binding fan-out before
-/// the wide joins (the textual order would enumerate the full wide1⋈wide2
-/// product before filtering on `sel`).
-fn bench_reorder_heavy(c: &mut Bench) {
-    let src = "hot(X, Y) :- wide1(X, K), wide2(K, Y), sel(X).\n\
-               chain(X, Z) :- hot(X, Y), wide2(Y, Z).";
-    let program = parse_program(src).unwrap();
-    let mut db = Database::new();
-    for i in 0..600i64 {
-        db.assert_at("wide1", &[Value::Int(i % 50), Value::Int(i % 40)], i % 8);
-        db.assert_at("wide2", &[Value::Int(i % 40), Value::Int(i % 60)], i % 8);
-    }
-    for t in 0..8i64 {
-        db.assert_at("sel", &[Value::Int(7)], t);
-        db.assert_at("sel", &[Value::Int(23)], t);
-    }
-
-    let run = |db: &Database| {
-        Reasoner::new(
-            program.clone(),
-            ReasonerConfig::default().with_horizon(0, 8),
-        )
-        .unwrap()
-        .materialize(db)
-        .unwrap()
-    };
-
-    let mut group = c.group("reorder_heavy");
-    group.sample_size(10);
-    group.bench_function("cost_based", |b| b.iter(|| black_box(run(&db))));
-    group.finish();
-}
-
 /// A windowed join over a long-lived relation: `load` holds 4000 punctual
 /// tuples spread over t∈[0,4000), but each outer binding only needs the
 /// ~3-instant slice its pushed-down mask selects: the time index
@@ -502,7 +467,6 @@ fn main() {
     bench_small_materialization(&mut c);
     bench_join_heavy(&mut c);
     bench_profiling_overhead(&mut c);
-    bench_reorder_heavy(&mut c);
     bench_windowed_join(&mut c);
     bench_columnar_scan(&mut c);
     bench_session_stream(&mut c);

@@ -381,11 +381,6 @@ pub(crate) struct ColumnStore {
     handles: Vec<Handle>,
     arena: Arena,
     ids: IdTable,
-    /// Live tuple count per semantic class per position (exact, maintained
-    /// on tuple birth/death — an entry whose interval set empties out stops
-    /// counting); `len()` of each map feeds the planner's distinct
-    /// estimates. See [`Relation::distinct_count`].
-    sid_live: Vec<FxHashMap<u32, u32>>,
 }
 
 impl ColumnStore {
@@ -475,29 +470,6 @@ impl ColumnStore {
             self.handles[id as usize] = nh;
         }
         (before, after)
-    }
-
-    /// Counts a tuple into (`born = true`) or out of (`born = false`) the
-    /// per-position live semantic-class stats. Called exactly on the
-    /// empty↔non-empty transitions of the tuple's interval set, so each
-    /// map's size is the number of distinct values among tuples that
-    /// currently hold at least one interval.
-    fn note_liveness(&mut self, id: u32, born: bool) {
-        let g = intern::read();
-        for pos in 0..self.len_of(id) {
-            let sid = g.sid(self.cols[pos][id as usize]);
-            if born {
-                *self.sid_live[pos].entry(sid).or_insert(0) += 1;
-            } else {
-                let n = self.sid_live[pos]
-                    .get_mut(&sid)
-                    .expect("dying tuple was counted at birth");
-                *n -= 1;
-                if *n == 0 {
-                    self.sid_live[pos].remove(&sid);
-                }
-            }
-        }
     }
 
     /// Appends a sorted, non-connected `run` to the tail of a tuple's
@@ -615,8 +587,7 @@ pub struct Relation {
     live_components: usize,
     /// Tuples currently holding at least one interval component. Unlike
     /// [`Relation::len`] this shrinks when [`Relation::remove`] empties an
-    /// entry, so planner cardinality estimates track survivors instead of
-    /// phantom rows after repair churn.
+    /// entry.
     live_tuples: usize,
     indexes: RwLock<SecondaryIndexes>,
 }
@@ -668,11 +639,7 @@ impl Relation {
             // Widest arity grew: pad new columns for old rows.
             s.cols
                 .resize_with(tuple.len(), || vec![NONE_VID; id as usize]);
-            s.sid_live.resize_with(tuple.len(), FxHashMap::default);
         }
-        // Distinct stats are deliberately NOT touched here: a fresh entry
-        // holds no intervals yet, and `sid_live` is maintained on the
-        // empty↔non-empty transitions by `apply_component_delta`.
         for (pos, col) in s.cols.iter_mut().enumerate() {
             match vids.get(pos) {
                 Some(&vid) => col.push(vid),
@@ -724,23 +691,20 @@ impl Relation {
     /// Writes a tuple's interval set back, updating the live statistics.
     fn write_set(&mut self, id: u32, set: &IntervalSet) {
         let (before, after) = self.store.store_comps(id, set.components());
-        self.apply_component_delta(id, before, after);
+        self.apply_component_delta(before, after);
     }
 
     /// Folds one tuple's `(before, after)` component-count transition into
-    /// the relation's live statistics: the O(1) component total, the live
-    /// tuple count, and the per-position distinct stats. Every
-    /// mutation path — general write-back and in-place append alike — funnels
-    /// through here, so the planner's cardinality inputs can never drift
-    /// from the stored intervals.
-    fn apply_component_delta(&mut self, id: u32, before: usize, after: usize) {
+    /// the relation's live statistics: the O(1) component total and the
+    /// live tuple count. Every mutation path — general write-back and
+    /// in-place append alike — funnels through here, so the counts can
+    /// never drift from the stored intervals.
+    fn apply_component_delta(&mut self, before: usize, after: usize) {
         self.live_components = self.live_components - before + after;
         if before == 0 && after > 0 {
             self.live_tuples += 1;
-            self.store.note_liveness(id, true);
         } else if before > 0 && after == 0 {
             self.live_tuples -= 1;
-            self.store.note_liveness(id, false);
         }
     }
 
@@ -756,7 +720,7 @@ impl Relation {
         let Some((before, after)) = self.store.append_run(id, run) else {
             return false;
         };
-        self.apply_component_delta(id, before, after);
+        self.apply_component_delta(before, after);
         true
     }
 
@@ -841,16 +805,14 @@ impl Relation {
 
     /// Number of distinct tuples, *including* emptied-but-kept entries
     /// (tuple ids are dense and never reclaimed). This is the count access
-    /// paths iterate over; planner cardinality estimates use
-    /// [`Relation::live_len`] instead.
+    /// paths iterate over; [`Relation::live_len`] counts the survivors.
     pub fn len(&self) -> usize {
         self.store.len()
     }
 
     /// Number of tuples currently holding at least one interval component.
     /// Unlike [`Relation::len`] this shrinks when [`Relation::remove`]
-    /// empties an entry, so repair-heavy sessions replan against survivors
-    /// rather than phantom rows. O(1).
+    /// empties an entry. O(1).
     pub fn live_len(&self) -> usize {
         self.live_tuples
     }
@@ -1022,16 +984,6 @@ impl Relation {
     pub fn built_index_count(&self) -> usize {
         let r = self.indexes.read().expect("relation index lock poisoned");
         r.by_pos.len() + usize::from(r.time.is_some())
-    }
-
-    /// Number of distinct semantic values at argument position `pos`,
-    /// among *live* tuples: exact, from the per-column live semantic-class
-    /// counts (maintained on tuple birth/death, so retractions shrink the
-    /// answer); `None` past the widest arity stored. Strictly read-only —
-    /// never triggers an index build — so the planner can consult
-    /// cardinalities without perturbing access-path counters.
-    pub fn distinct_count(&self, pos: usize) -> Option<usize> {
-        self.store.sid_live.get(pos).map(FxHashMap::len)
     }
 }
 
@@ -1656,8 +1608,7 @@ mod tests {
         assert_eq!(db.component_count(), 3);
     }
 
-    /// Retracting most of a relation must shrink the planner-facing live
-    /// statistics (`live_len`, `distinct_count`) even though the
+    /// Retracting most of a relation must shrink `live_len` even though the
     /// dense id space — and with it `len()` — keeps the emptied entries.
     #[test]
     fn remove_shrinks_live_stats_to_survivors() {
@@ -1671,8 +1622,6 @@ mod tests {
             let rel = db.relation(pred).unwrap();
             assert_eq!(rel.len(), 20);
             assert_eq!(rel.live_len(), 20);
-            assert_eq!(rel.distinct_count(0), Some(20));
-            assert_eq!(rel.distinct_count(1), Some(1));
         }
         // Retract 18 of the 20 tuples entirely.
         for i in 0..18 {
@@ -1686,10 +1635,8 @@ mod tests {
             let rel = db.relation(pred).unwrap();
             assert_eq!(rel.len(), 20, "ids stay dense");
             assert_eq!(rel.live_len(), 2, "live count tracks survivors");
-            assert_eq!(rel.distinct_count(0), Some(2));
-            assert_eq!(rel.distinct_count(1), Some(1));
         }
-        // Revival through merge counts the tuple (and its values) again.
+        // Revival through merge counts the tuple again.
         db.merge(
             pred,
             &[Value::Int(0), Value::sym("hub")],
@@ -1698,7 +1645,6 @@ mod tests {
         .unwrap();
         let rel = db.relation(pred).unwrap();
         assert_eq!(rel.live_len(), 3);
-        assert_eq!(rel.distinct_count(0), Some(3));
     }
 
     /// The in-place tail-append fast path in `insert`/`merge` must produce

@@ -8,7 +8,8 @@
 //! of which the active set — and hence the aggregate — is constant.
 
 use crate::ast::{AggFn, Rule};
-use crate::engine::eval::{eval_body, EvalCtx};
+use crate::engine::eval::{execute_plan, EvalCtx};
+use crate::engine::plan::RulePlan;
 use crate::error::{Error, Result};
 use crate::value::{Tuple, Value};
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
@@ -20,20 +21,21 @@ struct Contribution {
     active: IntervalSet,
 }
 
-/// Evaluates a group of aggregate rules sharing one head predicate.
-/// Returns derived `(tuple, interval)` pairs (tuple includes the computed
-/// aggregate at its argument position).
+/// Evaluates a group of aggregate rules sharing one head predicate, each
+/// with its compiled (full-evaluation) plan. Returns derived
+/// `(tuple, interval)` pairs (tuple includes the computed aggregate at its
+/// argument position).
 pub(crate) fn eval_aggregate_rules(
-    rules: &[&Rule],
+    rules: &[(&Rule, &RulePlan)],
     ctx: &EvalCtx<'_>,
 ) -> Result<Vec<(Tuple, Interval)>> {
-    let first = rules.first().expect("non-empty aggregate group");
+    let (first, _) = rules.first().expect("non-empty aggregate group");
     let (fun, pos) = first
         .head
         .aggregate
         .expect("aggregate group contains aggregate rules");
     let arity = first.head.atom.arity();
-    for r in rules {
+    for (r, _) in rules {
         let (f2, p2) = r.head.aggregate.expect("aggregate rule");
         if f2 != fun || p2 != pos || r.head.atom.arity() != arity {
             return Err(Error::Eval(format!(
@@ -45,8 +47,8 @@ pub(crate) fn eval_aggregate_rules(
 
     // Pool contributions per group key (the non-aggregated argument values).
     let mut groups: HashMap<Vec<Value>, Vec<Contribution>> = HashMap::new();
-    for rule in rules {
-        for (binding, ivs) in eval_body(rule, ctx, None)? {
+    for (rule, plan) in rules {
+        for (binding, ivs) in execute_plan(rule, plan, ctx)? {
             let mut key = Vec::with_capacity(arity - 1);
             for (i, term) in rule.head.atom.args.iter().enumerate() {
                 if i == pos {
@@ -216,6 +218,7 @@ fn add_values(a: Value, b: Value) -> Result<Value> {
 mod tests {
     use super::*;
     use crate::database::Database;
+    use crate::engine::plan::{build_plan, persisted_predicates};
     use crate::parser::{parse_facts, parse_program};
 
     fn run_agg(rules_src: &str, facts: &str) -> Vec<(Tuple, Interval)> {
@@ -233,7 +236,13 @@ mod tests {
             counters: &counters,
             profiler: None,
         };
-        let rules: Vec<&Rule> = program.rules.iter().collect();
+        let persisted = persisted_predicates(&program);
+        let plans: Vec<RulePlan> = program
+            .rules
+            .iter()
+            .map(|r| build_plan(r, None, &persisted))
+            .collect();
+        let rules: Vec<(&Rule, &RulePlan)> = program.rules.iter().zip(&plans).collect();
         let mut out = eval_aggregate_rules(&rules, &ctx).unwrap();
         out.sort_by(|a, b| a.1.cmp_position(&b.1).then(a.0.cmp(&b.0)));
         out

@@ -17,25 +17,17 @@ use mtl_temporal::{Interval, IntervalSet};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::cost::NoCardinalities;
-use super::plan::{build_plan, AccessPath, ConstraintMode, RulePlan, StepKind};
+use super::plan::{AccessPath, ConstraintMode, RulePlan, StepKind};
 use super::pool::WorkerPool;
 
 /// A variable assignment. Fx-hashed: binding maps are cloned once per
 /// emitted tuple, which makes rehash speed a join-throughput term.
 pub(crate) type Bindings = FxHashMap<Symbol, Value>;
 
-/// Minimum accumulated bindings before `join_positive` considers fanning
-/// the per-binding work across the worker pool. Lower than the old scoped
-/// threshold (256): the persistent pool has no spawn cost to amortize, only
-/// chunking and hand-off.
-const PAR_FANOUT_MIN: usize = 64;
-
-/// Minimum estimated work units (accumulated bindings × planner-estimated
-/// rows per binding) before the fan-out actually happens. Plan-aware: a
-/// wide join fans out early, a selective probe stays sequential even with
-/// many bindings.
-const PAR_FANOUT_WORK_MIN: u64 = 4096;
+/// Minimum accumulated bindings before `join_positive` fans the
+/// per-binding work across the worker pool: below it, chunking and hand-off
+/// cost more than the lookups they spread.
+const PAR_FANOUT_MIN: usize = 4096;
 
 /// Join-path counters, shared across evaluation threads (relaxed atomics:
 /// these are statistics, not synchronization).
@@ -129,34 +121,16 @@ pub(crate) fn delta_eligible(lit: &Literal) -> Option<Symbol> {
     }
 }
 
-/// Evaluates a rule body. When `delta_literal` is set, that literal's base
-/// relation is read from `ctx.delta` instead of `ctx.total`.
-///
-/// This is the unplanned entry point (aggregates, tests): it compiles a
-/// plan on the spot with no cardinality information — every estimate ties,
-/// so the join order is the textual delta-first order — and executes it.
-/// The fixpoint loop in `mod.rs` builds and caches plans against live
-/// cardinalities instead and calls [`execute_plan`] directly.
-///
-/// Returns deduplicated `(binding, intervals)` pairs with non-empty interval
-/// sets.
-pub(crate) fn eval_body(
-    rule: &Rule,
-    ctx: &EvalCtx<'_>,
-    delta_literal: Option<usize>,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let plan = build_plan(rule, delta_literal, &NoCardinalities, &[]);
-    execute_plan(rule, &plan, ctx)
-}
-
-/// Executes a compiled rule-body plan: one shared executor for every step
-/// kind, used by the fixpoint loop (with cached plans) and by
-/// [`eval_body`] (with throwaway textual-order plans).
+/// Executes a compiled rule-body plan: the one executor for every step
+/// kind, used by the fixpoint loop and by aggregate groups alike.
 ///
 /// The delta-restricted literal is taken from the plan, joins push the
 /// accumulated interval hull down as a read mask, and constraints run in
 /// their statically scheduled modes. An unschedulable-constraint step
 /// raises [`Error::Unsafe`] when reached.
+///
+/// Returns deduplicated `(binding, intervals)` pairs with non-empty interval
+/// sets.
 pub(crate) fn execute_plan(
     rule: &Rule,
     plan: &RulePlan,
@@ -176,7 +150,6 @@ pub(crate) fn execute_plan(
             };
             let mut s = p.span(name);
             s.add("literal", step.literal as u64);
-            s.add("est_rows", step.est_rows);
             s
         });
         match &step.kind {
@@ -185,7 +158,7 @@ pub(crate) fn execute_plan(
                     unreachable!("join step on a non-positive literal");
                 };
                 let use_delta = plan.delta_literal == Some(step.literal);
-                acc = join_positive(acc, m, ctx, use_delta, step.est_rows)?;
+                acc = join_positive(acc, m, ctx, use_delta)?;
                 step.note_actual(acc.len());
                 if let Some(s) = step_span.as_mut() {
                     s.add("rows", acc.len() as u64);
@@ -401,20 +374,17 @@ pub(crate) fn eval_expr(expr: &Expr, b: &Bindings) -> Result<Value> {
 /// can still contribute is pulled out of (possibly huge) base relations.
 ///
 /// Skewed rules accumulate thousands of bindings before a join; with
-/// `ctx.threads > 1` and enough estimated work (`bindings × planner row
-/// estimate`), the per-binding work is fanned across the persistent worker
-/// pool in contiguous chunks and re-concatenated in chunk order, so the
-/// output is identical to the sequential pass.
+/// `ctx.threads > 1` and at least [`PAR_FANOUT_MIN`] of them, the
+/// per-binding work is fanned across the persistent worker pool in
+/// contiguous chunks and re-concatenated in chunk order, so the output is
+/// identical to the sequential pass.
 fn join_positive(
     acc: Vec<(Bindings, IntervalSet)>,
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
-    est_rows: u64,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let enough_work = acc.len() >= PAR_FANOUT_MIN
-        && (acc.len() as u64).saturating_mul(est_rows.max(1)) >= PAR_FANOUT_WORK_MIN;
-    if let (Some(pool), true) = (ctx.pool, ctx.threads > 1 && enough_work) {
+    if let (Some(pool), true) = (ctx.pool, ctx.threads > 1 && acc.len() >= PAR_FANOUT_MIN) {
         let chunk_size = acc.len().div_ceil(ctx.threads);
         let chunks: Vec<&[(Bindings, IntervalSet)]> = acc.chunks(chunk_size).collect();
         let run = pool.run(chunks.len(), |i| {
@@ -863,7 +833,15 @@ fn intersect_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::plan::build_plan;
     use crate::parser::{parse_facts, parse_rule};
+    use std::collections::HashSet;
+
+    /// Plans `rule` in isolation (no program, so nothing is persisted) and
+    /// executes it in full.
+    fn eval_body(rule: &Rule, ctx: &EvalCtx<'_>) -> Result<Vec<(Bindings, IntervalSet)>> {
+        execute_plan(rule, &build_plan(rule, None, &HashSet::new()), ctx)
+    }
 
     fn ctx_db(facts: &str) -> Database {
         let mut db = Database::new();
@@ -885,7 +863,7 @@ mod tests {
             counters: &counters,
             profiler: None,
         };
-        eval_body(&rule, &ctx, None).unwrap()
+        eval_body(&rule, &ctx).unwrap()
     }
 
     #[test]
@@ -971,7 +949,7 @@ mod tests {
             counters: &counters,
             profiler: None,
         };
-        assert!(eval_body(&rule, &ctx, None).is_err());
+        assert!(eval_body(&rule, &ctx).is_err());
     }
 
     #[test]
@@ -1046,7 +1024,7 @@ mod tests {
             counters: &counters,
             profiler: None,
         };
-        let indexed = eval_body(&rule, &ctx, None).unwrap();
+        let indexed = eval_body(&rule, &ctx).unwrap();
         // The full scan: `Database::query` walks every tuple of `p`.
         let pattern = Atom::new("p", vec![Term::Val(Value::sym("a7")), Term::var("N")]);
         let scanned = db.query(&pattern, None);

@@ -9,7 +9,6 @@
 
 mod aggregate;
 mod chain;
-pub(crate) mod cost;
 mod eval;
 pub(crate) mod plan;
 mod pool;
@@ -35,7 +34,7 @@ use mtl_temporal::{Interval, IntervalSet};
 use pool::WorkerPool;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Minimum evaluation wall time of the *previous* fixpoint iteration for
@@ -44,16 +43,6 @@ use std::time::{Duration, Instant};
 /// than this lose more to hand-off than they could recoup, so they run on
 /// the main thread.
 const PAR_MIN_EVAL_WALL: Duration = Duration::from_millis(2);
-
-/// Minimum executions a cached plan must accumulate before its observed
-/// misestimate may force a replan. Small windows are noise: the first few
-/// fixpoint iterations see wildly different delta sizes by construction.
-const ADAPTIVE_MIN_EXECUTIONS: u64 = 8;
-
-/// Symmetric error factor (`max(f, 1/f)` of avg-actual vs. estimated rows)
-/// at or above which a sustained misestimate forces a replan even when the
-/// cardinality fingerprint never moved.
-const ADAPTIVE_ERROR_THRESHOLD: f64 = 4.0;
 
 /// Reasoner configuration.
 #[derive(Clone, Debug)]
@@ -313,23 +302,19 @@ pub struct RunStats {
     /// Secondary indexes carried over by database clones (session advances,
     /// snapshot copies) instead of being rebuilt from scratch.
     pub index_rebuilds_avoided: u64,
-    /// Physical plans compiled: one per `(rule, delta-literal, cardinality
-    /// fingerprint)` the run met for the first time in the reasoner's
-    /// lifetime, plus adaptive rebuilds. A warm session builds none.
+    /// Physical plans put to use: one per `(rule, delta-literal)` variant
+    /// the run executed. The reasoner compiles each variant's plan once,
+    /// from the program text, so a session's count stops growing once
+    /// every variant it needs has run.
     pub plans_built: u64,
-    /// Plans built for a variant that already had one: its input
-    /// cardinalities reached a magnitude combination not seen before, or
-    /// adaptive feedback forced a rebuild.
+    /// Always 0: kept for `benchmark/src/perp.rs`, goes with the next PR
+    /// allowed to edit `benchmark/`.
     pub replans: u64,
-    /// Replans forced by the adaptive feedback trigger alone — a sustained
-    /// misestimate on a plan whose cardinality fingerprint never moved.
-    /// A subset of `replans`.
-    pub replans_triggered: u64,
-    /// Built plans whose cost-based join order differs from the textual
-    /// delta-first order.
+    /// Used plans whose join order differs from the textual delta-first
+    /// order.
     pub reorders_applied: u64,
-    /// Summed planner estimates of bindings out of each executed plan's
-    /// join pipeline (compare with `planner_actual_rows`).
+    /// Always 0: kept for `benchmark/src/perp.rs`, goes with the next PR
+    /// allowed to edit `benchmark/`.
     pub planner_estimated_rows: u64,
     /// Bindings actually produced by executed plans.
     pub planner_actual_rows: u64,
@@ -338,8 +323,8 @@ pub struct RunStats {
     /// Worker-pool constructions (`<= strata` by the pool-lifecycle
     /// invariant: the pool is spawned once per reasoner and reused).
     pub pool_respawns: u64,
-    /// The plan each `(rule, delta-literal)` variant ran last — rendered
-    /// on demand by [`RunStats::plan_explains`].
+    /// The plan of each `(rule, delta-literal)` variant the run executed —
+    /// rendered on demand by [`RunStats::plan_explains`].
     used_plans: UsedPlans,
     /// Per-rule breakdown, indexed by rule position in the program.
     pub rules: Vec<RuleStats>,
@@ -380,44 +365,17 @@ pub struct StorageStats {
     pub column_clones: u64,
 }
 
-/// Actual-vs-estimated row accounting for one executed plan variant: the
-/// observability half of planner runtime feedback. A later pass can feed
-/// `error_factor` back into the planner's `distinct` estimates; until
-/// then it surfaces as `planner.misestimates` in `--stats-json` and the
-/// "top misestimates" block of `--explain-plans`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlanFeedback {
-    /// Rule index in the program.
-    pub rule: usize,
-    /// Rule label (or `r{idx}`).
-    pub label: String,
-    /// Delta-restricted literal of the variant, if any.
-    pub delta_literal: Option<usize>,
-    /// Times the plan executed.
-    pub executions: u64,
-    /// Planner-estimated bindings out of the join pipeline per execution.
-    pub est_rows: u64,
-    /// Accumulated observed bindings across executions.
-    pub actual_rows: u64,
-    /// `actual_rows / executions` (0 when never executed).
-    pub avg_actual_rows: f64,
-    /// Symmetric misestimation ratio `max(f, 1/f)` with
-    /// `f = (avg_actual + 1) / (est + 1)`; `1.0` is a perfect estimate,
-    /// and over- and under-estimates of the same magnitude score equally.
-    pub error_factor: f64,
-}
-
 /// Per `(rule, delta-literal)` variant, a plan and a reading of its
 /// counters.
 type VariantPlans = BTreeMap<(usize, Option<usize>), (Arc<plan::RulePlan>, plan::PlanCounts)>;
 
-/// The plan every `(rule, delta-literal)` variant ran last and what it
-/// executed and produced for this [`RunStats`], with the program whose
-/// rules the plans index — what [`RunStats::plan_explains`] renders from.
-/// The plans are shared with the reasoner's cache and keep counting for
-/// later runs; the counts here are this run's own and stay put. Recording
-/// copies a few integers per variant per stratum run; the explain text is
-/// only built when somebody reads it.
+/// The plan of every `(rule, delta-literal)` variant the run executed and
+/// what it executed and produced for this [`RunStats`], with the program
+/// whose rules the plans index — what [`RunStats::plan_explains`] renders
+/// from. The plans belong to the reasoner and keep counting for later runs;
+/// the counts here are this run's own and stay put. Recording copies a few
+/// integers per variant per stratum run; the explain text is only built
+/// when somebody reads it.
 #[derive(Clone, Default)]
 struct UsedPlans {
     program: Option<Arc<Program>>,
@@ -426,23 +384,22 @@ struct UsedPlans {
 
 impl UsedPlans {
     /// Records the plans one stratum run used, each with the reading taken
-    /// before it first ran there. A variant still on the plan an earlier
-    /// run recorded (sessions re-run strata) adds to that plan's counts; a
-    /// different plan replaces it (the latest plan wins).
-    fn record(&mut self, program: &Arc<Program>, used: VariantPlans) {
+    /// before it first ran there; a variant an earlier stratum run recorded
+    /// (sessions re-run strata) adds to its counts. Returns the plans new
+    /// to this run.
+    fn record(&mut self, program: &Arc<Program>, used: VariantPlans) -> Vec<Arc<plan::RulePlan>> {
         if self.program.is_none() {
             self.program = Some(Arc::clone(program));
         }
+        let mut new = Vec::new();
         for (variant, (plan, before)) in used {
-            let slot = self
-                .plans
-                .entry(variant)
-                .or_insert_with(|| (Arc::clone(&plan), plan::PlanCounts::default()));
-            if !Arc::ptr_eq(&slot.0, &plan) {
-                *slot = (Arc::clone(&plan), plan::PlanCounts::default());
-            }
+            let slot = self.plans.entry(variant).or_insert_with(|| {
+                new.push(Arc::clone(&plan));
+                (Arc::clone(&plan), plan::PlanCounts::default())
+            });
             slot.1.add_since(&plan.counts(), &before);
         }
+        new
     }
 }
 
@@ -453,11 +410,11 @@ impl std::fmt::Debug for UsedPlans {
 }
 
 impl RunStats {
-    /// The plan each `(rule, delta-literal)` variant ran last, with
-    /// estimated vs. accumulated actual rows (what `--explain-plans`
-    /// prints), in stratum, rule, variant order. The execution and row
-    /// counts are those of this run alone — in a session, of every advance
-    /// and repair the plan served.
+    /// The plan of each `(rule, delta-literal)` variant the run executed,
+    /// with accumulated actual rows (what `--explain-plans` prints), in
+    /// stratum, rule, variant order. The execution and row counts are those
+    /// of this run alone — in a session, of every advance and repair the
+    /// plan served.
     pub fn plan_explains(&self) -> Vec<PlanExplain> {
         let Some(program) = &self.used_plans.program else {
             return Vec::new();
@@ -477,42 +434,6 @@ impl RunStats {
             })
             .collect();
         out.sort_by_key(|e| (self.rules[e.rule].stratum, e.rule, e.delta_literal));
-        out
-    }
-
-    /// Per-plan actual-vs-estimated feedback, worst misestimate first
-    /// (ties broken by rule index then delta literal, so the order is
-    /// deterministic across runs).
-    pub fn plan_feedback(&self) -> Vec<PlanFeedback> {
-        Self::feedback_of(&self.plan_explains())
-    }
-
-    fn feedback_of(explains: &[PlanExplain]) -> Vec<PlanFeedback> {
-        let mut out: Vec<PlanFeedback> = explains
-            .iter()
-            .filter(|p| p.executions > 0)
-            .map(|p| {
-                let avg = p.actual_rows as f64 / p.executions as f64;
-                let f = (avg + 1.0) / (p.est_rows as f64 + 1.0);
-                PlanFeedback {
-                    rule: p.rule,
-                    label: p.label.clone(),
-                    delta_literal: p.delta_literal,
-                    executions: p.executions,
-                    est_rows: p.est_rows,
-                    actual_rows: p.actual_rows,
-                    avg_actual_rows: avg,
-                    error_factor: f.max(1.0 / f),
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            b.error_factor
-                .partial_cmp(&a.error_factor)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.rule.cmp(&b.rule))
-                .then(a.delta_literal.cmp(&b.delta_literal))
-        });
         out
     }
 }
@@ -594,9 +515,8 @@ impl RunStats {
                 })
                 .collect(),
         );
-        let explains = self.plan_explains();
         let plans = Json::Arr(
-            explains
+            self.plan_explains()
                 .iter()
                 .map(|p| {
                     Json::from_pairs([
@@ -609,23 +529,8 @@ impl RunStats {
                             Json::from(p.delta_literal.map_or(-1i64, |d| d as i64)),
                         ),
                         ("reordered", Json::from(p.reordered)),
-                        ("estimated_rows", Json::from(p.est_rows)),
                         ("executions", Json::from(p.executions)),
                         ("actual_rows", Json::from(p.actual_rows)),
-                        (
-                            "corrections",
-                            Json::Arr(
-                                p.corrections
-                                    .iter()
-                                    .map(|&(lit, c)| {
-                                        Json::from_pairs([
-                                            ("literal", Json::from(lit)),
-                                            ("factor", Json::from(c)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
                         (
                             "steps",
                             Json::Arr(
@@ -635,7 +540,6 @@ impl RunStats {
                                         Json::from_pairs([
                                             ("desc", Json::from(s.desc.as_str())),
                                             ("access_path", Json::from(s.access)),
-                                            ("estimated_rows", Json::from(s.est_rows)),
                                             ("actual_rows", Json::from(s.actual_rows)),
                                         ])
                                     })
@@ -646,34 +550,10 @@ impl RunStats {
                 })
                 .collect(),
         );
-        let misestimates = Json::Arr(
-            Self::feedback_of(&explains)
-                .into_iter()
-                .map(|f| {
-                    Json::from_pairs([
-                        ("rule", Json::from(f.rule)),
-                        ("label", Json::from(f.label.as_str())),
-                        (
-                            "delta_literal",
-                            Json::from(f.delta_literal.map_or(-1i64, |d| d as i64)),
-                        ),
-                        ("executions", Json::from(f.executions)),
-                        ("estimated_rows", Json::from(f.est_rows)),
-                        ("actual_rows", Json::from(f.actual_rows)),
-                        ("avg_actual_rows", Json::from(f.avg_actual_rows)),
-                        ("error_factor", Json::from(f.error_factor)),
-                    ])
-                })
-                .collect(),
-        );
         let planner = Json::from_pairs([
             ("plans_built", Json::from(self.plans_built)),
-            ("replans", Json::from(self.replans)),
-            ("replans_triggered", Json::from(self.replans_triggered)),
             ("reorders_applied", Json::from(self.reorders_applied)),
-            ("estimated_rows", Json::from(self.planner_estimated_rows)),
             ("actual_rows", Json::from(self.planner_actual_rows)),
-            ("misestimates", misestimates),
             ("plans", plans),
         ]);
         let pool = Json::from_pairs([
@@ -780,50 +660,30 @@ pub struct Reasoner {
     program: Arc<Program>,
     strat: Stratification,
     /// Per stratum, what the fixpoint driver needs and the program alone
-    /// determines (aggregate groups, fixpoint modes, variants, self-chain
-    /// rules) — compiled here once instead of on every stratum run.
+    /// determines (aggregate groups, fixpoint modes, variants and their
+    /// physical plans, self-chain rules) — compiled here once instead of
+    /// on every stratum run.
     compiled: Vec<CompiledStratum>,
     config: ReasonerConfig,
     /// Persistent evaluation worker pool, spawned lazily on the first
     /// multi-threaded dispatch and reused across fixpoint iterations,
     /// strata, and session advances.
     pool: OnceLock<WorkerPool>,
-    /// Learned misestimate correction factors, keyed by
-    /// `(rule index, body literal)`. Harvested when runtime feedback
-    /// forces a replan and blended into that rule's next cost estimates;
-    /// kept on the reasoner (not the stratum) so corrections survive
-    /// session advances and keep compounding. A `BTreeMap` so the slice
-    /// handed to the planner is deterministically ordered.
-    corrections: Mutex<BTreeMap<(usize, usize), f64>>,
-    /// Physical plans, kept beside the corrections for the same reason: a
-    /// session advance reuses what the previous one compiled.
-    plans: Mutex<PlanCache>,
-    /// Magic (demand) predicates of a goal-driven sub-program, set only on
-    /// the inner reasoner built by [`Reasoner::query`]. The planner floors
-    /// their cardinality estimates: demand relations start empty (the seed
-    /// lands mid-plan, derived demand propagates per iteration), and a
-    /// zero estimate would price the guard as producing nothing.
-    magic_preds: HashSet<Symbol>,
 }
 
-/// Physical plans by `(rule, delta literal, cardinality fingerprint)`. Kept
-/// on the reasoner, so a session advance or a repair finds the plans the
-/// previous one compiled, and a fingerprint that flips back (a
-/// multi-component delta coming and going) finds its old plan again.
-type PlanCache = BTreeMap<(usize, Option<usize>, u64), Arc<plan::RulePlan>>;
-
-/// One semi-naive variant of a rule: the body literal read from the delta,
-/// and the predicate of that literal (whose delta relation must be
-/// non-empty for the variant to derive anything).
-#[derive(Clone, Copy)]
+/// One semi-naive variant of a rule: the predicate of the body literal
+/// read from the delta (whose delta relation must be non-empty for the
+/// variant to derive anything) and the variant's plan, which names the
+/// literal.
+#[derive(Clone)]
 struct Variant {
-    literal: usize,
     pred: Symbol,
+    plan: Arc<plan::RulePlan>,
 }
 
 /// How a rule participates in its stratum's fixpoint (distinct from the
-/// physical [`plan::RulePlan`], which fixes join order and access paths
-/// for one body evaluation).
+/// physical [`plan::RulePlan`], which fixes the join order of one body
+/// evaluation).
 enum FixpointMode {
     /// No body dependency on the current stratum: runs only on iteration 0.
     Once,
@@ -839,6 +699,8 @@ enum FixpointMode {
 struct CompiledRule {
     /// Index into [`Program::rules`].
     idx: usize,
+    /// The plan of a full evaluation.
+    full: Arc<plan::RulePlan>,
     mode: FixpointMode,
     /// Iteration 0 of a seeded (session) run: one variant per positive
     /// literal, read from the seed. `None` when some positive literal is
@@ -850,8 +712,9 @@ struct CompiledRule {
 
 /// Everything about one stratum that depends on the program alone.
 struct CompiledStratum {
-    /// Aggregate rules grouped by head predicate, in first-rule order.
-    agg_groups: Vec<(Symbol, Vec<usize>)>,
+    /// Aggregate rules grouped by head predicate, in first-rule order, each
+    /// with the plan of its body.
+    agg_groups: Vec<(Symbol, Vec<(usize, plan::RulePlan)>)>,
     /// The remaining rules in program order — also the task, merge and
     /// therefore output order of every round.
     rules: Vec<CompiledRule>,
@@ -860,23 +723,30 @@ struct CompiledStratum {
 }
 
 impl CompiledStratum {
-    /// Compiles the rules `rule_indices` of one stratum of `program`.
-    fn compile(program: &Program, rule_indices: &[usize], semi_naive: bool) -> CompiledStratum {
+    /// Compiles the rules `rule_indices` of one stratum of `program`, whose
+    /// persisted predicates are `persisted`.
+    fn compile(
+        program: &Program,
+        rule_indices: &[usize],
+        semi_naive: bool,
+        persisted: &HashSet<Symbol>,
+    ) -> CompiledStratum {
         let current_preds: HashSet<Symbol> = rule_indices
             .iter()
             .map(|&i| program.rules[i].head.atom.pred)
             .collect();
-        let mut agg_groups: Vec<(Symbol, Vec<usize>)> = Vec::new();
+        let mut agg_groups: Vec<(Symbol, Vec<(usize, plan::RulePlan)>)> = Vec::new();
         let mut normal: Vec<usize> = Vec::new();
         for &i in rule_indices {
             let rule = &program.rules[i];
             if rule.head.aggregate.is_some() {
+                let member = (i, plan::build_plan(rule, None, persisted));
                 match agg_groups
                     .iter_mut()
                     .find(|(p, _)| *p == rule.head.atom.pred)
                 {
-                    Some((_, v)) => v.push(i),
-                    None => agg_groups.push((rule.head.atom.pred, vec![i])),
+                    Some((_, v)) => v.push(member),
+                    None => agg_groups.push((rule.head.atom.pred, vec![member])),
                 }
             } else {
                 normal.push(i);
@@ -886,9 +756,20 @@ impl CompiledStratum {
             .iter()
             .map(|&idx| {
                 let rule = &program.rules[idx];
-                let variant = |literal: usize| {
-                    delta_eligible(&rule.body[literal]).map(|pred| Variant { literal, pred })
-                };
+                // One plan per delta literal, shared by the semi-naive and
+                // the seeded variant over it.
+                let variants: Vec<Option<Variant>> = rule
+                    .body
+                    .iter()
+                    .enumerate()
+                    .map(|(literal, lit)| {
+                        delta_eligible(lit).map(|pred| Variant {
+                            pred,
+                            plan: Arc::new(plan::build_plan(rule, Some(literal), persisted)),
+                        })
+                    })
+                    .collect();
+                let variant = |literal: usize| variants[literal].clone();
                 let mut dep_variants = Vec::new();
                 let mut blocked = false;
                 let mut has_dep = false;
@@ -923,7 +804,12 @@ impl CompiledStratum {
                     .map(|(li, _)| variant(li))
                     .collect::<Option<Vec<_>>>()
                     .filter(|variants| !variants.is_empty());
-                CompiledRule { idx, mode, seeded }
+                CompiledRule {
+                    idx,
+                    full: Arc::new(plan::build_plan(rule, None, persisted)),
+                    mode,
+                    seeded,
+                }
             })
             .collect();
         let chains = Chains::detect(
@@ -938,43 +824,40 @@ impl CompiledStratum {
     }
 }
 
-/// One body evaluation of a round: the rule, the semi-naive variant (`None`
-/// = full evaluation) and the delta database that variant reads.
+/// One body evaluation of a round: the rule, the plan of the variant to
+/// run (a full evaluation, or semi-naive over one delta literal) and the
+/// delta database a semi-naive variant reads.
 struct Task<'d> {
     rule: usize,
-    variant: Option<Variant>,
+    plan: &'d Arc<plan::RulePlan>,
     delta: Option<&'d Database>,
 }
 
 impl<'d> Task<'d> {
-    fn full(rule: usize) -> Task<'d> {
+    fn full(rule: &'d CompiledRule) -> Task<'d> {
         Task {
-            rule,
-            variant: None,
+            rule: rule.idx,
+            plan: &rule.full,
             delta: None,
         }
-    }
-
-    fn delta_literal(&self) -> Option<usize> {
-        self.variant.map(|v| v.literal)
     }
 }
 
 /// Pushes one task per variant whose delta relation in `delta` holds
-/// anything; an empty delta relation cannot derive, so the variant is
-/// neither planned nor dispatched.
+/// anything; an empty delta relation cannot derive, so the variant is not
+/// dispatched.
 fn push_variants<'d>(
     tasks: &mut Vec<Task<'d>>,
     rule: usize,
-    variants: &[Variant],
+    variants: &'d [Variant],
     delta: Option<&'d Database>,
 ) {
     let Some(delta) = delta else { return };
-    for &v in variants {
+    for v in variants {
         if delta.relation(v.pred).is_some_and(|r| r.live_len() > 0) {
             tasks.push(Task {
                 rule,
-                variant: Some(v),
+                plan: &v.plan,
                 delta: Some(delta),
             });
         }
@@ -986,10 +869,11 @@ impl Reasoner {
     pub fn new(program: Program, config: ReasonerConfig) -> Result<Reasoner> {
         check_program(&program)?;
         let strat = Stratification::compute(&program)?;
+        let persisted = plan::persisted_predicates(&program);
         let compiled = strat
             .rules_by_stratum
             .iter()
-            .map(|rules| CompiledStratum::compile(&program, rules, config.semi_naive))
+            .map(|rules| CompiledStratum::compile(&program, rules, config.semi_naive, &persisted))
             .collect();
         Ok(Reasoner {
             program: Arc::new(program),
@@ -997,9 +881,6 @@ impl Reasoner {
             compiled,
             config,
             pool: OnceLock::new(),
-            corrections: Mutex::new(BTreeMap::new()),
-            plans: Mutex::new(PlanCache::new()),
-            magic_preds: HashSet::new(),
         })
     }
 
@@ -1137,8 +1018,7 @@ impl Reasoner {
         } else {
             rw.cone_program.clone()
         };
-        let mut inner = Reasoner::new(program, config)?;
-        inner.magic_preds = rw.magic_preds.clone();
+        let inner = Reasoner::new(program, config)?;
         let mut db = input.clone();
         let mut seeds_inserted = 0u64;
         if magic {
@@ -1418,7 +1298,8 @@ impl Reasoner {
         // --- Aggregate rules: once, inputs are strictly lower strata. ---
         for (pred, indices) in &compiled.agg_groups {
             let group_start = Instant::now();
-            let group: Vec<&Rule> = indices.iter().map(|&i| &rules[i]).collect();
+            let group: Vec<(&Rule, &plan::RulePlan)> =
+                indices.iter().map(|(i, p)| (&rules[*i], p)).collect();
             let ctx = EvalCtx {
                 total,
                 delta: None,
@@ -1431,16 +1312,16 @@ impl Reasoner {
             };
             let derived = aggregate::eval_aggregate_rules(&group, &ctx)?;
             stats.rule_evaluations += indices.len();
-            for &i in indices.iter() {
-                stats.rules[i].body_evaluations += 1;
+            for (i, _) in indices {
+                stats.rules[*i].body_evaluations += 1;
             }
             // Derivations of a merged aggregate group are attributed to its
             // first rule — the group shares one head predicate.
-            let lead = indices[0];
+            let lead = indices[0].0;
             stats.rules[lead].derivations += derived.len();
             for (tuple, interval) in derived {
                 let mut ivs = IntervalSet::from_interval(interval);
-                for op in &group[0].head.ops {
+                for op in &rules[lead].head.ops {
                     ivs = apply_head_op(op, &ivs)?;
                 }
                 let ivs = ivs.intersect_interval(&horizon);
@@ -1477,14 +1358,9 @@ impl Reasoner {
 
         // --- Fixpoint. ---
         let mut guard_sets = GuardSets::new();
-        // The plan each variant ran last, with its counters as they stood
-        // before it first ran here, for `RunStats::plan_explains`.
+        // The plan of each variant that ran, with its counters as they
+        // stood before it first ran here, for `RunStats::plan_explains`.
         let mut used_plans = VariantPlans::new();
-        let mut plans_built = 0u64;
-        let mut replans = 0u64;
-        let mut replans_triggered = 0u64;
-        let mut reorders_applied = 0u64;
-        let mut planner_estimated_rows = 0u64;
         let mut planner_actual_rows = 0u64;
         // Last round's additions: all of them, and per self-chain rule the
         // ones *other* rules made to its head predicate.
@@ -1528,12 +1404,12 @@ impl Reasoner {
                     // when every positive literal supports it.
                     (_, 0, Some(seed)) => match &rule.seeded {
                         Some(variants) => push_variants(&mut tasks, rule.idx, variants, Some(seed)),
-                        None => tasks.push(Task::full(rule.idx)),
+                        None => tasks.push(Task::full(rule)),
                     },
-                    (FixpointMode::Once, 0, None) => tasks.push(Task::full(rule.idx)),
+                    (FixpointMode::Once, 0, None) => tasks.push(Task::full(rule)),
                     (FixpointMode::Once, _, _) => {}
-                    (FixpointMode::Full, _, _) => tasks.push(Task::full(rule.idx)),
-                    (FixpointMode::SemiNaive(_), 0, None) => tasks.push(Task::full(rule.idx)),
+                    (FixpointMode::Full, _, _) => tasks.push(Task::full(rule)),
+                    (FixpointMode::SemiNaive(_), 0, None) => tasks.push(Task::full(rule)),
                     (FixpointMode::SemiNaive(variants), _, _) => {
                         let delta = if compiled.chains.contains(rule.idx) {
                             chain_prev.get(&rule.idx)
@@ -1545,76 +1421,12 @@ impl Reasoner {
                 }
             }
 
-            // The physical plan of every task: the cached one while its
-            // cardinality fingerprint (a coarse hash of live input sizes)
-            // names it and no sustained misestimate condemns it, a fresh
-            // build otherwise.
-            let task_plans: Vec<Arc<plan::RulePlan>> = {
-                let mut cache = self.plans.lock().expect("plan cache mutex poisoned");
-                let mut corr = self.corrections.lock().expect("corrections mutex poisoned");
-                tasks
-                    .iter()
-                    .map(|task| {
-                        let rule = &rules[task.rule];
-                        let delta_literal = task.delta_literal();
-                        let cards = cost::DbCardinalities {
-                            total,
-                            delta: task.delta,
-                            magic_floor: &self.magic_preds,
-                        };
-                        let fingerprint = plan::fingerprint(rule, delta_literal, &cards);
-                        let key = (task.rule, delta_literal, fingerprint);
-                        if let Some(p) = cache.get(&key) {
-                            // Fingerprint unchanged: only a sustained,
-                            // large misestimate forces a rebuild (the
-                            // adaptive feedback trigger).
-                            let sustained = p.observed_error().is_some_and(|(err, execs)| {
-                                execs >= ADAPTIVE_MIN_EXECUTIONS && err >= ADAPTIVE_ERROR_THRESHOLD
-                            });
-                            if !sustained {
-                                return Arc::clone(p);
-                            }
-                            // Harvest this incarnation's learned factors
-                            // so the rebuild estimates with them.
-                            for (lit, c) in p.corrected_factors(&p.corrections) {
-                                corr.insert((task.rule, lit), c);
-                            }
-                            replans_triggered += 1;
-                        }
-                        let variant_plans = (task.rule, delta_literal, u64::MIN)
-                            ..=(task.rule, delta_literal, u64::MAX);
-                        if cache.range(variant_plans).next().is_some() {
-                            replans += 1;
-                        }
-                        let rule_corrections: Vec<(usize, f64)> = corr
-                            .range((task.rule, 0)..=(task.rule, usize::MAX))
-                            .map(|(&(_, lit), &c)| (lit, c))
-                            .collect();
-                        let compiled = Arc::new(plan::build_plan(
-                            rule,
-                            delta_literal,
-                            &cards,
-                            &rule_corrections,
-                        ));
-                        plans_built += 1;
-                        if compiled.reordered {
-                            reorders_applied += 1;
-                        }
-                        cache.insert(key, Arc::clone(&compiled));
-                        compiled
-                    })
-                    .collect()
-            };
             // A plan new to this stratum run has its counters read before
             // it runs, so the run reports its own executions only.
-            for (task, p) in tasks.iter().zip(&task_plans) {
-                let variant = (task.rule, task.delta_literal());
-                if !used_plans
-                    .get(&variant)
-                    .is_some_and(|(q, _)| Arc::ptr_eq(q, p))
-                {
-                    used_plans.insert(variant, (Arc::clone(p), p.counts()));
-                }
+            for task in &tasks {
+                used_plans
+                    .entry((task.rule, task.plan.delta_literal))
+                    .or_insert_with(|| (Arc::clone(task.plan), task.plan.counts()));
             }
 
             // Evaluate every task against the iteration-start snapshot of
@@ -1638,7 +1450,7 @@ impl Reasoner {
                     // so the span lands on that worker's own lane.
                     let mut rule_span = self.config.profiler.as_ref().map(|p| {
                         let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
-                        if let Some(d) = task.delta_literal() {
+                        if let Some(d) = task.plan.delta_literal {
                             s.add("delta_literal", d as u64);
                         }
                         s
@@ -1657,7 +1469,7 @@ impl Reasoner {
                         profiler: self.config.profiler.as_ref(),
                     };
                     let eval_start = Instant::now();
-                    let r = execute_plan(&rules[task.rule], &task_plans[i], &ctx);
+                    let r = execute_plan(&rules[task.rule], task.plan, &ctx);
                     if let (Some(s), Ok(rows)) = (rule_span.as_mut(), &r) {
                         s.add("derivations", rows.len() as u64);
                     }
@@ -1667,15 +1479,12 @@ impl Reasoner {
             last_eval_wall = eval_out.iter().map(|(_, d)| *d).sum();
 
             // Merge every task's derivations back in fixed task order.
-            for ((task, rule_plan), (results, eval_wall)) in
-                tasks.iter().zip(task_plans).zip(eval_out)
-            {
+            for (task, (results, eval_wall)) in tasks.iter().zip(eval_out) {
                 let rule_idx = task.rule;
                 let rule = &rules[rule_idx];
                 let head = rule.head.atom.pred;
                 let merge_start = Instant::now();
                 let results = results?;
-                planner_estimated_rows += rule_plan.est_total;
                 planner_actual_rows += results.len() as u64;
                 stats.rule_evaluations += 1;
                 let rstats = &mut stats.rules[rule_idx];
@@ -1785,17 +1594,15 @@ impl Reasoner {
 
         // Planner counters, and the stratum's share of pool lifecycle
         // events (swapped out so a session advance only counts its own).
-        stats.plans_built += plans_built;
-        stats.replans += replans;
-        stats.replans_triggered += replans_triggered;
-        stats.reorders_applied += reorders_applied;
-        stats.planner_estimated_rows += planner_estimated_rows;
+        for new in stats.used_plans.record(&self.program, used_plans) {
+            stats.plans_built += 1;
+            stats.reorders_applied += u64::from(new.reordered);
+        }
         stats.planner_actual_rows += planner_actual_rows;
         if let Some(pool) = self.pool.get() {
             stats.pool_respawns += pool.respawns.swap(0, Ordering::Relaxed);
             stats.pool_reuses += pool.reuses.swap(0, Ordering::Relaxed);
         }
-        stats.used_plans.record(&self.program, used_plans);
 
         let iterations = iteration + 1;
         if let Some(s) = stratum_span.as_mut() {

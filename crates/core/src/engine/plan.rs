@@ -1,48 +1,40 @@
-//! Physical plans: each rule body is compiled — once per cardinality
-//! fingerprint, cached on the reasoner — into an ordered list of
-//! [`PlanStep`]s that the executor runs.
+//! Physical plans: each `(rule, delta literal)` variant of a rule body is
+//! compiled once, when the [`Reasoner`](crate::Reasoner) is built, into an
+//! ordered list of [`PlanStep`]s that the executor runs.
 //!
-//! A plan fixes two decisions, and labels a third:
+//! A plan is a function of the program text alone. It fixes two decisions,
+//! and labels a third:
 //!
 //! 1. **Join order.** The delta-restricted literal always goes first (that is
-//!    what makes semi-naive evaluation pay off); the remaining positive
-//!    literals are ordered greedily by estimated output rows. Ties break
-//!    toward textual order, so a plan built with no cardinality information
-//!    ([`NoCardinalities`](crate::engine::cost::NoCardinalities)) keeps the
-//!    textual order.
+//!    what makes semi-naive evaluation pay off); then, repeatedly, the
+//!    remaining positive literal with the smallest [`JoinKey`]: one with a
+//!    ground argument position before one without, an event-like predicate
+//!    before a *persisted* one ([`persisted_predicates`]), more ground
+//!    positions before fewer, and textual order last. Composite
+//!    (`since` / `until`) atoms, `⊤` and `⊥` go after every single-atom
+//!    literal. A rule author who wants a different order writes the body
+//!    in that order.
 //! 2. **Constraint scheduling.** Constraints are batched after the join that
-//!    binds their variables, statically from the rule text alone. A
-//!    constraint whose variables can never be bound compiles to an explicit
-//!    unschedulable step that raises [`Error::Unsafe`](crate::Error::Unsafe)
-//!    when reached — even behind an empty accumulator.
+//!    binds their variables. A constraint whose variables can never be bound
+//!    compiles to an explicit unschedulable step that raises
+//!    [`Error::Unsafe`](crate::Error::Unsafe) when reached — even behind an
+//!    empty accumulator.
 //! 3. **Access path (a label).** The executor picks scan / value probe /
 //!    time probe / both per lookup, from what it observes at that moment,
-//!    through [`AccessPath::choose`]. The planner calls the same function on
-//!    its plan-time cardinalities only to label each join step for
-//!    `--explain-plans` and the stats-json `access_path` field. Composite
-//!    (`since` / `until`) steps resolve per leaf and are labelled `scan`.
-//!
-//! Plans are cheap to build (linear passes over the body) and are cached
-//! under a [`fingerprint`] over coarse (power-of-two bucketed) relation
-//! sizes, so the stratum loop only plans when a relation crosses into a
-//! magnitude combination it has not met before, not on every delta tick. On
-//! top of that fingerprint gate the stratum loop *forces* a replan when a
-//! plan's observed rows drift a sustained factor from its estimate (see
-//! [`RulePlan::observed_error`]), feeding per-literal correction factors
-//! back into [`build_plan`] — the self-tuning loop described in
-//! `docs/PERFORMANCE.md`.
+//!    through [`AccessPath::choose`]. The label a plan step carries for
+//!    `--explain-plans` and the stats-json `access_path` field is the same
+//!    function of boundness alone: what the executor does once the relation
+//!    is large enough to index. Composite steps resolve per leaf and are
+//!    labelled `scan`.
 
-use crate::ast::{CmpOp, Expr, Literal, MetricAtom, Rule, Term};
-use crate::engine::cost::{estimate_rows, size_bucket, CardinalitySource};
+use crate::ast::{CmpOp, Expr, Literal, MetricAtom, Program, Rule, Term};
 use crate::symbol::Symbol;
+use std::cmp::Reverse;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Relations smaller than this are scanned directly: probing (and possibly
-/// building) an index costs more than walking a handful of tuples. Sits on
-/// a [`size_bucket`] edge, so every size sharing a plan's fingerprint is on
-/// the same side of it.
+/// building) an index costs more than walking a handful of tuples.
 pub(crate) const INDEX_MIN_TUPLES: usize = 8;
 
 /// How a lookup reaches a relation's tuples.
@@ -62,8 +54,8 @@ impl AccessPath {
     /// The one access-path decision: what a lookup over `len` stored tuples
     /// does given whether any argument position is ground and whether a read
     /// mask restricts the time window. `eval_rel` calls it on what it
-    /// observes at lookup time; the planner calls it on plan-time
-    /// cardinalities to label the step.
+    /// observes at lookup time; the planner calls it with `len` at the
+    /// index threshold to label the step.
     pub(crate) fn choose(len: usize, any_ground: bool, masked: bool) -> AccessPath {
         if len < INDEX_MIN_TUPLES {
             return AccessPath::Scan;
@@ -110,52 +102,46 @@ pub(crate) enum StepKind {
     Constraint { mode: Option<ConstraintMode> },
 }
 
-/// A plan step: which body literal to process, how, and what the planner
-/// expected it to produce. `actual_rows` accumulates accumulator sizes
-/// observed at execution time (relaxed: statistics, not synchronization).
+/// A plan step: which body literal to process and how. `actual_rows`
+/// accumulates accumulator sizes observed at execution time (relaxed:
+/// statistics, not synchronization).
 #[derive(Debug)]
 pub(crate) struct PlanStep {
     /// Index into `rule.body`.
     pub literal: usize,
     pub kind: StepKind,
-    /// Estimated accumulator rows after this step, per plan build. Only
-    /// meaningful for join steps; filters and negations carry `0`.
-    pub est_rows: u64,
     /// Total accumulator rows observed after this step across executions.
     pub actual_rows: AtomicU64,
 }
 
 impl PlanStep {
+    fn new(literal: usize, kind: StepKind) -> PlanStep {
+        PlanStep {
+            literal,
+            kind,
+            actual_rows: AtomicU64::new(0),
+        }
+    }
+
     pub(crate) fn note_actual(&self, rows: usize) {
         self.actual_rows.fetch_add(rows as u64, Ordering::Relaxed);
     }
 }
 
-/// A compiled rule body: ordered steps plus the metadata the stratum loop
-/// needs to decide when the plan has gone stale.
+/// A compiled rule body: ordered steps plus execution counters.
 #[derive(Debug)]
 pub(crate) struct RulePlan {
     /// The delta-restricted literal of this semi-naive variant, if any.
     pub delta_literal: Option<usize>,
     pub steps: Vec<PlanStep>,
-    /// Product of the join steps' row estimates: the planner's guess at
-    /// total bindings flowing out of the join pipeline.
-    pub est_total: u64,
-    /// `true` iff cost-based ordering chose a join order different from
-    /// the delta-first textual order.
+    /// `true` iff the join order differs from the delta-first textual
+    /// order.
     pub reordered: bool,
     /// `true` iff some constraint can never be scheduled; executing the
     /// plan then raises [`Unsafe`](crate::Error::Unsafe) instead of
     /// silently returning an empty result.
     pub has_unschedulable: bool,
-    /// Misestimate correction factors applied to this build, as
-    /// `(literal index, factor)` pairs — empty until runtime feedback has
-    /// forced a replan of this variant. Surfaced by `--explain-plans` and
-    /// the stats-json `planner.plans[].corrections` field.
-    pub corrections: Vec<(usize, f64)>,
-    /// Times this plan has been executed (relaxed: statistics). Divides
-    /// the steps' accumulated `actual_rows` back into per-execution
-    /// averages for the misestimate report.
+    /// Times this plan has been executed (relaxed: statistics).
     pub executions: AtomicU64,
 }
 
@@ -194,153 +180,61 @@ impl RulePlan {
                 .collect(),
         }
     }
-
-    /// The plan's observed symmetric error factor — how far the average
-    /// bindings out of the join pipeline sit from `est_total`, as a ratio
-    /// `>= 1` — together with the execution count it was averaged over.
-    /// `None` until the plan has executed (or when it has no join steps).
-    /// The `+1` smoothing matches `RunStats::plan_feedback`, so the replan
-    /// trigger and the misestimate report agree on what "off" means.
-    pub(crate) fn observed_error(&self) -> Option<(f64, u64)> {
-        let execs = self.executions.load(Ordering::Relaxed);
-        if execs == 0 {
-            return None;
-        }
-        let last_join = self
-            .steps
-            .iter()
-            .rev()
-            .find(|s| matches!(s.kind, StepKind::Join { .. }))?;
-        let avg = last_join.actual_rows.load(Ordering::Relaxed) as f64 / execs as f64;
-        let f = (avg + 1.0) / (self.est_total as f64 + 1.0);
-        Some((f.max(1.0 / f), execs))
-    }
-
-    /// Per-literal correction factors learned from this plan's execution
-    /// history, blended into `prior` (the factors this plan was built
-    /// with): for each join step, the incremental drift of the observed
-    /// cumulative row count against the estimated one is attributed to that
-    /// step's literal, then geometrically averaged with the prior factor so
-    /// one noisy window cannot whipsaw the estimates. Factors are clamped
-    /// to `[1/1024, 1024]`; the product over all join steps reproduces the
-    /// plan-level drift [`RulePlan::observed_error`] reports.
-    pub(crate) fn corrected_factors(&self, prior: &[(usize, f64)]) -> Vec<(usize, f64)> {
-        let execs = self.executions.load(Ordering::Relaxed);
-        if execs == 0 {
-            return prior.to_vec();
-        }
-        let mut out: Vec<(usize, f64)> = Vec::new();
-        let mut cum_est: f64 = 1.0;
-        let mut prev_ratio: f64 = 1.0;
-        for step in &self.steps {
-            let StepKind::Join { .. } = step.kind else {
-                continue;
-            };
-            cum_est *= step.est_rows as f64;
-            let avg = step.actual_rows.load(Ordering::Relaxed) as f64 / execs as f64;
-            let ratio = (avg + 1.0) / (cum_est + 1.0);
-            let drift = ratio / prev_ratio;
-            prev_ratio = ratio;
-            let old = prior
-                .iter()
-                .find(|(l, _)| *l == step.literal)
-                .map_or(1.0, |&(_, c)| c);
-            // `est_rows` already carries `old`, so the residual drift moves
-            // the factor toward `old * drift`; the geometric mean with the
-            // current factor halves the step (in log space) for damping.
-            let blended = (old * drift.sqrt()).clamp(1.0 / 1024.0, 1024.0);
-            out.push((step.literal, blended));
-        }
-        out
-    }
 }
 
-/// Hash over the body's predicates and power-of-two-bucketed relation
-/// sizes (total, plus delta for the delta literal). Stable across runs —
-/// `DefaultHasher` with default keys is deterministic — and intentionally
-/// coarse: a plan is only invalidated when a relation crosses a magnitude
-/// boundary, not on every single-tuple change.
-pub(crate) fn fingerprint(
-    rule: &Rule,
-    delta_literal: Option<usize>,
-    cards: &dyn CardinalitySource,
-) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (i, lit) in rule.body.iter().enumerate() {
-        if let Literal::Pos(m) = lit {
-            for a in m.atoms() {
-                a.pred.hash(&mut h);
-                size_bucket(cards.relation_size(a.pred)).hash(&mut h);
-                if delta_literal == Some(i) {
-                    size_bucket(cards.delta_size(a.pred)).hash(&mut h);
-                }
-            }
-        }
-    }
-    h.finish()
+/// The *persisted* predicates of a program: heads of a rule whose body reads
+/// the same predicate through a temporal operator in a positive literal —
+/// the frame / update rules (`position`, `margin`, `skew` … in the paper's
+/// program). They hold on long runs, while event-like predicates (`modPos`,
+/// `order`) hold at isolated points, so a join reaches the event first.
+/// A property of the whole program, not of a stratum: bodies read persisted
+/// predicates of lower strata.
+pub(crate) fn persisted_predicates(program: &Program) -> HashSet<Symbol> {
+    program
+        .rules
+        .iter()
+        .filter(|rule| {
+            rule.body.iter().any(|lit| match lit {
+                Literal::Pos(MetricAtom::Rel(_)) => false,
+                Literal::Pos(m) => m.atoms().iter().any(|a| a.pred == rule.head.atom.pred),
+                _ => false,
+            })
+        })
+        .map(|rule| rule.head.atom.pred)
+        .collect()
 }
 
-/// Estimated rows a positive literal produces per outer binding, given the
-/// variables already bound. Single-atom operator chains estimate from the
-/// base relation's size and the selectivity of its ground positions;
-/// composite atoms (`since`/`until`) fall back to the sum of their base
-/// relation sizes; `⊤` is one row, `⊥` none.
-fn est_positive(
-    m: &MetricAtom,
-    is_delta: bool,
-    bound: &HashSet<Symbol>,
-    cards: &dyn CardinalitySource,
-) -> u64 {
-    let atoms = m.atoms();
-    match atoms.as_slice() {
-        [] => u64::from(!matches!(m, MetricAtom::Bottom)),
-        [a] => {
-            let size = if is_delta {
-                cards.delta_size(a.pred)
-            } else {
-                cards.relation_size(a.pred)
-            };
-            let bound_positions: Vec<usize> = a
-                .args
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| match t {
-                    Term::Val(_) => Some(i),
-                    Term::Var(x) => bound.contains(x).then_some(i),
-                })
-                .collect();
-            estimate_rows(cards, a.pred, size, &bound_positions)
-        }
-        many => many
-            .iter()
-            .map(|a| cards.relation_size(a.pred) as u64)
-            .sum(),
-    }
-}
-
-/// The access-path label of a join step: [`AccessPath::choose`] on the
-/// plan-time size, with a read mask assumed (joins after the first always
-/// carry a hull mask, and the first carries the horizon).
-fn access_for(
-    m: &MetricAtom,
-    is_delta: bool,
-    bound: &HashSet<Symbol>,
-    cards: &dyn CardinalitySource,
-) -> AccessPath {
-    let atoms = m.atoms();
-    let [a] = atoms.as_slice() else {
-        return AccessPath::Scan;
-    };
-    let size = if is_delta {
-        cards.delta_size(a.pred)
-    } else {
-        cards.relation_size(a.pred)
-    };
-    let any_ground = a.args.iter().any(|t| match t {
+/// Number of argument positions of a single-atom literal that are ground
+/// under `bound` (a constant, or a variable an earlier join binds); `None`
+/// for a composite (`since` / `until`) atom and for `⊤` / `⊥`.
+fn ground_positions(m: &MetricAtom, bound: &HashSet<Symbol>) -> Option<usize> {
+    let [a] = m.atoms()[..] else { return None };
+    let ground = |t: &&Term| match t {
         Term::Val(_) => true,
         Term::Var(x) => bound.contains(x),
-    });
-    AccessPath::choose(size, any_ground, true)
+    };
+    Some(a.args.iter().filter(ground).count())
+}
+
+/// What the join order sorts the remaining positive literals by, smallest
+/// first: anything but a single atom last, then no ground position, then a
+/// persisted predicate, then fewer ground positions, then the textual index.
+type JoinKey = (bool, bool, bool, Reverse<usize>, usize);
+
+fn join_key(
+    m: &MetricAtom,
+    literal: usize,
+    bound: &HashSet<Symbol>,
+    persisted: &HashSet<Symbol>,
+) -> JoinKey {
+    let ground = ground_positions(m, bound);
+    (
+        ground.is_none(),
+        ground.unwrap_or(0) == 0,
+        m.atoms().iter().any(|a| persisted.contains(&a.pred)),
+        Reverse(ground.unwrap_or(0)),
+        literal,
+    )
 }
 
 /// Scheduling mode for a constraint under a set of bound variables, or
@@ -400,12 +294,7 @@ fn schedule_constraints(
                         }
                         _ => {}
                     }
-                    steps.push(PlanStep {
-                        literal: i,
-                        kind: StepKind::Constraint { mode: Some(mode) },
-                        est_rows: 0,
-                        actual_rows: AtomicU64::new(0),
-                    });
+                    steps.push(PlanStep::new(i, StepKind::Constraint { mode: Some(mode) }));
                     done[i] = true;
                     progressed = true;
                 }
@@ -418,104 +307,51 @@ fn schedule_constraints(
     }
 }
 
-/// Multiplies a literal's row estimate by its learned correction factor
-/// (identity when no feedback has been recorded for it). A zero estimate
-/// stays zero — corrections scale what the cost model believes, they do
-/// not resurrect empty relations — and a corrected non-zero estimate stays
-/// at least 1 so ordering comparisons keep their sign.
-fn corrected(est: u64, literal: usize, corrections: &[(usize, f64)]) -> u64 {
-    if est == 0 {
-        return 0;
-    }
-    match corrections.iter().find(|(l, _)| *l == literal) {
-        Some(&(_, c)) => ((est as f64 * c).round()).max(1.0) as u64,
-        None => est,
-    }
-}
-
-/// Compiles one rule body (for one semi-naive variant) into a plan.
-///
-/// `corrections` holds per-literal misestimate correction factors for this
-/// rule (from [`RulePlan::corrected_factors`] of the variant's previous
-/// incarnation); pass an empty slice for a cold build.
+/// Compiles one rule body (for one semi-naive variant) into a plan, from
+/// the rule text and the program's [`persisted_predicates`] alone.
 pub(crate) fn build_plan(
     rule: &Rule,
     delta_literal: Option<usize>,
-    cards: &dyn CardinalitySource,
-    corrections: &[(usize, f64)],
+    persisted: &HashSet<Symbol>,
 ) -> RulePlan {
     let n = rule.body.len();
-    let positives: Vec<usize> = (0..n)
-        .filter(|&i| matches!(rule.body[i], Literal::Pos(_)))
+    let mut remaining: Vec<(usize, &MetricAtom)> = rule
+        .body
+        .iter()
+        .enumerate()
+        .filter_map(|(i, lit)| match lit {
+            Literal::Pos(m) => Some((i, m)),
+            _ => None,
+        })
         .collect();
+    // The baseline the `reordered` flag compares against: delta first,
+    // then textual order.
+    let mut base_order: Vec<usize> = remaining.iter().map(|&(i, _)| i).collect();
+    base_order.sort_by_key(|&i| (delta_literal != Some(i), i));
 
-    // The baseline order: delta first, then textual order.
-    let base_order: Vec<usize> = match delta_literal {
-        Some(d) => std::iter::once(d)
-            .chain(positives.iter().copied().filter(|&i| i != d))
-            .collect(),
-        None => positives.clone(),
-    };
-
-    let join_order: Vec<usize> = if positives.len() <= 1 {
-        base_order.clone()
-    } else {
-        // Greedy: repeatedly pick the cheapest remaining literal under the
-        // variables bound so far. Strict `<` breaks ties toward the lowest
-        // literal index, so equal estimates reproduce the base order.
-        let mut order = Vec::with_capacity(positives.len());
-        let mut bound: HashSet<Symbol> = HashSet::new();
-        let mut remaining = positives.clone();
-        if let Some(d) = delta_literal {
-            order.push(d);
-            remaining.retain(|&i| i != d);
-            if let Literal::Pos(m) = &rule.body[d] {
-                bound.extend(m.variables());
-            }
-        }
-        while !remaining.is_empty() {
-            let mut best = 0usize;
-            let mut best_est = u64::MAX;
-            for (k, &i) in remaining.iter().enumerate() {
-                let Literal::Pos(m) = &rule.body[i] else {
-                    unreachable!("positives contains only positive literals");
-                };
-                let est = corrected(est_positive(m, false, &bound, cards), i, corrections);
-                if est < best_est {
-                    best_est = est;
-                    best = k;
-                }
-            }
-            let i = remaining.remove(best);
-            order.push(i);
-            if let Literal::Pos(m) = &rule.body[i] {
-                bound.extend(m.variables());
-            }
-        }
-        order
-    };
-    let reordered = join_order != base_order;
+    // The join order looks only at what the literals joined so far bind —
+    // not at what a constraint scheduled between them may assign.
+    let mut join_order: Vec<(usize, &MetricAtom)> = Vec::with_capacity(remaining.len());
+    let mut joined: HashSet<Symbol> = HashSet::new();
+    while let Some(k) = (0..remaining.len()).min_by_key(|&k| {
+        let (i, m) = remaining[k];
+        (delta_literal != Some(i), join_key(m, i, &joined, persisted))
+    }) {
+        let (i, m) = remaining.remove(k);
+        joined.extend(m.variables());
+        join_order.push((i, m));
+    }
+    let reordered = !join_order.iter().map(|&(i, _)| i).eq(base_order);
 
     let mut steps: Vec<PlanStep> = Vec::with_capacity(n);
     let mut done = vec![false; n];
     let mut bound: HashSet<Symbol> = HashSet::new();
-    let mut est_total: u64 = 1;
-
-    for &i in &join_order {
-        let Literal::Pos(m) = &rule.body[i] else {
-            unreachable!("join order contains only positive literals");
+    for (i, m) in join_order {
+        let access = match ground_positions(m, &bound) {
+            None => AccessPath::Scan,
+            Some(ground) => AccessPath::choose(INDEX_MIN_TUPLES, ground > 0, true),
         };
-        let is_delta = delta_literal == Some(i);
-        let est = corrected(est_positive(m, is_delta, &bound, cards), i, corrections);
-        est_total = est_total.saturating_mul(est);
-        steps.push(PlanStep {
-            literal: i,
-            kind: StepKind::Join {
-                access: access_for(m, is_delta, &bound, cards),
-            },
-            est_rows: est,
-            actual_rows: AtomicU64::new(0),
-        });
+        steps.push(PlanStep::new(i, StepKind::Join { access }));
         done[i] = true;
         bound.extend(m.variables());
         schedule_constraints(rule, &mut done, &mut bound, &mut steps);
@@ -532,45 +368,20 @@ pub(crate) fn build_plan(
             continue;
         }
         match &rule.body[i] {
-            Literal::Neg(_) => steps.push(PlanStep {
-                literal: i,
-                kind: StepKind::Negation,
-                est_rows: 0,
-                actual_rows: AtomicU64::new(0),
-            }),
+            Literal::Neg(_) => steps.push(PlanStep::new(i, StepKind::Negation)),
             Literal::Constraint(..) => {
                 has_unschedulable = true;
-                steps.push(PlanStep {
-                    literal: i,
-                    kind: StepKind::Constraint { mode: None },
-                    est_rows: 0,
-                    actual_rows: AtomicU64::new(0),
-                });
+                steps.push(PlanStep::new(i, StepKind::Constraint { mode: None }));
             }
             Literal::Pos(_) => unreachable!("planned in the join loop"),
         }
     }
 
-    // Only corrections for literals this variant actually joins are carried
-    // (a factor learned for a literal that became a negation-only variant
-    // would be noise in the explain output).
-    let applied: Vec<(usize, f64)> = corrections
-        .iter()
-        .copied()
-        .filter(|(l, _)| {
-            steps
-                .iter()
-                .any(|s| s.literal == *l && matches!(s.kind, StepKind::Join { .. }))
-        })
-        .collect();
-
     RulePlan {
         delta_literal,
         steps,
-        est_total,
         reordered,
         has_unschedulable,
-        corrections: applied,
         executions: AtomicU64::new(0),
     }
 }
@@ -585,20 +396,14 @@ pub struct PlanExplain {
     pub label: String,
     /// Delta-restricted literal of this semi-naive variant, if any.
     pub delta_literal: Option<usize>,
-    /// Whether cost-based ordering changed the join order.
+    /// Whether the join order differs from the delta-first textual order.
     pub reordered: bool,
-    /// Estimated bindings out of the join pipeline.
-    pub est_rows: u64,
     /// Times this plan executed.
     pub executions: u64,
     /// Accumulated bindings out of the join pipeline across executions
     /// (the last join step's observed accumulator total; equals
     /// `executions` seed rows for join-free plans).
     pub actual_rows: u64,
-    /// Misestimate correction factors this build applied, as
-    /// `(literal index, factor)` pairs (empty until adaptive feedback has
-    /// forced a replan of this variant).
-    pub corrections: Vec<(usize, f64)>,
     /// Steps in execution order.
     pub steps: Vec<PlanStepExplain>,
 }
@@ -608,12 +413,10 @@ pub struct PlanExplain {
 pub struct PlanStepExplain {
     /// Human-readable step description, e.g. `join Δprice(S, P)`.
     pub desc: String,
-    /// The planner's access-path label for join steps (`scan`,
-    /// `value-probe`, `time-probe`, `value+time-probe`); `-` for
+    /// The access path a join step takes once its relation is large
+    /// enough to index (`scan`, `time-probe`, `value+time-probe`); `-` for
     /// constraints and negations.
     pub access: &'static str,
-    /// Estimated rows after this step (join steps only; else 0).
-    pub est_rows: u64,
     /// Accumulated rows observed after this step across executions.
     pub actual_rows: u64,
 }
@@ -658,7 +461,6 @@ pub(crate) fn explain(
             PlanStepExplain {
                 desc,
                 access,
-                est_rows: s.est_rows,
                 actual_rows,
             }
         })
@@ -678,10 +480,8 @@ pub(crate) fn explain(
         label: label.to_string(),
         delta_literal: plan.delta_literal,
         reordered: plan.reordered,
-        est_rows: plan.est_total,
         executions,
         actual_rows,
-        corrections: plan.corrections.clone(),
         steps,
     }
 }

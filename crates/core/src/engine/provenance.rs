@@ -7,7 +7,7 @@
 //! [`ProvenanceLog::explain`] reconstructs a derivation tree for any derived
 //! fact by re-grounding the rule body under the recorded binding.
 
-use crate::ast::{Literal, MetricAtom, Program, Term};
+use crate::ast::{Atom, Literal, MetricAtom, Program, Term};
 use crate::database::Database;
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
@@ -84,12 +84,10 @@ impl ProvenanceLog {
         }
         const MAX_DEPTH: usize = 64;
         // Find the step that contributed this time point.
-        let step = self.steps.iter().find(|s| {
-            s.pred == pred
-                && s.tuple.len() == args.len()
-                && s.tuple.iter().zip(args).all(|(a, b)| a.semantic_eq(b))
-                && s.added.contains(t)
-        });
+        let step = self
+            .steps
+            .iter()
+            .find(|s| s.pred == pred && same_tuple(&s.tuple, args) && s.added.contains(t));
         let Some(step) = step else {
             // Not derived: an input (EDB) fact.
             return Some(Explanation {
@@ -101,6 +99,35 @@ impl ProvenanceLog {
         let rule = &program.rules[step.rule_index];
         let binding: std::collections::HashMap<Symbol, Value> =
             step.binding.iter().copied().collect();
+        let ground = |atom: &Atom| -> Option<Vec<Value>> {
+            atom.args
+                .iter()
+                .map(|term| match term {
+                    Term::Val(v) => Some(*v),
+                    Term::Var(x) => binding.get(x).copied(),
+                })
+                .collect()
+        };
+        // A chain closure records a whole persistence run as one step, each
+        // point of it derived by `rule` from the point one shift earlier.
+        // Such a fact is explained where its run starts: the premises are
+        // grounded at the earliest `t − k·shift` still inside the component
+        // of `added` that holds `t`, so the tree is as deep as the chain of
+        // distinct steps, not as long as the run.
+        let run = step.added.components().iter().find(|c| c.contains(t));
+        let origin = rule
+            .body
+            .iter()
+            .find_map(|lit| {
+                let Literal::Pos(m) = lit else { return None };
+                let shift = chain_shift(m).filter(|s| *s > Rational::ZERO)?;
+                let [atom] = m.atoms()[..] else { return None };
+                let same_fact =
+                    atom.pred == pred && ground(atom).is_some_and(|g| same_tuple(&g, args));
+                let run = run.filter(|run| same_fact && run.contains(t - shift))?;
+                Some(run_start(run, t, shift))
+            })
+            .unwrap_or(t);
         let mut premises = Vec::new();
         if depth < MAX_DEPTH {
             for lit in &rule.body {
@@ -113,19 +140,11 @@ impl ProvenanceLog {
                 // validity at or before the shifted time.
                 let shift = chain_shift(m);
                 for atom in m.atoms() {
-                    let ground: Option<Vec<Value>> = atom
-                        .args
-                        .iter()
-                        .map(|term| match term {
-                            Term::Val(v) => Some(*v),
-                            Term::Var(x) => binding.get(x).copied(),
-                        })
-                        .collect();
-                    let Some(ground) = ground else { continue };
+                    let Some(ground) = ground(atom) else { continue };
                     let ivs = db.intervals(atom.pred, &ground);
                     let target = match shift {
-                        Some(s) => t - s,
-                        None => t,
+                        Some(s) => origin - s,
+                        None => origin,
                     };
                     let witness = witness_time(&ivs, target);
                     let node = match witness {
@@ -146,15 +165,39 @@ impl ProvenanceLog {
                 }
             }
         }
+        let label = rule
+            .label
+            .clone()
+            .unwrap_or_else(|| format!("rule #{}", step.rule_index));
         Some(Explanation {
             fact: render_fact(pred, args, t),
-            rule: Some(
-                rule.label
-                    .clone()
-                    .unwrap_or_else(|| format!("rule #{}", step.rule_index)),
-            ),
+            rule: Some(if origin == t {
+                label
+            } else {
+                format!("{label}, held since @{origin}")
+            }),
             premises,
         })
+    }
+}
+
+/// Semantic equality of two ground tuples (`3` and `3.0` are one value).
+fn same_tuple(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.semantic_eq(y))
+}
+
+/// The earliest `t − k·shift` (`k ≥ 0`) inside `run`, a component holding
+/// `t`: where a persistence run that reaches `t` in steps of `shift` starts.
+fn run_start(run: &Interval, t: Rational, shift: Rational) -> Rational {
+    let Some(lo) = run.lo().finite() else {
+        return t;
+    };
+    let start = t - shift * Rational::integer(((t - lo) / shift).floor());
+    if run.contains(start) {
+        start
+    } else {
+        // An open lower end: the run starts one step after it.
+        start + shift
     }
 }
 
@@ -274,6 +317,40 @@ mod tests {
         // Chain goes back to the input deposit.
         assert!(text.contains("tranM(acc, 20)"), "{text}");
         assert!(text.contains("[input]"), "{text}");
+    }
+
+    /// A fact far into a quiet gap is traced to the input in one jump over
+    /// the persistence run, however long the run is.
+    #[test]
+    fn a_run_is_explained_from_its_first_point() {
+        let program = parse_program(
+            "isOpen(A) :- tranM(A, M).\n\
+             isOpen(A) :- boxminus isOpen(A), not withdraw(A).",
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.extend_facts(&parse_facts("tranM(acc, 20)@3.").unwrap())
+            .unwrap();
+        let m = Reasoner::new(
+            program.clone(),
+            ReasonerConfig {
+                provenance: true,
+                ..ReasonerConfig::default().with_horizon(0, 200)
+            },
+        )
+        .unwrap()
+        .materialize(&db)
+        .unwrap();
+        let text = m
+            .explain(&program, "isOpen", &[Value::sym("acc")], 150)
+            .expect("fact holds and provenance is on")
+            .to_string();
+        assert_eq!(
+            text,
+            "isOpen(acc)@150   [by rule #1, held since @4]\n  \
+             isOpen(acc)@3   [by rule #0]\n    \
+             tranM(acc, 20)@3   [input]"
+        );
     }
 
     #[test]

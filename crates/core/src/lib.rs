@@ -63,9 +63,9 @@ pub use ast::{
 };
 pub use database::{Database, Relation, TupleRef};
 pub use engine::{
-    BaseEvent, Explanation, MagicStats, Materialization, PlanExplain, PlanFeedback,
-    PlanStepExplain, ProvenanceLog, QueryOutcome, Reasoner, ReasonerConfig, RepairPath,
-    RepairReport, RepairStats, RuleStats, RunStats, Session, StratumStats,
+    BaseEvent, Explanation, MagicStats, Materialization, PlanExplain, PlanStepExplain,
+    ProvenanceLog, QueryOutcome, Reasoner, ReasonerConfig, RepairPath, RepairReport, RepairStats,
+    RuleStats, RunStats, Session, StratumStats,
 };
 pub use error::{Error, Result};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_source};

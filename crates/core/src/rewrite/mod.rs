@@ -176,8 +176,7 @@ pub struct MagicRewrite {
     /// with its horizon).
     pub seeds: Vec<Fact>,
     /// Every magic predicate introduced — excluded from answer and
-    /// demanded-tuple accounting, and floored by the planner's
-    /// cardinality estimates.
+    /// demanded-tuple accounting.
     pub magic_preds: HashSet<Symbol>,
     /// Rewrite counters.
     pub counters: MagicCounters,

@@ -1,9 +1,9 @@
-//! Plan-equivalence property suite: cost-based join ordering and adaptive
-//! replanning are pure performance transformations. For every program and
-//! input, the planned engine must produce output byte-identical to the
-//! naive (non-semi-naive) fixpoint, the multi-threaded run, and — on the
-//! integer-punctual fragment — the brute-force oracle, which evaluates
-//! bodies in textual order on its own schedule.
+//! Plan-equivalence property suite: join ordering is a pure performance
+//! transformation. For every program and input, the planned engine must
+//! produce output byte-identical to the naive (non-semi-naive) fixpoint,
+//! the multi-threaded run, and — on the integer-punctual fragment — the
+//! brute-force oracle, which evaluates bodies in textual order on its own
+//! schedule.
 //!
 //! Value pools are integer-only on purpose: reordering changes which
 //! literal first binds a variable, and a pool mixing `3` and `3.0` would
@@ -11,10 +11,11 @@
 
 use chronolog_core::naive::naive_materialize;
 use chronolog_core::{
-    parse_program, parse_source, Database, IntervalSet, Program, Rational, Reasoner,
-    ReasonerConfig, Value,
+    parse_program, parse_source, Database, Fact, Interval, IntervalSet, Literal, Program, Rational,
+    Reasoner, ReasonerConfig, RunStats, Value,
 };
 use chronolog_obs::SmallRng;
+use std::collections::BTreeMap;
 
 const T_MIN: i64 = 0;
 const T_MAX: i64 = 16;
@@ -24,7 +25,7 @@ const T_MAX: i64 = 16;
 /// windows, recursion (so semi-naive delta variants get their own plans),
 /// and aggregation. All stay inside the oracle's integer-punctual fragment.
 const PROGRAMS: &[&str] = &[
-    // 1. Selective atom textually last: the planner should hoist `sel`.
+    // 1. Selective atom textually last.
     "hot(X, Y) :- wide1(X, K), wide2(K, Y), sel(X).\n\
      twice(X, Z) :- hot(X, Y), wide2(Y, Z).",
     // 2. Recursion: delta variants of the second rule are planned per
@@ -199,106 +200,84 @@ fn reordered_plans_are_equivalent_on_the_corpus() {
     }
 }
 
-/// A skewed join inside punctual recursion misestimates every iteration:
-/// `fan` holds 64 tuples over 8 distinct keys (est 8 rows per probe), but
-/// the recursion only ever probes the heavy key's 57. The head variable
-/// advances through `next`, so the rule is not a frame rule and the
-/// fixpoint really takes one round per time step. The sustained error
-/// must force an adaptive replan whose corrected estimate at least halves
-/// the error factor of the uncorrected one — without moving a single fact
-/// against the unplanned naive fixpoint, at any thread count.
+/// A plan is a function of the program text: whatever the data — none, the
+/// corpus facts in one batch, or the same facts fed through a 200-advance
+/// session — a `(rule, delta literal)` variant runs the same steps in the
+/// same order, and `plans_built` counts each variant a run used once. A
+/// session adds seeded variants to the batch run's; its count is bounded by
+/// the program and does not grow with advances.
 #[test]
-fn adaptive_replanning_corrects_a_sustained_misestimate() {
-    let src = "run(X) :- seed(X).\n\
-               run(Y) :- boxminus[1, 1] run(X), next(X, Y), fan(Y, Z).";
-    let program = parse_program(src).unwrap();
-    let mut db = Database::new();
-    db.assert_at("seed", &[Value::Int(0)], 0);
-    let span = chronolog_core::Interval::closed_int(0, 24);
-    db.assert_over("next", &[Value::Int(0), Value::Int(0)], span);
-    for i in 0..57 {
-        db.assert_over("fan", &[Value::Int(0), Value::Int(100 + i)], span);
+fn plans_are_a_function_of_the_program() {
+    let path = format!("{}/../../corpus/margin.dmtl", env!("CARGO_MANIFEST_DIR"));
+    let (program, mut facts) = parse_source(&std::fs::read_to_string(path).unwrap()).unwrap();
+    // Deposits and withdrawals to the end of the horizon keep every variant
+    // in use long after the corpus facts (all before t = 16) are behind.
+    let acc = Value::sym("acc123");
+    for t in (20..200).step_by(7) {
+        facts.push(Fact::at("tranM", vec![acc, Value::Int(1)], t));
     }
-    for k in 1..8 {
-        db.assert_over("fan", &[Value::Int(k), Value::Int(0)], span);
+    for t in (45..200).step_by(45) {
+        facts.push(Fact::at("withdraw", vec![acc], t));
     }
-    let run = |semi_naive: bool, threads: usize| {
-        let m = Reasoner::new(
+    let reasoner = || {
+        Reasoner::new(
             program.clone(),
-            ReasonerConfig {
-                semi_naive,
-                threads,
-                ..ReasonerConfig::default().with_horizon(0, 24)
-            },
+            ReasonerConfig::default().with_horizon(0, 200),
         )
         .unwrap()
-        .materialize(&db)
-        .unwrap();
-        (m.database.to_facts_text(), m.stats)
     };
-    let (facts, stats) = run(true, 1);
-    for (semi_naive, threads) in [(true, 4), (false, 1), (false, 4)] {
-        let (other, _) = run(semi_naive, threads);
-        assert_eq!(
-            facts, other,
-            "semi_naive={semi_naive} threads={threads} moved a fact"
-        );
-    }
-    assert!(
-        stats.replans_triggered > 0,
-        "sustained misestimate never forced a replan: {stats:?}"
-    );
-    // Uncorrected, the cost model expects 64 / 8 = 8 `fan` rows per probe
-    // where every probe finds the heavy key's 57.
-    let uncorrected_err = (57.0 + 1.0) / (8.0 + 1.0);
-    let corrected = &stats.plan_feedback()[0];
-    assert!(
-        stats
-            .plan_explains()
-            .iter()
-            .any(|p| p.rule == corrected.rule && !p.corrections.is_empty()),
-        "the replanned variant carries no correction factors"
-    );
-    assert!(
-        corrected.error_factor * 2.0 <= uncorrected_err,
-        "correction did not halve the error: x{:.1} vs x{uncorrected_err:.1}",
-        corrected.error_factor
-    );
-}
+    type Orders = BTreeMap<(usize, Option<usize>), Vec<String>>;
+    let orders = |stats: &RunStats| -> Orders {
+        let explains = stats.plan_explains();
+        assert_eq!(stats.plans_built, explains.len() as u64);
+        explains
+            .into_iter()
+            .map(|p| {
+                let steps = p.steps.into_iter().map(|s| s.desc).collect();
+                ((p.rule, p.delta_literal), steps)
+            })
+            .collect()
+    };
 
-#[test]
-fn planner_actually_reorders_a_selective_last_program() {
-    // One wide-first body where the cost model must hoist the selective
-    // atom: proves the equivalence suite exercises real reorders rather
-    // than vacuously comparing identical orders.
-    let src = "hot(X, Y) :- wide1(X, K), wide2(K, Y), sel(X).";
-    let program = parse_program(src).unwrap();
+    let empty = orders(&reasoner().materialize(&Database::new()).unwrap().stats);
     let mut db = Database::new();
-    for i in 0..20 {
-        db.assert_at("wide1", &[Value::Int(i % 5), Value::Int(i % 3)], 0);
-        db.assert_at("wide2", &[Value::Int(i % 3), Value::Int(i % 7)], 0);
+    db.extend_facts(&facts).unwrap();
+    let batch = orders(&reasoner().materialize(&db).unwrap().stats);
+    let mut session = reasoner().into_session(&Database::new(), 0).unwrap();
+    for t in 1..=200 {
+        for fact in facts.iter().filter(|f| f.interval == Interval::at(t)) {
+            session.submit(fact.clone()).unwrap();
+        }
+        session.advance_to(t).unwrap();
     }
-    db.assert_at("sel", &[Value::Int(2)], 0);
-    let m = Reasoner::new(
-        program.clone(),
-        ReasonerConfig::default().with_horizon(0, 4),
-    )
-    .unwrap()
-    .materialize(&db)
-    .unwrap();
+    assert_eq!(session.database().to_facts_text(), {
+        let m = reasoner().materialize(&db).unwrap();
+        m.database.to_facts_text()
+    });
+    let live = orders(session.stats());
+
+    assert!(batch.len() > empty.len(), "the facts reach delta variants");
+    for (variant, steps) in empty.iter().chain(&live) {
+        match batch.get(variant) {
+            Some(batch_steps) => assert_eq!(steps, batch_steps, "variant {variant:?}"),
+            // Only a session seeds iteration 0 from a delta.
+            None => assert!(variant.1.is_some() && live.contains_key(variant)),
+        }
+    }
+    let variants_of_the_program: usize = program
+        .rules
+        .iter()
+        .map(|r| {
+            1 + r
+                .body
+                .iter()
+                .filter(|l| matches!(l, Literal::Pos(_)))
+                .count()
+        })
+        .sum();
     assert!(
-        m.stats.reorders_applied > 0,
-        "planner never reordered: {:?}",
-        m.stats
+        live.len() <= variants_of_the_program,
+        "{} plans for a program of {variants_of_the_program} variants",
+        live.len()
     );
-    let plans = m.stats.plan_explains();
-    assert!(plans[0].reordered);
-    assert!(
-        plans[0].steps[0].desc.contains("sel(X)"),
-        "the selective atom was not hoisted: {:?}",
-        plans[0].steps
-    );
-    // The textual-order oracle derives the same model.
-    let oracle = naive_materialize(&program, &db, T_MIN, T_MAX).unwrap();
-    assert_eq!(engine_grid_text(&program, &db), oracle.to_text());
 }

@@ -7,37 +7,12 @@
 //! cargo run --release -p chronolog-bench --example risk_report
 //! ```
 
-use chronolog_core::{Explanation, Reasoner, ReasonerConfig};
+use chronolog_core::{Reasoner, ReasonerConfig};
 use chronolog_ledger::{from_json, to_json, Ledger, SubgraphIndex};
 use chronolog_market::{generate, ScenarioConfig};
 use chronolog_perp::encode::{account_value, encode};
 use chronolog_perp::extract::margin_at;
 use chronolog_perp::{program, MarketParams, Method};
-
-/// Prints a derivation tree. A state amount persists second by second
-/// through its frame rule; such a chain is printed as its newest fact, its
-/// length, and the premises of its oldest step (none where the engine's
-/// explanation depth limit cut the chain).
-fn print_tree(e: &Explanation, depth: usize) {
-    let pad = "  ".repeat(depth);
-    let Some(rule) = &e.rule else {
-        println!("{pad}{}   [input]", e.fact);
-        return;
-    };
-    println!("{pad}{}   [by {rule}]", e.fact);
-    let mut oldest = e;
-    let mut steps = 0;
-    while let Some(prev) = oldest.premises.iter().find(|p| p.rule == e.rule) {
-        oldest = prev;
-        steps += 1;
-    }
-    if steps > 0 {
-        println!("{pad}  … {steps} more one-second steps of the same rule");
-    }
-    for premise in &oldest.premises {
-        print_tree(premise, depth + 1);
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A market window arrives as a persisted ledger (e.g. from an
@@ -127,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             close_time,
         )
     }) {
-        print_tree(&explanation, 0);
+        println!("{explanation}");
     }
 
     // The declarative PnL agrees with the on-chain value to fixed-point dust.

@@ -32,8 +32,11 @@ bench-e2e-smoke:
     cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke
 
 # The exact-count gate CI runs: the margin corpus over a 2 000 s horizon
-# derives the same facts batch and streamed, and stores its persistence
-# runs as progressions (under 1 KiB of interval arena).
+# derives the same facts batch and streamed, stores its persistence runs as
+# progressions (under 1 KiB of interval arena), and plans each rule variant
+# once: the session uses at most the batch run's plans plus one seeded
+# variant per positive body literal (9 in corpus/margin.dmtl), however many
+# advances it makes, and neither report has the retired feedback fields.
 exact-counts:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -47,7 +50,11 @@ exact-counts:
         bytes=$(grep -o '"interval_bytes": [0-9]*' "$report" | grep -o '[0-9]*$')
         echo "$report: $bytes interval bytes"
         test "$bytes" -lt 1024
+        if grep -q '"replans_triggered"\|"misestimates"' "$report"; then exit 1; fi
     done
+    plans() { grep -o '"plans_built": [0-9]*' "$1" | grep -o '[0-9]*$'; }
+    echo "plans built: batch $(plans "$out/batch.json"), session $(plans "$out/session.json")"
+    test "$(plans "$out/session.json")" -le "$(( $(plans "$out/batch.json") + 9 ))"
 
 # Alternating driver-style pairs of the BENCHMARK.json command: REV (checked
 # out and built in a temporary directory) against the working tree, seed i
