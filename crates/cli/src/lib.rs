@@ -53,8 +53,9 @@
 #![warn(missing_docs)]
 
 use chronolog_core::{
-    parse_query, parse_source, Atom, Database, DependencyGraph, Error, Fact, Literal, MetricAtom,
-    Program, Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Term, Value,
+    parse_query, parse_source, Atom, Database, DependencyGraph, Error, Explanation, Fact, Literal,
+    MetricAtom, Program, Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Term,
+    Value,
 };
 use chronolog_core::{Interval, IntervalSet, Tuple};
 use chronolog_obs::Json;
@@ -419,11 +420,6 @@ fn cmd_run(
     }
 
     let (program, facts) = load_sources(&mut paths, read_file)?;
-    if session_mode && !explains.is_empty() {
-        return Err(CliError::usage(
-            "--explain is unavailable with --session (sessions keep no provenance)",
-        ));
-    }
     if stream_file.is_some() && !session_mode {
         return Err(CliError::usage("--stream needs --session"));
     }
@@ -441,11 +437,14 @@ fn cmd_run(
                 .map_err(|e| CliError::usage(format!("bad query `{q}`: {e}")))
         })
         .collect::<Result<_, _>>()?;
+    let parsed_explains: Vec<_> = explains
+        .iter()
+        .map(|e| parse_explain_spec(e))
+        .collect::<Result<_, _>>()?;
 
     let profiler = (profile_file.is_some() || profile_folded_file.is_some())
         .then(chronolog_obs::SpanRecorder::new);
     let mut config = ReasonerConfig {
-        provenance: !explains.is_empty(),
         profiler: profiler.clone(),
         threads,
         ..ReasonerConfig::default()
@@ -456,7 +455,7 @@ fn cmd_run(
     if let Some((lo, hi)) = horizon {
         config = config.with_horizon(lo, hi);
     }
-    let reasoner = Reasoner::new(program.clone(), config)?;
+    let reasoner = Reasoner::new(program, config)?;
 
     // Rewrite reports are built before the run: in session mode the
     // reasoner is consumed by the session below.
@@ -483,27 +482,33 @@ fn cmd_run(
         Goal(Box<Database>, Box<Reasoner>),
     }
     // Queries are goal-driven unless something else needs the full model
-    // (--facts, --explain provenance) or --no-magic asked for the ablation.
+    // (--facts, --explain) or --no-magic asked for the ablation.
     let goal_driven =
         magic && !parsed_queries.is_empty() && explains.is_empty() && !dump_facts && !session_mode;
+    // Derivation trees are read off the model where it is built, by the
+    // session or by the reasoner that built it from the input facts.
+    let explained;
     let outcome = if session_mode {
         let (lo, hi) =
             horizon.ok_or_else(|| CliError::usage("--session needs --horizon LO..HI"))?;
-        Outcome::Session(Box::new(run_session(
-            reasoner,
-            &facts,
-            lo,
-            hi,
-            stream_text.as_deref(),
-        )?))
+        let session = run_session(reasoner, &facts, lo, hi, stream_text.as_deref())?;
+        explained = render_explains(&explains, &parsed_explains, |pred, args, t| {
+            session.explain(pred, args, t)
+        })?;
+        Outcome::Session(Box::new(session))
     } else {
         let mut db = Database::new();
         db.extend_facts(&facts)
             .map_err(|e| CliError::failed(e.to_string()))?;
         if goal_driven {
+            explained = String::new();
             Outcome::Goal(Box::new(db), Box::new(reasoner))
         } else {
-            Outcome::Batch(Box::new(reasoner.materialize(&db)?))
+            let m = reasoner.materialize(&db)?;
+            explained = render_explains(&explains, &parsed_explains, |pred, args, t| {
+                reasoner.explain(&db, &m.database, pred, args, t)
+            })?;
+            Outcome::Batch(Box::new(m))
         }
     };
     let materialized: Option<&Database> = match &outcome {
@@ -584,21 +589,25 @@ fn cmd_run(
     }
     out.push_str(&explain_query_out);
     out.push_str(&query_out);
-    for e in &explains {
-        let (atom, t) = parse_explain_spec(e)?;
-        let args: Vec<Value> = atom
-            .args
-            .iter()
-            .map(|term| match term {
-                Term::Val(v) => Ok(*v),
-                Term::Var(_) => Err(CliError::usage("--explain needs a ground fact")),
-            })
-            .collect::<Result<_, _>>()?;
-        let _ = writeln!(out, "-- explain {e} --");
-        let Outcome::Batch(m) = &outcome else {
-            unreachable!("--explain with --session is rejected above")
-        };
-        match m.explain(&program, &atom.pred.to_string(), &args, t) {
+    out.push_str(&explained);
+    if stats {
+        render_stats(&mut out, &report_stats);
+    }
+    Ok(out)
+}
+
+/// Renders the derivation tree of every `--explain` fact, each under a
+/// `-- explain <spec> --` header, through `explain` (a batch reasoner's or a
+/// session's).
+fn render_explains(
+    specs: &[String],
+    facts: &[(String, Vec<Value>, i64)],
+    explain: impl Fn(&str, &[Value], i64) -> chronolog_core::Result<Option<Explanation>>,
+) -> Result<String, CliError> {
+    let mut out = String::new();
+    for (spec, (pred, args, t)) in specs.iter().zip(facts) {
+        let _ = writeln!(out, "-- explain {spec} --");
+        match explain(pred, args, *t)? {
             Some(tree) => {
                 let _ = writeln!(out, "{tree}");
             }
@@ -606,9 +615,6 @@ fn cmd_run(
                 let _ = writeln!(out, "(fact does not hold at {t})");
             }
         }
-    }
-    if stats {
-        render_stats(&mut out, &report_stats);
     }
     Ok(out)
 }
@@ -931,7 +937,7 @@ fn parse_query_atom(q: &str) -> Result<Atom, CliError> {
     }
 }
 
-fn parse_explain_spec(spec: &str) -> Result<(Atom, i64), CliError> {
+fn parse_explain_spec(spec: &str) -> Result<(String, Vec<Value>, i64), CliError> {
     let (atom_text, t_text) = spec
         .rsplit_once('@')
         .ok_or_else(|| CliError::usage("--explain format is 'p(a, 1)@t'"))?;
@@ -939,7 +945,16 @@ fn parse_explain_spec(spec: &str) -> Result<(Atom, i64), CliError> {
         .trim()
         .parse()
         .map_err(|_| CliError::usage("--explain time must be an integer"))?;
-    Ok((parse_query_atom(atom_text)?, t))
+    let atom = parse_query_atom(atom_text)?;
+    let args = atom
+        .args
+        .iter()
+        .map(|term| match term {
+            Term::Val(v) => Ok(*v),
+            Term::Var(_) => Err(CliError::usage("--explain needs a ground fact")),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((atom.pred.to_string(), args, t))
 }
 
 /// All facts matching an atom pattern, rendered one per line.
@@ -1593,21 +1608,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("--horizon"), "{}", err.message);
-        let err = run_cli(
-            &args(&[
-                "run",
-                "demo.dmtl",
-                "--horizon",
-                "0..20",
-                "--session",
-                "--explain",
-                "isOpen(acc1)@5",
-            ]),
-            fake_fs(&[("demo.dmtl", STREAMABLE)]),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(err.message.contains("--explain"), "{}", err.message);
     }
 
     #[test]

@@ -141,3 +141,34 @@ fn explain_on_corpus_traces_to_inputs() {
     assert!(out.contains("tranM(acc123, 97.0)"), "{out}");
     assert!(out.contains("[input]"), "{out}");
 }
+
+/// A margin several days into the run is explained from where its run
+/// starts, and a session explains every fact byte for byte as the batch run
+/// does — also after a correction stream that leaves the surviving facts as
+/// they were.
+#[test]
+fn explain_on_corpus_is_the_same_in_batch_and_session() {
+    let run = |program: &str, fact: &str, extra: &[&str]| {
+        let mut argv = vec!["run", program, "--horizon", "0..20", "--explain", fact];
+        argv.extend_from_slice(extra);
+        run_cli(&args(&argv), fs).unwrap()
+    };
+    let netting = |extra: &[&str]| run("corpus/netting.dmtl", "exposure(cp0, cp2)@10", extra);
+    let stream = ["--session", "--stream", "corpus/netting.stream"];
+    assert!(netting(&[]).contains("trade(cp1, cp2)@10   [input]"));
+    assert_eq!(netting(&stream), netting(&[]));
+    let margin = |extra: &[&str]| run("corpus/margin.dmtl", "margin(acc123, 100.0)@14", extra);
+    let batch = margin(&[]);
+    assert_eq!(
+        batch,
+        "-- explain margin(acc123, 100.0)@14 --\n\
+         margin(acc123, 100.0)@14   [by rule #5, held since @11]\n  \
+         margin(acc123, 100.0)@10   [by rule #6]\n    \
+         isOpen(acc123)@9   [by rule #0]\n      \
+         tranM(acc123, 97.0)@9   [input]\n    \
+         margin(acc123, 97.0)@9   [by rule #2]\n      \
+         tranM(acc123, 97.0)@9   [input]\n    \
+         tranM(acc123, 3.0)@10   [input]\n"
+    );
+    assert_eq!(margin(&["--session"]), batch);
+}

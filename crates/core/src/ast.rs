@@ -412,8 +412,8 @@ pub struct Rule {
     pub head: Head,
     /// The body literals.
     pub body: Vec<Literal>,
-    /// Optional label (e.g. the paper's rule number) used in provenance and
-    /// error messages.
+    /// Optional label (e.g. the paper's rule number) used in explanations
+    /// and error messages.
     pub label: Option<String>,
 }
 

@@ -8,7 +8,7 @@
 //! of which the active set — and hence the aggregate — is constant.
 
 use crate::ast::{AggFn, Rule};
-use crate::engine::eval::{execute_plan, EvalCtx};
+use crate::engine::eval::{execute_plan, Bindings, EvalCtx};
 use crate::engine::plan::RulePlan;
 use crate::error::{Error, Result};
 use crate::value::{Tuple, Value};
@@ -48,7 +48,7 @@ pub(crate) fn eval_aggregate_rules(
     // Pool contributions per group key (the non-aggregated argument values).
     let mut groups: HashMap<Vec<Value>, Vec<Contribution>> = HashMap::new();
     for (rule, plan) in rules {
-        for (binding, ivs) in execute_plan(rule, plan, ctx)? {
+        for (binding, ivs) in execute_plan(rule, plan, ctx, Bindings::default())? {
             let mut key = Vec::with_capacity(arity - 1);
             for (i, term) in rule.head.atom.args.iter().enumerate() {
                 if i == pos {
@@ -82,7 +82,7 @@ pub(crate) fn eval_aggregate_rules(
     Ok(out)
 }
 
-fn ground_term(term: &crate::ast::Term, b: &crate::engine::eval::Bindings) -> Result<Value> {
+fn ground_term(term: &crate::ast::Term, b: &Bindings) -> Result<Value> {
     match term {
         crate::ast::Term::Val(v) => Ok(*v),
         crate::ast::Term::Var(x) => b

@@ -129,15 +129,17 @@ pub(crate) fn delta_eligible(lit: &Literal) -> Option<Symbol> {
 /// their statically scheduled modes. An unschedulable-constraint step
 /// raises [`Error::Unsafe`] when reached.
 ///
+/// Starts from `binding` (empty, or an explanation's head variables bound).
 /// Returns deduplicated `(binding, intervals)` pairs with non-empty interval
 /// sets.
 pub(crate) fn execute_plan(
     rule: &Rule,
     plan: &RulePlan,
     ctx: &EvalCtx<'_>,
+    binding: Bindings,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     plan.note_execution();
-    let mut acc: Vec<(Bindings, IntervalSet)> = vec![(Bindings::default(), ctx.horizon_set())];
+    let mut acc: Vec<(Bindings, IntervalSet)> = vec![(binding, ctx.horizon_set())];
     for step in &plan.steps {
         // One span per plan step: static names so folded stacks collapse
         // across iterations; the literal index and row counts travel as
@@ -198,8 +200,9 @@ pub(crate) fn execute_plan(
         }
     }
     // Deduplicate bindings, merging interval sets. The ordered map makes
-    // the result order — and with it provenance, merge order, and stats —
-    // deterministic across runs and thread counts.
+    // the result order — and with it merge order, stats, and the order in
+    // which explanations try candidates — deterministic across runs and
+    // thread counts.
     let mut merged: BTreeMap<Vec<(Symbol, Value)>, IntervalSet> = BTreeMap::new();
     for (b, ivs) in acc {
         if ivs.is_empty() {
@@ -840,7 +843,8 @@ mod tests {
     /// Plans `rule` in isolation (no program, so nothing is persisted) and
     /// executes it in full.
     fn eval_body(rule: &Rule, ctx: &EvalCtx<'_>) -> Result<Vec<(Bindings, IntervalSet)>> {
-        execute_plan(rule, &build_plan(rule, None, &HashSet::new()), ctx)
+        let plan = build_plan(rule, None, &HashSet::new());
+        execute_plan(rule, &plan, ctx, Bindings::default())
     }
 
     fn ctx_db(facts: &str) -> Database {

@@ -10,14 +10,14 @@
 mod aggregate;
 mod chain;
 mod eval;
+mod explain;
 pub(crate) mod plan;
 mod pool;
-mod provenance;
 mod session;
 
 pub(crate) use eval::{compare, eval_expr};
+pub use explain::Explanation;
 pub use plan::{PlanExplain, PlanStepExplain};
-pub use provenance::{Explanation, ProvenanceLog};
 pub use session::{BaseEvent, RepairPath, RepairReport, Session};
 
 use crate::analysis::{check_program, DependencyGraph, Stratification};
@@ -26,7 +26,7 @@ use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::rewrite::{self, Query};
 use crate::symbol::Symbol;
-use crate::value::{Tuple, Value};
+use crate::value::Tuple;
 use chain::{Chains, GuardSets};
 use chronolog_obs::{Json, SpanRecorder};
 use eval::{delta_eligible, execute_plan, EvalCtx, JoinCounters};
@@ -59,8 +59,6 @@ pub struct ReasonerConfig {
     /// iteration: the reference for programs outside the naive oracle's
     /// integer-punctual fragment.
     pub semi_naive: bool,
-    /// Record provenance for [`Materialization::explain`].
-    pub provenance: bool,
     /// When set, the engine records hierarchical timing spans
     /// (materialize → stratum → iteration → rule → join step) into this
     /// recorder, one lane per evaluating thread. `None` (the default)
@@ -68,9 +66,9 @@ pub struct ReasonerConfig {
     pub profiler: Option<SpanRecorder>,
     /// Worker threads for stratum evaluation (rule fan-out and the binding
     /// fan-out inside skewed joins). `1` is fully sequential; any value
-    /// produces bit-identical output, derivation counts, and provenance —
-    /// evaluation always reads the iteration-start snapshot and merges in
-    /// fixed rule order.
+    /// produces bit-identical output and derivation counts — evaluation
+    /// always reads the iteration-start snapshot and merges in fixed rule
+    /// order.
     pub threads: usize,
     /// Budget for one repair's overdelete cone ([`Session::retract`] /
     /// [`Session::submit_late`]), counted in tuples whose validity
@@ -88,7 +86,6 @@ impl Default for ReasonerConfig {
             max_iterations: 1_000_000,
             max_components: 50_000_000,
             semi_naive: true,
-            provenance: false,
             profiler: None,
             threads: 1,
             repair_budget: 50_000,
@@ -633,24 +630,6 @@ pub struct Materialization {
     pub database: Database,
     /// Run statistics.
     pub stats: RunStats,
-    /// Provenance (populated when [`ReasonerConfig::provenance`] is on).
-    pub provenance: Option<ProvenanceLog>,
-}
-
-impl Materialization {
-    /// Explains why `pred(args)` holds at time `t` as a derivation tree.
-    /// Requires provenance recording; returns `None` when the fact does not
-    /// hold at `t` or provenance is off.
-    pub fn explain(
-        &self,
-        program: &Program,
-        pred: &str,
-        args: &[Value],
-        t: i64,
-    ) -> Option<Explanation> {
-        let log = self.provenance.as_ref()?;
-        log.explain(program, &self.database, Symbol::new(pred), args, t)
-    }
 }
 
 /// A compiled, validated DatalogMTL reasoner.
@@ -917,7 +896,6 @@ impl Reasoner {
         let mut mat_span = self.config.profiler.as_ref().map(|p| p.span("materialize"));
         let start = Instant::now();
         let mut total = input.clone();
-        let mut provenance = self.config.provenance.then(ProvenanceLog::default);
         let mut stats = RunStats::default();
         // Cloning preserves already-built secondary indexes: every index the
         // input carries over is one the fixpoint loop does not rebuild.
@@ -925,18 +903,8 @@ impl Reasoner {
         self.init_rule_stats(&mut stats);
         let input_tuples = input.tuple_count();
 
-        for stratum in 0..self.compiled.len() {
-            self.run_stratum(
-                stratum,
-                &mut total,
-                &mut provenance,
-                &mut stats,
-                self.config.horizon,
-                self.config.horizon,
-                None,
-                None,
-            )?;
-        }
+        let horizon = self.config.horizon;
+        self.run_strata(&mut total, None, &mut stats, horizon, horizon)?;
 
         stats.derived_tuples = total.tuple_count().saturating_sub(input_tuples);
         stats.total_components = total.component_count();
@@ -953,7 +921,6 @@ impl Reasoner {
         Ok(Materialization {
             database: total,
             stats,
-            provenance,
         })
     }
 
@@ -983,21 +950,28 @@ impl Reasoner {
         query: &Query,
         horizon: Interval,
     ) -> Result<QueryOutcome> {
+        let mut span = self.config.profiler.as_ref().map(|p| p.span("query"));
         let reserved: Vec<Symbol> = input.predicates().collect();
         let rw = rewrite::rewrite(&self.program, query, &reserved);
-        if rw.is_guarded() {
+        let outcome = if rw.is_guarded() {
             match self.run_rewritten(input, query, &rw, horizon, true, false) {
-                Ok(outcome) => return Ok(outcome),
                 // Guard edges can close a cycle through negation
                 // (NotStratifiable) and unbounded backward demand spread
                 // can blow the iteration budget where the forward
                 // fixpoint converged; both degrade to the unguarded cone.
-                Err(Error::NotStratifiable(_) | Error::Unsafe(_) | Error::BudgetExceeded(_)) => {}
-                Err(e) => return Err(e),
+                Err(Error::NotStratifiable(_) | Error::Unsafe(_) | Error::BudgetExceeded(_)) => {
+                    self.run_rewritten(input, query, &rw, horizon, false, true)
+                }
+                guarded => guarded,
             }
-            return self.run_rewritten(input, query, &rw, horizon, false, true);
+        } else {
+            self.run_rewritten(input, query, &rw, horizon, false, false)
+        }?;
+        if let Some(s) = span.as_mut() {
+            s.add("answers", outcome.answers.len() as u64);
+            s.add("demanded_tuples", outcome.stats.magic.demanded_tuples);
         }
-        self.run_rewritten(input, query, &rw, horizon, false, false)
+        Ok(outcome)
     }
 
     /// Evaluates either the guarded program plus seeds (`magic`) or the
@@ -1183,91 +1157,54 @@ impl Reasoner {
         outcome
     }
 
-    /// Re-derivation driver shared by the session's watermark advance and
-    /// the repair path: runs every stratum over the window `horizon` of the
-    /// session's whole horizon `top`, seeding iteration 0 with `seed`
-    /// (semi-naive against the delta) and folding each stratum's additions
-    /// back into the seed so later strata see them.
-    pub(crate) fn rederive(
+    /// The one strata loop of every run: evaluates each stratum in order to
+    /// fixpoint over the derivation `window` of `total`, with `top` holding
+    /// on the whole horizon (a batch run: both are the reasoning horizon; a
+    /// session advance or repair: the window it re-derives, of `[start,
+    /// t]`). With a `seed`, iteration 0 of every stratum is semi-naive
+    /// against it, and every stratum's additions are merged into it so that
+    /// later strata see them.
+    pub(crate) fn run_strata(
         &self,
         total: &mut Database,
-        seed: &mut Database,
-        provenance: &mut Option<ProvenanceLog>,
+        mut seed: Option<&mut Database>,
         stats: &mut RunStats,
-        horizon: Interval,
+        window: Interval,
         top: Interval,
     ) -> Result<()> {
         for stratum in 0..self.compiled.len() {
-            let mut collected = Database::new();
-            self.run_stratum(
-                stratum,
-                total,
-                provenance,
-                stats,
-                horizon,
-                top,
-                Some(&mut *seed),
-                Some(&mut collected),
-            )?;
-            for (pred, tuple, ivs) in collected.iter() {
-                seed.merge(
-                    pred,
-                    &tuple.to_vec(),
-                    &IntervalSet::from_sorted(ivs.to_vec()),
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Cold re-derivation driver for the session fallback: runs every
-    /// stratum over `horizon` with no seed — a full batch fixpoint
-    /// against `total`.
-    pub(crate) fn rematerialize(
-        &self,
-        total: &mut Database,
-        provenance: &mut Option<ProvenanceLog>,
-        stats: &mut RunStats,
-        horizon: Interval,
-    ) -> Result<()> {
-        for stratum in 0..self.compiled.len() {
-            self.run_stratum(
-                stratum, total, provenance, stats, horizon, horizon, None, None,
-            )?;
+            self.run_stratum(stratum, total, seed.as_deref_mut(), stats, window, top)?;
         }
         Ok(())
     }
 
     /// Runs one stratum to fixpoint.
     ///
-    /// * `horizon` — the re-derivation window: bodies are evaluated and
-    ///   heads clipped inside it (the whole reasoning horizon for a batch
-    ///   run; `[now, t]` for a session advance, `[cut, now]` for a repair).
-    /// * `top` — where `top` holds: the whole reasoning horizon, of which a
-    ///   session's `horizon` is only the end.
     /// * `seed` — incremental mode: iteration 0 evaluates semi-naive
     ///   variants against this delta (covering *all* predicates) instead of
     ///   re-evaluating every rule in full; rules with a positive literal
-    ///   that is not delta-eligible fall back to a full evaluation. What
-    ///   the stratum's aggregate groups add is merged into the seed first,
-    ///   so same-stratum readers of an aggregate head see it in iteration 0.
-    /// * `collected` — when present, every fact added by this stratum is
-    ///   also merged here (the session's cross-stratum seed accumulator).
+    ///   that is not delta-eligible fall back to a full evaluation. The seed
+    ///   is read at iteration 0 only, and takes every addition of the
+    ///   stratum as it is merged: the aggregate groups' first, so
+    ///   same-stratum readers of an aggregate head see it in iteration 0,
+    ///   then each round's, for the strata above.
+    /// * `window` — the re-derivation window: bodies are evaluated and
+    ///   heads clipped inside it (the whole reasoning horizon for a batch
+    ///   run; `[now, t]` for a session advance, `[cut, now]` for a repair).
+    /// * `top` — where `top` holds: the whole reasoning horizon, of which a
+    ///   session's `window` is only the end.
     ///
     /// Folds the run into `stats.strata[stratum]` and
     /// `stats.iterations[stratum]` (one row per stratum, however many times
     /// a session re-runs it).
-    #[allow(clippy::too_many_arguments)]
     fn run_stratum(
         &self,
         stratum: usize,
         total: &mut Database,
-        provenance: &mut Option<ProvenanceLog>,
-        stats: &mut RunStats,
-        horizon: Interval,
-        top: Interval,
         mut seed: Option<&mut Database>,
-        mut collected: Option<&mut Database>,
+        stats: &mut RunStats,
+        window: Interval,
+        top: Interval,
     ) -> Result<()> {
         // Opened before the wall-clock so the span always contains the
         // measured stratum wall time (span dur ≥ `StratumStats::wall`).
@@ -1303,7 +1240,7 @@ impl Reasoner {
             let ctx = EvalCtx {
                 total,
                 delta: None,
-                horizon,
+                horizon: window,
                 top,
                 threads: 1,
                 pool: None,
@@ -1324,7 +1261,7 @@ impl Reasoner {
                 for op in &rules[lead].head.ops {
                     ivs = apply_head_op(op, &ivs)?;
                 }
-                let ivs = ivs.intersect_interval(&horizon);
+                let ivs = ivs.intersect_interval(&window);
                 if ivs.is_empty() {
                     continue;
                 }
@@ -1344,17 +1281,10 @@ impl Reasoner {
                     if let Some(seed) = seed.as_deref_mut() {
                         seed.merge(*pred, &tuple, &added)?;
                     }
-                    if let Some(acc) = collected.as_deref_mut() {
-                        acc.merge(*pred, &tuple, &added)?;
-                    }
-                    if let Some(log) = provenance {
-                        log.record(lead, *pred, tuple, added, Vec::new());
-                    }
                 }
             }
             stats.rules[lead].wall += group_start.elapsed();
         }
-        let seed: Option<&Database> = seed.as_deref();
 
         // --- Fixpoint. ---
         let mut guard_sets = GuardSets::new();
@@ -1395,11 +1325,12 @@ impl Reasoner {
 
             // Which evaluations to run this iteration, flattened into a
             // fixed-order task list. The task order is also the merge
-            // order, so output, stats, and provenance are bit-identical for
-            // every thread count.
+            // order, so output and stats are bit-identical for every thread
+            // count.
             let mut tasks: Vec<Task<'_>> = Vec::new();
+            let seed_delta = seed.as_deref().filter(|_| iteration == 0);
             for rule in &compiled.rules {
-                match (&rule.mode, iteration, seed) {
+                match (&rule.mode, iteration, seed_delta) {
                     // Incremental iteration 0: semi-naive against the seed
                     // when every positive literal supports it.
                     (_, 0, Some(seed)) => match &rule.seeded {
@@ -1458,7 +1389,7 @@ impl Reasoner {
                     let ctx = EvalCtx {
                         total: total_snapshot,
                         delta: task.delta,
-                        horizon,
+                        horizon: window,
                         top,
                         threads: inner_threads,
                         // The binding fan-out only gets the pool when the
@@ -1469,7 +1400,7 @@ impl Reasoner {
                         profiler: self.config.profiler.as_ref(),
                     };
                     let eval_start = Instant::now();
-                    let r = execute_plan(&rules[task.rule], task.plan, &ctx);
+                    let r = execute_plan(&rules[task.rule], task.plan, &ctx, Default::default());
                     if let (Some(s), Ok(rows)) = (rule_span.as_mut(), &r) {
                         s.add("derivations", rows.len() as u64);
                     }
@@ -1477,10 +1408,15 @@ impl Reasoner {
                 })
             };
             last_eval_wall = eval_out.iter().map(|(_, d)| *d).sum();
+            // What the merge needs of each task, read before the seed takes
+            // this round's additions.
+            let done: Vec<(usize, Option<usize>)> = tasks
+                .iter()
+                .map(|task| (task.rule, task.delta.map(Database::tuple_count)))
+                .collect();
 
             // Merge every task's derivations back in fixed task order.
-            for (task, (results, eval_wall)) in tasks.iter().zip(eval_out) {
-                let rule_idx = task.rule;
+            for ((rule_idx, delta_tuples), (results, eval_wall)) in done.into_iter().zip(eval_out) {
                 let rule = &rules[rule_idx];
                 let head = rule.head.atom.pred;
                 let merge_start = Instant::now();
@@ -1490,8 +1426,8 @@ impl Reasoner {
                 let rstats = &mut stats.rules[rule_idx];
                 rstats.body_evaluations += 1;
                 rstats.wall += eval_wall;
-                if let Some(delta) = task.delta {
-                    rstats.delta_tuples += delta.tuple_count();
+                if let Some(n) = delta_tuples {
+                    rstats.delta_tuples += n;
                 }
                 rstats.derivations += results.len();
                 for (binding, ivs) in results {
@@ -1500,7 +1436,7 @@ impl Reasoner {
                     for op in &rule.head.ops {
                         out = apply_head_op(op, &out)?;
                     }
-                    let mut out = out.intersect_interval(&horizon);
+                    let mut out = out.intersect_interval(&window);
                     if out.is_empty() {
                         continue;
                     }
@@ -1516,7 +1452,7 @@ impl Reasoner {
                         let ctx = EvalCtx {
                             total,
                             delta: None,
-                            horizon,
+                            horizon: window,
                             top,
                             threads: 1,
                             pool: None,
@@ -1558,13 +1494,8 @@ impl Reasoner {
                                 .or_default()
                                 .merge(head, &tuple, &added)?;
                         }
-                        if let Some(acc) = collected.as_deref_mut() {
-                            acc.merge(head, &tuple, &added)?;
-                        }
-                        if let Some(log) = provenance {
-                            let b: Vec<(Symbol, Value)> =
-                                binding.iter().map(|(k, v)| (*k, *v)).collect();
-                            log.record(rule_idx, head, tuple, added, b);
+                        if let Some(seed) = seed.as_deref_mut() {
+                            seed.merge(head, &tuple, &added)?;
                         }
                     }
                 }
@@ -1739,6 +1670,7 @@ fn ground_head(rule: &Rule, binding: &eval::Bindings) -> Result<Tuple> {
 mod tests {
     use super::*;
     use crate::parser::{parse_facts, parse_program};
+    use crate::Value;
 
     fn run(rules: &str, facts: &str, horizon: (i64, i64)) -> Database {
         let program = parse_program(rules).unwrap();

@@ -19,10 +19,10 @@
 
 use crate::ast::{Literal, MetricAtom, Program};
 use crate::database::Database;
-use crate::engine::{ProvenanceLog, Reasoner, RunStats};
+use crate::engine::{Explanation, Reasoner, RunStats};
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
-use crate::value::Tuple;
+use crate::value::{Tuple, Value};
 use crate::Fact;
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
 
@@ -226,8 +226,7 @@ impl Session {
     /// untouched, and pending (not yet advanced-over) submissions are
     /// not visible.
     pub fn query(&self, query: &crate::rewrite::Query) -> Result<super::QueryOutcome> {
-        let mut base = Database::new();
-        base.extend_facts(&self.asserted)?;
+        let base = self.surviving_base()?;
         let horizon = self
             .reasoner
             .config()
@@ -240,6 +239,19 @@ impl Session {
                 ))
             })?;
         self.reasoner.query_within(&base, query, horizon)
+    }
+
+    /// Explains why `pred(args)` holds at `t` in the session's
+    /// materialization, exactly as [`Reasoner::explain`] explains a batch
+    /// run over the surviving base facts on `[start, now]`. `Ok(None)`
+    /// above the watermark and when the fact does not hold.
+    pub fn explain(&self, pred: &str, args: &[Value], t: i64) -> Result<Option<Explanation>> {
+        if Rational::integer(t) > self.now {
+            return Ok(None);
+        }
+        let window = self.session_horizon(self.now)?;
+        self.reasoner
+            .explain_within(&self.surviving_base()?, &self.total, pred, args, t, window)
     }
 
     /// Submits a fact that happened strictly after the watermark. It takes
@@ -441,13 +453,12 @@ impl Session {
     }
 
     /// The surviving base-fact set as a database (what the cold fallback
-    /// rebuilds from, and what overdeletion must not remove).
-    fn surviving_base(&self) -> Database {
+    /// rebuilds from, what overdeletion must not remove, and the input of
+    /// queries and explanations).
+    fn surviving_base(&self) -> Result<Database> {
         let mut base = Database::new();
-        for fact in &self.asserted {
-            base.insert_fact(fact).expect("value interner exhausted");
-        }
-        base
+        base.extend_facts(&self.asserted)?;
+        Ok(base)
     }
 
     /// Patches the materialization after a base edit whose cut is `cut`:
@@ -526,7 +537,7 @@ impl Session {
             self.now,
             format_args!("repair window {cut}..{} collapsed", self.now),
         )?;
-        let base = self.surviving_base();
+        let base = self.surviving_base()?;
         let affected = self.reasoner.affected_predicates(changed);
         let outcome = {
             let mut od_span = self
@@ -572,16 +583,14 @@ impl Session {
                 .profiler
                 .as_ref()
                 .map(|p| p.span("rederive"));
-            let mut provenance: Option<ProvenanceLog> = None;
             // Everything below the cut is untouched by the edit and final
             // (forward-propagating fragment), so only the repair window is
             // re-derived; the seed carries what it reads from before it,
             // and `top` keeps holding from the session start.
             let top = self.session_horizon(self.now)?;
-            self.reasoner.rederive(
+            self.reasoner.run_strata(
                 &mut self.total,
-                &mut seed,
-                &mut provenance,
+                Some(&mut seed),
                 &mut self.stats,
                 window,
                 top,
@@ -611,10 +620,9 @@ impl Session {
             .as_ref()
             .map(|p| p.span("rematerialize"));
         let horizon = self.session_horizon(self.now)?;
-        let mut total = self.surviving_base();
-        let mut provenance: Option<ProvenanceLog> = None;
+        let mut total = self.surviving_base()?;
         self.reasoner
-            .rematerialize(&mut total, &mut provenance, &mut self.stats, horizon)?;
+            .run_strata(&mut total, None, &mut self.stats, horizon, horizon)?;
         if let Some(s) = span.as_mut() {
             s.add("tuples", total.tuple_count() as u64);
         }
@@ -708,11 +716,9 @@ impl Session {
         let top = self.session_horizon(t)?;
 
         // Each stratum's new facts also become seeds for the next stratum.
-        let mut provenance: Option<ProvenanceLog> = None;
-        self.reasoner.rederive(
+        self.reasoner.run_strata(
             &mut self.total,
-            &mut seed,
-            &mut provenance,
+            Some(&mut seed),
             &mut self.stats,
             horizon,
             top,

@@ -35,7 +35,8 @@
 //! * [`ast`] — terms, metric atoms, rules, programs (§2.1 of the paper).
 //! * [`parser`] — the concrete syntax (`boxminus`, `diamondminus`, …).
 //! * [`analysis`] — safety, dependency graph (Figure 1), stratification.
-//! * [`engine`] — semi-naive temporal materialization with provenance.
+//! * [`engine`] — semi-naive temporal materialization, and derivation
+//!   trees rebuilt from the model ([`Reasoner::explain`]).
 //! * [`rewrite`] — magic-sets demand transformation for goal-driven
 //!   point queries ([`Reasoner::query`]).
 //! * [`naive`] — a brute-force discrete-time evaluator used as a test
@@ -64,8 +65,8 @@ pub use ast::{
 pub use database::{Database, Relation, TupleRef};
 pub use engine::{
     BaseEvent, Explanation, MagicStats, Materialization, PlanExplain, PlanStepExplain,
-    ProvenanceLog, QueryOutcome, Reasoner, ReasonerConfig, RepairPath, RepairReport, RepairStats,
-    RuleStats, RunStats, Session, StratumStats,
+    QueryOutcome, Reasoner, ReasonerConfig, RepairPath, RepairReport, RepairStats, RuleStats,
+    RunStats, Session, StratumStats,
 };
 pub use error::{Error, Result};
 pub use parser::{parse_facts, parse_program, parse_rule, parse_source};

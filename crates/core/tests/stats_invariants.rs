@@ -489,6 +489,65 @@ fn session_spans_tie_out_against_run_stats() {
     }
 }
 
+/// A read is one span: every `explain` — batch or session — opens one
+/// `explain` span whose counters describe the tree it returned, and every
+/// goal-driven query one `query` span counting its answers.
+#[test]
+fn explain_and_query_are_one_span_each() {
+    use chronolog_core::{parse_query, Fact, Value};
+    let (program, facts) = parse_source(&corpus()[2].1).unwrap();
+    let recorder = SpanRecorder::new();
+    let config = ReasonerConfig {
+        profiler: Some(recorder.clone()),
+        ..ReasonerConfig::default().with_horizon(0, 20)
+    };
+    let mut input = Database::new();
+    input.extend_facts(&facts).unwrap();
+    let reasoner = Reasoner::new(program, config).unwrap();
+    let model = reasoner.materialize(&input).unwrap().database;
+    let margin = [Value::sym("acc123"), Value::num(100.0)];
+    let batch = reasoner
+        .explain(&input, &model, "margin", &margin, 14)
+        .unwrap()
+        .unwrap();
+    let query = parse_query("margin(acc123, M)@[0, 20]").unwrap();
+    let answers = reasoner.query(&input, &query).unwrap().answers.len();
+
+    let mut session = reasoner.into_session(&Database::new(), 0).unwrap();
+    for fact in facts
+        .iter()
+        .filter(|f| f.interval.lo().finite().unwrap() > 0.into())
+    {
+        session.submit(Fact::clone(fact)).unwrap();
+    }
+    session.advance_to(20).unwrap();
+    let streamed = session.explain("margin", &margin, 14).unwrap().unwrap();
+    assert_eq!(streamed.to_string(), batch.to_string());
+    assert_eq!(session.query(&query).unwrap().answers.len(), answers);
+
+    let lanes = recorder.lanes();
+    let named = |name: &str| -> Vec<SpanRecord> {
+        lanes
+            .iter()
+            .flat_map(|(_, r)| r.iter())
+            .filter(|s| s.name == name)
+            .cloned()
+            .collect()
+    };
+    let explains = named("explain");
+    assert_eq!(explains.len(), 2);
+    for span in &explains {
+        assert_eq!(counter(span, "nodes"), Some(batch.nodes() as u64));
+        assert_eq!(counter(span, "height"), Some(batch.height() as u64));
+        assert!(counter(span, "rule_instances").unwrap() > 0);
+    }
+    let queries = named("query");
+    assert_eq!(queries.len(), 2);
+    for span in &queries {
+        assert_eq!(counter(span, "answers"), Some(answers as u64));
+    }
+}
+
 /// An empty database still produces a well-formed (all-zero) breakdown.
 #[test]
 fn stats_on_empty_input_are_well_formed() {

@@ -30,11 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = Database::new();
     db.extend_facts(&facts).unwrap();
 
-    let config = ReasonerConfig {
-        provenance: true, // record derivations so we can explain results
-        ..ReasonerConfig::default().with_horizon(0, 20)
-    };
-    let reasoner = Reasoner::new(program.clone(), config)?;
+    let config = ReasonerConfig::default().with_horizon(0, 20);
+    let reasoner = Reasoner::new(program, config)?;
     let out = reasoner.materialize(&db)?;
 
     println!("-- margin of acc123 over time --");
@@ -59,14 +56,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .holds_at("margin", &[Value::sym("acc123"), Value::num(100.0)], 15));
 
     println!("\n-- why does margin(acc123, 100$) hold at t=13? --");
-    let explanation = out
+    // The tree is rebuilt from the model: nothing was recorded to get it.
+    let explanation = reasoner
         .explain(
-            &program,
+            &db,
+            &out.database,
             "margin",
             &[Value::sym("acc123"), Value::num(100.0)],
             13,
-        )
-        .expect("provenance was recorded");
+        )?
+        .expect("the margin holds at t=13");
     println!("{explanation}");
 
     println!(

@@ -40,16 +40,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  final skew     : {:+.4}", index.final_skew());
 
     // 3. The declarative run gives the supervisor the *full state history*:
-    //    every margin account at every second, with provenance.
+    //    every margin account at every second, each amount explainable.
     let trace = ledger.to_trace();
     let program = program::build(&params)?;
     let encoded = encode(&trace);
     let reasoner = Reasoner::new(
-        program.clone(),
-        ReasonerConfig {
-            provenance: true,
-            ..ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1)
-        },
+        program,
+        ReasonerConfig::default().with_horizon(encoded.horizon.0, encoded.horizon.1),
     )?;
     let out = reasoner.materialize(&encoded.database)?;
 
@@ -83,26 +80,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Find the pnl value the DatalogMTL run derived (bit-equal to f64 ref).
     let derived = chronolog_perp::extract::position_at(&out.database, account, close_time - 1);
     println!("position before close: {derived:?}");
-    if let Some(explanation) = out.provenance.as_ref().and_then(|log| {
-        // locate the derived pnl fact's value by scanning the relation
-        let rel = out.database.relation(chronolog_core::Symbol::new("pnl"))?;
-        let acc_val = account_value(account);
-        let (tuple, _) = rel.iter().find(|(tuple, ivs)| {
-            tuple.value(0).semantic_eq(&acc_val)
-                && chronolog_core::IntervalSet::components_contain(
-                    ivs,
-                    chronolog_core::Rational::integer(close_time),
-                )
-        })?;
-        log.explain(
-            &program,
-            &out.database,
-            chronolog_core::Symbol::new("pnl"),
-            &tuple.to_vec(),
-            close_time,
-        )
-    }) {
-        println!("{explanation}");
+    // Locate the derived pnl fact's value by scanning the relation.
+    let acc_val = account_value(account);
+    let pnl_tuple = out
+        .database
+        .relation(chronolog_core::Symbol::new("pnl"))
+        .and_then(|rel| {
+            rel.iter().find(|(tuple, ivs)| {
+                tuple.value(0).semantic_eq(&acc_val)
+                    && chronolog_core::IntervalSet::components_contain(
+                        ivs,
+                        chronolog_core::Rational::integer(close_time),
+                    )
+            })
+        })
+        .map(|(tuple, _)| tuple.to_vec());
+    if let Some(tuple) = pnl_tuple {
+        let tree = reasoner.explain(&encoded.database, &out.database, "pnl", &tuple, close_time)?;
+        if let Some(explanation) = tree {
+            println!("{explanation}");
+        }
     }
 
     // The declarative PnL agrees with the on-chain value to fixed-point dust.

@@ -56,6 +56,25 @@ exact-counts:
     echo "plans built: batch $(plans "$out/batch.json"), session $(plans "$out/session.json")"
     test "$(plans "$out/session.json")" -le "$(( $(plans "$out/batch.json") + 9 ))"
 
+# The explanation gate CI runs: a derivation tree is computed from the
+# model, so a session explains a fact byte for byte as the batch run does —
+# also after a correction stream that leaves the surviving facts as they
+# were. The margin tree jumps a persistence run in one step.
+explain-modes:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    out=$(mktemp -d)
+    run() { cargo run --release -q -p chronolog-cli -- run "$@"; }
+    margin=(corpus/margin.dmtl --horizon 0..20 --explain 'margin(acc123, 100.0)@14')
+    run "${margin[@]}" > "$out/margin-batch.txt"
+    run "${margin[@]}" --session > "$out/margin-session.txt"
+    diff "$out/margin-batch.txt" "$out/margin-session.txt"
+    grep -q 'margin(acc123, 100.0)@14   \[by rule #5, held since @11\]' "$out/margin-batch.txt"
+    netting=(corpus/netting.dmtl --horizon 0..20 --explain 'exposure(cp0, cp2)@10')
+    run "${netting[@]}" > "$out/netting-batch.txt"
+    run "${netting[@]}" --session --stream corpus/netting.stream > "$out/netting-session.txt"
+    diff "$out/netting-batch.txt" "$out/netting-session.txt"
+
 # Alternating driver-style pairs of the BENCHMARK.json command: REV (checked
 # out and built in a temporary directory) against the working tree, seed i
 # for pair i. Prints each side's median and quartiles and the working
