@@ -13,7 +13,7 @@ use crate::engine::plan::RulePlan;
 use crate::error::{Error, Result};
 use crate::value::{Tuple, Value};
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One pooled contribution: the aggregated value and when it is active.
 struct Contribution {
@@ -46,7 +46,9 @@ pub(crate) fn eval_aggregate_rules(
     }
 
     // Pool contributions per group key (the non-aggregated argument values).
-    let mut groups: HashMap<Vec<Value>, Vec<Contribution>> = HashMap::new();
+    // Ordered by key: the groups' output is merged in this order, and with
+    // it the head relation's insertion order is fixed.
+    let mut groups: BTreeMap<Vec<Value>, Vec<Contribution>> = BTreeMap::new();
     for (rule, plan) in rules {
         for (binding, ivs) in execute_plan(rule, plan, ctx, Bindings::default())? {
             let mut key = Vec::with_capacity(arity - 1);

@@ -15,7 +15,8 @@
 //! the motivating case: evaluated round by round they advance one second per
 //! semi-naive iteration.
 //!
-//! Soundness of closing a derived row `(binding, T)` locally:
+//! Soundness of closing a derived head row `(p(x̄), T)` locally — the union
+//! of every binding that grounds the head to `p(x̄)` in one evaluation:
 //!
 //! * the guards read only lower strata, which are complete (for the current
 //!   horizon) before the stratum starts and never change while it runs, so
@@ -54,7 +55,7 @@
 use super::eval::{eval_matom_masked, Bindings, EvalCtx};
 use super::ReasonerConfig;
 use super::{budget_exceeded_components, budget_exceeded_iterations, rule_span_name};
-use crate::ast::{Atom, Literal, MetricAtom, Rule};
+use crate::ast::{Atom, Literal, MetricAtom, Rule, Term};
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
 use crate::value::Value;
@@ -70,9 +71,9 @@ struct SelfChain {
     chain: usize,
     /// The frozen literals: `(positive, body index)`.
     guards: Vec<(bool, usize)>,
-    /// Head variables the guards mention, sorted: their values determine
-    /// the guard set and key its cache.
-    key_vars: Vec<Symbol>,
+    /// Head variables the guards mention, sorted, each with its position
+    /// in the head: their values determine the guard set and key its cache.
+    key_vars: Vec<(Symbol, usize)>,
     /// The chain's total shift when all its operators are punctual.
     shift: Option<Rational>,
 }
@@ -93,8 +94,8 @@ pub(crate) struct Closed {
     /// derived from it — disjoint from the stored intervals but for the one
     /// stored second a lone new one is anchored to (see [`jump`]).
     pub out: IntervalSet,
-    /// Closure steps that derived something new (each stands for one
-    /// `(binding, intervals)` result of the round-by-round path).
+    /// Closure steps that derived something new (each stands for one head
+    /// row of the round-by-round path).
     pub steps: usize,
 }
 
@@ -372,6 +373,13 @@ impl SelfChain {
             }
         }
         key_vars.sort();
+        let key_vars = key_vars
+            .into_iter()
+            .map(|v| {
+                let at = head.atom.args.iter().position(|t| *t == Term::Var(v));
+                (v, at.expect("a head variable has a head position"))
+            })
+            .collect();
         Some(SelfChain {
             head: head.atom.pred,
             chain,
@@ -393,7 +401,7 @@ impl SelfChain {
         let binding: Bindings = self
             .key_vars
             .iter()
-            .copied()
+            .map(|&(v, _)| v)
             .zip(key_vals.iter().copied())
             .collect();
         let mut set = IntervalSet::from_interval(window);
@@ -401,9 +409,10 @@ impl SelfChain {
             let Some(mask) = set.hull() else { break };
             let mut hits = IntervalSet::new();
             let m = matom(rule, li);
-            for (_, ivs) in eval_matom_masked(m, ctx, false, &binding, Some(mask))? {
+            eval_matom_masked(m, ctx, false, &binding, Some(mask), &mut |_, ivs| {
                 hits.union_with(&ivs);
-            }
+                Ok(())
+            })?;
             set = if positive {
                 set.intersect(&hits)
             } else {
@@ -446,9 +455,10 @@ impl Chains {
             .map(|(&i, _)| i)
     }
 
-    /// Closes one derived row of self-chain rule `rule_idx` (`rule`): drops
-    /// the part of `row` the tuple already stores (its consequences were, or
-    /// are being, derived through the delta), then iterates
+    /// Closes one derived head row of self-chain rule `rule_idx` (`rule`):
+    /// drops the part of `row` the head `tuple` already stores (its
+    /// consequences were, or are being, derived through the delta), then
+    /// iterates
     /// `cur ← op(cur) ∩ P` from the rest until nothing new appears. `None`
     /// when the row held nothing new.
     ///
@@ -462,7 +472,7 @@ impl Chains {
         guard_sets: &mut GuardSets,
         rule_idx: usize,
         rule: &Rule,
-        binding: &Bindings,
+        tuple: &[Value],
         row: IntervalSet,
         stored: &[Interval],
         ctx: &EvalCtx<'_>,
@@ -485,15 +495,7 @@ impl Chains {
             ctx.horizon.hi_closed(),
         )
         .expect("a row clipped to the horizon starts inside it");
-        let key_vals: Vec<Value> = chain
-            .key_vars
-            .iter()
-            .map(|v| {
-                *binding
-                    .get(v)
-                    .expect("head variables are bound once the head grounded")
-            })
-            .collect();
+        let key_vals: Vec<Value> = chain.key_vars.iter().map(|&(_, at)| tuple[at]).collect();
         let key = (rule_idx, key_vals);
         let guard_cached = guard_sets
             .get(&key)

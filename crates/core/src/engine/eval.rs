@@ -3,7 +3,9 @@
 //!
 //! A body evaluates to a set of `(binding, interval set)` pairs: the variable
 //! assignments satisfying the relational/constraint part, each with the time
-//! points at which the whole conjunction holds.
+//! points at which the whole conjunction holds. The fixpoint never sees
+//! those pairs: [`execute_heads`] unions them into one row per head tuple as
+//! the last join emits them.
 
 use crate::ast::{Atom, CmpOp, Expr, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
@@ -11,13 +13,13 @@ use crate::error::{Error, Result};
 use crate::hash::FxHashMap;
 use crate::intern::{self, NONE_VID};
 use crate::symbol::Symbol;
-use crate::value::Value;
-use chronolog_obs::SpanRecorder;
-use mtl_temporal::{Interval, IntervalSet};
+use crate::value::{Tuple, Value};
+use chronolog_obs::{SpanGuard, SpanRecorder};
+use mtl_temporal::{Interval, IntervalSet, MetricInterval};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use super::plan::{AccessPath, ConstraintMode, RulePlan, StepKind};
+use super::plan::{AccessPath, ConstraintMode, PlanStep, RulePlan, StepKind};
 use super::pool::WorkerPool;
 
 /// A variable assignment. Fx-hashed: binding maps are cloned once per
@@ -121,13 +123,10 @@ pub(crate) fn delta_eligible(lit: &Literal) -> Option<Symbol> {
     }
 }
 
-/// Executes a compiled rule-body plan: the one executor for every step
-/// kind, used by the fixpoint loop and by aggregate groups alike.
-///
-/// The delta-restricted literal is taken from the plan, joins push the
-/// accumulated interval hull down as a read mask, and constraints run in
-/// their statically scheduled modes. An unschedulable-constraint step
-/// raises [`Error::Unsafe`] when reached.
+/// Executes a compiled rule-body plan down to its bindings: the executor
+/// of the two callers that need the body variables — aggregate groups,
+/// which pool one contribution per distinct binding, and explanations,
+/// which ground premises from them. The fixpoint runs [`execute_heads`].
 ///
 /// Starts from `binding` (empty, or an explanation's head variables bound).
 /// Returns deduplicated `(binding, intervals)` pairs with non-empty interval
@@ -139,69 +138,10 @@ pub(crate) fn execute_plan(
     binding: Bindings,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     plan.note_execution();
-    let mut acc: Vec<(Bindings, IntervalSet)> = vec![(binding, ctx.horizon_set())];
-    for step in &plan.steps {
-        // One span per plan step: static names so folded stacks collapse
-        // across iterations; the literal index and row counts travel as
-        // counters.
-        let mut step_span = ctx.profiler.map(|p| {
-            let name = match &step.kind {
-                StepKind::Join { .. } => "join",
-                StepKind::Constraint { .. } => "constraint",
-                StepKind::Negation => "negate",
-            };
-            let mut s = p.span(name);
-            s.add("literal", step.literal as u64);
-            s
-        });
-        match &step.kind {
-            StepKind::Join { .. } => {
-                let Literal::Pos(m) = &rule.body[step.literal] else {
-                    unreachable!("join step on a non-positive literal");
-                };
-                let use_delta = plan.delta_literal == Some(step.literal);
-                acc = join_positive(acc, m, ctx, use_delta)?;
-                step.note_actual(acc.len());
-                if let Some(s) = step_span.as_mut() {
-                    s.add("rows", acc.len() as u64);
-                }
-                // An empty accumulator is absorbing for every remaining
-                // step except the unschedulable-constraint error.
-                if acc.is_empty() && !plan.has_unschedulable {
-                    return Ok(vec![]);
-                }
-            }
-            StepKind::Constraint { mode: Some(mode) } => {
-                let Literal::Constraint(lhs, op, rhs) = &rule.body[step.literal] else {
-                    unreachable!("constraint step on a non-constraint literal");
-                };
-                acc = apply_constraint(acc, lhs, *op, rhs, *mode)?;
-                step.note_actual(acc.len());
-                if let Some(s) = step_span.as_mut() {
-                    s.add("rows", acc.len() as u64);
-                }
-            }
-            StepKind::Constraint { mode: None } => {
-                return Err(Error::Unsafe(format!(
-                    "constraint `{}` could not be scheduled (unbound variable)",
-                    rule.body[step.literal]
-                )));
-            }
-            StepKind::Negation => {
-                let Literal::Neg(m) = &rule.body[step.literal] else {
-                    unreachable!("negation step on a non-negated literal");
-                };
-                acc = apply_negation(acc, m, ctx)?;
-                step.note_actual(acc.len());
-                if let Some(s) = step_span.as_mut() {
-                    s.add("rows", acc.len() as u64);
-                }
-            }
-        }
-    }
+    let acc = run_steps(rule, plan, &plan.steps, ctx, binding)?;
     // Deduplicate bindings, merging interval sets. The ordered map makes
-    // the result order — and with it merge order, stats, and the order in
-    // which explanations try candidates — deterministic across runs and
+    // the result order — and with it the order in which aggregates pool
+    // and explanations try candidates — deterministic across runs and
     // thread counts.
     let mut merged: BTreeMap<Vec<(Symbol, Value)>, IntervalSet> = BTreeMap::new();
     for (b, ivs) in acc {
@@ -216,6 +156,174 @@ pub(crate) fn execute_plan(
         .into_iter()
         .map(|(k, ivs)| (k.into_iter().collect(), ivs))
         .collect())
+}
+
+/// Executes a compiled rule-body plan down to its head rows: one
+/// `(head tuple, intervals)` row per distinct head tuple, its intervals the
+/// union over every binding that grounds the head to it, sorted by tuple so
+/// that merge order, stats and facts do not depend on scan order or thread
+/// count. Head operators and the derivation window are the caller's.
+///
+/// When the plan ends in a join, that join is fused with the union: each
+/// matching tuple writes its head values — read from the binding and the
+/// tuple's own columns — straight into the head table, so no binding map
+/// is built for it and a key is allocated only for a tuple new to the
+/// table. The fused step still counts its binding rows, and runs on the
+/// calling thread (the binding fan-out serves the joins before it).
+pub(crate) fn execute_heads(
+    rule: &Rule,
+    plan: &RulePlan,
+    ctx: &EvalCtx<'_>,
+) -> Result<Vec<(Tuple, IntervalSet)>> {
+    plan.note_execution();
+    let mut table = HeadTable::default();
+    match plan.steps.split_last() {
+        Some((last, rest)) if matches!(last.kind, StepKind::Join { .. }) => {
+            let acc = run_steps(rule, plan, rest, ctx, Bindings::default())?;
+            if acc.is_empty() {
+                return Ok(vec![]);
+            }
+            let mut span = step_span(ctx, last);
+            let Literal::Pos(m) = &rule.body[last.literal] else {
+                unreachable!("join step on a non-positive literal");
+            };
+            let use_delta = plan.delta_literal == Some(last.literal);
+            let rows = join_heads(&acc, m, ctx, use_delta, rule, &mut table)?;
+            last.note_actual(rows);
+            if let Some(s) = span.as_mut() {
+                s.add("rows", rows as u64);
+            }
+        }
+        _ => {
+            let mut values = Vec::with_capacity(rule.head.atom.args.len());
+            for (b, ivs) in run_steps(rule, plan, &plan.steps, ctx, Bindings::default())? {
+                if ivs.is_empty() {
+                    continue;
+                }
+                head_values(rule, |x| b.get(&x).copied(), &mut values)?;
+                table.add(&values, ivs);
+            }
+        }
+    }
+    Ok(table.into_sorted())
+}
+
+/// One rule evaluation's head rows, keyed by head tuple (structurally: `3`
+/// and `3.0` are two tuples, as the store keeps them).
+#[derive(Default)]
+struct HeadTable {
+    rows: FxHashMap<Tuple, IntervalSet>,
+}
+
+impl HeadTable {
+    /// Unions `ivs` into the row of `tuple`, allocating the key only when
+    /// the tuple is new to the table.
+    fn add(&mut self, tuple: &[Value], ivs: IntervalSet) {
+        match self.rows.get_mut(tuple) {
+            Some(row) => {
+                row.union_with(&ivs);
+            }
+            None => {
+                self.rows.insert(tuple.into(), ivs);
+            }
+        }
+    }
+
+    fn into_sorted(self) -> Vec<(Tuple, IntervalSet)> {
+        let mut rows: Vec<(Tuple, IntervalSet)> = self.rows.into_iter().collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+}
+
+/// Grounds `rule`'s head into `out`, reading variables through `get`.
+fn head_values(
+    rule: &Rule,
+    get: impl Fn(Symbol) -> Option<Value>,
+    out: &mut Vec<Value>,
+) -> Result<()> {
+    out.clear();
+    for t in &rule.head.atom.args {
+        out.push(match t {
+            Term::Val(v) => *v,
+            Term::Var(x) => get(*x).ok_or_else(|| {
+                Error::Eval(format!(
+                    "unbound head variable {x} in rule `{}`",
+                    rule.label.as_deref().unwrap_or("<unlabeled>")
+                ))
+            })?,
+        });
+    }
+    Ok(())
+}
+
+/// One span per plan step: static names so folded stacks collapse across
+/// iterations; the literal index and row counts travel as counters.
+fn step_span(ctx: &EvalCtx<'_>, step: &PlanStep) -> Option<SpanGuard> {
+    ctx.profiler.map(|p| {
+        let name = match &step.kind {
+            StepKind::Join { .. } => "join",
+            StepKind::Constraint { .. } => "constraint",
+            StepKind::Negation => "negate",
+        };
+        let mut s = p.span(name);
+        s.add("literal", step.literal as u64);
+        s
+    })
+}
+
+/// Runs `steps` of `plan` from `binding`: the delta-restricted literal is
+/// taken from the plan, joins push the accumulated interval hull down as a
+/// read mask, and constraints run in their statically scheduled modes. An
+/// unschedulable-constraint step raises [`Error::Unsafe`] when reached.
+fn run_steps(
+    rule: &Rule,
+    plan: &RulePlan,
+    steps: &[PlanStep],
+    ctx: &EvalCtx<'_>,
+    binding: Bindings,
+) -> Result<Vec<(Bindings, IntervalSet)>> {
+    let mut acc: Vec<(Bindings, IntervalSet)> = vec![(binding, ctx.horizon_set())];
+    for step in steps {
+        let mut span = step_span(ctx, step);
+        match &step.kind {
+            StepKind::Join { .. } => {
+                let Literal::Pos(m) = &rule.body[step.literal] else {
+                    unreachable!("join step on a non-positive literal");
+                };
+                let use_delta = plan.delta_literal == Some(step.literal);
+                acc = join_positive(acc, m, ctx, use_delta)?;
+            }
+            StepKind::Constraint { mode: Some(mode) } => {
+                let Literal::Constraint(lhs, op, rhs) = &rule.body[step.literal] else {
+                    unreachable!("constraint step on a non-constraint literal");
+                };
+                acc = apply_constraint(acc, lhs, *op, rhs, *mode)?;
+            }
+            StepKind::Constraint { mode: None } => {
+                return Err(Error::Unsafe(format!(
+                    "constraint `{}` could not be scheduled (unbound variable)",
+                    rule.body[step.literal]
+                )));
+            }
+            StepKind::Negation => {
+                let Literal::Neg(m) = &rule.body[step.literal] else {
+                    unreachable!("negation step on a non-negated literal");
+                };
+                acc = apply_negation(acc, m, ctx)?;
+            }
+        }
+        step.note_actual(acc.len());
+        if let Some(s) = span.as_mut() {
+            s.add("rows", acc.len() as u64);
+        }
+        // An empty accumulator is absorbing for every remaining step
+        // except the unschedulable-constraint error.
+        if acc.is_empty() && matches!(step.kind, StepKind::Join { .. }) && !plan.has_unschedulable {
+            return Ok(vec![]);
+        }
+    }
+    Ok(acc)
 }
 
 /// Applies a constraint to every binding in its scheduled mode: assignments
@@ -420,16 +528,56 @@ fn join_chunk(
     use_delta: bool,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     let mut out = Vec::new();
-    for (b, ivs) in acc {
-        let mask = ivs.hull();
-        for (b2, ivs2) in eval_matom_masked(m, ctx, use_delta, b, mask)? {
-            let joined = ivs.intersect(&ivs2);
-            if !joined.is_empty() {
-                out.push((b2, joined));
-            }
-        }
-    }
+    join_each(acc, m, ctx, use_delta, &mut |hit, joined| {
+        out.push((hit.to_bindings(), joined));
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// The fused last join of [`execute_heads`]: joins the accumulator with a
+/// positive metric atom and unions each joined row into `table` under its
+/// head tuple, on the calling thread. Returns the binding rows the join
+/// made.
+fn join_heads(
+    acc: &[(Bindings, IntervalSet)],
+    m: &MetricAtom,
+    ctx: &EvalCtx<'_>,
+    use_delta: bool,
+    rule: &Rule,
+    table: &mut HeadTable,
+) -> Result<usize> {
+    let mut values = Vec::with_capacity(rule.head.atom.args.len());
+    let mut rows = 0;
+    join_each(acc, m, ctx, use_delta, &mut |hit, joined| {
+        rows += 1;
+        head_values(rule, |x| hit.get(x), &mut values)?;
+        table.add(&values, joined);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// Calls `f` with every non-empty joined row of `acc` and a positive
+/// metric atom, the accumulated interval hull pushed down as a read mask.
+fn join_each(
+    acc: &[(Bindings, IntervalSet)],
+    m: &MetricAtom,
+    ctx: &EvalCtx<'_>,
+    use_delta: bool,
+    f: &mut Emit<'_>,
+) -> Result<()> {
+    for (b, ivs) in acc {
+        eval_matom_masked(m, ctx, use_delta, b, ivs.hull(), &mut |hit, ivs2| {
+            let joined = ivs.intersect(&ivs2);
+            if joined.is_empty() {
+                Ok(())
+            } else {
+                f(hit, joined)
+            }
+        })?;
+    }
+    Ok(())
 }
 
 /// Subtracts the (existentially closed) intervals of a negated metric atom.
@@ -440,11 +588,11 @@ fn apply_negation(
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     let mut out = Vec::with_capacity(acc.len());
     for (b, ivs) in acc {
-        let mask = ivs.hull();
         let mut neg = IntervalSet::new();
-        for (_, nivs) in eval_matom_masked(m, ctx, false, &b, mask)? {
+        eval_matom_masked(m, ctx, false, &b, ivs.hull(), &mut |_, nivs| {
             neg.union_with(&nivs);
-        }
+            Ok(())
+        })?;
         let rest = ivs.difference(&neg);
         if !rest.is_empty() {
             out.push((b, rest));
@@ -453,15 +601,58 @@ fn apply_negation(
     Ok(out)
 }
 
+/// One result of a metric-atom evaluation, handed to the caller's [`Emit`]
+/// callback before any binding map is built: the binding the evaluation
+/// started from, plus what the result binds on top of it.
+pub(crate) struct Hit<'h> {
+    base: &'h Bindings,
+    /// The matched tuple's fresh argument variables, then the `@T` capture
+    /// (which overrides a semantically equal earlier value).
+    binds: &'h [(Symbol, Value)],
+}
+
+impl Hit<'_> {
+    /// A result that binds nothing beyond `base`.
+    fn of(base: &Bindings) -> Hit<'_> {
+        Hit { base, binds: &[] }
+    }
+
+    /// The value `var` has in this result.
+    fn get(&self, var: Symbol) -> Option<Value> {
+        match self.binds.iter().rev().find(|(v, _)| *v == var) {
+            Some(&(_, value)) => Some(value),
+            None => self.base.get(&var).copied(),
+        }
+    }
+
+    /// The result as an extended binding.
+    fn to_bindings(&self) -> Bindings {
+        let mut b = self.base.clone();
+        b.extend(self.binds.iter().copied());
+        b
+    }
+}
+
+/// What a metric-atom evaluation calls with each of its results and the
+/// (operator-transformed, non-empty) interval set at which it holds.
+pub(crate) type Emit<'e> = dyn FnMut(&Hit<'_>, IntervalSet) -> Result<()> + 'e;
+
+type TransformResult = std::result::Result<IntervalSet, mtl_temporal::TimeOverflow>;
+
 /// Evaluates a metric atom under a binding, returning extended bindings with
 /// the (operator-transformed) interval sets.
-pub(crate) fn eval_matom(
+fn eval_matom(
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
     binding: &Bindings,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
-    eval_matom_masked(m, ctx, use_delta, binding, None)
+    let mut out = Vec::new();
+    eval_matom_masked(m, ctx, use_delta, binding, None, &mut |hit, ivs| {
+        out.push((hit.to_bindings(), ivs));
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Masked evaluation: `mask`, when present, is a time window such that only
@@ -469,14 +660,15 @@ pub(crate) fn eval_matom(
 /// the operator tree (inversely transformed at each unary operator) and
 /// applied as a binary-searched clip at the relation leaves — exact, since
 /// the base points relevant to outputs in `mask` lie inside the pushed-down
-/// window.
+/// window. Every result goes to `emit`, in evaluation order.
 pub(crate) fn eval_matom_masked(
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
     binding: &Bindings,
     mask: Option<Interval>,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
+    emit: &mut Emit<'_>,
+) -> Result<()> {
     // Base times contributing to past-operator outputs in `mask` lie in
     // mask ⊕ mirrored-ρ, which is exactly the hull transform below. All
     // endpoint shifts are checked: a window near the timeline extremes
@@ -493,49 +685,51 @@ pub(crate) fn eval_matom_masked(
             .transpose()
             .map_err(Error::from)
     };
-    // Applies a checked interval-set transform to every inner result,
-    // dropping bindings whose transformed set is empty.
-    fn transform(
-        inner: Vec<(Bindings, IntervalSet)>,
-        f: impl Fn(&IntervalSet) -> std::result::Result<IntervalSet, mtl_temporal::TimeOverflow>,
-    ) -> Result<Vec<(Bindings, IntervalSet)>> {
-        let mut out = Vec::with_capacity(inner.len());
-        for (b, ivs) in inner {
-            let t = f(&ivs)?;
-            if !t.is_empty() {
-                out.push((b, t));
+    // Evaluates the operand over `mask` and applies a checked interval-set
+    // transform to every result, dropping results whose transformed set is
+    // empty.
+    let mut transform = |inner: &MetricAtom,
+                         mask: Option<Interval>,
+                         f: fn(&IntervalSet, &MetricInterval) -> TransformResult,
+                         rho: &MetricInterval| {
+        eval_matom_masked(inner, ctx, use_delta, binding, mask, &mut |hit, ivs| {
+            let t = f(&ivs, rho)?;
+            if t.is_empty() {
+                Ok(())
+            } else {
+                emit(hit, t)
             }
-        }
-        Ok(out)
-    }
+        })
+    };
     match m {
-        MetricAtom::Top => Ok(vec![(binding.clone(), IntervalSet::from_interval(ctx.top))]),
-        MetricAtom::Bottom => Ok(vec![]),
-        MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, binding, mask),
+        MetricAtom::Top => emit(&Hit::of(binding), IntervalSet::from_interval(ctx.top)),
+        MetricAtom::Bottom => Ok(()),
+        MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, binding, mask, emit),
         MetricAtom::DiamondMinus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, past_mask(rho)?)?,
-            |ivs| ivs.checked_diamond_minus(rho),
+            inner,
+            past_mask(rho)?,
+            IntervalSet::checked_diamond_minus,
+            rho,
         ),
         MetricAtom::DiamondPlus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, future_mask(rho)?)?,
-            |ivs| ivs.checked_diamond_plus(rho),
+            inner,
+            future_mask(rho)?,
+            IntervalSet::checked_diamond_plus,
+            rho,
         ),
-        MetricAtom::BoxMinus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, past_mask(rho)?)?,
-            |ivs| ivs.checked_box_minus(rho),
-        ),
-        MetricAtom::BoxPlus(rho, inner) => transform(
-            eval_matom_masked(inner, ctx, use_delta, binding, future_mask(rho)?)?,
-            |ivs| ivs.checked_box_plus(rho),
-        ),
+        MetricAtom::BoxMinus(rho, inner) => {
+            transform(inner, past_mask(rho)?, IntervalSet::checked_box_minus, rho)
+        }
+        MetricAtom::BoxPlus(rho, inner) => {
+            transform(inner, future_mask(rho)?, IntervalSet::checked_box_plus, rho)
+        }
         MetricAtom::Since(m1, rho, m2) => {
             debug_assert!(!use_delta, "delta never designates multi-atom literals");
-            let mut out = Vec::new();
             for (b1, iv1) in eval_matom(m1, ctx, false, binding)? {
                 for (b2, iv2) in eval_matom(m2, ctx, false, &b1)? {
                     let s = iv1.since(&iv2, rho);
                     if !s.is_empty() {
-                        out.push((b2, s));
+                        emit(&Hit::of(&b2), s)?;
                     }
                 }
             }
@@ -543,28 +737,33 @@ pub(crate) fn eval_matom_masked(
             // no matching tuples; cover the empty-M1 case explicitly.
             if rho.as_interval().contains(mtl_temporal::Rational::ZERO) {
                 for (b2, iv2) in eval_matom(m2, ctx, false, binding)? {
-                    out.push((b2, IntervalSet::new().since(&iv2, rho)));
+                    let s = IntervalSet::new().since(&iv2, rho);
+                    if !s.is_empty() {
+                        emit(&Hit::of(&b2), s)?;
+                    }
                 }
             }
-            Ok(out.into_iter().filter(|(_, s)| !s.is_empty()).collect())
+            Ok(())
         }
         MetricAtom::Until(m1, rho, m2) => {
             debug_assert!(!use_delta, "delta never designates multi-atom literals");
-            let mut out = Vec::new();
             for (b1, iv1) in eval_matom(m1, ctx, false, binding)? {
                 for (b2, iv2) in eval_matom(m2, ctx, false, &b1)? {
                     let s = iv1.until(&iv2, rho);
                     if !s.is_empty() {
-                        out.push((b2, s));
+                        emit(&Hit::of(&b2), s)?;
                     }
                 }
             }
             if rho.as_interval().contains(mtl_temporal::Rational::ZERO) {
                 for (b2, iv2) in eval_matom(m2, ctx, false, binding)? {
-                    out.push((b2, IntervalSet::new().until(&iv2, rho)));
+                    let s = IntervalSet::new().until(&iv2, rho);
+                    if !s.is_empty() {
+                        emit(&Hit::of(&b2), s)?;
+                    }
                 }
             }
-            Ok(out.into_iter().filter(|(_, s)| !s.is_empty()).collect())
+            Ok(())
         }
     }
 }
@@ -578,6 +777,9 @@ struct ProbeScratch {
     value: Vec<u32>,
     time: Vec<u32>,
     both: Vec<u32>,
+    /// What the tuple being visited binds: the [`Hit::binds`] of its
+    /// results.
+    binds: Vec<(Symbol, Value)>,
 }
 
 thread_local! {
@@ -591,14 +793,17 @@ thread_local! {
 /// is observed here — the relation's size, whether any argument is ground
 /// under the current binding, whether a read mask restricts the window.
 /// Candidates still pass through full unification, so the path is purely an
-/// optimization.
+/// optimization. Each match goes to `emit` as a [`Hit`] that reads the
+/// variables it binds straight off the decoded columns; a caller that
+/// wants a binding map builds one.
 fn eval_rel(
     atom: &Atom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
     binding: &Bindings,
     mask: Option<Interval>,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
+    emit: &mut Emit<'_>,
+) -> Result<()> {
     let db = if use_delta {
         ctx.delta
             .expect("delta variant evaluated without a delta database")
@@ -609,7 +814,7 @@ fn eval_rel(
         // Still an eval_rel call: account for it as a zero-tuple full scan
         // so `index_probes + full_scans` covers every call.
         JoinCounters::bump(&ctx.counters.full_scans, 1);
-        return Ok(vec![]);
+        return Ok(());
     };
 
     // On the (cold) error paths below the scratch is simply dropped and
@@ -736,7 +941,7 @@ fn eval_rel(
     }
     let lens = s.lens();
     let arity_u32 = arity as u32;
-    let mut out = Vec::new();
+    let binds = &mut scr.binds;
     let mut visit = |id: u32| -> Result<()> {
         if lens[id as usize] != arity_u32 {
             return Ok(());
@@ -764,14 +969,20 @@ fn eval_rel(
         if clipped.is_empty() {
             return Ok(());
         }
-        let mut b2 = binding.clone();
+        binds.clear();
         for c in &checks {
             if let Chk::Bind { col, var } = *c {
-                b2.entry(var).or_insert_with(|| g.decode(col[id as usize]));
+                binds.push((var, g.decode(col[id as usize])));
             }
         }
         match atom.time_var {
-            None => out.push((b2, clipped)),
+            None => emit(
+                &Hit {
+                    base: binding,
+                    binds: binds.as_slice(),
+                },
+                clipped,
+            )?,
             Some(tv) => {
                 // The capture refers to the base fact's own time points, so
                 // the fact must be punctual.
@@ -783,15 +994,26 @@ fn eval_rel(
                         vals.into_boxed_slice()
                     ))
                 })?;
+                let existing = Hit {
+                    base: binding,
+                    binds: binds.as_slice(),
+                }
+                .get(tv);
                 for p in points {
                     let tval = Value::from_time(p);
-                    match b2.get(&tv) {
-                        Some(existing) if !existing.semantic_eq(&tval) => continue,
-                        _ => {}
+                    if existing.is_some_and(|e| !e.semantic_eq(&tval)) {
+                        continue;
                     }
-                    let mut b3 = b2.clone();
-                    b3.insert(tv, tval);
-                    out.push((b3, IntervalSet::from_interval(Interval::point(p))));
+                    binds.push((tv, tval));
+                    let at = IntervalSet::from_interval(Interval::point(p));
+                    emit(
+                        &Hit {
+                            base: binding,
+                            binds: binds.as_slice(),
+                        },
+                        at,
+                    )?;
+                    binds.pop();
                 }
             }
         }
@@ -812,7 +1034,7 @@ fn eval_rel(
         }
     }
     PROBE_SCRATCH.set(scr);
-    Ok(out)
+    Ok(())
 }
 
 /// Intersection of two ascending-sorted id lists into a reused buffer,

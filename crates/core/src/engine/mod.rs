@@ -21,7 +21,7 @@ pub use plan::{PlanExplain, PlanStepExplain};
 pub use session::{BaseEvent, RepairPath, RepairReport, Session};
 
 use crate::analysis::{check_program, DependencyGraph, Stratification};
-use crate::ast::{HeadOp, Literal, Program, Rule, Term};
+use crate::ast::{HeadOp, Literal, Program, Rule};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::rewrite::{self, Query};
@@ -29,7 +29,7 @@ use crate::symbol::Symbol;
 use crate::value::Tuple;
 use chain::{Chains, GuardSets};
 use chronolog_obs::{Json, SpanRecorder};
-use eval::{delta_eligible, execute_plan, EvalCtx, JoinCounters};
+use eval::{delta_eligible, execute_heads, EvalCtx, JoinCounters};
 use mtl_temporal::{Interval, IntervalSet};
 use pool::WorkerPool;
 use std::collections::{BTreeMap, HashSet};
@@ -135,11 +135,15 @@ pub struct RuleStats {
     pub body_evaluations: usize,
     /// Tuples read from the delta database by semi-naive variants.
     pub delta_tuples: usize,
-    /// `(binding, intervals)` results produced by body evaluations.
+    /// Head rows produced by body evaluations: one per distinct head tuple
+    /// per evaluation, after the union over its bindings (the bindings
+    /// themselves are the planner's `actual_rows`), plus the steps of this
+    /// rule's chain closures.
     pub derivations: usize,
     /// Head tuples this rule derived that did not previously exist.
     pub tuples_derived: usize,
-    /// Interval components emitted before merging into the database.
+    /// Interval components of the head rows (after head operators, the
+    /// window clip and chain closure) offered to the merge.
     pub components_emitted: usize,
     /// Interval components that survived merge coalescing (net growth).
     pub components_added: usize,
@@ -313,7 +317,10 @@ pub struct RunStats {
     /// Always 0: kept for `benchmark/src/perp.rs`, goes with the next PR
     /// allowed to edit `benchmark/`.
     pub planner_estimated_rows: u64,
-    /// Bindings actually produced by executed plans.
+    /// Bindings the executed plans' join pipelines produced: per
+    /// execution, the rows out of the last join step (one seed row for a
+    /// join-free plan), before the per-evaluation union into head rows —
+    /// the sum of the `actual_rows` of [`RunStats::plan_explains`].
     pub planner_actual_rows: u64,
     /// Worker-pool dispatches that reused already-running workers.
     pub pool_reuses: u64,
@@ -383,20 +390,27 @@ impl UsedPlans {
     /// Records the plans one stratum run used, each with the reading taken
     /// before it first ran there; a variant an earlier stratum run recorded
     /// (sessions re-run strata) adds to its counts. Returns the plans new
-    /// to this run.
-    fn record(&mut self, program: &Arc<Program>, used: VariantPlans) -> Vec<Arc<plan::RulePlan>> {
+    /// to this run and the bindings the stratum run's plans produced.
+    fn record(
+        &mut self,
+        program: &Arc<Program>,
+        used: VariantPlans,
+    ) -> (Vec<Arc<plan::RulePlan>>, u64) {
         if self.program.is_none() {
             self.program = Some(Arc::clone(program));
         }
         let mut new = Vec::new();
+        let mut bindings = 0;
         for (variant, (plan, before)) in used {
+            let ran = plan::PlanCounts::since(&plan.counts(), &before);
+            bindings += plan.bindings(&ran);
             let slot = self.plans.entry(variant).or_insert_with(|| {
                 new.push(Arc::clone(&plan));
                 (Arc::clone(&plan), plan::PlanCounts::default())
             });
-            slot.1.add_since(&plan.counts(), &before);
+            slot.1.add(&ran);
         }
-        new
+        (new, bindings)
     }
 }
 
@@ -1291,7 +1305,6 @@ impl Reasoner {
         // The plan of each variant that ran, with its counters as they
         // stood before it first ran here, for `RunStats::plan_explains`.
         let mut used_plans = VariantPlans::new();
-        let mut planner_actual_rows = 0u64;
         // Last round's additions: all of them, and per self-chain rule the
         // ones *other* rules made to its head predicate.
         let mut prev_delta = Database::new();
@@ -1371,7 +1384,7 @@ impl Reasoner {
             };
             let pool = (pool_threads > 1).then(|| self.worker_pool()).flatten();
             let inner_threads = if tasks.len() > 1 { 1 } else { pool_threads };
-            type EvalOut = (Result<Vec<(eval::Bindings, IntervalSet)>>, Duration);
+            type EvalOut = (Result<Vec<(Tuple, IntervalSet)>>, Duration);
             let eval_out: Vec<EvalOut> = {
                 let total_snapshot: &Database = total;
                 fan_out(tasks.len(), pool_threads, pool, &mut stats.workers, |i| {
@@ -1400,7 +1413,7 @@ impl Reasoner {
                         profiler: self.config.profiler.as_ref(),
                     };
                     let eval_start = Instant::now();
-                    let r = execute_plan(&rules[task.rule], task.plan, &ctx, Default::default());
+                    let r = execute_heads(&rules[task.rule], task.plan, &ctx);
                     if let (Some(s), Ok(rows)) = (rule_span.as_mut(), &r) {
                         s.add("derivations", rows.len() as u64);
                     }
@@ -1415,13 +1428,12 @@ impl Reasoner {
                 .map(|task| (task.rule, task.delta.map(Database::tuple_count)))
                 .collect();
 
-            // Merge every task's derivations back in fixed task order.
+            // Merge every task's head rows back in fixed task order.
             for ((rule_idx, delta_tuples), (results, eval_wall)) in done.into_iter().zip(eval_out) {
                 let rule = &rules[rule_idx];
                 let head = rule.head.atom.pred;
                 let merge_start = Instant::now();
                 let results = results?;
-                planner_actual_rows += results.len() as u64;
                 stats.rule_evaluations += 1;
                 let rstats = &mut stats.rules[rule_idx];
                 rstats.body_evaluations += 1;
@@ -1430,8 +1442,7 @@ impl Reasoner {
                     rstats.delta_tuples += n;
                 }
                 rstats.derivations += results.len();
-                for (binding, ivs) in results {
-                    let tuple = ground_head(rule, &binding)?;
+                for (tuple, ivs) in results {
                     let mut out = ivs;
                     for op in &rule.head.ops {
                         out = apply_head_op(op, &out)?;
@@ -1463,7 +1474,7 @@ impl Reasoner {
                             &mut guard_sets,
                             rule_idx,
                             rule,
-                            &binding,
+                            &tuple,
                             out,
                             stored,
                             &ctx,
@@ -1477,6 +1488,9 @@ impl Reasoner {
                         out = closed.out;
                     }
                     stats.rules[rule_idx].components_emitted += out.components().len();
+                    if covers(stored, &out) {
+                        continue;
+                    }
                     let added = total.merge(head, &tuple, &out)?;
                     if !added.is_empty() {
                         grew = true;
@@ -1525,11 +1539,12 @@ impl Reasoner {
 
         // Planner counters, and the stratum's share of pool lifecycle
         // events (swapped out so a session advance only counts its own).
-        for new in stats.used_plans.record(&self.program, used_plans) {
+        let (new_plans, bindings) = stats.used_plans.record(&self.program, used_plans);
+        for new in new_plans {
             stats.plans_built += 1;
             stats.reorders_applied += u64::from(new.reordered);
         }
-        stats.planner_actual_rows += planner_actual_rows;
+        stats.planner_actual_rows += bindings;
         if let Some(pool) = self.pool.get() {
             stats.pool_respawns += pool.respawns.swap(0, Ordering::Relaxed);
             stats.pool_reuses += pool.reuses.swap(0, Ordering::Relaxed);
@@ -1648,22 +1663,11 @@ pub(crate) fn capture_storage_stats(db: &Database, stats: &mut RunStats) {
     };
 }
 
-fn ground_head(rule: &Rule, binding: &eval::Bindings) -> Result<Tuple> {
-    rule.head
-        .atom
-        .args
-        .iter()
-        .map(|t| match t {
-            Term::Val(v) => Ok(*v),
-            Term::Var(x) => binding.get(x).copied().ok_or_else(|| {
-                Error::Eval(format!(
-                    "unbound head variable {x} in rule `{}`",
-                    rule.label.as_deref().unwrap_or("<unlabeled>")
-                ))
-            }),
-        })
-        .collect::<Result<Vec<_>>>()
-        .map(Vec::into_boxed_slice)
+/// Does a tuple's `stored` component slice hold every point of `row`? Then
+/// merging the row would add nothing.
+fn covers(stored: &[Interval], row: &IntervalSet) -> bool {
+    row.hull()
+        .is_some_and(|hull| row.subset_of(&IntervalSet::clip_components(stored, &hull)))
 }
 
 #[cfg(test)]

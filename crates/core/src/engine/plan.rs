@@ -155,12 +155,22 @@ pub(crate) struct PlanCounts {
 }
 
 impl PlanCounts {
-    /// `self += later − earlier`: what the plan did between two readings.
-    pub(crate) fn add_since(&mut self, later: &PlanCounts, earlier: &PlanCounts) {
-        self.executions += later.executions - earlier.executions;
-        self.step_rows.resize(later.step_rows.len(), 0);
-        for (i, rows) in self.step_rows.iter_mut().enumerate() {
-            *rows += later.step_rows[i] - earlier.step_rows[i];
+    /// `later − earlier`: what the plan did between two readings.
+    pub(crate) fn since(later: &PlanCounts, earlier: &PlanCounts) -> PlanCounts {
+        PlanCounts {
+            executions: later.executions - earlier.executions,
+            step_rows: (later.step_rows.iter().zip(&earlier.step_rows))
+                .map(|(l, e)| l - e)
+                .collect(),
+        }
+    }
+
+    /// `self += other`.
+    pub(crate) fn add(&mut self, other: &PlanCounts) {
+        self.executions += other.executions;
+        self.step_rows.resize(other.step_rows.len(), 0);
+        for (rows, more) in self.step_rows.iter_mut().zip(&other.step_rows) {
+            *rows += more;
         }
     }
 }
@@ -168,6 +178,18 @@ impl PlanCounts {
 impl RulePlan {
     pub(crate) fn note_execution(&self) {
         self.executions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Bindings out of the join pipeline in `counts` (a reading of this
+    /// plan's counters, or a difference of two): the rows after the last
+    /// join step. A join-free plan seeds one row per execution.
+    pub(crate) fn bindings(&self, counts: &PlanCounts) -> u64 {
+        self.steps
+            .iter()
+            .zip(&counts.step_rows)
+            .rev()
+            .find(|(s, _)| matches!(s.kind, StepKind::Join { .. }))
+            .map_or(counts.executions, |(_, &rows)| rows)
     }
 
     pub(crate) fn counts(&self) -> PlanCounts {
@@ -465,23 +487,13 @@ pub(crate) fn explain(
             }
         })
         .collect();
-    let executions = counts.executions;
-    // Bindings out of the join pipeline: the accumulated rows after the
-    // last join step. A join-free plan seeds one row per execution.
-    let actual_rows = plan
-        .steps
-        .iter()
-        .zip(&counts.step_rows)
-        .rev()
-        .find(|(s, _)| matches!(s.kind, StepKind::Join { .. }))
-        .map_or(executions, |(_, &rows)| rows);
     PlanExplain {
         rule: rule_idx,
         label: label.to_string(),
         delta_literal: plan.delta_literal,
         reordered: plan.reordered,
-        executions,
-        actual_rows,
+        executions: counts.executions,
+        actual_rows: plan.bindings(counts),
         steps,
     }
 }

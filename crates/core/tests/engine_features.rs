@@ -215,3 +215,19 @@ fn facts_over_open_intervals_negate_precisely() {
         &[Interval::closed_int(0, 2), Interval::closed_int(4, 10),]
     );
 }
+
+#[test]
+fn aggregate_heads_keep_one_insertion_order() {
+    // Twelve groups: a per-run hash seed would shuffle them.
+    let facts: String = (0..12).map(|i| format!("v(k{i}, {i})@1.\n")).collect();
+    let order = || -> Vec<String> {
+        let db = run("tot(A, sum(X)) :- v(A, X).", &facts, (0, 5));
+        let tot = db.relation(chronolog_core::Symbol::new("tot")).unwrap();
+        tot.iter().map(|(t, _)| t.value(0).to_string()).collect()
+    };
+    let first = order();
+    assert_eq!(first.len(), 12);
+    for _ in 0..4 {
+        assert_eq!(order(), first, "aggregate heads merged in another order");
+    }
+}

@@ -257,6 +257,31 @@ fn plan_explains_are_a_snapshot_of_their_own_run() {
     }
 }
 
+/// An evaluation is counted twice. `planner_actual_rows` counts bindings —
+/// the rows out of each plan's last join step, before the union — and is
+/// exactly the sum of the plan explains' `actual_rows`. `derivations`
+/// counts head rows after the union: one per head tuple per evaluation
+/// (plus chain-closure steps). On netting, with no frame rule, 250 020
+/// bindings become 58 260 head rows.
+#[test]
+fn bindings_and_head_rows_are_counted_apart() {
+    for (name, src, lo, hi) in corpus() {
+        let (stats, _) = materialize(&src, lo, hi, true);
+        let explained: u64 = stats.plan_explains().iter().map(|p| p.actual_rows).sum();
+        assert_eq!(
+            stats.planner_actual_rows, explained,
+            "{name}: planner actual rows are the plans' binding rows"
+        );
+        if name == "netting" {
+            let rows: usize = stats.rules.iter().map(|r| r.derivations).sum();
+            let emitted: usize = stats.rules.iter().map(|r| r.components_emitted).sum();
+            assert_eq!((rows, emitted), (58_260, 58_260), "{name}");
+            assert_eq!(stats.planner_actual_rows, 250_020, "{name}");
+            assert_eq!(stats.derived_components, 7_200, "{name}");
+        }
+    }
+}
+
 /// A lookup against a relation with no facts at all is still a lookup:
 /// it must land in `full_scans` (walking zero tuples), not vanish.
 #[test]

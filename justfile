@@ -37,6 +37,10 @@ bench-e2e-smoke:
 # once: the session uses at most the batch run's plans plus one seeded
 # variant per positive body literal (9 in corpus/margin.dmtl), however many
 # advances it makes, and neither report has the retired feedback fields.
+# The netting leg pins both counts of a rule evaluation: 250 020 bindings
+# out of the plans' last joins (`planner.actual_rows`) become fewer head
+# rows (Σ `derivations`), adding 7 200 components, and the facts at two
+# threads are the facts at one.
 exact-counts:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -55,6 +59,13 @@ exact-counts:
     plans() { grep -o '"plans_built": [0-9]*' "$1" | grep -o '[0-9]*$'; }
     echo "plans built: batch $(plans "$out/batch.json"), session $(plans "$out/session.json")"
     test "$(plans "$out/session.json")" -le "$(( $(plans "$out/batch.json") + 9 ))"
+    for threads in 1 2; do
+        cargo run --release -q -p chronolog-cli -- run corpus/netting.dmtl --horizon 0..20 \
+            --threads "$threads" --facts --stats-json "$out/netting-$threads.json" \
+            > "$out/netting-$threads.txt"
+    done
+    diff "$out/netting-1.txt" "$out/netting-2.txt"
+    python3 scripts/netting_counts.py "$out/netting-1.json"
 
 # The explanation gate CI runs: a derivation tree is computed from the
 # model, so a session explains a fact byte for byte as the batch run does —
