@@ -7,7 +7,6 @@
 //! repro --table perf          # §4.2 runtimes
 //! repro --table fig1          # predicate dependency graph (DOT)
 //! repro --table fig2          # market-metric formulas
-//! repro --table ablations     # semi-naive vs naive fixpoint
 //! repro --table all           # everything above (default)
 //! repro --table export        # write the three interval ledgers to data/
 //! repro --table perf --json out.json   # also write a machine-readable report
@@ -22,7 +21,7 @@ use chronolog_cli::run_report;
 use chronolog_core::{DependencyGraph, Reasoner, ReasonerConfig};
 use chronolog_market::TraceStats;
 use chronolog_obs::Json;
-use chronolog_perp::harness::{run_datalog, run_datalog_with, validate, ErrorStats};
+use chronolog_perp::harness::{run_datalog, validate, ErrorStats};
 use chronolog_perp::{program, MarketParams};
 use std::time::Instant;
 
@@ -48,7 +47,7 @@ fn main() {
                 }));
             }
             "--help" | "-h" => {
-                println!("usage: repro [--table fig1|fig2|fig3|fig4|fig5|perf|ablations|all] [--json FILE]");
+                println!("usage: repro [--table fig1|fig2|fig3|fig4|fig5|perf|all] [--json FILE]");
                 return;
             }
             other => {
@@ -66,7 +65,6 @@ fn main() {
         "fig4" => fig4(),
         "fig5" => fig5(),
         "perf" => perf(json_path.as_deref()),
-        "ablations" => ablations(),
         "export" => export(),
         "all" => {
             fig1();
@@ -75,7 +73,6 @@ fn main() {
             fig4();
             fig5();
             perf(json_path.as_deref());
-            ablations();
         }
         other => {
             eprintln!("unknown table: {other}");
@@ -321,45 +318,4 @@ fn perf(json_path: Option<&str>) {
         std::fs::write(path, doc.to_pretty()).expect("write --json report");
         println!("wrote machine-readable perf report to {path}\n");
     }
-}
-
-/// Ablation: semi-naive vs naive fixpoint on the 108-event interval.
-fn ablations() {
-    println!("== Ablations ==\n");
-    let params = MarketParams::default();
-    let (config, trace) = &paper_traces()[1];
-
-    let t0 = Instant::now();
-    let semi = run_datalog(trace, &params).unwrap();
-    let semi_t = t0.elapsed().as_secs_f64();
-    let naive_config = ReasonerConfig {
-        semi_naive: false,
-        ..ReasonerConfig::default()
-    };
-    let t0 = Instant::now();
-    let naive = run_datalog_with(trace, &params, naive_config).unwrap();
-    let naive_t = t0.elapsed().as_secs_f64();
-    assert_eq!(semi.run.frs, naive.run.frs, "fixpoint modes must agree");
-    println!(
-        "-- fixpoint strategy (interval {}, outputs identical) --",
-        config.name
-    );
-    println!(
-        "{}",
-        render_table(
-            &["strategy", "runtime", "rule evaluations"],
-            &[
-                vec![
-                    "semi-naive".into(),
-                    format!("{semi_t:.3}s"),
-                    semi.stats.rule_evaluations.to_string(),
-                ],
-                vec![
-                    "naive (full re-eval)".into(),
-                    format!("{naive_t:.3}s"),
-                    naive.stats.rule_evaluations.to_string(),
-                ],
-            ]
-        )
-    );
 }

@@ -949,8 +949,10 @@ impl Relation {
     }
 
     /// Time-index probe: tuple ids whose validity can overlap `window`, in
-    /// insertion order. Over-approximate (see [`TimeIndex`]): callers must
-    /// still clip each candidate's interval set exactly. Builds the index
+    /// insertion order. Over-approximate (the time index ignores endpoint
+    /// closedness, the gaps between teeth and superseded components):
+    /// callers must still clip each candidate's interval set exactly.
+    /// Builds the index
     /// on first use; it is then maintained incrementally by
     /// [`Relation::insert`] / [`Relation::merge`] and survives cloning.
     pub fn probe_time(&self, window: &Interval) -> Vec<u32> {

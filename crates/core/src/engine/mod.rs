@@ -4,8 +4,10 @@
 //! stratified DatalogMTL program over a temporal database: strata are
 //! processed in order; within a stratum, aggregate rules run once (their
 //! inputs are strictly lower, per stratified aggregation) and the remaining
-//! rules run to fixpoint with semi-naive deltas where the operators permit
-//! (see [`eval::delta_eligible`]).
+//! rules run to fixpoint with semi-naive deltas where the operators permit:
+//! a literal carries a delta when it is a chain of diamonds and punctual
+//! boxes over one atom; a rule whose current-stratum literal does not is
+//! re-evaluated in full every round.
 
 mod aggregate;
 mod chain;
@@ -44,7 +46,15 @@ use std::time::{Duration, Instant};
 /// the main thread.
 const PAR_MIN_EVAL_WALL: Duration = Duration::from_millis(2);
 
-/// Reasoner configuration.
+/// Reasoner configuration: the horizon the model is clipped to, resource
+/// budgets, worker threads, profiling and the repair budget. Beyond the
+/// horizon, none of them changes the model — only whether, how fast and how
+/// observably it is computed. The fixpoint
+/// strategy is not a setting: a rule runs semi-naive over its
+/// current-stratum literals, and in full each round only when one of them
+/// cannot carry a delta (a non-punctual box, `since`/`until`). The model is
+/// checked against one independent reference, the brute-force oracle of
+/// [`crate::naive`].
 #[derive(Clone, Debug)]
 pub struct ReasonerConfig {
     /// The reasoning horizon: derivations are clipped to this interval (the
@@ -55,10 +65,6 @@ pub struct ReasonerConfig {
     pub max_iterations: usize,
     /// Maximum total interval components in the materialization.
     pub max_components: usize,
-    /// Semi-naive evaluation. `false` re-evaluates every rule fully on every
-    /// iteration: the reference for programs outside the naive oracle's
-    /// integer-punctual fragment.
-    pub semi_naive: bool,
     /// When set, the engine records hierarchical timing spans
     /// (materialize → stratum → iteration → rule → join step) into this
     /// recorder, one lane per evaluating thread. `None` (the default)
@@ -85,7 +91,6 @@ impl Default for ReasonerConfig {
             horizon: Interval::ALL,
             max_iterations: 1_000_000,
             max_components: 50_000_000,
-            semi_naive: true,
             profiler: None,
             threads: 1,
             repair_budget: 50_000,
@@ -721,7 +726,6 @@ impl CompiledStratum {
     fn compile(
         program: &Program,
         rule_indices: &[usize],
-        semi_naive: bool,
         persisted: &HashSet<Symbol>,
     ) -> CompiledStratum {
         let current_preds: HashSet<Symbol> = rule_indices
@@ -784,7 +788,7 @@ impl CompiledStratum {
                 }
                 let mode = if !has_dep {
                     FixpointMode::Once
-                } else if blocked || !semi_naive {
+                } else if blocked {
                     FixpointMode::Full
                 } else {
                     FixpointMode::SemiNaive(dep_variants)
@@ -866,7 +870,7 @@ impl Reasoner {
         let compiled = strat
             .rules_by_stratum
             .iter()
-            .map(|rules| CompiledStratum::compile(&program, rules, config.semi_naive, &persisted))
+            .map(|rules| CompiledStratum::compile(&program, rules, &persisted))
             .collect();
         Ok(Reasoner {
             program: Arc::new(program),
@@ -1861,6 +1865,9 @@ mod tests {
         assert!(msg.contains("1000 interval components"), "{msg}");
     }
 
+    /// Semi-naive rounds and the naive oracle agree on recursion through
+    /// negation and a join of the recursive predicate with itself, at
+    /// every integer and half-integer point.
     #[test]
     fn naive_and_seminaive_agree() {
         let rules = "isOpen(A) :- tranM(A, M).\n\
@@ -1870,22 +1877,16 @@ mod tests {
         let program = parse_program(rules).unwrap();
         let mut db = Database::new();
         db.extend_facts(&parse_facts(facts).unwrap()).unwrap();
-        let mk = |semi| {
-            Reasoner::new(
-                program.clone(),
-                ReasonerConfig {
-                    semi_naive: semi,
-                    ..ReasonerConfig::default().with_horizon(0, 12)
-                },
-            )
-            .unwrap()
-            .materialize(&db)
-            .unwrap()
-            .database
-        };
-        let a = mk(true);
-        let b = mk(false);
-        assert_eq!(a.to_facts_text(), b.to_facts_text());
+        let engine = Reasoner::new(
+            program.clone(),
+            ReasonerConfig::default().with_horizon(0, 12),
+        )
+        .unwrap()
+        .materialize(&db)
+        .unwrap()
+        .database;
+        let oracle = crate::naive::naive_materialize(&program, &db, 0, 12).unwrap();
+        assert_eq!(crate::naive::grid_text(&engine, 0, 12), oracle.to_text());
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl Session {
                 self.now
             )));
         }
-        let cut = self.add_base_fact(&fact);
+        let cut = self.add_base_fact(&fact)?;
         self.repair(vec![fact.pred], cut)
     }
 
@@ -323,7 +323,7 @@ impl Session {
     /// applied, then a single repair pass covers their union. `old` must
     /// match a surviving (or queued) base fact; `new` obeys the same
     /// rules as [`Session::submit_late`]. Validation happens before any
-    /// mutation, so an error leaves the session unchanged.
+    /// mutation, so an invalid correction leaves the session unchanged.
     pub fn correct(&mut self, old: Fact, new: Fact) -> Result<RepairReport> {
         let old_pending = self.pending.iter().position(|p| same_fact(p, &old));
         if old_pending.is_none() && !self.asserted.iter().any(|a| same_fact(a, &old)) {
@@ -358,7 +358,7 @@ impl Session {
             self.submit(new)?;
         } else {
             preds.push(new.pred);
-            cuts.push(self.add_base_fact(&new));
+            cuts.push(self.add_base_fact(&new)?);
         }
         let Some(&cut) = cuts.iter().min() else {
             // Both halves only touched the pending queue.
@@ -430,15 +430,15 @@ impl Session {
         Ok(self.cut_for(fact))
     }
 
-    /// Adds one late base fact to the surviving set, the log, and the
-    /// materialization. Returns the repair cut.
-    fn add_base_fact(&mut self, fact: &Fact) -> Rational {
+    /// Adds one late base fact to the materialization, then to the
+    /// surviving set and the log — only once the insert succeeded, so a
+    /// failed insert ([`Error::InternerOverflow`]) logs nothing the
+    /// materialization did not receive. Returns the repair cut.
+    fn add_base_fact(&mut self, fact: &Fact) -> Result<Rational> {
+        self.total.insert_fact(fact)?;
         self.asserted.push(fact.clone());
         self.log.push(BaseEvent::Assert(fact.clone()));
-        self.total
-            .insert_fact(fact)
-            .expect("value interner exhausted");
-        self.cut_for(fact)
+        Ok(self.cut_for(fact))
     }
 
     /// The earliest instant whose derivations a base edit at `fact` can

@@ -7,7 +7,7 @@
 //! program that makes the engine materialize exactly that demanded slice:
 //!
 //! * **Cone extraction** — reverse reachability over the
-//!   [`DependencyGraph`](crate::analysis::DependencyGraph) keeps only the
+//!   [`DependencyGraph`] keeps only the
 //!   rules the query can possibly depend on.
 //! * **Adornment** — each guardable predicate gets one global binding
 //!   pattern: the set of argument positions every demand site can supply

@@ -13,9 +13,9 @@
 //! through a warm session and through corrections and compared with a cold
 //! run, since sessions and repair inherit the jump through `run_stratum`.
 
-use chronolog_core::naive::naive_materialize;
+use chronolog_core::naive::{grid_text, naive_materialize};
 use chronolog_core::{
-    parse_program, Database, Fact, Interval, IntervalSet, Rational, Reasoner, ReasonerConfig, Value,
+    parse_program, Database, Fact, Interval, Rational, Reasoner, ReasonerConfig, Value,
 };
 use chronolog_obs::SmallRng;
 
@@ -294,25 +294,6 @@ fn database_of(events: &[Event]) -> Database {
     db
 }
 
-/// The engine's model as sorted `pred(args)@t` lines over the integer
-/// grid — the oracle's output format.
-fn grid_text(db: &Database) -> String {
-    let mut lines = Vec::new();
-    for (pred, tuple, ivs) in db.iter() {
-        for t in T_MIN..=T_MAX {
-            if IntervalSet::components_contain(ivs, Rational::integer(t)) {
-                let args = (0..tuple.len())
-                    .map(|i| tuple.value(i).to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                lines.push(format!("{pred}({args})@{t}"));
-            }
-        }
-    }
-    lines.sort();
-    lines.join("\n")
-}
-
 fn cold(src: &str, db: &Database, threads: usize) -> chronolog_core::Materialization {
     Reasoner::new(
         parse_program(src).unwrap(),
@@ -334,7 +315,7 @@ fn check_against_oracle(template: &Template, events: &[Event], what: &str) -> us
         .unwrap_or_else(|e| panic!("{}: outside the oracle's fragment: {e}", template.name));
     let engine = cold(template.src, &db, 1);
     assert_eq!(
-        grid_text(&engine.database),
+        grid_text(&engine.database, T_MIN, T_MAX),
         oracle.to_text(),
         "{} ({what}): engine and oracle disagree\n{}\nevents: {events:?}",
         template.name,
@@ -601,7 +582,7 @@ fn a_punctual_chain_is_closed_without_a_component_or_a_moment_per_step() {
     );
 }
 
-/// Outside the oracle's integer-punctual fragment, checked by hand:
+/// Outside the oracle's closed integer-endpoint fragment, checked by hand:
 /// `p@[0, 1/2]` under `◇⁻[1,1]` with a blocker on `[5/2, 3]`. The guard set
 /// is `[0, 5/2) ∪ (3, 6]`, so the shifted copies are `[1, 3/2]`, then
 /// `[2, 5/2)` (the blocker takes the closed right end), then `(3, 7/2)`

@@ -4,14 +4,12 @@
 //! emitted components, chain closures — and nothing else: every model here
 //! is checked against the brute-force oracle, which knows no head table.
 
-use chronolog_core::naive::naive_materialize;
-use chronolog_core::{
-    parse_source, Database, IntervalSet, Materialization, Rational, Reasoner, ReasonerConfig,
-};
+use chronolog_core::naive::{grid_text, naive_materialize};
+use chronolog_core::{parse_source, Database, Materialization, Reasoner, ReasonerConfig};
 use chronolog_obs::SpanRecorder;
 
 /// Materializes `src` (rules and inline facts) over `[lo, hi]`, checks the
-/// model against the oracle on the integer grid, and returns the run.
+/// model against the oracle on the half-integer grid, and returns the run.
 fn run_checked(src: &str, lo: i64, hi: i64, config: ReasonerConfig) -> Materialization {
     let (program, facts) = parse_source(src).unwrap();
     let mut db = Database::new();
@@ -21,20 +19,8 @@ fn run_checked(src: &str, lo: i64, hi: i64, config: ReasonerConfig) -> Materiali
         .unwrap()
         .materialize(&db)
         .unwrap();
-    let mut lines = Vec::new();
-    for (pred, tuple, ivs) in m.database.iter() {
-        let args: Vec<String> = (0..tuple.len())
-            .map(|i| tuple.value(i).to_string())
-            .collect();
-        for t in lo..=hi {
-            if IntervalSet::components_contain(ivs, Rational::integer(t)) {
-                lines.push(format!("{pred}({})@{t}", args.join(", ")));
-            }
-        }
-    }
-    lines.sort();
     assert_eq!(
-        lines.join("\n"),
+        grid_text(&m.database, lo, hi),
         oracle,
         "engine and oracle disagree:\n{src}"
     );

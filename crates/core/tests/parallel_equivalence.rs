@@ -1,6 +1,6 @@
 //! Property tests for the join access paths and the threading knob: the
 //! secondary indexes are a pure access-path optimization — the engine must
-//! derive the model of the index-free brute-force oracle — and the worker
+//! derive the model of the brute-force oracle — and the worker
 //! pool merges in fixed rule order, so `threads` is observationally
 //! invisible.
 //!
@@ -10,8 +10,8 @@
 //! mixed `Int`/`Num` values so the indexes' semantic-equality buckets
 //! (`3` vs `3.0`) actually get exercised.
 
-use chronolog_core::naive::naive_materialize;
-use chronolog_core::{Database, IntervalSet, Rational, Reasoner, ReasonerConfig, Value};
+use chronolog_core::naive::{grid_text, naive_materialize};
+use chronolog_core::{Database, Reasoner, ReasonerConfig, Value};
 use chronolog_obs::SmallRng;
 use std::collections::BTreeSet;
 
@@ -134,9 +134,11 @@ fn semantic_lines<'a>(lines: impl Iterator<Item = &'a str>) -> BTreeSet<String> 
 }
 
 /// Indexed probes must select exactly the tuples a scan would unify: the
-/// engine's model on the integer grid equals the oracle's, which walks
-/// every stored tuple and knows no index — so a `3.0` key missing the
-/// bucket of `3` would lose a derivation here.
+/// engine's model on the half-integer grid equals the oracle's, which knows
+/// none of the engine's indexes — it scans the tuples holding at a cell,
+/// filed only by the `f64` value of their first argument, the very value
+/// `semantic_eq` compares — so a `3.0` key missing the bucket of `3` would
+/// lose a derivation here.
 #[test]
 fn indexed_joins_equal_full_scan() {
     for case in 0..64u64 {
@@ -151,20 +153,11 @@ fn indexed_joins_equal_full_scan() {
         .unwrap_or_else(|e| panic!("generated program must validate: {e}\n{src}"))
         .materialize(&db)
         .unwrap();
-        let mut engine = Vec::new();
-        for (pred, tuple, ivs) in m.database.iter() {
-            let args: Vec<String> = tuple.to_vec().iter().map(Value::to_string).collect();
-            for t in T_MIN..=T_MAX {
-                if IntervalSet::components_contain(ivs, Rational::integer(t)) {
-                    engine.push(format!("{pred}({})@{t}", args.join(", ")));
-                }
-            }
-        }
         let oracle = naive_materialize(&program, &db, T_MIN, T_MAX)
             .unwrap()
             .to_text();
         assert_eq!(
-            semantic_lines(engine.iter().map(String::as_str)),
+            semantic_lines(grid_text(&m.database, T_MIN, T_MAX).lines()),
             semantic_lines(oracle.lines()),
             "case {case}: indexed engine vs index-free oracle diverged\n{src}"
         );

@@ -1,14 +1,16 @@
 //! Engine vs brute-force oracle on *randomly generated* stratified
 //! programs — beyond the fixed templates of `engine_vs_naive.rs`, this
-//! explores rule shapes the templates don't: random operator chains,
-//! random join structure, recursion through shifted heads, and negation
-//! at random strata.
+//! explores rule shapes the templates don't: random operator chains —
+//! non-punctual `⊟`/`⊞` windows and `since`/`until` among them, which the
+//! engine evaluates in full every round when they wrap a recursive atom —
+//! random join structure, recursion through shifted heads, negation at
+//! random strata, and facts holding over whole intervals.
 //!
 //! Generation is driven by the deterministic in-repo `SmallRng` (one seed
 //! per case), so every failure is reproducible from the printed seed.
 
-use chronolog_core::naive::naive_materialize;
-use chronolog_core::{Database, IntervalSet, Rational, Reasoner, ReasonerConfig, Value};
+use chronolog_core::naive::{grid_text, naive_materialize};
+use chronolog_core::{Database, Interval, Reasoner, ReasonerConfig, Value};
 use chronolog_obs::SmallRng;
 
 const T_MIN: i64 = 0;
@@ -25,7 +27,7 @@ struct RuleSpec {
     head: usize,            // IDB index
     body: Vec<(usize, u8)>, // (atom source, operator code)
     negated: Option<usize>, // atom source for a trailing negation
-    window: (i64, i64),     // diamond window
+    window: (i64, i64),     // diamond, box and since/until window
     shift: i64,             // punctual box shift
 }
 
@@ -37,15 +39,18 @@ fn source_pred(src: usize) -> (&'static str, usize) {
     }
 }
 
-/// Draws one rule spec; `max_op` bounds the operator codes (5 = full
+/// Draws one rule spec; `max_op` bounds the operator codes (9 = full
 /// operator set, 3 = past-only, for the forward-propagating fragment).
 fn gen_rule(rng: &mut SmallRng, max_op: u8) -> RuleSpec {
     let head = rng.gen_range_usize(0, IDB.len());
     let body_len = rng.gen_range_usize(1, 4);
+    // Half the rules start from an EDB atom, so most programs have a base
+    // case for their recursion and derive something.
     let body = (0..body_len)
-        .map(|_| {
+        .map(|i| {
+            let sources = if i == 0 && rng.gen_bool(0.5) { 2 } else { 6 };
             (
-                rng.gen_range_usize(0, 6),
+                rng.gen_range_usize(0, sources),
                 rng.gen_range_i64(0, max_op as i64) as u8,
             )
         })
@@ -103,7 +108,11 @@ fn render_rule(spec: &RuleSpec) -> Option<String> {
             1 => format!("diamondminus[{wlo}, {whi}] {atom}"),
             2 => format!("boxminus[{s}, {s}] {atom}", s = spec.shift),
             3 => format!("diamondplus[{wlo}, {whi}] {atom}"),
-            _ => format!("boxplus[{s}, {s}] {atom}", s = spec.shift),
+            4 => format!("boxplus[{s}, {s}] {atom}", s = spec.shift),
+            5 => format!("boxminus[{wlo}, {whi}] {atom}"),
+            6 => format!("boxplus[{wlo}, {whi}] {atom}"),
+            7 => format!("since[{wlo}, {whi}](e1(X), {atom})"),
+            _ => format!("until[{wlo}, {whi}](e1(X), {atom})"),
         };
         body.push(wrapped);
     }
@@ -128,57 +137,52 @@ fn gen_program(rng: &mut SmallRng, max_op: u8) -> String {
         .join("\n")
 }
 
-fn gen_facts(rng: &mut SmallRng) -> Vec<(usize, i64, i64, i64)> {
+/// One EDB fact: predicate, two argument values, and the closed interval
+/// `[from, to]` it holds on — punctual when `from == to`.
+type EdbFact = (usize, i64, i64, i64, i64);
+
+/// Draws up to nine facts; half of them hold over up to `max_len` seconds
+/// (`0`: all punctual).
+fn gen_facts(rng: &mut SmallRng, max_len: i64) -> Vec<EdbFact> {
     let n = rng.gen_range_usize(0, 10);
     (0..n)
         .map(|_| {
-            (
+            let (e, x, y, t) = (
                 rng.gen_range_usize(0, 2),
                 rng.gen_range_i64(0, 3),
                 rng.gen_range_i64(0, 3),
                 rng.gen_range_i64(T_MIN, T_MAX + 1),
-            )
+            );
+            let len = if max_len > 0 && rng.gen_bool(0.5) {
+                rng.gen_range_i64(1, max_len + 1)
+            } else {
+                0
+            };
+            (e, x, y, t, t + len)
         })
         .collect()
 }
 
-fn build_db(facts: &[(usize, i64, i64, i64)]) -> Database {
+fn build_db(facts: &[EdbFact]) -> Database {
     let mut db = Database::new();
-    for &(e, x, y, t) in facts {
+    for &(e, x, y, from, to) in facts {
         let (name, arity) = EDB[e];
         let args: Vec<Value> = if arity == 1 {
             vec![Value::Int(x)]
         } else {
             vec![Value::Int(x), Value::Int(y)]
         };
-        db.assert_at(name, &args, t);
+        db.assert_over(name, &args, Interval::closed_int(from, to));
     }
     db
-}
-
-fn engine_text(db: &Database) -> String {
-    let mut lines = Vec::new();
-    for (pred, tuple, ivs) in db.iter() {
-        for t in T_MIN..=T_MAX {
-            if IntervalSet::components_contain(ivs, Rational::integer(t)) {
-                let args = (0..tuple.len())
-                    .map(|i| tuple.value(i).to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                lines.push(format!("{pred}({args})@{t}"));
-            }
-        }
-    }
-    lines.sort();
-    lines.join("\n")
 }
 
 #[test]
 fn random_programs_agree_with_oracle() {
     for case in 0..96u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ case);
-        let src = gen_program(&mut rng, 5);
-        let facts = gen_facts(&mut rng);
+        let src = gen_program(&mut rng, 9);
+        let facts = gen_facts(&mut rng, 4);
         if src.is_empty() {
             continue;
         }
@@ -194,7 +198,7 @@ fn random_programs_agree_with_oracle() {
         let naive = naive_materialize(&program, &db, T_MIN, T_MAX).unwrap();
         let engine = reasoner.materialize(&db).unwrap();
         assert_eq!(
-            engine_text(&engine.database),
+            grid_text(&engine.database, T_MIN, T_MAX),
             naive.to_text(),
             "case {case}: program:\n{src}\nfacts: {facts:?}"
         );
@@ -209,7 +213,7 @@ fn session_streaming_equals_batch() {
     for case in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(0xFACADE ^ (case << 8));
         let src = gen_program(&mut rng, 3);
-        let facts = gen_facts(&mut rng);
+        let facts = gen_facts(&mut rng, 0);
         if src.is_empty() {
             continue;
         }
@@ -226,7 +230,7 @@ fn session_streaming_equals_batch() {
         // Stream the same facts in time order: genesis facts (at T_MIN)
         // seed the session; later facts are grouped by timestamp, submitted
         // together, and the watermark advances after each group.
-        let mk_fact = |&(e, x, y, t): &(usize, i64, i64, i64)| {
+        let mk_fact = |&(e, x, y, t, _): &EdbFact| {
             let (name, arity) = EDB[e];
             let args: Vec<Value> = if arity == 1 {
                 vec![Value::Int(x)]
@@ -236,12 +240,11 @@ fn session_streaming_equals_batch() {
             chronolog_core::Fact::at(name, args, t)
         };
         let mut genesis = Database::new();
-        for f in facts.iter().filter(|&&(_, _, _, t)| t == T_MIN) {
+        for f in facts.iter().filter(|&&(_, _, _, t, _)| t == T_MIN) {
             genesis.insert_fact(&mk_fact(f)).unwrap();
         }
-        let mut later: Vec<&(usize, i64, i64, i64)> =
-            facts.iter().filter(|&&(_, _, _, t)| t > T_MIN).collect();
-        later.sort_by_key(|&&(_, _, _, t)| t);
+        let mut later: Vec<&EdbFact> = facts.iter().filter(|&&(_, _, _, t, _)| t > T_MIN).collect();
+        later.sort_by_key(|&&(_, _, _, t, _)| t);
         let mut session = Reasoner::new(program, ReasonerConfig::default())
             .unwrap()
             .into_session(&genesis, T_MIN)
@@ -257,8 +260,8 @@ fn session_streaming_equals_batch() {
         }
         session.advance_to(T_MAX).unwrap();
         assert_eq!(
-            engine_text(session.database()),
-            engine_text(&batch.database),
+            grid_text(session.database(), T_MIN, T_MAX),
+            grid_text(&batch.database, T_MIN, T_MAX),
             "case {case}: program:\n{src}\nfacts: {facts:?}"
         );
     }

@@ -2,9 +2,9 @@
 //!
 //! The per-rule and per-stratum breakdowns in [`RunStats`] are not
 //! best-effort samples: for a batch materialization they must tie out
-//! exactly against the run totals, and the totals themselves must not
-//! depend on the fixpoint strategy. These tests pin both properties over
-//! the corpus programs and the random-program generator's fact shapes.
+//! exactly against the run totals — also for rules evaluated in full every
+//! round. These tests pin that over the corpus programs and the
+//! random-program generator's fact shapes.
 
 use chronolog_core::{parse_source, Database, Reasoner, ReasonerConfig, RunStats};
 use chronolog_obs::{SpanRecord, SpanRecorder};
@@ -22,20 +22,14 @@ fn corpus() -> Vec<(&'static str, String, i64, i64)> {
         .collect()
 }
 
-fn materialize(src: &str, lo: i64, hi: i64, semi_naive: bool) -> (RunStats, String) {
+fn materialize(src: &str, lo: i64, hi: i64) -> (RunStats, String) {
     let (program, facts) = parse_source(src).unwrap();
     let mut db = Database::new();
     db.extend_facts(&facts).unwrap();
-    let m = Reasoner::new(
-        program,
-        ReasonerConfig {
-            semi_naive,
-            ..ReasonerConfig::default().with_horizon(lo, hi)
-        },
-    )
-    .unwrap()
-    .materialize(&db)
-    .unwrap();
+    let m = Reasoner::new(program, ReasonerConfig::default().with_horizon(lo, hi))
+        .unwrap()
+        .materialize(&db)
+        .unwrap();
     let text = m.database.to_facts_text();
     (m.stats, text)
 }
@@ -116,41 +110,34 @@ fn check_breakdown_ties_out(name: &str, stats: &RunStats) {
 #[test]
 fn per_rule_sums_equal_run_totals_on_corpus() {
     for (name, src, lo, hi) in corpus() {
-        let (stats, _) = materialize(&src, lo, hi, true);
+        let (stats, _) = materialize(&src, lo, hi);
         check_breakdown_ties_out(name, &stats);
     }
 }
 
+/// A current-stratum atom under a box of positive length or under
+/// `since`/`until` carries no delta, so its rule is evaluated naively — in
+/// full every round; the breakdown must tie out for those rounds too.
 #[test]
 fn naive_mode_breakdown_also_ties_out() {
-    for (name, src, lo, hi) in corpus() {
-        let (stats, _) = materialize(&src, lo, hi, false);
-        check_breakdown_ties_out(name, &stats);
-    }
-}
-
-/// The outcome-side stats (what was derived) are strategy-independent:
-/// semi-naive and naive fixpoints must report identical derived tuples and
-/// components, even though their effort-side stats (rule evaluations)
-/// legitimately differ.
-#[test]
-fn derivation_totals_are_strategy_independent() {
-    for (name, src, lo, hi) in corpus() {
-        let (semi, semi_text) = materialize(&src, lo, hi, true);
-        let (naive, naive_text) = materialize(&src, lo, hi, false);
-        assert_eq!(semi_text, naive_text, "{name}: databases diverge");
-        assert_eq!(
-            semi.derived_tuples, naive.derived_tuples,
-            "{name}: derived_tuples depends on fixpoint strategy"
-        );
-        assert_eq!(
-            semi.total_components, naive.total_components,
-            "{name}: total_components depends on fixpoint strategy"
-        );
-        // Effort-side stats (rule_evaluations) are NOT compared: on tiny
-        // programs semi-naive's per-delta bookkeeping can cost an extra
-        // evaluation, and that is fine — only outcomes must agree.
-    }
+    let src = "held(A) :- diamondminus[0, 2] tranM(A, M).\n\
+               held(A) :- boxminus[1, 2] held(A), open(A).\n\
+               fresh(A) :- tranM(A, M).\n\
+               fresh(A) :- since[0, 3](open(A), fresh(A)).\n\
+               boxplus[0, 2] due(A) :- withdraw(A).\n\
+               due(A) :- until[1, 2](open(A), due(A)).\n\
+               tranM(a, 1)@2.\n\
+               tranM(b, 5)@9.\n\
+               open(a)@[1, 12].\n\
+               open(b)@[8, 30].\n\
+               withdraw(a)@11.\n\
+               withdraw(b)@26.";
+    let (stats, _) = materialize(src, 0, 40);
+    assert!(
+        stats.iterations.iter().any(|&rounds| rounds > 2),
+        "the full rules take several rounds"
+    );
+    check_breakdown_ties_out("full-mode", &stats);
 }
 
 /// Rules that never fire still appear in the breakdown (with zero
@@ -161,7 +148,7 @@ fn every_rule_is_accounted_for() {
     for (name, src, lo, hi) in corpus() {
         let (program, _) = parse_source(&src).unwrap();
         let n_rules = program.rules.len();
-        let (stats, _) = materialize(&src, lo, hi, true);
+        let (stats, _) = materialize(&src, lo, hi);
         assert_eq!(stats.rules.len(), n_rules, "{name}: one RuleStats per rule");
         for (i, r) in stats.rules.iter().enumerate() {
             assert_eq!(r.rule, i, "{name}: rule index order");
@@ -180,7 +167,7 @@ fn every_rule_is_accounted_for() {
 #[test]
 fn join_path_counters_account_for_every_lookup() {
     for (name, src, lo, hi) in corpus() {
-        let (stats, _) = materialize(&src, lo, hi, true);
+        let (stats, _) = materialize(&src, lo, hi);
         assert!(
             stats.index_probes + stats.full_scans >= stats.rule_evaluations as u64,
             "{name}: a body evaluation performs at least one lookup"
@@ -212,7 +199,6 @@ fn empty_delta_variants_are_skipped_and_late_deltas_still_fire() {
          e(a)@[0, 5].",
         0,
         10,
-        true,
     );
     assert!(text.contains("r(a)@[1,5]."), "{text}");
     assert_eq!(stats.iterations, [4]);
@@ -266,7 +252,7 @@ fn plan_explains_are_a_snapshot_of_their_own_run() {
 #[test]
 fn bindings_and_head_rows_are_counted_apart() {
     for (name, src, lo, hi) in corpus() {
-        let (stats, _) = materialize(&src, lo, hi, true);
+        let (stats, _) = materialize(&src, lo, hi);
         let explained: u64 = stats.plan_explains().iter().map(|p| p.actual_rows).sum();
         assert_eq!(
             stats.planner_actual_rows, explained,
@@ -332,7 +318,7 @@ fn worker_pool_spawns_at_most_once_per_run() {
             "{name}: respawns bounded by executed strata"
         );
         // A sequential run never builds the pool at all.
-        let (seq, _) = materialize(&src, lo, hi, true);
+        let (seq, _) = materialize(&src, lo, hi);
         assert_eq!(
             seq.pool_respawns, 0,
             "{name}: sequential run spawned a pool"

@@ -300,20 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn seminaive_ablation_is_equivalent() {
-        let trace = small_trace();
-        let params = MarketParams::default();
-        let a = run_datalog(&trace, &params).unwrap();
-        let naive = ReasonerConfig {
-            semi_naive: false,
-            ..ReasonerConfig::default()
-        };
-        let b = run_datalog_with(&trace, &params, naive).unwrap();
-        assert_eq!(a.run.frs, b.run.frs);
-        assert_eq!(a.run.trades, b.run.trades);
-    }
-
-    #[test]
     fn profiled_run_is_equivalent_and_records_spans() {
         let trace = small_trace();
         let params = MarketParams::default();

@@ -6,7 +6,7 @@
 //! * [`f64`] — IEEE doubles with *exactly* the operation order of our
 //!   DatalogMTL rules, so the declarative run must match it bit-for-bit
 //!   (used to unit-prove the encoding);
-//! * [`Fixed18`](crate::fixed::Fixed18) — truncating 18-decimal fixed point,
+//! * [`Fixed18`] — truncating 18-decimal fixed point,
 //!   the EVM's arithmetic, whose results differ from the float run by
 //!   ~1e-12 — the error shape reported in Figures 4 and 5.
 

@@ -1,8 +1,8 @@
 # Developer entry points. Everything here is also what CI runs — keep the
 # two in sync (.github/workflows/ci.yml).
 
-# Run the full gate: format, lints, build, tests.
-check: fmt-check clippy test
+# Run the full gate: format, lints, build, tests, docs.
+check: fmt-check clippy test doc
 
 # Build the workspace (debug).
 build:
@@ -17,12 +17,19 @@ test:
     cargo test --workspace
 
 # Release-profile slow suite: the netting churn replays in
-# crates/cli/tests/repair_corpus.rs and the release-gated ETH-PERP
-# equivalence tests (cfg_attr(debug_assertions, ignore)). CI mirrors this
-# in the "Slow release suite" step.
+# crates/cli/tests/repair_corpus.rs, the release-gated ETH-PERP
+# equivalence tests (cfg_attr(debug_assertions, ignore)) and netting
+# against the oracle over its whole [0, 20] span (a debug build checks
+# [0, 1]). CI mirrors this in the "Slow release suite" step.
 test-slow:
     cargo test --release -p chronolog-cli --test repair_corpus
     cargo test --release -p chronolog-perp
+    cargo test --release -p chronolog-core --test plan_equivalence
+
+# Rustdoc with warnings as errors: a doc link to a private or deleted item
+# fails the gate. CI mirrors this in the "Docs" step.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The end-to-end benchmark's own tests plus a tenth-size run of every
 # workload with all output oracles on (non-zero exit on any failed

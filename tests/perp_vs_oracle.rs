@@ -1,33 +1,16 @@
 //! The whole ETH-PERP program as the paper prints it — unix-second
 //! timeline, event times read with the `@T` capture of rules 23/25 — lives
-//! inside the integer-punctual fragment that the brute-force discrete
-//! oracle supports, so the optimized engine's output must coincide with the
-//! oracle's on every predicate at every second — including the float
-//! values. The oracle enumerates time points, hence the 10-minute windows.
+//! inside the closed integer-endpoint fragment that the brute-force oracle
+//! supports, so the optimized engine's output must coincide with the
+//! oracle's on every predicate at every second and every half second
+//! between — including the float values. The oracle enumerates grid cells,
+//! hence the 10-minute windows.
 
-use chronolog_core::naive::naive_materialize;
-use chronolog_core::{IntervalSet, Rational, Reasoner, ReasonerConfig};
+use chronolog_core::naive::{grid_text, naive_materialize};
+use chronolog_core::{Reasoner, ReasonerConfig};
 use chronolog_market::{generate, ScenarioConfig};
 use chronolog_perp::encode::encode;
 use chronolog_perp::{program, MarketParams};
-
-/// Renders all derived facts on the integer grid, sorted.
-fn engine_text(db: &chronolog_core::Database, lo: i64, hi: i64) -> String {
-    let mut lines = Vec::new();
-    for (pred, tuple, ivs) in db.iter() {
-        for t in lo..=hi {
-            if IntervalSet::components_contain(ivs, Rational::integer(t)) {
-                let args = (0..tuple.len())
-                    .map(|i| tuple.value(i).to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                lines.push(format!("{pred}({args})@{t}"));
-            }
-        }
-    }
-    lines.sort();
-    lines.join("\n")
-}
 
 fn check_scenario(mut config: ScenarioConfig) {
     config.duration_secs = 600;
@@ -44,7 +27,7 @@ fn check_scenario(mut config: ScenarioConfig) {
         .materialize(&encoded.database)
         .unwrap();
 
-    let engine_out = engine_text(&engine.database, lo, hi);
+    let engine_out = grid_text(&engine.database, lo, hi);
     let oracle_out = oracle.to_text();
     assert_eq!(
         engine_out, oracle_out,
