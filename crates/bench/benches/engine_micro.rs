@@ -234,7 +234,7 @@ fn bench_profiling_overhead(c: &mut Bench) {
 
 /// The streaming execution model vs repeated batch runs: one event per
 /// tick over the margin recursion. The warm chain advances a single
-/// `Session` (boundary-slice seeding, clone-preserved indexes); the cold
+/// `Session` (boundary-slice seeding, clone-preserved indexes); the batch
 /// chain re-materializes the growing database from scratch at every tick.
 fn bench_session_stream(c: &mut Bench) {
     let src = "isOpen(A) :- tranM(A, M).\n\
@@ -267,7 +267,7 @@ fn bench_session_stream(c: &mut Bench) {
             black_box(s.database().tuple_count())
         })
     });
-    group.bench_function("cold_rematerialize_chain", |b| {
+    group.bench_function("batch_rematerialize_chain", |b| {
         b.iter(|| {
             let mut db = Database::new();
             let mut last = 0;
@@ -332,10 +332,7 @@ fn bench_repair(c: &mut Bench) {
     // state-restoring retract + late-resubmit of one mid-history fact, so
     // the session is identical before and after and iterations are
     // comparable. `repair_small_cone` takes the incremental DRed path
-    // (overdelete the affected cone, rederive from the boundary);
-    // `repair_fallback_cold` runs on a zero repair budget, which every cone
-    // trips into the cold re-materialization fallback — the gap between
-    // the two is the payoff of the incremental path.
+    // (overdelete the affected cone, rederive from the boundary).
     let src = "isOpen(A) :- tranM(A, M).\n\
                isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
                changeM(A) :- tranM(A, M).\n\
@@ -344,8 +341,8 @@ fn bench_repair(c: &mut Bench) {
     let program = parse_program(src).unwrap();
     const STEPS: i64 = 40;
     let accounts = ["acc0", "acc1", "acc2"];
-    let build_session = |config: ReasonerConfig| {
-        let mut s = Reasoner::new(program.clone(), config)
+    let build_session = || {
+        let mut s = Reasoner::new(program.clone(), ReasonerConfig::default())
             .unwrap()
             .into_session(&Database::new(), 0)
             .unwrap();
@@ -371,7 +368,7 @@ fn bench_repair(c: &mut Bench) {
 
     let mut group = c.group("repair");
     group.sample_size(10);
-    let mut warm = build_session(ReasonerConfig::default());
+    let mut warm = build_session();
     // One unmeasured cycle up front: it proves the path assertion below
     // even when a --filter skips the timed iterations, and warms the
     // session so the first sample is comparable to the rest.
@@ -385,17 +382,6 @@ fn bench_repair(c: &mut Bench) {
         })
     });
     assert!(warm.stats().repairs.incremental > 0);
-    let mut cold = build_session(ReasonerConfig::default().with_repair_budget(0));
-    cold.retract(churn.clone()).unwrap();
-    cold.submit_late(churn.clone()).unwrap();
-    group.bench_function("repair_fallback_cold", |b| {
-        b.iter(|| {
-            cold.retract(churn.clone()).unwrap();
-            let report = cold.submit_late(churn.clone()).unwrap();
-            black_box(report.cone_tuples)
-        })
-    });
-    assert!(cold.stats().repairs.fallbacks > 0);
     group.finish();
 }
 

@@ -36,9 +36,6 @@
 //!                         fact, a bare `<fact>.` is submitted (late facts
 //!                         trigger an incremental repair). `#`/`%` lines
 //!                         and blanks are skipped.
-//!   --repair-budget N     max tuples the repair cone may touch before
-//!                         falling back to cold re-materialization (0 sends
-//!                         every correction down the cold path)
 //!   --explain-plans       print each rule's compiled physical plan: the
 //!                         join order chosen from the rule text, with the
 //!                         access-path label and actual rows per step
@@ -66,7 +63,7 @@ use std::fmt::Write as _;
 /// `rules`, `workers`, `planner`, `pool`, `repairs`, `storage` and `magic`
 /// sections (`docs/OBSERVABILITY.md` describes every field;
 /// `tests/fixtures/stats_schema.txt` pins the shape).
-pub const REPORT_SCHEMA_VERSION: u64 = 12;
+pub const REPORT_SCHEMA_VERSION: u64 = 13;
 
 /// CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -129,7 +126,7 @@ const USAGE: &str = "usage: chronolog <check|run|graph|validate-trace> <file>...
   run options: --horizon LO..HI  --threads N  --query 'p(X)@[lo,hi]'\n\
                --no-magic  --explain-query  --explain 'p(a)@5'\n\
                --facts  --stats  --stats-json FILE\n\
-               --session  --stream FILE  --repair-budget N  --explain-plans\n\
+               --session  --stream FILE  --explain-plans\n\
                --profile FILE  --profile-folded FILE";
 
 fn load_sources(
@@ -307,7 +304,6 @@ fn cmd_run(
     let mut profile_folded_file: Option<String> = None;
     let mut session_mode = false;
     let mut stream_file: Option<String> = None;
-    let mut repair_budget: Option<u64> = None;
     let mut explain_plans = false;
     let mut magic = true;
     let mut explain_query = false;
@@ -394,17 +390,6 @@ fn cmd_run(
                         .clone(),
                 );
             }
-            "--repair-budget" => {
-                i += 1;
-                repair_budget = Some(
-                    args.get(i)
-                        .ok_or_else(|| CliError::usage("--repair-budget needs a tuple count"))?
-                        .parse::<u64>()
-                        .map_err(|_| {
-                            CliError::usage("--repair-budget must be a non-negative integer")
-                        })?,
-                );
-            }
             "--facts" => dump_facts = true,
             "--stats" => stats = true,
             "--session" => session_mode = true,
@@ -449,9 +434,6 @@ fn cmd_run(
         threads,
         ..ReasonerConfig::default()
     };
-    if let Some(budget) = repair_budget {
-        config = config.with_repair_budget(budget);
-    }
     if let Some((lo, hi)) = horizon {
         config = config.with_horizon(lo, hi);
     }
@@ -535,12 +517,6 @@ fn cmd_run(
                 report_stats = o.stats;
                 lines
             }
-            Outcome::Session(s) if magic => {
-                let o = s.query(query)?;
-                let lines = render_answers(&query.atom, &o.answers);
-                report_stats.magic = o.stats.magic;
-                lines
-            }
             Outcome::Batch(m) => query_database(&m.database, &query.atom, query.window.as_ref()),
             Outcome::Session(s) => query_database(s.database(), &query.atom, query.window.as_ref()),
         };
@@ -552,12 +528,7 @@ fn cmd_run(
             let _ = writeln!(query_out, "{line}");
         }
     }
-    let served_full = !parsed_queries.is_empty()
-        && match &outcome {
-            Outcome::Goal(..) => false,
-            Outcome::Session(_) => !magic,
-            Outcome::Batch(_) => true,
-        };
+    let served_full = !parsed_queries.is_empty() && !matches!(outcome, Outcome::Goal(..));
     if served_full {
         // Queries answered from the unrestricted model: record what that
         // costs so the two modes compare in stats-json.
@@ -814,14 +785,9 @@ fn render_stats(out: &mut String, stats: &RunStats) {
         let r = &stats.repairs;
         let _ = writeln!(
             out,
-            "repairs: {} attempted ({} incremental, {} cold fallbacks, {} budget trips), \
-             {} cone tuples, {} components overdeleted",
-            r.attempted,
-            r.incremental,
-            r.fallbacks,
-            r.budget_trips,
-            r.cone_tuples,
-            r.overdeleted_components
+            "repairs: {} attempted ({} incremental), {} cone tuples, \
+             {} components overdeleted",
+            r.attempted, r.incremental, r.cone_tuples, r.overdeleted_components
         );
     }
     let s = &stats.storage;
@@ -1499,13 +1465,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_reports_repairs_and_budget_trips() {
+    fn stats_json_reports_repairs() {
         let dir = std::env::temp_dir().join("chronolog-cli-repairs-test");
         std::fs::create_dir_all(&dir).unwrap();
         let stream = "advance 10\nretract tranM(acc1, 20.0)@3.\n";
-        let report_for = |extra: &[&str], name: &str| {
+        let report_for = |name: &str| {
             let path = dir.join(name);
-            let mut a = vec![
+            let a = vec![
                 "run",
                 "demo.dmtl",
                 "--horizon",
@@ -1516,7 +1482,6 @@ mod tests {
                 "--stats-json",
                 path.to_str().unwrap(),
             ];
-            a.extend_from_slice(extra);
             run_cli(
                 &args(&a),
                 fake_fs(&[("demo.dmtl", STREAMABLE), ("fix.stream", stream)]),
@@ -1532,22 +1497,15 @@ mod tests {
                 .and_then(Json::as_u64)
                 .unwrap_or_else(|| panic!("missing repairs.{field}"))
         };
-        // Incremental path by default.
-        let report = report_for(&[], "repair.json");
+        let report = report_for("repair.json");
         assert_eq!(
             report.get("schema_version").and_then(Json::as_u64),
             Some(REPORT_SCHEMA_VERSION)
         );
         assert_eq!(get(&report, "attempted"), 1);
         assert_eq!(get(&report, "incremental"), 1);
-        assert_eq!(get(&report, "budget_trips"), 0);
         assert!(get(&report, "cone_tuples") > 0);
-        // A zero budget trips on the first cone tuple and falls back.
-        let report = report_for(&["--repair-budget", "0"], "budget.json");
-        assert_eq!(get(&report, "attempted"), 1);
-        assert_eq!(get(&report, "incremental"), 0);
-        assert_eq!(get(&report, "fallbacks"), 1);
-        assert_eq!(get(&report, "budget_trips"), 1);
+        assert!(get(&report, "overdeleted_components") > 0);
     }
 
     #[test]
@@ -1557,8 +1515,8 @@ mod tests {
                       tranM(acc3, 7.5)@4.\n\
                       advance 15\n\
                       retract withdraw(acc1)@8.\n";
-        let run_with = |extra: &[&str]| {
-            let mut a = vec![
+        let repaired = run_cli(
+            &args(&[
                 "run",
                 "demo.dmtl",
                 "--horizon",
@@ -1567,18 +1525,23 @@ mod tests {
                 "--session",
                 "--stream",
                 "fix.stream",
-            ];
-            a.extend_from_slice(extra);
-            run_cli(
-                &args(&a),
-                fake_fs(&[("demo.dmtl", STREAMABLE), ("fix.stream", stream)]),
-            )
-            .unwrap()
-        };
-        // Budget 0 is the run without repair: every correction goes cold.
-        let repaired = run_with(&[]);
-        let cold = run_with(&["--repair-budget", "0"]);
-        assert_eq!(repaired, cold);
+            ]),
+            fake_fs(&[("demo.dmtl", STREAMABLE), ("fix.stream", stream)]),
+        )
+        .unwrap();
+        // The run without repair: a batch over the facts that survive the
+        // stream.
+        let survivors = "isOpen(A) :- tranM(A, M).\n\
+                         isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
+                         rate(base, 0.5).\n\
+                         tranM(acc2, 5.0)@5.\n\
+                         tranM(acc3, 7.5)@4.";
+        let batch = run_cli(
+            &args(&["run", "demo.dmtl", "--horizon", "0..20", "--facts"]),
+            fake_fs(&[("demo.dmtl", survivors)]),
+        )
+        .unwrap();
+        assert_eq!(repaired, batch);
     }
 
     #[test]
@@ -1590,13 +1553,18 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("--session"), "{}", err.message);
+        // Corrections always repair in place: there is no budget to set.
         let err = run_cli(
-            &args(&["run", "demo.dmtl", "--repair-budget", "lots"]),
+            &args(&["run", "demo.dmtl", "--repair-budget", "0"]),
             fake_fs(&[("demo.dmtl", STREAMABLE)]),
         )
         .unwrap_err();
         assert_eq!(err.code, 2);
-        assert!(err.message.contains("--repair-budget"), "{}", err.message);
+        assert!(
+            err.message.contains("unknown option --repair-budget"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

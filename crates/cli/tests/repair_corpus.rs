@@ -2,9 +2,7 @@
 //! churn stream — a poison fact submitted late and retracted again, plus
 //! a real fact retracted and re-delivered late — that leaves the
 //! surviving base facts identical to the shipped file. The streamed
-//! session must therefore be byte-identical to the plain batch run, both
-//! with incremental repair and with `--repair-budget 0` (cold fallback
-//! only).
+//! session must therefore be byte-identical to the plain batch run.
 
 use chronolog_cli::run_cli;
 
@@ -20,7 +18,7 @@ fn args(v: &[&str]) -> Vec<String> {
 }
 
 /// Runs the corpus file cold (batch) and churned (session + stream) and
-/// asserts all three outputs — batch, repaired, fallback-only — agree.
+/// asserts the two outputs agree.
 fn assert_churn_equivalent(corpus: &str, horizon: &str, stream: &str) {
     let stream = stream.to_string();
     let fs = move |path: &str| {
@@ -49,24 +47,7 @@ fn assert_churn_equivalent(corpus: &str, horizon: &str, stream: &str) {
         &fs,
     )
     .unwrap();
-    let cold_only = run_cli(
-        &args(&[
-            "run",
-            corpus,
-            "--horizon",
-            horizon,
-            "--facts",
-            "--session",
-            "--stream",
-            "churn.stream",
-            "--repair-budget",
-            "0",
-        ]),
-        &fs,
-    )
-    .unwrap();
     assert_eq!(batch, repaired, "{corpus}: repaired session diverged");
-    assert_eq!(batch, cold_only, "{corpus}: cold-fallback session diverged");
 }
 
 #[test]

@@ -76,13 +76,6 @@ pub struct ReasonerConfig {
     /// always reads the iteration-start snapshot and merges in fixed rule
     /// order.
     pub threads: usize,
-    /// Budget for one repair's overdelete cone ([`Session::retract`] /
-    /// [`Session::submit_late`]), counted in tuples whose validity
-    /// intersects the repair window. Exceeding it abandons the incremental
-    /// path and falls back to cold re-materialization from the session's
-    /// base-fact log — past this size a full rebuild is cheaper than
-    /// patching. `0` sends every correction down the cold path.
-    pub repair_budget: u64,
 }
 
 impl Default for ReasonerConfig {
@@ -93,7 +86,6 @@ impl Default for ReasonerConfig {
             max_components: 50_000_000,
             profiler: None,
             threads: 1,
-            repair_budget: 50_000,
         }
     }
 }
@@ -108,12 +100,6 @@ impl ReasonerConfig {
     /// Convenience: set the evaluation worker count (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Convenience: set the repair overdelete budget (tuples touched).
-    pub fn with_repair_budget(mut self, budget: u64) -> Self {
-        self.repair_budget = budget;
         self
     }
 }
@@ -187,8 +173,8 @@ pub struct WorkerStats {
 }
 
 /// Statistics of the session repair path (out-of-order corrections):
-/// the `repairs` section of stats-json. A cold fallback still counts
-/// as one attempt, so `incremental + fallbacks == attempted`.
+/// the `repairs` section of stats-json. An attempt that fails is rolled
+/// back, so `attempted - incremental` counts the failed corrections.
 #[derive(Clone, Debug, Default)]
 pub struct RepairStats {
     /// Corrections that entered the repair path (retract, late submit,
@@ -196,16 +182,11 @@ pub struct RepairStats {
     pub attempted: u64,
     /// Attempts completed by in-place overdelete + re-derive.
     pub incremental: u64,
-    /// Attempts completed by cold re-materialization from the base-fact
-    /// log (budget trips or incremental errors).
-    pub fallbacks: u64,
-    /// Fallbacks caused specifically by the overdelete cone exceeding
-    /// [`ReasonerConfig::repair_budget`].
-    pub budget_trips: u64,
     /// Tuples whose validity intersected a repair window, summed over
-    /// all overdelete passes (the budgeted quantity).
+    /// the completed repairs.
     pub cone_tuples: u64,
-    /// Interval components actually removed by overdeletion.
+    /// Interval components removed by the completed repairs'
+    /// overdeletion.
     pub overdeleted_components: u64,
 }
 
@@ -216,8 +197,6 @@ pub(crate) struct OverdeleteOutcome {
     pub cone_tuples: u64,
     /// Interval components removed from the materialization.
     pub removed_components: u64,
-    /// The cone exceeded the budget; nothing was removed.
-    pub budget_tripped: bool,
 }
 
 /// What the magic-sets demand transformation did for a goal-driven query
@@ -579,8 +558,6 @@ impl RunStats {
         let repairs = Json::from_pairs([
             ("attempted", Json::from(self.repairs.attempted)),
             ("incremental", Json::from(self.repairs.incremental)),
-            ("fallbacks", Json::from(self.repairs.fallbacks)),
-            ("budget_trips", Json::from(self.repairs.budget_trips)),
             ("cone_tuples", Json::from(self.repairs.cone_tuples)),
             (
                 "overdeleted_components",
@@ -632,14 +609,16 @@ impl RunStats {
     }
 }
 
-/// The result of a goal-driven point query ([`Reasoner::query`]).
+/// The result of a point query ([`Reasoner::query`] or
+/// [`Session::query`]).
 pub struct QueryOutcome {
     /// Matching tuples with their validity intervals, clipped to the
     /// query window and sorted by tuple (deterministic across thread
     /// counts and evaluation modes).
     pub answers: Vec<(Tuple, IntervalSet)>,
     /// Statistics of the inner sub-program materialization, with the
-    /// `magic` section describing the rewrite.
+    /// `magic` section describing the rewrite (all defaults for a
+    /// session query, which reads the live materialization).
     pub stats: RunStats,
 }
 
@@ -957,33 +936,22 @@ impl Reasoner {
     /// the query degrades to unguarded cone-restricted evaluation —
     /// `stats.magic` records which mode ran.
     pub fn query(&self, input: &Database, query: &Query) -> Result<QueryOutcome> {
-        self.query_within(input, query, self.config.horizon)
-    }
-
-    /// [`Reasoner::query`] with an explicit horizon override (the session
-    /// path clips to its watermark).
-    pub(crate) fn query_within(
-        &self,
-        input: &Database,
-        query: &Query,
-        horizon: Interval,
-    ) -> Result<QueryOutcome> {
         let mut span = self.config.profiler.as_ref().map(|p| p.span("query"));
         let reserved: Vec<Symbol> = input.predicates().collect();
         let rw = rewrite::rewrite(&self.program, query, &reserved);
         let outcome = if rw.is_guarded() {
-            match self.run_rewritten(input, query, &rw, horizon, true, false) {
+            match self.run_rewritten(input, query, &rw, true, false) {
                 // Guard edges can close a cycle through negation
                 // (NotStratifiable) and unbounded backward demand spread
                 // can blow the iteration budget where the forward
                 // fixpoint converged; both degrade to the unguarded cone.
                 Err(Error::NotStratifiable(_) | Error::Unsafe(_) | Error::BudgetExceeded(_)) => {
-                    self.run_rewritten(input, query, &rw, horizon, false, true)
+                    self.run_rewritten(input, query, &rw, false, true)
                 }
                 guarded => guarded,
             }
         } else {
-            self.run_rewritten(input, query, &rw, horizon, false, false)
+            self.run_rewritten(input, query, &rw, false, false)
         }?;
         if let Some(s) = span.as_mut() {
             s.add("answers", outcome.answers.len() as u64);
@@ -999,23 +967,20 @@ impl Reasoner {
         input: &Database,
         query: &Query,
         rw: &rewrite::MagicRewrite,
-        horizon: Interval,
         magic: bool,
         degraded: bool,
     ) -> Result<QueryOutcome> {
-        let mut config = self.config.clone();
-        config.horizon = horizon;
         let program = if magic {
             rw.program.clone()
         } else {
             rw.cone_program.clone()
         };
-        let inner = Reasoner::new(program, config)?;
+        let inner = Reasoner::new(program, self.config.clone())?;
         let mut db = input.clone();
         let mut seeds_inserted = 0u64;
         if magic {
             for seed in &rw.seeds {
-                if let Some(iv) = seed.interval.intersect(&horizon) {
+                if let Some(iv) = seed.interval.intersect(&self.config.horizon) {
                     db.insert(seed.pred, &seed.args, iv)?;
                     seeds_inserted += 1;
                 }
@@ -1128,17 +1093,12 @@ impl Reasoner {
     /// surviving base fact. Over-approximate by design — anything still
     /// derivable is restored by the re-derivation pass, seeded from the
     /// surviving facts around the window.
-    ///
-    /// The budget is checked during the (read-only) collection phase, so
-    /// a tripped pass leaves `total` untouched and the caller can fall
-    /// back to cold re-materialization without repairing the repair.
     pub(crate) fn overdelete(
         &self,
         total: &mut Database,
         base: &Database,
         affected: &HashSet<Symbol>,
         window: Interval,
-        budget: u64,
     ) -> OverdeleteOutcome {
         let mut outcome = OverdeleteOutcome::default();
         // Sorted predicate order keeps the pass deterministic (HashSet
@@ -1156,10 +1116,6 @@ impl Reasoner {
                     continue;
                 }
                 outcome.cone_tuples += 1;
-                if outcome.cone_tuples > budget {
-                    outcome.budget_tripped = true;
-                    return outcome;
-                }
                 let owned = tuple.to_vec();
                 let surviving = base.intervals(pred, &owned);
                 let doomed = clipped.difference(&surviving);

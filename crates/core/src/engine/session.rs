@@ -28,7 +28,7 @@ use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
 
 /// One entry of the session's append-only base-fact log. Replaying the
 /// log (asserts minus retractions) reconstructs exactly the surviving
-/// base-fact set the cold-rematerialization fallback rebuilds from.
+/// base-fact set.
 /// Pending (not yet materialized) facts never enter the log: they are
 /// asserted when an advance drains them into the materialization, and a
 /// retraction that only cancels a queued fact leaves no trace here.
@@ -52,9 +52,6 @@ pub enum RepairPath {
     /// In-place DRed-style repair: overdelete the affected temporal
     /// cone, then re-derive from the surviving base facts.
     Incremental,
-    /// Cold re-materialization from the surviving base-fact set (budget
-    /// trip — always, at `repair_budget` 0 — or incremental error).
-    ColdFallback,
 }
 
 /// What one correction ([`Session::retract`], [`Session::submit_late`],
@@ -63,11 +60,22 @@ pub enum RepairPath {
 pub struct RepairReport {
     /// The path that completed the correction.
     pub path: RepairPath,
-    /// Tuples whose validity intersected the repair window (the budgeted
-    /// quantity; zero on the non-incremental paths).
+    /// Tuples whose validity intersected the repair window (zero on the
+    /// pending path).
     pub cone_tuples: u64,
     /// Interval components removed by overdeletion.
     pub overdeleted_components: u64,
+}
+
+impl RepairReport {
+    /// A correction that only touched the pending queue (or the future).
+    fn pending() -> RepairReport {
+        RepairReport {
+            path: RepairPath::Pending,
+            cone_tuples: 0,
+            overdeleted_components: 0,
+        }
+    }
 }
 
 /// Exact match between a correction's target and a stored fact: same
@@ -157,8 +165,8 @@ impl Reasoner {
         // The clone carries the initial database's built indexes with it, so
         // the session never rebuilds them.
         stats.index_rebuilds_avoided += total.built_index_count() as u64;
-        // Genesis facts seed the base-fact log, so the cold fallback can
-        // rebuild them without the caller's original database.
+        // Genesis facts seed the base-fact log: overdeletion keeps them,
+        // and a retraction can name them.
         let mut asserted = Vec::new();
         for (pred, tuple, ivs) in initial.iter() {
             for &interval in ivs {
@@ -215,30 +223,27 @@ impl Session {
         &self.asserted
     }
 
-    /// Answers a goal-driven point query against the session's surviving
-    /// base facts, materializing only the query's demanded cone (see
-    /// [`Reasoner::query`]). The horizon is clipped to the session's own
-    /// derivation window `[start, now]`, so answers agree byte-for-byte
-    /// with querying [`Session::database`] over the same window — and
-    /// backward demand stops at the session start even when the configured
-    /// horizon is unbounded. Runs against a private snapshot: the
-    /// session's materialization, watermark, and statistics are
-    /// untouched, and pending (not yet advanced-over) submissions are
-    /// not visible.
+    /// Answers a point query from the live materialization: exactly
+    /// [`Database::query`] on [`Session::database`], sorted by tuple. The
+    /// session already holds every answer up to its watermark, so no
+    /// rewrite runs and `stats` stays at its defaults. Pending (not yet
+    /// advanced-over) submissions are not visible.
     pub fn query(&self, query: &crate::rewrite::Query) -> Result<super::QueryOutcome> {
-        let base = self.surviving_base()?;
-        let horizon = self
+        let mut span = self
             .reasoner
             .config()
-            .horizon
-            .intersect(&self.session_horizon(self.now)?)
-            .ok_or_else(|| {
-                Error::EmptyWindow(format!(
-                    "session window {}..{} lies outside the configured horizon",
-                    self.start, self.now
-                ))
-            })?;
-        self.reasoner.query_within(&base, query, horizon)
+            .profiler
+            .as_ref()
+            .map(|p| p.span("query"));
+        let mut answers = self.total.query(&query.atom, query.window.as_ref());
+        answers.sort_by(|a, b| a.0.cmp(&b.0));
+        if let Some(s) = span.as_mut() {
+            s.add("answers", answers.len() as u64);
+        }
+        Ok(super::QueryOutcome {
+            answers,
+            stats: RunStats::default(),
+        })
     }
 
     /// Explains why `pred(args)` holds at `t` in the session's
@@ -280,14 +285,12 @@ impl Session {
         // A queued fact was never materialized: cancelling it is free.
         if let Some(pos) = self.pending.iter().position(|p| same_fact(p, &fact)) {
             self.pending.remove(pos);
-            return Ok(RepairReport {
-                path: RepairPath::Pending,
-                cone_tuples: 0,
-                overdeleted_components: 0,
-            });
+            return Ok(RepairReport::pending());
         }
-        let cut = self.remove_base_fact(&fact)?;
-        self.repair(vec![fact.pred], cut)
+        self.transact(|s| {
+            let cut = s.remove_base_fact(&fact)?;
+            s.repair(vec![fact.pred], cut)
+        })
     }
 
     /// Submits a fact at or below the watermark and patches the
@@ -296,27 +299,14 @@ impl Session {
     /// (start at or below, end beyond) are rejected — advance past the
     /// end first, or split the fact at the watermark.
     pub fn submit_late(&mut self, fact: Fact) -> Result<RepairReport> {
-        if matches!(fact.interval.lo(), TimeBound::Finite(lo) if lo > self.now) {
+        if self.is_future(&fact)? {
             self.submit(fact)?;
-            return Ok(RepairReport {
-                path: RepairPath::Pending,
-                cone_tuples: 0,
-                overdeleted_components: 0,
-            });
+            return Ok(RepairReport::pending());
         }
-        let beyond = match fact.interval.hi() {
-            TimeBound::Finite(hi) => hi > self.now,
-            _ => true,
-        };
-        if beyond {
-            return Err(Error::Eval(format!(
-                "late fact {fact} extends beyond the watermark {}; advance \
-                 past its end first, or split it at the watermark",
-                self.now
-            )));
-        }
-        let cut = self.add_base_fact(&fact)?;
-        self.repair(vec![fact.pred], cut)
+        self.transact(|s| {
+            let cut = s.add_base_fact(&fact)?;
+            s.repair(vec![fact.pred], cut)
+        })
     }
 
     /// Replaces `old` with `new` in one atomic correction: both edits are
@@ -329,48 +319,73 @@ impl Session {
         if old_pending.is_none() && !self.asserted.iter().any(|a| same_fact(a, &old)) {
             return Err(unknown_fact(&old));
         }
-        let new_is_future = matches!(new.interval.lo(), TimeBound::Finite(lo) if lo > self.now);
-        if !new_is_future {
-            let beyond = match new.interval.hi() {
-                TimeBound::Finite(hi) => hi > self.now,
-                _ => true,
+        let new_is_future = self.is_future(&new)?;
+        self.transact(|s| {
+            let mut cuts: Vec<Rational> = Vec::new();
+            let mut preds: Vec<Symbol> = Vec::new();
+            match old_pending {
+                Some(pos) => {
+                    s.pending.remove(pos);
+                }
+                None => {
+                    preds.push(old.pred);
+                    cuts.push(s.remove_base_fact(&old)?);
+                }
+            }
+            if new_is_future {
+                s.submit(new)?;
+            } else {
+                preds.push(new.pred);
+                cuts.push(s.add_base_fact(&new)?);
+            }
+            let Some(cut) = cuts.into_iter().min() else {
+                // Both halves only touched the pending queue.
+                return Ok(RepairReport::pending());
             };
-            if beyond {
-                return Err(Error::Eval(format!(
-                    "late fact {new} extends beyond the watermark {}; advance \
-                     past its end first, or split it at the watermark",
-                    self.now
-                )));
-            }
+            preds.sort();
+            preds.dedup();
+            s.repair(preds, cut)
+        })
+    }
+
+    /// Whether `fact` starts strictly after the watermark (a plain
+    /// submission rather than a late one). A late fact must also end at
+    /// or below the watermark: one straddling it is an error.
+    fn is_future(&self, fact: &Fact) -> Result<bool> {
+        if matches!(fact.interval.lo(), TimeBound::Finite(lo) if lo > self.now) {
+            return Ok(true);
         }
-        let mut cuts: Vec<Rational> = Vec::new();
-        let mut preds: Vec<Symbol> = Vec::new();
-        match old_pending {
-            Some(pos) => {
-                self.pending.remove(pos);
-            }
-            None => {
-                preds.push(old.pred);
-                cuts.push(self.remove_base_fact(&old)?);
-            }
+        match fact.interval.hi() {
+            TimeBound::Finite(hi) if hi <= self.now => Ok(false),
+            _ => Err(Error::Eval(format!(
+                "late fact {fact} extends beyond the watermark {}; advance \
+                 past its end first, or split it at the watermark",
+                self.now
+            ))),
         }
-        if new_is_future {
-            self.submit(new)?;
-        } else {
-            preds.push(new.pred);
-            cuts.push(self.add_base_fact(&new)?);
+    }
+
+    /// Runs one correction as a transaction: `edit` applies the base edits
+    /// and repairs the materialization in place. If it fails, the session
+    /// is restored — materialization, pending queue, surviving base facts
+    /// and log — so a failed correction changes nothing, like an invalid
+    /// one. Only the statistics keep the work the failed attempt did.
+    fn transact(
+        &mut self,
+        edit: impl FnOnce(&mut Self) -> Result<RepairReport>,
+    ) -> Result<RepairReport> {
+        let total = self.total.clone();
+        let pending = self.pending.clone();
+        let asserted = self.asserted.clone();
+        let logged = self.log.len();
+        let result = edit(self);
+        if result.is_err() {
+            self.total = total;
+            self.pending = pending;
+            self.asserted = asserted;
+            self.log.truncate(logged);
         }
-        let Some(&cut) = cuts.iter().min() else {
-            // Both halves only touched the pending queue.
-            return Ok(RepairReport {
-                path: RepairPath::Pending,
-                cone_tuples: 0,
-                overdeleted_components: 0,
-            });
-        };
-        preds.sort();
-        preds.dedup();
-        self.repair(preds, cut)
+        result
     }
 
     /// Advances the watermark to `t`, deriving everything in `(now, t]`.
@@ -452,9 +467,8 @@ impl Session {
         }
     }
 
-    /// The surviving base-fact set as a database (what the cold fallback
-    /// rebuilds from, what overdeletion must not remove, and the input of
-    /// queries and explanations).
+    /// The surviving base-fact set as a database (what overdeletion must
+    /// not remove, and the input of explanations).
     fn surviving_base(&self) -> Result<Database> {
         let mut base = Database::new();
         base.extend_facts(&self.asserted)?;
@@ -463,17 +477,12 @@ impl Session {
 
     /// Patches the materialization after a base edit whose cut is `cut`:
     /// overdelete the affected cone within `[cut, now]`, then re-derive
-    /// from the surviving facts — transparently falling back to cold
-    /// re-materialization when the cone exceeds the configured budget
-    /// ([`ReasonerConfig::repair_budget`]; `0` always does) or when the
-    /// incremental pass returns any error.
-    ///
-    /// [`ReasonerConfig::repair_budget`]: crate::ReasonerConfig::repair_budget
+    /// from the surviving facts. An error leaves the materialization
+    /// half-repaired; [`Session::transact`] restores it.
     fn repair(&mut self, changed: Vec<Symbol>, cut: Rational) -> Result<RepairReport> {
         let started = std::time::Instant::now();
         self.reasoner.init_rule_stats(&mut self.stats);
         self.stats.repairs.attempted += 1;
-        let before = self.stats.repairs.clone();
         let mut repair_span = self
             .reasoner
             .config()
@@ -485,38 +494,24 @@ impl Session {
             // The edit lies entirely above the watermark: in the
             // forward-propagating fragment nothing at or below `now` can
             // depend on it, so the base edit alone was the repair.
-            self.stats.repairs.incremental += 1;
             RepairReport {
                 path: RepairPath::Incremental,
                 cone_tuples: 0,
                 overdeleted_components: 0,
             }
         } else {
-            match self.try_incremental(&changed, cut) {
-                Ok(Some(report)) => report,
-                Ok(None) => {
-                    // Budget trip: the collection phase left the
-                    // materialization untouched, rebuild from the log.
-                    self.stats.repairs.budget_trips += 1;
-                    self.cold_rematerialize()?
-                }
-                // Any incremental error degrades to the cold path — the
-                // overdelete may have partially applied, and the rebuild
-                // restores a consistent materialization regardless.
-                Err(_) => self.cold_rematerialize()?,
-            }
+            self.repair_window(&changed, cut)?
         };
+        let repairs = &mut self.stats.repairs;
+        repairs.incremental += 1;
+        repairs.cone_tuples += report.cone_tuples;
+        repairs.overdeleted_components += report.overdeleted_components;
 
         if let Some(s) = repair_span.as_mut() {
-            // This repair's share of the `repairs` section (a budget
-            // trip's inspected cone included), so the spans sum to it.
-            let after = &self.stats.repairs;
-            s.add("cone_tuples", after.cone_tuples - before.cone_tuples);
-            s.add(
-                "overdeleted_components",
-                after.overdeleted_components - before.overdeleted_components,
-            );
-            s.add("fallback", after.fallbacks - before.fallbacks);
+            // This repair's share of the `repairs` section, so the spans
+            // sum to it.
+            s.add("cone_tuples", report.cone_tuples);
+            s.add("overdeleted_components", report.overdeleted_components);
         }
         self.stats.elapsed += started.elapsed();
         self.stats.total_components = self.total.component_count();
@@ -524,14 +519,8 @@ impl Session {
         Ok(report)
     }
 
-    /// The in-place repair path. `Ok(None)` means the cone exceeded the
-    /// budget (nothing was removed); an `Err` means the re-derivation
-    /// failed partway and the caller must rebuild.
-    fn try_incremental(
-        &mut self,
-        changed: &[Symbol],
-        cut: Rational,
-    ) -> Result<Option<RepairReport>> {
+    /// The overdelete/re-derive pass over the repair window `[cut, now]`.
+    fn repair_window(&mut self, changed: &[Symbol], cut: Rational) -> Result<RepairReport> {
         let window = closed_window(
             cut,
             self.now,
@@ -546,21 +535,15 @@ impl Session {
                 .profiler
                 .as_ref()
                 .map(|p| p.span("overdelete"));
-            let budget = self.reasoner.config().repair_budget;
             let out = self
                 .reasoner
-                .overdelete(&mut self.total, &base, &affected, window, budget);
+                .overdelete(&mut self.total, &base, &affected, window);
             if let Some(s) = od_span.as_mut() {
                 s.add("cone_tuples", out.cone_tuples);
                 s.add("removed_components", out.removed_components);
             }
             out
         };
-        self.stats.repairs.cone_tuples += outcome.cone_tuples;
-        if outcome.budget_tripped {
-            return Ok(None);
-        }
-        self.stats.repairs.overdeleted_components += outcome.removed_components;
 
         // Re-derive: seed with every surviving fact a derivation in the
         // repair window can reach (`[cut − reach, now]` — the same
@@ -599,44 +582,16 @@ impl Session {
                 s.add("seed_tuples", seed.tuple_count() as u64);
             }
         }
-        self.stats.repairs.incremental += 1;
-        Ok(Some(RepairReport {
+        Ok(RepairReport {
             path: RepairPath::Incremental,
             cone_tuples: outcome.cone_tuples,
             overdeleted_components: outcome.removed_components,
-        }))
-    }
-
-    /// The robustness backstop: rebuilds the whole materialization from
-    /// the surviving base-fact set, exactly like a batch run over
-    /// `[start, now]`. Errors here propagate — there is nothing further
-    /// to degrade to — and leave the previous materialization in place.
-    fn cold_rematerialize(&mut self) -> Result<RepairReport> {
-        self.stats.repairs.fallbacks += 1;
-        let mut span = self
-            .reasoner
-            .config()
-            .profiler
-            .as_ref()
-            .map(|p| p.span("rematerialize"));
-        let horizon = self.session_horizon(self.now)?;
-        let mut total = self.surviving_base()?;
-        self.reasoner
-            .run_strata(&mut total, None, &mut self.stats, horizon, horizon)?;
-        if let Some(s) = span.as_mut() {
-            s.add("tuples", total.tuple_count() as u64);
-        }
-        self.total = total;
-        Ok(RepairReport {
-            path: RepairPath::ColdFallback,
-            cone_tuples: 0,
-            overdeleted_components: 0,
         })
     }
 
     /// The session's whole derivation horizon `[start, t]` as an interval:
-    /// what a cold run (the fallback, a goal-driven query) covers, and
-    /// where `top` holds while a warm run re-derives only the end of it.
+    /// what an explanation covers, and where `top` holds while a warm run
+    /// re-derives only the end of it.
     fn session_horizon(&self, t: Rational) -> Result<Interval> {
         closed_window(
             self.start,
@@ -694,7 +649,7 @@ impl Session {
             self.total.insert_fact(&fact)?;
             seed.insert(fact.pred, &fact.args, fact.interval)?;
             // Draining materializes the fact: it becomes part of the base
-            // set the repair paths preserve and the cold fallback replays.
+            // set the repair path preserves.
             self.asserted.push(fact.clone());
             self.log.push(BaseEvent::Assert(fact));
         }
@@ -1155,68 +1110,34 @@ mod tests {
     }
 
     #[test]
-    fn budget_trip_falls_back_to_cold() {
-        let program = parse_program(MARGIN_RULES).unwrap();
-        let mut s = Reasoner::new(program, ReasonerConfig::default().with_repair_budget(0))
+    fn failed_correction_rolls_back() {
+        // The materialization (p(a), h(a)) fits under the component cap;
+        // re-deriving h(b) after a late p(b) does not.
+        let program = parse_program("h(X) :- p(X).").unwrap();
+        let config = ReasonerConfig {
+            max_components: 3,
+            ..ReasonerConfig::default()
+        };
+        let mut s = Reasoner::new(program, config)
             .unwrap()
             .into_session(&Database::new(), 0)
             .unwrap();
-        s.submit(Fact::at(
-            "tranM",
-            vec![Value::sym("acc"), Value::num(97.0)],
-            3,
-        ))
-        .unwrap();
+        s.submit(Fact::at("p", vec![Value::sym("a")], 2)).unwrap();
         s.advance_to(10).unwrap();
-        let report = s
-            .retract(Fact::at(
-                "tranM",
-                vec![Value::sym("acc"), Value::num(97.0)],
-                3,
-            ))
-            .unwrap();
-        assert_eq!(report.path, RepairPath::ColdFallback);
-        assert_eq!(s.stats().repairs.budget_trips, 1);
-        assert_eq!(s.stats().repairs.fallbacks, 1);
-        assert_eq!(s.database().to_facts_text(), cold_margin("", 10));
-    }
+        let facts = s.database().to_facts_text();
+        let base = s.base_facts().to_vec();
+        let log = s.log().to_vec();
 
-    #[test]
-    fn zero_repair_budget_always_falls_back() {
-        // At budget 0 every cone trips it: each correction rebuilds cold.
-        let program = parse_program(MARGIN_RULES).unwrap();
-        let mut s = Reasoner::new(program, ReasonerConfig::default().with_repair_budget(0))
-            .unwrap()
-            .into_session(&Database::new(), 0)
-            .unwrap();
-        s.submit(Fact::at(
-            "tranM",
-            vec![Value::sym("acc"), Value::num(97.0)],
-            3,
-        ))
-        .unwrap();
-        s.advance_to(10).unwrap();
-        s.submit_late(Fact::at(
-            "tranM",
-            vec![Value::sym("acc"), Value::num(3.0)],
-            5,
-        ))
-        .unwrap();
-        s.retract(Fact::at(
-            "tranM",
-            vec![Value::sym("acc"), Value::num(97.0)],
-            3,
-        ))
-        .unwrap();
-        let r = &s.stats().repairs;
-        assert_eq!(r.attempted, 2);
-        assert_eq!(r.fallbacks, 2);
-        assert_eq!(r.budget_trips, 2);
-        assert_eq!(r.incremental, 0);
-        assert_eq!(
-            s.database().to_facts_text(),
-            cold_margin("tranM(acc, 3.0)@5.", 10)
-        );
+        let err = s
+            .submit_late(Fact::at("p", vec![Value::sym("b")], 3))
+            .unwrap_err();
+        assert!(matches!(err, Error::BudgetExceeded(_)), "got {err:?}");
+        assert_eq!(s.database().to_facts_text(), facts);
+        assert_eq!(s.base_facts(), base);
+        assert_eq!(s.log(), log);
+        // The session keeps working after the rollback.
+        s.advance_to(12).unwrap();
+        assert!(s.database().holds_at("h", &[Value::sym("a")], 2));
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //! `submit` / `submit_late` / `retract` / `advance_to` against a warm
 //! [`Session`] must land byte-identical to a cold materialization over
 //! the final *surviving* fact set — the same oracle every access-path
-//! optimization shipped with. Run across {1, 4} threads and with the
-//! incremental repair both enabled and force-disabled (fallback-only),
-//! so the DRed-style overdelete/rederive path and the cold
-//! re-materialization backstop are both pinned to the same answer.
+//! optimization shipped with. Run across {1, 4} threads, pinning the
+//! DRed-style overdelete/rederive path — the one repair path — to the
+//! cold answer.
 //!
 //! Generation mirrors `session_equivalence.rs`: deterministic in-repo
 //! `SmallRng`, one seed per case, every failure reproducible from the
 //! printed case number.
 
-use chronolog_core::{Database, Fact, Reasoner, ReasonerConfig, Value};
+use chronolog_core::{Database, Fact, Reasoner, ReasonerConfig, RepairPath, RepairReport, Value};
 use chronolog_obs::SmallRng;
 use std::collections::HashSet;
 
@@ -102,7 +101,7 @@ fn gen_events(rng: &mut SmallRng) -> Vec<(&'static str, Vec<Value>, i64)> {
 /// so some land in the future (plain submits), some at or below the
 /// watermark (late submits), and a random subset is retracted again.
 /// Returns how many corrections entered the repair path.
-fn run_interleaved(threads: usize, repair: bool) -> u64 {
+fn run_interleaved(threads: usize) -> u64 {
     let mut attempted_total = 0u64;
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x0EA12 ^ (case << 4));
@@ -129,11 +128,7 @@ fn run_interleaved(threads: usize, repair: bool) -> u64 {
             }
         }
 
-        // Budget 0 sends every correction down the cold fallback.
-        let mut config = ReasonerConfig::default().with_threads(threads);
-        if !repair {
-            config = config.with_repair_budget(0);
-        }
+        let config = ReasonerConfig::default().with_threads(threads);
         let mut session = Reasoner::new(program.clone(), config)
             .unwrap_or_else(|e| panic!("case {case}: program must validate: {e}\n{src}"))
             .into_session(&initial, T_MIN)
@@ -143,6 +138,12 @@ fn run_interleaved(threads: usize, repair: bool) -> u64 {
 
         // Interleave: deliver each stream fact in generation order with
         // occasional watermark advances and retractions in between.
+        let check_path = |report: RepairReport| {
+            assert!(
+                matches!(report.path, RepairPath::Pending | RepairPath::Incremental),
+                "case {case}: {report:?}"
+            );
+        };
         let mut now = T_MIN;
         let mut pending_hi = T_MIN;
         for (fact, t) in stream {
@@ -159,25 +160,31 @@ fn run_interleaved(threads: usize, repair: bool) -> u64 {
                 if rng.gen_bool(0.2) {
                     // Future facts through submit_late exercise the
                     // delegation path.
-                    session
-                        .submit_late(fact.clone())
-                        .unwrap_or_else(|e| panic!("case {case}: future via late: {e}"));
+                    check_path(
+                        session
+                            .submit_late(fact.clone())
+                            .unwrap_or_else(|e| panic!("case {case}: future via late: {e}")),
+                    );
                 } else {
                     session
                         .submit(fact.clone())
                         .unwrap_or_else(|e| panic!("case {case}: submit: {e}"));
                 }
             } else {
-                session
-                    .submit_late(fact.clone())
-                    .unwrap_or_else(|e| panic!("case {case}: late submit at {t}: {e}"));
+                check_path(
+                    session
+                        .submit_late(fact.clone())
+                        .unwrap_or_else(|e| panic!("case {case}: late submit at {t}: {e}")),
+                );
             }
             survivors.push(fact);
             if rng.gen_bool(0.25) && !survivors.is_empty() {
                 let victim = survivors.remove(rng.gen_range_usize(0, survivors.len()));
-                session
-                    .retract(victim.clone())
-                    .unwrap_or_else(|e| panic!("case {case}: retract {victim}: {e}"));
+                check_path(
+                    session
+                        .retract(victim.clone())
+                        .unwrap_or_else(|e| panic!("case {case}: retract {victim}: {e}")),
+                );
             }
         }
         session
@@ -202,25 +209,16 @@ fn run_interleaved(threads: usize, repair: bool) -> u64 {
         assert_eq!(
             session.database().to_facts_text(),
             cold.database.to_facts_text(),
-            "case {case} (threads={threads}, repair={repair}): \
+            "case {case} (threads={threads}): \
              patched session diverged from cold run over survivors\n{src}"
         );
 
-        // Path accounting: every correction lands on exactly one path,
-        // and a zero budget really forces the fallback: the first cone
-        // tuple trips it, so nothing is ever overdeleted in place (an edit
-        // with an empty cone has nothing to patch and stays incremental).
+        // Path accounting: every attempt completed in place.
         let r = &session.stats().repairs;
         assert_eq!(
-            r.incremental + r.fallbacks,
-            r.attempted,
-            "case {case}: every attempt resolves to one path"
+            r.incremental, r.attempted,
+            "case {case}: every attempt repairs incrementally"
         );
-        if !repair {
-            assert_eq!(r.overdeleted_components, 0, "case {case}: budget 0");
-            assert_eq!(r.fallbacks, r.budget_trips, "case {case}: budget 0");
-            assert_eq!(r.cone_tuples, r.budget_trips, "case {case}: budget 0");
-        }
         attempted_total += r.attempted;
     }
     attempted_total
@@ -228,24 +226,12 @@ fn run_interleaved(threads: usize, repair: bool) -> u64 {
 
 #[test]
 fn interleaved_corrections_equal_cold_1_thread_repair() {
-    let attempted = run_interleaved(1, true);
+    let attempted = run_interleaved(1);
     assert!(attempted > 0, "the interleavings must exercise repairs");
 }
 
 #[test]
 fn interleaved_corrections_equal_cold_4_threads_repair() {
-    let attempted = run_interleaved(4, true);
+    let attempted = run_interleaved(4);
     assert!(attempted > 0, "the interleavings must exercise repairs");
-}
-
-#[test]
-fn interleaved_corrections_equal_cold_1_thread_fallback_only() {
-    let attempted = run_interleaved(1, false);
-    assert!(attempted > 0, "the interleavings must exercise fallbacks");
-}
-
-#[test]
-fn interleaved_corrections_equal_cold_4_threads_fallback_only() {
-    let attempted = run_interleaved(4, false);
-    assert!(attempted > 0, "the interleavings must exercise fallbacks");
 }

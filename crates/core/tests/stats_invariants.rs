@@ -419,10 +419,9 @@ fn profiler_spans_tie_out_against_stratum_walls() {
 }
 
 /// The spans are the one timeline: over a session that advances, retracts
-/// and late-submits — at the default repair budget and at budget 0, where
-/// every correction trips the cold fallback — the `iteration`, `stratum`,
-/// `advance` and `repair` spans count and sum to exactly what `RunStats`
-/// reports, so nothing the stats say needs a second event stream.
+/// and late-submits, the `iteration`, `stratum`, `advance` and `repair`
+/// spans count and sum to exactly what `RunStats` reports, so nothing the
+/// stats say needs a second event stream.
 #[test]
 fn session_spans_tie_out_against_run_stats() {
     use chronolog_core::{Fact, Value};
@@ -434,70 +433,65 @@ fn session_spans_tie_out_against_run_stats() {
          margin(A, M) :- diamondminus margin(A, M), not changeM(A).\n\
          margin(A, M) :- boxminus isOpen(A), diamondminus margin(A, X), tranM(A, Y), M = X + Y.";
     let tran = |m: f64, t: i64| Fact::at("tranM", vec![Value::sym("acc"), Value::num(m)], t);
-    for budget in [ReasonerConfig::default().repair_budget, 0] {
-        let (program, _) = parse_source(rules).unwrap();
-        let recorder = SpanRecorder::new();
-        let config = ReasonerConfig {
-            profiler: Some(recorder.clone()),
-            ..ReasonerConfig::default().with_repair_budget(budget)
-        };
-        let mut session = Reasoner::new(program, config)
-            .unwrap()
-            .into_session(&Database::new(), 0)
-            .unwrap();
-        session.submit(tran(97.0, 3)).unwrap();
-        session.advance_to(10).unwrap();
-        session.submit_late(tran(3.0, 5)).unwrap();
-        session.retract(tran(97.0, 3)).unwrap();
-        session
-            .submit(Fact::at("withdraw", vec![Value::sym("acc")], 12))
-            .unwrap();
-        session.advance_to(15).unwrap();
-        // `into_session` materializes the starting instant: one advance.
-        let advances = 3;
+    let (program, _) = parse_source(rules).unwrap();
+    let recorder = SpanRecorder::new();
+    let config = ReasonerConfig {
+        profiler: Some(recorder.clone()),
+        ..ReasonerConfig::default()
+    };
+    let mut session = Reasoner::new(program, config)
+        .unwrap()
+        .into_session(&Database::new(), 0)
+        .unwrap();
+    session.submit(tran(97.0, 3)).unwrap();
+    session.advance_to(10).unwrap();
+    session.submit_late(tran(3.0, 5)).unwrap();
+    session.retract(tran(97.0, 3)).unwrap();
+    session
+        .submit(Fact::at("withdraw", vec![Value::sym("acc")], 12))
+        .unwrap();
+    session.advance_to(15).unwrap();
+    // `into_session` materializes the starting instant: one advance.
+    let advances = 3;
 
-        let stats = session.stats();
-        assert_eq!(recorder.dropped(), 0);
-        let lanes = recorder.lanes();
-        let spans: Vec<&SpanRecord> = lanes.iter().flat_map(|(_, r)| r.iter()).collect();
-        let named = |name: &str| -> Vec<&SpanRecord> {
-            spans.iter().copied().filter(|s| s.name == name).collect()
-        };
-        let sum = |of: &[&SpanRecord], key: &str| -> u64 {
-            of.iter()
-                .map(|s| counter(s, key).unwrap_or_else(|| panic!("{} has no {key}", s.name)))
-                .sum()
-        };
+    let stats = session.stats();
+    assert_eq!(recorder.dropped(), 0);
+    let lanes = recorder.lanes();
+    let spans: Vec<&SpanRecord> = lanes.iter().flat_map(|(_, r)| r.iter()).collect();
+    let named = |name: &str| -> Vec<&SpanRecord> {
+        spans.iter().copied().filter(|s| s.name == name).collect()
+    };
+    let sum = |of: &[&SpanRecord], key: &str| -> u64 {
+        of.iter()
+            .map(|s| counter(s, key).unwrap_or_else(|| panic!("{} has no {key}", s.name)))
+            .sum()
+    };
 
-        assert_eq!(
-            named("iteration").len(),
-            stats.iterations.iter().sum::<usize>(),
-            "budget {budget}: one iteration span per counted fixpoint round"
-        );
-        for row in &stats.strata {
-            let of = named(&format!("stratum {}", row.stratum));
-            assert_eq!(sum(&of, "iterations"), row.iterations as u64);
-            assert_eq!(sum(&of, "tuples_derived"), row.tuples_derived as u64);
-            assert_eq!(sum(&of, "components_added"), row.components_added as u64);
-        }
-        assert_eq!(named("advance").len(), advances, "budget {budget}");
-
-        let repairs = named("repair");
-        let r = &stats.repairs;
-        assert_eq!(r.attempted, 2);
-        assert_eq!(repairs.len() as u64, r.attempted, "budget {budget}");
-        assert_eq!(sum(&repairs, "cone_tuples"), r.cone_tuples);
-        assert_eq!(
-            sum(&repairs, "overdeleted_components"),
-            r.overdeleted_components
-        );
-        assert_eq!(sum(&repairs, "fallback"), r.fallbacks);
-        // Both budgets do what they are here for.
-        assert_eq!(r.fallbacks, if budget == 0 { 2 } else { 0 });
-        assert_eq!(r.budget_trips, r.fallbacks);
-        assert!(r.cone_tuples > 0, "budget {budget}: {r:?}");
-        assert_eq!(r.overdeleted_components > 0, budget != 0, "{r:?}");
+    assert_eq!(
+        named("iteration").len(),
+        stats.iterations.iter().sum::<usize>(),
+        "one iteration span per counted fixpoint round"
+    );
+    for row in &stats.strata {
+        let of = named(&format!("stratum {}", row.stratum));
+        assert_eq!(sum(&of, "iterations"), row.iterations as u64);
+        assert_eq!(sum(&of, "tuples_derived"), row.tuples_derived as u64);
+        assert_eq!(sum(&of, "components_added"), row.components_added as u64);
     }
+    assert_eq!(named("advance").len(), advances);
+
+    let repairs = named("repair");
+    let r = &stats.repairs;
+    assert_eq!(r.attempted, 2);
+    assert_eq!(r.incremental, r.attempted);
+    assert_eq!(repairs.len() as u64, r.attempted);
+    assert_eq!(sum(&repairs, "cone_tuples"), r.cone_tuples);
+    assert_eq!(
+        sum(&repairs, "overdeleted_components"),
+        r.overdeleted_components
+    );
+    assert!(r.cone_tuples > 0, "{r:?}");
+    assert!(r.overdeleted_components > 0, "{r:?}");
 }
 
 /// A read is one span: every `explain` — batch or session — opens one
