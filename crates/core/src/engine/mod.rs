@@ -34,7 +34,7 @@ use chronolog_obs::{Json, SpanRecorder};
 use eval::{delta_eligible, execute_heads, EvalCtx, JoinCounters};
 use mtl_temporal::{Interval, IntervalSet};
 use pool::WorkerPool;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -47,14 +47,13 @@ use std::time::{Duration, Instant};
 const PAR_MIN_EVAL_WALL: Duration = Duration::from_millis(2);
 
 /// Reasoner configuration: the horizon the model is clipped to, resource
-/// budgets, worker threads, profiling and the repair budget. Beyond the
-/// horizon, none of them changes the model — only whether, how fast and how
-/// observably it is computed. The fixpoint
-/// strategy is not a setting: a rule runs semi-naive over its
-/// current-stratum literals, and in full each round only when one of them
-/// cannot carry a delta (a non-punctual box, `since`/`until`). The model is
-/// checked against one independent reference, the brute-force oracle of
-/// [`crate::naive`].
+/// budgets, worker threads and profiling. Beyond the horizon, none of them
+/// changes the model — only whether, how fast and how observably it is
+/// computed. The fixpoint strategy is not a setting: a rule runs semi-naive
+/// over its current-stratum literals, and in full each round only when one
+/// of them cannot carry a delta (a non-punctual box, `since`/`until`). The
+/// model is checked against one independent reference, the brute-force
+/// oracle of [`crate::naive`].
 #[derive(Clone, Debug)]
 pub struct ReasonerConfig {
     /// The reasoning horizon: derivations are clipped to this interval (the
@@ -641,6 +640,10 @@ pub struct Reasoner {
     /// physical plans, self-chain rules) — compiled here once instead of
     /// on every stratum run.
     compiled: Vec<CompiledStratum>,
+    /// Per predicate of the program, the predicates whose derivations
+    /// depend on it, directly or transitively: the static half of every
+    /// repair cone, built once here instead of on every correction.
+    downstream: HashMap<Symbol, Vec<Symbol>>,
     config: ReasonerConfig,
     /// Persistent evaluation worker pool, spawned lazily on the first
     /// multi-threaded dispatch and reused across fixpoint iterations,
@@ -652,7 +655,6 @@ pub struct Reasoner {
 /// read from the delta (whose delta relation must be non-empty for the
 /// variant to derive anything) and the variant's plan, which names the
 /// literal.
-#[derive(Clone)]
 struct Variant {
     pred: Symbol,
     plan: Arc<plan::RulePlan>,
@@ -679,12 +681,6 @@ struct CompiledRule {
     /// The plan of a full evaluation.
     full: Arc<plan::RulePlan>,
     mode: FixpointMode,
-    /// Iteration 0 of a seeded (session) run: one variant per positive
-    /// literal, read from the seed. `None` when some positive literal is
-    /// not delta-eligible — or there is none at all, and no seed could
-    /// reach the rule — and the rule is evaluated in full over the (narrow)
-    /// re-derivation window instead.
-    seeded: Option<Vec<Variant>>,
 }
 
 /// Everything about one stratum that depends on the program alone.
@@ -732,20 +728,6 @@ impl CompiledStratum {
             .iter()
             .map(|&idx| {
                 let rule = &program.rules[idx];
-                // One plan per delta literal, shared by the semi-naive and
-                // the seeded variant over it.
-                let variants: Vec<Option<Variant>> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .map(|(literal, lit)| {
-                        delta_eligible(lit).map(|pred| Variant {
-                            pred,
-                            plan: Arc::new(plan::build_plan(rule, Some(literal), persisted)),
-                        })
-                    })
-                    .collect();
-                let variant = |literal: usize| variants[literal].clone();
                 let mut dep_variants = Vec::new();
                 let mut blocked = false;
                 let mut has_dep = false;
@@ -760,8 +742,11 @@ impl CompiledStratum {
                         continue;
                     }
                     has_dep = true;
-                    match variant(li) {
-                        Some(v) => dep_variants.push(v),
+                    match delta_eligible(lit) {
+                        Some(pred) => dep_variants.push(Variant {
+                            pred,
+                            plan: Arc::new(plan::build_plan(rule, Some(li), persisted)),
+                        }),
                         None => blocked = true,
                     }
                 }
@@ -772,19 +757,10 @@ impl CompiledStratum {
                 } else {
                     FixpointMode::SemiNaive(dep_variants)
                 };
-                let seeded: Option<Vec<Variant>> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| matches!(l, Literal::Pos(_)))
-                    .map(|(li, _)| variant(li))
-                    .collect::<Option<Vec<_>>>()
-                    .filter(|variants| !variants.is_empty());
                 CompiledRule {
                     idx,
                     full: Arc::new(plan::build_plan(rule, None, persisted)),
                     mode,
-                    seeded,
                 }
             })
             .collect();
@@ -840,6 +816,31 @@ fn push_variants<'d>(
     }
 }
 
+/// Every predicate of `graph` with the predicates reachable from it along
+/// its edges (itself only through a cycle).
+fn downstream_predicates(graph: &DependencyGraph) -> HashMap<Symbol, Vec<Symbol>> {
+    let mut successors: HashMap<Symbol, Vec<Symbol>> = HashMap::new();
+    for (from, to, _) in &graph.edges {
+        successors.entry(*from).or_default().push(*to);
+    }
+    graph
+        .predicates
+        .iter()
+        .map(|&p| {
+            let mut reached: HashSet<Symbol> = HashSet::new();
+            let mut frontier = vec![p];
+            while let Some(q) = frontier.pop() {
+                for &to in successors.get(&q).into_iter().flatten() {
+                    if reached.insert(to) {
+                        frontier.push(to);
+                    }
+                }
+            }
+            (p, reached.into_iter().collect())
+        })
+        .collect()
+}
+
 impl Reasoner {
     /// Validates (safety, arity, stratification) and compiles a program.
     pub fn new(program: Program, config: ReasonerConfig) -> Result<Reasoner> {
@@ -851,10 +852,12 @@ impl Reasoner {
             .iter()
             .map(|rules| CompiledStratum::compile(&program, rules, &persisted))
             .collect();
+        let downstream = downstream_predicates(&DependencyGraph::build(&program));
         Ok(Reasoner {
             program: Arc::new(program),
             strat,
             compiled,
+            downstream,
             config,
             pool: OnceLock::new(),
         })
@@ -901,7 +904,7 @@ impl Reasoner {
         let input_tuples = input.tuple_count();
 
         let horizon = self.config.horizon;
-        self.run_strata(&mut total, None, &mut stats, horizon, horizon)?;
+        self.run_strata(&mut total, &mut stats, horizon, horizon)?;
 
         stats.derived_tuples = total.tuple_count().saturating_sub(input_tuples);
         stats.total_components = total.component_count();
@@ -1075,15 +1078,9 @@ impl Reasoner {
     /// predicate can carry derived intervals of its own in the
     /// materialization (e.g. when it also appears in a rule head).
     pub(crate) fn affected_predicates(&self, changed: &[Symbol]) -> HashSet<Symbol> {
-        let graph = DependencyGraph::build(&self.program);
         let mut affected: HashSet<Symbol> = changed.iter().copied().collect();
-        let mut frontier: Vec<Symbol> = changed.to_vec();
-        while let Some(p) = frontier.pop() {
-            for (from, to, _) in &graph.edges {
-                if *from == p && affected.insert(*to) {
-                    frontier.push(*to);
-                }
-            }
+        for p in changed {
+            affected.extend(self.downstream.get(p).into_iter().flatten());
         }
         affected
     }
@@ -1091,8 +1088,7 @@ impl Reasoner {
     /// DRed-style overdeletion: within `window`, removes from `total`
     /// every affected tuple's validity except the parts backed by a
     /// surviving base fact. Over-approximate by design — anything still
-    /// derivable is restored by the re-derivation pass, seeded from the
-    /// surviving facts around the window.
+    /// derivable is restored by the re-derivation pass over the window.
     pub(crate) fn overdelete(
         &self,
         total: &mut Database,
@@ -1135,33 +1131,24 @@ impl Reasoner {
     /// fixpoint over the derivation `window` of `total`, with `top` holding
     /// on the whole horizon (a batch run: both are the reasoning horizon; a
     /// session advance or repair: the window it re-derives, of `[start,
-    /// t]`). With a `seed`, iteration 0 of every stratum is semi-naive
-    /// against it, and every stratum's additions are merged into it so that
-    /// later strata see them.
+    /// t]`). Iteration 0 of every stratum evaluates each rule in full over
+    /// the window; later iterations are semi-naive on the last one's
+    /// additions.
     pub(crate) fn run_strata(
         &self,
         total: &mut Database,
-        mut seed: Option<&mut Database>,
         stats: &mut RunStats,
         window: Interval,
         top: Interval,
     ) -> Result<()> {
         for stratum in 0..self.compiled.len() {
-            self.run_stratum(stratum, total, seed.as_deref_mut(), stats, window, top)?;
+            self.run_stratum(stratum, total, stats, window, top)?;
         }
         Ok(())
     }
 
     /// Runs one stratum to fixpoint.
     ///
-    /// * `seed` — incremental mode: iteration 0 evaluates semi-naive
-    ///   variants against this delta (covering *all* predicates) instead of
-    ///   re-evaluating every rule in full; rules with a positive literal
-    ///   that is not delta-eligible fall back to a full evaluation. The seed
-    ///   is read at iteration 0 only, and takes every addition of the
-    ///   stratum as it is merged: the aggregate groups' first, so
-    ///   same-stratum readers of an aggregate head see it in iteration 0,
-    ///   then each round's, for the strata above.
     /// * `window` — the re-derivation window: bodies are evaluated and
     ///   heads clipped inside it (the whole reasoning horizon for a batch
     ///   run; `[now, t]` for a session advance, `[cut, now]` for a repair).
@@ -1175,7 +1162,6 @@ impl Reasoner {
         &self,
         stratum: usize,
         total: &mut Database,
-        mut seed: Option<&mut Database>,
         stats: &mut RunStats,
         window: Interval,
         top: Interval,
@@ -1252,9 +1238,6 @@ impl Reasoner {
                     }
                     stats.rules[lead].components_added += added.components().len();
                     stratum_components += added.components().len();
-                    if let Some(seed) = seed.as_deref_mut() {
-                        seed.merge(*pred, &tuple, &added)?;
-                    }
                 }
             }
             stats.rules[lead].wall += group_start.elapsed();
@@ -1301,20 +1284,11 @@ impl Reasoner {
             // order, so output and stats are bit-identical for every thread
             // count.
             let mut tasks: Vec<Task<'_>> = Vec::new();
-            let seed_delta = seed.as_deref().filter(|_| iteration == 0);
             for rule in &compiled.rules {
-                match (&rule.mode, iteration, seed_delta) {
-                    // Incremental iteration 0: semi-naive against the seed
-                    // when every positive literal supports it.
-                    (_, 0, Some(seed)) => match &rule.seeded {
-                        Some(variants) => push_variants(&mut tasks, rule.idx, variants, Some(seed)),
-                        None => tasks.push(Task::full(rule)),
-                    },
-                    (FixpointMode::Once, 0, None) => tasks.push(Task::full(rule)),
-                    (FixpointMode::Once, _, _) => {}
-                    (FixpointMode::Full, _, _) => tasks.push(Task::full(rule)),
-                    (FixpointMode::SemiNaive(_), 0, None) => tasks.push(Task::full(rule)),
-                    (FixpointMode::SemiNaive(variants), _, _) => {
+                match (&rule.mode, iteration) {
+                    (_, 0) | (FixpointMode::Full, _) => tasks.push(Task::full(rule)),
+                    (FixpointMode::Once, _) => {}
+                    (FixpointMode::SemiNaive(variants), _) => {
                         let delta = if compiled.chains.contains(rule.idx) {
                             chain_prev.get(&rule.idx)
                         } else {
@@ -1381,15 +1355,9 @@ impl Reasoner {
                 })
             };
             last_eval_wall = eval_out.iter().map(|(_, d)| *d).sum();
-            // What the merge needs of each task, read before the seed takes
-            // this round's additions.
-            let done: Vec<(usize, Option<usize>)> = tasks
-                .iter()
-                .map(|task| (task.rule, task.delta.map(Database::tuple_count)))
-                .collect();
-
             // Merge every task's head rows back in fixed task order.
-            for ((rule_idx, delta_tuples), (results, eval_wall)) in done.into_iter().zip(eval_out) {
+            for (task, (results, eval_wall)) in tasks.iter().zip(eval_out) {
+                let rule_idx = task.rule;
                 let rule = &rules[rule_idx];
                 let head = rule.head.atom.pred;
                 let merge_start = Instant::now();
@@ -1398,8 +1366,8 @@ impl Reasoner {
                 let rstats = &mut stats.rules[rule_idx];
                 rstats.body_evaluations += 1;
                 rstats.wall += eval_wall;
-                if let Some(n) = delta_tuples {
-                    rstats.delta_tuples += n;
+                if let Some(delta) = task.delta {
+                    rstats.delta_tuples += delta.tuple_count();
                 }
                 rstats.derivations += results.len();
                 for (tuple, ivs) in results {
@@ -1467,9 +1435,6 @@ impl Reasoner {
                                 .entry(other)
                                 .or_default()
                                 .merge(head, &tuple, &added)?;
-                        }
-                        if let Some(seed) = seed.as_deref_mut() {
-                            seed.merge(head, &tuple, &added)?;
                         }
                     }
                 }

@@ -7,15 +7,18 @@
 //! This is sound for the paper's forward-propagating fragment
 //! (DatalogMTL^FP): past-only operators mean a derivation at time `u`
 //! depends only on facts at times `≤ u`, so once every fact up to the
-//! watermark is known, everything derived below it is final. Each advance
-//! therefore runs one semi-naive round seeded with (a) the newly submitted
-//! facts and (b) the boundary slice `[now − reach, now]` of the existing
-//! materialization, where `reach` is the program's maximal temporal
-//! look-back — exactly the facts a boundary-crossing derivation could
-//! consume — and re-derives only over the window `[now, t]` that can still
-//! change (a repair: `[cut, now]`). Bodies are evaluated and heads clipped
-//! inside that window, so aggregates, rules evaluated in full and the
-//! seeded variants never rescan the session's history.
+//! watermark is known, everything derived below it is final.
+//!
+//! An advance to `t` is therefore a batch run over the window `[now, t]`:
+//! the pending facts go into the materialization, and the strata run to
+//! fixpoint exactly as [`Reasoner::materialize`] runs them — round 0
+//! evaluates every rule in full, later rounds are semi-naive on the last
+//! round's additions. Bodies are evaluated and heads clipped inside the
+//! window, and the time index keeps a full evaluation's reads inside it
+//! plus the look-back its operators reach, so an advance never rescans the
+//! session's history. Aggregates and negation read the materialization
+//! itself. A repair re-derives the window `[cut, now]` the same way, after
+//! overdeleting it.
 
 use crate::ast::{Literal, MetricAtom, Program};
 use crate::database::Database;
@@ -146,7 +149,6 @@ pub struct Session {
     log: Vec<BaseEvent>,
     start: Rational,
     now: Rational,
-    reach: Rational,
     stats: RunStats,
 }
 
@@ -158,7 +160,7 @@ impl Reasoner {
     /// no future operators (`◇⁺`, `⊞`, `until`) in bodies, no head
     /// operators, and finite operator windows.
     pub fn into_session(self, initial: &Database, start: i64) -> Result<Session> {
-        let reach = program_reach(self.program())?;
+        program_reach(self.program())?;
         let start = Rational::integer(start);
         let total = initial.clone();
         let mut stats = RunStats::default();
@@ -186,7 +188,6 @@ impl Reasoner {
             log,
             start,
             now: start,
-            reach,
             stats,
         };
         // Materialize the starting instant so `database()` is consistent
@@ -545,22 +546,8 @@ impl Session {
             out
         };
 
-        // Re-derive: seed with every surviving fact a derivation in the
-        // repair window can reach (`[cut − reach, now]` — the same
-        // boundary-slice argument as the watermark advance).
-        let window_lo = cut.checked_sub(self.reach).ok_or_else(|| {
-            Error::TimeOverflow(format!(
-                "repair seed window start {cut} - {} leaves the rational timeline",
-                self.reach
-            ))
-        })?;
-        let mut seed = self.boundary_seed(closed_window(
-            window_lo,
-            self.now,
-            format_args!("repair seed window {window_lo}..{} collapsed", self.now),
-        )?)?;
         {
-            let mut rd_span = self
+            let _rd_span = self
                 .reasoner
                 .config()
                 .profiler
@@ -568,19 +555,10 @@ impl Session {
                 .map(|p| p.span("rederive"));
             // Everything below the cut is untouched by the edit and final
             // (forward-propagating fragment), so only the repair window is
-            // re-derived; the seed carries what it reads from before it,
-            // and `top` keeps holding from the session start.
+            // re-derived, and `top` keeps holding from the session start.
             let top = self.session_horizon(self.now)?;
-            self.reasoner.run_strata(
-                &mut self.total,
-                Some(&mut seed),
-                &mut self.stats,
-                window,
-                top,
-            )?;
-            if let Some(s) = rd_span.as_mut() {
-                s.add("seed_tuples", seed.tuple_count() as u64);
-            }
+            self.reasoner
+                .run_strata(&mut self.total, &mut self.stats, window, top)?;
         }
         Ok(RepairReport {
             path: RepairPath::Incremental,
@@ -603,20 +581,6 @@ impl Session {
         )
     }
 
-    /// The slice of the materialization a derivation inside `window` can
-    /// read: every tuple of `total` clipped to `window`, as a fresh
-    /// database (the seed of an advance or of a repair's re-derivation).
-    fn boundary_seed(&self, window: Interval) -> Result<Database> {
-        let mut seed = Database::new();
-        for (pred, tuple, ivs) in self.total.iter() {
-            let clipped = IntervalSet::clip_components(ivs, &window);
-            if !clipped.is_empty() {
-                seed.merge(pred, &tuple.to_vec(), &clipped)?;
-            }
-        }
-        Ok(seed)
-    }
-
     fn run_advance(&mut self, t: Rational) -> Result<()> {
         let mut advance_span = self
             .reasoner
@@ -627,39 +591,24 @@ impl Session {
         let started = std::time::Instant::now();
         self.reasoner.init_rule_stats(&mut self.stats);
         let pending_count = self.pending.len();
-        let tuples_before = self.total.tuple_count();
-        // Seed: boundary slice of the existing materialization plus the
-        // pending submissions, clipped to the derivation window.
-        let window_lo = self.now.checked_sub(self.reach).ok_or_else(|| {
-            Error::TimeOverflow(format!(
-                "seed window start {} - {} leaves the rational timeline",
-                self.now, self.reach
-            ))
-        })?;
-        let mut seed = self.boundary_seed(closed_window(
-            window_lo,
-            t,
-            format_args!(
-                "advance seed window {window_lo}..{t} collapsed (target below \
-                 the watermark {})",
-                self.now
-            ),
-        )?)?;
         for fact in self.pending.drain(..) {
             self.total.insert_fact(&fact)?;
-            seed.insert(fact.pred, &fact.args, fact.interval)?;
             // Draining materializes the fact: it becomes part of the base
             // set the repair path preserves.
             self.asserted.push(fact.clone());
             self.log.push(BaseEvent::Assert(fact));
         }
-        let seed_tuples = seed.tuple_count();
+        // Counted after the drain: a drained fact whose tuple is already
+        // stored (a repeated `price(P)`) adds no tuple.
+        let tuples_before = self.total.tuple_count();
 
-        // Everything at or below the watermark is final, and the seed
-        // already carries the `reach`-wide slice a derivation above it can
-        // read: only `[now, t]` is re-derived (`top`, which no seed
-        // carries, keeps holding on all of `[start, t]`).
-        let horizon = closed_window(
+        // Everything at or below the watermark is final, so only `[now, t]`
+        // is re-derived, exactly as a batch run derives its horizon: round 0
+        // evaluates every rule in full over the window (the time index
+        // keeps its reads inside it, plus the look-back its operators
+        // reach), later rounds are semi-naive. `top` keeps holding on all
+        // of `[start, t]`.
+        let window = closed_window(
             self.now,
             t,
             format_args!(
@@ -667,26 +616,14 @@ impl Session {
                 self.now
             ),
         )?;
-
         let top = self.session_horizon(t)?;
-
-        // Each stratum's new facts also become seeds for the next stratum.
-        self.reasoner.run_strata(
-            &mut self.total,
-            Some(&mut seed),
-            &mut self.stats,
-            horizon,
-            top,
-        )?;
+        self.reasoner
+            .run_strata(&mut self.total, &mut self.stats, window, top)?;
         self.now = t;
         if let Some(s) = advance_span.as_mut() {
             s.add("pending", pending_count as u64);
-            s.add("seed_tuples", seed_tuples as u64);
         }
-        self.stats.derived_tuples += self
-            .total
-            .tuple_count()
-            .saturating_sub(tuples_before + pending_count);
+        self.stats.derived_tuples += self.total.tuple_count().saturating_sub(tuples_before);
         self.stats.elapsed += started.elapsed();
         self.stats.total_components = self.total.component_count();
         super::capture_storage_stats(&self.total, &mut self.stats);
@@ -696,7 +633,8 @@ impl Session {
 
 /// The maximal temporal look-back of any body literal: how far into the
 /// past a single rule application can reach. Errors on future operators,
-/// head operators, and unbounded windows (outside the session fragment).
+/// head operators, and unbounded windows (outside the session fragment),
+/// which makes it the session's fragment check.
 fn program_reach(program: &Program) -> Result<Rational> {
     fn chain_reach(m: &MetricAtom) -> Result<Rational> {
         match m {

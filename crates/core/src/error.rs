@@ -38,7 +38,7 @@ pub enum Error {
         /// The session watermark the fact collided with.
         watermark: String,
     },
-    /// A derivation or seed window collapsed to the empty interval
+    /// A derivation window collapsed to the empty interval
     /// (`lo > hi` after clipping) where a non-empty one was required.
     EmptyWindow(String),
     /// A retraction named a fact that is not part of the session's

@@ -2,12 +2,12 @@
 //!
 //! An advance re-derives over `[now, t]` and a repair over `[cut, now]` —
 //! not over the whole session `[start, …]` — because everything below the
-//! window is final in the forward-propagating fragment and the seed carries
-//! the `reach`-wide slice the window reads from before it. Two things to
-//! pin: a long session with an aggregate, a rule evaluated once per stratum
-//! run and a correction deep in history still lands byte for byte on the
-//! batch run; and the work of one advance stops growing with the length of
-//! the history behind it.
+//! window is final in the forward-propagating fragment and the read masks
+//! fetch the `reach`-wide slice the window reads from before it. Two
+//! things to pin: a long session with an aggregate, a rule evaluated once
+//! per stratum run and a correction deep in history still lands byte for
+//! byte on the batch run; and the work of one advance stops growing with
+//! the length of the history behind it.
 
 use chronolog_core::{
     parse_program, Database, Fact, Reasoner, ReasonerConfig, RepairPath, RunStats, Session, Value,
@@ -163,10 +163,11 @@ fn top_under_a_past_operator_holds_from_the_session_start() {
     }
 }
 
-/// A rule with no positive literal has no seeded variant to wake it, so a
-/// warm advance or a repair must evaluate it in full over the window it
-/// re-derives — or `quiet` is never derived after the session's first
-/// instant, and never comes back when an `alarm` is retracted.
+/// A rule with no positive literal reads no delta, so only a full
+/// evaluation derives it: every warm advance and every repair runs round 0
+/// in full over the window it re-derives — or `quiet` is never derived
+/// after the session's first instant, and never comes back when an `alarm`
+/// is retracted.
 #[test]
 fn a_rule_without_a_positive_literal_is_rederived_in_every_window() {
     let rules = "quiet(a) :- not alarm(a).\n\

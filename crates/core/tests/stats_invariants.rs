@@ -6,7 +6,9 @@
 //! round. These tests pin that over the corpus programs and the
 //! random-program generator's fact shapes.
 
-use chronolog_core::{parse_source, Database, Reasoner, ReasonerConfig, RunStats};
+use chronolog_core::{
+    parse_source, Database, Fact, Interval, Reasoner, ReasonerConfig, RunStats, Value,
+};
 use chronolog_obs::{SpanRecord, SpanRecorder};
 
 /// Every checked-in corpus program, with a horizon wide enough to cover
@@ -113,6 +115,48 @@ fn per_rule_sums_equal_run_totals_on_corpus() {
         let (stats, _) = materialize(&src, lo, hi);
         check_breakdown_ties_out(name, &stats);
     }
+}
+
+/// A session's breakdown ties out like a batch run's, and it counts the
+/// tuples the batch run counts — also when an advance drains a base fact
+/// whose tuple is already stored (a repeated deposit adds an interval, not
+/// a tuple).
+#[test]
+fn session_breakdown_ties_out_with_a_repeated_base_tuple() {
+    let path = format!("{}/../../corpus/margin.dmtl", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap();
+    let (program, mut facts) = parse_source(&src).unwrap();
+    // `tranM(acc123, 97.0)` is deposited again at 12, in the same advance
+    // as the margin it makes, 197.
+    facts.push(Fact::at(
+        "tranM",
+        vec![Value::sym("acc123"), Value::num(97.0)],
+        12,
+    ));
+    let reasoner = || {
+        Reasoner::new(
+            program.clone(),
+            ReasonerConfig::default().with_horizon(0, 20),
+        )
+        .unwrap()
+    };
+    let mut db = Database::new();
+    db.extend_facts(&facts).unwrap();
+    let batch = reasoner().materialize(&db).unwrap();
+
+    let mut session = reasoner().into_session(&Database::new(), 0).unwrap();
+    for t in 1..=20 {
+        for fact in facts.iter().filter(|f| f.interval == Interval::at(t)) {
+            session.submit(fact.clone()).unwrap();
+        }
+        session.advance_to(t).unwrap();
+    }
+    assert_eq!(
+        session.database().to_facts_text(),
+        batch.database.to_facts_text()
+    );
+    check_breakdown_ties_out("margin session", session.stats());
+    assert_eq!(session.stats().derived_tuples, batch.stats.derived_tuples);
 }
 
 /// A current-stratum atom under a box of positive length or under
