@@ -107,8 +107,7 @@ fn bench_small_materialization(c: &mut Bench) {
 /// A join-heavy workload: two 600-tuple relations joined on a key drawn
 /// from 40 distinct values, plus a second rule re-joining the result. Each
 /// binding probes a ~15-tuple value-index bucket instead of walking the 600
-/// tuples. The workload has >256 bindings per rule, so the `threads4`
-/// variant also exercises the binding fan-out inside a rule.
+/// tuples. `threads4` runs the same workload with a worker budget of 4.
 fn bench_join_heavy(c: &mut Bench) {
     let src = "linked(X, Z) :- r(X, K), s(K, Z).\n\
                closed(X, Z) :- linked(X, Z), r(Z, K2), s(K2, X).";
@@ -133,18 +132,6 @@ fn bench_join_heavy(c: &mut Bench) {
     group.sample_size(10);
     group.bench_function("indexed/threads1", |b| b.iter(|| black_box(run(1, &db))));
     group.bench_function("indexed/threads4", |b| b.iter(|| black_box(run(4, &db))));
-    // Same workload, but one `Reasoner` — and therefore one persistent
-    // worker pool — reused across runs. The plain `threads4` variant above
-    // builds a fresh `Reasoner` per run, so every run pays the pool spawn;
-    // this one pays it once.
-    let warm = Reasoner::new(
-        program.clone(),
-        ReasonerConfig::default().with_horizon(0, 8).with_threads(4),
-    )
-    .unwrap();
-    group.bench_function("indexed/threads4_warm_pool", |b| {
-        b.iter(|| black_box(warm.materialize(&db).unwrap()))
-    });
     group.finish();
 }
 

@@ -16,6 +16,8 @@
 //! statistics as JSON, one report per materialization in the same shape as
 //! the CLI's `--stats-json` (see docs/OBSERVABILITY.md).
 
+#![forbid(unsafe_code)]
+
 use chronolog_bench::{paper_traces, render_table, sci};
 use chronolog_cli::run_report;
 use chronolog_core::{DependencyGraph, Reasoner, ReasonerConfig};

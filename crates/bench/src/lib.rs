@@ -1,5 +1,6 @@
 //! Shared reporting helpers for the reproduction harness and benches.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod microbench;

@@ -47,6 +47,7 @@
 //!
 //! Files may mix rules and facts; `-` reads standard input.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use chronolog_core::{
@@ -60,10 +61,10 @@ use std::fmt::Write as _;
 
 /// Schema version of the `--stats-json` report; bump on breaking changes.
 /// The report carries run metadata, then the engine's `totals`, `strata`,
-/// `rules`, `workers`, `planner`, `pool`, `repairs`, `storage` and `magic`
+/// `rules`, `workers`, `planner`, `repairs`, `storage` and `magic`
 /// sections (`docs/OBSERVABILITY.md` describes every field;
 /// `tests/fixtures/stats_schema.txt` pins the shape).
-pub const REPORT_SCHEMA_VERSION: u64 = 13;
+pub const REPORT_SCHEMA_VERSION: u64 = 14;
 
 /// CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -774,13 +775,6 @@ fn render_stats(out: &mut String, stats: &RunStats) {
         "planner: {} plans used, {} reordered, {} rows out of the join pipelines",
         stats.plans_built, stats.reorders_applied, stats.planner_actual_rows
     );
-    if stats.pool_respawns + stats.pool_reuses > 0 {
-        let _ = writeln!(
-            out,
-            "pool: {} warm dispatches, {} spawns",
-            stats.pool_reuses, stats.pool_respawns
-        );
-    }
     if stats.repairs.attempted > 0 {
         let r = &stats.repairs;
         let _ = writeln!(
@@ -880,7 +874,7 @@ pub fn run_report(stats: &RunStats, files: &[String], horizon: Option<(i64, i64)
     );
     let stats_json = stats.to_json();
     for section in [
-        "totals", "strata", "rules", "workers", "planner", "pool", "repairs", "storage", "magic",
+        "totals", "strata", "rules", "workers", "planner", "repairs", "storage", "magic",
     ] {
         report.set(
             section,
@@ -1124,8 +1118,7 @@ mod tests {
             sum(strata, "tuples_derived"),
             totals.get("derived_tuples").and_then(Json::as_u64).unwrap()
         );
-        // The planner section ties out against its own plan list, and the
-        // pool section exists (all-zero for a sequential run).
+        // The planner section ties out against its own plan list.
         let planner = report.get("planner").unwrap();
         let plans = planner.get("plans").and_then(Json::as_array).unwrap();
         assert_eq!(
@@ -1133,9 +1126,6 @@ mod tests {
             Some(plans.len() as u64)
         );
         assert!(!plans.is_empty(), "every evaluated rule has a plan");
-        let pool = report.get("pool").unwrap();
-        assert_eq!(pool.get("respawns").and_then(Json::as_u64), Some(0));
-        assert_eq!(pool.get("reuses").and_then(Json::as_u64), Some(0));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1199,9 +1189,8 @@ mod tests {
 
     #[test]
     fn threaded_runs_are_byte_identical_to_sequential() {
-        // A join-heavy recursive scenario with several rules per stratum so
-        // the worker pool actually fans out; output and derivation counts
-        // must not depend on the thread count.
+        // A join-heavy recursive scenario with several rules per stratum;
+        // output and derivation counts must not depend on the thread count.
         let scenario = "reach(X, Y) :- edge(X, Y).\n\
                         reach(X, Z) :- reach(X, Y), edge(Y, Z).\n\
                         hot(X) :- reach(X, Y), load(Y, L), L > 5.\n\

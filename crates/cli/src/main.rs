@@ -1,5 +1,7 @@
 //! Thin binary wrapper over [`chronolog_cli::run_cli`].
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let read = |path: &str| -> std::io::Result<String> {

@@ -128,6 +128,42 @@ fn chrome_trace_export_has_perfetto_shape() {
     );
 }
 
+/// Scoped workers are new threads on every dispatch; two sequential
+/// threads named `worker-1` share one lane, each nesting from depth 0, and
+/// the merged lane still validates.
+#[test]
+fn sequential_workers_of_one_slot_share_a_valid_lane() {
+    let rec = chronolog_obs::SpanRecorder::new();
+    for _ in 0..2 {
+        let rec = rec.clone();
+        std::thread::Builder::new()
+            .name("worker-1".into())
+            .spawn(move || {
+                let _rule = rec.span("rule");
+                drop(rec.span("join"));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+    let lanes = rec.lanes();
+    assert_eq!(lanes.len(), 1);
+    assert_eq!(lanes[0].0, "worker-1");
+    let depths: Vec<usize> = lanes[0].1.iter().map(|r| r.depth).collect();
+    assert_eq!(depths, [1, 0, 1, 0]);
+
+    let dir = std::env::temp_dir().join("chronolog-profile-slot-lane-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("trace.json");
+    std::fs::write(&trace_path, rec.to_chrome_trace().to_pretty()).unwrap();
+    let report = run_cli(
+        &args(&["validate-trace", trace_path.to_str().unwrap()]),
+        |p: &str| std::fs::read_to_string(p),
+    )
+    .unwrap();
+    assert!(report.starts_with("ok: 4 spans across 1 lanes"), "{report}");
+}
+
 #[test]
 fn validate_trace_rejects_malformed_input() {
     let dir = std::env::temp_dir().join("chronolog-profile-reject-test");

@@ -233,8 +233,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            threads: 1,
-            pool: None,
             counters: &counters,
             profiler: None,
         };

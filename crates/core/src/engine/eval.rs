@@ -20,16 +20,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::plan::{AccessPath, ConstraintMode, PlanStep, RulePlan, StepKind};
-use super::pool::WorkerPool;
 
 /// A variable assignment. Fx-hashed: binding maps are cloned once per
 /// emitted tuple, which makes rehash speed a join-throughput term.
 pub(crate) type Bindings = FxHashMap<Symbol, Value>;
-
-/// Minimum accumulated bindings before `join_positive` fans the
-/// per-binding work across the worker pool: below it, chunking and hand-off
-/// cost more than the lookups they spread.
-const PAR_FANOUT_MIN: usize = 4096;
 
 /// Join-path counters, shared across evaluation threads (relaxed atomics:
 /// these are statistics, not synchronization).
@@ -78,16 +72,10 @@ pub(crate) struct EvalCtx<'a> {
     /// is a narrower re-derivation window — a past operator over `top`
     /// reads below the window like one over any other atom.
     pub top: Interval,
-    /// Worker budget for the binding fan-out inside [`join_positive`];
-    /// `1` keeps body evaluation single-threaded.
-    pub threads: usize,
-    /// Persistent worker pool backing the fan-out; `None` keeps body
-    /// evaluation on the calling thread regardless of `threads`.
-    pub pool: Option<&'a WorkerPool>,
     /// Join-path statistics sink.
     pub counters: &'a JoinCounters,
-    /// Span profiler for per-step and per-chunk timing; `None` (the
-    /// default) records nothing and allocates nothing.
+    /// Span profiler for per-step timing; `None` (the default) records
+    /// nothing and allocates nothing.
     pub profiler: Option<&'a SpanRecorder>,
 }
 
@@ -292,7 +280,7 @@ fn run_steps(
                     unreachable!("join step on a non-positive literal");
                 };
                 let use_delta = plan.delta_literal == Some(step.literal);
-                acc = join_positive(acc, m, ctx, use_delta)?;
+                acc = join_chunk(&acc, m, ctx, use_delta)?;
             }
             StepKind::Constraint { mode: Some(mode) } => {
                 let Literal::Constraint(lhs, op, rhs) = &rule.body[step.literal] else {
@@ -480,47 +468,8 @@ pub(crate) fn eval_expr(expr: &Expr, b: &Bindings) -> Result<Value> {
     }
 }
 
-/// Joins the accumulator with a positive metric atom. The accumulated
-/// interval hull is pushed down as a read mask: only the time window that
-/// can still contribute is pulled out of (possibly huge) base relations.
-///
-/// Skewed rules accumulate thousands of bindings before a join; with
-/// `ctx.threads > 1` and at least [`PAR_FANOUT_MIN`] of them, the
-/// per-binding work is fanned across the persistent worker pool in
-/// contiguous chunks and re-concatenated in chunk order, so the output is
-/// identical to the sequential pass.
-fn join_positive(
-    acc: Vec<(Bindings, IntervalSet)>,
-    m: &MetricAtom,
-    ctx: &EvalCtx<'_>,
-    use_delta: bool,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    if let (Some(pool), true) = (ctx.pool, ctx.threads > 1 && acc.len() >= PAR_FANOUT_MIN) {
-        let chunk_size = acc.len().div_ceil(ctx.threads);
-        let chunks: Vec<&[(Bindings, IntervalSet)]> = acc.chunks(chunk_size).collect();
-        let run = pool.run(chunks.len(), |i| {
-            // On a worker lane: probe spans land on the worker's own track.
-            let mut chunk_span = ctx.profiler.map(|p| {
-                let mut s = p.span("join chunk");
-                s.add("bindings", chunks[i].len() as u64);
-                s
-            });
-            let r = join_chunk(chunks[i], m, ctx, use_delta);
-            if let (Some(s), Ok(rows)) = (chunk_span.as_mut(), &r) {
-                s.add("rows", rows.len() as u64);
-            }
-            r
-        });
-        let mut out = Vec::new();
-        for r in run.results {
-            out.extend(r?);
-        }
-        Ok(out)
-    } else {
-        join_chunk(&acc, m, ctx, use_delta)
-    }
-}
-
+/// Joins the accumulator with a positive metric atom, one binding per
+/// joined row (see [`join_each`]).
 fn join_chunk(
     acc: &[(Bindings, IntervalSet)],
     m: &MetricAtom,
@@ -537,8 +486,7 @@ fn join_chunk(
 
 /// The fused last join of [`execute_heads`]: joins the accumulator with a
 /// positive metric atom and unions each joined row into `table` under its
-/// head tuple, on the calling thread. Returns the binding rows the join
-/// made.
+/// head tuple. Returns the binding rows the join made.
 fn join_heads(
     acc: &[(Bindings, IntervalSet)],
     m: &MetricAtom,
@@ -1084,8 +1032,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            threads: 1,
-            pool: None,
             counters: &counters,
             profiler: None,
         };
@@ -1170,8 +1116,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            threads: 1,
-            pool: None,
             counters: &counters,
             profiler: None,
         };
@@ -1245,8 +1189,6 @@ mod tests {
             delta: None,
             horizon: Interval::closed_int(0, 100),
             top: Interval::closed_int(0, 100),
-            threads: 1,
-            pool: None,
             counters: &counters,
             profiler: None,
         };

@@ -230,8 +230,6 @@ impl Explainer<'_> {
             delta: None,
             horizon: window,
             top: self.horizon,
-            threads: 1,
-            pool: None,
             counters: &self.counters,
             profiler: None,
         }

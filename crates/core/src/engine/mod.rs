@@ -14,7 +14,6 @@ mod chain;
 mod eval;
 mod explain;
 pub(crate) mod plan;
-mod pool;
 mod session;
 
 pub(crate) use eval::{compare, eval_expr};
@@ -33,17 +32,16 @@ use chain::{Chains, GuardSets};
 use chronolog_obs::{Json, SpanRecorder};
 use eval::{delta_eligible, execute_heads, EvalCtx, JoinCounters};
 use mtl_temporal::{Interval, IntervalSet};
-use pool::WorkerPool;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Minimum evaluation wall time of the *previous* fixpoint iteration for
-/// the next one to use worker threads. Even with the persistent pool,
-/// dispatching and latching cost microseconds per task; iterations cheaper
-/// than this lose more to hand-off than they could recoup, so they run on
-/// the main thread.
+/// the next one to use worker threads. A dispatch spawns and joins its
+/// scoped workers afresh (0.1–0.3 ms for two workers on a 2-core VM), so
+/// a round much cheaper than that cannot win the spawn back; it runs on
+/// the calling thread.
 const PAR_MIN_EVAL_WALL: Duration = Duration::from_millis(2);
 
 /// Reasoner configuration: the horizon the model is clipped to, resource
@@ -69,11 +67,11 @@ pub struct ReasonerConfig {
     /// recorder, one lane per evaluating thread. `None` (the default)
     /// costs one `Option` check per site and allocates no spans.
     pub profiler: Option<SpanRecorder>,
-    /// Worker threads for stratum evaluation (rule fan-out and the binding
-    /// fan-out inside skewed joins). `1` is fully sequential; any value
-    /// produces bit-identical output and derivation counts — evaluation
-    /// always reads the iteration-start snapshot and merges in fixed rule
-    /// order.
+    /// Worker threads for stratum evaluation: the rule evaluations of one
+    /// fixpoint round fan out over up to this many scoped threads. `1` is
+    /// fully sequential and spawns nothing; any value produces
+    /// bit-identical output and derivation counts — evaluation always
+    /// reads the iteration-start snapshot and merges in fixed rule order.
     pub threads: usize,
 }
 
@@ -160,10 +158,12 @@ pub struct StratumStats {
     pub wall: Duration,
 }
 
-/// Per-worker statistics of the stratum evaluation pool.
+/// Per-slot statistics of the rule fan-out. Slot `k` is the `k`-th worker
+/// thread of each dispatch (named `worker-<k>`); the sequential path runs
+/// as slot 0.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
-    /// Worker index (`0..threads`).
+    /// Worker slot (`0..threads`).
     pub worker: usize,
     /// Rule-evaluation tasks this worker executed.
     pub tasks: usize,
@@ -305,10 +305,11 @@ pub struct RunStats {
     /// join-free plan), before the per-evaluation union into head rows —
     /// the sum of the `actual_rows` of [`RunStats::plan_explains`].
     pub planner_actual_rows: u64,
-    /// Worker-pool dispatches that reused already-running workers.
+    /// Always 0: no worker thread outlives its dispatch. Kept for
+    /// `benchmark/src/perp.rs`, goes with the next PR allowed to edit
+    /// `benchmark/`.
     pub pool_reuses: u64,
-    /// Worker-pool constructions (`<= strata` by the pool-lifecycle
-    /// invariant: the pool is spawned once per reasoner and reused).
+    /// Always 0, like [`RunStats::pool_reuses`].
     pub pool_respawns: u64,
     /// The plan of each `(rule, delta-literal)` variant the run executed —
     /// rendered on demand by [`RunStats::plan_explains`].
@@ -317,7 +318,7 @@ pub struct RunStats {
     pub rules: Vec<RuleStats>,
     /// Per-stratum breakdown (one entry per stratum, indexed by stratum).
     pub strata: Vec<StratumStats>,
-    /// Per-worker breakdown of the evaluation pool (one entry per worker,
+    /// Per-slot breakdown of the rule fan-out (one entry per worker slot,
     /// accumulated across strata and advances).
     pub workers: Vec<WorkerStats>,
     /// Session repair-path breakdown (all zeros for batch runs).
@@ -550,10 +551,6 @@ impl RunStats {
             ("actual_rows", Json::from(self.planner_actual_rows)),
             ("plans", plans),
         ]);
-        let pool = Json::from_pairs([
-            ("reuses", Json::from(self.pool_reuses)),
-            ("respawns", Json::from(self.pool_respawns)),
-        ]);
         let repairs = Json::from_pairs([
             ("attempted", Json::from(self.repairs.attempted)),
             ("incremental", Json::from(self.repairs.incremental)),
@@ -600,7 +597,6 @@ impl RunStats {
             ("rules", rules),
             ("workers", workers),
             ("planner", planner),
-            ("pool", pool),
             ("repairs", repairs),
             ("storage", storage),
             ("magic", magic),
@@ -645,10 +641,6 @@ pub struct Reasoner {
     /// repair cone, built once here instead of on every correction.
     downstream: HashMap<Symbol, Vec<Symbol>>,
     config: ReasonerConfig,
-    /// Persistent evaluation worker pool, spawned lazily on the first
-    /// multi-threaded dispatch and reused across fixpoint iterations,
-    /// strata, and session advances.
-    pool: OnceLock<WorkerPool>,
 }
 
 /// One semi-naive variant of a rule: the predicate of the body literal
@@ -859,21 +851,7 @@ impl Reasoner {
             compiled,
             downstream,
             config,
-            pool: OnceLock::new(),
         })
-    }
-
-    /// The persistent worker pool, when multi-threaded evaluation is
-    /// configured (spawned on first use, then reused for the lifetime of
-    /// the reasoner — including every `Session::advance_to`).
-    fn worker_pool(&self) -> Option<&WorkerPool> {
-        if self.config.threads <= 1 {
-            return None;
-        }
-        Some(
-            self.pool
-                .get_or_init(|| WorkerPool::new(self.config.threads)),
-        )
     }
 
     /// The validated program.
@@ -1202,8 +1180,6 @@ impl Reasoner {
                 delta: None,
                 horizon: window,
                 top,
-                threads: 1,
-                pool: None,
                 counters: &counters,
                 profiler: self.config.profiler.as_ref(),
             };
@@ -1308,24 +1284,20 @@ impl Reasoner {
             }
 
             // Evaluate every task against the iteration-start snapshot of
-            // `total`. With several tasks the rule fan-out gets the worker
-            // budget; a lone task hands it to the binding fan-out inside
-            // its joins instead (no nested oversubscription either way).
-            let pool_threads = if last_eval_wall >= PAR_MIN_EVAL_WALL {
+            // `total`, fanned out over the worker budget.
+            let fan_threads = if last_eval_wall >= PAR_MIN_EVAL_WALL {
                 threads
             } else {
                 1
             };
-            let pool = (pool_threads > 1).then(|| self.worker_pool()).flatten();
-            let inner_threads = if tasks.len() > 1 { 1 } else { pool_threads };
             type EvalOut = (Result<Vec<(Tuple, IntervalSet)>>, Duration);
             let eval_out: Vec<EvalOut> = {
                 let total_snapshot: &Database = total;
-                fan_out(tasks.len(), pool_threads, pool, &mut stats.workers, |i| {
+                fan_out(tasks.len(), fan_threads, &mut stats.workers, |i| {
                     let task = &tasks[i];
                     // One span per rule evaluation. When the rule fan-out
-                    // dispatches to the pool this runs on a worker thread,
-                    // so the span lands on that worker's own lane.
+                    // spawns workers this runs on a worker thread, so the
+                    // span lands on that worker's own lane.
                     let mut rule_span = self.config.profiler.as_ref().map(|p| {
                         let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
                         if let Some(d) = task.plan.delta_literal {
@@ -1338,11 +1310,6 @@ impl Reasoner {
                         delta: task.delta,
                         horizon: window,
                         top,
-                        threads: inner_threads,
-                        // The binding fan-out only gets the pool when the
-                        // rule fan-out is not using it (a lone task), so
-                        // pool dispatch always comes from this thread.
-                        pool: if inner_threads > 1 { pool } else { None },
                         counters: &counters,
                         profiler: self.config.profiler.as_ref(),
                     };
@@ -1393,8 +1360,6 @@ impl Reasoner {
                             delta: None,
                             horizon: window,
                             top,
-                            threads: 1,
-                            pool: None,
                             counters: &counters,
                             profiler: self.config.profiler.as_ref(),
                         };
@@ -1462,18 +1427,13 @@ impl Reasoner {
         stats.time_index_probes += counters.time_index_probes.load(Ordering::Relaxed);
         stats.interval_clips_avoided += counters.interval_clips_avoided.load(Ordering::Relaxed);
 
-        // Planner counters, and the stratum's share of pool lifecycle
-        // events (swapped out so a session advance only counts its own).
+        // Planner counters.
         let (new_plans, bindings) = stats.used_plans.record(&self.program, used_plans);
         for new in new_plans {
             stats.plans_built += 1;
             stats.reorders_applied += u64::from(new.reordered);
         }
         stats.planner_actual_rows += bindings;
-        if let Some(pool) = self.pool.get() {
-            stats.pool_respawns += pool.respawns.swap(0, Ordering::Relaxed);
-            stats.pool_reuses += pool.reuses.swap(0, Ordering::Relaxed);
-        }
 
         let iterations = iteration + 1;
         if let Some(s) = stratum_span.as_mut() {
@@ -1530,19 +1490,22 @@ fn rule_span_name(rule: &Rule, rule_idx: usize) -> String {
 }
 
 /// Deterministic task fan-out: runs `f` over `0..n` on up to `threads`
-/// workers of the persistent pool and returns the results in task-index
-/// order, regardless of how the dynamic work-stealing interleaved
-/// execution. Worker busy time and task counts accumulate into `workers`
-/// (indexed by worker slot; the sequential path attributes to worker 0).
+/// scoped worker threads (`worker-<slot>`) that pull task indices from one
+/// shared counter, and returns the results in task-index order, however
+/// the workers interleaved. One thread or one task runs on the calling
+/// thread and spawns nothing. A spawn the OS refuses is not an error: the
+/// workers already running take its share, and with none running the
+/// calling thread takes all of it. A worker's panic is re-raised here
+/// with its original payload. Busy time and task counts accumulate into
+/// `workers`, indexed by slot.
 fn fan_out<T: Send>(
     n: usize,
     threads: usize,
-    pool: Option<&WorkerPool>,
     workers: &mut [WorkerStats],
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     let threads = threads.clamp(1, n.max(1));
-    let Some(pool) = pool.filter(|_| threads > 1 && n > 1) else {
+    if threads == 1 {
         let start = Instant::now();
         let out: Vec<T> = (0..n).map(&f).collect();
         if let Some(w) = workers.first_mut() {
@@ -1550,15 +1513,51 @@ fn fan_out<T: Send>(
             w.busy += start.elapsed();
         }
         return out;
-    };
-    let run = pool.run(n, f);
-    for (slot, tasks, busy) in run.workers {
-        if let Some(ws) = workers.get_mut(slot) {
-            ws.tasks += tasks;
-            ws.busy += busy;
-        }
     }
-    run.results
+    let next = AtomicUsize::new(0);
+    // One participant's share: `(slot, busy, (task, result) pairs)`.
+    let work = |slot: usize| {
+        let start = Instant::now();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            done.push((i, f(i)));
+        }
+        (slot, start.elapsed(), done)
+    };
+    let shares: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map_while(|slot| {
+                std::thread::Builder::new()
+                    .name(format!("worker-{slot}"))
+                    .spawn_scoped(scope, move || work(slot))
+                    .ok()
+            })
+            .collect();
+        if handles.is_empty() {
+            return vec![work(0)];
+        }
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    let mut results = Vec::with_capacity(n);
+    for (slot, busy, done) in shares {
+        if let Some(w) = workers.get_mut(slot) {
+            w.tasks += done.len();
+            w.busy += busy;
+        }
+        results.extend(done);
+    }
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A head operator spreads the derived validity:
@@ -1611,6 +1610,88 @@ mod tests {
         )
         .unwrap();
         reasoner.materialize(&db).unwrap().database
+    }
+
+    fn slots(threads: usize) -> Vec<WorkerStats> {
+        (0..threads)
+            .map(|worker| WorkerStats {
+                worker,
+                ..WorkerStats::default()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_task_order() {
+        let data: Vec<usize> = (0..100).map(|i| i * 2).collect();
+        for threads in [1, 2, 4] {
+            let mut workers = slots(threads);
+            let out = fan_out(100, threads, &mut workers, |i| data[i]);
+            assert_eq!(out, data);
+            let tasks: usize = workers.iter().map(|w| w.tasks).sum();
+            assert_eq!(tasks, 100, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_a_single_task() {
+        let mut workers = slots(3);
+        assert_eq!(fan_out(1, 3, &mut workers, |i| i + 42), vec![42]);
+        assert_eq!(workers[0].tasks, 1);
+    }
+
+    /// A thread budget far past the task count spawns one worker per task
+    /// at most, so `--threads` cannot ask the OS for threads it never uses.
+    #[test]
+    fn fan_out_spawns_no_more_threads_than_tasks() {
+        let mut workers = slots(3);
+        let out = fan_out(3, 10_000, &mut workers, |i| {
+            (i, std::thread::current().id())
+        });
+        assert_eq!(
+            out.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        let threads: HashSet<_> = out.iter().map(|&(_, id)| id).collect();
+        assert!(threads.len() <= 3, "{} threads ran 3 tasks", threads.len());
+        assert_eq!(workers.iter().map(|w| w.tasks).sum::<usize>(), 3);
+    }
+
+    #[test]
+    fn fan_out_borrows_from_the_caller_frame() {
+        let data: Vec<usize> = (0..64).collect();
+        let out = fan_out(8, 2, &mut slots(2), |i| data[i * 8]);
+        assert_eq!(out, vec![0, 8, 16, 24, 32, 40, 48, 56]);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn fan_out_propagates_a_worker_panic() {
+        fan_out(4, 2, &mut slots(2), |i| {
+            if i == 2 {
+                panic!("boom");
+            }
+            i
+        });
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(4, 2, &mut slots(2), |i| {
+                if i == 1 {
+                    panic!("original failure at task {i}");
+                }
+                i
+            })
+        })
+        .expect_err("the worker panic must propagate to the caller");
+        let msg = caught
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panic payload is a message");
+        assert_eq!(msg, "original failure at task 1");
     }
 
     #[test]

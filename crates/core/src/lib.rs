@@ -42,6 +42,7 @@
 //! * [`naive`] — a brute-force discrete-time evaluator used as a test
 //!   oracle for the engine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

@@ -333,44 +333,6 @@ fn missing_relations_count_as_zero_tuple_full_scans() {
     );
 }
 
-/// The persistent worker pool is spawned at most once per run and reused
-/// across iterations and strata; respawn accounting must reflect that.
-#[test]
-fn worker_pool_spawns_at_most_once_per_run() {
-    for (name, src, lo, hi) in corpus() {
-        let (program, facts) = parse_source(&src).unwrap();
-        let mut db = Database::new();
-        db.extend_facts(&facts).unwrap();
-        let stats = Reasoner::new(
-            program,
-            ReasonerConfig {
-                threads: 4,
-                ..ReasonerConfig::default().with_horizon(lo, hi)
-            },
-        )
-        .unwrap()
-        .materialize(&db)
-        .unwrap()
-        .stats;
-        assert!(
-            stats.pool_respawns <= 1,
-            "{name}: pool must be constructed at most once per run, got {}",
-            stats.pool_respawns
-        );
-        assert!(
-            stats.pool_respawns as usize <= stats.strata.len().max(1),
-            "{name}: respawns bounded by executed strata"
-        );
-        // A sequential run never builds the pool at all.
-        let (seq, _) = materialize(&src, lo, hi);
-        assert_eq!(
-            seq.pool_respawns, 0,
-            "{name}: sequential run spawned a pool"
-        );
-        assert_eq!(seq.pool_reuses, 0, "{name}: sequential run reused a pool");
-    }
-}
-
 /// Profiler spans and stats wall clocks measure the same run, so they must
 /// agree: each `stratum {i}` span brackets that stratum's timed section
 /// (span duration >= reported `wall_us`, within µs-truncation slack), and

@@ -4,6 +4,7 @@
 //! Subgraph-like query index — the stand-ins for the Optimism chain and the
 //! Mainnet Subgraph in the paper's validation pipeline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chain;

@@ -9,6 +9,7 @@
 //! replays; see DESIGN.md for why the substitution preserves the
 //! experiments' meaning.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod price;

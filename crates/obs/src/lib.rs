@@ -13,6 +13,7 @@
 //!   lanes, Chrome `trace_event` and folded-flamegraph export.
 //! * [`rng`] — [`SmallRng`], a seeded SplitMix64 generator.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -5,7 +5,12 @@
 //! A [`SpanRecorder`] is a cheap cloneable handle (an `Arc`). Opening a
 //! span returns an RAII [`SpanGuard`] that records the scope's duration on
 //! drop; nesting is tracked per thread, so concurrent workers each get
-//! their own *lane* (one track per thread in the Chrome trace). When no
+//! their own *lane* (one track per thread in the Chrome trace). A named
+//! thread reuses the lane that already carries its name, so the engine's
+//! scoped `worker-<slot>` threads, spawned afresh on every dispatch, land
+//! on one track per slot. That is sound because a dispatch joins its
+//! workers before the next one starts: two live threads never share a
+//! name, so spans on one lane never overlap except by nesting. When no
 //! recorder is installed the engine pays one `Option` check per site and
 //! performs **zero** span allocations — the global [`spans_started`]
 //! counter makes that property testable.
@@ -84,8 +89,8 @@ struct TlsLane {
 thread_local! {
     /// Lane registrations of this thread, one per recorder it has served.
     /// Bounded: idle entries are evicted once the list grows past a handful,
-    /// so long-lived pool workers serving many short-lived recorders do not
-    /// accumulate state.
+    /// so a long-lived thread serving many short-lived recorders (a caller
+    /// that profiles run after run) does not accumulate state.
     static TLS_LANES: RefCell<Vec<TlsLane>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -120,7 +125,8 @@ impl SpanRecorder {
     }
 
     /// Opens a span; the returned guard records it when dropped. The lane
-    /// is this thread's (registered on first use, named after the thread).
+    /// is this thread's, registered on first use and named after the
+    /// thread; a named thread joins the lane that already has its name.
     pub fn span(&self, name: impl Into<String>) -> SpanGuard {
         SPANS_STARTED.fetch_add(1, Ordering::Relaxed);
         let start_us = self.0.start.elapsed().as_micros() as u64;
@@ -131,19 +137,25 @@ impl SpanRecorder {
                 e.depth += 1;
                 return (e.lane, Arc::clone(&e.records), depth);
             }
-            // First span of this recorder on this thread: register a lane.
+            // First span of this recorder on this thread: join the lane
+            // named after the thread, or register a new one.
             let thread = std::thread::current();
             let mut lanes = lock_recovering(&self.0.lanes);
-            let lane = lanes.len();
-            let lane_name = thread
+            let named = thread
                 .name()
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("lane-{lane}"));
-            let records = Arc::new(Mutex::new(Vec::new()));
-            lanes.push(LaneInfo {
-                name: lane_name,
-                records: Arc::clone(&records),
-            });
+                .and_then(|name| lanes.iter().position(|l| l.name == name));
+            let lane = named.unwrap_or(lanes.len());
+            if named.is_none() {
+                let name = thread
+                    .name()
+                    .map(str::to_string)
+                    .unwrap_or_else(|| format!("lane-{lane}"));
+                lanes.push(LaneInfo {
+                    name,
+                    records: Arc::new(Mutex::new(Vec::new())),
+                });
+            }
+            let records = Arc::clone(&lanes[lane].records);
             drop(lanes);
             if entries.len() >= TLS_MAX_ENTRIES {
                 // Only idle entries are evictable: an entry with open spans

@@ -5,6 +5,7 @@
 //! procedural reference engine (the Solidity/Subgraph stand-in) and the
 //! validation harness that regenerates the paper's Figures 4 and 5.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod encode;

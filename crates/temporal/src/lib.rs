@@ -30,6 +30,7 @@
 //! assert!(!bm.contains(Rational::integer(21)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod interval;
