@@ -64,7 +64,7 @@ use std::fmt::Write as _;
 /// `rules`, `workers`, `planner`, `repairs`, `storage` and `magic`
 /// sections (`docs/OBSERVABILITY.md` describes every field;
 /// `tests/fixtures/stats_schema.txt` pins the shape).
-pub const REPORT_SCHEMA_VERSION: u64 = 14;
+pub const REPORT_SCHEMA_VERSION: u64 = 15;
 
 /// CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -767,8 +767,8 @@ fn render_stats(out: &mut String, stats: &RunStats) {
     );
     let _ = writeln!(
         out,
-        "time index: {} probes ({} interval clips avoided), {} index rebuilds avoided",
-        stats.time_index_probes, stats.interval_clips_avoided, stats.index_rebuilds_avoided
+        "time index: {} probes ({} interval clips avoided)",
+        stats.time_index_probes, stats.interval_clips_avoided
     );
     let _ = writeln!(
         out,

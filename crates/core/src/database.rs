@@ -12,17 +12,28 @@
 //! every tuple's components contiguously behind `(offset, len)` handles.
 //! Joins, value-index probes, and the time index walk flat memory; a
 //! snapshot `clone` is a handful of column memcpys.
+//!
+//! ## Indexes
+//!
+//! A relation keeps the value and time indexes `Database::declare` names.
+//! It builds them at the write that brings it to `INDEX_MIN_TUPLES`
+//! tuples, and every later write keeps them current; reads take `&self`
+//! and build nothing (a probe without an index filters instead).
 
 use crate::ast::Fact;
 use crate::error::Result;
 use crate::hash::{hash_ids, FxHashMap};
-use crate::intern::{self, NONE_VID};
+use crate::intern::{self, SemKey, NONE_VID};
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
 use mtl_temporal::{Interval, IntervalSet, Rational};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::RwLock;
+use std::sync::Arc;
+
+/// Relations smaller than this are scanned directly, and keep no index:
+/// probing one costs more than walking a handful of tuples.
+pub(crate) const INDEX_MIN_TUPLES: usize = 8;
 
 /// Process-wide count of flat column buffers copied by
 /// `Relation::clone` (value columns + interval arena per clone). Surfaced
@@ -34,45 +45,15 @@ pub(crate) fn column_clone_count() -> u64 {
     COLUMN_CLONES.load(AtomicOrdering::Relaxed)
 }
 
-/// Index key of one argument value, normalized so semantically equal values
-/// (`3` and `3.0`) land in the same bucket. Numeric values key on the `f64`
-/// bit pattern — exactly the equivalence [`Value::semantic_eq`] uses, so an
-/// index probe never misses a tuple a full scan would unify with.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum IndexKey {
-    Num(u64),
-    Sym(Symbol),
-    Bool(bool),
-}
-
-impl IndexKey {
-    fn of(v: &Value) -> IndexKey {
-        match v.as_f64() {
-            // `-0.0` is normalized at Value construction and `Int` cannot
-            // produce it, so the bit pattern is canonical.
-            Some(f) => IndexKey::Num(f.to_bits()),
-            None => match v {
-                Value::Sym(s) => IndexKey::Sym(*s),
-                Value::Bool(b) => IndexKey::Bool(*b),
-                Value::Int(_) | Value::Num(_) => unreachable!("numeric handled above"),
-            },
-        }
-    }
-}
-
-/// Per-argument-position secondary indexes: `value → tuple ids`, built
-/// lazily on first probe and maintained incrementally afterwards. Bucket id
-/// lists are kept in ascending (insertion) order so a probe visits tuples
-/// in the same order a full scan would — determinism is preserved.
-#[derive(Default, Debug, Clone)]
-struct SecondaryIndexes {
-    by_pos: FxHashMap<usize, FxHashMap<IndexKey, Vec<u32>>>,
-    time: Option<TimeIndex>,
-}
+/// Per predicate a program's plans read, the argument positions they read
+/// while ground, as a bit mask (`Reasoner::new` derives it): its relation
+/// keeps a value index on each (positions from 64 on are filtered instead),
+/// and the time index.
+pub(crate) type IndexSpec = FxHashMap<Symbol, u64>;
 
 /// Minimum pending-tail length at which a [`TimeIndex`] merges the tail
 /// into its sorted entries; probes scan the tail linearly below this, so
-/// read-side calls never need a write lock. The effective threshold grows
+/// only writes ever sort. The effective threshold grows
 /// with the index (an eighth of the sorted run) so sustained insertion
 /// streams pay amortized-linear maintenance rather than re-merging a large
 /// run every few dozen notes.
@@ -129,17 +110,6 @@ fn length_class(len: Rational) -> usize {
 }
 
 impl TimeIndex {
-    fn build<'a>(entries: impl Iterator<Item = (u32, &'a [Interval])>) -> TimeIndex {
-        let mut idx = TimeIndex::default();
-        for (id, comps) in entries {
-            for comp in comps {
-                idx.note(comp, id);
-            }
-        }
-        idx.flush();
-        idx
-    }
-
     /// Records one interval component of tuple `id`.
     fn note(&mut self, comp: &Interval, id: u32) {
         // Overflow-length components are demoted to `unbounded`.
@@ -577,8 +547,8 @@ impl fmt::Debug for TupleRef<'_> {
 /// All tuples of one predicate with their validity intervals.
 ///
 /// Tuples live in a dense, insertion-ordered id space with a hash lookup
-/// for exact-tuple access; value indexes hang off the side under a lock so
-/// read-only evaluation threads can build them on first use.
+/// for exact-tuple access; the declared indexes sit beside them as plain
+/// data, kept current by every write (module docs).
 #[derive(Debug, Default)]
 pub struct Relation {
     store: ColumnStore,
@@ -589,20 +559,18 @@ pub struct Relation {
     /// [`Relation::len`] this shrinks when [`Relation::remove`] empties an
     /// entry.
     live_tuples: usize,
-    indexes: RwLock<SecondaryIndexes>,
+    /// The declared positions ([`IndexSpec`]); `None` keeps no index.
+    declared: Option<u64>,
+    /// The declared value indexes, `value → tuple ids` per position, and
+    /// time index; none below [`INDEX_MIN_TUPLES`] tuples. Bucket id lists
+    /// are in ascending (insertion) order, so a probe visits tuples in the
+    /// order a full scan would.
+    by_pos: FxHashMap<usize, FxHashMap<SemKey, Vec<u32>>>,
+    time: Option<TimeIndex>,
 }
 
 impl Clone for Relation {
     fn clone(&self) -> Relation {
-        // Built indexes are carried over: a cloned database (session window
-        // advance, threaded stratum snapshot) keeps its warm access paths
-        // and patches them incrementally instead of rebuilding on the next
-        // probe.
-        let indexes = self
-            .indexes
-            .read()
-            .expect("relation index lock poisoned")
-            .clone();
         // A snapshot clone is a flat-buffer memcpy per value column plus one
         // for the interval arena.
         COLUMN_CLONES.fetch_add(self.store.cols.len() as u64 + 1, AtomicOrdering::Relaxed);
@@ -610,7 +578,9 @@ impl Clone for Relation {
             store: self.store.clone(),
             live_components: self.live_components,
             live_tuples: self.live_tuples,
-            indexes: RwLock::new(indexes),
+            declared: self.declared,
+            by_pos: self.by_pos.clone(),
+            time: self.time.clone(),
         }
     }
 }
@@ -656,27 +626,64 @@ impl Relation {
             let len = lens[other as usize] as usize;
             hash_ids((0..len).map(|p| cols[p][other as usize]))
         });
-        let indexes = self
-            .indexes
-            .get_mut()
-            .expect("relation index lock poisoned");
-        for (&pos, buckets) in indexes.by_pos.iter_mut() {
+        if self.store.len() == INDEX_MIN_TUPLES {
+            // The build takes in the new tuple as well.
+            self.build_indexes();
+            return Ok(id);
+        }
+        for (&pos, buckets) in self.by_pos.iter_mut() {
             if let Some(v) = tuple.get(pos) {
-                buckets.entry(IndexKey::of(v)).or_default().push(id);
+                buckets.entry(SemKey::of(v)).or_default().push(id);
             }
         }
         Ok(id)
     }
 
+    /// Keeps the indexes `declared` names from now on, building them at
+    /// once when the relation is already large enough to probe.
+    pub(crate) fn declare(&mut self, declared: Option<u64>) {
+        if declared != self.declared {
+            self.declared = declared;
+            (self.by_pos, self.time) = Default::default();
+            if self.store.len() >= INDEX_MIN_TUPLES {
+                self.build_indexes();
+            }
+        }
+    }
+
+    /// Builds the declared indexes from the stored tuples.
+    fn build_indexes(&mut self) {
+        let Some(positions) = self.declared else {
+            return;
+        };
+        let s = &self.store;
+        let g = intern::read();
+        for pos in (0..u64::BITS as usize).filter(|p| positions >> p & 1 == 1) {
+            let mut buckets: FxHashMap<SemKey, Vec<u32>> = FxHashMap::default();
+            for id in 0..s.len() as u32 {
+                let vid = s.vid_at(pos, id);
+                if vid != NONE_VID {
+                    buckets
+                        .entry(SemKey::of(&g.decode(vid)))
+                        .or_default()
+                        .push(id);
+                }
+            }
+            self.by_pos.insert(pos, buckets);
+        }
+        let mut time = TimeIndex::default();
+        for id in 0..s.len() as u32 {
+            for comp in s.comps_of(id) {
+                time.note(comp, id);
+            }
+        }
+        time.flush();
+        self.time = Some(time);
+    }
+
     /// Notes freshly added components in the time index, if built.
     fn note_time(&mut self, delta: &IntervalSet, id: u32) {
-        if let Some(time) = self
-            .indexes
-            .get_mut()
-            .expect("relation index lock poisoned")
-            .time
-            .as_mut()
-        {
+        if let Some(time) = self.time.as_mut() {
             for comp in delta.iter() {
                 time.note(comp, id);
             }
@@ -843,47 +850,16 @@ impl Relation {
         (self.store.arena.freed, self.store.arena.reused)
     }
 
-    /// Ensures the position index for `pos` exists, building it from the
-    /// current entries when missing.
-    fn ensure_index(&self, pos: usize) {
-        if self
-            .indexes
-            .read()
-            .expect("relation index lock poisoned")
-            .by_pos
-            .contains_key(&pos)
-        {
-            return;
-        }
-        let mut w = self.indexes.write().expect("relation index lock poisoned");
-        // Double-checked: another thread may have built it while we waited.
-        if w.by_pos.contains_key(&pos) {
-            return;
-        }
-        let mut buckets: FxHashMap<IndexKey, Vec<u32>> = FxHashMap::default();
-        let g = intern::read();
-        for id in 0..self.store.len() as u32 {
-            let vid = self.store.vid_at(pos, id);
-            if vid != NONE_VID {
-                buckets
-                    .entry(IndexKey::of(&g.decode(vid)))
-                    .or_default()
-                    .push(id);
-            }
-        }
-        drop(g);
-        w.by_pos.insert(pos, buckets);
-    }
-
     /// Index probe: tuple ids whose argument at some ground position
     /// semantically equals the bound value, using the most selective
     /// (smallest-bucket) position among `ground`. Candidate ids come back
     /// in insertion order, i.e. the order a full scan would visit them, so
     /// callers only need to re-verify with full unification.
     ///
-    /// Builds missing per-position indexes on first use; they are then
-    /// maintained incrementally by [`Relation::insert`] /
-    /// [`Relation::merge`].
+    /// When some ground position has no index (it was not declared, or the
+    /// relation is below `INDEX_MIN_TUPLES` tuples), the probe filters the
+    /// columns instead and returns exactly the ids that match at every
+    /// ground position.
     pub fn probe(&self, ground: &[(usize, Value)]) -> Vec<u32> {
         let mut out = Vec::new();
         self.probe_into(ground, &mut out);
@@ -894,57 +870,32 @@ impl Relation {
     /// per thread to avoid a bucket-sized allocation per lookup).
     pub fn probe_into(&self, ground: &[(usize, Value)], out: &mut Vec<u32>) {
         out.clear();
-        // Steady-state fast path: one read-lock acquisition covers the
-        // built-check and the bucket lookups. Only a position whose index
-        // is missing drops to the build path (once per position).
-        loop {
-            {
-                let r = self.indexes.read().expect("relation index lock poisoned");
-                if ground.iter().all(|(pos, _)| r.by_pos.contains_key(pos)) {
-                    let mut best: Option<&Vec<u32>> = None;
-                    for (pos, v) in ground {
-                        let bucket = r.by_pos[pos].get(&IndexKey::of(v));
-                        match bucket {
-                            // A ground position with no bucket means no
-                            // tuple can match.
-                            None => return,
-                            Some(b) => {
-                                if best.is_none_or(|cur| b.len() < cur.len()) {
-                                    best = Some(b);
-                                }
-                            }
-                        }
-                    }
-                    if let Some(b) = best {
-                        out.extend_from_slice(b);
-                    }
-                    return;
-                }
-            }
-            for &(pos, _) in ground {
-                self.ensure_index(pos);
-            }
-        }
-    }
-
-    /// Ensures the time index exists, building it from the current entries
-    /// when missing (double-checked, like [`Relation::ensure_index`]).
-    fn ensure_time_index(&self) {
-        if self
-            .indexes
-            .read()
-            .expect("relation index lock poisoned")
-            .time
-            .is_some()
-        {
+        let by_pos = &self.by_pos;
+        if !ground.iter().all(|(pos, _)| by_pos.contains_key(pos)) {
+            note_unindexed_probe();
+            let g = intern::read();
+            out.extend((0..self.store.len() as u32).filter(|&id| {
+                ground.iter().all(|(pos, v)| {
+                    let vid = self.store.vid_at(*pos, id);
+                    vid != NONE_VID && g.decode(vid).semantic_eq(v)
+                })
+            }));
             return;
         }
-        let mut w = self.indexes.write().expect("relation index lock poisoned");
-        if w.time.is_none() {
-            let s = &self.store;
-            w.time = Some(TimeIndex::build(
-                (0..s.len() as u32).map(|id| (id, s.comps_of(id))),
-            ));
+        let mut best: Option<&Vec<u32>> = None;
+        for (pos, v) in ground {
+            match by_pos[pos].get(&SemKey::of(v)) {
+                // A ground position with no bucket means no tuple can match.
+                None => return,
+                Some(b) => {
+                    if best.is_none_or(|cur| b.len() < cur.len()) {
+                        best = Some(b);
+                    }
+                }
+            }
+        }
+        if let Some(b) = best {
+            out.extend_from_slice(b);
         }
     }
 
@@ -952,9 +903,9 @@ impl Relation {
     /// insertion order. Over-approximate (the time index ignores endpoint
     /// closedness, the gaps between teeth and superseded components):
     /// callers must still clip each candidate's interval set exactly.
-    /// Builds the index
-    /// on first use; it is then maintained incrementally by
-    /// [`Relation::insert`] / [`Relation::merge`] and survives cloning.
+    /// Without a time index (not declared, or below `INDEX_MIN_TUPLES`
+    /// tuples) the probe clips every tuple and returns exactly the ids
+    /// whose validity meets `window`.
     pub fn probe_time(&self, window: &Interval) -> Vec<u32> {
         let mut out = Vec::new();
         self.probe_time_into(window, &mut out);
@@ -963,36 +914,37 @@ impl Relation {
 
     /// [`Relation::probe_time`] into a reused buffer.
     pub fn probe_time_into(&self, window: &Interval, out: &mut Vec<u32>) {
-        // Steady-state fast path: probe under the single read guard; only
-        // the very first call pays the build detour.
-        {
-            let r = self.indexes.read().expect("relation index lock poisoned");
-            if let Some(t) = r.time.as_ref() {
-                t.probe_into(window, out);
-                return;
+        match &self.time {
+            Some(t) => t.probe_into(window, out),
+            None => {
+                note_unindexed_probe();
+                out.clear();
+                out.extend((0..self.store.len() as u32).filter(|&id| {
+                    !IntervalSet::clip_components(self.store.comps_of(id), window).is_empty()
+                }));
             }
         }
-        self.ensure_time_index();
-        self.indexes
-            .read()
-            .expect("relation index lock poisoned")
-            .time
-            .as_ref()
-            .expect("time index built above")
-            .probe_into(window, out);
     }
+}
 
-    /// Number of built indexes (per-position value indexes + time index).
-    pub fn built_index_count(&self) -> usize {
-        let r = self.indexes.read().expect("relation index lock poisoned");
-        r.by_pos.len() + usize::from(r.time.is_some())
-    }
+#[cfg(test)]
+thread_local! {
+    /// Probes this thread answered without an index: what a lookup of a
+    /// plan must never do once its relation is large enough to probe.
+    pub(crate) static UNINDEXED_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn note_unindexed_probe() {
+    #[cfg(test)]
+    UNINDEXED_PROBES.with(|n| n.set(n.get() + 1));
 }
 
 /// A temporal database: one [`Relation`] per predicate.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     rels: FxHashMap<Symbol, Relation>,
+    /// The indexes each relation keeps, also one created later.
+    spec: Arc<IndexSpec>,
 }
 
 impl Database {
@@ -1021,7 +973,22 @@ impl Database {
     }
 
     fn rel_mut(&mut self, pred: Symbol) -> &mut Relation {
-        self.rels.entry(pred).or_default()
+        let Database { rels, spec } = self;
+        rels.entry(pred).or_insert_with(|| Relation {
+            declared: spec.get(&pred).copied(),
+            ..Relation::default()
+        })
+    }
+
+    /// The database keeping the indexes `spec` names, per predicate, from
+    /// now on: its relations build theirs at once (when large enough to
+    /// probe), and a relation created later takes its entry.
+    pub(crate) fn declare(mut self, spec: &Arc<IndexSpec>) -> Database {
+        self.spec = Arc::clone(spec);
+        for (pred, rel) in &mut self.rels {
+            rel.declare(spec.get(pred).copied());
+        }
+        self
     }
 
     /// Convenience insertion with builder-style values (panics on the
@@ -1198,13 +1165,6 @@ impl Database {
         self.rels.values().map(Relation::live_component_count).sum()
     }
 
-    /// Total number of built secondary indexes across relations. A clone
-    /// carries these over, so the count right after cloning measures the
-    /// index rebuilds the clone avoided.
-    pub fn built_index_count(&self) -> usize {
-        self.rels.values().map(Relation::built_index_count).sum()
-    }
-
     /// Bytes held by interval storage across relations (the arenas).
     pub fn interval_arena_bytes(&self) -> usize {
         self.rels.values().map(Relation::interval_bytes).sum()
@@ -1339,50 +1299,82 @@ mod tests {
         assert_eq!(back.to_facts_text(), text);
     }
 
+    /// A database whose relation `p` keeps value indexes on `positions`
+    /// (a bit mask) and the time index.
+    fn indexed_db(positions: u64) -> Database {
+        let mut spec = IndexSpec::default();
+        spec.insert(Symbol::new("p"), positions);
+        Database::new().declare(&Arc::new(spec))
+    }
+
+    /// Adds `n` tuples `p(pad, k)` (or `p(k)` when `unary`) far before time
+    /// 0, with values no test probes for: enough tuples that `p` builds
+    /// its declared indexes.
+    fn pad(db: &mut Database, n: i64, unary: bool) {
+        for k in 1000..1000 + n {
+            let args = if unary {
+                vec![Value::Int(k)]
+            } else {
+                vec![Value::sym("pad"), Value::Int(k)]
+            };
+            db.assert_at("p", &args, -k);
+        }
+    }
+
+    /// Probes this thread answered without an index so far.
+    fn unindexed_probes() -> u64 {
+        UNINDEXED_PROBES.with(|n| n.get())
+    }
+
     #[test]
     fn probe_finds_semantic_matches_in_scan_order() {
-        let mut db = Database::new();
-        db.extend_facts(
-            &crate::parser::parse_facts(
-                "p(a, 1)@0.\np(b, 2)@1.\np(a, 3.0)@2.\np(c, 1.0)@3.\np(a, 2)@4.",
+        for declared in [false, true] {
+            let mut db = if declared {
+                indexed_db(0b11)
+            } else {
+                Database::new()
+            };
+            db.extend_facts(
+                &crate::parser::parse_facts(
+                    "p(a, 1)@0.\np(b, 2)@1.\np(a, 3.0)@2.\np(c, 1.0)@3.\np(a, 2)@4.",
+                )
+                .unwrap(),
             )
-            .unwrap(),
-        )
-        .unwrap();
-        let rel = db.relation(Symbol::new("p")).unwrap();
-        // Probe on position 0 = a.
-        let ids = rel.probe(&[(0, Value::sym("a"))]);
-        assert_eq!(ids.len(), 3);
-        // Insertion (scan) order preserved.
-        assert_eq!(rel.entry(ids[0]).0.value(1), Value::Int(1));
-        assert_eq!(rel.entry(ids[1]).0.value(1), Value::num(3.0));
-        assert_eq!(rel.entry(ids[2]).0.value(1), Value::Int(2));
-        // Numeric buckets are semantic: Int 1 and Num 1.0 share one.
-        let ids = rel.probe(&[(1, Value::num(1.0))]);
-        assert_eq!(ids.len(), 2);
-        let ids = rel.probe(&[(1, Value::Int(3))]);
-        assert_eq!(ids.len(), 1);
-        // Most selective position wins: (a, 3.0) → bucket of size 1.
-        let ids = rel.probe(&[(0, Value::sym("a")), (1, Value::Int(3))]);
-        assert_eq!(ids.len(), 1);
-        // A ground value with no bucket short-circuits to no candidates.
-        assert!(rel.probe(&[(0, Value::sym("zzz"))]).is_empty());
+            .unwrap();
+            pad(&mut db, 3, false);
+            let rel = db.relation(Symbol::new("p")).unwrap();
+            let before = unindexed_probes();
+            // Probe on position 0 = a.
+            let ids = rel.probe(&[(0, Value::sym("a"))]);
+            assert_eq!(ids.len(), 3);
+            // Insertion (scan) order preserved.
+            assert_eq!(rel.entry(ids[0]).0.value(1), Value::Int(1));
+            assert_eq!(rel.entry(ids[1]).0.value(1), Value::num(3.0));
+            assert_eq!(rel.entry(ids[2]).0.value(1), Value::Int(2));
+            // Numeric buckets are semantic: Int 1 and Num 1.0 share one.
+            let ids = rel.probe(&[(1, Value::num(1.0))]);
+            assert_eq!(ids.len(), 2);
+            let ids = rel.probe(&[(1, Value::Int(3))]);
+            assert_eq!(ids.len(), 1);
+            // Most selective position wins: (a, 3.0) → bucket of size 1.
+            let ids = rel.probe(&[(0, Value::sym("a")), (1, Value::Int(3))]);
+            assert_eq!(ids.len(), 1);
+            // A ground value with no bucket short-circuits to no candidates.
+            assert!(rel.probe(&[(0, Value::sym("zzz"))]).is_empty());
+            // The declared relation answers from its indexes, the other
+            // one by filtering its columns.
+            let filtered = unindexed_probes() - before;
+            assert_eq!(filtered, if declared { 0 } else { 5 });
+        }
     }
 
     #[test]
     fn probe_indexes_stay_fresh_under_inserts_and_merges() {
-        let mut db = Database::new();
+        let mut db = indexed_db(0b11);
         let pred = Symbol::new("p");
+        pad(&mut db, 6, false);
         db.assert_at("p", &[Value::sym("a"), Value::Int(1)], 0);
-        // Build the index...
-        assert_eq!(
-            db.relation(pred)
-                .unwrap()
-                .probe(&[(0, Value::sym("a"))])
-                .len(),
-            1
-        );
-        // ...then grow the relation through both mutation paths.
+        // The eighth tuple builds the indexes; the ninth is maintained.
         db.assert_at("p", &[Value::sym("a"), Value::Int(2)], 1);
         db.merge(
             pred,
@@ -1391,23 +1383,27 @@ mod tests {
         )
         .unwrap();
         let rel = db.relation(pred).unwrap();
-        assert_eq!(rel.probe(&[(0, Value::sym("a"))]).len(), 3);
+        let before = unindexed_probes();
+        assert_eq!(rel.probe(&[(0, Value::sym("a"))]), vec![6, 7, 8]);
         // Int 2 and Num 2.0 are distinct tuples but share a value bucket.
-        assert_eq!(rel.probe(&[(1, Value::Int(2))]).len(), 2);
-        // Cloning keeps both built position indexes warm...
+        assert_eq!(rel.probe(&[(1, Value::Int(2))]), vec![7, 8]);
+        // The clone probes like the original, from the indexes it
+        // carries...
         let mut cloned = rel.clone();
-        assert_eq!(cloned.built_index_count(), 2);
-        assert_eq!(cloned.probe(&[(0, Value::sym("a"))]).len(), 3);
-        // ...and the carried-over index stays fresh under further growth.
+        assert_eq!(cloned.probe(&[(0, Value::sym("a"))]), vec![6, 7, 8]);
+        assert_eq!(cloned.probe(&[(1, Value::Int(2))]), vec![7, 8]);
+        // ...and they stay fresh under further growth.
         cloned
             .insert(&[Value::sym("a"), Value::Int(9)], Interval::at(5))
             .unwrap();
-        assert_eq!(cloned.probe(&[(0, Value::sym("a"))]).len(), 4);
+        assert_eq!(cloned.probe(&[(0, Value::sym("a"))]), vec![6, 7, 8, 9]);
+        assert_eq!(rel.probe(&[(0, Value::sym("a"))]), vec![6, 7, 8]);
+        assert_eq!(unindexed_probes(), before, "every probe used an index");
     }
 
     #[test]
     fn time_probe_overlaps_only_window() {
-        let mut db = Database::new();
+        let mut db = indexed_db(0);
         db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 4));
         db.assert_over("p", &[Value::Int(1)], Interval::closed_int(10, 12));
         db.assert_over("p", &[Value::Int(2)], Interval::closed_int(20, 24));
@@ -1416,6 +1412,7 @@ mod tests {
             &[Value::Int(3)],
             Interval::from_instant(Rational::integer(100)),
         );
+        pad(&mut db, 4, true);
         let rel = db.relation(Symbol::new("p")).unwrap();
         // Unbounded tuple 3 is always a candidate; exact clipping is the
         // caller's job.
@@ -1429,17 +1426,12 @@ mod tests {
 
     #[test]
     fn time_index_stays_fresh_under_growth_and_clone() {
-        let mut db = Database::new();
+        let mut db = indexed_db(0);
         let pred = Symbol::new("p");
+        pad(&mut db, 7, true);
+        // The eighth tuple builds the index; grow through both mutation
+        // paths after it.
         db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 2));
-        // Build the index, then grow through both mutation paths.
-        assert_eq!(
-            db.relation(pred)
-                .unwrap()
-                .probe_time(&Interval::closed_int(0, 100))
-                .len(),
-            1
-        );
         db.assert_over("p", &[Value::Int(0)], Interval::closed_int(50, 52));
         db.merge(
             pred,
@@ -1448,26 +1440,28 @@ mod tests {
         )
         .unwrap();
         let rel = db.relation(pred).unwrap();
-        assert_eq!(rel.probe_time(&Interval::closed_int(49, 70)), vec![0, 1]);
-        assert_eq!(rel.probe_time(&Interval::closed_int(0, 3)), vec![0]);
+        let before = unindexed_probes();
+        assert_eq!(rel.probe_time(&Interval::closed_int(49, 70)), vec![7, 8]);
+        assert_eq!(rel.probe_time(&Interval::closed_int(0, 3)), vec![7]);
         assert!(rel.probe_time(&Interval::closed_int(10, 20)).is_empty());
         // The clone carries the index and keeps patching it.
         let mut cloned = rel.clone();
-        assert_eq!(cloned.built_index_count(), 1);
+        assert_eq!(cloned.probe_time(&Interval::closed_int(49, 70)), vec![7, 8]);
         cloned
             .insert(&[Value::Int(2)], Interval::closed_int(15, 16))
             .unwrap();
-        assert_eq!(cloned.probe_time(&Interval::closed_int(10, 20)), vec![2]);
+        assert_eq!(cloned.probe_time(&Interval::closed_int(10, 20)), vec![9]);
+        assert_eq!(unindexed_probes(), before, "every probe used the index");
     }
 
     #[test]
     fn time_probe_never_misses_after_coalescing() {
         // Coalescing leaves stale sub-entries behind; they may only add
         // false positives, never hide a tuple.
-        let mut db = Database::new();
+        let mut db = indexed_db(0);
         let pred = Symbol::new("p");
         db.assert_over("p", &[Value::Int(0)], Interval::closed_int(0, 1));
-        db.relation(pred).unwrap().probe_time(&Interval::at(0)); // build
+        pad(&mut db, 7, true);
         db.assert_over("p", &[Value::Int(0)], Interval::closed_int(3, 9));
         db.assert_over("p", &[Value::Int(0)], Interval::closed_int(1, 3)); // glue
         let rel = db.relation(pred).unwrap();
@@ -1490,10 +1484,12 @@ mod tests {
         db.remove(pred, &[Value::Int(2)], &run(210, 10)); // split
         db.remove(pred, &[Value::Int(3)], &run(300, 40)); // remove
         let rel = db.relation(pred).unwrap();
+        let tuple = |k: i64| rel.store.lookup(&[Value::Int(k)]).unwrap();
         assert_eq!(rel.components_of(&[Value::Int(1)]).unwrap().len(), 1);
         assert_eq!(rel.components_of(&[Value::Int(2)]).unwrap().len(), 2);
+        let before = unindexed_probes();
         for t in 0..400 {
-            let holding: Vec<u32> = (0..4)
+            let holding: Vec<u32> = (0..rel.len() as u32)
                 .filter(|&id| IntervalSet::components_contain(rel.entry(id).1, t.into()))
                 .collect();
             let probed = rel.probe_time(&Interval::at(t));
@@ -1504,7 +1500,8 @@ mod tests {
         }
         // A long run does not drag the short entries of other tuples into
         // every probe: far from tuple 0's [0, 9], only the run answers.
-        assert_eq!(rel.probe_time(&Interval::at(150)), vec![1]);
+        assert_eq!(rel.probe_time(&Interval::at(150)), vec![tuple(1)]);
+        assert_eq!(unindexed_probes(), before, "every probe used the index");
     }
 
     #[test]
@@ -1565,21 +1562,15 @@ mod tests {
 
     #[test]
     fn remove_keeps_value_and_time_probes_sound() {
-        let mut db = Database::new();
+        let mut db = indexed_db(0b1);
         let pred = Symbol::new("p");
         db.assert_over("p", &[Value::sym("a")], Interval::closed_int(0, 4));
         db.assert_over("p", &[Value::sym("b")], Interval::closed_int(10, 14));
-        // Build both index kinds, then remove tuple `a` entirely.
-        assert_eq!(
-            db.relation(pred).unwrap().probe(&[(0, Value::sym("a"))]),
-            vec![0]
-        );
-        assert_eq!(
-            db.relation(pred)
-                .unwrap()
-                .probe_time(&Interval::closed_int(0, 4)),
-            vec![0]
-        );
+        pad(&mut db, 6, true);
+        // Both index kinds are built; remove tuple `a` entirely.
+        let rel = db.relation(pred).unwrap();
+        assert_eq!(rel.probe(&[(0, Value::sym("a"))]), vec![0]);
+        assert_eq!(rel.probe_time(&Interval::closed_int(0, 4)), vec![0]);
         db.remove(
             pred,
             &[Value::sym("a")],
@@ -1704,7 +1695,10 @@ mod tests {
     fn append_run_fast_path_matches_general_path() {
         use chronolog_obs::SmallRng;
         for seed in 0..32u64 {
-            let mut db = Database::new();
+            // Seven tuples before the one under test (id 7): the eighth
+            // builds the time index, which every run must then reach.
+            let mut db = indexed_db(0);
+            pad(&mut db, 7, true);
             let mut rng = SmallRng::seed_from_u64(0xA99E ^ seed);
             let pred = Symbol::new("p");
             let tup = [Value::Int(seed as i64)];
@@ -1764,10 +1758,10 @@ mod tests {
                     oracle.components(),
                     "seed {seed} round {round}: stored"
                 );
-                assert_eq!(rel.live_component_count(), oracle.components().len());
+                assert_eq!(rel.live_component_count(), oracle.components().len() + 7);
                 assert_eq!(
                     rel.probe_time(&Interval::closed_int(start, t)),
-                    vec![0],
+                    vec![7],
                     "seed {seed} round {round}: time index lost the run"
                 );
                 // Every stored second is reachable through the index, also
@@ -1775,7 +1769,7 @@ mod tests {
                 for at in oracle.atoms().filter_map(|a| a.punctual_value()) {
                     assert_eq!(
                         rel.probe_time(&Interval::point(at)),
-                        vec![0],
+                        vec![7],
                         "seed {seed} round {round}: time index lost second {at}"
                     );
                 }
@@ -1787,34 +1781,53 @@ mod tests {
     /// entries, on seeded relations, after `remove` and on a `clone`: the
     /// value probe returns exactly the ids whose position matches
     /// semantically (`3` finds `3.0`); the time probe may over-approximate
-    /// but never misses a tuple whose validity meets the window.
+    /// but never misses a tuple whose validity meets the window. Three
+    /// relations take the same writes: one without indexes (its probes
+    /// filter), one declared before its first insert and one declared
+    /// after its inserts; the two declared ones probe alike, from their
+    /// indexes.
     #[test]
     fn probes_agree_with_a_linear_filter_after_remove_and_clone() {
         use chronolog_obs::SmallRng;
-        fn check(rel: &Relation, rng: &mut SmallRng, what: &str) {
+        fn check(rels: &[&Relation], rng: &mut SmallRng, what: &str) {
             for _ in 0..24 {
                 let (pos, key) = match rng.gen_range_usize(0, 3) {
                     0 => (0, Value::sym(&format!("k{}", rng.gen_range_i64(0, 5)))),
                     1 => (1, Value::Int(rng.gen_range_i64(0, 7))),
                     _ => (1, Value::num(rng.gen_range_i64(0, 7) as f64)),
                 };
-                let want: Vec<u32> = (0..rel.len() as u32)
-                    .filter(|&id| rel.entry(id).0.value(pos).semantic_eq(&key))
-                    .collect();
-                assert_eq!(rel.probe(&[(pos, key)]), want, "{what}: probe {pos}={key}");
                 let lo = rng.gen_range_i64(0, 60);
                 let window = Interval::closed_int(lo, lo + rng.gen_range_i64(0, 12));
-                let got = rel.probe_time(&window);
-                assert!(got.windows(2).all(|w| w[0] < w[1]), "{what}: id order");
-                for id in 0..rel.len() as u32 {
-                    let live = !IntervalSet::clip_components(rel.entry(id).1, &window).is_empty();
-                    assert!(!live || got.contains(&id), "{what}: {window} missed {id}");
+                let mut probes = Vec::new();
+                for (i, rel) in rels.iter().enumerate() {
+                    let what = format!("{what}, relation {i}");
+                    let want: Vec<u32> = (0..rel.len() as u32)
+                        .filter(|&id| rel.entry(id).0.value(pos).semantic_eq(&key))
+                        .collect();
+                    assert_eq!(rel.probe(&[(pos, key)]), want, "{what}: probe {pos}={key}");
+                    let got = rel.probe_time(&window);
+                    assert!(got.windows(2).all(|w| w[0] < w[1]), "{what}: id order");
+                    for id in 0..rel.len() as u32 {
+                        let live =
+                            !IntervalSet::clip_components(rel.entry(id).1, &window).is_empty();
+                        assert!(!live || got.contains(&id), "{what}: {window} missed {id}");
+                    }
+                    probes.push(got);
+                }
+                if let [_, early, late] = &probes[..] {
+                    assert_eq!(early, late, "{what}: {window} by declaration time");
                 }
             }
         }
+        let declared = Some(0b11);
         for seed in 0..16u64 {
             let mut rng = SmallRng::seed_from_u64(0x9E0B ^ seed);
-            let mut rel = Relation::default();
+            let (mut plain, mut early, mut late) = (
+                Relation::default(),
+                Relation::default(),
+                Relation::default(),
+            );
+            early.declare(declared);
             let mut tuples = Vec::new();
             for _ in 0..40 {
                 let n = rng.gen_range_i64(0, 7);
@@ -1826,26 +1839,37 @@ mod tests {
                 let tuple = [Value::sym(&format!("k{}", rng.gen_range_i64(0, 5))), second];
                 let lo = rng.gen_range_i64(0, 60);
                 let iv = Interval::closed_int(lo, lo + rng.gen_range_i64(0, 9));
-                rel.insert(&tuple, iv).unwrap();
+                for rel in [&mut plain, &mut early, &mut late] {
+                    rel.insert(&tuple, iv).unwrap();
+                }
                 tuples.push((tuple, iv));
                 if tuples.len() == 10 {
-                    // Build both index kinds early so later inserts and
-                    // removes exercise the incremental maintenance.
-                    check(&rel, &mut rng, "built");
+                    // `early` built its indexes at eight tuples, so later
+                    // inserts and removes exercise their maintenance.
+                    check(&[&plain, &early], &mut rng, "built");
                 }
             }
+            late.declare(declared);
             for (tuple, iv) in tuples.iter().step_by(3) {
-                rel.remove(tuple, &IntervalSet::from_interval(*iv));
+                for rel in [&mut plain, &mut early, &mut late] {
+                    rel.remove(tuple, &IntervalSet::from_interval(*iv));
+                }
             }
-            check(&rel, &mut rng, "after remove");
-            let mut copy = rel.clone();
-            copy.insert(
-                &[Value::sym("k1"), Value::Int(3)],
-                Interval::closed_int(70, 71),
-            )
-            .unwrap();
-            check(&copy, &mut rng, "clone");
-            check(&rel, &mut rng, "original after clone");
+            let before = unindexed_probes();
+            check(&[&early, &late], &mut rng, "declared, after remove");
+            assert_eq!(unindexed_probes(), before, "declared relations filtered");
+            check(&[&plain, &early, &late], &mut rng, "after remove");
+            let mut copies = [plain.clone(), early.clone(), late.clone()];
+            for copy in &mut copies {
+                copy.insert(
+                    &[Value::sym("k1"), Value::Int(3)],
+                    Interval::closed_int(70, 71),
+                )
+                .unwrap();
+            }
+            let [a, b, c] = &copies;
+            check(&[a, b, c], &mut rng, "clone");
+            check(&[&plain, &early, &late], &mut rng, "original after clone");
         }
     }
 

@@ -240,7 +240,7 @@ mod tests {
         let plans: Vec<RulePlan> = program
             .rules
             .iter()
-            .map(|r| build_plan(r, None, &persisted))
+            .map(|r| build_plan(r, None, &persisted, &mut Default::default()))
             .collect();
         let rules: Vec<(&Rule, &RulePlan)> = program.rules.iter().zip(&plans).collect();
         let mut out = eval_aggregate_rules(&rules, &ctx).unwrap();

@@ -814,9 +814,7 @@ fn eval_rel(
                 // A small (or empty) value bucket: clipping a handful
                 // of candidates directly is cheaper than walking the
                 // time index's window range (which costs a sort of
-                // every overlapping id); skipping also means an empty
-                // bucket neither builds the time index nor re-counts
-                // its pending tail against the clip counters.
+                // every overlapping id).
                 Some(&scr.value)
             } else {
                 let w = mask.as_ref().expect("a time probe implies a mask");
@@ -1013,7 +1011,7 @@ mod tests {
     /// Plans `rule` in isolation (no program, so nothing is persisted) and
     /// executes it in full.
     fn eval_body(rule: &Rule, ctx: &EvalCtx<'_>) -> Result<Vec<(Bindings, IntervalSet)>> {
-        let plan = build_plan(rule, None, &HashSet::new());
+        let plan = build_plan(rule, None, &HashSet::new(), &mut Default::default());
         execute_plan(rule, &plan, ctx, Bindings::default())
     }
 

@@ -246,7 +246,7 @@ impl Explainer<'_> {
             return Ok(false);
         };
         let plans: Vec<_> = (group.iter())
-            .map(|r| plan::build_plan(r, None, &self.persisted))
+            .map(|r| plan::build_plan(r, None, &self.persisted, &mut Default::default()))
             .collect();
         self.rule_instances += group.len() as u64;
         let members: Vec<_> = group.into_iter().zip(&plans).collect();
@@ -302,7 +302,7 @@ impl Explainer<'_> {
             .unwrap_or(preimage);
         let label = label(rule, idx);
         self.rule_instances += 1;
-        let plan = plan::build_plan(rule, None, &self.persisted);
+        let plan = plan::build_plan(rule, None, &self.persisted, &mut Default::default());
         for (binding, body) in execute_plan(rule, &plan, &self.ctx(window), binding)? {
             let is_fact =
                 |atom: &Atom| ground(atom, &binding).is_some_and(|g| same_tuple(&g, &fact.1));

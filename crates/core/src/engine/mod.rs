@@ -23,7 +23,7 @@ pub use session::{BaseEvent, RepairPath, RepairReport, Session};
 
 use crate::analysis::{check_program, DependencyGraph, Stratification};
 use crate::ast::{HeadOp, Literal, Program, Rule};
-use crate::database::Database;
+use crate::database::{Database, IndexSpec};
 use crate::error::{Error, Result};
 use crate::rewrite::{self, Query};
 use crate::symbol::Symbol;
@@ -283,9 +283,6 @@ pub struct RunStats {
     /// Candidate tuples the time index ruled out before their interval sets
     /// were clipped against the read mask.
     pub interval_clips_avoided: u64,
-    /// Secondary indexes carried over by database clones (session advances,
-    /// snapshot copies) instead of being rebuilt from scratch.
-    pub index_rebuilds_avoided: u64,
     /// Physical plans put to use: one per `(rule, delta-literal)` variant
     /// the run executed. The reasoner compiles each variant's plan once,
     /// from the program text, so a session's count stops growing once
@@ -457,10 +454,6 @@ impl RunStats {
             (
                 "interval_clips_avoided",
                 Json::from(self.interval_clips_avoided),
-            ),
-            (
-                "index_rebuilds_avoided",
-                Json::from(self.index_rebuilds_avoided),
             ),
         ]);
         let strata = Json::Arr(
@@ -640,6 +633,9 @@ pub struct Reasoner {
     /// depend on it, directly or transitively: the static half of every
     /// repair cone, built once here instead of on every correction.
     downstream: HashMap<Symbol, Vec<Symbol>>,
+    /// The indexes the compiled plans can probe, per predicate: declared
+    /// on every database the fixpoint reads.
+    indexes: Arc<IndexSpec>,
     config: ReasonerConfig,
 }
 
@@ -689,11 +685,13 @@ struct CompiledStratum {
 
 impl CompiledStratum {
     /// Compiles the rules `rule_indices` of one stratum of `program`, whose
-    /// persisted predicates are `persisted`.
+    /// persisted predicates are `persisted`, noting in `spec` the indexes
+    /// its plans can probe.
     fn compile(
         program: &Program,
         rule_indices: &[usize],
         persisted: &HashSet<Symbol>,
+        spec: &mut IndexSpec,
     ) -> CompiledStratum {
         let current_preds: HashSet<Symbol> = rule_indices
             .iter()
@@ -704,7 +702,7 @@ impl CompiledStratum {
         for &i in rule_indices {
             let rule = &program.rules[i];
             if rule.head.aggregate.is_some() {
-                let member = (i, plan::build_plan(rule, None, persisted));
+                let member = (i, plan::build_plan(rule, None, persisted, spec));
                 match agg_groups
                     .iter_mut()
                     .find(|(p, _)| *p == rule.head.atom.pred)
@@ -737,7 +735,7 @@ impl CompiledStratum {
                     match delta_eligible(lit) {
                         Some(pred) => dep_variants.push(Variant {
                             pred,
-                            plan: Arc::new(plan::build_plan(rule, Some(li), persisted)),
+                            plan: Arc::new(plan::build_plan(rule, Some(li), persisted, spec)),
                         }),
                         None => blocked = true,
                     }
@@ -751,11 +749,14 @@ impl CompiledStratum {
                 };
                 CompiledRule {
                     idx,
-                    full: Arc::new(plan::build_plan(rule, None, persisted)),
+                    full: Arc::new(plan::build_plan(rule, None, persisted, spec)),
                     mode,
                 }
             })
             .collect();
+        // A self-chain rule's guard lookups need no indexes of their own:
+        // its variant over the chain literal joins every guard with the
+        // head variables bound, so that plan declares what they probe.
         let chains = Chains::detect(
             normal.iter().map(|&i| (i, &program.rules[i])),
             &current_preds,
@@ -839,10 +840,11 @@ impl Reasoner {
         check_program(&program)?;
         let strat = Stratification::compute(&program)?;
         let persisted = plan::persisted_predicates(&program);
+        let mut indexes = IndexSpec::default();
         let compiled = strat
             .rules_by_stratum
             .iter()
-            .map(|rules| CompiledStratum::compile(&program, rules, &persisted))
+            .map(|rules| CompiledStratum::compile(&program, rules, &persisted, &mut indexes))
             .collect();
         let downstream = downstream_predicates(&DependencyGraph::build(&program));
         Ok(Reasoner {
@@ -850,6 +852,7 @@ impl Reasoner {
             strat,
             compiled,
             downstream,
+            indexes: Arc::new(indexes),
             config,
         })
     }
@@ -873,11 +876,8 @@ impl Reasoner {
     pub fn materialize(&self, input: &Database) -> Result<Materialization> {
         let mut mat_span = self.config.profiler.as_ref().map(|p| p.span("materialize"));
         let start = Instant::now();
-        let mut total = input.clone();
+        let mut total = input.clone().declare(&self.indexes);
         let mut stats = RunStats::default();
-        // Cloning preserves already-built secondary indexes: every index the
-        // input carries over is one the fixpoint loop does not rebuild.
-        stats.index_rebuilds_avoided += total.built_index_count() as u64;
         self.init_rule_stats(&mut stats);
         let input_tuples = input.tuple_count();
 
@@ -1226,7 +1226,7 @@ impl Reasoner {
         let mut used_plans = VariantPlans::new();
         // Last round's additions: all of them, and per self-chain rule the
         // ones *other* rules made to its head predicate.
-        let mut prev_delta = Database::new();
+        let mut prev_delta = Database::new().declare(&self.indexes);
         let mut chain_prev: BTreeMap<usize, Database> = BTreeMap::new();
         let mut iteration = 0usize;
         // Adaptive parallelism gate: an iteration only pays for worker
@@ -1251,7 +1251,7 @@ impl Reasoner {
             if total.component_count() > self.config.max_components {
                 return Err(budget_exceeded_components(&self.config));
             }
-            let mut next_delta = Database::new();
+            let mut next_delta = Database::new().declare(&self.indexes);
             let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
 
@@ -1398,7 +1398,7 @@ impl Reasoner {
                         for other in compiled.chains.others_over(head, rule_idx) {
                             chain_next
                                 .entry(other)
-                                .or_default()
+                                .or_insert_with(|| Database::new().declare(&self.indexes))
                                 .merge(head, &tuple, &added)?;
                         }
                     }
@@ -1889,6 +1889,96 @@ mod tests {
         .database;
         let oracle = crate::naive::naive_materialize(&program, &db, 0, 12).unwrap();
         assert_eq!(crate::naive::grid_text(&engine, 0, 12), oracle.to_text());
+    }
+
+    /// Every lookup the fixpoint makes finds the indexes it probes
+    /// declared: the five corpus programs, batch and (all but `sla`, whose
+    /// head operators a session rejects) through a session that also
+    /// repairs a retraction and its late re-submission, never filter a
+    /// relation large enough to probe.
+    #[test]
+    fn plan_lookups_probe_declared_indexes() {
+        use crate::database::UNINDEXED_PROBES;
+        use mtl_temporal::{Rational, TimeBound};
+        let unindexed = || UNINDEXED_PROBES.with(|n| n.get());
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let mut probes = 0;
+        for name in ["fibonacci", "funding", "margin", "netting", "sla"] {
+            let src = std::fs::read_to_string(format!("{corpus}/{name}.dmtl")).unwrap();
+            let (program, facts) = crate::parser::parse_source(&src).unwrap();
+            let config = ReasonerConfig::default().with_horizon(0, 20);
+            let mut input = Database::new();
+            let mut initial = Database::new();
+            let mut stream: Vec<&crate::ast::Fact> = Vec::new();
+            for fact in &facts {
+                input.insert_fact(fact).unwrap();
+                match fact.interval.lo() {
+                    TimeBound::Finite(lo) if lo > Rational::ZERO => stream.push(fact),
+                    _ => {
+                        initial.insert_fact(fact).unwrap();
+                    }
+                }
+            }
+            stream.sort_by(|a, b| a.interval.cmp_position(&b.interval));
+            let before = unindexed();
+
+            let reasoner = Reasoner::new(program.clone(), config.clone()).unwrap();
+            probes += reasoner.materialize(&input).unwrap().stats.index_probes;
+            assert_eq!(unindexed(), before, "{name}: batch filtered a relation");
+
+            if name == "sla" {
+                // Its head operators are outside the session fragment.
+                continue;
+            }
+            let reasoner = Reasoner::new(program, config).unwrap();
+            let mut session = reasoner.into_session(&initial, 0).unwrap();
+            let mut target = 0;
+            for (i, fact) in stream.iter().enumerate() {
+                session.submit((*fact).clone()).unwrap();
+                if let TimeBound::Finite(hi) = fact.interval.hi() {
+                    target = target.max(hi.ceil());
+                }
+                if stream.get(i + 1).map(|f| f.interval.lo()) != Some(fact.interval.lo()) {
+                    session.advance_to(target.min(20)).unwrap();
+                }
+            }
+            session.advance_to(20).unwrap();
+            if let Some(last) = stream.last() {
+                session.retract((*last).clone()).unwrap();
+                session.submit_late((*last).clone()).unwrap();
+            }
+            probes += session.stats().index_probes;
+            assert_eq!(unindexed(), before, "{name}: session filtered a relation");
+        }
+        assert!(probes > 0, "the corpus probes no index");
+    }
+
+    /// The reads the corpus leaves out: a negation, the right operand of a
+    /// `since` (ground through the left one's variables) and the guard of a
+    /// self-chain rule (ground through the head, where the rule's full plan
+    /// joins it first, unbound), each over a relation large enough to
+    /// probe, find their indexes declared too.
+    #[test]
+    fn negation_since_and_chain_guard_lookups_probe_declared_indexes() {
+        let mut facts = String::from("start(0)@0.\n");
+        for i in 0..10 {
+            facts.push_str(&format!(
+                "g({i})@[0, 20].\na({i})@[0, 20].\nd({i}, 1)@[0, 5].\nb({i}, {i})@[0, 20].\nc({i})@[0, 20].\n"
+            ));
+        }
+        let before = crate::database::UNINDEXED_PROBES.with(|n| n.get());
+        let db = run(
+            "p(X) :- start(X).\n\
+             p(X) :- diamondminus[1, 1] p(X), g(X).\n\
+             h(X) :- a(X), not d(X, 1).\n\
+             k(X) :- a(X), since[0, 5](b(X, Y), c(Y)).",
+            &facts,
+            (0, 20),
+        );
+        assert_eq!(crate::database::UNINDEXED_PROBES.with(|n| n.get()), before);
+        assert!(db.holds_at("p", &[Value::Int(0)], 20));
+        assert!(db.holds_at("h", &[Value::Int(3)], 6) && !db.holds_at("h", &[Value::Int(3)], 5));
+        assert!(db.holds_at("k", &[Value::Int(3)], 20));
     }
 
     #[test]

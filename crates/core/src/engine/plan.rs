@@ -28,14 +28,11 @@
 //!    labelled `scan`.
 
 use crate::ast::{CmpOp, Expr, Literal, MetricAtom, Program, Rule, Term};
+use crate::database::{IndexSpec, INDEX_MIN_TUPLES};
 use crate::symbol::Symbol;
 use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Relations smaller than this are scanned directly: probing (and possibly
-/// building) an index costs more than walking a handful of tuples.
-pub(crate) const INDEX_MIN_TUPLES: usize = 8;
 
 /// How a lookup reaches a relation's tuples.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -226,16 +223,44 @@ pub(crate) fn persisted_predicates(program: &Program) -> HashSet<Symbol> {
         .collect()
 }
 
+/// Is `t` ground under `bound`: a constant, or a variable an earlier step
+/// binds?
+fn is_ground(t: &Term, bound: &HashSet<Symbol>) -> bool {
+    t.as_var().is_none_or(|x| bound.contains(&x))
+}
+
 /// Number of argument positions of a single-atom literal that are ground
-/// under `bound` (a constant, or a variable an earlier join binds); `None`
-/// for a composite (`since` / `until`) atom and for `⊤` / `⊥`.
+/// under `bound`; `None` for a composite (`since` / `until`) atom and for
+/// `⊤` / `⊥`.
 fn ground_positions(m: &MetricAtom, bound: &HashSet<Symbol>) -> Option<usize> {
     let [a] = m.atoms()[..] else { return None };
-    let ground = |t: &&Term| match t {
-        Term::Val(_) => true,
-        Term::Var(x) => bound.contains(x),
-    };
-    Some(a.args.iter().filter(ground).count())
+    Some(a.args.iter().filter(|t| is_ground(t, bound)).count())
+}
+
+/// Notes in `spec` the indexes a lookup of `m` under `bound` can probe: per
+/// leaf atom, its ground positions. A `since` / `until` evaluates its right
+/// operand with the left one's variables bound.
+fn note_reads(m: &MetricAtom, bound: &HashSet<Symbol>, spec: &mut IndexSpec) {
+    match m {
+        MetricAtom::Top | MetricAtom::Bottom => {}
+        MetricAtom::Rel(a) => {
+            let positions = spec.entry(a.pred).or_default();
+            for (i, t) in a.args.iter().enumerate().take(u64::BITS as usize) {
+                if is_ground(t, bound) {
+                    *positions |= 1 << i;
+                }
+            }
+        }
+        MetricAtom::BoxMinus(_, inner)
+        | MetricAtom::BoxPlus(_, inner)
+        | MetricAtom::DiamondMinus(_, inner)
+        | MetricAtom::DiamondPlus(_, inner) => note_reads(inner, bound, spec),
+        MetricAtom::Since(m1, _, m2) | MetricAtom::Until(m1, _, m2) => {
+            note_reads(m1, bound, spec);
+            let left = bound.iter().copied().chain(m1.variables()).collect();
+            note_reads(m2, &left, spec);
+        }
+    }
 }
 
 /// What the join order sorts the remaining positive literals by, smallest
@@ -330,11 +355,13 @@ fn schedule_constraints(
 }
 
 /// Compiles one rule body (for one semi-naive variant) into a plan, from
-/// the rule text and the program's [`persisted_predicates`] alone.
+/// the rule text and the program's [`persisted_predicates`] alone, and
+/// notes in `spec` the indexes its joins and negations can probe.
 pub(crate) fn build_plan(
     rule: &Rule,
     delta_literal: Option<usize>,
     persisted: &HashSet<Symbol>,
+    spec: &mut IndexSpec,
 ) -> RulePlan {
     let n = rule.body.len();
     let mut remaining: Vec<(usize, &MetricAtom)> = rule
@@ -373,6 +400,7 @@ pub(crate) fn build_plan(
             None => AccessPath::Scan,
             Some(ground) => AccessPath::choose(INDEX_MIN_TUPLES, ground > 0, true),
         };
+        note_reads(m, &bound, spec);
         steps.push(PlanStep::new(i, StepKind::Join { access }));
         done[i] = true;
         bound.extend(m.variables());
@@ -390,7 +418,10 @@ pub(crate) fn build_plan(
             continue;
         }
         match &rule.body[i] {
-            Literal::Neg(_) => steps.push(PlanStep::new(i, StepKind::Negation)),
+            Literal::Neg(m) => {
+                note_reads(m, &bound, spec);
+                steps.push(PlanStep::new(i, StepKind::Negation));
+            }
             Literal::Constraint(..) => {
                 has_unschedulable = true;
                 steps.push(PlanStep::new(i, StepKind::Constraint { mode: None }));

@@ -162,11 +162,8 @@ impl Reasoner {
     pub fn into_session(self, initial: &Database, start: i64) -> Result<Session> {
         program_reach(self.program())?;
         let start = Rational::integer(start);
-        let total = initial.clone();
-        let mut stats = RunStats::default();
-        // The clone carries the initial database's built indexes with it, so
-        // the session never rebuilds them.
-        stats.index_rebuilds_avoided += total.built_index_count() as u64;
+        let total = initial.clone().declare(&self.indexes);
+        let stats = RunStats::default();
         // Genesis facts seed the base-fact log: overdeletion keeps them,
         // and a retraction can name them.
         let mut asserted = Vec::new();

@@ -8,7 +8,7 @@
 //!   print what was stored.
 //! * **sid** — semantic class. `Int(3)` and `Num(3.0)` share a sid because
 //!   `Value::semantic_eq` coerces Int/Num through `f64`, exactly like the
-//!   secondary-index buckets (`IndexKey::of`). Join unification compares
+//!   secondary-index buckets (keyed on [`SemKey`]). Join unification compares
 //!   sids (one `u32` compare) and only decodes vids on success.
 //!
 //! The sid bucketing keys numerics on `f64::to_bits`, which is sound as a
@@ -31,17 +31,19 @@ use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 /// valid vid: the interner refuses to allocate it.
 pub(crate) const NONE_VID: u32 = u32::MAX;
 
-/// Semantic-class key, mirroring `IndexKey` in `database.rs`: numerics
-/// bucket on the coerced `f64` bit pattern, everything else structurally.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum SemKey {
+/// Semantic-class key: numerics bucket on the coerced `f64` bit pattern,
+/// everything else structurally — exactly the equivalence
+/// [`Value::semantic_eq`] uses, so a value-index probe keyed on it never
+/// misses a tuple a full scan would unify with.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum SemKey {
     Num(u64),
     Sym(Symbol),
     Bool(bool),
 }
 
 impl SemKey {
-    fn of(v: &Value) -> SemKey {
+    pub(crate) fn of(v: &Value) -> SemKey {
         match v.as_f64() {
             Some(f) => SemKey::Num(f.to_bits()),
             None => match v {
