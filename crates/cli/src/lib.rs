@@ -51,9 +51,8 @@
 #![warn(missing_docs)]
 
 use chronolog_core::{
-    parse_query, parse_source, Atom, Database, DependencyGraph, Error, Explanation, Fact, Literal,
-    MetricAtom, Program, Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Term,
-    Value,
+    parse_query, parse_source, Atom, Database, DependencyGraph, Error, Explanation, Fact, Program,
+    Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Term, Value,
 };
 use chronolog_core::{Interval, IntervalSet, Tuple};
 use chronolog_obs::Json;
@@ -884,16 +883,14 @@ pub fn run_report(stats: &RunStats, files: &[String], horizon: Option<(i64, i64)
     report
 }
 
-/// Parses an atom pattern like `margin(acc1, M)` by disguising it as a
-/// rule body.
+/// Parses an atom pattern like `margin(acc1, M)`: a query without a window.
 fn parse_query_atom(q: &str) -> Result<Atom, CliError> {
-    let rule = chronolog_core::parse_rule(&format!("query_probe_() :- {q}."))
-        .map_err(|e| CliError::usage(format!("bad query `{q}`: {e}")))?;
-    match rule.body.first() {
-        Some(Literal::Pos(MetricAtom::Rel(atom))) => Ok(atom.clone()),
-        _ => Err(CliError::usage(format!(
+    match parse_query(q) {
+        Ok(Query { atom, window: None }) => Ok(atom),
+        Ok(_) => Err(CliError::usage(format!(
             "query `{q}` must be a plain atom pattern"
         ))),
+        Err(e) => Err(CliError::usage(format!("bad query `{q}`: {e}"))),
     }
 }
 
@@ -1722,6 +1719,25 @@ mod tests {
         // The report precedes the answers, which are still printed.
         assert!(out.contains("-- query reach(a, T) --"), "{out}");
         assert!(out.contains("reach(a, b)@[0,10]"), "{out}");
+    }
+
+    /// Malformed query text is a parse error whose column counts in the
+    /// query, and the message names the query once.
+    #[test]
+    fn malformed_query_is_a_parse_error_naming_the_query_once() {
+        let err = run_cli(
+            &args(&["run", "g.dmtl", "--query", "reach(a"]),
+            fake_fs(&[("g.dmtl", REACH)]),
+        )
+        .unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(
+            err.message
+                .starts_with("bad query `reach(a`: parse error at 1:8: "),
+            "{}",
+            err.message
+        );
+        assert_eq!(err.message.matches("reach(a").count(), 1, "{}", err.message);
     }
 
     #[test]

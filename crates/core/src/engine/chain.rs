@@ -26,7 +26,9 @@
 //!   by this rule alone, `p(x̄)` on `op(T) ∩ P` — for the same tuple;
 //! * `◇⁻ρ` distributes over union and a punctual `⊟ρ` is a plain shift, so
 //!   applying `op` to only the newest piece never misses a derivation that
-//!   combines old and new time points (a non-punctual `⊟` would).
+//!   combines old and new time points. A `⊟` of positive length would, so
+//!   detection admits none: such a literal takes the ordinary path, whose
+//!   delta variant reads the grown tuples with their whole validity.
 //!
 //! Iterating `cur ← op(cur) ∩ P` until nothing new therefore derives exactly
 //! what the round-by-round fixpoint derives for that tuple through this rule,
@@ -126,14 +128,19 @@ fn matom(rule: &Rule, literal: usize) -> &MetricAtom {
     }
 }
 
-/// The total shift of a chain whose operators are all punctual.
-fn punctual_shift(m: &MetricAtom) -> Option<Rational> {
+/// The total backward shift of a unary operator chain whose operators are
+/// all punctual: `⊟[c]`/`◇⁻[c]` look `c` into the past (a positive shift),
+/// the future operators the opposite. `None` when the chain has a window of
+/// positive length or a binary operator, or the sum overflows.
+pub(super) fn punctual_shift(m: &MetricAtom) -> Option<Rational> {
     match m {
         MetricAtom::Rel(_) => Some(Rational::ZERO),
-        MetricAtom::DiamondMinus(rho, inner) | MetricAtom::BoxMinus(rho, inner) => rho
-            .as_interval()
-            .punctual_value()?
-            .checked_add(punctual_shift(inner)?),
+        MetricAtom::DiamondMinus(rho, inner) | MetricAtom::BoxMinus(rho, inner) => {
+            punctual_shift(inner)?.checked_add(rho.as_interval().punctual_value()?)
+        }
+        MetricAtom::DiamondPlus(rho, inner) | MetricAtom::BoxPlus(rho, inner) => {
+            punctual_shift(inner)?.checked_sub(rho.as_interval().punctual_value()?)
+        }
         _ => None,
     }
 }

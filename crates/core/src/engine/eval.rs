@@ -85,29 +85,28 @@ impl EvalCtx<'_> {
     }
 }
 
-/// Is this literal eligible to be the delta-restricted literal of a
-/// semi-naive variant? Requires a unary operator chain over a single
-/// relational atom where every box operator is punctual (box with a
-/// positive-length window is not union-distributive, so reading only the
-/// delta would miss derivations that combine old and new time points).
-pub(crate) fn delta_eligible(lit: &Literal) -> Option<Symbol> {
-    fn chain(m: &MetricAtom) -> Option<Symbol> {
-        match m {
-            MetricAtom::Rel(a) => Some(a.pred),
-            MetricAtom::DiamondMinus(_, inner) | MetricAtom::DiamondPlus(_, inner) => chain(inner),
-            MetricAtom::BoxMinus(rho, inner) | MetricAtom::BoxPlus(rho, inner) => {
-                if rho.is_punctual() {
-                    chain(inner)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+/// What the delta variant of a positive literal reads.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum DeltaRead {
+    /// The last round's new points: a chain of diamonds and punctual boxes
+    /// over one atom distributes over union.
+    Points,
+    /// The tuples that grew last round, each with its whole validity: a box
+    /// of positive length or a `since`/`until` combines time points, but
+    /// its value for a binding is a function of the validities of the
+    /// tuples the binding matched, so nothing new comes of unchanged ones.
+    Tuples,
+}
+
+/// Classifies what the delta variant of positive literal `m` reads.
+pub(crate) fn delta_read(m: &MetricAtom) -> DeltaRead {
+    match m {
+        MetricAtom::Rel(_) => DeltaRead::Points,
+        MetricAtom::DiamondMinus(_, inner) | MetricAtom::DiamondPlus(_, inner) => delta_read(inner),
+        MetricAtom::BoxMinus(rho, inner) | MetricAtom::BoxPlus(rho, inner) if rho.is_punctual() => {
+            delta_read(inner)
         }
-    }
-    match lit {
-        Literal::Pos(m) => chain(m),
-        _ => None,
+        _ => DeltaRead::Tuples,
     }
 }
 
@@ -671,41 +670,36 @@ pub(crate) fn eval_matom_masked(
         MetricAtom::BoxPlus(rho, inner) => {
             transform(inner, future_mask(rho)?, IntervalSet::checked_box_plus, rho)
         }
-        MetricAtom::Since(m1, rho, m2) => {
-            debug_assert!(!use_delta, "delta never designates multi-atom literals");
-            for (b1, iv1) in eval_matom(m1, ctx, false, binding)? {
-                for (b2, iv2) in eval_matom(m2, ctx, false, &b1)? {
-                    let s = iv1.since(&iv2, rho);
-                    if !s.is_empty() {
-                        emit(&Hit::of(&b2), s)?;
+        MetricAtom::Since(m1, rho, m2) | MetricAtom::Until(m1, rho, m2) => {
+            let op = match m {
+                MetricAtom::Since(..) => IntervalSet::since,
+                _ => IntervalSet::until,
+            };
+            // Every left result joins every right one. Under a delta read
+            // the operand loops run twice — the left operand from the delta
+            // and the right one from `total`, then the other way round — so
+            // every pair with a tuple that grew is met.
+            let passes: &[(bool, bool)] = if use_delta {
+                &[(true, false), (false, true)]
+            } else {
+                &[(false, false)]
+            };
+            for &(delta1, delta2) in passes {
+                for (b1, iv1) in eval_matom(m1, ctx, delta1, binding)? {
+                    for (b2, iv2) in eval_matom(m2, ctx, delta2, &b1)? {
+                        let s = op(&iv1, &iv2, rho);
+                        if !s.is_empty() {
+                            emit(&Hit::of(&b2), s)?;
+                        }
                     }
                 }
             }
-            // `since` can also fire from M2 alone when 0 ∈ ρ even if M1 has
-            // no matching tuples; cover the empty-M1 case explicitly.
+            // The operator can also fire from the right operand alone when
+            // 0 ∈ ρ, even where the left one has no matching tuples: cover
+            // the empty-left case explicitly.
             if rho.as_interval().contains(mtl_temporal::Rational::ZERO) {
-                for (b2, iv2) in eval_matom(m2, ctx, false, binding)? {
-                    let s = IntervalSet::new().since(&iv2, rho);
-                    if !s.is_empty() {
-                        emit(&Hit::of(&b2), s)?;
-                    }
-                }
-            }
-            Ok(())
-        }
-        MetricAtom::Until(m1, rho, m2) => {
-            debug_assert!(!use_delta, "delta never designates multi-atom literals");
-            for (b1, iv1) in eval_matom(m1, ctx, false, binding)? {
-                for (b2, iv2) in eval_matom(m2, ctx, false, &b1)? {
-                    let s = iv1.until(&iv2, rho);
-                    if !s.is_empty() {
-                        emit(&Hit::of(&b2), s)?;
-                    }
-                }
-            }
-            if rho.as_interval().contains(mtl_temporal::Rational::ZERO) {
-                for (b2, iv2) in eval_matom(m2, ctx, false, binding)? {
-                    let s = IntervalSet::new().until(&iv2, rho);
+                for (b2, iv2) in eval_matom(m2, ctx, use_delta, binding)? {
+                    let s = op(&IntervalSet::new(), &iv2, rho);
                     if !s.is_empty() {
                         emit(&Hit::of(&b2), s)?;
                     }
@@ -1128,20 +1122,23 @@ mod tests {
 
     #[test]
     fn delta_eligibility_rules() {
-        assert!(delta_eligible(&parse_rule("h(X) :- p(X).").unwrap().body[0]).is_some());
-        assert!(delta_eligible(&parse_rule("h(X) :- boxminus p(X).").unwrap().body[0]).is_some());
-        assert!(
-            delta_eligible(&parse_rule("h(X) :- diamondminus[0, 5] p(X).").unwrap().body[0])
-                .is_some()
+        let read = |src: &str| {
+            let rule = parse_rule(src).unwrap();
+            let Literal::Pos(m) = &rule.body[0] else {
+                unreachable!("a positive first literal")
+            };
+            delta_read(m)
+        };
+        assert_eq!(read("h(X) :- p(X)."), DeltaRead::Points);
+        assert_eq!(read("h(X) :- boxminus p(X)."), DeltaRead::Points);
+        assert_eq!(read("h(X) :- diamondminus[0, 5] p(X)."), DeltaRead::Points);
+        // A box of positive length is not union-distributive.
+        assert_eq!(read("h(X) :- boxminus[0, 5] p(X)."), DeltaRead::Tuples);
+        assert_eq!(
+            read("h(X) :- diamondminus boxplus[1, 2] p(X)."),
+            DeltaRead::Tuples
         );
-        // non-punctual box is not union-distributive
-        assert!(
-            delta_eligible(&parse_rule("h(X) :- boxminus[0, 5] p(X).").unwrap().body[0]).is_none()
-        );
-        assert!(
-            delta_eligible(&parse_rule("h(X) :- since(p(X), q(X)).").unwrap().body[0]).is_none()
-        );
-        assert!(delta_eligible(&parse_rule("h(X) :- p(X), not q(X).").unwrap().body[1]).is_none());
+        assert_eq!(read("h(X) :- since(p(X), q(X))."), DeltaRead::Tuples);
     }
 
     #[test]

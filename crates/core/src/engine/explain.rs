@@ -16,13 +16,14 @@
 //! a [`Session`](super::Session) explains a fact byte for byte as a batch run
 //! over the same facts does.
 
+use super::chain::punctual_shift;
 use super::eval::{execute_plan, Bindings, EvalCtx, JoinCounters};
 use super::{aggregate, apply_head_op, plan, Reasoner};
 use crate::ast::{Atom, HeadOp, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
-use crate::value::{Tuple, Value};
+use crate::value::{same_tuple, Tuple, Value};
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -289,7 +290,7 @@ impl Explainer<'_> {
             .filter(|_| rule.head.ops.is_empty())
             .filter_map(|lit| {
                 let Literal::Pos(m) = lit else { return None };
-                let shift = chain_shift(m).filter(|s| *s > Rational::ZERO)?;
+                let shift = punctual_shift(m).filter(|s| *s > Rational::ZERO)?;
                 let [atom] = m.atoms()[..] else { return None };
                 (atom.pred == fact.0).then_some((atom, shift))
             })
@@ -411,11 +412,6 @@ fn label(rule: &Rule, idx: usize) -> String {
     rule.label.clone().unwrap_or_else(|| format!("rule #{idx}"))
 }
 
-/// Semantic equality of two ground tuples (`3` and `3.0` are one value).
-fn same_tuple(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.semantic_eq(y))
-}
-
 /// Where a run that reaches `t` in steps of `shift` through `comps`
 /// (sorted, disjoint, holding `t`) starts: the earliest `t − k·shift` with
 /// every step from it to `t` in `comps`. Walks components, not points, so
@@ -444,25 +440,6 @@ fn run_start(comps: &[Interval], t: Rational, shift: Rational) -> Rational {
             Some(prev) if IntervalSet::components_contain(comps, prev) => at = prev,
             _ => return start,
         }
-    }
-}
-
-/// Total backward shift of a punctual unary operator chain: `⊟[c]`/`◇⁻[c]`
-/// look `c` into the past (positive shift), the future operators the
-/// opposite. `None` when the chain has non-punctual windows or binary
-/// operators.
-fn chain_shift(m: &MetricAtom) -> Option<Rational> {
-    match m {
-        MetricAtom::Rel(_) => Some(Rational::ZERO),
-        MetricAtom::BoxMinus(rho, inner) | MetricAtom::DiamondMinus(rho, inner) => {
-            let c = rho.as_interval().punctual_value()?;
-            Some(chain_shift(inner)? + c)
-        }
-        MetricAtom::BoxPlus(rho, inner) | MetricAtom::DiamondPlus(rho, inner) => {
-            let c = rho.as_interval().punctual_value()?;
-            Some(chain_shift(inner)? - c)
-        }
-        _ => None,
     }
 }
 

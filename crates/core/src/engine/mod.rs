@@ -4,10 +4,12 @@
 //! stratified DatalogMTL program over a temporal database: strata are
 //! processed in order; within a stratum, aggregate rules run once (their
 //! inputs are strictly lower, per stratified aggregation) and the remaining
-//! rules run to fixpoint with semi-naive deltas where the operators permit:
-//! a literal carries a delta when it is a chain of diamonds and punctual
-//! boxes over one atom; a rule whose current-stratum literal does not is
-//! re-evaluated in full every round.
+//! rules run to fixpoint, semi-naive: round 0 evaluates every rule in full,
+//! and each later round runs one variant per positive literal over a
+//! current-stratum predicate, that literal read from the last round's delta.
+//! A chain of diamonds and punctual boxes over one atom reads the new
+//! points; any other literal — a box of positive length, `since`, `until` —
+//! reads the tuples that grew, each with its whole validity.
 
 mod aggregate;
 mod chain;
@@ -30,7 +32,7 @@ use crate::symbol::Symbol;
 use crate::value::Tuple;
 use chain::{Chains, GuardSets};
 use chronolog_obs::{Json, SpanRecorder};
-use eval::{delta_eligible, execute_heads, EvalCtx, JoinCounters};
+use eval::{delta_read, execute_heads, DeltaRead, EvalCtx, JoinCounters};
 use mtl_temporal::{Interval, IntervalSet};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,11 +49,10 @@ const PAR_MIN_EVAL_WALL: Duration = Duration::from_millis(2);
 /// Reasoner configuration: the horizon the model is clipped to, resource
 /// budgets, worker threads and profiling. Beyond the horizon, none of them
 /// changes the model — only whether, how fast and how observably it is
-/// computed. The fixpoint strategy is not a setting: a rule runs semi-naive
-/// over its current-stratum literals, and in full each round only when one
-/// of them cannot carry a delta (a non-punctual box, `since`/`until`). The
-/// model is checked against one independent reference, the brute-force
-/// oracle of [`crate::naive`].
+/// computed. The fixpoint strategy is not a setting: every rule runs
+/// semi-naive over its current-stratum literals. The model is checked
+/// against one independent reference, the brute-force oracle of
+/// [`crate::naive`].
 #[derive(Clone, Debug)]
 pub struct ReasonerConfig {
     /// The reasoning horizon: derivations are clipped to this interval (the
@@ -625,9 +626,9 @@ pub struct Reasoner {
     program: Arc<Program>,
     strat: Stratification,
     /// Per stratum, what the fixpoint driver needs and the program alone
-    /// determines (aggregate groups, fixpoint modes, variants and their
-    /// physical plans, self-chain rules) — compiled here once instead of
-    /// on every stratum run.
+    /// determines (aggregate groups, variants and their physical plans,
+    /// self-chain rules) — compiled here once instead of on every stratum
+    /// run.
     compiled: Vec<CompiledStratum>,
     /// Per predicate of the program, the predicates whose derivations
     /// depend on it, directly or transitively: the static half of every
@@ -639,36 +640,26 @@ pub struct Reasoner {
     config: ReasonerConfig,
 }
 
-/// One semi-naive variant of a rule: the predicate of the body literal
-/// read from the delta (whose delta relation must be non-empty for the
-/// variant to derive anything) and the variant's plan, which names the
+/// One semi-naive variant of a rule: the body literal read from the delta,
+/// what of the delta it reads, and the variant's plan, which names the
 /// literal.
 struct Variant {
-    pred: Symbol,
+    /// The literal's current-stratum predicates: the variant can derive
+    /// something only in a round after one of them grew.
+    preds: Vec<Symbol>,
+    read: DeltaRead,
     plan: Arc<plan::RulePlan>,
-}
-
-/// How a rule participates in its stratum's fixpoint (distinct from the
-/// physical [`plan::RulePlan`], which fixes the join order of one body
-/// evaluation).
-enum FixpointMode {
-    /// No body dependency on the current stratum: runs only on iteration 0.
-    Once,
-    /// Every current-stratum dependency sits in a delta-eligible literal:
-    /// these variants drive the semi-naive rounds.
-    SemiNaive(Vec<Variant>),
-    /// Some current-stratum dependency is not delta-eligible (non-punctual
-    /// box, since/until): full re-evaluation each iteration.
-    Full,
 }
 
 /// The program-only facts about one non-aggregate rule of a stratum.
 struct CompiledRule {
     /// Index into [`Program::rules`].
     idx: usize,
-    /// The plan of a full evaluation.
+    /// The plan of a full evaluation: round 0 of every stratum run.
     full: Arc<plan::RulePlan>,
-    mode: FixpointMode,
+    /// One variant per positive literal over a current-stratum predicate:
+    /// the rounds after round 0. A rule with none runs on round 0 only.
+    variants: Vec<Variant>,
 }
 
 /// Everything about one stratum that depends on the program alone.
@@ -679,6 +670,9 @@ struct CompiledStratum {
     /// The remaining rules in program order — also the task, merge and
     /// therefore output order of every round.
     rules: Vec<CompiledRule>,
+    /// Some variant reads [`DeltaRead::Tuples`]: a round hands on the
+    /// tuples it grew with their whole validity.
+    reads_tuples: bool,
     /// The stratum's self-chain (frame) rules.
     chains: Chains,
 }
@@ -714,46 +708,35 @@ impl CompiledStratum {
                 normal.push(i);
             }
         }
-        let rules = normal
+        let rules: Vec<CompiledRule> = normal
             .iter()
             .map(|&idx| {
                 let rule = &program.rules[idx];
-                let mut dep_variants = Vec::new();
-                let mut blocked = false;
-                let mut has_dep = false;
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let mentions_current = match lit {
-                        Literal::Pos(m) | Literal::Neg(m) => {
-                            m.atoms().iter().any(|a| current_preds.contains(&a.pred))
-                        }
-                        Literal::Constraint(..) => false,
-                    };
-                    if !mentions_current {
-                        continue;
-                    }
-                    has_dep = true;
-                    match delta_eligible(lit) {
-                        Some(pred) => dep_variants.push(Variant {
-                            pred,
+                // Negation reads strictly lower strata, so only positive
+                // literals can mention a current-stratum predicate.
+                let variants = (rule.body.iter().enumerate())
+                    .filter_map(|(li, lit)| {
+                        let Literal::Pos(m) = lit else { return None };
+                        let preds: Vec<Symbol> = (m.atoms().iter())
+                            .map(|a| a.pred)
+                            .filter(|p| current_preds.contains(p))
+                            .collect();
+                        (!preds.is_empty()).then(|| Variant {
+                            preds,
+                            read: delta_read(m),
                             plan: Arc::new(plan::build_plan(rule, Some(li), persisted, spec)),
-                        }),
-                        None => blocked = true,
-                    }
-                }
-                let mode = if !has_dep {
-                    FixpointMode::Once
-                } else if blocked {
-                    FixpointMode::Full
-                } else {
-                    FixpointMode::SemiNaive(dep_variants)
-                };
+                        })
+                    })
+                    .collect();
                 CompiledRule {
                     idx,
                     full: Arc::new(plan::build_plan(rule, None, persisted, spec)),
-                    mode,
+                    variants,
                 }
             })
             .collect();
+        let reads_tuples =
+            (rules.iter().flat_map(|r| &r.variants)).any(|v| v.read == DeltaRead::Tuples);
         // A self-chain rule's guard lookups need no indexes of their own:
         // its variant over the chain literal joins every guard with the
         // head variables bound, so that plan declares what they probe.
@@ -764,9 +747,22 @@ impl CompiledStratum {
         CompiledStratum {
             agg_groups,
             rules,
+            reads_tuples,
             chains,
         }
     }
+}
+
+/// The tuples of `added` (a round's additions), each with its whole validity
+/// in `total`: what a [`DeltaRead::Tuples`] variant reads next round.
+fn grown_tuples(added: &Database, total: &Database, indexes: &Arc<IndexSpec>) -> Result<Database> {
+    let mut grown = Database::new().declare(indexes);
+    for (pred, tuple, _) in added.iter() {
+        let tuple = tuple.to_vec();
+        let stored = (total.relation(pred).and_then(|r| r.components_of(&tuple))).unwrap_or(&[]);
+        grown.merge(pred, &tuple, &IntervalSet::from_sorted(stored.to_vec()))?;
+    }
+    Ok(grown)
 }
 
 /// One body evaluation of a round: the rule, the plan of the variant to
@@ -788,20 +784,26 @@ impl<'d> Task<'d> {
     }
 }
 
-/// Pushes one task per variant whose delta relation in `delta` holds
-/// anything; an empty delta relation cannot derive, so the variant is not
-/// dispatched.
+/// Pushes one task per variant of `rule` whose delta — `points` (none for
+/// a self-chain rule nothing else fed) or `tuples`, as the variant reads —
+/// holds one of its predicates; a variant whose predicates did not grow
+/// cannot derive, so it is not dispatched.
 fn push_variants<'d>(
     tasks: &mut Vec<Task<'d>>,
-    rule: usize,
-    variants: &'d [Variant],
-    delta: Option<&'d Database>,
+    rule: &'d CompiledRule,
+    points: Option<&'d Database>,
+    tuples: &'d Database,
 ) {
-    let Some(delta) = delta else { return };
-    for v in variants {
-        if delta.relation(v.pred).is_some_and(|r| r.live_len() > 0) {
+    for v in &rule.variants {
+        let delta = match v.read {
+            DeltaRead::Points => points,
+            DeltaRead::Tuples => Some(tuples),
+        };
+        let Some(delta) = delta else { continue };
+        let grew = |p: &Symbol| delta.relation(*p).is_some_and(|r| r.live_len() > 0);
+        if v.preds.iter().any(grew) {
             tasks.push(Task {
-                rule,
+                rule: rule.idx,
                 plan: &v.plan,
                 delta: Some(delta),
             });
@@ -1224,9 +1226,11 @@ impl Reasoner {
         // The plan of each variant that ran, with its counters as they
         // stood before it first ran here, for `RunStats::plan_explains`.
         let mut used_plans = VariantPlans::new();
-        // Last round's additions: all of them, and per self-chain rule the
-        // ones *other* rules made to its head predicate.
+        // Last round's additions: all of them, per self-chain rule the ones
+        // *other* rules made to its head predicate, and the tuples they grew
+        // with their whole validity.
         let mut prev_delta = Database::new().declare(&self.indexes);
+        let mut prev_grown = Database::new();
         let mut chain_prev: BTreeMap<usize, Database> = BTreeMap::new();
         let mut iteration = 0usize;
         // Adaptive parallelism gate: an iteration only pays for worker
@@ -1261,18 +1265,16 @@ impl Reasoner {
             // count.
             let mut tasks: Vec<Task<'_>> = Vec::new();
             for rule in &compiled.rules {
-                match (&rule.mode, iteration) {
-                    (_, 0) | (FixpointMode::Full, _) => tasks.push(Task::full(rule)),
-                    (FixpointMode::Once, _) => {}
-                    (FixpointMode::SemiNaive(variants), _) => {
-                        let delta = if compiled.chains.contains(rule.idx) {
-                            chain_prev.get(&rule.idx)
-                        } else {
-                            Some(&prev_delta)
-                        };
-                        push_variants(&mut tasks, rule.idx, variants, delta);
-                    }
+                if iteration == 0 {
+                    tasks.push(Task::full(rule));
+                    continue;
                 }
+                let points = if compiled.chains.contains(rule.idx) {
+                    chain_prev.get(&rule.idx)
+                } else {
+                    Some(&prev_delta)
+                };
+                push_variants(&mut tasks, rule, points, &prev_grown);
             }
 
             // A plan new to this stratum run has its counters read before
@@ -1412,6 +1414,9 @@ impl Reasoner {
             }
             if !grew {
                 break;
+            }
+            if compiled.reads_tuples {
+                prev_grown = grown_tuples(&next_delta, total, &self.indexes)?;
             }
             prev_delta = next_delta;
             chain_prev = chain_next;

@@ -25,7 +25,7 @@ use crate::database::Database;
 use crate::engine::{Explanation, Reasoner, RunStats};
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
-use crate::value::{Tuple, Value};
+use crate::value::{same_tuple, Tuple, Value};
 use crate::Fact;
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
 
@@ -86,10 +86,7 @@ impl RepairReport {
 /// (the equivalence the database stores tuples under, so `p(2)` matches a
 /// submitted `p(2.0)`).
 fn same_fact(a: &Fact, b: &Fact) -> bool {
-    a.pred == b.pred
-        && a.interval == b.interval
-        && a.args.len() == b.args.len()
-        && a.args.iter().zip(&b.args).all(|(x, y)| x.semantic_eq(y))
+    a.pred == b.pred && a.interval == b.interval && same_tuple(&a.args, &b.args)
 }
 
 /// The closed window `[lo, hi]`, or [`Error::EmptyWindow`] saying `what`
@@ -428,10 +425,7 @@ impl Session {
         // the watermark), where nothing at or below `now` depends on it.
         let mut backed = IntervalSet::new();
         for a in &self.asserted {
-            if a.pred == fact.pred
-                && a.args.len() == fact.args.len()
-                && a.args.iter().zip(&fact.args).all(|(x, y)| x.semantic_eq(y))
-            {
+            if a.pred == fact.pred && same_tuple(&a.args, &fact.args) {
                 backed.insert(a.interval);
             }
         }

@@ -85,43 +85,43 @@ impl std::fmt::Display for Query {
 }
 
 /// Parses a query of the form `pred(args...)`, `pred(args...)@t`, or
-/// `pred(args...)@[lo,hi]`. Bounds are rationals (`3`, `3/2`, `2.5`);
-/// an inverted window (`@[5,3]`) is [`Error::EmptyWindow`].
+/// `pred(args...)@[lo,hi]`. Bounds are rationals (`3`, `3/2`, `2.5`).
+/// Malformed text is [`Error::Parse`], its column counted in `text`; an
+/// inverted window (`@[5,3]`) is [`Error::EmptyWindow`].
 pub fn parse_query(text: &str) -> Result<Query> {
+    let blanks = |s: &str| s.chars().take_while(|c| c.is_whitespace()).count();
+    let col = 1 + blanks(text);
     let text = text.trim();
     if let Some((atom_part, window_part)) = text.rsplit_once('@') {
-        if let Some(window) = parse_window(window_part.trim())? {
+        let window_col = col + atom_part.chars().count() + 1 + blanks(window_part);
+        if let Some(window) = parse_window(window_part.trim(), window_col)? {
             return Ok(Query {
-                atom: parse_query_atom(atom_part.trim())?,
+                atom: parse_query_atom(atom_part.trim(), col)?,
                 window: Some(window),
             });
         }
     }
     Ok(Query {
-        atom: parse_query_atom(text)?,
+        atom: parse_query_atom(text, col)?,
         window: None,
     })
 }
 
-/// Parses the window suffix of a query. `Ok(None)` means "not a window"
-/// (so the `@` belongs to the atom, e.g. a time-capture variable);
-/// malformed or empty bracketed windows are errors.
-fn parse_window(s: &str) -> Result<Option<Interval>> {
+/// Parses the window suffix of a query, which starts at column `col`.
+/// `Ok(None)` means "not a window" (so the `@` belongs to the atom, e.g. a
+/// time-capture variable); malformed or empty bracketed windows are errors.
+fn parse_window(s: &str, col: usize) -> Result<Option<Interval>> {
     if let Some(body) = s.strip_prefix('[') {
-        let body = body
-            .strip_suffix(']')
-            .ok_or_else(|| Error::Eval(format!("query window `{s}` is missing `]`")))?;
-        let (lo, hi) = body
-            .split_once(',')
-            .ok_or_else(|| Error::Eval(format!("query window `{s}` needs `[lo,hi]`")))?;
-        let lo: Rational = lo
-            .trim()
-            .parse()
-            .map_err(|_| Error::Eval(format!("bad query window bound `{}`", lo.trim())))?;
-        let hi: Rational = hi
-            .trim()
-            .parse()
-            .map_err(|_| Error::Eval(format!("bad query window bound `{}`", hi.trim())))?;
+        let bad = |msg: String| Error::parse(1, col, msg);
+        let body = (body.strip_suffix(']'))
+            .ok_or_else(|| bad(format!("query window `{s}` is missing `]`")))?;
+        let (lo, hi) = (body.split_once(','))
+            .ok_or_else(|| bad(format!("query window `{s}` needs `[lo,hi]`")))?;
+        let bound = |b: &str| {
+            (b.trim().parse::<Rational>())
+                .map_err(|_| bad(format!("bad query window bound `{}`", b.trim())))
+        };
+        let (lo, hi) = (bound(lo)?, bound(hi)?);
         let window = Interval::new(TimeBound::Finite(lo), true, TimeBound::Finite(hi), true)
             .ok_or_else(|| Error::EmptyWindow(format!("query window [{lo},{hi}] has lo > hi")))?;
         return Ok(Some(window));
@@ -132,15 +132,24 @@ fn parse_window(s: &str) -> Result<Option<Interval>> {
     }
 }
 
-/// Parses the atom pattern by disguising it as a rule body.
-fn parse_query_atom(text: &str) -> Result<Atom> {
-    let rule = parse_rule(&format!("query_probe_() :- {text}."))
-        .map_err(|_| Error::Eval(format!("bad query `{text}`: expected pred(args...)")))?;
+/// Parses the atom pattern, which starts at column `col` of the query, by
+/// disguising it as a rule body; a parse error's column is moved back from
+/// the disguise to the query.
+fn parse_query_atom(text: &str, col: usize) -> Result<Atom> {
+    const DISGUISE: &str = "query_probe_() :- ";
+    let pattern = || Error::parse(1, col, "expected a plain pred(args...) pattern");
+    let rule = parse_rule(&format!("{DISGUISE}{text}.")).map_err(|e| match e {
+        Error::Parse {
+            line: 1,
+            col: at,
+            msg,
+        } => Error::parse(1, col + at.saturating_sub(DISGUISE.len() + 1), msg),
+        e @ Error::Parse { .. } => e,
+        _ => pattern(),
+    })?;
     match rule.body.as_slice() {
         [Literal::Pos(crate::ast::MetricAtom::Rel(atom))] => Ok(atom.clone()),
-        _ => Err(Error::Eval(format!(
-            "bad query `{text}`: expected a plain pred(args...) pattern"
-        ))),
+        _ => Err(pattern()),
     }
 }
 
@@ -488,6 +497,22 @@ mod tests {
     fn garbage_query_is_an_error() {
         assert!(parse_query("p(a) :- q(b)").is_err());
         assert!(parse_query("not p(a)").is_err());
+    }
+
+    /// Malformed text is a parse error whose column counts in the query as
+    /// given, not in the rule the atom is parsed as.
+    #[test]
+    fn malformed_query_is_a_parse_error_in_query_columns() {
+        let col = |text: &str| match parse_query(text) {
+            Err(Error::Parse { line: 1, col, .. }) => col,
+            other => panic!("`{text}`: {other:?}"),
+        };
+        assert_eq!(col("margin(a"), 9);
+        assert_eq!(col("  margin(a"), 11);
+        assert_eq!(col("p(a) :- q(b)"), 6);
+        assert_eq!(col("not p(a)"), 1);
+        assert_eq!(col("p(a)@[1, 2"), 6);
+        assert_eq!(col("p(a) @ [x, 2]"), 8);
     }
 
     #[test]

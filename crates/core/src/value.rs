@@ -142,6 +142,13 @@ impl Value {
     }
 }
 
+/// Semantic equality of two ground tuples: pairwise [`Value::semantic_eq`]
+/// (`3` and `3.0` are one value), the equivalence joins and corrections
+/// match tuples under.
+pub(crate) fn same_tuple(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.semantic_eq(y))
+}
+
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(self, f)

@@ -4,12 +4,16 @@
 //! events plus `open(A)` facts holding over whole intervals.
 //!
 //! The last templates put a current-stratum predicate under a non-punctual
-//! box or under `since`/`until`. No delta can stand for such a literal, so
-//! the engine evaluates those rules in full every round
-//! (`FixpointMode::Full`); the oracle is their only independent check.
+//! box or under `since`/`until`, on either side and on both. The delta
+//! variant of such a literal reads the tuples that grew last round with
+//! their whole validity, not just the new points; the oracle is its only
+//! independent check.
 
 use chronolog_core::naive::{grid_text, naive_materialize};
-use chronolog_core::{parse_program, Database, Interval, Reasoner, ReasonerConfig, Symbol, Value};
+use chronolog_core::{
+    parse_program, parse_source, Database, Fact, Interval, Program, Rational, Reasoner,
+    ReasonerConfig, Symbol, TimeBound, Value,
+};
 use chronolog_obs::SmallRng;
 
 const T_MIN: i64 = 0;
@@ -75,22 +79,49 @@ const PROGRAMS: &[&str] = &[
      every2(K) :- start(K).\n\
      every2(K) :- diamondminus[2, 2] every2(K).\n\
      beat(K, T) :- every2(K)@T, live().",
-    // 11. Full mode: a box of positive length over the recursive predicate
+    // 11. A box of positive length over the recursive predicate
     //     extends `held` one second past each stretch it covers, for as
     //     long as the account stays open.
     "held(A) :- diamondminus[0, 2] tranM(A, M).\n\
      held(A) :- boxminus[1, 2] held(A), open(A).\n\
      still(A) :- boxminus[0, 2] held(A), open(A).",
-    // 12. Full mode: recursive since — `fresh` is carried forward at most
+    // 12. Recursive since — `fresh` is carried forward at most
     //     3 s at a time, and only while the account is open throughout.
     "fresh(A) :- tranM(A, M).\n\
      fresh(A) :- since[0, 3](open(A), fresh(A)).\n\
      stale(A) :- open(A), not fresh(A).",
-    // 13. Full mode backwards: recursive until and a future box, with a
+    // 13. Backwards: recursive until and a future box, with a
     //     non-punctual head operator feeding them.
     "boxplus[0, 2] due(A) :- withdraw(A).\n\
      due(A) :- until[1, 2](open(A), due(A)).\n\
      warned(A) :- boxplus[1, 2] due(A), open(A).",
+    // 14. The recursive atom as the left operand of since: `live` carries
+    //     on past an `open` second for as long as it held since then.
+    "live(A) :- diamondminus[0, 2] tranM(A, M).\n\
+     live(A) :- since[1, 3](live(A), open(A)).",
+    // 15. The recursive atom as the left operand of until, fed by a
+    //     non-punctual head operator.
+    "boxplus[0, 2] due(A) :- withdraw(A).\n\
+     due(A) :- until[1, 2](due(A), open(A)).",
+    // 16. Both since operands in the current stratum, each predicate
+    //     reading the other.
+    "p(A) :- tranM(A, M).\n\
+     q(A) :- open(A), withdraw(A).\n\
+     p(A) :- since[1, 3](q(A), p(A)).\n\
+     q(A) :- since[0, 2](p(A), q(A)).",
+    // 17. Both until operands in the current stratum.
+    "p(A) :- withdraw(A).\n\
+     q(A) :- diamondplus[0, 1] open(A).\n\
+     p(A) :- until[1, 3](q(A), p(A)).\n\
+     q(A) :- until[0, 2](p(A), q(A)).",
+    // 18. A box of positive length inside a since operand.
+    "held(A) :- diamondminus[0, 1] tranM(A, M).\n\
+     held(A) :- since[0, 2](open(A), boxminus[0, 1] held(A)).",
+    // 19. One rule mixing a diamond literal (new points) with a box of
+    //     positive length (grown tuples) over two current predicates.
+    "a(A) :- diamondminus[0, 2] tranM(A, M).\n\
+     b(A) :- open(A), diamondminus[1, 1] a(A).\n\
+     a(A) :- diamondminus[1, 2] a(A), boxminus[0, 1] b(A).",
 ];
 
 #[derive(Debug, Clone)]
@@ -155,23 +186,30 @@ fn account(id: u8) -> Value {
     Value::sym(&format!("acc{id}"))
 }
 
-fn build_db(trace: &RandomTrace) -> Database {
-    let mut db = Database::new();
+fn trace_facts(trace: &RandomTrace) -> Vec<Fact> {
+    let mut facts = Vec::new();
     for (a, m, t) in &trace.tran {
-        db.assert_at("tranM", &[account(*a), Value::Int(*m)], *t);
+        facts.push(Fact::at("tranM", vec![account(*a), Value::Int(*m)], *t));
     }
     for (a, t) in &trace.withdraw {
-        db.assert_at("withdraw", &[account(*a)], *t);
+        facts.push(Fact::at("withdraw", vec![account(*a)], *t));
     }
     for (a, s, t) in &trace.modpos {
-        db.assert_at("modPos", &[account(*a), Value::Int(*s)], *t);
+        facts.push(Fact::at("modPos", vec![account(*a), Value::Int(*s)], *t));
     }
     for (k, t) in &trace.start {
-        db.assert_at("start", &[Value::Int(*k)], *t);
+        facts.push(Fact::at("start", vec![Value::Int(*k)], *t));
     }
     for (a, from, to) in &trace.open {
-        db.assert_over("open", &[account(*a)], Interval::closed_int(*from, *to));
+        let over = Interval::closed_int(*from, *to);
+        facts.push(Fact::over("open", vec![account(*a)], over));
     }
+    facts
+}
+
+fn build_db(trace: &RandomTrace) -> Database {
+    let mut db = Database::new();
+    db.extend_facts(&trace_facts(trace)).unwrap();
     db
 }
 
@@ -203,8 +241,9 @@ fn engine_matches_oracle_on_random_traces() {
     }
 }
 
-/// The full-evaluation templates on traces of their own, so each runs on
-/// more than the few random cases that pick it.
+/// The templates that recurse through a box of positive length or
+/// `since`/`until` on traces of their own, so each runs on more than the
+/// few random cases that pick it.
 #[test]
 fn full_mode_templates_match_oracle() {
     for (offset, src) in PROGRAMS[10..].iter().enumerate() {
@@ -213,6 +252,101 @@ fn full_mode_templates_match_oracle() {
             check_program_on_trace(src, &gen_trace(&mut rng));
         }
     }
+}
+
+/// The full plans of a stratum run, by `--explain-plans` execution count:
+/// those of a batch run of `program` over `facts`, and, when the program is
+/// in the session fragment, those of a session streaming the facts that
+/// start after `lo`, advancing to each group's end.
+fn full_plan_executions(
+    program: &Program,
+    facts: &[Fact],
+    (lo, hi): (i64, i64),
+) -> (Vec<u64>, Option<Vec<u64>>) {
+    let full = |stats: &chronolog_core::RunStats| -> Vec<u64> {
+        (stats.plan_explains().iter())
+            .filter(|p| p.delta_literal.is_none())
+            .map(|p| p.executions)
+            .collect()
+    };
+    let mut db = Database::new();
+    db.extend_facts(facts).unwrap();
+    let config = ReasonerConfig::default().with_horizon(lo, hi);
+    let batch = (Reasoner::new(program.clone(), config.clone()).unwrap())
+        .materialize(&db)
+        .unwrap();
+    let (initial, mut stream): (Vec<&Fact>, Vec<&Fact>) = facts
+        .iter()
+        .partition(|f| f.interval.lo() <= TimeBound::Finite(Rational::integer(lo)));
+    stream.sort_by(|a, b| a.interval.cmp_position(&b.interval));
+    let mut genesis = Database::new();
+    genesis.extend_facts(initial).unwrap();
+    let Ok(mut session) = Reasoner::new(program.clone(), config)
+        .unwrap()
+        .into_session(&genesis, lo)
+    else {
+        return (full(&batch.stats), None);
+    };
+    for (i, fact) in stream.iter().enumerate() {
+        session.submit((*fact).clone()).unwrap();
+        if stream.get(i + 1).map(|f| f.interval.lo()) != Some(fact.interval.lo()) {
+            let end = fact.interval.hi().finite().unwrap().ceil();
+            session.advance_to(end.min(hi)).unwrap();
+        }
+    }
+    session.advance_to(hi).unwrap();
+    assert_eq!(
+        session.database().to_facts_text(),
+        batch.database.to_facts_text()
+    );
+    (full(&batch.stats), Some(full(session.stats())))
+}
+
+/// One fixpoint discipline: every rule runs semi-naive, so its full plan
+/// runs once per stratum run — round 0 — however many rounds the stratum
+/// takes. In a batch run that is once; in a session every advance runs
+/// every stratum once, so all full plans share one execution count. Over
+/// the templates that recurse through a box of positive length, `since`
+/// and `until`, and over the corpus.
+#[test]
+fn full_plans_run_once_per_stratum_run() {
+    // Interval facts start at the session start, so a session can stream
+    // the events after it.
+    let trace = RandomTrace {
+        tran: vec![(0, 10, 1), (1, 20, 1), (0, 5, 6), (2, 7, 12)],
+        withdraw: vec![(0, 9), (1, 15)],
+        modpos: vec![],
+        start: vec![(0, 0)],
+        open: vec![(0, -1, 8), (1, 0, 14), (2, 0, 24)],
+    };
+    let mut sessions = 0;
+    let mut check = |name: &str, program: Program, facts: Vec<Fact>, window| {
+        let (batch, session) = full_plan_executions(&program, &facts, window);
+        assert!(!batch.is_empty(), "{name}: no full plan ran");
+        assert!(batch.iter().all(|&n| n == 1), "{name}: batch {batch:?}");
+        if let Some(session) = session {
+            sessions += 1;
+            assert!(
+                session.windows(2).all(|w| w[0] == w[1]),
+                "{name}: session {session:?}"
+            );
+        }
+    };
+    for (i, src) in PROGRAMS.iter().enumerate().take(13).skip(10) {
+        let name = format!("template {}", i + 1);
+        check(
+            &name,
+            parse_program(src).unwrap(),
+            trace_facts(&trace),
+            (T_MIN, T_MAX),
+        );
+    }
+    for name in ["fibonacci", "funding", "margin", "netting", "sla"] {
+        let path = format!("{}/../../corpus/{name}.dmtl", env!("CARGO_MANIFEST_DIR"));
+        let (program, facts) = parse_source(&std::fs::read_to_string(path).unwrap()).unwrap();
+        check(name, program, facts, (0, 20));
+    }
+    assert!(sessions >= 6, "{sessions} programs ran in a session");
 }
 
 #[test]

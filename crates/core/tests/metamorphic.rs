@@ -13,8 +13,9 @@
 //! * A retraction undone by a late submission of the same fact leaves a
 //!   session's database byte-identical.
 //!
-//! Each relation runs on the five corpus programs and on a program whose
-//! recursive rules are evaluated in full every round.
+//! Each relation runs on the five corpus programs and on a program that
+//! recurses through a box of positive length, `since` and `until`, whose
+//! delta variants read the grown tuples with their whole validity.
 
 use chronolog_core::{
     parse_source, Database, Fact, Interval, Program, Rational, Reasoner, ReasonerConfig, TimeBound,
@@ -23,9 +24,9 @@ use chronolog_core::{
 /// The translation of the first relation.
 const SHIFT: i64 = 1_660_000_000;
 
-/// Recursion through a box of positive length, `since` and `until`: no
-/// delta can stand for those literals, so the engine re-evaluates their
-/// rules in full every round.
+/// Recursion through a box of positive length, `since` and `until`: the
+/// delta variants of those literals read the tuples that grew last round
+/// with their whole validity, not just the new points.
 const FULL_MODE: &str = "held(A) :- diamondminus[0, 2] tranM(A, M).\n\
                          held(A) :- boxminus[1, 2] held(A), open(A).\n\
                          fresh(A) :- tranM(A, M).\n\

@@ -1,10 +1,11 @@
 //! Engine vs brute-force oracle on *randomly generated* stratified
 //! programs — beyond the fixed templates of `engine_vs_naive.rs`, this
 //! explores rule shapes the templates don't: random operator chains —
-//! non-punctual `⊟`/`⊞` windows and `since`/`until` among them, which the
-//! engine evaluates in full every round when they wrap a recursive atom —
-//! random join structure, recursion through shifted heads, negation at
-//! random strata, and facts holding over whole intervals.
+//! non-punctual `⊟`/`⊞` windows and `since`/`until` with the atom on either
+//! side among them, whose delta variants read the grown tuples whole when
+//! they wrap a recursive atom — random join structure, recursion through
+//! shifted heads, negation at random strata, and facts holding over whole
+//! intervals.
 //!
 //! Generation is driven by the deterministic in-repo `SmallRng` (one seed
 //! per case), so every failure is reproducible from the printed seed.
@@ -39,7 +40,7 @@ fn source_pred(src: usize) -> (&'static str, usize) {
     }
 }
 
-/// Draws one rule spec; `max_op` bounds the operator codes (9 = full
+/// Draws one rule spec; `max_op` bounds the operator codes (11 = full
 /// operator set, 3 = past-only, for the forward-propagating fragment).
 fn gen_rule(rng: &mut SmallRng, max_op: u8) -> RuleSpec {
     let head = rng.gen_range_usize(0, IDB.len());
@@ -112,7 +113,15 @@ fn render_rule(spec: &RuleSpec) -> Option<String> {
             5 => format!("boxminus[{wlo}, {whi}] {atom}"),
             6 => format!("boxplus[{wlo}, {whi}] {atom}"),
             7 => format!("since[{wlo}, {whi}](e1(X), {atom})"),
-            _ => format!("until[{wlo}, {whi}](e1(X), {atom})"),
+            8 => format!("until[{wlo}, {whi}](e1(X), {atom})"),
+            _ => {
+                // The atom on the left: the oracle wants the right operand to
+                // bind every variable of the left one.
+                let args = args.replace('_', "Z");
+                let witness = if arity == 1 { "e1" } else { "e2" };
+                let op = if *op == 9 { "since" } else { "until" };
+                format!("{op}[{wlo}, {whi}]({name}({args}), {witness}({args}))")
+            }
         };
         body.push(wrapped);
     }
@@ -181,7 +190,7 @@ fn build_db(facts: &[EdbFact]) -> Database {
 fn random_programs_agree_with_oracle() {
     for case in 0..96u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ case);
-        let src = gen_program(&mut rng, 9);
+        let src = gen_program(&mut rng, 11);
         let facts = gen_facts(&mut rng, 4);
         if src.is_empty() {
             continue;

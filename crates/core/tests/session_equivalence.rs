@@ -18,7 +18,8 @@ const T_MIN: i64 = 0;
 const T_MAX: i64 = 16;
 
 /// Random stratified program over EDB e1/1, e2/2 and IDB p0..p3, using
-/// only past operators with finite windows (the session fragment).
+/// only past operators with finite windows (the session fragment): `◇⁻`,
+/// punctual and windowed `⊟`, and `since` with the atom on either side.
 fn gen_program(rng: &mut SmallRng) -> String {
     let idb = [("p0", 1usize), ("p1", 2usize), ("p2", 1), ("p3", 2)];
     let n = rng.gen_range_usize(2, 7);
@@ -49,9 +50,12 @@ fn gen_program(rng: &mut SmallRng) -> String {
             };
             let wlo = rng.gen_range_i64(0, 3);
             let whi = wlo + rng.gen_range_i64(0, 3);
-            body.push(match rng.gen_range_usize(0, 4) {
+            body.push(match rng.gen_range_usize(0, 7) {
                 0 => format!("diamondminus[{wlo}, {whi}] {atom}"),
                 1 => format!("boxminus[1, 1] {atom}"),
+                2 => format!("boxminus[{wlo}, {whi}] {atom}"),
+                3 => format!("since[{wlo}, {whi}](e1(X), {atom})"),
+                4 => format!("since[{wlo}, {whi}]({atom}, e1(X))"),
                 _ => atom,
             });
         }

@@ -2,9 +2,10 @@
 //!
 //! The per-rule and per-stratum breakdowns in [`RunStats`] are not
 //! best-effort samples: for a batch materialization they must tie out
-//! exactly against the run totals — also for rules evaluated in full every
-//! round. These tests pin that over the corpus programs and the
-//! random-program generator's fact shapes.
+//! exactly against the run totals — also for rules whose delta variants
+//! read grown tuples whole (a box of positive length, `since`, `until`).
+//! These tests pin that over the corpus programs and the random-program
+//! generator's fact shapes.
 
 use chronolog_core::{
     parse_source, Database, Fact, Interval, Reasoner, ReasonerConfig, RunStats, Value,
@@ -160,8 +161,9 @@ fn session_breakdown_ties_out_with_a_repeated_base_tuple() {
 }
 
 /// A current-stratum atom under a box of positive length or under
-/// `since`/`until` carries no delta, so its rule is evaluated naively — in
-/// full every round; the breakdown must tie out for those rounds too.
+/// `since`/`until` has a delta variant that reads the tuples that grew
+/// last round with their whole validity; the breakdown must tie out for
+/// those rounds too.
 #[test]
 fn naive_mode_breakdown_also_ties_out() {
     let src = "held(A) :- diamondminus[0, 2] tranM(A, M).\n\

@@ -49,6 +49,10 @@ bench-e2e-smoke:
 # rows (Σ `derivations`), adding 7 200 components, and the facts at two
 # threads are the facts at one. At both thread counts the lookups split
 # between the access paths exactly as the script pins them.
+# The past-recursion leg recurses through `boxminus[1, 2]` and
+# `since[0, 3]`: batch and streamed facts are equal, and every rule runs
+# semi-naive, so each full plan runs once in batch and all of them equally
+# often in the session.
 exact-counts:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -74,6 +78,13 @@ exact-counts:
     done
     diff "$out/netting-1.txt" "$out/netting-2.txt"
     python3 scripts/netting_counts.py "$out/netting-1.json" "$out/netting-2.json"
+    past=crates/cli/tests/fixtures/past_recursion.dmtl
+    cargo run --release -q -p chronolog-cli -- run "$past" --horizon 0..40 \
+        --facts --stats-json "$out/past-batch.json" > "$out/past-batch.txt"
+    cargo run --release -q -p chronolog-cli -- run "$past" --horizon 0..40 \
+        --facts --session --stats-json "$out/past-session.json" > "$out/past-session.txt"
+    diff "$out/past-batch.txt" "$out/past-session.txt"
+    python3 scripts/full_plan_counts.py "$out/past-batch.json" "$out/past-session.json"
 
 # The explanation gate CI runs: a derivation tree is computed from the
 # model, so a session explains a fact byte for byte as the batch run does —
