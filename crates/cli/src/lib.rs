@@ -1722,22 +1722,21 @@ mod tests {
     }
 
     /// Malformed query text is a parse error whose column counts in the
-    /// query, and the message names the query once.
+    /// query and names the offending token — the end of the text, or the
+    /// `)` where a term belongs — and the message names the query once.
     #[test]
     fn malformed_query_is_a_parse_error_naming_the_query_once() {
-        let err = run_cli(
-            &args(&["run", "g.dmtl", "--query", "reach(a"]),
-            fake_fs(&[("g.dmtl", REACH)]),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(
-            err.message
-                .starts_with("bad query `reach(a`: parse error at 1:8: "),
-            "{}",
-            err.message
-        );
-        assert_eq!(err.message.matches("reach(a").count(), 1, "{}", err.message);
+        for (query, at) in [("reach(a", "1:8"), ("reach(a,)", "1:9")] {
+            let err = run_cli(
+                &args(&["run", "g.dmtl", "--query", query]),
+                fake_fs(&[("g.dmtl", REACH)]),
+            )
+            .unwrap_err();
+            assert_eq!(err.code, 2);
+            let prefix = format!("bad query `{query}`: parse error at {at}: ");
+            assert!(err.message.starts_with(&prefix), "{}", err.message);
+            assert_eq!(err.message.matches(query).count(), 1, "{}", err.message);
+        }
     }
 
     #[test]

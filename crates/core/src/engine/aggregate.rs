@@ -227,15 +227,12 @@ mod tests {
         let program = parse_program(rules_src).unwrap();
         let mut db = Database::new();
         db.extend_facts(&parse_facts(facts).unwrap()).unwrap();
-        let counters = crate::engine::eval::JoinCounters::default();
-        let ctx = EvalCtx {
-            total: &db,
-            delta: None,
-            horizon: Interval::closed_int(0, 100),
-            top: Interval::closed_int(0, 100),
-            counters: &counters,
-            profiler: None,
-        };
+        let ctx = EvalCtx::new(
+            &db,
+            Interval::closed_int(0, 100),
+            Interval::closed_int(0, 100),
+            None,
+        );
         let persisted = persisted_predicates(&program);
         let plans: Vec<RulePlan> = program
             .rules

@@ -6,6 +6,12 @@
 //! points at which the whole conjunction holds. The fixpoint never sees
 //! those pairs: [`execute_heads`] unions them into one row per head tuple as
 //! the last join emits them.
+//!
+//! What an evaluation counted is part of what it returns. Its context
+//! counts the lookups ([`LookupCounts`]), and [`execute_heads`] hands back
+//! the rows each plan step produced. Nothing is written to the shared plan
+//! or to another thread. The fixpoint's merge, which runs in fixed task
+//! order, adds both to the run's stats.
 
 use crate::ast::{Atom, CmpOp, Expr, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
@@ -16,8 +22,8 @@ use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
 use chronolog_obs::{SpanGuard, SpanRecorder};
 use mtl_temporal::{Interval, IntervalSet, MetricInterval};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::plan::{AccessPath, ConstraintMode, PlanStep, RulePlan, StepKind};
 
@@ -25,36 +31,38 @@ use super::plan::{AccessPath, ConstraintMode, PlanStep, RulePlan, StepKind};
 /// emitted tuple, which makes rehash speed a join-throughput term.
 pub(crate) type Bindings = FxHashMap<Symbol, Value>;
 
-/// Join-path counters, shared across evaluation threads (relaxed atomics:
-/// these are statistics, not synchronization).
-#[derive(Default, Debug)]
-pub(crate) struct JoinCounters {
+/// What one evaluation's lookups did. Plain integers: a task counts into
+/// its own [`EvalCtx`], hands the counts back with its result, and the
+/// fixpoint's ordered merge adds them to the run's stats.
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct LookupCounts {
     /// `eval_rel` calls answered through an index probe (value, time, or
-    /// both). Every `eval_rel` call bumps exactly one of `index_probes` /
+    /// both). Every `eval_rel` call counts exactly one of `index_probes` /
     /// `full_scans`, so the two always account for every call.
-    pub index_probes: AtomicU64,
+    pub index_probes: u64,
     /// Tuples a probe did *not* visit compared to a full scan.
-    pub index_scan_avoided: AtomicU64,
+    pub index_scan_avoided: u64,
     /// `eval_rel` calls that fell back to a full relation scan (including
     /// missing-relation lookups, which scan zero tuples).
-    pub full_scans: AtomicU64,
+    pub full_scans: u64,
     /// Tuples visited by full scans.
-    pub scanned_tuples: AtomicU64,
+    pub scanned_tuples: u64,
     /// Candidate tuples visited by index probes. Together with the other
     /// two tuple counters this partitions every lookup: per `eval_rel`
     /// call on a present relation, `scanned + probed + avoided` equals the
     /// relation's size.
-    pub probed_tuples: AtomicU64,
+    pub probed_tuples: u64,
     /// `eval_rel` calls that consulted the sorted-endpoint time index.
-    pub time_index_probes: AtomicU64,
+    pub time_index_probes: u64,
     /// Candidate tuples the time index excluded before their interval sets
     /// were clipped against the read mask.
-    pub interval_clips_avoided: AtomicU64,
+    pub interval_clips_avoided: u64,
 }
 
-impl JoinCounters {
-    fn bump(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+impl LookupCounts {
+    /// Tuples the lookups visited, by scan or by probe.
+    pub(crate) fn visited(&self) -> u64 {
+        self.scanned_tuples + self.probed_tuples
     }
 }
 
@@ -72,16 +80,40 @@ pub(crate) struct EvalCtx<'a> {
     /// is a narrower re-derivation window — a past operator over `top`
     /// reads below the window like one over any other atom.
     pub top: Interval,
-    /// Join-path statistics sink.
-    pub counters: &'a JoinCounters,
+    /// What the lookups made through this context did: the context's own,
+    /// never shared with another thread.
+    pub lookups: Cell<LookupCounts>,
     /// Span profiler for per-step timing; `None` (the default) records
     /// nothing and allocates nothing.
     pub profiler: Option<&'a SpanRecorder>,
 }
 
-impl EvalCtx<'_> {
+impl<'a> EvalCtx<'a> {
+    /// A context over `total` with no delta and nothing counted yet.
+    pub(crate) fn new(
+        total: &'a Database,
+        horizon: Interval,
+        top: Interval,
+        profiler: Option<&'a SpanRecorder>,
+    ) -> EvalCtx<'a> {
+        EvalCtx {
+            total,
+            delta: None,
+            horizon,
+            top,
+            lookups: Cell::default(),
+            profiler,
+        }
+    }
+
     fn horizon_set(&self) -> IntervalSet {
         IntervalSet::from_interval(self.horizon)
+    }
+
+    fn count(&self, f: impl FnOnce(&mut LookupCounts)) {
+        let mut counts = self.lookups.get();
+        f(&mut counts);
+        self.lookups.set(counts);
     }
 }
 
@@ -124,8 +156,8 @@ pub(crate) fn execute_plan(
     ctx: &EvalCtx<'_>,
     binding: Bindings,
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
-    plan.note_execution();
-    let acc = run_steps(rule, plan, &plan.steps, ctx, binding)?;
+    let mut step_rows = vec![0; plan.steps.len()];
+    let acc = run_steps(rule, plan, &plan.steps, ctx, binding, &mut step_rows)?;
     // Deduplicate bindings, merging interval sets. The ordered map makes
     // the result order — and with it the order in which aggregates pool
     // and explanations try candidates — deterministic across runs and
@@ -150,25 +182,25 @@ pub(crate) fn execute_plan(
 /// union over every binding that grounds the head to it, sorted by tuple so
 /// that merge order, stats and facts do not depend on scan order or thread
 /// count. Head operators and the derivation window are the caller's.
+/// Returns the rows the plan's steps produced alongside, one entry per step.
 ///
 /// When the plan ends in a join, that join is fused with the union: each
 /// matching tuple writes its head values — read from the binding and the
 /// tuple's own columns — straight into the head table, so no binding map
 /// is built for it and a key is allocated only for a tuple new to the
-/// table. The fused step still counts its binding rows, and runs on the
-/// calling thread (the binding fan-out serves the joins before it).
+/// table. The fused step still counts its binding rows.
 pub(crate) fn execute_heads(
     rule: &Rule,
     plan: &RulePlan,
     ctx: &EvalCtx<'_>,
-) -> Result<Vec<(Tuple, IntervalSet)>> {
-    plan.note_execution();
+) -> Result<(HeadRows, Vec<u64>)> {
     let mut table = HeadTable::default();
+    let mut step_rows = vec![0; plan.steps.len()];
     match plan.steps.split_last() {
         Some((last, rest)) if matches!(last.kind, StepKind::Join { .. }) => {
-            let acc = run_steps(rule, plan, rest, ctx, Bindings::default())?;
+            let acc = run_steps(rule, plan, rest, ctx, Bindings::default(), &mut step_rows)?;
             if acc.is_empty() {
-                return Ok(vec![]);
+                return Ok((vec![], step_rows));
             }
             let mut span = step_span(ctx, last);
             let Literal::Pos(m) = &rule.body[last.literal] else {
@@ -176,14 +208,22 @@ pub(crate) fn execute_heads(
             };
             let use_delta = plan.delta_literal == Some(last.literal);
             let rows = join_heads(&acc, m, ctx, use_delta, rule, &mut table)?;
-            last.note_actual(rows);
+            step_rows[rest.len()] = rows as u64;
             if let Some(s) = span.as_mut() {
                 s.add("rows", rows as u64);
             }
         }
         _ => {
             let mut values = Vec::with_capacity(rule.head.atom.args.len());
-            for (b, ivs) in run_steps(rule, plan, &plan.steps, ctx, Bindings::default())? {
+            let acc = run_steps(
+                rule,
+                plan,
+                &plan.steps,
+                ctx,
+                Bindings::default(),
+                &mut step_rows,
+            )?;
+            for (b, ivs) in acc {
                 if ivs.is_empty() {
                     continue;
                 }
@@ -192,8 +232,11 @@ pub(crate) fn execute_heads(
             }
         }
     }
-    Ok(table.into_sorted())
+    Ok((table.into_sorted(), step_rows))
 }
+
+/// One rule evaluation's head rows, sorted by tuple.
+pub(crate) type HeadRows = Vec<(Tuple, IntervalSet)>;
 
 /// One rule evaluation's head rows, keyed by head tuple (structurally: `3`
 /// and `3.0` are two tuples, as the store keeps them).
@@ -216,7 +259,7 @@ impl HeadTable {
         }
     }
 
-    fn into_sorted(self) -> Vec<(Tuple, IntervalSet)> {
+    fn into_sorted(self) -> HeadRows {
         let mut rows: Vec<(Tuple, IntervalSet)> = self.rows.into_iter().collect();
         rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         rows
@@ -263,15 +306,17 @@ fn step_span(ctx: &EvalCtx<'_>, step: &PlanStep) -> Option<SpanGuard> {
 /// taken from the plan, joins push the accumulated interval hull down as a
 /// read mask, and constraints run in their statically scheduled modes. An
 /// unschedulable-constraint step raises [`Error::Unsafe`] when reached.
+/// Writes the rows each step produced to `step_rows`, in step order.
 fn run_steps(
     rule: &Rule,
     plan: &RulePlan,
     steps: &[PlanStep],
     ctx: &EvalCtx<'_>,
     binding: Bindings,
+    step_rows: &mut [u64],
 ) -> Result<Vec<(Bindings, IntervalSet)>> {
     let mut acc: Vec<(Bindings, IntervalSet)> = vec![(binding, ctx.horizon_set())];
-    for step in steps {
+    for (step, rows) in steps.iter().zip(step_rows) {
         let mut span = step_span(ctx, step);
         match &step.kind {
             StepKind::Join { .. } => {
@@ -300,7 +345,7 @@ fn run_steps(
                 acc = apply_negation(acc, m, ctx)?;
             }
         }
-        step.note_actual(acc.len());
+        *rows = acc.len() as u64;
         if let Some(s) = span.as_mut() {
             s.add("rows", acc.len() as u64);
         }
@@ -755,7 +800,7 @@ fn eval_rel(
     let Some(rel) = db.relation(atom.pred) else {
         // Still an eval_rel call: account for it as a zero-tuple full scan
         // so `index_probes + full_scans` covers every call.
-        JoinCounters::bump(&ctx.counters.full_scans, 1);
+        ctx.count(|c| c.full_scans += 1);
         return Ok(());
     };
 
@@ -784,8 +829,10 @@ fn eval_rel(
     let path = AccessPath::choose(rel.len(), !scr.ground.is_empty(), mask.is_some());
     let candidates: Option<&[u32]> = match path {
         AccessPath::Scan => {
-            JoinCounters::bump(&ctx.counters.full_scans, 1);
-            JoinCounters::bump(&ctx.counters.scanned_tuples, rel.len() as u64);
+            ctx.count(|c| {
+                c.full_scans += 1;
+                c.scanned_tuples += rel.len() as u64;
+            });
             None
         }
         AccessPath::ValueProbe => {
@@ -795,11 +842,10 @@ fn eval_rel(
         AccessPath::TimeProbe => {
             let w = mask.as_ref().expect("a time probe implies a mask");
             rel.probe_time_into(w, &mut scr.time);
-            JoinCounters::bump(&ctx.counters.time_index_probes, 1);
-            JoinCounters::bump(
-                &ctx.counters.interval_clips_avoided,
-                (rel.len() - scr.time.len()) as u64,
-            );
+            ctx.count(|c| {
+                c.time_index_probes += 1;
+                c.interval_clips_avoided += (rel.len() - scr.time.len()) as u64;
+            });
             Some(&scr.time)
         }
         AccessPath::ValueTimeProbe => {
@@ -813,23 +859,21 @@ fn eval_rel(
             } else {
                 let w = mask.as_ref().expect("a time probe implies a mask");
                 rel.probe_time_into(w, &mut scr.time);
-                JoinCounters::bump(&ctx.counters.time_index_probes, 1);
                 intersect_sorted_into(&scr.value, &scr.time, &mut scr.both);
-                JoinCounters::bump(
-                    &ctx.counters.interval_clips_avoided,
-                    (scr.value.len() - scr.both.len()) as u64,
-                );
+                ctx.count(|c| {
+                    c.time_index_probes += 1;
+                    c.interval_clips_avoided += (scr.value.len() - scr.both.len()) as u64;
+                });
                 Some(&scr.both)
             }
         }
     };
-    if let Some(c) = candidates {
-        JoinCounters::bump(&ctx.counters.index_probes, 1);
-        JoinCounters::bump(&ctx.counters.probed_tuples, c.len() as u64);
-        JoinCounters::bump(
-            &ctx.counters.index_scan_avoided,
-            (rel.len() - c.len()) as u64,
-        );
+    if let Some(found) = candidates {
+        ctx.count(|c| {
+            c.index_probes += 1;
+            c.probed_tuples += found.len() as u64;
+            c.index_scan_avoided += (rel.len() - found.len()) as u64;
+        });
     }
 
     // Unification: compile the atom's argument pattern into per-position
@@ -1018,15 +1062,12 @@ mod tests {
     fn eval(rule_src: &str, facts: &str) -> Vec<(Bindings, IntervalSet)> {
         let rule = parse_rule(rule_src).unwrap();
         let db = ctx_db(facts);
-        let counters = JoinCounters::default();
-        let ctx = EvalCtx {
-            total: &db,
-            delta: None,
-            horizon: Interval::closed_int(0, 100),
-            top: Interval::closed_int(0, 100),
-            counters: &counters,
-            profiler: None,
-        };
+        let ctx = EvalCtx::new(
+            &db,
+            Interval::closed_int(0, 100),
+            Interval::closed_int(0, 100),
+            None,
+        );
         eval_body(&rule, &ctx).unwrap()
     }
 
@@ -1102,15 +1143,12 @@ mod tests {
     fn time_capture_on_long_interval_errors() {
         let rule = parse_rule("h(T) :- p(A)@T.").unwrap();
         let db = ctx_db("p(x)@[0, 5].");
-        let counters = JoinCounters::default();
-        let ctx = EvalCtx {
-            total: &db,
-            delta: None,
-            horizon: Interval::closed_int(0, 100),
-            top: Interval::closed_int(0, 100),
-            counters: &counters,
-            profiler: None,
-        };
+        let ctx = EvalCtx::new(
+            &db,
+            Interval::closed_int(0, 100),
+            Interval::closed_int(0, 100),
+            None,
+        );
         assert!(eval_body(&rule, &ctx).is_err());
     }
 
@@ -1178,15 +1216,12 @@ mod tests {
         facts.push_str("q(a7)@[0, 100].");
         let rule = parse_rule("h(X, N) :- q(X), p(X, N).").unwrap();
         let db = ctx_db(&facts);
-        let counters = JoinCounters::default();
-        let ctx = EvalCtx {
-            total: &db,
-            delta: None,
-            horizon: Interval::closed_int(0, 100),
-            top: Interval::closed_int(0, 100),
-            counters: &counters,
-            profiler: None,
-        };
+        let ctx = EvalCtx::new(
+            &db,
+            Interval::closed_int(0, 100),
+            Interval::closed_int(0, 100),
+            None,
+        );
         let indexed = eval_body(&rule, &ctx).unwrap();
         // The full scan: `Database::query` walks every tuple of `p`.
         let pattern = Atom::new("p", vec![Term::Val(Value::sym("a7")), Term::var("N")]);
@@ -1197,10 +1232,11 @@ mod tests {
         assert_eq!(indexed[0].1.components(), scanned[0].1.components());
         // `q` (one tuple) was scanned; `p(X, N)` with X bound was probed and
         // 49 of its 50 tuples skipped.
-        assert_eq!(counters.full_scans.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.index_probes.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.probed_tuples.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.index_scan_avoided.load(Ordering::Relaxed), 49);
+        let counts = ctx.lookups.get();
+        assert_eq!(counts.full_scans, 1);
+        assert_eq!(counts.index_probes, 1);
+        assert_eq!(counts.probed_tuples, 1);
+        assert_eq!(counts.index_scan_avoided, 49);
     }
 
     #[test]

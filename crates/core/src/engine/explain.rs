@@ -17,15 +17,15 @@
 //! over the same facts does.
 
 use super::chain::punctual_shift;
-use super::eval::{execute_plan, Bindings, EvalCtx, JoinCounters};
-use super::{aggregate, apply_head_op, plan, Reasoner};
+use super::eval::{execute_plan, Bindings, EvalCtx};
+use super::{aggregate, apply_head_op, CompiledStratum, Reasoner};
 use crate::ast::{Atom, HeadOp, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
 use crate::value::{same_tuple, Tuple, Value};
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -68,12 +68,10 @@ impl Reasoner {
             return Ok(None);
         }
         let mut explainer = Explainer {
-            rules: &self.program.rules,
-            persisted: plan::persisted_predicates(&self.program),
+            reasoner: self,
             input,
             model,
             horizon,
-            counters: JoinCounters::default(),
             steps: HashMap::new(),
             no_derivation_at: HashMap::new(),
             shortest: HashMap::new(),
@@ -111,16 +109,14 @@ struct Step {
     premises: Vec<Key>,
 }
 
-/// The search state of one explanation. Owns its join counters, which no
-/// run statistics ever see.
+/// The search state of one explanation. It runs the reasoner's own
+/// compiled full plans, against the model.
 struct Explainer<'a> {
-    rules: &'a [Rule],
-    persisted: HashSet<Symbol>,
+    reasoner: &'a Reasoner,
     input: &'a Database,
     model: &'a Database,
     /// Where bodies are evaluated and `top` holds.
     horizon: Interval,
-    counters: JoinCounters,
     /// Per fact, every way to derive it: its input step alone, or the
     /// rules' in rule then executor order.
     steps: HashMap<Key, Rc<Vec<Step>>>,
@@ -131,7 +127,7 @@ struct Explainer<'a> {
     rule_instances: u64,
 }
 
-impl Explainer<'_> {
+impl<'a> Explainer<'a> {
     /// Whether `fact` has a derivation of height at most `budget`. The first
     /// height at which it has one is its shortest, kept in `shortest`; the
     /// premises of that step have lower shortest heights, so no fact repeats
@@ -196,7 +192,7 @@ impl Explainer<'_> {
             return Ok(Rc::clone(steps));
         }
         let mut steps = Vec::new();
-        let rules = self.rules;
+        let rules = &self.reasoner.program.rules;
         let in_input = self.input.holds_at_rational(fact.0, &fact.1, fact.2);
         for (idx, rule) in rules.iter().enumerate().filter(|_| !in_input) {
             if rule.head.atom.pred != fact.0 || rule.head.atom.arity() != fact.1.len() {
@@ -226,31 +222,28 @@ impl Explainer<'_> {
 
     /// An evaluation context over `window` of the model.
     fn ctx(&self, window: Interval) -> EvalCtx<'_> {
-        EvalCtx {
-            total: self.model,
-            delta: None,
-            horizon: window,
-            top: self.horizon,
-            counters: &self.counters,
-            profiler: None,
-        }
+        EvalCtx::new(self.model, window, self.horizon, None)
+    }
+
+    /// The compiled stratum whose rules derive `pred`.
+    fn stratum_of(&self, pred: Symbol) -> &'a CompiledStratum {
+        &self.reasoner.compiled[self.reasoner.strat.strata[&pred]]
     }
 
     /// Whether rule `lead` leads its aggregate group (the aggregate rules
     /// with its head predicate) and the group derives `fact`.
     fn aggregate_derives(&mut self, lead: usize, fact: &Key) -> Result<bool> {
-        let rules = self.rules;
-        let in_group = |r: &&Rule| r.head.aggregate.is_some() && r.head.atom.pred == fact.0;
-        let group: Vec<&Rule> = rules.iter().filter(in_group).collect();
+        let rules = &self.reasoner.program.rules;
+        let stratum = self.stratum_of(fact.0);
+        let group = (stratum.agg_groups.iter())
+            .find_map(|(pred, group)| (*pred == fact.0).then_some(group))
+            .expect("an aggregate rule belongs to its head's group");
         let window = preimage(&rules[lead], fact.2)?.intersect(&self.horizon);
-        let (true, Some(window)) = (std::ptr::eq(group[0], &rules[lead]), window) else {
+        let (true, Some(window)) = (group[0].0 == lead, window) else {
             return Ok(false);
         };
-        let plans: Vec<_> = (group.iter())
-            .map(|r| plan::build_plan(r, None, &self.persisted, &mut Default::default()))
-            .collect();
         self.rule_instances += group.len() as u64;
-        let members: Vec<_> = group.into_iter().zip(&plans).collect();
+        let members: Vec<_> = group.iter().map(|(i, plan)| (&rules[*i], plan)).collect();
         for (tuple, interval) in aggregate::eval_aggregate_rules(&members, &self.ctx(window))? {
             let mut ivs = IntervalSet::from_interval(interval);
             for op in &rules[lead].head.ops {
@@ -303,8 +296,10 @@ impl Explainer<'_> {
             .unwrap_or(preimage);
         let label = label(rule, idx);
         self.rule_instances += 1;
-        let plan = plan::build_plan(rule, None, &self.persisted, &mut Default::default());
-        for (binding, body) in execute_plan(rule, &plan, &self.ctx(window), binding)? {
+        let compiled = (self.stratum_of(fact.0).rules.iter())
+            .find(|r| r.idx == idx)
+            .expect("a rule belongs to its head's stratum");
+        for (binding, body) in execute_plan(rule, &compiled.full, &self.ctx(window), binding)? {
             let is_fact =
                 |atom: &Atom| ground(atom, &binding).is_some_and(|g| same_tuple(&g, &fact.1));
             if !is_fact(&rule.head.atom) {

@@ -29,22 +29,25 @@ use crate::database::{Database, IndexSpec};
 use crate::error::{Error, Result};
 use crate::rewrite::{self, Query};
 use crate::symbol::Symbol;
-use crate::value::Tuple;
+use crate::value::{Tuple, Value};
 use chain::{Chains, GuardSets};
 use chronolog_obs::{Json, SpanRecorder};
-use eval::{delta_read, execute_heads, DeltaRead, EvalCtx, JoinCounters};
+use eval::{delta_read, execute_heads, DeltaRead, EvalCtx, LookupCounts};
 use mtl_temporal::{Interval, IntervalSet};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Minimum evaluation wall time of the *previous* fixpoint iteration for
-/// the next one to use worker threads. A dispatch spawns and joins its
-/// scoped workers afresh (0.1–0.3 ms for two workers on a 2-core VM), so
-/// a round much cheaper than that cannot win the spawn back; it runs on
-/// the calling thread.
-const PAR_MIN_EVAL_WALL: Duration = Duration::from_millis(2);
+/// Minimum tuples the lookups of the *previous* fixpoint round visited,
+/// scanned or probed and summed over its tasks, for the next round to use
+/// worker threads. A dispatch spawns and joins its scoped workers afresh
+/// (0.1–0.3 ms for two workers on a 2-core VM), so a round much cheaper
+/// than that cannot win the spawn back; it runs on the calling thread. A
+/// visited tuple costs about 0.35 µs of evaluation on the netting
+/// programs, so the gate sits near 2 ms of work. It is a count, so which
+/// rounds fan out is the same on every run.
+const PAR_MIN_ROUND_TUPLES: u64 = 6_000;
 
 /// Reasoner configuration: the horizon the model is clipped to, resource
 /// budgets, worker threads and profiling. Beyond the horizon, none of them
@@ -351,49 +354,15 @@ pub struct StorageStats {
     pub column_clones: u64,
 }
 
-/// Per `(rule, delta-literal)` variant, a plan and a reading of its
-/// counters.
-type VariantPlans = BTreeMap<(usize, Option<usize>), (Arc<plan::RulePlan>, plan::PlanCounts)>;
-
 /// The plan of every `(rule, delta-literal)` variant the run executed and
-/// what it executed and produced for this [`RunStats`], with the program
-/// whose rules the plans index — what [`RunStats::plan_explains`] renders
-/// from. The plans belong to the reasoner and keep counting for later runs;
-/// the counts here are this run's own and stay put. Recording copies a few
-/// integers per variant per stratum run; the explain text is only built
-/// when somebody reads it.
+/// what it executed and produced in this run, with the program whose rules
+/// the plans index — what [`RunStats::plan_explains`] renders from. The
+/// plans are the reasoner's, immutable; the counts are this run's own. The
+/// explain text is only built when somebody reads it.
 #[derive(Clone, Default)]
 struct UsedPlans {
     program: Option<Arc<Program>>,
-    plans: VariantPlans,
-}
-
-impl UsedPlans {
-    /// Records the plans one stratum run used, each with the reading taken
-    /// before it first ran there; a variant an earlier stratum run recorded
-    /// (sessions re-run strata) adds to its counts. Returns the plans new
-    /// to this run and the bindings the stratum run's plans produced.
-    fn record(
-        &mut self,
-        program: &Arc<Program>,
-        used: VariantPlans,
-    ) -> (Vec<Arc<plan::RulePlan>>, u64) {
-        if self.program.is_none() {
-            self.program = Some(Arc::clone(program));
-        }
-        let mut new = Vec::new();
-        let mut bindings = 0;
-        for (variant, (plan, before)) in used {
-            let ran = plan::PlanCounts::since(&plan.counts(), &before);
-            bindings += plan.bindings(&ran);
-            let slot = self.plans.entry(variant).or_insert_with(|| {
-                new.push(Arc::clone(&plan));
-                (Arc::clone(&plan), plan::PlanCounts::default())
-            });
-            slot.1.add(&ran);
-        }
-        (new, bindings)
-    }
+    plans: BTreeMap<(usize, Option<usize>), (Arc<plan::RulePlan>, plan::PlanCounts)>,
 }
 
 impl std::fmt::Debug for UsedPlans {
@@ -403,6 +372,31 @@ impl std::fmt::Debug for UsedPlans {
 }
 
 impl RunStats {
+    /// Adds the counts of one evaluation's lookups.
+    fn add_lookups(&mut self, c: &LookupCounts) {
+        self.index_probes += c.index_probes;
+        self.index_scan_avoided += c.index_scan_avoided;
+        self.full_scans += c.full_scans;
+        self.scanned_tuples += c.scanned_tuples;
+        self.probed_tuples += c.probed_tuples;
+        self.time_index_probes += c.time_index_probes;
+        self.interval_clips_avoided += c.interval_clips_avoided;
+    }
+
+    /// Adds one execution of `plan`, a variant of rule `rule` whose steps
+    /// produced `step_rows`. A variant the run has not executed before
+    /// counts as a plan built.
+    fn add_execution(&mut self, rule: usize, plan: &Arc<plan::RulePlan>, step_rows: &[u64]) {
+        let used = &mut self.used_plans.plans;
+        let (_, counts) = used.entry((rule, plan.delta_literal)).or_insert_with(|| {
+            self.plans_built += 1;
+            self.reorders_applied += u64::from(plan.reordered);
+            (Arc::clone(plan), plan::PlanCounts::default())
+        });
+        counts.add_execution(step_rows);
+        self.planner_actual_rows += plan.bindings(1, step_rows);
+    }
+
     /// The plan of each `(rule, delta-literal)` variant the run executed,
     /// with accumulated actual rows (what `--explain-plans` prints), in
     /// stratum, rule, variant order. The execution and row counts are those
@@ -1027,8 +1021,9 @@ impl Reasoner {
     }
 
     /// Sizes `stats.rules` to the program, filling the static columns
-    /// (index, label, head predicate, stratum). Idempotent, so a [`Session`]
-    /// can call it once and accumulate across advances.
+    /// (index, label, head predicate, stratum), and names the program the
+    /// plan explains render from. Idempotent, so a [`Session`] can call it
+    /// once and accumulate across advances.
     fn init_rule_stats(&self, stats: &mut RunStats) {
         if !stats.rules.is_empty() {
             return;
@@ -1050,6 +1045,7 @@ impl Reasoner {
                 stats.rules[i].stratum = stratum;
             }
         }
+        stats.used_plans.program = Some(Arc::clone(&self.program));
     }
 
     /// Predicates whose derivations can depend, directly or transitively,
@@ -1146,21 +1142,24 @@ impl Reasoner {
         window: Interval,
         top: Interval,
     ) -> Result<()> {
+        let profiler = self.config.profiler.as_ref();
         // Opened before the wall-clock so the span always contains the
         // measured stratum wall time (span dur ≥ `StratumStats::wall`).
-        let mut stratum_span = self
-            .config
-            .profiler
-            .as_ref()
-            .map(|p| p.span(format!("stratum {stratum}")));
+        let mut stratum_span = profiler.map(|p| p.span(format!("stratum {stratum}")));
         let stratum_start = Instant::now();
         let compiled = &self.compiled[stratum];
         let rules = &self.program.rules;
         let evals_before = stats.rule_evaluations;
-        let mut stratum_tuples = 0usize;
-        let mut stratum_components = 0usize;
+        // What the stratum's rules have derived so far: the stratum run's
+        // growth is the difference across it.
+        let rule_growth = |stats: &RunStats| {
+            let rows = self.strat.rules_by_stratum[stratum].iter();
+            rows.map(|&i| &stats.rules[i]).fold((0, 0), |(t, c), r| {
+                (t + r.tuples_derived, c + r.components_added)
+            })
+        };
+        let (tuples_before, components_before) = rule_growth(stats);
         let threads = self.config.threads.max(1);
-        let counters = JoinCounters::default();
         // One WorkerStats slot per configured worker, reused across strata
         // (and across a session's advances).
         if stats.workers.len() < threads {
@@ -1177,15 +1176,9 @@ impl Reasoner {
             let group_start = Instant::now();
             let group: Vec<(&Rule, &plan::RulePlan)> =
                 indices.iter().map(|(i, p)| (&rules[*i], p)).collect();
-            let ctx = EvalCtx {
-                total,
-                delta: None,
-                horizon: window,
-                top,
-                counters: &counters,
-                profiler: self.config.profiler.as_ref(),
-            };
+            let ctx = EvalCtx::new(total, window, top, profiler);
             let derived = aggregate::eval_aggregate_rules(&group, &ctx)?;
+            stats.add_lookups(&ctx.lookups.get());
             stats.rule_evaluations += indices.len();
             for (i, _) in indices {
                 stats.rules[*i].body_evaluations += 1;
@@ -1195,27 +1188,10 @@ impl Reasoner {
             let lead = indices[0].0;
             stats.rules[lead].derivations += derived.len();
             for (tuple, interval) in derived {
-                let mut ivs = IntervalSet::from_interval(interval);
-                for op in &rules[lead].head.ops {
-                    ivs = apply_head_op(op, &ivs)?;
-                }
-                let ivs = ivs.intersect_interval(&window);
-                if ivs.is_empty() {
-                    continue;
-                }
-                stats.rules[lead].components_emitted += ivs.components().len();
-                let is_new = total
-                    .relation(*pred)
-                    .and_then(|r| r.components_of(&tuple))
-                    .is_none_or(|c| c.is_empty());
-                let added = total.merge(*pred, &tuple, &ivs)?;
-                if !added.is_empty() {
-                    if is_new {
-                        stats.rules[lead].tuples_derived += 1;
-                        stratum_tuples += 1;
-                    }
-                    stats.rules[lead].components_added += added.components().len();
-                    stratum_components += added.components().len();
+                let row = IntervalSet::from_interval(interval);
+                let out = head_validity(&rules[lead], row, window)?;
+                if !out.is_empty() {
+                    merge_row(total, &mut stats.rules[lead], *pred, &tuple, out)?;
                 }
             }
             stats.rules[lead].wall += group_start.elapsed();
@@ -1223,9 +1199,6 @@ impl Reasoner {
 
         // --- Fixpoint. ---
         let mut guard_sets = GuardSets::new();
-        // The plan of each variant that ran, with its counters as they
-        // stood before it first ran here, for `RunStats::plan_explains`.
-        let mut used_plans = VariantPlans::new();
         // Last round's additions: all of them, per self-chain rule the ones
         // *other* rules made to its head predicate, and the tuples they grew
         // with their whole validity.
@@ -1233,18 +1206,18 @@ impl Reasoner {
         let mut prev_grown = Database::new();
         let mut chain_prev: BTreeMap<usize, Database> = BTreeMap::new();
         let mut iteration = 0usize;
-        // Adaptive parallelism gate: an iteration only pays for worker
-        // threads when the *previous* iteration's evaluation was expensive
-        // enough to amortize the spawns. Cheap fixpoint tails (the common
-        // case: hundreds of sub-millisecond delta iterations) stay on the
-        // main thread. The gate never changes results — merge order is
-        // fixed either way — only where the work runs.
-        let mut last_eval_wall = Duration::ZERO;
+        // Parallelism gate: a round only pays for worker threads when the
+        // *previous* round's lookups visited enough tuples to amortize the
+        // spawns. Cheap fixpoint tails (the common case: hundreds of small
+        // delta rounds) stay on the main thread. The gate never changes
+        // results — merge order is fixed either way — only where the work
+        // runs.
+        let mut last_visited = 0u64;
         loop {
             // One span per fixpoint iteration. The name is not indexed so
             // folded stacks collapse all iterations into one frame; the
             // index travels as a counter instead.
-            let mut iter_span = self.config.profiler.as_ref().map(|p| {
+            let mut iter_span = profiler.map(|p| {
                 let mut s = p.span("iteration");
                 s.add("iteration", iteration as u64);
                 s
@@ -1277,30 +1250,22 @@ impl Reasoner {
                 push_variants(&mut tasks, rule, points, &prev_grown);
             }
 
-            // A plan new to this stratum run has its counters read before
-            // it runs, so the run reports its own executions only.
-            for task in &tasks {
-                used_plans
-                    .entry((task.rule, task.plan.delta_literal))
-                    .or_insert_with(|| (Arc::clone(task.plan), task.plan.counts()));
-            }
-
             // Evaluate every task against the iteration-start snapshot of
-            // `total`, fanned out over the worker budget.
-            let fan_threads = if last_eval_wall >= PAR_MIN_EVAL_WALL {
+            // `total`, fanned out over the worker budget. Each task hands
+            // back what it counted with its head rows.
+            let fan_threads = if last_visited >= PAR_MIN_ROUND_TUPLES {
                 threads
             } else {
                 1
             };
-            type EvalOut = (Result<Vec<(Tuple, IntervalSet)>>, Duration);
-            let eval_out: Vec<EvalOut> = {
+            let eval_out: Vec<_> = {
                 let total_snapshot: &Database = total;
                 fan_out(tasks.len(), fan_threads, &mut stats.workers, |i| {
                     let task = &tasks[i];
                     // One span per rule evaluation. When the rule fan-out
                     // spawns workers this runs on a worker thread, so the
                     // span lands on that worker's own lane.
-                    let mut rule_span = self.config.profiler.as_ref().map(|p| {
+                    let mut rule_span = profiler.map(|p| {
                         let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
                         if let Some(d) = task.plan.delta_literal {
                             s.add("delta_literal", d as u64);
@@ -1308,29 +1273,28 @@ impl Reasoner {
                         s
                     });
                     let ctx = EvalCtx {
-                        total: total_snapshot,
                         delta: task.delta,
-                        horizon: window,
-                        top,
-                        counters: &counters,
-                        profiler: self.config.profiler.as_ref(),
+                        ..EvalCtx::new(total_snapshot, window, top, profiler)
                     };
                     let eval_start = Instant::now();
                     let r = execute_heads(&rules[task.rule], task.plan, &ctx);
-                    if let (Some(s), Ok(rows)) = (rule_span.as_mut(), &r) {
+                    if let (Some(s), Ok((rows, _))) = (rule_span.as_mut(), &r) {
                         s.add("derivations", rows.len() as u64);
                     }
-                    (r, eval_start.elapsed())
+                    (r, ctx.lookups.get(), eval_start.elapsed())
                 })
             };
-            last_eval_wall = eval_out.iter().map(|(_, d)| *d).sum();
-            // Merge every task's head rows back in fixed task order.
-            for (task, (results, eval_wall)) in tasks.iter().zip(eval_out) {
+            last_visited = eval_out.iter().map(|(_, l, _)| l.visited()).sum();
+            // Merge every task's counts and head rows back in fixed task
+            // order: the one place a rule evaluation reaches `stats`.
+            for (task, (result, lookups, eval_wall)) in tasks.iter().zip(eval_out) {
                 let rule_idx = task.rule;
                 let rule = &rules[rule_idx];
                 let head = rule.head.atom.pred;
                 let merge_start = Instant::now();
-                let results = results?;
+                let (rows, step_rows) = result?;
+                stats.add_lookups(&lookups);
+                stats.add_execution(rule_idx, task.plan, &step_rows);
                 stats.rule_evaluations += 1;
                 let rstats = &mut stats.rules[rule_idx];
                 rstats.body_evaluations += 1;
@@ -1338,34 +1302,21 @@ impl Reasoner {
                 if let Some(delta) = task.delta {
                     rstats.delta_tuples += delta.tuple_count();
                 }
-                rstats.derivations += results.len();
-                for (tuple, ivs) in results {
-                    let mut out = ivs;
-                    for op in &rule.head.ops {
-                        out = apply_head_op(op, &out)?;
-                    }
-                    let mut out = out.intersect_interval(&window);
+                rstats.derivations += rows.len();
+                for (tuple, ivs) in rows {
+                    let mut out = head_validity(rule, ivs, window)?;
                     if out.is_empty() {
                         continue;
                     }
-                    let stored = total
-                        .relation(head)
-                        .and_then(|r| r.components_of(&tuple))
-                        .unwrap_or(&[]);
-                    let is_new = stored.is_empty();
                     if compiled.chains.contains(rule_idx) {
                         // Guards read the finished lower strata of `total`;
                         // the merge phase is sequential, so the closure is
                         // identical for every thread count.
-                        let ctx = EvalCtx {
-                            total,
-                            delta: None,
-                            horizon: window,
-                            top,
-                            counters: &counters,
-                            profiler: self.config.profiler.as_ref(),
-                        };
-                        let Some(closed) = compiled.chains.close(
+                        let stored = (total.relation(head))
+                            .and_then(|r| r.components_of(&tuple))
+                            .unwrap_or(&[]);
+                        let ctx = EvalCtx::new(total, window, top, profiler);
+                        let closed = compiled.chains.close(
                             &mut guard_sets,
                             rule_idx,
                             rule,
@@ -1375,34 +1326,25 @@ impl Reasoner {
                             &ctx,
                             &self.config,
                             iteration,
-                        )?
-                        else {
+                        );
+                        stats.add_lookups(&ctx.lookups.get());
+                        let Some(closed) = closed? else {
                             continue;
                         };
                         stats.rules[rule_idx].derivations += closed.steps;
                         out = closed.out;
                     }
-                    stats.rules[rule_idx].components_emitted += out.components().len();
-                    if covers(stored, &out) {
+                    let added = merge_row(total, &mut stats.rules[rule_idx], head, &tuple, out)?;
+                    if added.is_empty() {
                         continue;
                     }
-                    let added = total.merge(head, &tuple, &out)?;
-                    if !added.is_empty() {
-                        grew = true;
-                        let rstats = &mut stats.rules[rule_idx];
-                        if is_new {
-                            rstats.tuples_derived += 1;
-                            stratum_tuples += 1;
-                        }
-                        rstats.components_added += added.components().len();
-                        stratum_components += added.components().len();
-                        next_delta.merge(head, &tuple, &added)?;
-                        for other in compiled.chains.others_over(head, rule_idx) {
-                            chain_next
-                                .entry(other)
-                                .or_insert_with(|| Database::new().declare(&self.indexes))
-                                .merge(head, &tuple, &added)?;
-                        }
+                    grew = true;
+                    next_delta.merge(head, &tuple, &added)?;
+                    for other in compiled.chains.others_over(head, rule_idx) {
+                        chain_next
+                            .entry(other)
+                            .or_insert_with(|| Database::new().declare(&self.indexes))
+                            .merge(head, &tuple, &added)?;
                     }
                 }
                 stats.rules[rule_idx].wall += merge_start.elapsed();
@@ -1423,23 +1365,9 @@ impl Reasoner {
             iteration += 1;
         }
 
-        // Fold the join-path counters into the run totals.
-        stats.index_probes += counters.index_probes.load(Ordering::Relaxed);
-        stats.index_scan_avoided += counters.index_scan_avoided.load(Ordering::Relaxed);
-        stats.full_scans += counters.full_scans.load(Ordering::Relaxed);
-        stats.scanned_tuples += counters.scanned_tuples.load(Ordering::Relaxed);
-        stats.probed_tuples += counters.probed_tuples.load(Ordering::Relaxed);
-        stats.time_index_probes += counters.time_index_probes.load(Ordering::Relaxed);
-        stats.interval_clips_avoided += counters.interval_clips_avoided.load(Ordering::Relaxed);
-
-        // Planner counters.
-        let (new_plans, bindings) = stats.used_plans.record(&self.program, used_plans);
-        for new in new_plans {
-            stats.plans_built += 1;
-            stats.reorders_applied += u64::from(new.reordered);
-        }
-        stats.planner_actual_rows += bindings;
-
+        let (tuples_after, components_after) = rule_growth(stats);
+        let stratum_tuples = tuples_after - tuples_before;
+        let stratum_components = components_after - components_before;
         let iterations = iteration + 1;
         if let Some(s) = stratum_span.as_mut() {
             s.add("iterations", iterations as u64);
@@ -1590,6 +1518,42 @@ pub(crate) fn capture_storage_stats(db: &Database, stats: &mut RunStats) {
         arena_slabs_reused: reused,
         column_clones: crate::database::column_clone_count(),
     };
+}
+
+/// A head row's validity through `rule`'s head operators, clipped to the
+/// derivation `window`.
+fn head_validity(rule: &Rule, row: IntervalSet, window: Interval) -> Result<IntervalSet> {
+    let mut out = row;
+    for op in &rule.head.ops {
+        out = apply_head_op(op, &out)?;
+    }
+    Ok(out.intersect_interval(&window))
+}
+
+/// Merges head row `(tuple, out)` — its validity through [`head_validity`]
+/// and, for a self-chain rule, closed — into `head` of `total`, charging
+/// the rule's stats `rstats`. Returns what the row added.
+fn merge_row(
+    total: &mut Database,
+    rstats: &mut RuleStats,
+    head: Symbol,
+    tuple: &[Value],
+    out: IntervalSet,
+) -> Result<IntervalSet> {
+    rstats.components_emitted += out.components().len();
+    let stored = (total.relation(head))
+        .and_then(|r| r.components_of(tuple))
+        .unwrap_or(&[]);
+    if covers(stored, &out) {
+        return Ok(IntervalSet::new());
+    }
+    let is_new = stored.is_empty();
+    let added = total.merge(head, tuple, &out)?;
+    if !added.is_empty() {
+        rstats.tuples_derived += usize::from(is_new);
+        rstats.components_added += added.components().len();
+    }
+    Ok(added)
 }
 
 /// Does a tuple's `stored` component slice hold every point of `row`? Then

@@ -26,13 +26,17 @@
 //!    function of boundness alone: what the executor does once the relation
 //!    is large enough to index. Composite steps resolve per leaf and are
 //!    labelled `scan`.
+//!
+//! A plan holds no counters, so the reasoner's plans are shared by every
+//! run, thread and explanation as they are. An execution hands the rows
+//! each step produced back with its result, and the fixpoint's ordered
+//! merge adds them to the run's [`PlanCounts`].
 
 use crate::ast::{CmpOp, Expr, Literal, MetricAtom, Program, Rule, Term};
 use crate::database::{IndexSpec, INDEX_MIN_TUPLES};
 use crate::symbol::Symbol;
 use std::cmp::Reverse;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a lookup reaches a relation's tuples.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,33 +103,22 @@ pub(crate) enum StepKind {
     Constraint { mode: Option<ConstraintMode> },
 }
 
-/// A plan step: which body literal to process and how. `actual_rows`
-/// accumulates accumulator sizes observed at execution time (relaxed:
-/// statistics, not synchronization).
+/// A plan step: which body literal to process and how.
 #[derive(Debug)]
 pub(crate) struct PlanStep {
     /// Index into `rule.body`.
     pub literal: usize,
     pub kind: StepKind,
-    /// Total accumulator rows observed after this step across executions.
-    pub actual_rows: AtomicU64,
 }
 
 impl PlanStep {
     fn new(literal: usize, kind: StepKind) -> PlanStep {
-        PlanStep {
-            literal,
-            kind,
-            actual_rows: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn note_actual(&self, rows: usize) {
-        self.actual_rows.fetch_add(rows as u64, Ordering::Relaxed);
+        PlanStep { literal, kind }
     }
 }
 
-/// A compiled rule body: ordered steps plus execution counters.
+/// A compiled rule body: ordered steps. Immutable once built — what its
+/// executions produced travels with their results, not in the plan.
 #[derive(Debug)]
 pub(crate) struct RulePlan {
     /// The delta-restricted literal of this semi-naive variant, if any.
@@ -138,13 +131,10 @@ pub(crate) struct RulePlan {
     /// plan then raises [`Unsafe`](crate::Error::Unsafe) instead of
     /// silently returning an empty result.
     pub has_unschedulable: bool,
-    /// Times this plan has been executed (relaxed: statistics).
-    pub executions: AtomicU64,
 }
 
-/// A reading of a plan's execution counters: `executions`, and per step the
-/// accumulated `actual_rows`. Plans are shared and keep counting; a reading
-/// does not.
+/// What a plan's executions in one run produced: how many there were, and
+/// per step the rows it produced, summed over them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PlanCounts {
     pub executions: u64,
@@ -152,52 +142,27 @@ pub(crate) struct PlanCounts {
 }
 
 impl PlanCounts {
-    /// `later − earlier`: what the plan did between two readings.
-    pub(crate) fn since(later: &PlanCounts, earlier: &PlanCounts) -> PlanCounts {
-        PlanCounts {
-            executions: later.executions - earlier.executions,
-            step_rows: (later.step_rows.iter().zip(&earlier.step_rows))
-                .map(|(l, e)| l - e)
-                .collect(),
-        }
-    }
-
-    /// `self += other`.
-    pub(crate) fn add(&mut self, other: &PlanCounts) {
-        self.executions += other.executions;
-        self.step_rows.resize(other.step_rows.len(), 0);
-        for (rows, more) in self.step_rows.iter_mut().zip(&other.step_rows) {
+    /// Adds one execution whose steps produced `step_rows`.
+    pub(crate) fn add_execution(&mut self, step_rows: &[u64]) {
+        self.executions += 1;
+        self.step_rows.resize(step_rows.len(), 0);
+        for (rows, more) in self.step_rows.iter_mut().zip(step_rows) {
             *rows += more;
         }
     }
 }
 
 impl RulePlan {
-    pub(crate) fn note_execution(&self) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bindings out of the join pipeline in `counts` (a reading of this
-    /// plan's counters, or a difference of two): the rows after the last
-    /// join step. A join-free plan seeds one row per execution.
-    pub(crate) fn bindings(&self, counts: &PlanCounts) -> u64 {
+    /// Bindings out of the join pipeline of `executions` executions whose
+    /// steps produced `step_rows` in all: the rows after the last join
+    /// step. A join-free plan seeds one row per execution.
+    pub(crate) fn bindings(&self, executions: u64, step_rows: &[u64]) -> u64 {
         self.steps
             .iter()
-            .zip(&counts.step_rows)
+            .zip(step_rows)
             .rev()
             .find(|(s, _)| matches!(s.kind, StepKind::Join { .. }))
-            .map_or(counts.executions, |(_, &rows)| rows)
-    }
-
-    pub(crate) fn counts(&self) -> PlanCounts {
-        PlanCounts {
-            executions: self.executions.load(Ordering::Relaxed),
-            step_rows: self
-                .steps
-                .iter()
-                .map(|s| s.actual_rows.load(Ordering::Relaxed))
-                .collect(),
-        }
+            .map_or(executions, |(_, &rows)| rows)
     }
 }
 
@@ -435,7 +400,6 @@ pub(crate) fn build_plan(
         steps,
         reordered,
         has_unschedulable,
-        executions: AtomicU64::new(0),
     }
 }
 
@@ -475,8 +439,7 @@ pub struct PlanStepExplain {
 }
 
 /// Renders a plan for explain output / stats-json, with the execution and
-/// row counts of `counts` (a reading of `plan`'s counters, or a difference
-/// of two).
+/// row counts of `counts`.
 pub(crate) fn explain(
     rule_idx: usize,
     label: &str,
@@ -524,7 +487,7 @@ pub(crate) fn explain(
         delta_literal: plan.delta_literal,
         reordered: plan.reordered,
         executions: counts.executions,
-        actual_rows: plan.bindings(counts),
+        actual_rows: plan.bindings(counts.executions, &counts.step_rows),
         steps,
     }
 }

@@ -66,6 +66,8 @@ pub fn parse_facts(src: &str) -> Result<Vec<Fact>> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// The token the last [`Parser::bump`] consumed.
+    last: usize,
     anon: usize,
 }
 
@@ -74,6 +76,7 @@ impl Parser {
         Ok(Parser {
             toks: tokenize(src)?,
             pos: 0,
+            last: 0,
             anon: 0,
         })
     }
@@ -93,15 +96,30 @@ impl Parser {
 
     fn bump(&mut self) -> TokenKind {
         let k = self.toks[self.pos].kind.clone();
+        self.last = self.pos;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
         k
     }
 
+    /// An error at the next token.
     fn err(&self, msg: impl Into<String>) -> Error {
         let (l, c) = self.here();
         Error::parse(l, c, msg)
+    }
+
+    /// An error at the token the last [`Parser::bump`] consumed: for a
+    /// token that was taken and then found wrong.
+    fn err_bumped(&self, msg: impl Into<String>) -> Error {
+        let t = &self.toks[self.last];
+        Error::parse(t.line, t.col, msg)
+    }
+
+    /// [`Parser::err_bumped`]: the token `found` was taken where `what`
+    /// belongs.
+    fn unexpected(&self, what: &str, found: &TokenKind) -> Error {
+        self.err_bumped(format!("expected {what}, found {found:?}"))
     }
 
     fn expect(&mut self, kind: TokenKind, what: &str) -> Result<()> {
@@ -215,7 +233,7 @@ impl Parser {
     fn head_atom(&mut self) -> Result<(Atom, Option<(AggFn, usize)>)> {
         let name = match self.bump() {
             TokenKind::LowerIdent(s) => s,
-            other => return Err(self.err(format!("expected predicate name, found {other:?}"))),
+            other => return Err(self.unexpected("predicate name", &other)),
         };
         self.expect(TokenKind::LParen, "'('")?;
         let mut args = Vec::new();
@@ -285,7 +303,7 @@ impl Parser {
             TokenKind::Le => CmpOp::Le,
             TokenKind::Gt => CmpOp::Gt,
             TokenKind::Ge => CmpOp::Ge,
-            other => return Err(self.err(format!("expected comparison operator, found {other:?}"))),
+            other => return Err(self.unexpected("comparison operator", &other)),
         };
         let rhs = self.expr()?;
         Ok(Literal::Constraint(lhs, op, rhs))
@@ -366,7 +384,7 @@ impl Parser {
     fn atom(&mut self) -> Result<Atom> {
         let name = match self.bump() {
             TokenKind::LowerIdent(s) => s,
-            other => return Err(self.err(format!("expected predicate name, found {other:?}"))),
+            other => return Err(self.unexpected("predicate name", &other)),
         };
         self.expect(TokenKind::LParen, "'('")?;
         let mut args = Vec::new();
@@ -386,11 +404,7 @@ impl Parser {
             self.bump();
             match self.bump() {
                 TokenKind::UpperIdent(v) => atom.time_var = Some(Symbol::new(&v)),
-                other => {
-                    return Err(self.err(format!(
-                        "expected time-capture variable after '@', found {other:?}"
-                    )))
-                }
+                other => return Err(self.unexpected("time-capture variable after '@'", &other)),
             }
         }
         Ok(atom)
@@ -405,22 +419,24 @@ impl Parser {
             }
             TokenKind::Int(i) => Ok(Term::Val(Value::Int(i))),
             TokenKind::Decimal(d) => Ok(Term::Val(Value::num(
-                d.parse::<f64>().map_err(|_| self.err("bad decimal"))?,
+                d.parse::<f64>()
+                    .map_err(|_| self.err_bumped("bad decimal"))?,
             ))),
             TokenKind::Str(s) => Ok(Term::Val(Value::sym(&s))),
             TokenKind::Minus => match self.bump() {
                 TokenKind::Int(i) => Ok(Term::Val(Value::Int(-i))),
                 TokenKind::Decimal(d) => Ok(Term::Val(Value::num(
-                    -d.parse::<f64>().map_err(|_| self.err("bad decimal"))?,
+                    -d.parse::<f64>()
+                        .map_err(|_| self.err_bumped("bad decimal"))?,
                 ))),
-                other => Err(self.err(format!("expected number after '-', found {other:?}"))),
+                other => Err(self.unexpected("number after '-'", &other)),
             },
             TokenKind::LowerIdent(s) => match s.as_str() {
                 "true" => Ok(Term::Val(Value::Bool(true))),
                 "false" => Ok(Term::Val(Value::Bool(false))),
                 _ => Ok(Term::Val(Value::sym(&s))),
             },
-            other => Err(self.err(format!("expected term, found {other:?}"))),
+            other => Err(self.unexpected("term", &other)),
         }
     }
 
@@ -452,7 +468,7 @@ impl Parser {
         let lo_closed = match self.bump() {
             TokenKind::LBracket => true,
             TokenKind::LParen => false,
-            other => return Err(self.err(format!("expected interval, found {other:?}"))),
+            other => return Err(self.unexpected("interval", &other)),
         };
         let lo = self.bound()?;
         // Punctual shorthand `[t]`.
@@ -468,7 +484,7 @@ impl Parser {
         let hi_closed = match self.bump() {
             TokenKind::RBracket => true,
             TokenKind::RParen => false,
-            other => return Err(self.err(format!("expected ']' or ')', found {other:?}"))),
+            other => return Err(self.unexpected("']' or ')'", &other)),
         };
         Interval::new(lo, lo_closed, hi, hi_closed)
             .ok_or_else(|| self.err("empty interval annotation"))
@@ -491,7 +507,7 @@ impl Parser {
             TokenKind::Decimal(d) => {
                 let r: Rational = d
                     .parse()
-                    .map_err(|_| self.err("interval bounds must be exact rationals"))?;
+                    .map_err(|_| self.err_bumped("interval bounds must be exact rationals"))?;
                 Ok(TimeBound::Finite(if neg { -r } else { r }))
             }
             TokenKind::LowerIdent(s) if s == "inf" => Ok(if neg {
@@ -499,7 +515,7 @@ impl Parser {
             } else {
                 TimeBound::PosInf
             }),
-            other => Err(self.err(format!("expected interval bound, found {other:?}"))),
+            other => Err(self.unexpected("interval bound", &other)),
         }
     }
 
@@ -511,7 +527,7 @@ impl Parser {
                 let b = self.bound()?;
                 match b {
                     TimeBound::Finite(r) => Ok(Interval::point(r)),
-                    _ => Err(self.err("punctual annotation must be finite")),
+                    _ => Err(self.err_bumped("punctual annotation must be finite")),
                 }
             }
         }
@@ -580,7 +596,8 @@ impl Parser {
             TokenKind::Decimal(d) => {
                 self.bump();
                 Ok(Expr::val(
-                    d.parse::<f64>().map_err(|_| self.err("bad decimal"))?,
+                    d.parse::<f64>()
+                        .map_err(|_| self.err_bumped("bad decimal"))?,
                 ))
             }
             TokenKind::LowerIdent(s) if EXPR_FUNCS.contains(&s.as_str()) => {
@@ -774,10 +791,21 @@ mod tests {
 
     #[test]
     fn error_positions_are_reported() {
-        let e = parse_rule("p(X) :- q(X) r(X).").unwrap_err();
-        match e {
-            Error::Parse { line, .. } => assert_eq!(line, 1),
-            other => panic!("expected parse error, got {other:?}"),
+        // A token found wrong where it is peeked, and tokens found wrong
+        // after they were taken: each error names its own token's column.
+        for (src, at) in [
+            ("p(X) :- q(X) r(X).", (1, 14)),
+            ("p(X) :- q(X,).", (1, 13)),
+            ("p(X) :- q(X), X, q(X).", (1, 16)),
+            ("p(X) :-\n  q(X)@3.", (2, 8)),
+            ("p(X) :- diamondminus[0, 1[ q(X).", (1, 26)),
+            ("7(X) :- q(X).", (1, 1)),
+            ("p(a)@inf.", (1, 6)),
+        ] {
+            match parse_source(src).unwrap_err() {
+                Error::Parse { line, col, .. } => assert_eq!((line, col), at, "{src}"),
+                other => panic!("expected parse error, got {other:?}"),
+            }
         }
     }
 

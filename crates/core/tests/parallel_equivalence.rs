@@ -1,8 +1,8 @@
 //! Property tests for the join access paths and the threading knob: the
 //! secondary indexes are a pure access-path optimization — the engine must
-//! derive the model of the brute-force oracle — and the worker
-//! pool merges in fixed rule order, so `threads` is observationally
-//! invisible.
+//! derive the model of the brute-force oracle — and the rule fan-out
+//! merges in fixed task order, so `threads` is observationally invisible:
+//! in the facts, and in every count a run reports.
 //!
 //! Generation mirrors `random_programs.rs`: deterministic in-repo
 //! `SmallRng`, one seed per case, every failure reproducible from the
@@ -11,7 +11,7 @@
 //! (`3` vs `3.0`) actually get exercised.
 
 use chronolog_core::naive::{grid_text, naive_materialize};
-use chronolog_core::{Database, Reasoner, ReasonerConfig, Value};
+use chronolog_core::{Database, PlanExplain, Reasoner, ReasonerConfig, RunStats, Value};
 use chronolog_obs::SmallRng;
 use std::collections::BTreeSet;
 
@@ -103,14 +103,51 @@ fn gen_db(rng: &mut SmallRng) -> Database {
     db
 }
 
-fn materialize(src: &str, db: &Database, config: ReasonerConfig) -> (String, usize, Vec<usize>) {
-    let program = chronolog_core::parse_program(src).unwrap();
-    let m = Reasoner::new(program, config.with_horizon(T_MIN, T_MAX))
+/// What a run must repeat at every thread count: its facts, its derivation
+/// counts, its seven lookup totals and its plans with what they executed.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    facts: String,
+    derived_tuples: usize,
+    per_rule: Vec<usize>,
+    lookups: [u64; 7],
+    plans: Vec<PlanExplain>,
+}
+
+impl Observed {
+    fn of(facts: String, stats: &RunStats) -> Observed {
+        Observed {
+            facts,
+            derived_tuples: stats.derived_tuples,
+            per_rule: stats.rules.iter().map(|r| r.derivations).collect(),
+            lookups: [
+                stats.index_probes,
+                stats.index_scan_avoided,
+                stats.full_scans,
+                stats.scanned_tuples,
+                stats.probed_tuples,
+                stats.time_index_probes,
+                stats.interval_clips_avoided,
+            ],
+            plans: stats.plan_explains(),
+        }
+    }
+}
+
+/// Materializes `src`, rules and facts, over `db` on `[T_MIN, T_MAX]` with
+/// `threads` workers.
+fn materialize(src: &str, db: &Database, threads: usize) -> (Observed, RunStats) {
+    let (program, facts) = chronolog_core::parse_source(src).unwrap();
+    let mut db = db.clone();
+    db.extend_facts(&facts).unwrap();
+    let config = ReasonerConfig::default()
+        .with_horizon(T_MIN, T_MAX)
+        .with_threads(threads);
+    let m = Reasoner::new(program, config)
         .unwrap_or_else(|e| panic!("generated program must validate: {e}\n{src}"))
-        .materialize(db)
+        .materialize(&db)
         .unwrap();
-    let per_rule = m.stats.rules.iter().map(|r| r.derivations).collect();
-    (m.database.to_facts_text(), m.stats.derived_tuples, per_rule)
+    (Observed::of(m.database.to_facts_text(), &m.stats), m.stats)
 }
 
 /// `pred(args)@t` lines with every numeric argument in its `f64` spelling:
@@ -165,18 +202,29 @@ fn indexed_joins_equal_full_scan() {
 }
 
 /// Thread count must be observationally invisible: byte-identical facts
-/// text and identical per-rule derivation counts for 1 vs 4 workers.
+/// text, and identical per-rule derivation counts, lookup totals and plan
+/// explains for 1 vs 4 workers.
 #[test]
 fn threaded_evaluation_equals_sequential() {
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(0x7EAD5 ^ (case << 4));
         let src = gen_program(&mut rng);
         let db = gen_db(&mut rng);
-        let seq = materialize(&src, &db, ReasonerConfig::default().with_threads(1));
-        let par = materialize(&src, &db, ReasonerConfig::default().with_threads(4));
+        let (seq, _) = materialize(&src, &db, 1);
+        let (par, _) = materialize(&src, &db, 4);
         assert_eq!(
             seq, par,
             "case {case}: threads=1 vs threads=4 diverged\n{src}"
         );
     }
+    // The generated rounds are too small for the rule fan-out to spawn
+    // workers. The netting corpus's rounds after the third visit thousands
+    // of tuples, so there the second worker slot must run tasks, or the
+    // comparison would be of two sequential runs.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/netting.dmtl");
+    let src = std::fs::read_to_string(path).unwrap();
+    let (seq, _) = materialize(&src, &Database::new(), 1);
+    let (par, stats) = materialize(&src, &Database::new(), 4);
+    assert!(stats.workers[1].tasks > 0, "{:?}", stats.workers);
+    assert_eq!(seq, par, "netting: threads=1 vs threads=4 diverged");
 }

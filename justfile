@@ -46,8 +46,9 @@ bench-e2e-smoke:
 # report has the retired feedback fields.
 # The netting leg pins both counts of a rule evaluation: 250 020 bindings
 # out of the plans' last joins (`planner.actual_rows`) become fewer head
-# rows (Σ `derivations`), adding 7 200 components, and the facts at two
-# threads are the facts at one. At both thread counts the lookups split
+# rows (Σ `derivations`), adding 7 200 components, and the facts and the
+# `--explain-plans` report (every plan's executions and rows) at two threads
+# are those at one. At both thread counts the lookups split
 # between the access paths exactly as the script pins them.
 # The past-recursion leg recurses through `boxminus[1, 2]` and
 # `since[0, 3]`: batch and streamed facts are equal, and every rule runs
@@ -75,8 +76,11 @@ exact-counts:
         cargo run --release -q -p chronolog-cli -- run corpus/netting.dmtl --horizon 0..20 \
             --threads "$threads" --facts --stats-json "$out/netting-$threads.json" \
             > "$out/netting-$threads.txt"
+        cargo run --release -q -p chronolog-cli -- run corpus/netting.dmtl --horizon 0..20 \
+            --threads "$threads" --explain-plans > "$out/netting-plans-$threads.txt"
     done
     diff "$out/netting-1.txt" "$out/netting-2.txt"
+    diff "$out/netting-plans-1.txt" "$out/netting-plans-2.txt"
     python3 scripts/netting_counts.py "$out/netting-1.json" "$out/netting-2.json"
     past=crates/cli/tests/fixtures/past_recursion.dmtl
     cargo run --release -q -p chronolog-cli -- run "$past" --horizon 0..40 \
