@@ -767,6 +767,21 @@ impl Relation {
         Ok(delta)
     }
 
+    /// Rebuilds a tuple's stored teeth into the progressions `runs` lays
+    /// over them. Every tooth of `runs` is already stored, so the validity
+    /// does not change — only how it is split into components (a merge
+    /// that adds nothing keeps the stored shape, see `engine/chain.rs`).
+    pub(crate) fn relink(&mut self, tuple: &[Value], runs: &IntervalSet) {
+        let Some(id) = self.store.lookup(tuple) else {
+            return;
+        };
+        let stored = self.set_of(id);
+        debug_assert!(runs.subset_of(&stored), "relink adds no tooth");
+        let mut set = stored.difference(runs);
+        set.union_with(runs);
+        self.write_set(id, &set);
+    }
+
     /// Removes `ivs` from a tuple's validity; returns the part actually
     /// removed (empty when the tuple is absent or disjoint).
     ///
@@ -1020,6 +1035,14 @@ impl Database {
         ivs: &IntervalSet,
     ) -> Result<IntervalSet> {
         self.rel_mut(pred).merge(tuple, ivs)
+    }
+
+    /// Rebuilds `(pred, tuple)`'s stored teeth into the progressions
+    /// `runs`; see [`Relation::relink`].
+    pub(crate) fn relink(&mut self, pred: Symbol, tuple: &[Value], runs: &IntervalSet) {
+        if let Some(r) = self.rels.get_mut(&pred) {
+            r.relink(tuple, runs);
+        }
     }
 
     /// Removes `ivs` from `(pred, tuple)`'s validity; returns the part

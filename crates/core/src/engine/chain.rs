@@ -49,7 +49,19 @@
 //! *closed under the rule*: `op(fresh ∪ closure) ∩ P` lies inside what the
 //! tuple stores afterwards. The fixpoint driver therefore hands a self-chain
 //! rule, as its semi-naive delta, only what *other* rules added to its head
-//! predicate — re-entering its own closed run could derive nothing.
+//! predicate — re-entering its own closed run could derive nothing. It goes
+//! one step further on round 0: the self-chain rules run first, in a frame
+//! phase of their own, and what they merge there enters no other rule's
+//! delta either, because every other rule's round-0 full evaluation runs
+//! after the frame phase and reads it. A session advance in which only the
+//! frame rules derive anything therefore ends the stratum after one round.
+//!
+//! The shape a run is stored in must not depend on which rule merged a
+//! tooth first. Two lone points never coalesce, so [`jump`] anchors a lone
+//! new tooth on the lone stored tooth it was derived from. When another
+//! rule stored both teeth first, the row adds nothing, and [`links`] hands
+//! the merge the same anchored progression to rebuild them into
+//! (`Database::relink`).
 //!
 //! Detection is static ([`Chains::detect`] runs once per stratum in
 //! `Reasoner::new`); only the guard sets ([`GuardSets`]) are per stratum run.
@@ -99,6 +111,10 @@ pub(crate) struct Closed {
     /// Closure steps that derived something new (each stands for one head
     /// row of the round-by-round path).
     pub steps: usize,
+    /// Two-tooth progressions over stored lone teeth the row derived one
+    /// from the other (see [`links`]): nothing new, only a shape for the
+    /// merge to rebuild.
+    pub links: IntervalSet,
 }
 
 fn strictly_past(rho: &MetricInterval) -> bool {
@@ -232,6 +248,34 @@ fn jump(
         }
     }
     Ok((out, longest as usize))
+}
+
+/// The progressions `{a, b}` over every pair of consecutive stored
+/// components that are lone points `a` and `b = a + shift` with `b` in
+/// `row`: the row derived `b` from `a`, but another rule stored both teeth
+/// first, so [`jump`] never saw `b` as new and could not anchor it on `a`.
+/// Had this rule merged `b` first, the two would be one run; rebuilding
+/// them into it keeps the stored shape independent of merge order — and
+/// therefore the same in a session as in a batch run.
+fn links(shift: Rational, row: &IntervalSet, stored: &[Interval]) -> Result<IntervalSet> {
+    let mut links = IntervalSet::new();
+    let Some(hull) = row.hull() else {
+        return Ok(links);
+    };
+    let from = stored.partition_point(|s| s.entirely_before(&hull));
+    for pair in stored[from.saturating_sub(1)..].windows(2) {
+        if hull.entirely_before(&pair[1]) {
+            break;
+        }
+        let (Some(a), Some(b)) = (pair[0].punctual_value(), pair[1].punctual_value()) else {
+            continue;
+        };
+        if a.checked_add(shift) == Some(b) && row.contains(b) {
+            let run = Interval::progression(a, shift, 1);
+            links.insert(run.ok_or(mtl_temporal::TimeOverflow)?);
+        }
+    }
+    Ok(links)
 }
 
 /// Adds to `out` the run `from + shift, from + 2·shift, …` for as long as
@@ -487,9 +531,17 @@ impl Chains {
         iteration: usize,
     ) -> Result<Option<Closed>> {
         let chain = &self.rules[&rule_idx];
+        let links = match chain.shift {
+            Some(shift) => links(shift, &row, stored)?,
+            None => IntervalSet::new(),
+        };
         let fresh = minus_stored(row, stored);
         let Some(first) = fresh.components().first().copied() else {
-            return Ok(None);
+            return Ok((!links.is_empty()).then(|| Closed {
+                out: IntervalSet::new(),
+                steps: 0,
+                links,
+            }));
         };
         let _rule_span = ctx.profiler.map(|p| p.span(rule_span_name(rule, rule_idx)));
         let mut span = ctx.profiler.map(|p| p.span("chain"));
@@ -532,6 +584,6 @@ impl Chains {
             s.add("components", out.components().len() as u64);
             s.add("guard_cached", guard_cached as u64);
         }
-        Ok(Some(Closed { out, steps }))
+        Ok(Some(Closed { out, steps, links }))
     }
 }

@@ -10,6 +10,17 @@
 //! A chain of diamonds and punctual boxes over one atom reads the new
 //! points; any other literal — a box of positive length, `since`, `until` —
 //! reads the tuples that grew, each with its whole validity.
+//!
+//! Round 0 has two phases. The frame phase evaluates the stratum's
+//! self-chain (frame) rules and merges their rows, closed over their guard
+//! sets (`engine/chain.rs`); then the other rules' full plans are evaluated
+//! against the model that already holds those rows. What the frame phase
+//! merged is in no delta but that of another frame rule over the same
+//! head: its own rule has nothing left to derive from it (the closure is
+//! closed under the rule), and every other rule read it in full. So when a
+//! session advance merely continues the open persistence runs and no other
+//! rule derives anything new, the delta stays empty and the stratum ends
+//! after one round.
 
 mod aggregate;
 mod chain;
@@ -1232,122 +1243,148 @@ impl Reasoner {
             let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
 
-            // Which evaluations to run this iteration, flattened into a
-            // fixed-order task list. The task order is also the merge
-            // order, so output and stats are bit-identical for every thread
-            // count.
-            let mut tasks: Vec<Task<'_>> = Vec::new();
-            for rule in &compiled.rules {
-                if iteration == 0 {
-                    tasks.push(Task::full(rule));
-                    continue;
+            // Which evaluations to run this round, as fixed-order task
+            // lists. The task order is also the merge order, so output and
+            // stats are bit-identical for every thread count. Round 0 runs
+            // in two phases: the frame rules in full, merged before the
+            // other rules' full plans are evaluated, so those read every
+            // run the frame rules continued (module docs).
+            let phases: Vec<(bool, Vec<Task<'_>>)> = if iteration == 0 {
+                let (frames, rest): (Vec<_>, Vec<_>) =
+                    (compiled.rules.iter()).partition(|rule| compiled.chains.contains(rule.idx));
+                vec![
+                    (true, frames.into_iter().map(Task::full).collect()),
+                    (false, rest.into_iter().map(Task::full).collect()),
+                ]
+            } else {
+                let mut tasks = Vec::new();
+                for rule in &compiled.rules {
+                    let points = if compiled.chains.contains(rule.idx) {
+                        chain_prev.get(&rule.idx)
+                    } else {
+                        Some(&prev_delta)
+                    };
+                    push_variants(&mut tasks, rule, points, &prev_grown);
                 }
-                let points = if compiled.chains.contains(rule.idx) {
-                    chain_prev.get(&rule.idx)
-                } else {
-                    Some(&prev_delta)
-                };
-                push_variants(&mut tasks, rule, points, &prev_grown);
-            }
+                vec![(false, tasks)]
+            };
 
-            // Evaluate every task against the iteration-start snapshot of
-            // `total`, fanned out over the worker budget. Each task hands
-            // back what it counted with its head rows.
+            // Both phases of round 0 fan out as the previous round allows.
             let fan_threads = if last_visited >= PAR_MIN_ROUND_TUPLES {
                 threads
             } else {
                 1
             };
-            let eval_out: Vec<_> = {
-                let total_snapshot: &Database = total;
-                fan_out(tasks.len(), fan_threads, &mut stats.workers, |i| {
-                    let task = &tasks[i];
-                    // One span per rule evaluation. When the rule fan-out
-                    // spawns workers this runs on a worker thread, so the
-                    // span lands on that worker's own lane.
-                    let mut rule_span = profiler.map(|p| {
-                        let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
-                        if let Some(d) = task.plan.delta_literal {
-                            s.add("delta_literal", d as u64);
-                        }
-                        s
-                    });
-                    let ctx = EvalCtx {
-                        delta: task.delta,
-                        ..EvalCtx::new(total_snapshot, window, top, profiler)
-                    };
-                    let eval_start = Instant::now();
-                    let r = execute_heads(&rules[task.rule], task.plan, &ctx);
-                    if let (Some(s), Ok((rows, _))) = (rule_span.as_mut(), &r) {
-                        s.add("derivations", rows.len() as u64);
-                    }
-                    (r, ctx.lookups.get(), eval_start.elapsed())
-                })
-            };
-            last_visited = eval_out.iter().map(|(_, l, _)| l.visited()).sum();
-            // Merge every task's counts and head rows back in fixed task
-            // order: the one place a rule evaluation reaches `stats`.
-            for (task, (result, lookups, eval_wall)) in tasks.iter().zip(eval_out) {
-                let rule_idx = task.rule;
-                let rule = &rules[rule_idx];
-                let head = rule.head.atom.pred;
-                let merge_start = Instant::now();
-                let (rows, step_rows) = result?;
-                stats.add_lookups(&lookups);
-                stats.add_execution(rule_idx, task.plan, &step_rows);
-                stats.rule_evaluations += 1;
-                let rstats = &mut stats.rules[rule_idx];
-                rstats.body_evaluations += 1;
-                rstats.wall += eval_wall;
-                if let Some(delta) = task.delta {
-                    rstats.delta_tuples += delta.tuple_count();
-                }
-                rstats.derivations += rows.len();
-                for (tuple, ivs) in rows {
-                    let mut out = head_validity(rule, ivs, window)?;
-                    if out.is_empty() {
-                        continue;
-                    }
-                    if compiled.chains.contains(rule_idx) {
-                        // Guards read the finished lower strata of `total`;
-                        // the merge phase is sequential, so the closure is
-                        // identical for every thread count.
-                        let stored = (total.relation(head))
-                            .and_then(|r| r.components_of(&tuple))
-                            .unwrap_or(&[]);
-                        let ctx = EvalCtx::new(total, window, top, profiler);
-                        let closed = compiled.chains.close(
-                            &mut guard_sets,
-                            rule_idx,
-                            rule,
-                            &tuple,
-                            out,
-                            stored,
-                            &ctx,
-                            &self.config,
-                            iteration,
-                        );
-                        stats.add_lookups(&ctx.lookups.get());
-                        let Some(closed) = closed? else {
-                            continue;
+            last_visited = 0;
+            for (frame_phase, tasks) in phases {
+                // Evaluate every task against the phase-start snapshot of
+                // `total`, fanned out over the worker budget. Each task
+                // hands back what it counted with its head rows.
+                let eval_out: Vec<_> = {
+                    let total_snapshot: &Database = total;
+                    fan_out(tasks.len(), fan_threads, &mut stats.workers, |i| {
+                        let task = &tasks[i];
+                        // One span per rule evaluation. When the rule
+                        // fan-out spawns workers this runs on a worker
+                        // thread, so the span lands on that worker's lane.
+                        let mut rule_span = profiler.map(|p| {
+                            let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
+                            if let Some(d) = task.plan.delta_literal {
+                                s.add("delta_literal", d as u64);
+                            }
+                            s
+                        });
+                        let ctx = EvalCtx {
+                            delta: task.delta,
+                            ..EvalCtx::new(total_snapshot, window, top, profiler)
                         };
-                        stats.rules[rule_idx].derivations += closed.steps;
-                        out = closed.out;
+                        let eval_start = Instant::now();
+                        let r = execute_heads(&rules[task.rule], task.plan, &ctx);
+                        if let (Some(s), Ok((rows, _))) = (rule_span.as_mut(), &r) {
+                            s.add("derivations", rows.len() as u64);
+                        }
+                        (r, ctx.lookups.get(), eval_start.elapsed())
+                    })
+                };
+                last_visited += eval_out.iter().map(|(_, l, _)| l.visited()).sum::<u64>();
+                // Merge every task's counts and head rows back in fixed
+                // task order: the one place a rule evaluation reaches
+                // `stats`.
+                for (task, (result, lookups, eval_wall)) in tasks.iter().zip(eval_out) {
+                    let rule_idx = task.rule;
+                    let rule = &rules[rule_idx];
+                    let head = rule.head.atom.pred;
+                    let merge_start = Instant::now();
+                    let (rows, step_rows) = result?;
+                    stats.add_lookups(&lookups);
+                    stats.add_execution(rule_idx, task.plan, &step_rows);
+                    stats.rule_evaluations += 1;
+                    let rstats = &mut stats.rules[rule_idx];
+                    rstats.body_evaluations += 1;
+                    rstats.wall += eval_wall;
+                    if let Some(delta) = task.delta {
+                        rstats.delta_tuples += delta.tuple_count();
                     }
-                    let added = merge_row(total, &mut stats.rules[rule_idx], head, &tuple, out)?;
-                    if added.is_empty() {
-                        continue;
+                    rstats.derivations += rows.len();
+                    for (tuple, ivs) in rows {
+                        let mut out = head_validity(rule, ivs, window)?;
+                        if out.is_empty() {
+                            continue;
+                        }
+                        if compiled.chains.contains(rule_idx) {
+                            // Guards read the finished lower strata of
+                            // `total`; the merge phase is sequential, so the
+                            // closure is identical for every thread count.
+                            let stored = (total.relation(head))
+                                .and_then(|r| r.components_of(&tuple))
+                                .unwrap_or(&[]);
+                            let ctx = EvalCtx::new(total, window, top, profiler);
+                            let closed = compiled.chains.close(
+                                &mut guard_sets,
+                                rule_idx,
+                                rule,
+                                &tuple,
+                                out,
+                                stored,
+                                &ctx,
+                                &self.config,
+                                iteration,
+                            );
+                            stats.add_lookups(&ctx.lookups.get());
+                            let Some(closed) = closed? else {
+                                continue;
+                            };
+                            stats.rules[rule_idx].derivations += closed.steps;
+                            if !closed.links.is_empty() {
+                                total.relink(head, &tuple, &closed.links);
+                            }
+                            if closed.out.is_empty() {
+                                continue;
+                            }
+                            out = closed.out;
+                        }
+                        let added =
+                            merge_row(total, &mut stats.rules[rule_idx], head, &tuple, out)?;
+                        if added.is_empty() {
+                            continue;
+                        }
+                        // What the frame phase merged, every full plan of
+                        // the round reads: it is nobody's delta but that
+                        // of another frame rule over the same head.
+                        if !frame_phase {
+                            grew = true;
+                            next_delta.merge(head, &tuple, &added)?;
+                        }
+                        for other in compiled.chains.others_over(head, rule_idx) {
+                            grew = true;
+                            chain_next
+                                .entry(other)
+                                .or_insert_with(|| Database::new().declare(&self.indexes))
+                                .merge(head, &tuple, &added)?;
+                        }
                     }
-                    grew = true;
-                    next_delta.merge(head, &tuple, &added)?;
-                    for other in compiled.chains.others_over(head, rule_idx) {
-                        chain_next
-                            .entry(other)
-                            .or_insert_with(|| Database::new().declare(&self.indexes))
-                            .merge(head, &tuple, &added)?;
-                    }
+                    stats.rules[rule_idx].wall += merge_start.elapsed();
                 }
-                stats.rules[rule_idx].wall += merge_start.elapsed();
             }
 
             if let Some(s) = iter_span.as_mut() {

@@ -12,13 +12,16 @@
 //! An advance to `t` is therefore a batch run over the window `[now, t]`:
 //! the pending facts go into the materialization, and the strata run to
 //! fixpoint exactly as [`Reasoner::materialize`] runs them — round 0
-//! evaluates every rule in full, later rounds are semi-naive on the last
-//! round's additions. Bodies are evaluated and heads clipped inside the
-//! window, and the time index keeps a full evaluation's reads inside it
-//! plus the look-back its operators reach, so an advance never rescans the
-//! session's history. Aggregates and negation read the materialization
-//! itself. A repair re-derives the window `[cut, now]` the same way, after
-//! overdeleting it.
+//! evaluates every rule in full, the frame rules first, later rounds are
+//! semi-naive on the last round's additions. What the frame rules add in
+//! round 0 is the open persistence runs continued over the window; every
+//! other rule reads it in full, so it enters no delta, and a stratum in
+//! which only the frame rules derive anything ends after one round. Bodies
+//! are evaluated and heads clipped inside the window, and the time index
+//! keeps a full evaluation's reads inside it plus the look-back its
+//! operators reach, so an advance never rescans the session's history.
+//! Aggregates and negation read the materialization itself. A repair
+//! re-derives the window `[cut, now]` the same way, after overdeleting it.
 
 use crate::ast::{Literal, MetricAtom, Program};
 use crate::database::Database;

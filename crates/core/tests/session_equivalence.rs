@@ -110,80 +110,94 @@ fn gen_events(rng: &mut SmallRng) -> Vec<(&'static str, Vec<Value>, i64)> {
 #[test]
 fn warm_session_chain_equals_cold_materialization() {
     for case in 0..48u64 {
-        let mut rng = SmallRng::seed_from_u64(0x5E5510 ^ (case << 4));
-        let src = gen_program(&mut rng);
-        let events = gen_events(&mut rng);
-        let program = chronolog_core::parse_program(&src)
-            .unwrap_or_else(|e| panic!("case {case}: generated program must parse: {e}\n{src}"));
+        warm_equals_cold(case);
+    }
+}
 
-        // Cold: one batch materialization over the whole log.
-        let mut db = Database::new();
-        for (pred, args, t) in &events {
-            db.assert_at(pred, args, *t);
-        }
-        let cold = Reasoner::new(
-            program.clone(),
-            ReasonerConfig::default().with_horizon(T_MIN, T_MAX),
-        )
-        .unwrap_or_else(|e| panic!("case {case}: program must validate: {e}\n{src}"))
-        .materialize(&db)
-        .unwrap();
+/// The first generated case whose runs a warm session and a cold batch
+/// once stored in different shapes: `p0(2.5)` held `[12] ∪ [13]` warm and
+/// `[12], [13]` cold, because which shape won depended on whether the
+/// frame rule or another rule merged `@13` first.
+#[test]
+fn case_141_stores_a_run_the_same_whichever_rule_merged_it_first() {
+    warm_equals_cold(141);
+}
 
-        // Warm: facts at the start instant seed the session, the rest are
-        // submitted in timestamp order with one advance per distinct time.
-        let mut initial = Database::new();
-        for (pred, args, t) in events.iter().filter(|(_, _, t)| *t <= T_MIN) {
-            initial.assert_at(pred, args, *t);
-        }
-        let mut session = Reasoner::new(program.clone(), ReasonerConfig::default())
-            .unwrap()
-            .into_session(&initial, T_MIN)
-            .unwrap_or_else(|e| {
-                panic!("case {case}: program must be session-eligible: {e}\n{src}")
-            });
-        let mut times: Vec<i64> = events
-            .iter()
-            .map(|(_, _, t)| *t)
-            .filter(|&t| t > T_MIN)
-            .collect();
-        times.sort_unstable();
-        times.dedup();
-        for &t in &times {
-            for (pred, args, et) in events.iter().filter(|(_, _, et)| *et == t) {
-                session
-                    .submit(Fact::at(pred, args.clone(), *et))
-                    .unwrap_or_else(|e| panic!("case {case}: submit at {t}: {e}"));
-            }
-            session.advance_to(t).unwrap();
-        }
-        session.advance_to(T_MAX).unwrap();
+/// One generated case: program and log from the case's seed, streamed
+/// warm and materialized cold, compared fact for fact and component for
+/// component.
+fn warm_equals_cold(case: u64) {
+    let mut rng = SmallRng::seed_from_u64(0x5E5510 ^ (case << 4));
+    let src = gen_program(&mut rng);
+    let events = gen_events(&mut rng);
+    let program = chronolog_core::parse_program(&src)
+        .unwrap_or_else(|e| panic!("case {case}: generated program must parse: {e}\n{src}"));
 
-        // Bit-identical final state: the facts text is the canonical
-        // serialization, so byte equality pins tuples, intervals, and
-        // their rendering order.
-        assert_eq!(
-            session.database().to_facts_text(),
-            cold.database.to_facts_text(),
-            "case {case}: warm session diverged from cold run\n{src}"
+    // Cold: one batch materialization over the whole log.
+    let mut db = Database::new();
+    for (pred, args, t) in &events {
+        db.assert_at(pred, args, *t);
+    }
+    let cold = Reasoner::new(
+        program.clone(),
+        ReasonerConfig::default().with_horizon(T_MIN, T_MAX),
+    )
+    .unwrap_or_else(|e| panic!("case {case}: program must validate: {e}\n{src}"))
+    .materialize(&db)
+    .unwrap();
+
+    // Warm: facts at the start instant seed the session, the rest are
+    // submitted in timestamp order with one advance per distinct time.
+    let mut initial = Database::new();
+    for (pred, args, t) in events.iter().filter(|(_, _, t)| *t <= T_MIN) {
+        initial.assert_at(pred, args, *t);
+    }
+    let mut session = Reasoner::new(program.clone(), ReasonerConfig::default())
+        .unwrap()
+        .into_session(&initial, T_MIN)
+        .unwrap_or_else(|e| panic!("case {case}: program must be session-eligible: {e}\n{src}"));
+    let mut times: Vec<i64> = events
+        .iter()
+        .map(|(_, _, t)| *t)
+        .filter(|&t| t > T_MIN)
+        .collect();
+    times.sort_unstable();
+    times.dedup();
+    for &t in &times {
+        for (pred, args, et) in events.iter().filter(|(_, _, et)| *et == t) {
+            session
+                .submit(Fact::at(pred, args.clone(), *et))
+                .unwrap_or_else(|e| panic!("case {case}: submit at {t}: {e}"));
+        }
+        session.advance_to(t).unwrap();
+    }
+    session.advance_to(T_MAX).unwrap();
+
+    // Bit-identical final state: the facts text is the canonical
+    // serialization, so byte equality pins tuples, intervals, and
+    // their rendering order.
+    assert_eq!(
+        session.database().to_facts_text(),
+        cold.database.to_facts_text(),
+        "case {case}: warm session diverged from cold run\n{src}"
+    );
+
+    // Stats invariants shared by both paths: identical final component
+    // count (same database), and the join-path accounting identities.
+    let warm_stats = session.stats();
+    assert_eq!(
+        warm_stats.total_components, cold.stats.total_components,
+        "case {case}: component counts diverge"
+    );
+    for (label, stats) in [("warm", warm_stats), ("cold", &cold.stats)] {
+        assert!(
+            stats.time_index_probes <= stats.index_probes,
+            "case {case} ({label}): time-index probes are a subset of index probes"
         );
-
-        // Stats invariants shared by both paths: identical final component
-        // count (same database), and the join-path accounting identities.
-        let warm_stats = session.stats();
-        assert_eq!(
-            warm_stats.total_components, cold.stats.total_components,
-            "case {case}: component counts diverge"
+        assert!(
+            stats.index_probes + stats.full_scans > 0,
+            "case {case} ({label}): every eval_rel call lands in a counter"
         );
-        for (label, stats) in [("warm", warm_stats), ("cold", &cold.stats)] {
-            assert!(
-                stats.time_index_probes <= stats.index_probes,
-                "case {case} ({label}): time-index probes are a subset of index probes"
-            );
-            assert!(
-                stats.index_probes + stats.full_scans > 0,
-                "case {case} ({label}): every eval_rel call lands in a counter"
-            );
-        }
     }
 }
 

@@ -240,3 +240,45 @@ fn a_stationary_stream_costs_the_same_per_advance_and_builds_no_plans() {
         "plans were rebuilt in a warm, stationary session"
     );
 }
+
+/// The margin-account rules of the paper (`corpus/margin.dmtl`): `isOpen`
+/// and `margin` each have a frame rule (rules 1 and 5), and rule 6 reads
+/// the frame predicate `margin` from inside its own stratum.
+const MARGIN: &str = "isOpen(A) :- tranM(A, M).\n\
+     isOpen(A) :- boxminus isOpen(A), not withdraw(A).\n\
+     changeM(A) :- tranM(A, M).\n\
+     changeM(A) :- withdraw(A).\n\
+     margin(A, M) :- tranM(A, M), not boxminus isOpen(A).\n\
+     margin(A, M) :- diamondminus margin(A, M), not changeM(A).\n\
+     margin(A, M) :- boxminus isOpen(A), diamondminus margin(A, X), tranM(A, Y), M = X + Y.";
+
+/// An advance over a stretch no fact reaches only continues the open runs.
+/// The frame rules extend them before any other rule reads them, so no
+/// stratum follows them as a delta: each stratum runs exactly one round,
+/// and a rule that reads a frame predicate runs its full plan once and no
+/// delta variant.
+#[test]
+fn a_stationary_stratum_runs_one_round() {
+    let a = Value::sym("acc0");
+    let mut s = Reasoner::new(parse_program(MARGIN).unwrap(), ReasonerConfig::default())
+        .unwrap()
+        .into_session(&Database::new(), 0)
+        .unwrap();
+    s.submit(Fact::at("tranM", vec![a, Value::Int(70)], 3))
+        .unwrap();
+    s.advance_to(3).unwrap();
+    s.advance_to(5).unwrap();
+    let before = s.stats().clone();
+    s.advance_to(12).unwrap();
+    let after = s.stats();
+    assert!(after.iterations.len() > 1, "the program has several strata");
+    for (stratum, (b, a)) in before.iterations.iter().zip(&after.iterations).enumerate() {
+        assert_eq!(a - b, 1, "stratum {stratum} ran {} rounds", a - b);
+    }
+    let reader = (&before.rules[6], &after.rules[6]);
+    assert_eq!(reader.1.body_evaluations - reader.0.body_evaluations, 1);
+    assert_eq!(reader.1.delta_tuples, reader.0.delta_tuples);
+    // The runs did continue.
+    assert!(s.database().holds_at("isOpen", &[a], 12));
+    assert!(s.database().holds_at("margin", &[a, Value::Int(70)], 12));
+}

@@ -15,9 +15,13 @@
 //!
 //! Prints one JSON document (to `PATH` with `--out`): per stretch the live
 //! and batch wall time, the ingest latency median of the first and of the
-//! last fifth of the events, and the session's rule evaluations, probed
-//! tuples and derived components. `just soak` writes it to
-//! `docs/bench/soak-<rev>.json`.
+//! last fifth of the events, the session's rule evaluations, probed tuples
+//! and derived components, the tuple and interval bytes the session and the
+//! batch model store (`Database::storage_bytes`), and the process's peak
+//! RSS right after the live replay (`VmHWM` of `/proc/self/status`, 0 where
+//! there is none). The peak is the process's high-water mark, so it also
+//! covers every smaller stretch before it: stretches run smallest first.
+//! `just soak` writes the document to `docs/bench/soak-<rev>.json`.
 
 use chronolog_core::{Database, Interval, Reasoner, ReasonerConfig};
 use chronolog_market::{generate, paper_intervals};
@@ -39,6 +43,17 @@ fn median(xs: &[f64]) -> f64 {
     } else {
         (xs[mid - 1] + xs[mid]) / 2.0
     }
+}
+
+/// The process's peak resident set so far in MB (`VmHWM` of
+/// `/proc/self/status`), or 0 where the kernel does not report it.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
 /// Whether every fact of `a` is a fact of `b`, tooth for tooth: a line of
@@ -85,6 +100,7 @@ fn soak(factor: usize) -> Result<Json, Box<dyn std::error::Error>> {
         ingest_ms.push(ingest.elapsed().as_secs_f64() * 1e3);
     }
     let live_s = started.elapsed().as_secs_f64();
+    let live_peak_rss_mb = peak_rss_mb();
 
     let started = Instant::now();
     let batch =
@@ -113,6 +129,15 @@ fn soak(factor: usize) -> Result<Json, Box<dyn std::error::Error>> {
         ("rule_evaluations", Json::from(stats.rule_evaluations)),
         ("probed_tuples", Json::from(stats.probed_tuples)),
         ("derived_components", Json::from(stats.derived_components)),
+        (
+            "live_storage_bytes",
+            Json::from(session.database().storage_bytes()),
+        ),
+        (
+            "batch_storage_bytes",
+            Json::from(batch.database.storage_bytes()),
+        ),
+        ("live_peak_rss_mb", Json::from(live_peak_rss_mb)),
     ]))
 }
 

@@ -72,6 +72,7 @@ exact-counts:
     plans() { grep -o '"plans_built": [0-9]*' "$1" | grep -o '[0-9]*$'; }
     echo "plans built: batch $(plans "$out/batch.json"), session $(plans "$out/session.json")"
     test "$(plans "$out/session.json")" -le "$(plans "$out/batch.json")"
+    python3 scripts/margin_counts.py "$out/batch.json" "$out/session.json"
     for threads in 1 2; do
         cargo run --release -q -p chronolog-cli -- run corpus/netting.dmtl --horizon 0..20 \
             --threads "$threads" --facts --stats-json "$out/netting-$threads.json" \
