@@ -1,9 +1,7 @@
-//! Shared reporting helpers for the reproduction harness and benches.
+//! Shared reporting helpers for the reproduction harness and examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod microbench;
 
 use chronolog_market::{paper_intervals, ScenarioConfig};
 use chronolog_perp::Trace;

@@ -15,10 +15,9 @@
 //!                         the answer to a time window. Queries are
 //!                         goal-driven by default: the program is rewritten
 //!                         with magic-sets demand guards and only the
-//!                         query's dependency cone is materialized
-//!   --no-magic            answer queries from a full materialization
-//!                         instead of the goal-driven rewrite (ablation;
-//!                         byte-identical answers)
+//!                         query's dependency cone is materialized, unless
+//!                         the run builds the full model anyway (--facts,
+//!                         --explain, --session): then queries read it
 //!   --explain-query       print the magic-sets rewrite report for each
 //!                         --query (cone, adornments, rewritten rules,
 //!                         demand seeds) before the answers
@@ -124,7 +123,7 @@ pub fn run_cli(
 
 const USAGE: &str = "usage: chronolog <check|run|graph|validate-trace> <file>... [options]\n\
   run options: --horizon LO..HI  --threads N  --query 'p(X)@[lo,hi]'\n\
-               --no-magic  --explain-query  --explain 'p(a)@5'\n\
+               --explain-query  --explain 'p(a)@5'\n\
                --facts  --stats  --stats-json FILE\n\
                --session  --stream FILE  --explain-plans\n\
                --profile FILE  --profile-folded FILE";
@@ -305,7 +304,6 @@ fn cmd_run(
     let mut session_mode = false;
     let mut stream_file: Option<String> = None;
     let mut explain_plans = false;
-    let mut magic = true;
     let mut explain_query = false;
 
     let mut i = 0;
@@ -394,7 +392,6 @@ fn cmd_run(
             "--stats" => stats = true,
             "--session" => session_mode = true,
             "--explain-plans" => explain_plans = true,
-            "--no-magic" => magic = false,
             "--explain-query" => explain_query = true,
             other if other.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown option {other}")));
@@ -463,10 +460,10 @@ fn cmd_run(
         /// its own demand-restricted sub-program against the base facts.
         Goal(Box<Database>, Box<Reasoner>),
     }
-    // Queries are goal-driven unless something else needs the full model
-    // (--facts, --explain) or --no-magic asked for the ablation.
+    // Queries are goal-driven unless the run builds the full model anyway
+    // (--facts, --explain, --session).
     let goal_driven =
-        magic && !parsed_queries.is_empty() && explains.is_empty() && !dump_facts && !session_mode;
+        !parsed_queries.is_empty() && explains.is_empty() && !dump_facts && !session_mode;
     // Derivation trees are read off the model where it is built, by the
     // session or by the reasoner that built it from the input facts.
     let explained;
@@ -692,16 +689,9 @@ fn apply_stream(
                 .map_err(|e| CliError::failed(format!("stream line {n}: {e}")))?;
         } else {
             let fact = parse_stream_fact(line, n)?;
-            let future = matches!(
-                fact.interval.lo(),
-                chronolog_core::TimeBound::Finite(flo) if flo > session.now()
-            );
-            let submitted = if future {
-                session.submit(fact)
-            } else {
-                session.submit_late(fact).map(|_| ())
-            };
-            submitted.map_err(|e| CliError::failed(format!("stream line {n}: {e}")))?;
+            session
+                .submit_late(fact)
+                .map_err(|e| CliError::failed(format!("stream line {n}: {e}")))?;
         }
     }
     Ok(())
@@ -1144,16 +1134,16 @@ mod tests {
         let err = run_cli(&args(&["run", "demo.dmtl", "--trance", "x"]), fs).unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("unknown option"), "{}", err.message);
-        // `--profile FILE` is the one machine-readable timeline: there is
-        // no `--trace`.
-        let fs = fake_fs(&[("demo.dmtl", DEMO)]);
-        let err = run_cli(
-            &args(&["run", "demo.dmtl", "--horizon", "0..20", "--trace", "x"]),
-            fs,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 2);
-        assert_eq!(err.message, "unknown option --trace");
+        // `--profile FILE` is the one machine-readable timeline (there is
+        // no `--trace`), and a query has one answer path per run shape (no
+        // switch turns goal-driven evaluation off).
+        for retired in ["--trace", "--no-magic"] {
+            let fs = fake_fs(&[("demo.dmtl", DEMO)]);
+            let argv = ["run", "demo.dmtl", "--horizon", "0..20", retired, "x"];
+            let err = run_cli(&args(&argv), fs).unwrap_err();
+            assert_eq!(err.code, 2);
+            assert_eq!(err.message, format!("unknown option {retired}"));
+        }
         // A reversed horizon is a usage error naming both bounds, batch
         // and session alike (`Interval::closed_int` panics on one).
         for extra in [&[][..], &["--session"]] {
@@ -1637,6 +1627,31 @@ mod tests {
         assert!(out.contains("h(x)@[3,5]"), "{out}");
     }
 
+    /// A `since` / `until` whose witness reaches past an end of the
+    /// timeline is a clean temporal-overflow error (exit 1), in batch and
+    /// through a session.
+    #[test]
+    fn since_and_until_overflow_exits_1() {
+        let since = "q(X) :- since[0, 5](r(X), p(X)).\n\
+                     p(a)@9223372036854775806.\n\
+                     r(a)@[9223372036854775800, 9223372036854775806].";
+        let until = "q(X) :- until[0, 5](r(X), p(X)).\n\
+                     p(a)@-9223372036854775807.\n\
+                     r(a)@[-9223372036854775807, -9223372036854775800].";
+        let session = [
+            "--session",
+            "--horizon",
+            "9223372036854775800..9223372036854775806",
+        ];
+        for (src, extra) in [(since, &[][..]), (until, &[]), (since, &session)] {
+            let mut argv = vec!["run", "o.dmtl"];
+            argv.extend_from_slice(extra);
+            let err = run_cli(&args(&argv), fake_fs(&[("o.dmtl", src)])).unwrap_err();
+            assert_eq!(err.code, 1, "{argv:?}: {}", err.message);
+            assert!(err.message.contains("temporal overflow"), "{}", err.message);
+        }
+    }
+
     #[test]
     fn query_with_constants_filters() {
         let fs = fake_fs(&[("f.dmtl", "p(x, 1)@0.\np(x, 2)@1.\np(y, 1)@2.")]);
@@ -1647,15 +1662,22 @@ mod tests {
     }
 
     /// A recursive scenario with a bound query: the goal-driven default
-    /// and the --no-magic ablation must print byte-identical answers, in
-    /// batch and in session mode.
+    /// must print byte for byte the answers the full model gives, in batch
+    /// and in session mode.
     const REACH: &str = "reach(X, Y) :- edge(X, Y).\n\
                          reach(X, Z) :- reach(X, Y), edge(Y, Z).\n\
                          edge(a, b)@[0, 10]. edge(b, c)@[0, 10]. edge(c, d)@[0, 8].\n\
                          edge(z, a)@[0, 6].";
 
+    /// The query section of a `--facts` run: the same queries answered from
+    /// the full batch model, after the facts dump.
+    fn full_model_answers(out: String) -> String {
+        let at = out.find("-- query ").expect("a query section");
+        out[at..].to_string()
+    }
+
     #[test]
-    fn magic_and_no_magic_answers_are_byte_identical() {
+    fn goal_driven_answers_equal_the_full_model_answers() {
         let run = |extra: &[&str]| {
             let mut a = vec![
                 "run",
@@ -1669,10 +1691,13 @@ mod tests {
             run_cli(&args(&a), fake_fs(&[("g.dmtl", REACH)])).unwrap()
         };
         let magic = run(&[]);
-        assert_eq!(magic, run(&["--no-magic"]));
+        assert_eq!(magic, full_model_answers(run(&["--facts"])));
         assert_eq!(magic, run(&["--session"]));
-        assert_eq!(magic, run(&["--session", "--no-magic"]));
         assert_eq!(magic, run(&["--threads", "4"]));
+        assert_eq!(
+            magic,
+            full_model_answers(run(&["--facts", "--threads", "4"]))
+        );
         assert!(magic.contains("reach(a, d)@[0,8]"), "{magic}");
         assert!(!magic.contains("reach(z"), "{magic}");
     }
@@ -1692,7 +1717,8 @@ mod tests {
             run_cli(&args(&a), fake_fs(&[("g.dmtl", REACH)])).unwrap()
         };
         let magic = run(&[]);
-        assert_eq!(magic, run(&["--no-magic"]));
+        assert_eq!(magic, full_model_answers(run(&["--facts"])));
+        assert_eq!(magic, run(&["--session"]));
         assert!(magic.contains("reach(a, d)@[3,5]"), "{magic}");
         assert!(!magic.contains("@[2"), "{magic}");
     }
@@ -1764,7 +1790,7 @@ mod tests {
             run_cli(&args(&a), fake_fs(&[("g.dmtl", REACH)])).unwrap()
         };
         let magic = run(&[]);
-        assert_eq!(magic, run(&["--no-magic"]));
+        assert_eq!(magic, full_model_answers(run(&["--facts"])));
         assert!(magic.contains("(no matches)"), "{magic}");
         // All-variable query (nothing bound): still goal-driven, still
         // byte-identical to the full model.
@@ -1780,7 +1806,7 @@ mod tests {
             a.extend_from_slice(extra);
             run_cli(&args(&a), fake_fs(&[("g.dmtl", REACH)])).unwrap()
         };
-        assert_eq!(run(&[]), run(&["--no-magic"]));
+        assert_eq!(run(&[]), full_model_answers(run(&["--facts"])));
     }
 
     #[test]
@@ -1798,8 +1824,12 @@ mod tests {
             a.extend_from_slice(extra);
             run_cli(&args(&a), fake_fs(&[("g.dmtl", scenario)])).unwrap()
         };
-        assert_eq!(run("cool(a)", &[]), run("cool(a)", &["--no-magic"]));
-        assert_eq!(run("cool(b)", &[]), run("cool(b)", &["--no-magic"]));
+        for query in ["cool(a)", "cool(b)"] {
+            assert_eq!(
+                run(query, &[]),
+                full_model_answers(run(query, &["--facts"]))
+            );
+        }
         assert!(run("cool(b)", &[]).contains("cool(b)@[0,9]"));
         let report = run("cool(a)", &["--explain-query"]);
         assert!(report.contains("mode: magic"), "{report}");
@@ -1826,7 +1856,7 @@ mod tests {
             run_cli(&args(&a), fake_fs(&[("g.dmtl", scenario)])).unwrap()
         };
         let cone = run(&[]);
-        assert_eq!(cone, run(&["--no-magic"]));
+        assert_eq!(cone, full_model_answers(run(&["--facts"])));
         assert!(cone.contains("total(7"), "{cone}");
         let report = run(&["--explain-query"]);
         assert!(report.contains("mode: cone"), "{report}");
@@ -1870,7 +1900,8 @@ mod tests {
         assert_eq!(get(&goal, "enabled").as_bool(), Some(true));
         assert_eq!(get(&goal, "degraded").as_bool(), Some(false));
         let demanded = get(&goal, "demanded_tuples").as_u64().unwrap();
-        let full = report_for(&["--no-magic"], "full.json");
+        // A `--facts` run builds the full model and answers from it.
+        let full = report_for(&["--facts"], "full.json");
         assert_eq!(get(&full, "mode").as_str(), Some("full"));
         assert_eq!(get(&full, "enabled").as_bool(), Some(false));
         let full_tuples = get(&full, "demanded_tuples").as_u64().unwrap();

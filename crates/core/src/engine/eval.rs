@@ -304,8 +304,7 @@ fn step_span(ctx: &EvalCtx<'_>, step: &PlanStep) -> Option<SpanGuard> {
 
 /// Runs `steps` of `plan` from `binding`: the delta-restricted literal is
 /// taken from the plan, joins push the accumulated interval hull down as a
-/// read mask, and constraints run in their statically scheduled modes. An
-/// unschedulable-constraint step raises [`Error::Unsafe`] when reached.
+/// read mask, and constraints run in their statically scheduled modes.
 /// Writes the rows each step produced to `step_rows`, in step order.
 fn run_steps(
     rule: &Rule,
@@ -326,17 +325,11 @@ fn run_steps(
                 let use_delta = plan.delta_literal == Some(step.literal);
                 acc = join_chunk(&acc, m, ctx, use_delta)?;
             }
-            StepKind::Constraint { mode: Some(mode) } => {
+            StepKind::Constraint { mode } => {
                 let Literal::Constraint(lhs, op, rhs) = &rule.body[step.literal] else {
                     unreachable!("constraint step on a non-constraint literal");
                 };
                 acc = apply_constraint(acc, lhs, *op, rhs, *mode)?;
-            }
-            StepKind::Constraint { mode: None } => {
-                return Err(Error::Unsafe(format!(
-                    "constraint `{}` could not be scheduled (unbound variable)",
-                    rule.body[step.literal]
-                )));
             }
             StepKind::Negation => {
                 let Literal::Neg(m) = &rule.body[step.literal] else {
@@ -349,9 +342,8 @@ fn run_steps(
         if let Some(s) = span.as_mut() {
             s.add("rows", acc.len() as u64);
         }
-        // An empty accumulator is absorbing for every remaining step
-        // except the unschedulable-constraint error.
-        if acc.is_empty() && matches!(step.kind, StepKind::Join { .. }) && !plan.has_unschedulable {
+        // An empty accumulator is absorbing for every remaining step.
+        if acc.is_empty() && matches!(step.kind, StepKind::Join { .. }) {
             return Ok(vec![]);
         }
     }
@@ -732,7 +724,7 @@ pub(crate) fn eval_matom_masked(
             for &(delta1, delta2) in passes {
                 for (b1, iv1) in eval_matom(m1, ctx, delta1, binding)? {
                     for (b2, iv2) in eval_matom(m2, ctx, delta2, &b1)? {
-                        let s = op(&iv1, &iv2, rho);
+                        let s = op(&iv1, &iv2, rho)?;
                         if !s.is_empty() {
                             emit(&Hit::of(&b2), s)?;
                         }
@@ -744,7 +736,7 @@ pub(crate) fn eval_matom_masked(
             // the empty-left case explicitly.
             if rho.as_interval().contains(mtl_temporal::Rational::ZERO) {
                 for (b2, iv2) in eval_matom(m2, ctx, use_delta, binding)? {
-                    let s = op(&IntervalSet::new(), &iv2, rho);
+                    let s = op(&IntervalSet::new(), &iv2, rho)?;
                     if !s.is_empty() {
                         emit(&Hit::of(&b2), s)?;
                     }

@@ -222,7 +222,7 @@ pub struct MagicStats {
     pub enabled: bool,
     /// `"off"` (plain materialization), `"magic"` (guarded rewrite),
     /// `"cone"` (cone-restricted, no guards), or `"full"` (a query served
-    /// from an unrestricted materialization, e.g. `--no-magic`).
+    /// from an unrestricted materialization, e.g. `--facts` or `--session`).
     pub mode: String,
     /// The guarded program failed validation or blew its budget and the
     /// run fell back to the unguarded cone.
@@ -789,31 +789,37 @@ impl<'d> Task<'d> {
     }
 }
 
-/// Pushes one task per variant of `rule` whose delta — `points` (none for
-/// a self-chain rule nothing else fed) or `tuples`, as the variant reads —
-/// holds one of its predicates; a variant whose predicates did not grow
+/// The semi-naive tasks of a round after round 0, in rule order, produced
+/// lazily: each rule's variants over the last round's additions — `delta`
+/// for most rules, `chain[rule]` for a self-chain rule (none if nothing else
+/// fed it), `tuples` (the grown tuples with their whole validity) for a
+/// [`DeltaRead::Tuples`] variant. A variant whose predicates did not grow
 /// cannot derive, so it is not dispatched.
-fn push_variants<'d>(
-    tasks: &mut Vec<Task<'d>>,
-    rule: &'d CompiledRule,
-    points: Option<&'d Database>,
+fn delta_tasks<'d>(
+    compiled: &'d CompiledStratum,
+    delta: &'d Database,
+    chain: &'d BTreeMap<usize, Database>,
     tuples: &'d Database,
-) {
-    for v in &rule.variants {
-        let delta = match v.read {
-            DeltaRead::Points => points,
-            DeltaRead::Tuples => Some(tuples),
+) -> impl Iterator<Item = Task<'d>> {
+    compiled.rules.iter().flat_map(move |rule| {
+        let points = if compiled.chains.contains(rule.idx) {
+            chain.get(&rule.idx)
+        } else {
+            Some(delta)
         };
-        let Some(delta) = delta else { continue };
-        let grew = |p: &Symbol| delta.relation(*p).is_some_and(|r| r.live_len() > 0);
-        if v.preds.iter().any(grew) {
-            tasks.push(Task {
+        rule.variants.iter().filter_map(move |v| {
+            let delta = match v.read {
+                DeltaRead::Points => points?,
+                DeltaRead::Tuples => tuples,
+            };
+            let grew = |p: &Symbol| delta.relation(*p).is_some_and(|r| r.live_len() > 0);
+            v.preds.iter().any(grew).then_some(Task {
                 rule: rule.idx,
                 plan: &v.plan,
                 delta: Some(delta),
-            });
-        }
-    }
+            })
+        })
+    })
 }
 
 /// Every predicate of `graph` with the predicates reachable from it along
@@ -1236,9 +1242,6 @@ impl Reasoner {
             if iteration >= self.config.max_iterations {
                 return Err(budget_exceeded_iterations(&self.config));
             }
-            if total.component_count() > self.config.max_components {
-                return Err(budget_exceeded_components(&self.config));
-            }
             let mut next_delta = Database::new().declare(&self.indexes);
             let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
@@ -1257,16 +1260,10 @@ impl Reasoner {
                     (false, rest.into_iter().map(Task::full).collect()),
                 ]
             } else {
-                let mut tasks = Vec::new();
-                for rule in &compiled.rules {
-                    let points = if compiled.chains.contains(rule.idx) {
-                        chain_prev.get(&rule.idx)
-                    } else {
-                        Some(&prev_delta)
-                    };
-                    push_variants(&mut tasks, rule, points, &prev_grown);
-                }
-                vec![(false, tasks)]
+                vec![(
+                    false,
+                    delta_tasks(compiled, &prev_delta, &chain_prev, &prev_grown).collect(),
+                )]
             };
 
             // Both phases of round 0 fan out as the previous round allows.
@@ -1391,7 +1388,17 @@ impl Reasoner {
                 s.add("delta_tuples", next_delta.tuple_count() as u64);
                 s.add("grew", grew as u64);
             }
-            if !grew {
+            // Checked on every round's result, the stratum's last included.
+            if total.component_count() > self.config.max_components {
+                return Err(budget_exceeded_components(&self.config));
+            }
+            // The next round runs only if some variant reads what this one
+            // grew (the grown tuples hold the predicates of `next_delta`): a
+            // round with no task is neither run nor counted.
+            if delta_tasks(compiled, &next_delta, &chain_next, &next_delta)
+                .next()
+                .is_none()
+            {
                 break;
             }
             if compiled.reads_tuples {

@@ -15,10 +15,10 @@
 //!    literal. A rule author who wants a different order writes the body
 //!    in that order.
 //! 2. **Constraint scheduling.** Constraints are batched after the join that
-//!    binds their variables. A constraint whose variables can never be bound
-//!    compiles to an explicit unschedulable step that raises
-//!    [`Error::Unsafe`](crate::Error::Unsafe) when reached — even behind an
-//!    empty accumulator.
+//!    binds their variables. Only rules that passed
+//!    [`check_program`](crate::analysis::check_program) are planned, and it
+//!    rejects a constraint whose variables can never be bound by the same
+//!    assignment closure, so every constraint is scheduled.
 //! 3. **Access path (a label).** The executor picks scan / value probe /
 //!    time probe / both per lookup, from what it observes at that moment,
 //!    through [`AccessPath::choose`]. The label a plan step carries for
@@ -98,9 +98,8 @@ pub(crate) enum StepKind {
     Join { access: AccessPath },
     /// Subtract the negated literal's intervals.
     Negation,
-    /// Apply a constraint in the scheduled mode; `None` means the
-    /// constraint can never be scheduled and executing it is an error.
-    Constraint { mode: Option<ConstraintMode> },
+    /// Apply a constraint in the scheduled mode.
+    Constraint { mode: ConstraintMode },
 }
 
 /// A plan step: which body literal to process and how.
@@ -127,10 +126,6 @@ pub(crate) struct RulePlan {
     /// `true` iff the join order differs from the delta-first textual
     /// order.
     pub reordered: bool,
-    /// `true` iff some constraint can never be scheduled; executing the
-    /// plan then raises [`Unsafe`](crate::Error::Unsafe) instead of
-    /// silently returning an empty result.
-    pub has_unschedulable: bool,
 }
 
 /// What a plan's executions in one run produced: how many there were, and
@@ -306,7 +301,7 @@ fn schedule_constraints(
                         }
                         _ => {}
                     }
-                    steps.push(PlanStep::new(i, StepKind::Constraint { mode: Some(mode) }));
+                    steps.push(PlanStep::new(i, StepKind::Constraint { mode }));
                     done[i] = true;
                     progressed = true;
                 }
@@ -321,7 +316,8 @@ fn schedule_constraints(
 
 /// Compiles one rule body (for one semi-naive variant) into a plan, from
 /// the rule text and the program's [`persisted_predicates`] alone, and
-/// notes in `spec` the indexes its joins and negations can probe.
+/// notes in `spec` the indexes its joins and negations can probe. The rule
+/// must have passed `check_program`.
 pub(crate) fn build_plan(
     rule: &Rule,
     delta_literal: Option<usize>,
@@ -374,9 +370,7 @@ pub(crate) fn build_plan(
     // Trailing pass: assignment chains in positive-free rules.
     schedule_constraints(rule, &mut done, &mut bound, &mut steps);
 
-    // Remaining literals in textual order: negations, then any constraint
-    // that never became schedulable (an explicit error step).
-    let mut has_unschedulable = false;
+    // Remaining literals in textual order: the negations.
     #[allow(clippy::needless_range_loop)] // index drives both body and done
     for i in 0..n {
         if done[i] {
@@ -387,10 +381,7 @@ pub(crate) fn build_plan(
                 note_reads(m, &bound, spec);
                 steps.push(PlanStep::new(i, StepKind::Negation));
             }
-            Literal::Constraint(..) => {
-                has_unschedulable = true;
-                steps.push(PlanStep::new(i, StepKind::Constraint { mode: None }));
-            }
+            Literal::Constraint(..) => unreachable!("check_program binds every constraint"),
             Literal::Pos(_) => unreachable!("planned in the join loop"),
         }
     }
@@ -399,7 +390,6 @@ pub(crate) fn build_plan(
         delta_literal,
         steps,
         reordered,
-        has_unschedulable,
     }
 }
 
@@ -463,8 +453,8 @@ pub(crate) fn explain(
                     (format!("join {delta}{lit}"), access.tag())
                 }
                 StepKind::Negation => (format!("negate {lit}"), "-"),
-                StepKind::Constraint { mode: Some(m) } => (
-                    match m {
+                StepKind::Constraint { mode } => (
+                    match mode {
                         ConstraintMode::Filter => format!("filter {lit}"),
                         ConstraintMode::AssignLeft | ConstraintMode::AssignRight => {
                             format!("assign {lit}")
@@ -472,7 +462,6 @@ pub(crate) fn explain(
                     },
                     "-",
                 ),
-                StepKind::Constraint { mode: None } => (format!("unschedulable {lit}"), "-"),
             };
             PlanStepExplain {
                 desc,

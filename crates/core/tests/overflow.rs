@@ -5,6 +5,17 @@
 
 use chronolog_core::{parse_source, Database, Error, Reasoner, ReasonerConfig};
 
+/// `since` one step below `i64::MAX`: the witness `p(a)` reaches `t` up to
+/// five seconds later, past the end of the timeline.
+const SINCE: &str = "q(X) :- since[0, 5](r(X), p(X)).\n\
+     p(a)@9223372036854775806.\n\
+     r(a)@[9223372036854775800, 9223372036854775806].";
+
+/// The mirror of [`SINCE`] at the start of the timeline.
+const UNTIL: &str = "q(X) :- until[0, 5](r(X), p(X)).\n\
+     p(a)@-9223372036854775807.\n\
+     r(a)@[-9223372036854775807, -9223372036854775800].";
+
 /// Just under `i64::MAX`, so a four-digit shift overflows.
 const HUGE: &str = "9223372036854775000";
 
@@ -19,10 +30,12 @@ fn run(src: &str) -> Result<(), Error> {
 
 #[test]
 fn body_window_shift_overflow_is_an_error_not_a_panic() {
-    let src = format!("h(X) :- diamondminus[0, 10000] p(X).\np(a)@{HUGE}.");
-    match run(&src) {
-        Err(Error::TimeOverflow(_)) => {}
-        other => panic!("expected TimeOverflow, got {other:?}"),
+    let window = format!("h(X) :- diamondminus[0, 10000] p(X).\np(a)@{HUGE}.");
+    for src in [window.as_str(), SINCE, UNTIL] {
+        match run(src) {
+            Err(Error::TimeOverflow(_)) => {}
+            other => panic!("expected TimeOverflow, got {other:?}"),
+        }
     }
 }
 

@@ -482,12 +482,6 @@ impl Interval {
         .expect("Minkowski sum of non-empty intervals is non-empty"))
     }
 
-    /// Panicking shorthand for [`Interval::checked_diamond_minus`].
-    pub fn diamond_minus(&self, rho: &MetricInterval) -> Interval {
-        self.checked_diamond_minus(rho)
-            .expect("temporal endpoint overflow in diamond_minus")
-    }
-
     /// `⊟ρ`: erosion. `⊟ρ M` holds at `t` iff `M` holds at *all* `s` with
     /// `t − s ∈ ρ`; on a single interval this is
     /// `⟨lo + ρ⁺, hi + ρ⁻⟩` with closedness
@@ -495,7 +489,7 @@ impl Interval {
     /// Returns `None` when the interval is too short to fit the window.
     ///
     /// NOTE: on a *union* of intervals erosion is only exact after
-    /// adjacency-coalescing; see [`crate::IntervalSet::box_minus`].
+    /// adjacency-coalescing; see [`crate::IntervalSet::checked_box_minus`].
     ///
     /// `Ok(None)` means the interval is too short for the window;
     /// `Err` means a shifted endpoint overflowed the timeline.
@@ -531,12 +525,6 @@ impl Interval {
         Ok(Interval::new(lo, lo_closed, hi, hi_closed))
     }
 
-    /// Panicking shorthand for [`Interval::checked_box_minus`].
-    pub fn box_minus(&self, rho: &MetricInterval) -> Option<Interval> {
-        self.checked_box_minus(rho)
-            .expect("temporal endpoint overflow in box_minus")
-    }
-
     /// `◇⁺ρ` (future diamond): `t` such that `M` holds at some `s` with
     /// `s − t ∈ ρ`, i.e. `t ∈ ι ⊖ ρ` pointwise: `⟨lo − ρ⁺, hi − ρ⁻⟩`.
     ///
@@ -565,14 +553,8 @@ impl Interval {
         )
     }
 
-    /// Panicking shorthand for [`Interval::checked_diamond_plus`].
-    pub fn diamond_plus(&self, rho: &MetricInterval) -> Interval {
-        self.checked_diamond_plus(rho)
-            .expect("temporal endpoint overflow in diamond_plus")
-    }
-
     /// `⊞ρ` (future box): `t` such that `M` holds at *all* `s` with
-    /// `s − t ∈ ρ`. Mirror of [`Interval::box_minus`].
+    /// `s − t ∈ ρ`. Mirror of [`Interval::checked_box_minus`].
     ///
     /// `Ok(None)` means the interval is too short for the window;
     /// `Err` means a shifted endpoint overflowed the timeline.
@@ -598,12 +580,6 @@ impl Interval {
             )
         };
         Ok(Interval::new(lo, lo_closed, hi, hi_closed))
-    }
-
-    /// Panicking shorthand for [`Interval::checked_box_plus`].
-    pub fn box_plus(&self, rho: &MetricInterval) -> Option<Interval> {
-        self.checked_box_plus(rho)
-            .expect("temporal endpoint overflow in box_plus")
     }
 
     /// Clips the interval to a bounded horizon; `None` if disjoint.
@@ -797,15 +773,21 @@ mod tests {
     fn diamond_minus_is_minkowski_sum() {
         let i = Interval::closed(r(10), r(20));
         let rho = MetricInterval::closed_int(1, 3);
-        assert_eq!(i.diamond_minus(&rho), Interval::closed(r(11), r(23)));
+        assert_eq!(
+            i.checked_diamond_minus(&rho),
+            Ok(Interval::closed(r(11), r(23)))
+        );
         // punctual [1,1] is a pure shift
         assert_eq!(
-            Interval::at(7).diamond_minus(&MetricInterval::one()),
-            Interval::at(8)
+            Interval::at(7).checked_diamond_minus(&MetricInterval::one()),
+            Ok(Interval::at(8))
         );
         // open bounds stay open where contributed
         let j = Interval::open(r(0), r(4));
-        assert_eq!(j.diamond_minus(&rho), Interval::open(r(1), r(7)));
+        assert_eq!(
+            j.checked_diamond_minus(&rho),
+            Ok(Interval::open(r(1), r(7)))
+        );
     }
 
     #[test]
@@ -813,14 +795,17 @@ mod tests {
         let i = Interval::closed(r(10), r(20));
         let rho = MetricInterval::closed_int(0, 3);
         // window [t-3, t] must fit inside [10,20] -> t in [13,20]
-        assert_eq!(i.box_minus(&rho), Some(Interval::closed(r(13), r(20))));
+        assert_eq!(
+            i.checked_box_minus(&rho),
+            Ok(Some(Interval::closed(r(13), r(20))))
+        );
         // too small to fit the window
         let small = Interval::closed(r(0), r(2));
-        assert_eq!(small.box_minus(&rho), None);
+        assert_eq!(small.checked_box_minus(&rho), Ok(None));
         // punctual rho = shift
         assert_eq!(
-            Interval::at(7).box_minus(&MetricInterval::one()),
-            Some(Interval::at(8))
+            Interval::at(7).checked_box_minus(&MetricInterval::one()),
+            Ok(Some(Interval::at(8)))
         );
     }
 
@@ -830,7 +815,7 @@ mod tests {
         // need [t-2, t) ⊆ [0,4): t-2 >= 0 and t <= 4 (t=4 ok since window open at t).
         let m = Interval::half_open_right(r(0), r(4));
         let rho = MetricInterval::new(Interval::half_open_left(r(0), r(2))).unwrap();
-        let out = m.box_minus(&rho).unwrap();
+        let out = m.checked_box_minus(&rho).unwrap().unwrap();
         assert_eq!(out, Interval::closed(r(2), r(4)));
     }
 
@@ -838,8 +823,14 @@ mod tests {
     fn future_operators_mirror_past_ones() {
         let i = Interval::closed(r(10), r(20));
         let rho = MetricInterval::closed_int(1, 3);
-        assert_eq!(i.diamond_plus(&rho), Interval::closed(r(7), r(19)));
-        assert_eq!(i.box_plus(&rho), Some(Interval::closed(r(9), r(17))));
+        assert_eq!(
+            i.checked_diamond_plus(&rho),
+            Ok(Interval::closed(r(7), r(19)))
+        );
+        assert_eq!(
+            i.checked_box_plus(&rho),
+            Ok(Some(Interval::closed(r(9), r(17))))
+        );
     }
 
     #[test]
@@ -850,13 +841,16 @@ mod tests {
         .unwrap();
         let i = Interval::closed(r(0), r(5));
         // diamond over [0,inf): holds from lo forever
-        let dm = i.diamond_minus(&rho);
+        let dm = i.checked_diamond_minus(&rho).unwrap();
         assert_eq!(dm.lo(), TimeBound::Finite(r(0)));
         assert_eq!(dm.hi(), TimeBound::PosInf);
         // box over [0,inf) requires unbounded past
-        assert_eq!(i.box_minus(&rho), None);
+        assert_eq!(i.checked_box_minus(&rho), Ok(None));
         let past = Interval::up_to(r(5));
-        assert_eq!(past.box_minus(&rho), Some(Interval::up_to(r(5))));
+        assert_eq!(
+            past.checked_box_minus(&rho),
+            Ok(Some(Interval::up_to(r(5))))
+        );
     }
 
     #[test]
@@ -901,8 +895,14 @@ mod tests {
         // In-range shifts still succeed.
         let i = Interval::closed(r(0), r(5));
         let rho = MetricInterval::closed_int(1, 2);
-        assert_eq!(i.checked_diamond_minus(&rho), Ok(i.diamond_minus(&rho)));
-        assert_eq!(i.checked_box_minus(&rho), Ok(i.box_minus(&rho)));
+        assert_eq!(
+            i.checked_diamond_minus(&rho),
+            Ok(Interval::closed(r(1), r(7)))
+        );
+        assert_eq!(
+            i.checked_box_minus(&rho),
+            Ok(Some(Interval::closed(r(2), r(6))))
+        );
     }
 
     #[test]

@@ -443,11 +443,14 @@ mod tests {
         use crate::MetricInterval;
         let p = run(10, 3, 4);
         let one = MetricInterval::one();
-        assert_eq!(p.diamond_minus(&one), run(11, 3, 4));
-        assert_eq!(p.box_minus(&one), Some(run(11, 3, 4)));
-        assert_eq!(p.diamond_plus(&one), run(9, 3, 4));
-        assert_eq!(p.box_plus(&one), Some(run(9, 3, 4)));
-        assert_eq!(p.box_minus(&MetricInterval::closed_int(0, 1)), None);
+        assert_eq!(p.checked_diamond_minus(&one), Ok(run(11, 3, 4)));
+        assert_eq!(p.checked_box_minus(&one), Ok(Some(run(11, 3, 4))));
+        assert_eq!(p.checked_diamond_plus(&one), Ok(run(9, 3, 4)));
+        assert_eq!(p.checked_box_plus(&one), Ok(Some(run(9, 3, 4))));
+        assert_eq!(
+            p.checked_box_minus(&MetricInterval::closed_int(0, 1)),
+            Ok(None)
+        );
         let far = run(i64::MAX - 20, 3, 4);
         assert_eq!(
             far.checked_diamond_minus(&MetricInterval::closed_int(9, 9)),

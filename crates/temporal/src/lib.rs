@@ -20,14 +20,16 @@
 //!     Interval::closed_int(20, 30),
 //! ]);
 //!
-//! // ◇⁻[1,2]: "held at some point between 1 and 2 time units ago".
-//! let dm = holds.diamond_minus(&MetricInterval::closed_int(1, 2));
+//! // ◇⁻[1,2]: "held at some point between 1 and 2 time units ago". Every
+//! // transform errs when a shifted endpoint leaves the timeline.
+//! let dm = holds.checked_diamond_minus(&MetricInterval::closed_int(1, 2))?;
 //! assert!(dm.contains(Rational::integer(12)));
 //!
 //! // ⊟[0,5]: "held continuously over the last 5 units".
-//! let bm = holds.box_minus(&MetricInterval::closed_int(0, 5));
+//! let bm = holds.checked_box_minus(&MetricInterval::closed_int(0, 5))?;
 //! assert!(bm.contains(Rational::integer(10)));
 //! assert!(!bm.contains(Rational::integer(21)));
+//! # Ok::<(), mtl_temporal::TimeOverflow>(())
 //! ```
 
 #![forbid(unsafe_code)]

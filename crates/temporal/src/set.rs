@@ -371,22 +371,10 @@ impl IntervalSet {
         Ok(out)
     }
 
-    /// Panicking shorthand for [`IntervalSet::checked_box_minus`].
-    pub fn box_minus(&self, rho: &MetricInterval) -> IntervalSet {
-        self.checked_box_minus(rho)
-            .expect("temporal endpoint overflow in box_minus")
-    }
-
     /// `◇⁺ρ`: future diamond (Minkowski sum towards the past).
     /// Errs when a shifted endpoint overflows the rational timeline.
     pub fn checked_diamond_plus(&self, rho: &MetricInterval) -> Result<IntervalSet, TimeOverflow> {
         self.diamond(rho, Interval::checked_diamond_plus)
-    }
-
-    /// Panicking shorthand for [`IntervalSet::checked_diamond_plus`].
-    pub fn diamond_plus(&self, rho: &MetricInterval) -> IntervalSet {
-        self.checked_diamond_plus(rho)
-            .expect("temporal endpoint overflow in diamond_plus")
     }
 
     /// `⊞ρ`: future box (erosion towards the past).
@@ -401,27 +389,36 @@ impl IntervalSet {
         Ok(out)
     }
 
-    /// Panicking shorthand for [`IntervalSet::checked_box_plus`].
-    pub fn box_plus(&self, rho: &MetricInterval) -> IntervalSet {
-        self.checked_box_plus(rho)
-            .expect("temporal endpoint overflow in box_plus")
-    }
-
     /// `self S_ρ other` (Since): holds at `t` iff there is `s` with
     /// `t − s ∈ ρ` where `other` holds, and `self` holds throughout the open
-    /// interval `(s, t)`.
-    pub fn since(&self, other: &IntervalSet, rho: &MetricInterval) -> IntervalSet {
+    /// interval `(s, t)`. Errs when a shifted endpoint overflows the
+    /// rational timeline.
+    pub fn since(
+        &self,
+        other: &IntervalSet,
+        rho: &MetricInterval,
+    ) -> Result<IntervalSet, TimeOverflow> {
         self.since_or_until(other, rho, true)
     }
 
     /// `self U_ρ other` (Until): mirror of [`IntervalSet::since`] towards the
     /// future: holds at `t` iff there is `s` with `s − t ∈ ρ` where `other`
-    /// holds and `self` holds throughout `(t, s)`.
-    pub fn until(&self, other: &IntervalSet, rho: &MetricInterval) -> IntervalSet {
+    /// holds and `self` holds throughout `(t, s)`. Errs like
+    /// [`IntervalSet::since`].
+    pub fn until(
+        &self,
+        other: &IntervalSet,
+        rho: &MetricInterval,
+    ) -> Result<IntervalSet, TimeOverflow> {
         self.since_or_until(other, rho, false)
     }
 
-    fn since_or_until(&self, other: &IntervalSet, rho: &MetricInterval, past: bool) -> IntervalSet {
+    fn since_or_until(
+        &self,
+        other: &IntervalSet,
+        rho: &MetricInterval,
+        past: bool,
+    ) -> Result<IntervalSet, TimeOverflow> {
         let mut out = IntervalSet::new();
         // s = t case: when 0 ∈ ρ the continuity obligation is vacuous.
         if metric_contains_zero(rho) {
@@ -446,9 +443,9 @@ impl IntervalSet {
                 // Each witness tooth reaches its own stretch of `t`.
                 for witness in s_range.atoms() {
                     let t_range = if past {
-                        witness.diamond_minus(rho)
+                        witness.checked_diamond_minus(rho)?
                     } else {
-                        witness.diamond_plus(rho)
+                        witness.checked_diamond_plus(rho)?
                     };
                     if let Some(t) = t_range.intersect(&cut) {
                         out.insert(t);
@@ -456,7 +453,7 @@ impl IntervalSet {
                 }
             }
         }
-        out
+        Ok(out)
     }
 
     /// The time points of a set whose components are all points or
@@ -855,7 +852,7 @@ mod tests {
             Interval::half_open_left(r(4), r(8)),
         ]);
         let rho = MetricInterval::closed_int(0, 2);
-        let out = s.box_minus(&rho);
+        let out = s.checked_box_minus(&rho).unwrap();
         // per component: [2,4) and (6,8]
         assert_eq!(
             out.components(),
@@ -873,10 +870,10 @@ mod tests {
         // t = 1 works (s=0, (0,1) ⊆ M1).
         let m1 = set(&[(0, 10)]);
         let m2 = set(&[(0, 0)]);
-        let s = m1.since(&m2, &MetricInterval::one());
+        let s = m1.since(&m2, &MetricInterval::one()).unwrap();
         assert_eq!(s, set(&[(1, 1)]));
         // rho = [0,5]: t in [0,5]
-        let s = m1.since(&m2, &MetricInterval::closed_int(0, 5));
+        let s = m1.since(&m2, &MetricInterval::closed_int(0, 5)).unwrap();
         assert_eq!(s, set(&[(0, 5)]));
     }
 
@@ -885,7 +882,7 @@ mod tests {
         // M1 missing (2,3): since over rho [0,5] can't reach past the hole.
         let m1 = set(&[(0, 2), (3, 10)]);
         let m2 = set(&[(0, 0)]);
-        let s = m1.since(&m2, &MetricInterval::closed_int(0, 5));
+        let s = m1.since(&m2, &MetricInterval::closed_int(0, 5)).unwrap();
         // witnesses s=0 require (0,t) ⊆ M1 -> t ≤ 2.
         assert_eq!(s, set(&[(0, 2)]));
     }
@@ -894,10 +891,10 @@ mod tests {
     fn since_zero_in_rho_includes_m2() {
         let m1 = IntervalSet::new();
         let m2 = set(&[(4, 6)]);
-        let s = m1.since(&m2, &MetricInterval::closed_int(0, 2));
+        let s = m1.since(&m2, &MetricInterval::closed_int(0, 2)).unwrap();
         assert_eq!(s, set(&[(4, 6)]));
         // 0 not in rho: no vacuous case, and M1 empty -> empty.
-        let s = m1.since(&m2, &MetricInterval::closed_int(1, 2));
+        let s = m1.since(&m2, &MetricInterval::closed_int(1, 2)).unwrap();
         assert!(s.is_empty());
     }
 
@@ -905,9 +902,9 @@ mod tests {
     fn until_mirrors_since() {
         let m1 = set(&[(0, 10)]);
         let m2 = set(&[(10, 10)]);
-        let u = m1.until(&m2, &MetricInterval::one());
+        let u = m1.until(&m2, &MetricInterval::one()).unwrap();
         assert_eq!(u, set(&[(9, 9)]));
-        let u = m1.until(&m2, &MetricInterval::closed_int(0, 5));
+        let u = m1.until(&m2, &MetricInterval::closed_int(0, 5)).unwrap();
         assert_eq!(u, set(&[(5, 10)]));
     }
 

@@ -183,7 +183,7 @@ fn box_minus_pointwise() {
     for_each_case("box_minus", |rng| {
         let a = gen_set(rng);
         let rho = gen_rho(rng);
-        let out = a.box_minus(&rho);
+        let out = a.checked_box_minus(&rho).unwrap();
         out.check_invariant();
         let obligations: Vec<Rational> = (-160..=800).map(|k| r(k, 16)).collect();
         for t in sample_points() {
@@ -206,9 +206,15 @@ fn future_operators_are_time_mirrors() {
         let mirrored = IntervalSet::from_intervals(a.iter().map(mirror_interval));
         let dm =
             IntervalSet::from_intervals(mirrored.diamond_minus(&rho).iter().map(mirror_interval));
-        assert_eq!(dm, a.diamond_plus(&rho));
-        let bm = IntervalSet::from_intervals(mirrored.box_minus(&rho).iter().map(mirror_interval));
-        assert_eq!(bm, a.box_plus(&rho));
+        assert_eq!(dm, a.checked_diamond_plus(&rho).unwrap());
+        let bm = IntervalSet::from_intervals(
+            mirrored
+                .checked_box_minus(&rho)
+                .unwrap()
+                .iter()
+                .map(mirror_interval),
+        );
+        assert_eq!(bm, a.checked_box_plus(&rho).unwrap());
     });
 }
 
@@ -220,7 +226,7 @@ fn since_pointwise() {
         let m1 = gen_set(rng);
         let m2 = gen_set(rng);
         let rho = gen_rho(rng);
-        let out = m1.since(&m2, &rho);
+        let out = m1.since(&m2, &rho).unwrap();
         out.check_invariant();
         let witnesses: Vec<Rational> = (-80..=400).map(|k| r(k, 8)).collect();
         for t in sample_points() {
@@ -241,7 +247,7 @@ fn until_pointwise() {
         let m1 = gen_set(rng);
         let m2 = gen_set(rng);
         let rho = gen_rho(rng);
-        let out = m1.until(&m2, &rho);
+        let out = m1.until(&m2, &rho).unwrap();
         out.check_invariant();
         let witnesses: Vec<Rational> = (-80..=400).map(|k| r(k, 8)).collect();
         for t in sample_points() {
