@@ -51,10 +51,11 @@
 
 use chronolog_core::{
     parse_query, parse_source, Atom, Database, DependencyGraph, Error, Explanation, Fact, Program,
-    Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Term, Value,
+    Query, Rational, Reasoner, ReasonerConfig, RunStats, Stratification, Symbol, Term, Value,
 };
-use chronolog_core::{Interval, IntervalSet, Tuple};
+use chronolog_core::{Interval, IntervalSet, TimeBound, Tuple};
 use chronolog_obs::Json;
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Schema version of the `--stats-json` report; bump on breaking changes.
@@ -158,17 +159,19 @@ fn cmd_check(program: &Program, facts: &[Fact]) -> Result<String, CliError> {
         facts.len(),
         strat.count()
     );
-    let mut by_stratum: Vec<(usize, Vec<String>)> = Vec::new();
-    for (pred, stratum) in &strat.strata {
-        match by_stratum.iter_mut().find(|(s, _)| s == stratum) {
-            Some((_, v)) => v.push(pred.to_string()),
-            None => by_stratum.push((*stratum, vec![pred.to_string()])),
-        }
-    }
-    by_stratum.sort();
-    for (stratum, mut preds) in by_stratum {
-        preds.sort();
-        let _ = writeln!(out, "  stratum {stratum}: {}", preds.join(", "));
+    // Input predicates (no rule derives them) first, then each stratum's
+    // predicates: the components of the dependency graph, in run order.
+    let derived: HashSet<Symbol> = program.rules.iter().map(|r| r.head.atom.pred).collect();
+    let mut rows: Vec<(Option<usize>, String)> = (strat.strata.iter())
+        .map(|(p, &s)| (derived.contains(p).then_some(s), p.to_string()))
+        .collect();
+    rows.sort();
+    for group in rows.chunk_by(|a, b| a.0 == b.0) {
+        let preds: Vec<&str> = group.iter().map(|(_, p)| p.as_str()).collect();
+        let _ = match group[0].0 {
+            None => writeln!(out, "  input: {}", preds.join(", ")),
+            Some(s) => writeln!(out, "  stratum {s}: {}", preds.join(", ")),
+        };
     }
     Ok(out)
 }
@@ -590,7 +593,9 @@ fn render_explains(
 /// Streams the parsed facts through a live [`chronolog_core::Session`]:
 /// facts at or before the horizon start seed the initial database, the
 /// rest are submitted in timestamp order with the watermark advanced past
-/// each batch, and a final advance lands on the horizon end. The resulting
+/// each batch (a batch also takes every later fact that starts at or
+/// before the end of one already in it), and a final advance lands on the
+/// horizon end. The resulting
 /// database must be byte-identical to the batch materialization — CI diffs
 /// the two.
 ///
@@ -610,7 +615,7 @@ fn run_session(
     let mut stream: Vec<&Fact> = Vec::new();
     for fact in facts {
         match fact.interval.lo() {
-            chronolog_core::TimeBound::Finite(flo) if flo > start => stream.push(fact),
+            TimeBound::Finite(flo) if flo > start => stream.push(fact),
             _ => {
                 initial
                     .insert_fact(fact)
@@ -625,12 +630,14 @@ fn run_session(
     let mut session = reasoner.into_session(&initial, lo)?;
     let mut i = 0;
     while i < stream.len() {
-        let batch_lo = stream[i].interval.lo();
+        // One batch: a fact and every later one that starts at or before
+        // the end of a fact already in it, so no fact starts inside a
+        // stretch the watermark has passed.
         let mut target = lo;
-        while i < stream.len() && stream[i].interval.lo() == batch_lo {
+        loop {
             let fact = stream[i];
             match fact.interval.hi() {
-                chronolog_core::TimeBound::Finite(fhi) => target = target.max(fhi.ceil()),
+                TimeBound::Finite(fhi) => target = target.max(fhi.ceil()),
                 other => {
                     return Err(CliError::failed(format!(
                         "--session needs finite fact endpoints (got {other:?} in {fact})"
@@ -639,6 +646,10 @@ fn run_session(
             }
             session.submit(fact.clone())?;
             i += 1;
+            let end = TimeBound::Finite(Rational::integer(target));
+            if stream.get(i).is_none_or(|f| f.interval.lo() > end) {
+                break;
+            }
         }
         session.advance_to(target.min(hi))?;
     }
@@ -1555,6 +1566,19 @@ mod tests {
     }
 
     #[test]
+    fn session_takes_a_fact_that_starts_inside_an_earlier_one() {
+        let fs = || fake_fs(&[("o.dmtl", "h(X) :- p(X).\np(a)@[1, 10].\np(b)@5.\np(c)@12.")]);
+        let run = |extra: &[&str]| {
+            let mut list = vec!["run", "o.dmtl", "--horizon", "0..20", "--facts"];
+            list.extend_from_slice(extra);
+            run_cli(&args(&list), fs()).unwrap()
+        };
+        let batch = run(&[]);
+        assert!(batch.contains("h(b)@[5].\n"), "{batch}");
+        assert_eq!(run(&["--session"]), batch);
+    }
+
+    #[test]
     fn explain_plans_output_is_stable() {
         // Golden: the plan listing carries no wall times, so the exact
         // bytes are deterministic for a fixed program and input.
@@ -1568,8 +1592,10 @@ mod tests {
         )
         .unwrap();
         // `pos` is persisted (rule 1 carries it forward), `trade` is an
-        // event: the full plan of rule 2 reaches the event first, and its
-        // Δpos variant probes `trade` on the account the delta bound.
+        // event: the full plan of rule 2 reaches the event first and probes
+        // `pos` on the account it bound. `fee` is a stratum of its own above
+        // `pos`, so rule 2 runs once, over the finished `pos`, and has no
+        // Δpos variant.
         assert_eq!(
             out,
             "-- plans --\n\
@@ -1583,11 +1609,7 @@ mod tests {
              negate not close(A)                          -                actual      1\n\
              plan r2 (full, reordered): 1 executions\n  \
              join trade(A, S)                             time-probe       actual      1\n  \
-             join pos(A, P)                               value+time-probe actual      0\n  \
-             assign F = (P * S)                           -                actual      0\n\
-             plan r2 (delta literal 0): 2 executions\n  \
-             join Δpos(A, P)                              time-probe       actual      2\n  \
-             join trade(A, S)                             value+time-probe actual      1\n  \
+             join pos(A, P)                               value+time-probe actual      1\n  \
              assign F = (P * S)                           -                actual      1\n"
         );
     }

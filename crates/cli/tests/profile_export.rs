@@ -208,15 +208,24 @@ fn validate_trace_rejects_malformed_input() {
     assert!(err.message.contains("escapes"), "{}", err.message);
 }
 
-/// The join-heavy `corpus/netting.dmtl` program at `--threads 4` must
-/// light up at least two worker lanes in the exported trace. The rule
-/// fan-out is gated on a 2 ms iteration wall, so the exposure closure is
-/// sized well past that; scheduling still decides which workers pull
-/// tasks, hence the retry loop.
+/// Netting's trades under the non-linear closure at `--threads 4` must
+/// light up at least two worker lanes in the exported trace: every round
+/// after round 0 runs both delta variants of the closure rule, and the
+/// rule fan-out opens once a round's lookups visited thousands of tuples,
+/// which the closure is sized well past; scheduling still decides which
+/// workers pull tasks, hence the retry loop.
 #[test]
 fn threaded_profile_shows_multiple_worker_lanes() {
     let path = format!("{}/../../corpus/netting.dmtl", env!("CARGO_MANIFEST_DIR"));
-    let scenario = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let corpus = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let mut scenario = String::from(
+        "exposure(X, Y) :- trade(X, Y).\n\
+         exposure(X, Z) :- exposure(X, Y), exposure(Y, Z).\n",
+    );
+    for line in corpus.lines().filter(|l| l.starts_with("trade(")) {
+        scenario.push_str(line);
+        scenario.push('\n');
+    }
 
     let dir = std::env::temp_dir().join("chronolog-profile-lanes-test");
     std::fs::create_dir_all(&dir).unwrap();

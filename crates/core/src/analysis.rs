@@ -5,7 +5,7 @@
 use crate::ast::{Expr, Literal, Program, Rule, Term};
 use crate::error::{Error, Result};
 use crate::symbol::Symbol;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Kind of a dependency edge.
@@ -81,53 +81,88 @@ impl DependencyGraph {
     }
 }
 
-/// The stratification of a program: a stratum index per predicate and the
-/// rules grouped by the stratum of their head.
+/// The stratification of a program: the strongly connected components of
+/// its dependency graph that hold a rule, in topological order. A stratum
+/// is one recursive cycle (or one predicate no cycle passes through) and
+/// runs its own fixpoint; everything it reads from outside itself is
+/// complete before it starts.
 #[derive(Debug)]
 pub struct Stratification {
-    /// Stratum of each predicate (EDB predicates sit at 0).
+    /// Stratum of each predicate. A predicate no rule derives is input,
+    /// complete before stratum 0 runs, and sits at 0.
     pub strata: HashMap<Symbol, usize>,
     /// Rule indices (into `program.rules`) per stratum, in ascending order.
     pub rules_by_stratum: Vec<Vec<usize>>,
 }
 
 impl Stratification {
-    /// Computes a stratification, or fails when negation/aggregation occurs
-    /// in a dependency cycle.
+    /// Computes the stratification, or fails when negation or aggregation
+    /// occurs in a dependency cycle.
     ///
-    /// Classic relaxation: `σ(H) ≥ σ(P)` over positive edges and
-    /// `σ(H) ≥ σ(P) + 1` over negative/aggregated edges; a value exceeding
-    /// the predicate count witnesses a strict cycle.
+    /// Tarjan's algorithm (iterative, so a long program cannot overflow the
+    /// stack) finds the components; Kahn's algorithm orders those holding a
+    /// rule. Among the ready components it takes the one of the lowest
+    /// level — the most negative or aggregated edges on a path into it,
+    /// i.e. its stratum in the classic stratification, which the order
+    /// refines — and then the one with the smallest rule index, so the
+    /// order is a function of the program text.
     pub fn compute(program: &Program) -> Result<Stratification> {
         let graph = DependencyGraph::build(program);
-        let n = graph.predicates.len();
-        let mut strata: HashMap<Symbol, usize> =
-            graph.predicates.iter().map(|p| (*p, 0usize)).collect();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (from, to, kind) in &graph.edges {
-                let need = match kind {
-                    EdgeKind::Positive => strata[from],
-                    EdgeKind::Negative | EdgeKind::Aggregated => strata[from] + 1,
-                };
-                let cur = strata[to];
-                if need > cur {
-                    if need > n {
-                        return Err(Error::NotStratifiable(format!(
-                            "negation or aggregation in a cycle through predicate {to}"
-                        )));
-                    }
-                    strata.insert(*to, need);
-                    changed = true;
+        let index: HashMap<Symbol, usize> = (graph.predicates.iter().enumerate())
+            .map(|(i, p)| (*p, i))
+            .collect();
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); graph.predicates.len()];
+        for (from, to, _) in &graph.edges {
+            succ[index[from]].push(index[to]);
+        }
+        let (comp, n_comps) = components(&succ);
+        for (from, to, kind) in &graph.edges {
+            if *kind != EdgeKind::Positive && comp[index[from]] == comp[index[to]] {
+                return Err(Error::NotStratifiable(format!(
+                    "negation or aggregation in a cycle through predicate {to}"
+                )));
+            }
+        }
+
+        // The components that hold a rule; an input predicate is a
+        // component of its own with none, at level 0.
+        let mut rules_of: Vec<Vec<usize>> = vec![Vec::new(); n_comps];
+        for (i, rule) in program.rules.iter().enumerate() {
+            rules_of[comp[index[&rule.head.atom.pred]]].push(i);
+        }
+        let mut level = vec![0usize; n_comps];
+        let mut waiting = vec![0usize; n_comps];
+        let mut next: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_comps];
+        for (from, to, kind) in &graph.edges {
+            let (a, b) = (comp[index[from]], comp[index[to]]);
+            let strict = usize::from(*kind != EdgeKind::Positive);
+            if rules_of[a].is_empty() {
+                level[b] = level[b].max(strict);
+            } else if a != b {
+                next[a].push((b, strict));
+                waiting[b] += 1;
+            }
+        }
+        let mut ready: BTreeSet<(usize, usize, usize)> = (0..n_comps)
+            .filter(|&c| waiting[c] == 0 && !rules_of[c].is_empty())
+            .map(|c| (level[c], rules_of[c][0], c))
+            .collect();
+        let mut stratum_of = vec![0usize; n_comps];
+        let mut rules_by_stratum = Vec::new();
+        while let Some((_, _, c)) = ready.pop_first() {
+            stratum_of[c] = rules_by_stratum.len();
+            rules_by_stratum.push(std::mem::take(&mut rules_of[c]));
+            for &(d, strict) in &next[c] {
+                level[d] = level[d].max(level[c] + strict);
+                waiting[d] -= 1;
+                if waiting[d] == 0 {
+                    ready.insert((level[d], rules_of[d][0], d));
                 }
             }
         }
-        let max = strata.values().copied().max().unwrap_or(0);
-        let mut rules_by_stratum = vec![Vec::new(); max + 1];
-        for (i, rule) in program.rules.iter().enumerate() {
-            rules_by_stratum[strata[&rule.head.atom.pred]].push(i);
-        }
+        let strata = (graph.predicates.iter().zip(&comp))
+            .map(|(p, &c)| (*p, stratum_of[c]))
+            .collect();
         Ok(Stratification {
             strata,
             rules_by_stratum,
@@ -138,6 +173,58 @@ impl Stratification {
     pub fn count(&self) -> usize {
         self.rules_by_stratum.len()
     }
+}
+
+/// The strongly connected components of the graph with successor lists
+/// `succ`: the component number of each node, and the number of
+/// components. Tarjan's algorithm with an explicit call stack of `(node,
+/// next successor to visit)`.
+fn components(succ: &[Vec<usize>]) -> (Vec<usize>, usize) {
+    const UNSEEN: usize = usize::MAX;
+    let n = succ.len();
+    let mut order = vec![UNSEEN; n];
+    let mut low = vec![0usize; n];
+    let mut comp = vec![UNSEEN; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut calls: Vec<(usize, usize)> = Vec::new();
+    let (mut visited, mut found) = (0usize, 0usize);
+    for root in 0..n {
+        if order[root] != UNSEEN {
+            continue;
+        }
+        calls.push((root, 0));
+        while let Some(&mut (v, ref mut i)) = calls.last_mut() {
+            if *i == 0 {
+                order[v] = visited;
+                low[v] = visited;
+                visited += 1;
+                stack.push(v);
+            }
+            if let Some(&w) = succ[v].get(*i) {
+                *i += 1;
+                if order[w] == UNSEEN {
+                    calls.push((w, 0));
+                } else if comp[w] == UNSEEN {
+                    low[v] = low[v].min(order[w]);
+                }
+                continue;
+            }
+            calls.pop();
+            if let Some(&(parent, _)) = calls.last() {
+                low[parent] = low[parent].min(low[v]);
+            }
+            if low[v] == order[v] {
+                while let Some(w) = stack.pop() {
+                    comp[w] = found;
+                    if w == v {
+                        break;
+                    }
+                }
+                found += 1;
+            }
+        }
+    }
+    (comp, found)
 }
 
 /// Checks every rule of the program for safety and arity consistency.
@@ -260,15 +347,16 @@ mod tests {
 
     #[test]
     fn rejects_negative_cycle() {
-        let p = parse_program(
-            "a(X) :- e(X), not b(X).\n\
-             b(X) :- a(X).\n",
-        )
-        .unwrap();
-        assert!(matches!(
-            Stratification::compute(&p),
-            Err(Error::NotStratifiable(_))
-        ));
+        for src in [
+            "a(X) :- e(X), not b(X).\nb(X) :- a(X).\n",
+            "a(X) :- e(X), not a(X).\n",
+        ] {
+            let p = parse_program(src).unwrap();
+            assert!(
+                matches!(Stratification::compute(&p), Err(Error::NotStratifiable(_))),
+                "{src}"
+            );
+        }
     }
 
     #[test]
@@ -280,9 +368,47 @@ mod tests {
 
     #[test]
     fn aggregation_is_strict_like_negation() {
-        let p = parse_program("e(sum(S)) :- m(A, S).\nskew(K) :- e(K).").unwrap();
+        let p =
+            parse_program("e(sum(S)) :- m(A, S).\nskew(K) :- e(K).\nm(A, S) :- d(A, S).").unwrap();
         let s = Stratification::compute(&p).unwrap();
         assert!(s.strata[&Symbol::new("m")] < s.strata[&Symbol::new("e")]);
+    }
+
+    #[test]
+    fn strata_are_components_by_level_then_first_rule() {
+        // `a` and `b` are one cycle; `c` reads it, `d` reads only input.
+        let p = parse_program(
+            "c(X) :- a(X), not e(X).\n\
+             a(X) :- e(X).\n\
+             a(X) :- diamondminus b(X).\n\
+             b(X) :- a(X).\n\
+             d(X) :- e(X).\n",
+        )
+        .unwrap();
+        let s = Stratification::compute(&p).unwrap();
+        // Ready at first: the cycle (first rule 1) and `d` (rule 4); then
+        // `c`, whose negation puts it a level above `d`.
+        assert_eq!(s.rules_by_stratum, [vec![1, 2, 3], vec![4], vec![0]]);
+        let stratum = |p: &str| s.strata[&Symbol::new(p)];
+        assert_eq!((stratum("a"), stratum("b")), (0, 0));
+        assert_eq!((stratum("c"), stratum("d"), stratum("e")), (2, 1, 0));
+    }
+
+    #[test]
+    fn a_long_chain_stratifies_without_recursion() {
+        let n = 50_000;
+        let src: String = (0..n)
+            .map(|i| format!("p{}(X) :- p{i}(X).\n", i + 1))
+            .collect();
+        let p = parse_program(&src).unwrap();
+        let s = Stratification::compute(&p).unwrap();
+        assert_eq!(s.count(), n);
+        assert!((s.rules_by_stratum.iter().enumerate()).all(|(i, rules)| rules == &[i]));
+        assert_eq!(s.strata[&Symbol::new("p50000")], n - 1);
+        // The same chain closed into one cycle is one stratum.
+        let closed = format!("{src}p0(X) :- p{n}(X).\n");
+        let s = Stratification::compute(&parse_program(&closed).unwrap()).unwrap();
+        assert_eq!(s.count(), 1);
     }
 
     #[test]

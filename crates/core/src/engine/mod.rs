@@ -1216,12 +1216,14 @@ impl Reasoner {
 
         // --- Fixpoint. ---
         let mut guard_sets = GuardSets::new();
-        // Last round's additions: all of them, per self-chain rule the ones
-        // *other* rules made to its head predicate, and the tuples they grew
-        // with their whole validity.
-        let mut prev_delta = Database::new().declare(&self.indexes);
-        let mut prev_grown = Database::new();
-        let mut chain_prev: BTreeMap<usize, Database> = BTreeMap::new();
+        // A stratum whose rules read none of its own predicates (no cycle
+        // passes through it) runs round 0 only, and nothing collects what
+        // that round adds.
+        let recursive = compiled.rules.iter().any(|r| !r.variants.is_empty());
+        // Last round's additions, from round 1 on: all of them, per
+        // self-chain rule the ones *other* rules made to its head predicate,
+        // and the tuples they grew with their whole validity.
+        let mut prev: Option<(Database, BTreeMap<usize, Database>, Database)> = None;
         let mut iteration = 0usize;
         // Parallelism gate: a round only pays for worker threads when the
         // *previous* round's lookups visited enough tuples to amortize the
@@ -1242,7 +1244,7 @@ impl Reasoner {
             if iteration >= self.config.max_iterations {
                 return Err(budget_exceeded_iterations(&self.config));
             }
-            let mut next_delta = Database::new().declare(&self.indexes);
+            let mut next_delta = recursive.then(|| Database::new().declare(&self.indexes));
             let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
 
@@ -1252,18 +1254,18 @@ impl Reasoner {
             // in two phases: the frame rules in full, merged before the
             // other rules' full plans are evaluated, so those read every
             // run the frame rules continued (module docs).
-            let phases: Vec<(bool, Vec<Task<'_>>)> = if iteration == 0 {
-                let (frames, rest): (Vec<_>, Vec<_>) =
-                    (compiled.rules.iter()).partition(|rule| compiled.chains.contains(rule.idx));
-                vec![
-                    (true, frames.into_iter().map(Task::full).collect()),
-                    (false, rest.into_iter().map(Task::full).collect()),
-                ]
-            } else {
-                vec![(
-                    false,
-                    delta_tasks(compiled, &prev_delta, &chain_prev, &prev_grown).collect(),
-                )]
+            let phases: Vec<(bool, Vec<Task<'_>>)> = match &prev {
+                None => {
+                    let (frames, rest): (Vec<_>, Vec<_>) = (compiled.rules.iter())
+                        .partition(|rule| compiled.chains.contains(rule.idx));
+                    vec![
+                        (true, frames.into_iter().map(Task::full).collect()),
+                        (false, rest.into_iter().map(Task::full).collect()),
+                    ]
+                }
+                Some((delta, chain, grown)) => {
+                    vec![(false, delta_tasks(compiled, delta, chain, grown).collect())]
+                }
             };
 
             // Both phases of round 0 fan out as the previous round allows.
@@ -1370,7 +1372,9 @@ impl Reasoner {
                         // of another frame rule over the same head.
                         if !frame_phase {
                             grew = true;
-                            next_delta.merge(head, &tuple, &added)?;
+                            if let Some(next_delta) = next_delta.as_mut() {
+                                next_delta.merge(head, &tuple, &added)?;
+                            }
                         }
                         for other in compiled.chains.others_over(head, rule_idx) {
                             grew = true;
@@ -1385,7 +1389,8 @@ impl Reasoner {
             }
 
             if let Some(s) = iter_span.as_mut() {
-                s.add("delta_tuples", next_delta.tuple_count() as u64);
+                let delta_tuples = next_delta.as_ref().map_or(0, Database::tuple_count);
+                s.add("delta_tuples", delta_tuples as u64);
                 s.add("grew", grew as u64);
             }
             // Checked on every round's result, the stratum's last included.
@@ -1395,17 +1400,19 @@ impl Reasoner {
             // The next round runs only if some variant reads what this one
             // grew (the grown tuples hold the predicates of `next_delta`): a
             // round with no task is neither run nor counted.
+            let Some(next_delta) = next_delta else { break };
             if delta_tasks(compiled, &next_delta, &chain_next, &next_delta)
                 .next()
                 .is_none()
             {
                 break;
             }
-            if compiled.reads_tuples {
-                prev_grown = grown_tuples(&next_delta, total, &self.indexes)?;
-            }
-            prev_delta = next_delta;
-            chain_prev = chain_next;
+            let grown = if compiled.reads_tuples {
+                grown_tuples(&next_delta, total, &self.indexes)?
+            } else {
+                Database::new()
+            };
+            prev = Some((next_delta, chain_next, grown));
             iteration += 1;
         }
 

@@ -7,12 +7,22 @@
 //! shifted heads, negation at random strata, and facts holding over whole
 //! intervals.
 //!
+//! The same generator, with positive atoms free to read any predicate,
+//! also draws programs whose cycles pass through several predicates (and
+//! some whose negation closes a cycle): their stratification must be the
+//! condensation of the dependency graph, and the engine must agree with
+//! the oracle on them as well.
+//!
 //! Generation is driven by the deterministic in-repo `SmallRng` (one seed
 //! per case), so every failure is reproducible from the printed seed.
 
 use chronolog_core::naive::{grid_text, naive_materialize};
-use chronolog_core::{Database, Interval, Reasoner, ReasonerConfig, Value};
+use chronolog_core::{
+    Database, DependencyGraph, EdgeKind, Error, Interval, Program, Reasoner, ReasonerConfig,
+    Stratification, Symbol, Value,
+};
 use chronolog_obs::SmallRng;
+use std::collections::{HashMap, HashSet};
 
 const T_MIN: i64 = 0;
 const T_MAX: i64 = 18;
@@ -74,8 +84,10 @@ fn gen_rule(rng: &mut SmallRng, max_op: u8) -> RuleSpec {
 
 /// Renders a rule spec into concrete syntax, enforcing safety (head
 /// variables come from the first body atom) and stratifiability (negation
-/// only on strictly lower predicates / EDB).
-fn render_rule(spec: &RuleSpec) -> Option<String> {
+/// only on strictly lower predicates / EDB). `cyclic` lets positive atoms
+/// read every IDB predicate, so cycles pass through several predicates and
+/// a negation may close one.
+fn render_rule(spec: &RuleSpec, cyclic: bool) -> Option<String> {
     let (head_name, head_arity) = IDB[spec.head];
     // Head variables X, Y bound by making the first atom use them.
     let head_args = match head_arity {
@@ -87,7 +99,7 @@ fn render_rule(spec: &RuleSpec) -> Option<String> {
         // Positive IDB atoms may only reference same-or-lower predicates
         // (level recursion allowed); together with strictly-lower negation
         // this makes every generated program stratifiable by construction.
-        let src = if *src >= 2 && (*src - 2) > spec.head {
+        let src = if !cyclic && *src >= 2 && (*src - 2) > spec.head {
             spec.head + 2
         } else {
             *src
@@ -137,11 +149,11 @@ fn render_rule(spec: &RuleSpec) -> Option<String> {
     Some(format!("{head_name}({head_args}) :- {}.", body.join(", ")))
 }
 
-fn gen_program(rng: &mut SmallRng, max_op: u8) -> String {
+fn gen_program(rng: &mut SmallRng, max_op: u8, cyclic: bool) -> String {
     let n = rng.gen_range_usize(1, 6);
     (0..n)
         .map(|_| gen_rule(rng, max_op))
-        .filter_map(|spec| render_rule(&spec))
+        .filter_map(|spec| render_rule(&spec, cyclic))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -190,7 +202,7 @@ fn build_db(facts: &[EdbFact]) -> Database {
 fn random_programs_agree_with_oracle() {
     for case in 0..96u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0FFEE ^ case);
-        let src = gen_program(&mut rng, 11);
+        let src = gen_program(&mut rng, 11, false);
         let facts = gen_facts(&mut rng, 4);
         if src.is_empty() {
             continue;
@@ -221,7 +233,7 @@ fn random_programs_agree_with_oracle() {
 fn session_streaming_equals_batch() {
     for case in 0..48u64 {
         let mut rng = SmallRng::seed_from_u64(0xFACADE ^ (case << 8));
-        let src = gen_program(&mut rng, 3);
+        let src = gen_program(&mut rng, 3, false);
         let facts = gen_facts(&mut rng, 0);
         if src.is_empty() {
             continue;
@@ -274,4 +286,164 @@ fn session_streaming_equals_batch() {
             "case {case}: program:\n{src}\nfacts: {facts:?}"
         );
     }
+}
+
+/// Checks that the stratification of `program` is the condensation of its
+/// dependency graph, or that a negative or aggregated edge really lies on a
+/// cycle when it is refused. Returns whether the program stratified.
+fn check_condensation(program: &Program, src: &str) -> bool {
+    let graph = DependencyGraph::build(program);
+    let mut succ: HashMap<Symbol, Vec<Symbol>> = HashMap::new();
+    for (from, to, _) in &graph.edges {
+        succ.entry(*from).or_default().push(*to);
+    }
+    let reach: HashMap<Symbol, HashSet<Symbol>> = (graph.predicates.iter())
+        .map(|&p| {
+            let mut seen = HashSet::from([p]);
+            let mut frontier = vec![p];
+            while let Some(q) = frontier.pop() {
+                for &to in succ.get(&q).into_iter().flatten() {
+                    if seen.insert(to) {
+                        frontier.push(to);
+                    }
+                }
+            }
+            (p, seen)
+        })
+        .collect();
+    let mutual = |a: &Symbol, b: &Symbol| reach[a].contains(b) && reach[b].contains(a);
+    let strat = match Stratification::compute(program) {
+        Ok(strat) => strat,
+        Err(Error::NotStratifiable(_)) => {
+            assert!(
+                (graph.edges.iter()).any(|(f, t, k)| *k != EdgeKind::Positive && mutual(f, t)),
+                "refused without a negative cycle:\n{src}"
+            );
+            return false;
+        }
+        Err(e) => panic!("{e}\n{src}"),
+    };
+    let stratum = |p: &Symbol| strat.strata[p];
+
+    // Every rule once, in the stratum of its head, in ascending order.
+    let mut seen: Vec<usize> = Vec::new();
+    for (i, rules) in strat.rules_by_stratum.iter().enumerate() {
+        assert!(!rules.is_empty(), "stratum {i} holds no rule:\n{src}");
+        assert!(rules.windows(2).all(|w| w[0] < w[1]), "{rules:?}\n{src}");
+        for &r in rules {
+            assert_eq!(stratum(&program.rules[r].head.atom.pred), i, "{src}");
+        }
+        seen.extend(rules);
+    }
+    seen.sort();
+    assert_eq!(seen, (0..program.rules.len()).collect::<Vec<_>>(), "{src}");
+
+    // Edges out of a derived predicate: positive ones to an equal or later
+    // stratum (later unless inside a component), the others to a strictly
+    // later one. Input predicates are complete before stratum 0.
+    let derived: HashSet<Symbol> = program.rules.iter().map(|r| r.head.atom.pred).collect();
+    for (from, to, kind) in graph.edges.iter().filter(|(f, _, _)| derived.contains(f)) {
+        let (a, b) = (stratum(from), stratum(to));
+        match kind {
+            EdgeKind::Positive if mutual(from, to) => assert_eq!(a, b, "{from}->{to}\n{src}"),
+            _ => assert!(a < b, "{from}->{to} ({kind:?}): {a} vs {b}\n{src}"),
+        }
+    }
+    // Two derived predicates share a stratum iff each reaches the other.
+    for a in &derived {
+        for b in &derived {
+            assert_eq!(stratum(a) == stratum(b), mutual(a, b), "{a}, {b}\n{src}");
+        }
+    }
+
+    // The order refines the classic stratification (the least levels with
+    // a positive edge keeping and a negative or aggregated one raising the
+    // level), and within a level a stratum with a smaller first rule comes
+    // later only if it reads one in between.
+    let mut level: HashMap<Symbol, usize> = graph.predicates.iter().map(|&p| (p, 0)).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (from, to, kind) in &graph.edges {
+            let need = level[from] + usize::from(*kind != EdgeKind::Positive);
+            if need > level[to] {
+                level.insert(*to, need);
+                changed = true;
+            }
+        }
+    }
+    let first_rule = |i: usize| strat.rules_by_stratum[i][0];
+    let level_of = |i: usize| level[&program.rules[first_rule(i)].head.atom.pred];
+    let reads = |j: usize, k: usize| {
+        (graph.edges.iter())
+            .any(|(f, t, _)| derived.contains(f) && stratum(f) == k && stratum(t) == j)
+    };
+    for j in 0..strat.count() {
+        for i in 0..j {
+            assert!(level_of(i) <= level_of(j), "levels out of order\n{src}");
+            if level_of(i) == level_of(j) && first_rule(j) < first_rule(i) {
+                assert!(
+                    (i..j).any(|k| reads(j, k)),
+                    "stratum {j} was ready before stratum {i}\n{src}"
+                );
+            }
+        }
+    }
+    true
+}
+
+#[test]
+fn stratification_is_the_condensation() {
+    let (mut checked, mut refused, mut shared) = (0, 0, 0);
+    for case in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(0x5CC0 ^ (case << 4));
+        let src = gen_program(&mut rng, 11, case % 2 == 1);
+        if src.is_empty() {
+            continue;
+        }
+        let program = chronolog_core::parse_program(&src).unwrap();
+        checked += 1;
+        if !check_condensation(&program, &src) {
+            refused += 1;
+            continue;
+        }
+        let strat = Stratification::compute(&program).unwrap();
+        let heads = |rules: &Vec<usize>| {
+            let preds = rules.iter().map(|&r| program.rules[r].head.atom.pred);
+            preds.collect::<HashSet<_>>().len()
+        };
+        if strat.rules_by_stratum.iter().any(|rules| heads(rules) > 1) {
+            shared += 1;
+        }
+    }
+    assert!(checked >= 200, "{checked} programs checked");
+    assert!(refused > 0, "no generated program closed a negative cycle");
+    assert!(shared > 0, "no cycle passed through two predicates");
+}
+
+/// Programs whose cycles pass through several predicates: every one that
+/// stratifies derives the oracle's model.
+#[test]
+fn cyclic_programs_agree_with_oracle() {
+    let mut compared = 0;
+    for case in 0..96u64 {
+        let mut rng = SmallRng::seed_from_u64(0xC1C1E ^ (case << 4));
+        let src = gen_program(&mut rng, 11, true);
+        let facts = gen_facts(&mut rng, 4);
+        let program = chronolog_core::parse_program(&src).unwrap();
+        let config = ReasonerConfig::default().with_horizon(T_MIN, T_MAX);
+        let Ok(reasoner) = Reasoner::new(program.clone(), config) else {
+            continue;
+        };
+        let db = build_db(&facts);
+        let naive = naive_materialize(&program, &db, T_MIN, T_MAX).unwrap();
+        let engine = reasoner.materialize(&db).unwrap();
+        assert_eq!(
+            grid_text(&engine.database, T_MIN, T_MAX),
+            naive.to_text(),
+            "case {case}: program:\n{src}\nfacts: {facts:?}"
+        );
+        compared += 1;
+    }
+    assert!(compared >= 48, "only {compared} cyclic programs stratified");
 }

@@ -23,7 +23,8 @@ exact-counts:
     plan's executions and rows). Both reports add the pinned number of
     components, their plans produce the pinned number of bindings
     (`planner.actual_rows`), the head rows the fixpoint merges (the sum of
-    the rules' `derivations`) are fewer than those bindings, and the lookups
+    the rules' `derivations`) are the pinned number, fewer than those
+    bindings, and the lookups
     split between the access paths exactly as pinned: an index the plans
     fail to declare, or a drift in the access-path decision, fails here.
   * past recursion: `crates/cli/tests/fixtures/past_recursion.dmtl
@@ -51,17 +52,19 @@ PINNED = {
         "session": (40, [5, 6, 7]),
     },
     "margin_interval_bytes_below": 1024,
-    # Per netting run: Σ rules.components_added, planner.actual_rows, and
-    # how the lookups reached the relations (`totals`).
+    # Per netting run: Σ rules.components_added, planner.actual_rows, the
+    # head rows (Σ rules.derivations), and how the lookups reached the
+    # relations (`totals`).
     "netting": {
         "components_added": 7200,
-        "actual_rows": 250020,
+        "actual_rows": 226980,
+        "head_rows": 9660,
         "access_paths": {
-            "index_probes": 10831,
-            "full_scans": 2,
+            "index_probes": 7212,
+            "full_scans": 1,
             "scanned_tuples": 0,
-            "probed_tuples": 260820,
-            "time_index_probes": 31,
+            "probed_tuples": 234180,
+            "time_index_probes": 12,
         },
     },
 }
@@ -146,6 +149,8 @@ def check_netting(cli):
             fail(f"netting: components_added is {added}, expected {want['components_added']}")
         if bindings != want["actual_rows"]:
             fail(f"netting: planner.actual_rows is {bindings}, expected {want['actual_rows']}")
+        if rows != want["head_rows"]:
+            fail(f"netting: derivations sum to {rows}, expected {want['head_rows']}")
         if rows >= bindings:
             fail(f"netting: derivations ({rows}) not below planner.actual_rows ({bindings})")
         totals = report["totals"]
