@@ -692,7 +692,7 @@ impl Relation {
 
     /// Reads a tuple's current interval set (owned).
     fn set_of(&self, id: u32) -> IntervalSet {
-        IntervalSet::from_sorted(self.store.comps_of(id).to_vec())
+        IntervalSet::from_sorted_slice(self.store.comps_of(id))
     }
 
     /// Writes a tuple's interval set back, updating the live statistics.
@@ -1060,7 +1060,7 @@ impl Database {
         self.rels
             .get(&pred)
             .and_then(|r| r.components_of(args))
-            .map(|comps| IntervalSet::from_sorted(comps.to_vec()))
+            .map(IntervalSet::from_sorted_slice)
             .unwrap_or_default()
     }
 
@@ -1164,7 +1164,7 @@ impl Database {
             }
             let clipped = match window {
                 Some(w) => IntervalSet::clip_components(comps, w),
-                None => IntervalSet::from_sorted(comps.to_vec()),
+                None => IntervalSet::from_sorted_slice(comps),
             };
             if !clipped.is_empty() {
                 out.push((values.into_boxed_slice(), clipped));

@@ -7,13 +7,13 @@
 //! contribution endpoint into punctual and open elementary pieces, on each
 //! of which the active set — and hence the aggregate — is constant.
 
-use crate::ast::{AggFn, Rule};
-use crate::engine::eval::{execute_plan, Bindings, EvalCtx};
-use crate::engine::plan::RulePlan;
+use crate::ast::{AggFn, Rule, Term};
+use crate::engine::eval::{execute_rows, EvalCtx, Slot};
+use crate::engine::plan::{RulePlan, Slots};
 use crate::error::{Error, Result};
 use crate::value::{Tuple, Value};
 use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One pooled contribution: the aggregated value and when it is active.
 struct Contribution {
@@ -50,15 +50,16 @@ pub(crate) fn eval_aggregate_rules(
     // it the head relation's insertion order is fixed.
     let mut groups: BTreeMap<Vec<Value>, Vec<Contribution>> = BTreeMap::new();
     for (rule, plan) in rules {
-        for (binding, ivs) in execute_plan(rule, plan, ctx, Bindings::default())? {
+        let ground = |term: &Term, row: &[Slot]| ground_term(term, &plan.slots, row);
+        for (row, ivs) in execute_rows(rule, plan, ctx, &[])?.iter() {
             let mut key = Vec::with_capacity(arity - 1);
             for (i, term) in rule.head.atom.args.iter().enumerate() {
                 if i == pos {
                     continue;
                 }
-                key.push(ground_term(term, &binding)?);
+                key.push(ground(term, row)?);
             }
-            let value = ground_term(&rule.head.atom.args[pos], &binding)?;
+            let value = ground(&rule.head.atom.args[pos], row)?;
             groups.entry(key).or_default().push(Contribution {
                 value,
                 active: ivs.intersect_interval(&ctx.horizon),
@@ -84,12 +85,11 @@ pub(crate) fn eval_aggregate_rules(
     Ok(out)
 }
 
-fn ground_term(term: &crate::ast::Term, b: &Bindings) -> Result<Value> {
+fn ground_term(term: &Term, slots: &Slots, row: &[Slot]) -> Result<Value> {
     match term {
-        crate::ast::Term::Val(v) => Ok(*v),
-        crate::ast::Term::Var(x) => b
-            .get(x)
-            .copied()
+        Term::Val(v) => Ok(*v),
+        Term::Var(x) => slots
+            .value(row, *x)
             .ok_or_else(|| Error::Eval(format!("unbound aggregate head variable {x}"))),
     }
 }
@@ -125,34 +125,65 @@ fn decompose_and_aggregate(
 
     // Elementary pieces: [p,p] for each boundary, (p,q) between consecutive
     // boundaries, and unbounded tails where contributions extend to ±inf.
-    let mut pieces: Vec<(Interval, Rational)> = Vec::new(); // (piece, representative)
+    // Piece `base + 2i` is the point `points[i]`, piece `base + 2i + 1` the
+    // open gap after it (or the unbounded tail after the last point).
+    let mut pieces: Vec<Interval> = Vec::new();
     if let (Some(&first), true) = (points.first(), has_neg_inf) {
-        let piece =
-            Interval::new(TimeBound::NegInf, false, first.into(), false).expect("non-empty tail");
-        pieces.push((piece, first - Rational::ONE));
+        pieces.push(
+            Interval::new(TimeBound::NegInf, false, first.into(), false).expect("non-empty tail"),
+        );
     }
     for (i, &p) in points.iter().enumerate() {
-        pieces.push((Interval::point(p), p));
+        pieces.push(Interval::point(p));
         if let Some(&q) = points.get(i + 1) {
-            let piece = Interval::open(p, q);
-            pieces.push((piece, (p + q) / Rational::integer(2)));
+            pieces.push(Interval::open(p, q));
         }
     }
     if let (Some(&last), true) = (points.last(), has_pos_inf) {
-        let piece =
-            Interval::new(last.into(), false, TimeBound::PosInf, false).expect("non-empty tail");
-        pieces.push((piece, last + Rational::ONE));
+        pieces.push(
+            Interval::new(last.into(), false, TimeBound::PosInf, false).expect("non-empty tail"),
+        );
     }
 
+    // Every atom's endpoints are boundary points, so an atom covers a
+    // contiguous run of whole pieces. Sweep the pieces in order with the
+    // set of contributions active on each, entered and left at the ends of
+    // those runs.
+    let base = usize::from(has_neg_inf && !points.is_empty());
+    let at = |r: Rational| points.binary_search(&r).expect("an endpoint is a boundary");
+    let mut events: Vec<(usize, bool, usize)> = Vec::new(); // (piece, enters, contribution)
+    for (k, c) in contribs.iter().enumerate() {
+        for iv in c.active.atoms() {
+            let first = match iv.lo() {
+                TimeBound::Finite(r) => base + 2 * at(r) + usize::from(!iv.lo_closed()),
+                _ => 0,
+            };
+            let end = match iv.hi() {
+                TimeBound::Finite(r) => base + 2 * at(r) + usize::from(iv.hi_closed()),
+                _ => pieces.len(),
+            };
+            events.push((first, true, k));
+            events.push((end, false, k));
+        }
+    }
+    events.sort_unstable();
+    let mut events = events.into_iter().peekable();
+    let mut active: BTreeSet<usize> = BTreeSet::new();
     let mut out: Vec<(Value, Interval)> = Vec::new();
-    for (piece, rep) in pieces {
-        let active: Vec<&Contribution> =
-            contribs.iter().filter(|c| c.active.contains(rep)).collect();
+    for (i, piece) in pieces.into_iter().enumerate() {
+        while let Some((_, enters, k)) = events.next_if(|e| e.0 == i) {
+            if enters {
+                active.insert(k);
+            } else {
+                active.remove(&k);
+            }
+        }
         if active.is_empty() {
             continue;
         }
-        let value = aggregate(&active, fun)?;
-        out.push((value, piece));
+        // Pool order: the order the f64 sums have always been taken in.
+        let pooled: Vec<&Contribution> = active.iter().map(|&k| &contribs[k]).collect();
+        out.push((aggregate(&pooled, fun)?, piece));
     }
     Ok(out)
 }
@@ -245,6 +276,108 @@ mod tests {
         out
     }
 
+    /// The decomposition the sweep replaced: every piece rescans every
+    /// contribution for the ones holding a point inside it.
+    fn decompose_by_rescan(contribs: &[Contribution], fun: AggFn) -> Vec<(Value, Interval)> {
+        let mut points: Vec<Rational> = Vec::new();
+        let (mut neg_inf, mut pos_inf) = (false, false);
+        for iv in contribs.iter().flat_map(|c| c.active.atoms()) {
+            match iv.lo() {
+                TimeBound::Finite(r) => points.push(r),
+                _ => neg_inf = true,
+            }
+            match iv.hi() {
+                TimeBound::Finite(r) => points.push(r),
+                _ => pos_inf = true,
+            }
+        }
+        points.sort();
+        points.dedup();
+        let mut pieces: Vec<(Interval, Rational)> = Vec::new();
+        if let (Some(&first), true) = (points.first(), neg_inf) {
+            let tail = Interval::new(TimeBound::NegInf, false, first.into(), false).unwrap();
+            pieces.push((tail, first - Rational::ONE));
+        }
+        for (i, &p) in points.iter().enumerate() {
+            pieces.push((Interval::point(p), p));
+            if let Some(&q) = points.get(i + 1) {
+                pieces.push((Interval::open(p, q), (p + q) / Rational::integer(2)));
+            }
+        }
+        if let (Some(&last), true) = (points.last(), pos_inf) {
+            let tail = Interval::new(last.into(), false, TimeBound::PosInf, false).unwrap();
+            pieces.push((tail, last + Rational::ONE));
+        }
+        let mut out = Vec::new();
+        for (piece, rep) in pieces {
+            let active: Vec<&Contribution> =
+                contribs.iter().filter(|c| c.active.contains(rep)).collect();
+            if !active.is_empty() {
+                out.push((aggregate(&active, fun).unwrap(), piece));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sweep_matches_the_rescanning_decomposition() {
+        let r = Rational::integer;
+        let run = |first, step, steps| Interval::progression(r(first), r(step), steps).unwrap();
+        let mut sets: Vec<IntervalSet> = vec![
+            IntervalSet::from_interval(
+                Interval::new(TimeBound::NegInf, false, r(5).into(), true).unwrap(),
+            ),
+            IntervalSet::from_interval(
+                Interval::new(r(12).into(), false, TimeBound::PosInf, false).unwrap(),
+            ),
+            IntervalSet::from_interval(run(0, 3, 8)),
+            IntervalSet::from_intervals([run(1, 2, 4), Interval::closed_int(14, 20)]),
+            IntervalSet::from_interval(Interval::open(r(2), r(9))),
+            IntervalSet::new(),
+        ];
+        // Overlapping windows of every shape, from a fixed pseudo-random walk.
+        let mut x: u64 = 7;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for _ in 0..40 {
+            let lo = next(30) as i64;
+            let len = next(6) as i64;
+            sets.push(match next(4) {
+                0 => IntervalSet::from_interval(Interval::closed_int(lo, lo + len)),
+                1 => IntervalSet::from_interval(Interval::at(lo)),
+                2 => IntervalSet::from_interval(run(lo, 1 + next(3) as i64, 1 + len as u32)),
+                _ => IntervalSet::from_interval(Interval::half_open_right(r(lo), r(lo + len + 1))),
+            });
+        }
+        // Float values whose sums depend on the order they are added in.
+        let values = [0.1, 0.2, 0.3, 1e16, -1e16, 7.0, 1.0 / 3.0];
+        let contribs: Vec<Contribution> = (sets.into_iter().enumerate())
+            .map(|(i, active)| Contribution {
+                value: if i % 5 == 4 {
+                    Value::Int(i as i64)
+                } else {
+                    Value::num(values[i % values.len()])
+                },
+                active,
+            })
+            .collect();
+        for fun in [AggFn::Sum, AggFn::Avg, AggFn::Count, AggFn::Min, AggFn::Max] {
+            let swept = decompose_and_aggregate(&contribs, fun).unwrap();
+            let rescanned = decompose_by_rescan(&contribs, fun);
+            assert!(swept.len() > 60, "{fun:?}: {} pieces", swept.len());
+            assert_eq!(swept.len(), rescanned.len(), "{fun:?}");
+            for ((v1, p1), (v2, p2)) in swept.iter().zip(&rescanned) {
+                assert_eq!(p1, p2, "{fun:?}");
+                // Bit for bit: the same contributions summed in the same order.
+                assert_eq!(v1.pack(), v2.pack(), "{fun:?} on {p1}");
+            }
+        }
+    }
+
     #[test]
     fn sum_pools_across_rules_and_time() {
         let out = run_agg(
@@ -318,6 +451,19 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0[0], Value::Int(2));
+    }
+
+    #[test]
+    fn contributions_pool_in_binding_order() {
+        // Facts stored out of order; the pool follows the bindings sorted
+        // by `(variable, value)`, so the f64 sum is (0.1 + 0.2) + 0.3,
+        // which differs from (0.3 + 0.2) + 0.1 in the last bit.
+        let out = run_agg(
+            "s(sum(S)) :- p(A, S).",
+            "p(3, 0.3)@1.\np(1, 0.1)@1.\np(2, 0.2)@1.",
+        );
+        assert_eq!(out[0].0[0], Value::num(0.1 + 0.2 + 0.3));
+        assert_ne!(out[0].0[0], Value::num(0.3 + 0.2 + 0.1));
     }
 
     #[test]

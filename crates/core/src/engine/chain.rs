@@ -66,15 +66,17 @@
 //! Detection is static ([`Chains::detect`] runs once per stratum in
 //! `Reasoner::new`); only the guard sets ([`GuardSets`]) are per stratum run.
 
-use super::eval::{eval_matom_masked, Bindings, EvalCtx};
+use super::eval::{eval_matom_masked, EvalCtx};
+use super::plan::Slots;
 use super::ReasonerConfig;
 use super::{budget_exceeded_components, budget_exceeded_iterations, rule_span_name};
 use crate::ast::{Atom, Literal, MetricAtom, Rule, Term};
 use crate::error::{Error, Result};
+use crate::hash::FxHashMap;
 use crate::symbol::Symbol;
 use crate::value::Value;
 use mtl_temporal::{Interval, IntervalSet, MetricInterval, Rational, TimeBound};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// The statically recognised parts of a self-chain rule, as indices into
 /// the rule's body (the rule itself stays in the program).
@@ -90,6 +92,9 @@ struct SelfChain {
     key_vars: Vec<(Symbol, usize)>,
     /// The chain's total shift when all its operators are punctual.
     shift: Option<Rational>,
+    /// The rule's variables, numbered as its plans number them: the guards
+    /// are evaluated over a row with the key variables' slots bound.
+    slots: Slots,
 }
 
 /// The self-chain rules of one stratum, by rule index.
@@ -100,7 +105,7 @@ pub(crate) struct Chains {
 /// The guard sets one stratum run has evaluated so far, keyed by `(rule,
 /// values of the guards' head variables)`. Each set remembers the window it
 /// was evaluated over; a closure starting earlier re-evaluates.
-pub(crate) type GuardSets = HashMap<(usize, Vec<Value>), (Interval, IntervalSet)>;
+pub(crate) type GuardSets = FxHashMap<(usize, Vec<Value>), (Interval, IntervalSet)>;
 
 /// What closing one row produced.
 pub(crate) struct Closed {
@@ -437,6 +442,7 @@ impl SelfChain {
             guards,
             key_vars,
             shift: punctual_shift(matom(rule, chain)),
+            slots: Slots::of(rule),
         })
     }
 
@@ -449,21 +455,27 @@ impl SelfChain {
         window: Interval,
         ctx: &EvalCtx<'_>,
     ) -> Result<IntervalSet> {
-        let binding: Bindings = self
-            .key_vars
-            .iter()
-            .map(|&(v, _)| v)
-            .zip(key_vals.iter().copied())
-            .collect();
+        let mut row = vec![None; self.slots.width()];
+        for (&(v, _), &value) in self.key_vars.iter().zip(key_vals) {
+            row[self.slots.slot(v).expect("a key variable has a slot")] = Some(value);
+        }
         let mut set = IntervalSet::from_interval(window);
         for &(positive, li) in &self.guards {
             let Some(mask) = set.hull() else { break };
             let mut hits = IntervalSet::new();
             let m = matom(rule, li);
-            eval_matom_masked(m, ctx, false, &binding, Some(mask), &mut |_, ivs| {
-                hits.union_with(&ivs);
-                Ok(())
-            })?;
+            eval_matom_masked(
+                m,
+                ctx,
+                false,
+                &self.slots,
+                &row,
+                Some(mask),
+                &mut |_, ivs| {
+                    hits.union_with(&ivs);
+                    Ok(())
+                },
+            )?;
             set = if positive {
                 set.intersect(&hits)
             } else {

@@ -1,11 +1,25 @@
 //! Rule-body evaluation: temporal joins, operator application, stratified
 //! negation, built-in constraints, and the `@T` time capture.
 //!
-//! A body evaluates to a set of `(binding, interval set)` pairs: the variable
-//! assignments satisfying the relational/constraint part, each with the time
-//! points at which the whole conjunction holds. The fixpoint never sees
-//! those pairs: [`execute_heads`] unions them into one row per head tuple as
-//! the last join emits them.
+//! A body evaluates to rows: fixed-width variable assignments, each with
+//! the time points at which the whole conjunction holds. The plan numbers
+//! the rule's variables once ([`Slots`]); a row holds one slot per variable,
+//! unbound until a join, an assignment or the caller's seed writes it. A
+//! plan step reads one [`Rows`] buffer and writes the next — the per-task
+//! arena the bindings live in — so a join match copies a row and a few
+//! column values, and hashes nothing.
+//!
+//! A slot holds a [`Value`] as the column store decoded it, and so does
+//! every computed value (`M = X + Y`): the executor interns nothing. A new
+//! value reaches the global interner only when the fixpoint merges a head
+//! row that carries it.
+//!
+//! The fixpoint never sees the rows: [`execute_heads`] unions them into one
+//! row per head tuple as the last join emits them, keyed by the packed head
+//! values. Aggregates and explanations need the body variables, and
+//! [`execute_rows`] hands them the deduplicated rows sorted by their bound
+//! `(variable, value)` pairs — the order that fixes the summation order of
+//! `sum` / `avg` and the order in which explanations try candidates.
 //!
 //! What an evaluation counted is part of what it returns. Its context
 //! counts the lookups ([`LookupCounts`]), and [`execute_heads`] hands back
@@ -16,20 +30,19 @@
 use crate::ast::{Atom, CmpOp, Expr, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::hash::FxHashMap;
+use crate::hash::FxHasher;
 use crate::intern::{self, NONE_VID};
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
 use chronolog_obs::{SpanGuard, SpanRecorder};
 use mtl_temporal::{Interval, IntervalSet, MetricInterval};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::hash::Hasher;
 
-use super::plan::{AccessPath, ConstraintMode, PlanStep, RulePlan, StepKind};
+use super::plan::{AccessPath, ConstraintMode, PlanStep, RulePlan, Slots, StepKind};
 
-/// A variable assignment. Fx-hashed: binding maps are cloned once per
-/// emitted tuple, which makes rehash speed a join-throughput term.
-pub(crate) type Bindings = FxHashMap<Symbol, Value>;
+/// One variable's value in a row: `None` while unbound.
+pub(crate) type Slot = Option<Value>;
 
 /// What one evaluation's lookups did. Plain integers: a task counts into
 /// its own [`EvalCtx`], hands the counts back with its result, and the
@@ -142,39 +155,123 @@ pub(crate) fn delta_read(m: &MetricAtom) -> DeltaRead {
     }
 }
 
-/// Executes a compiled rule-body plan down to its bindings: the executor
-/// of the two callers that need the body variables — aggregate groups,
-/// which pool one contribution per distinct binding, and explanations,
-/// which ground premises from them. The fixpoint runs [`execute_heads`].
+/// Rows of one plan step: fixed-width slot rows in one flat buffer, each
+/// with the (non-empty, once a join ran) interval set at which it holds.
+pub(crate) struct Rows {
+    width: usize,
+    slots: Vec<Slot>,
+    sets: Vec<IntervalSet>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Rows {
+        Rows {
+            width,
+            slots: Vec::new(),
+            sets: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sets.is_empty()
+    }
+
+    fn row(&self, i: usize) -> &[Slot] {
+        &self.slots[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The rows with their interval sets, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[Slot], &IntervalSet)> {
+        (0..self.len()).map(|i| (self.row(i), &self.sets[i]))
+    }
+
+    fn push(&mut self, row: &[Slot], set: IntervalSet) {
+        self.slots.extend_from_slice(row);
+        self.sets.push(set);
+    }
+
+    /// Appends the row a metric-atom result stands for.
+    fn push_hit(&mut self, hit: &Hit<'_>, set: IntervalSet) {
+        let at = self.slots.len();
+        self.slots.extend_from_slice(hit.base);
+        for &(s, v) in hit.binds {
+            self.slots[at + s] = Some(v);
+        }
+        self.sets.push(set);
+    }
+
+    /// Keeps the rows `keep` accepts, in order. `keep` may rewrite a row's
+    /// slots and interval set; dropping a row returns `false`.
+    fn retain(
+        &mut self,
+        mut keep: impl FnMut(&mut [Slot], &mut IntervalSet) -> Result<bool>,
+    ) -> Result<()> {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if !keep(&mut self.slots[i * w..(i + 1) * w], &mut self.sets[i])? {
+                continue;
+            }
+            if kept != i {
+                self.slots.copy_within(i * w..(i + 1) * w, kept * w);
+                self.sets.swap(kept, i);
+            }
+            kept += 1;
+        }
+        self.slots.truncate(kept * w);
+        self.sets.truncate(kept);
+        Ok(())
+    }
+}
+
+/// Executes a compiled rule-body plan down to its rows: the executor of the
+/// two callers that need the body variables — aggregate groups, which pool
+/// one contribution per distinct binding, and explanations, which ground
+/// premises from them. The fixpoint runs [`execute_heads`].
 ///
-/// Starts from `binding` (empty, or an explanation's head variables bound).
-/// Returns deduplicated `(binding, intervals)` pairs with non-empty interval
-/// sets.
-pub(crate) fn execute_plan(
+/// Starts from one row with `seed` bound (nothing, or an explanation's head
+/// variables). Returns deduplicated rows with non-empty interval sets, the
+/// sets of equal rows unioned, sorted by their bound `(variable, value)`
+/// pairs: an order that does not depend on scan order or thread count.
+pub(crate) fn execute_rows(
     rule: &Rule,
     plan: &RulePlan,
     ctx: &EvalCtx<'_>,
-    binding: Bindings,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let mut step_rows = vec![0; plan.steps.len()];
-    let acc = run_steps(rule, plan, &plan.steps, ctx, binding, &mut step_rows)?;
-    // Deduplicate bindings, merging interval sets. The ordered map makes
-    // the result order — and with it the order in which aggregates pool
-    // and explanations try candidates — deterministic across runs and
-    // thread counts.
-    let mut merged: BTreeMap<Vec<(Symbol, Value)>, IntervalSet> = BTreeMap::new();
-    for (b, ivs) in acc {
-        if ivs.is_empty() {
-            continue;
+    seed: &[(Symbol, Value)],
+) -> Result<Rows> {
+    let slots = &plan.slots;
+    let mut first = vec![None; slots.width()];
+    for &(x, v) in seed {
+        if let Some(s) = slots.slot(x) {
+            first[s] = Some(v);
         }
-        let mut key: Vec<(Symbol, Value)> = b.iter().map(|(k, v)| (*k, *v)).collect();
-        key.sort();
-        merged.entry(key).or_default().union_with(&ivs);
     }
-    Ok(merged
-        .into_iter()
-        .map(|(k, ivs)| (k.into_iter().collect(), ivs))
-        .collect())
+    let mut step_rows = vec![0; plan.steps.len()];
+    let acc = run_steps(rule, plan, &plan.steps, ctx, &first, &mut step_rows)?;
+    let mut order: Vec<usize> = (0..acc.len())
+        .filter(|&i| !acc.sets[i].is_empty())
+        .collect();
+    order.sort_by(|&a, &b| slots.pairs(acc.row(a)).cmp(slots.pairs(acc.row(b))));
+    let mut out = Rows::new(acc.width);
+    let mut last: Option<usize> = None;
+    for i in order {
+        match last {
+            Some(l) if slots.pairs(acc.row(l)).eq(slots.pairs(acc.row(i))) => {
+                let merged = out.sets.last_mut().expect("a row was pushed");
+                merged.union_with(&acc.sets[i]);
+            }
+            _ => {
+                out.push(acc.row(i), acc.sets[i].clone());
+                last = Some(i);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Executes a compiled rule-body plan down to its head rows: one
@@ -185,50 +282,42 @@ pub(crate) fn execute_plan(
 /// Returns the rows the plan's steps produced alongside, one entry per step.
 ///
 /// When the plan ends in a join, that join is fused with the union: each
-/// matching tuple writes its head values — read from the binding and the
-/// tuple's own columns — straight into the head table, so no binding map
-/// is built for it and a key is allocated only for a tuple new to the
-/// table. The fused step still counts its binding rows.
+/// head argument is resolved once per incoming row — a constant, a slot of
+/// the row, or a value the last literal binds — and each matching tuple
+/// packs the head values straight into the head table. No row is written
+/// for it. The fused step still counts its binding rows.
 pub(crate) fn execute_heads(
     rule: &Rule,
     plan: &RulePlan,
     ctx: &EvalCtx<'_>,
 ) -> Result<(HeadRows, Vec<u64>)> {
-    let mut table = HeadTable::default();
+    let slots = &plan.slots;
+    let head = head_args(rule, slots);
+    let mut table = HeadTable::new(head.len());
     let mut step_rows = vec![0; plan.steps.len()];
+    let first = vec![None; slots.width()];
     match plan.steps.split_last() {
         Some((last, rest)) if matches!(last.kind, StepKind::Join { .. }) => {
-            let acc = run_steps(rule, plan, rest, ctx, Bindings::default(), &mut step_rows)?;
+            let acc = run_steps(rule, plan, rest, ctx, &first, &mut step_rows)?;
             if acc.is_empty() {
                 return Ok((vec![], step_rows));
             }
             let mut span = step_span(ctx, last);
-            let Literal::Pos(m) = &rule.body[last.literal] else {
-                unreachable!("join step on a non-positive literal");
-            };
-            let use_delta = plan.delta_literal == Some(last.literal);
-            let rows = join_heads(&acc, m, ctx, use_delta, rule, &mut table)?;
+            let rows = join_heads(&acc, rule, plan, last.literal, ctx, &head, &mut table)?;
             step_rows[rest.len()] = rows as u64;
             if let Some(s) = span.as_mut() {
                 s.add("rows", rows as u64);
             }
         }
         _ => {
-            let mut values = Vec::with_capacity(rule.head.atom.args.len());
-            let acc = run_steps(
-                rule,
-                plan,
-                &plan.steps,
-                ctx,
-                Bindings::default(),
-                &mut step_rows,
-            )?;
-            for (b, ivs) in acc {
+            let acc = run_steps(rule, plan, &plan.steps, ctx, &first, &mut step_rows)?;
+            let mut key = Vec::new();
+            for (row, ivs) in acc.iter() {
                 if ivs.is_empty() {
                     continue;
                 }
-                head_values(rule, |x| b.get(&x).copied(), &mut values)?;
-                table.add(&values, ivs);
+                pack_head(rule, &head, |s| row[s], &mut key)?;
+                table.add(&key, ivs.clone());
             }
         }
     }
@@ -238,53 +327,143 @@ pub(crate) fn execute_heads(
 /// One rule evaluation's head rows, sorted by tuple.
 pub(crate) type HeadRows = Vec<(Tuple, IntervalSet)>;
 
-/// One rule evaluation's head rows, keyed by head tuple (structurally: `3`
-/// and `3.0` are two tuples, as the store keeps them).
-#[derive(Default)]
-struct HeadTable {
-    rows: FxHashMap<Tuple, IntervalSet>,
+/// Where a head argument's value comes from.
+#[derive(Clone, Copy, PartialEq)]
+enum HeadArg {
+    Val(Value),
+    /// The variable's slot, and the variable for the error when unbound.
+    Var(usize, Symbol),
 }
 
-impl HeadTable {
-    /// Unions `ivs` into the row of `tuple`, allocating the key only when
-    /// the tuple is new to the table.
-    fn add(&mut self, tuple: &[Value], ivs: IntervalSet) {
-        match self.rows.get_mut(tuple) {
-            Some(row) => {
-                row.union_with(&ivs);
-            }
-            None => {
-                self.rows.insert(tuple.into(), ivs);
-            }
-        }
-    }
-
-    fn into_sorted(self) -> HeadRows {
-        let mut rows: Vec<(Tuple, IntervalSet)> = self.rows.into_iter().collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
+/// The head arguments of `rule`.
+fn head_args(rule: &Rule, slots: &Slots) -> Vec<HeadArg> {
+    (rule.head.atom.args.iter())
+        .map(|t| match t {
+            Term::Val(v) => HeadArg::Val(*v),
+            Term::Var(x) => HeadArg::Var(slots.slot(*x).expect("every variable has a slot"), *x),
+        })
+        .collect()
 }
 
-/// Grounds `rule`'s head into `out`, reading variables through `get`.
-fn head_values(
+/// Packs the head values into `key`, reading slot `s` through `get`.
+fn pack_head(
     rule: &Rule,
-    get: impl Fn(Symbol) -> Option<Value>,
-    out: &mut Vec<Value>,
+    args: &[HeadArg],
+    get: impl Fn(usize) -> Slot,
+    key: &mut Vec<u64>,
 ) -> Result<()> {
-    out.clear();
-    for t in &rule.head.atom.args {
-        out.push(match t {
-            Term::Val(v) => *v,
-            Term::Var(x) => get(*x).ok_or_else(|| {
+    key.clear();
+    for a in args {
+        let v = match *a {
+            HeadArg::Val(v) => v,
+            HeadArg::Var(s, x) => get(s).ok_or_else(|| {
                 Error::Eval(format!(
                     "unbound head variable {x} in rule `{}`",
                     rule.label.as_deref().unwrap_or("<unlabeled>")
                 ))
             })?,
-        });
+        };
+        key.extend_from_slice(&v.pack());
     }
     Ok(())
+}
+
+/// One rule evaluation's head rows, keyed by the packed head values
+/// ([`Value::pack`]: structural, so `3` and `3.0` are two tuples, as the
+/// store keeps them). Open addressing over one flat key buffer: a new
+/// tuple costs a copy of its key words, a known one a probe and a compare.
+struct HeadTable {
+    /// Words per key: two per head argument.
+    width: usize,
+    keys: Vec<u64>,
+    sets: Vec<IntervalSet>,
+    /// Row index per bucket, `u32::MAX` for an empty one; a power of two
+    /// at least twice the rows long.
+    buckets: Vec<u32>,
+}
+
+const NO_ROW: u32 = u32::MAX;
+
+fn hash_words(words: &[u64]) -> usize {
+    let mut h = FxHasher::default();
+    for &w in words {
+        h.write_u64(w);
+    }
+    h.finish() as usize
+}
+
+impl HeadTable {
+    fn new(arity: usize) -> HeadTable {
+        HeadTable {
+            width: 2 * arity,
+            keys: Vec::new(),
+            sets: Vec::new(),
+            buckets: vec![NO_ROW; 16],
+        }
+    }
+
+    fn key_of(&self, row: usize) -> &[u64] {
+        &self.keys[row * self.width..(row + 1) * self.width]
+    }
+
+    /// Unions `ivs` into the row of the tuple packed in `key`.
+    fn add(&mut self, key: &[u64], ivs: IntervalSet) {
+        let mask = self.buckets.len() - 1;
+        let mut b = hash_words(key) & mask;
+        loop {
+            match self.buckets[b] {
+                NO_ROW => break,
+                row if self.key_of(row as usize) == key => {
+                    let stored = &mut self.sets[row as usize];
+                    // A stored interval that already holds the new one:
+                    // the union would change nothing.
+                    if let ([held], [new]) = (stored.components(), ivs.components()) {
+                        if held.contains_interval(new) {
+                            return;
+                        }
+                    }
+                    stored.union_with(&ivs);
+                    return;
+                }
+                _ => b = (b + 1) & mask,
+            }
+        }
+        let row = u32::try_from(self.sets.len()).expect("head rows fit in u32");
+        self.buckets[b] = row;
+        self.keys.extend_from_slice(key);
+        self.sets.push(ivs);
+        if 2 * self.sets.len() > self.buckets.len() {
+            self.grow();
+        }
+    }
+
+    fn grow(&mut self) {
+        let mut buckets = vec![NO_ROW; 2 * self.buckets.len()];
+        let mask = buckets.len() - 1;
+        for row in 0..self.sets.len() {
+            let mut b = hash_words(self.key_of(row)) & mask;
+            while buckets[b] != NO_ROW {
+                b = (b + 1) & mask;
+            }
+            buckets[b] = row as u32;
+        }
+        self.buckets = buckets;
+    }
+
+    fn into_sorted(self) -> HeadRows {
+        let mut rows: HeadRows = (self.sets.into_iter().enumerate())
+            .map(|(row, set)| {
+                let words = &self.keys[row * self.width..(row + 1) * self.width];
+                let tuple = words
+                    .chunks_exact(2)
+                    .map(|w| Value::unpack([w[0], w[1]]))
+                    .collect();
+                (tuple, set)
+            })
+            .collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
 }
 
 /// One span per plan step: static names so folded stacks collapse across
@@ -302,19 +481,21 @@ fn step_span(ctx: &EvalCtx<'_>, step: &PlanStep) -> Option<SpanGuard> {
     })
 }
 
-/// Runs `steps` of `plan` from `binding`: the delta-restricted literal is
-/// taken from the plan, joins push the accumulated interval hull down as a
-/// read mask, and constraints run in their statically scheduled modes.
-/// Writes the rows each step produced to `step_rows`, in step order.
+/// Runs `steps` of `plan` from the row `first`: the delta-restricted
+/// literal is taken from the plan, joins push the accumulated interval hull
+/// down as a read mask, and constraints run in their statically scheduled
+/// modes. Writes the rows each step produced to `step_rows`, in step order.
 fn run_steps(
     rule: &Rule,
     plan: &RulePlan,
     steps: &[PlanStep],
     ctx: &EvalCtx<'_>,
-    binding: Bindings,
+    first: &[Slot],
     step_rows: &mut [u64],
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let mut acc: Vec<(Bindings, IntervalSet)> = vec![(binding, ctx.horizon_set())];
+) -> Result<Rows> {
+    let slots = &plan.slots;
+    let mut acc = Rows::new(slots.width());
+    acc.push(first, ctx.horizon_set());
     for (step, rows) in steps.iter().zip(step_rows) {
         let mut span = step_span(ctx, step);
         match &step.kind {
@@ -323,19 +504,19 @@ fn run_steps(
                     unreachable!("join step on a non-positive literal");
                 };
                 let use_delta = plan.delta_literal == Some(step.literal);
-                acc = join_chunk(&acc, m, ctx, use_delta)?;
+                acc = join_rows(&acc, m, ctx, use_delta, slots)?;
             }
             StepKind::Constraint { mode } => {
                 let Literal::Constraint(lhs, op, rhs) = &rule.body[step.literal] else {
                     unreachable!("constraint step on a non-constraint literal");
                 };
-                acc = apply_constraint(acc, lhs, *op, rhs, *mode)?;
+                apply_constraint(&mut acc, lhs, *op, rhs, *mode, slots)?;
             }
             StepKind::Negation => {
                 let Literal::Neg(m) = &rule.body[step.literal] else {
                     unreachable!("negation step on a non-negated literal");
                 };
-                acc = apply_negation(acc, m, ctx)?;
+                apply_negation(&mut acc, m, ctx, slots)?;
             }
         }
         *rows = acc.len() as u64;
@@ -344,45 +525,42 @@ fn run_steps(
         }
         // An empty accumulator is absorbing for every remaining step.
         if acc.is_empty() && matches!(step.kind, StepKind::Join { .. }) {
-            return Ok(vec![]);
+            return Ok(acc);
         }
     }
     Ok(acc)
 }
 
-/// Applies a constraint to every binding in its scheduled mode: assignments
-/// extend the binding, filters keep or drop it.
+/// Applies a constraint to every row in its scheduled mode: assignments
+/// write the assigned variable's slot, filters keep or drop the row.
 fn apply_constraint(
-    acc: Vec<(Bindings, IntervalSet)>,
+    acc: &mut Rows,
     lhs: &Expr,
     op: CmpOp,
     rhs: &Expr,
     mode: ConstraintMode,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let lone_var = |e: &Expr| match e {
-        Expr::Term(Term::Var(x)) => *x,
+    slots: &Slots,
+) -> Result<()> {
+    let lone_slot = |e: &Expr| match e {
+        Expr::Term(Term::Var(x)) => slots.slot(*x).expect("every variable has a slot"),
         _ => unreachable!("mode implies lone variable"),
     };
-    let mut out = Vec::with_capacity(acc.len());
-    for (mut b, ivs) in acc {
-        match mode {
-            ConstraintMode::AssignLeft => {
-                let v = eval_expr(rhs, &b)?;
-                b.insert(lone_var(lhs), v);
+    let (target, expr) = match mode {
+        ConstraintMode::AssignLeft => (Some(lone_slot(lhs)), rhs),
+        ConstraintMode::AssignRight => (Some(lone_slot(rhs)), lhs),
+        ConstraintMode::Filter => (None, lhs),
+    };
+    acc.retain(|row, _| {
+        let var = |x: Symbol| slots.value(row, x);
+        match target {
+            Some(s) => {
+                let v = eval_expr(expr, &var)?;
+                row[s] = Some(v);
+                Ok(true)
             }
-            ConstraintMode::AssignRight => {
-                let v = eval_expr(lhs, &b)?;
-                b.insert(lone_var(rhs), v);
-            }
-            ConstraintMode::Filter => {
-                if !compare(eval_expr(lhs, &b)?, op, eval_expr(rhs, &b)?)? {
-                    continue;
-                }
-            }
+            None => compare(eval_expr(lhs, &var)?, op, eval_expr(rhs, &var)?),
         }
-        out.push((b, ivs));
-    }
-    Ok(out)
+    })
 }
 
 /// The comparison built-ins: `=`/`!=` are semantic (`3 = 3.0`), the order
@@ -406,9 +584,10 @@ pub(crate) fn compare(l: Value, op: CmpOp, r: Value) -> Result<bool> {
     }
 }
 
-/// Evaluates an arithmetic expression under a binding. Integer arithmetic
-/// stays exact; mixing with floats coerces to `f64`.
-pub(crate) fn eval_expr(expr: &Expr, b: &Bindings) -> Result<Value> {
+/// Evaluates an arithmetic expression, reading each variable through
+/// `var`. Integer arithmetic stays exact; mixing with floats, or an integer
+/// result that overflows `i64`, coerces to `f64`.
+pub(crate) fn eval_expr(expr: &Expr, var: &impl Fn(Symbol) -> Option<Value>) -> Result<Value> {
     fn num2(
         a: Value,
         bb: Value,
@@ -439,181 +618,193 @@ pub(crate) fn eval_expr(expr: &Expr, b: &Bindings) -> Result<Value> {
     }
     match expr {
         Expr::Term(Term::Val(v)) => Ok(*v),
-        Expr::Term(Term::Var(v)) => b
-            .get(v)
-            .copied()
-            .ok_or_else(|| Error::Eval(format!("unbound variable {v} in expression"))),
+        Expr::Term(Term::Var(v)) => {
+            var(*v).ok_or_else(|| Error::Eval(format!("unbound variable {v} in expression")))
+        }
         Expr::Add(x, y) => num2(
-            eval_expr(x, b)?,
-            eval_expr(y, b)?,
+            eval_expr(x, var)?,
+            eval_expr(y, var)?,
             i64::checked_add,
             |a, c| a + c,
             "+",
         ),
         Expr::Sub(x, y) => num2(
-            eval_expr(x, b)?,
-            eval_expr(y, b)?,
+            eval_expr(x, var)?,
+            eval_expr(y, var)?,
             i64::checked_sub,
             |a, c| a - c,
             "-",
         ),
         Expr::Mul(x, y) => num2(
-            eval_expr(x, b)?,
-            eval_expr(y, b)?,
+            eval_expr(x, var)?,
+            eval_expr(y, var)?,
             i64::checked_mul,
             |a, c| a * c,
             "*",
         ),
         Expr::Div(x, y) => {
-            let (xv, yv) = (eval_expr(x, b)?, eval_expr(y, b)?);
+            let (xv, yv) = (eval_expr(x, var)?, eval_expr(y, var)?);
             if yv.as_f64() == Some(0.0) {
                 return Err(Error::Eval("division by zero".into()));
             }
+            // `i64::MIN / -1` overflows both the remainder and the
+            // quotient: it falls back to `f64` like every overflow.
             num2(
                 xv,
                 yv,
-                |a, c| {
-                    if c != 0 && a % c == 0 {
-                        Some(a / c)
-                    } else {
-                        None
-                    }
+                |a, c| match a.checked_rem(c) {
+                    Some(0) => a.checked_div(c),
+                    _ => None,
                 },
                 |a, c| a / c,
                 "/",
             )
         }
-        Expr::Neg(x) => match eval_expr(x, b)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
+        Expr::Neg(x) => match eval_expr(x, var)? {
+            Value::Int(i) => Ok(i
+                .checked_neg()
+                .map_or_else(|| Value::num(-(i as f64)), Value::Int)),
             Value::Num(n) => Ok(Value::num(-n.get())),
             other => Err(Error::Eval(format!("cannot negate {other}"))),
         },
-        Expr::Abs(x) => match eval_expr(x, b)? {
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+        Expr::Abs(x) => match eval_expr(x, var)? {
+            Value::Int(i) => Ok(i
+                .checked_abs()
+                .map_or_else(|| Value::num((i as f64).abs()), Value::Int)),
             Value::Num(n) => Ok(Value::num(n.get().abs())),
             other => Err(Error::Eval(format!("abs of non-number {other}"))),
         },
         Expr::Min(x, y) => {
-            let (a, c) = (eval_expr(x, b)?, eval_expr(y, b)?);
+            let (a, c) = (eval_expr(x, var)?, eval_expr(y, var)?);
             Ok(if compare(a, CmpOp::Le, c)? { a } else { c })
         }
         Expr::Max(x, y) => {
-            let (a, c) = (eval_expr(x, b)?, eval_expr(y, b)?);
+            let (a, c) = (eval_expr(x, var)?, eval_expr(y, var)?);
             Ok(if compare(a, CmpOp::Ge, c)? { a } else { c })
         }
     }
 }
 
-/// Joins the accumulator with a positive metric atom, one binding per
-/// joined row (see [`join_each`]).
-fn join_chunk(
-    acc: &[(Bindings, IntervalSet)],
+/// Joins the rows with a positive metric atom: one row per joined result,
+/// its interval set the intersection, the row's hull pushed down as a read
+/// mask.
+fn join_rows(
+    acc: &Rows,
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let mut out = Vec::new();
-    join_each(acc, m, ctx, use_delta, &mut |hit, joined| {
-        out.push((hit.to_bindings(), joined));
-        Ok(())
-    })?;
+    slots: &Slots,
+) -> Result<Rows> {
+    let mut out = Rows::new(acc.width);
+    for (row, ivs) in acc.iter() {
+        eval_matom_masked(
+            m,
+            ctx,
+            use_delta,
+            slots,
+            row,
+            ivs.hull(),
+            &mut |hit, ivs2| {
+                let joined = ivs.intersect(&ivs2);
+                if !joined.is_empty() {
+                    out.push_hit(hit, joined);
+                }
+                Ok(())
+            },
+        )?;
+    }
     Ok(out)
 }
 
-/// The fused last join of [`execute_heads`]: joins the accumulator with a
-/// positive metric atom and unions each joined row into `table` under its
-/// head tuple. Returns the binding rows the join made.
+/// The fused last join of [`execute_heads`]: joins the rows with the
+/// positive literal `literal` and unions each joined result into `table`
+/// under its head tuple. Returns the binding rows the join made.
 fn join_heads(
-    acc: &[(Bindings, IntervalSet)],
-    m: &MetricAtom,
-    ctx: &EvalCtx<'_>,
-    use_delta: bool,
+    acc: &Rows,
     rule: &Rule,
+    plan: &RulePlan,
+    literal: usize,
+    ctx: &EvalCtx<'_>,
+    head: &[HeadArg],
     table: &mut HeadTable,
 ) -> Result<usize> {
-    let mut values = Vec::with_capacity(rule.head.atom.args.len());
+    let Literal::Pos(m) = &rule.body[literal] else {
+        unreachable!("join step on a non-positive literal");
+    };
+    let (slots, use_delta) = (&plan.slots, plan.delta_literal == Some(literal));
+    // The slots the literal can write: a head argument in one of them is
+    // read off each result, any other one off the incoming row.
+    let written: Vec<usize> = (m.variables().into_iter())
+        .filter_map(|x| slots.slot(x))
+        .collect();
+    let mut resolved = head.to_vec();
+    let mut key = Vec::with_capacity(2 * head.len());
     let mut rows = 0;
-    join_each(acc, m, ctx, use_delta, &mut |hit, joined| {
-        rows += 1;
-        head_values(rule, |x| hit.get(x), &mut values)?;
-        table.add(&values, joined);
-        Ok(())
-    })?;
+    for (row, ivs) in acc.iter() {
+        for (arg, from) in resolved.iter_mut().zip(head) {
+            *arg = match *from {
+                HeadArg::Var(s, _) if !written.contains(&s) => row[s].map_or(*from, HeadArg::Val),
+                a => a,
+            };
+        }
+        eval_matom_masked(
+            m,
+            ctx,
+            use_delta,
+            slots,
+            row,
+            ivs.hull(),
+            &mut |hit, ivs2| {
+                let joined = ivs.intersect(&ivs2);
+                if joined.is_empty() {
+                    return Ok(());
+                }
+                rows += 1;
+                pack_head(rule, &resolved, |s| hit.get(s), &mut key)?;
+                table.add(&key, joined);
+                Ok(())
+            },
+        )?;
+    }
     Ok(rows)
 }
 
-/// Calls `f` with every non-empty joined row of `acc` and a positive
-/// metric atom, the accumulated interval hull pushed down as a read mask.
-fn join_each(
-    acc: &[(Bindings, IntervalSet)],
-    m: &MetricAtom,
-    ctx: &EvalCtx<'_>,
-    use_delta: bool,
-    f: &mut Emit<'_>,
-) -> Result<()> {
-    for (b, ivs) in acc {
-        eval_matom_masked(m, ctx, use_delta, b, ivs.hull(), &mut |hit, ivs2| {
-            let joined = ivs.intersect(&ivs2);
-            if joined.is_empty() {
-                Ok(())
-            } else {
-                f(hit, joined)
-            }
-        })?;
-    }
-    Ok(())
-}
-
-/// Subtracts the (existentially closed) intervals of a negated metric atom.
-fn apply_negation(
-    acc: Vec<(Bindings, IntervalSet)>,
-    m: &MetricAtom,
-    ctx: &EvalCtx<'_>,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let mut out = Vec::with_capacity(acc.len());
-    for (b, ivs) in acc {
+/// Subtracts the (existentially closed) intervals of a negated metric atom
+/// from every row, dropping the rows it empties.
+fn apply_negation(acc: &mut Rows, m: &MetricAtom, ctx: &EvalCtx<'_>, slots: &Slots) -> Result<()> {
+    acc.retain(|row, ivs| {
         let mut neg = IntervalSet::new();
-        eval_matom_masked(m, ctx, false, &b, ivs.hull(), &mut |_, nivs| {
+        eval_matom_masked(m, ctx, false, slots, row, ivs.hull(), &mut |_, nivs| {
             neg.union_with(&nivs);
             Ok(())
         })?;
-        let rest = ivs.difference(&neg);
-        if !rest.is_empty() {
-            out.push((b, rest));
-        }
-    }
-    Ok(out)
+        *ivs = ivs.difference(&neg);
+        Ok(!ivs.is_empty())
+    })
 }
 
 /// One result of a metric-atom evaluation, handed to the caller's [`Emit`]
-/// callback before any binding map is built: the binding the evaluation
-/// started from, plus what the result binds on top of it.
+/// callback before any row is written: the row the evaluation started
+/// from, plus the slots the result writes on top of it.
 pub(crate) struct Hit<'h> {
-    base: &'h Bindings,
+    base: &'h [Slot],
     /// The matched tuple's fresh argument variables, then the `@T` capture
     /// (which overrides a semantically equal earlier value).
-    binds: &'h [(Symbol, Value)],
+    binds: &'h [(usize, Value)],
 }
 
 impl Hit<'_> {
     /// A result that binds nothing beyond `base`.
-    fn of(base: &Bindings) -> Hit<'_> {
+    fn of(base: &[Slot]) -> Hit<'_> {
         Hit { base, binds: &[] }
     }
 
-    /// The value `var` has in this result.
-    fn get(&self, var: Symbol) -> Option<Value> {
-        match self.binds.iter().rev().find(|(v, _)| *v == var) {
+    /// The value slot `slot` has in this result.
+    fn get(&self, slot: usize) -> Slot {
+        match self.binds.iter().rev().find(|(s, _)| *s == slot) {
             Some(&(_, value)) => Some(value),
-            None => self.base.get(&var).copied(),
+            None => self.base[slot],
         }
-    }
-
-    /// The result as an extended binding.
-    fn to_bindings(&self) -> Bindings {
-        let mut b = self.base.clone();
-        b.extend(self.binds.iter().copied());
-        b
     }
 }
 
@@ -623,17 +814,18 @@ pub(crate) type Emit<'e> = dyn FnMut(&Hit<'_>, IntervalSet) -> Result<()> + 'e;
 
 type TransformResult = std::result::Result<IntervalSet, mtl_temporal::TimeOverflow>;
 
-/// Evaluates a metric atom under a binding, returning extended bindings with
+/// Evaluates a metric atom from `row`, returning its results as rows with
 /// the (operator-transformed) interval sets.
 fn eval_matom(
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
-    binding: &Bindings,
-) -> Result<Vec<(Bindings, IntervalSet)>> {
-    let mut out = Vec::new();
-    eval_matom_masked(m, ctx, use_delta, binding, None, &mut |hit, ivs| {
-        out.push((hit.to_bindings(), ivs));
+    slots: &Slots,
+    row: &[Slot],
+) -> Result<Rows> {
+    let mut out = Rows::new(row.len());
+    eval_matom_masked(m, ctx, use_delta, slots, row, None, &mut |hit, ivs| {
+        out.push_hit(hit, ivs);
         Ok(())
     })?;
     Ok(out)
@@ -649,7 +841,8 @@ pub(crate) fn eval_matom_masked(
     m: &MetricAtom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
-    binding: &Bindings,
+    slots: &Slots,
+    row: &[Slot],
     mask: Option<Interval>,
     emit: &mut Emit<'_>,
 ) -> Result<()> {
@@ -676,7 +869,7 @@ pub(crate) fn eval_matom_masked(
                          mask: Option<Interval>,
                          f: fn(&IntervalSet, &MetricInterval) -> TransformResult,
                          rho: &MetricInterval| {
-        eval_matom_masked(inner, ctx, use_delta, binding, mask, &mut |hit, ivs| {
+        eval_matom_masked(inner, ctx, use_delta, slots, row, mask, &mut |hit, ivs| {
             let t = f(&ivs, rho)?;
             if t.is_empty() {
                 Ok(())
@@ -686,9 +879,9 @@ pub(crate) fn eval_matom_masked(
         })
     };
     match m {
-        MetricAtom::Top => emit(&Hit::of(binding), IntervalSet::from_interval(ctx.top)),
+        MetricAtom::Top => emit(&Hit::of(row), IntervalSet::from_interval(ctx.top)),
         MetricAtom::Bottom => Ok(()),
-        MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, binding, mask, emit),
+        MetricAtom::Rel(atom) => eval_rel(atom, ctx, use_delta, slots, row, mask, emit),
         MetricAtom::DiamondMinus(rho, inner) => transform(
             inner,
             past_mask(rho)?,
@@ -722,11 +915,12 @@ pub(crate) fn eval_matom_masked(
                 &[(false, false)]
             };
             for &(delta1, delta2) in passes {
-                for (b1, iv1) in eval_matom(m1, ctx, delta1, binding)? {
-                    for (b2, iv2) in eval_matom(m2, ctx, delta2, &b1)? {
-                        let s = op(&iv1, &iv2, rho)?;
+                let left = eval_matom(m1, ctx, delta1, slots, row)?;
+                for (r1, iv1) in left.iter() {
+                    for (r2, iv2) in eval_matom(m2, ctx, delta2, slots, r1)?.iter() {
+                        let s = op(iv1, iv2, rho)?;
                         if !s.is_empty() {
-                            emit(&Hit::of(&b2), s)?;
+                            emit(&Hit::of(r2), s)?;
                         }
                     }
                 }
@@ -735,10 +929,10 @@ pub(crate) fn eval_matom_masked(
             // 0 ∈ ρ, even where the left one has no matching tuples: cover
             // the empty-left case explicitly.
             if rho.as_interval().contains(mtl_temporal::Rational::ZERO) {
-                for (b2, iv2) in eval_matom(m2, ctx, use_delta, binding)? {
-                    let s = op(&IntervalSet::new(), &iv2, rho)?;
+                for (r2, iv2) in eval_matom(m2, ctx, use_delta, slots, row)?.iter() {
+                    let s = op(&IntervalSet::new(), iv2, rho)?;
                     if !s.is_empty() {
-                        emit(&Hit::of(&b2), s)?;
+                        emit(&Hit::of(r2), s)?;
                     }
                 }
             }
@@ -748,8 +942,8 @@ pub(crate) fn eval_matom_masked(
 }
 
 /// Reused per-thread probe buffers: `eval_rel` runs once per accumulated
-/// binding, so a fresh `Vec` per ground-position list and candidate set
-/// would put an allocator round-trip on the innermost join loop.
+/// row, so a fresh `Vec` per ground-position list and candidate set would
+/// put an allocator round-trip on the innermost join loop.
 #[derive(Default)]
 struct ProbeScratch {
     ground: Vec<(usize, Value)>,
@@ -758,7 +952,7 @@ struct ProbeScratch {
     both: Vec<u32>,
     /// What the tuple being visited binds: the [`Hit::binds`] of its
     /// results.
-    binds: Vec<(Symbol, Value)>,
+    binds: Vec<(usize, Value)>,
 }
 
 thread_local! {
@@ -770,16 +964,17 @@ thread_local! {
 ///
 /// The access path is chosen per lookup by [`AccessPath::choose`] from what
 /// is observed here — the relation's size, whether any argument is ground
-/// under the current binding, whether a read mask restricts the window.
+/// in the current row, whether a read mask restricts the window.
 /// Candidates still pass through full unification, so the path is purely an
 /// optimization. Each match goes to `emit` as a [`Hit`] that reads the
-/// variables it binds straight off the decoded columns; a caller that
-/// wants a binding map builds one.
+/// slots it writes straight off the decoded columns; a caller that wants a
+/// row writes one.
 fn eval_rel(
     atom: &Atom,
     ctx: &EvalCtx<'_>,
     use_delta: bool,
-    binding: &Bindings,
+    slots: &Slots,
+    row: &[Slot],
     mask: Option<Interval>,
     emit: &mut Emit<'_>,
 ) -> Result<()> {
@@ -795,26 +990,26 @@ fn eval_rel(
         ctx.count(|c| c.full_scans += 1);
         return Ok(());
     };
+    let slot_of = |x: Symbol| slots.slot(x).expect("every variable has a slot");
 
     // On the (cold) error paths below the scratch is simply dropped and
     // the thread-local reverts to empty defaults — correct, just without
     // capacity reuse.
     let mut scr = PROBE_SCRATCH.take();
 
-    // Argument positions that are ground under the current binding: the
-    // probe keys, and below the semantic-id checks of the visit loop.
+    // Argument positions that are ground in the current row: the probe
+    // keys, and below the semantic-id checks of the visit loop.
     scr.ground.clear();
     for (i, t) in atom.args.iter().enumerate() {
         match t {
             Term::Val(c) => scr.ground.push((i, *c)),
             Term::Var(x) => {
-                if let Some(v) = binding.get(x) {
-                    scr.ground.push((i, *v));
+                if let Some(v) = row[slot_of(*x)] {
+                    scr.ground.push((i, v));
                 }
             }
         }
     }
-
     // `None` means full scan. Value and time candidate lists both come back
     // in ascending id (= insertion) order, so their intersection visits
     // tuples in scan order and determinism is preserved.
@@ -879,8 +1074,8 @@ fn eval_rel(
         Sid { col: &'c [u32], sid: u32 },
         /// Repeated fresh variable: positions must agree pairwise.
         Repeat { col: &'c [u32], first: &'c [u32] },
-        /// First occurrence of a fresh variable: bind on success.
-        Bind { col: &'c [u32], var: Symbol },
+        /// First occurrence of a fresh variable: write its slot on success.
+        Bind { col: &'c [u32], slot: usize },
     }
     let s = rel.store();
     let g = intern::read();
@@ -912,7 +1107,10 @@ fn eval_rel(
             let Term::Var(var) = t else {
                 unreachable!("constants are ground positions");
             };
-            checks.push(Chk::Bind { col, var: *var });
+            checks.push(Chk::Bind {
+                col,
+                slot: slot_of(*var),
+            });
         }
     }
     let lens = s.lens();
@@ -940,26 +1138,27 @@ fn eval_rel(
         let comps = s.comps_of(id);
         let clipped = match &mask {
             Some(w) => IntervalSet::clip_components(comps, w),
-            None => IntervalSet::from_sorted(comps.to_vec()),
+            None => IntervalSet::from_sorted_slice(comps),
         };
         if clipped.is_empty() {
             return Ok(());
         }
         binds.clear();
         for c in &checks {
-            if let Chk::Bind { col, var } = *c {
-                binds.push((var, g.decode(col[id as usize])));
+            if let Chk::Bind { col, slot } = *c {
+                binds.push((slot, g.decode(col[id as usize])));
             }
         }
         match atom.time_var {
             None => emit(
                 &Hit {
-                    base: binding,
+                    base: row,
                     binds: binds.as_slice(),
                 },
                 clipped,
             )?,
             Some(tv) => {
+                let tv_slot = slot_of(tv);
                 // The capture refers to the base fact's own time points, so
                 // the fact must be punctual.
                 let points = clipped.punctual_points().ok_or_else(|| {
@@ -971,20 +1170,20 @@ fn eval_rel(
                     ))
                 })?;
                 let existing = Hit {
-                    base: binding,
+                    base: row,
                     binds: binds.as_slice(),
                 }
-                .get(tv);
+                .get(tv_slot);
                 for p in points {
                     let tval = Value::from_time(p);
                     if existing.is_some_and(|e| !e.semantic_eq(&tval)) {
                         continue;
                     }
-                    binds.push((tv, tval));
+                    binds.push((tv_slot, tval));
                     let at = IntervalSet::from_interval(Interval::point(p));
                     emit(
                         &Hit {
-                            base: binding,
+                            base: row,
                             binds: binds.as_slice(),
                         },
                         at,
@@ -1036,13 +1235,20 @@ mod tests {
     use super::*;
     use crate::engine::plan::build_plan;
     use crate::parser::{parse_facts, parse_rule};
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
+
+    /// A row as its bound variables.
+    type Binding = BTreeMap<Symbol, Value>;
 
     /// Plans `rule` in isolation (no program, so nothing is persisted) and
     /// executes it in full.
-    fn eval_body(rule: &Rule, ctx: &EvalCtx<'_>) -> Result<Vec<(Bindings, IntervalSet)>> {
+    fn eval_body(rule: &Rule, ctx: &EvalCtx<'_>) -> Result<Vec<(Binding, IntervalSet)>> {
         let plan = build_plan(rule, None, &HashSet::new(), &mut Default::default());
-        execute_plan(rule, &plan, ctx, Bindings::default())
+        let rows = execute_rows(rule, &plan, ctx, &[])?;
+        Ok(rows
+            .iter()
+            .map(|(row, ivs)| (plan.slots.pairs(row).collect(), ivs.clone()))
+            .collect())
     }
 
     fn ctx_db(facts: &str) -> Database {
@@ -1051,7 +1257,7 @@ mod tests {
         db
     }
 
-    fn eval(rule_src: &str, facts: &str) -> Vec<(Bindings, IntervalSet)> {
+    fn eval(rule_src: &str, facts: &str) -> Vec<(Binding, IntervalSet)> {
         let rule = parse_rule(rule_src).unwrap();
         let db = ctx_db(facts);
         let ctx = EvalCtx::new(
@@ -1173,9 +1379,7 @@ mod tests {
 
     #[test]
     fn expr_integer_exactness() {
-        let b = Bindings::default();
-        let e = crate::parser::parse_rule("h(X) :- p(Y), X = 6 / 3.").unwrap();
-        drop(e);
+        let b = |_: Symbol| None;
         assert_eq!(
             eval_expr(
                 &Expr::Div(Box::new(Expr::val(6i64)), Box::new(Expr::val(3i64))),

@@ -17,7 +17,8 @@
 //! over the same facts does.
 
 use super::chain::punctual_shift;
-use super::eval::{execute_plan, Bindings, EvalCtx};
+use super::eval::{execute_rows, EvalCtx, Slot};
+use super::plan::Slots;
 use super::{aggregate, apply_head_op, CompiledStratum, Reasoner};
 use crate::ast::{Atom, HeadOp, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
@@ -269,12 +270,10 @@ impl<'a> Explainer<'a> {
         let Some(preimage) = preimage(rule, fact.2)?.intersect(&self.horizon) else {
             return Ok(());
         };
-        let mut binding = Bindings::default();
-        for (term, v) in rule.head.atom.args.iter().zip(fact.1.iter()) {
-            if let Term::Var(x) = term {
-                binding.insert(*x, *v);
-            }
-        }
+        let seed: Vec<(Symbol, Value)> = (rule.head.atom.args.iter())
+            .zip(fact.1.iter())
+            .filter_map(|(term, v)| term.as_var().map(|x| (x, *v)))
+            .collect();
         // Positive literals that may read the head fact itself one punctual
         // shift back: persistence steps, explained from where their run
         // starts. The rule then runs over the head's run up to `t`, so the
@@ -299,9 +298,11 @@ impl<'a> Explainer<'a> {
         let compiled = (self.stratum_of(fact.0).rules.iter())
             .find(|r| r.idx == idx)
             .expect("a rule belongs to its head's stratum");
-        for (binding, body) in execute_plan(rule, &compiled.full, &self.ctx(window), binding)? {
-            let is_fact =
-                |atom: &Atom| ground(atom, &binding).is_some_and(|g| same_tuple(&g, &fact.1));
+        let plan = &compiled.full;
+        for (row, body) in execute_rows(rule, plan, &self.ctx(window), &seed)?.iter() {
+            let is_fact = |atom: &Atom| {
+                ground(atom, &plan.slots, row).is_some_and(|g| same_tuple(&g, &fact.1))
+            };
             if !is_fact(&rule.head.atom) {
                 continue;
             }
@@ -329,7 +330,7 @@ impl<'a> Explainer<'a> {
                 let mut windows = Vec::new();
                 atom_windows(m, Interval::point(at), &mut windows)?;
                 for (atom, window) in m.atoms().into_iter().zip(windows) {
-                    let Some(args) = ground(atom, &binding) else {
+                    let Some(args) = ground(atom, &plan.slots, row) else {
                         continue;
                     };
                     let held = IntervalSet::clip_components(self.held(atom.pred, &args), &window);
@@ -393,12 +394,12 @@ fn atom_windows(m: &MetricAtom, at: Interval, out: &mut Vec<Interval>) -> Result
     Ok(())
 }
 
-/// The atom's arguments under `binding`, if every variable is bound.
-fn ground(atom: &Atom, binding: &Bindings) -> Option<Tuple> {
+/// The atom's arguments in a rule's row, if every variable is bound.
+fn ground(atom: &Atom, slots: &Slots, row: &[Slot]) -> Option<Tuple> {
     (atom.args.iter())
         .map(|term| match term {
             Term::Val(v) => Some(*v),
-            Term::Var(x) => binding.get(x).copied(),
+            Term::Var(x) => slots.value(row, *x),
         })
         .collect()
 }

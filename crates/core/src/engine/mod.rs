@@ -765,7 +765,7 @@ fn grown_tuples(added: &Database, total: &Database, indexes: &Arc<IndexSpec>) ->
     for (pred, tuple, _) in added.iter() {
         let tuple = tuple.to_vec();
         let stored = (total.relation(pred).and_then(|r| r.components_of(&tuple))).unwrap_or(&[]);
-        grown.merge(pred, &tuple, &IntervalSet::from_sorted(stored.to_vec()))?;
+        grown.merge(pred, &tuple, &IntervalSet::from_sorted_slice(stored))?;
     }
     Ok(grown)
 }
@@ -1215,7 +1215,7 @@ impl Reasoner {
         }
 
         // --- Fixpoint. ---
-        let mut guard_sets = GuardSets::new();
+        let mut guard_sets = GuardSets::default();
         // A stratum whose rules read none of its own predicates (no cycle
         // passes through it) runs round 0 only, and nothing collects what
         // that round adds.

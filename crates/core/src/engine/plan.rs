@@ -27,6 +27,9 @@
 //!    is large enough to index. Composite steps resolve per leaf and are
 //!    labelled `scan`.
 //!
+//! A plan also numbers the rule's variables ([`Slots`]): the executor's
+//! bindings are fixed-width rows with one slot per variable.
+//!
 //! A plan holds no counters, so the reasoner's plans are shared by every
 //! run, thread and explanation as they are. An execution hands the rows
 //! each step produced back with its result, and the fixpoint's ordered
@@ -35,6 +38,7 @@
 use crate::ast::{CmpOp, Expr, Literal, MetricAtom, Program, Rule, Term};
 use crate::database::{IndexSpec, INDEX_MIN_TUPLES};
 use crate::symbol::Symbol;
+use crate::value::Value;
 use std::cmp::Reverse;
 use std::collections::HashSet;
 
@@ -116,6 +120,71 @@ impl PlanStep {
     }
 }
 
+/// The numbering of a rule's variables: slot `i` of every row the executor
+/// builds for the rule holds the value of `vars[i]`. Variables are numbered
+/// in order of first occurrence, body literals first, then the head.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Slots {
+    vars: Box<[Symbol]>,
+    /// Slot indices in ascending variable order: the order a row's
+    /// `(variable, value)` pairs sort in.
+    by_var: Box<[usize]>,
+}
+
+impl Slots {
+    /// Numbers every variable of `rule`.
+    pub(crate) fn of(rule: &Rule) -> Slots {
+        let mut vars: Vec<Symbol> = Vec::new();
+        let mut note = |found: Vec<Symbol>| {
+            for x in found {
+                if !vars.contains(&x) {
+                    vars.push(x);
+                }
+            }
+        };
+        for lit in &rule.body {
+            match lit {
+                Literal::Pos(m) | Literal::Neg(m) => note(m.variables()),
+                Literal::Constraint(lhs, _, rhs) => {
+                    note(lhs.variables());
+                    note(rhs.variables());
+                }
+            }
+        }
+        note(rule.head.atom.variables());
+        let mut by_var: Vec<usize> = (0..vars.len()).collect();
+        by_var.sort_by_key(|&i| vars[i]);
+        Slots {
+            vars: vars.into(),
+            by_var: by_var.into(),
+        }
+    }
+
+    /// Slots per row.
+    pub(crate) fn width(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// The slot of variable `x`. Rules have a handful of variables, so a
+    /// scan beats hashing.
+    pub(crate) fn slot(&self, x: Symbol) -> Option<usize> {
+        self.vars.iter().position(|&v| v == x)
+    }
+
+    /// The value `x` has in `row`, if bound.
+    pub(crate) fn value(&self, row: &[Option<Value>], x: Symbol) -> Option<Value> {
+        self.slot(x).and_then(|s| row[s])
+    }
+
+    /// The bound `(variable, value)` pairs of `row`, in variable order.
+    pub(crate) fn pairs<'r>(
+        &'r self,
+        row: &'r [Option<Value>],
+    ) -> impl Iterator<Item = (Symbol, Value)> + 'r {
+        (self.by_var.iter()).filter_map(move |&s| row[s].map(|v| (self.vars[s], v)))
+    }
+}
+
 /// A compiled rule body: ordered steps. Immutable once built — what its
 /// executions produced travels with their results, not in the plan.
 #[derive(Debug)]
@@ -123,6 +192,8 @@ pub(crate) struct RulePlan {
     /// The delta-restricted literal of this semi-naive variant, if any.
     pub delta_literal: Option<usize>,
     pub steps: Vec<PlanStep>,
+    /// The rule's variables, one row slot each.
+    pub slots: Slots,
     /// `true` iff the join order differs from the delta-first textual
     /// order.
     pub reordered: bool,
@@ -390,6 +461,7 @@ pub(crate) fn build_plan(
         delta_literal,
         steps,
         reordered,
+        slots: Slots::of(rule),
     }
 }
 

@@ -3,7 +3,7 @@
 //! The workspace is dependency-free by design, so this is a minimal
 //! re-implementation of the well-known `rustc-hash` mixing function: one
 //! rotate + xor + multiply per word. It is *not* DoS-resistant, which is
-//! fine for every map it backs — tuple-id tables, index buckets, bindings —
+//! fine for every map it backs — tuple-id tables, index buckets, guard sets —
 //! because keys are internal dense ids and interned symbols, never
 //! attacker-controlled strings.
 //!

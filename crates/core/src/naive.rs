@@ -69,7 +69,7 @@ impl Bindings {
 
     /// Evaluates a built-in expression under this binding.
     fn eval(&self, expr: &Expr) -> Result<Value> {
-        eval_expr(expr, &self.0.iter().copied().collect())
+        eval_expr(expr, &|x| self.get(&x).copied())
     }
 }
 

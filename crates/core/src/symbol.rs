@@ -47,6 +47,16 @@ impl Symbol {
         interner().lock().expect("interner poisoned").strings[self.0 as usize].clone()
     }
 
+    /// The interned id: what a packed value carries.
+    pub(crate) fn index(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol of an id [`Symbol::index`] returned.
+    pub(crate) fn from_index(id: u32) -> Symbol {
+        Symbol(id)
+    }
+
     /// Number of distinct strings interned so far (stats-json `storage`).
     pub(crate) fn interned_count() -> usize {
         interner().lock().expect("interner poisoned").strings.len()

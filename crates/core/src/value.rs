@@ -142,6 +142,32 @@ impl Value {
     }
 }
 
+impl Value {
+    /// The value as a word pair, structurally: a kind tag and the payload's
+    /// bits. Two values pack alike iff they are equal (`3` and `3.0` pack
+    /// apart), so packed tuples hash and compare as the store keys tuples.
+    #[inline]
+    pub(crate) fn pack(self) -> [u64; 2] {
+        match self {
+            Value::Sym(s) => [0, s.index() as u64],
+            Value::Int(i) => [1, i as u64],
+            Value::Num(n) => [2, n.get().to_bits()],
+            Value::Bool(b) => [3, b as u64],
+        }
+    }
+
+    /// The value [`Value::pack`] packed into `words`.
+    pub(crate) fn unpack(words: [u64; 2]) -> Value {
+        match words {
+            [0, s] => Value::Sym(Symbol::from_index(s as u32)),
+            [1, i] => Value::Int(i as i64),
+            [2, f] => Value::num(f64::from_bits(f)),
+            [3, b] => Value::Bool(b != 0),
+            _ => unreachable!("not a packed value"),
+        }
+    }
+}
+
 /// Semantic equality of two ground tuples: pairwise [`Value::semantic_eq`]
 /// (`3` and `3.0` are one value), the equivalence joins and corrections
 /// match tuples under.
@@ -203,6 +229,23 @@ pub type Tuple = Box<[Value]>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packing_is_structural_and_round_trips() {
+        let values = [
+            Value::sym("acc123"),
+            Value::Int(3),
+            Value::num(3.0),
+            Value::num(-0.0),
+            Value::Int(i64::MIN),
+            Value::Bool(true),
+        ];
+        for v in values {
+            assert_eq!(Value::unpack(v.pack()), v);
+        }
+        assert_ne!(Value::Int(3).pack(), Value::num(3.0).pack());
+        assert_eq!(Value::num(-0.0).pack(), Value::num(0.0).pack());
+    }
 
     #[test]
     fn ordf64_normalizes_negative_zero() {

@@ -384,3 +384,36 @@ fn symbols_survive_cross_database_reuse() {
     let b = Symbol::new("margin");
     assert_eq!(a, b);
 }
+
+/// Integer results past `i64` fall back to `f64` in both evaluators: they
+/// share `eval_expr`, and must agree on what it returns at the edge.
+#[test]
+fn integer_overflow_agrees_with_oracle() {
+    let src = "div(Z) :- q(X), Y = X - 1, Z = Y / -1.\n\
+               neg(Z) :- q(X), Y = X - 1, Z = -Y.\n\
+               abs(Z) :- q(X), Y = X - 1, Z = abs(Y).\n\
+               rem(Z) :- q(X), Z = X / -1.\n\
+               q(-9223372036854775807)@1.\n\
+               q(9223372036854775807)@2.";
+    let (program, facts) = parse_source(src).unwrap();
+    let mut db = Database::new();
+    db.extend_facts(&facts).unwrap();
+    let naive = naive_materialize(&program, &db, T_MIN, T_MAX).unwrap();
+    let engine = Reasoner::new(
+        program,
+        ReasonerConfig::default().with_horizon(T_MIN, T_MAX),
+    )
+    .unwrap()
+    .materialize(&db)
+    .unwrap();
+    let engine_out = grid_text(&engine.database, T_MIN, T_MAX);
+    assert_eq!(engine_out, naive.to_text());
+    assert!(
+        engine_out.contains("div(9223372036854776000)"),
+        "{engine_out}"
+    );
+    assert!(
+        engine_out.contains("rem(-9223372036854775807)"),
+        "{engine_out}"
+    );
+}

@@ -22,10 +22,102 @@
 //!
 //! Which points a set holds never depends on how they are stored: equality,
 //! hashing and `Display` go through [`IntervalSet::atoms`].
+//!
+//! Almost every set the engine builds holds one component: a tuple's
+//! validity clipped to a read window, the intersection of two of those, a
+//! derivation window. The first component is therefore held inline and the
+//! set moves to the heap only at its second, so clipping, intersecting and
+//! wrapping a single interval allocate nothing.
 
 use crate::{Interval, MetricInterval, Rational, TimeBound, TimeOverflow};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut, Range};
+
+/// The component list of an [`IntervalSet`]: one component inline, more on
+/// the heap. The empty list is an empty `Many`, which allocates nothing.
+#[derive(Clone)]
+enum Comps {
+    One(Interval),
+    Many(Vec<Interval>),
+}
+
+impl Default for Comps {
+    fn default() -> Comps {
+        Comps::Many(Vec::new())
+    }
+}
+
+impl Deref for Comps {
+    type Target = [Interval];
+    fn deref(&self) -> &[Interval] {
+        match self {
+            Comps::One(i) => std::slice::from_ref(i),
+            Comps::Many(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Comps {
+    fn deref_mut(&mut self) -> &mut [Interval] {
+        match self {
+            Comps::One(i) => std::slice::from_mut(i),
+            Comps::Many(v) => v,
+        }
+    }
+}
+
+impl From<Vec<Interval>> for Comps {
+    fn from(v: Vec<Interval>) -> Comps {
+        match v[..] {
+            [one] => Comps::One(one),
+            _ => Comps::Many(v),
+        }
+    }
+}
+
+impl Comps {
+    fn with_capacity(n: usize) -> Comps {
+        if n <= 1 {
+            Comps::default()
+        } else {
+            Comps::Many(Vec::with_capacity(n))
+        }
+    }
+
+    /// The heap list, moving an inline component onto it first.
+    fn spill(&mut self) -> &mut Vec<Interval> {
+        if let Comps::One(i) = *self {
+            let mut v = Vec::with_capacity(4);
+            v.push(i);
+            *self = Comps::Many(v);
+        }
+        match self {
+            Comps::Many(v) => v,
+            Comps::One(_) => unreachable!("spilled above"),
+        }
+    }
+
+    /// Appends a component (no coalescing).
+    fn push(&mut self, x: Interval) {
+        match self {
+            Comps::Many(v) if v.capacity() == 0 => *self = Comps::One(x),
+            _ => self.spill().push(x),
+        }
+    }
+
+    fn remove(&mut self, at: usize) {
+        self.spill().remove(at);
+    }
+
+    fn splice(&mut self, range: Range<usize>, with: Comps) {
+        if let (Comps::One(_), 0, 1) = (&*self, range.start, range.end) {
+            *self = with;
+        } else {
+            self.spill().splice(range, with.iter().copied());
+        }
+    }
+}
 
 /// A set of rational time points stored as maximal disjoint components.
 ///
@@ -43,14 +135,14 @@ use std::hash::{Hash, Hasher};
 #[derive(Clone, Default)]
 pub struct IntervalSet {
     /// Sorted by position, hulls disjoint, atoms pairwise non-connected.
-    items: Vec<Interval>,
+    items: Comps,
 }
 
 impl PartialEq for IntervalSet {
     /// Equality of the point sets: `{[1] ∪ [2] ∪ [3]}` equals the three-tooth
     /// progression.
     fn eq(&self, other: &IntervalSet) -> bool {
-        self.items == other.items || self.atoms().eq(other.atoms())
+        self.items[..] == other.items[..] || self.atoms().eq(other.atoms())
     }
 }
 
@@ -67,12 +159,16 @@ impl Hash for IntervalSet {
 impl IntervalSet {
     /// The empty set.
     pub fn new() -> IntervalSet {
-        IntervalSet { items: Vec::new() }
+        IntervalSet {
+            items: Comps::default(),
+        }
     }
 
     /// A set holding a single interval.
     pub fn from_interval(i: Interval) -> IntervalSet {
-        IntervalSet { items: vec![i] }
+        IntervalSet {
+            items: Comps::One(i),
+        }
     }
 
     /// Builds a set from arbitrary (unsorted, overlapping) intervals.
@@ -89,7 +185,23 @@ impl IntervalSet {
     /// [`IntervalSet::components`] satisfies. Lets arena-backed storage
     /// rebuild a set from a stored component slice without re-coalescing.
     pub fn from_sorted(items: Vec<Interval>) -> IntervalSet {
-        let s = IntervalSet { items };
+        let s = IntervalSet {
+            items: items.into(),
+        };
+        #[cfg(debug_assertions)]
+        s.check_invariant();
+        s
+    }
+
+    /// [`IntervalSet::from_sorted`] over a borrowed component slice: copies
+    /// it, and allocates only when it holds more than one component.
+    pub fn from_sorted_slice(items: &[Interval]) -> IntervalSet {
+        let s = IntervalSet {
+            items: match items {
+                [one] => Comps::One(*one),
+                _ => Comps::Many(items.to_vec()),
+            },
+        };
         #[cfg(debug_assertions)]
         s.check_invariant();
         s
@@ -103,7 +215,7 @@ impl IntervalSet {
     /// interval set may have accumulated thousands of components.
     pub fn clip_components(items: &[Interval], interval: &Interval) -> IntervalSet {
         let start = items.partition_point(|i| i.entirely_before(interval));
-        let mut out = Vec::new();
+        let mut out = Comps::default();
         for i in &items[start..] {
             if interval.entirely_before(i) {
                 break;
@@ -244,7 +356,7 @@ impl IntervalSet {
     /// In-place union; returns `true` iff the set grew.
     pub fn union_with(&mut self, other: &IntervalSet) -> bool {
         let mut grew = false;
-        for &i in &other.items {
+        for &i in other.items.iter() {
             grew |= self.insert(i);
         }
         grew
@@ -260,7 +372,7 @@ impl IntervalSet {
     /// Set intersection (linear merge over both component lists).
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
         let (mut i, mut j) = (0, 0);
-        let mut out = Vec::new();
+        let mut out = Comps::default();
         while i < self.items.len() && j < other.items.len() {
             let a = &self.items[i];
             let b = &other.items[j];
@@ -325,7 +437,7 @@ impl IntervalSet {
         op: fn(&Interval, &MetricInterval) -> Result<Interval, TimeOverflow>,
     ) -> Result<IntervalSet, TimeOverflow> {
         let mut out = IntervalSet::new();
-        for i in &self.items {
+        for i in self.items.iter() {
             match i.step() {
                 Some(step) if !rho.is_punctual() => {
                     if rho.bridges(step) {
@@ -363,7 +475,7 @@ impl IntervalSet {
     /// Errs when a shifted endpoint overflows the rational timeline.
     pub fn checked_box_minus(&self, rho: &MetricInterval) -> Result<IntervalSet, TimeOverflow> {
         let mut out = IntervalSet::new();
-        for i in &self.items {
+        for i in self.items.iter() {
             if let Some(x) = i.checked_box_minus(rho)? {
                 out.insert(x);
             }
@@ -381,7 +493,7 @@ impl IntervalSet {
     /// Errs when a shifted endpoint overflows the rational timeline.
     pub fn checked_box_plus(&self, rho: &MetricInterval) -> Result<IntervalSet, TimeOverflow> {
         let mut out = IntervalSet::new();
-        for i in &self.items {
+        for i in self.items.iter() {
             if let Some(x) = i.checked_box_plus(rho)? {
                 out.insert(x);
             }
@@ -436,7 +548,7 @@ impl IntervalSet {
                 Interval::new(kappa.lo(), true, TimeBound::PosInf, false)
             }
             .expect("the cut is non-empty");
-            for iota in &other.items {
+            for iota in other.items.iter() {
                 let Some(s_range) = iota.intersect(&closure) else {
                     continue;
                 };
@@ -525,7 +637,7 @@ fn final_atom(i: &Interval) -> Interval {
 /// normalised. `x` must start at or after the start of the last component
 /// and, when that one is a progression, at or after its last tooth — what a
 /// left-to-right sweep over sorted pieces guarantees.
-fn push(items: &mut Vec<Interval>, x: Interval) {
+fn push(items: &mut Comps, x: Interval) {
     let Some(last) = items.last_mut() else {
         items.push(x);
         return;
@@ -572,7 +684,7 @@ fn push(items: &mut Vec<Interval>, x: Interval) {
 /// Re-coalesces around `items[at]`, which has just become or extended a
 /// run: lone points chaining onto it from the right are folded into it, then
 /// it into lone points chaining onto it from the left.
-fn coalesce_chain(items: &mut Vec<Interval>, mut at: usize) {
+fn coalesce_chain(items: &mut Comps, mut at: usize) {
     if at >= items.len() {
         return;
     }
@@ -596,8 +708,8 @@ fn coalesce_chain(items: &mut Vec<Interval>, mut at: usize) {
 /// Union of two normalised component lists: a left-to-right sweep that
 /// hands [`push`] the pieces in order, cutting a progression where a
 /// component of the other list lands between (or on) its teeth.
-fn union_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+fn union_sorted(a: &[Interval], b: &[Interval]) -> Comps {
+    let mut out = Comps::with_capacity(a.len() + b.len());
     let (mut a, mut b) = (a.iter().copied(), b.iter().copied());
     let (mut x, mut y) = (a.next(), b.next());
     loop {
@@ -650,8 +762,8 @@ fn union_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
 
 /// `a ∖ b` over normalised component lists. Linear: the cutters are sorted
 /// and apart, so only what remains to the right of one can meet the next.
-fn difference_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
-    let mut out = Vec::new();
+fn difference_sorted(a: &[Interval], b: &[Interval]) -> Comps {
+    let mut out = Comps::default();
     for &a in a {
         // Skip cutters entirely before `a` in O(log n).
         let start = b.partition_point(|c| c.entirely_before(&a));
@@ -662,7 +774,9 @@ fn difference_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
                 _ => break,
             }
         }
-        out.extend(rest);
+        if let Some(r) = rest {
+            out.push(r);
+        }
     }
     // Pieces of one component stay sorted and non-connected (subtracting
     // re-opens gaps), and components were non-connected already, so `out`
@@ -674,7 +788,7 @@ fn difference_sorted(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
 /// `out` and returns the piece after it — the only one a later cutter can
 /// still meet. Everything but interval ∖ progression (inherently one piece
 /// per tooth) and progression ∖ coarser progression is at most two pieces.
-fn subtract_into(a: &Interval, b: &Interval, out: &mut Vec<Interval>) -> Option<Interval> {
+fn subtract_into(a: &Interval, b: &Interval, out: &mut Comps) -> Option<Interval> {
     let Some(x) = a.intersect(b) else {
         return Some(*a);
     };
@@ -683,7 +797,9 @@ fn subtract_into(a: &Interval, b: &Interval, out: &mut Vec<Interval>) -> Option<
         // between the teeth of a strided `x`, the open gaps.
         let mut lo = (a.lo(), a.lo_closed());
         for cut in x.atoms() {
-            out.extend(Interval::new(lo.0, lo.1, cut.lo(), !cut.lo_closed()));
+            if let Some(piece) = Interval::new(lo.0, lo.1, cut.lo(), !cut.lo_closed()) {
+                out.push(piece);
+            }
             lo = (cut.hi(), !cut.hi_closed());
         }
         return Interval::new(lo.0, lo.1, a.hi(), a.hi_closed());
@@ -950,5 +1066,61 @@ mod tests {
         assert!(a.subset_of(&b));
         assert!(!b.subset_of(&a));
         assert!(IntervalSet::new().subset_of(&a));
+    }
+
+    fn inline(s: &IntervalSet) -> bool {
+        matches!(s.items, Comps::One(_))
+    }
+
+    #[test]
+    fn one_component_stays_inline() {
+        let a = set(&[(0, 10)]);
+        assert!(inline(&a));
+        assert!(inline(&IntervalSet::from_interval(Interval::at(3))));
+        assert!(inline(&IntervalSet::from_sorted_slice(&[
+            Interval::closed_int(1, 2)
+        ])));
+        assert!(inline(&IntervalSet::from_sorted(vec![
+            Interval::closed_int(1, 2)
+        ])));
+        assert!(inline(&a.intersect(&set(&[(5, 20)]))));
+        assert!(inline(&a.intersect_interval(&Interval::closed_int(2, 3))));
+        assert!(inline(&a.difference(&set(&[(0, 4)]))));
+        // The empty set holds nothing on the heap either.
+        assert!(matches!(&IntervalSet::new().items, Comps::Many(v) if v.capacity() == 0));
+        assert!(std::mem::size_of::<IntervalSet>() <= 64);
+    }
+
+    #[test]
+    fn a_second_component_spills_and_the_point_set_decides_equality() {
+        let mut s = set(&[(0, 2)]);
+        assert!(s.insert(Interval::closed_int(5, 6)));
+        assert!(!inline(&s));
+        assert_eq!(
+            s.components(),
+            &[Interval::closed_int(0, 2), Interval::closed_int(5, 6)]
+        );
+        // Gluing the two back into one leaves a heap list of one: equal to,
+        // and hashing as, the inline set of the same points.
+        s.insert(Interval::closed_int(2, 5));
+        let glued = set(&[(0, 6)]);
+        assert_eq!(s, glued);
+        let hash = |x: &IntervalSet| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&s), hash(&glued));
+        // Splicing over an inline component.
+        let mut t = set(&[(4, 4)]);
+        t.insert(Interval::closed_int(0, 8));
+        assert_eq!(t, set(&[(0, 8)]));
+        let mut u = set(&[(4, 4)]);
+        u.insert(Interval::closed_int(0, 1));
+        assert_eq!(
+            u.components(),
+            &[Interval::closed_int(0, 1), Interval::at(4)]
+        );
+        u.check_invariant();
     }
 }

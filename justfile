@@ -40,8 +40,8 @@ bench-e2e-smoke:
 
 # The exact-count gate CI runs (`scripts/cli_gates.py` documents every
 # check and holds the one table of pinned counts): the margin corpus batch
-# and streamed, netting at one and two threads, and the past-recursion
-# fixture batch and streamed.
+# and streamed, netting at one and two threads, the funding corpus batch
+# and streamed, and the past-recursion fixture batch and streamed.
 exact-counts:
     python3 scripts/cli_gates.py exact-counts
 

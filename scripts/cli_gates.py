@@ -27,6 +27,12 @@ exact-counts:
     bindings, and the lookups
     split between the access paths exactly as pinned: an index the plans
     fail to declare, or a drift in the access-path decision, fails here.
+  * funding: `corpus/funding.dmtl --horizon 0..3` derives the same facts
+    in batch and with `--session`, and each report's bindings
+    (`planner.actual_rows`), head rows (the sum of the rules'
+    `derivations`) and components added are those in PINNED. The paths
+    netting does not exercise: a `sum` aggregate, arithmetic assignments
+    and filters, and `not event(_)`.
   * past recursion: `crates/cli/tests/fixtures/past_recursion.dmtl
     --horizon 0..40` (recursion through `boxminus[1, 2]` and `since[0, 3]`)
     derives the same facts in batch and with `--session`, and every rule
@@ -46,10 +52,11 @@ import tempfile
 
 # The pinned counts of `exact-counts`.
 PINNED = {
-    # `totals.rule_evaluations` and `totals.iterations` (rounds per stratum).
+    # `totals.rule_evaluations`, `totals.iterations` (rounds per stratum)
+    # and `planner.actual_rows`.
     "margin": {
-        "batch": (13, [1, 2, 4]),
-        "session": (40, [5, 6, 7]),
+        "batch": (13, [1, 2, 4], 11),
+        "session": (40, [5, 6, 7], 23),
     },
     "margin_interval_bytes_below": 1024,
     # Per netting run: Σ rules.components_added, planner.actual_rows, the
@@ -66,6 +73,12 @@ PINNED = {
             "probed_tuples": 234180,
             "time_index_probes": 12,
         },
+    },
+    # Per funding run: planner.actual_rows, the head rows (Σ
+    # rules.derivations) and Σ rules.components_added.
+    "funding": {
+        "batch": (28, 26, 24),
+        "session": (54, 46, 26),
     },
 }
 
@@ -123,8 +136,9 @@ def check_margin(cli):
             if f'"{retired}"' in text:
                 fail(f"margin {mode}: the report has the retired field {retired}")
         totals = report["totals"]
-        got = (totals["rule_evaluations"], totals["iterations"])
-        print(f"margin {mode}: {got[0]} rule evaluations, rounds per stratum {got[1]}")
+        got = (totals["rule_evaluations"], totals["iterations"], report["planner"]["actual_rows"])
+        print(f"margin {mode}: {got[0]} rule evaluations, rounds per stratum {got[1]}, "
+              f"{got[2]} bindings")
         if got != PINNED["margin"][mode]:
             fail(f"margin {mode}: expected {PINNED['margin'][mode]}")
     plans = {mode: run[2]["planner"]["plans_built"] for mode, run in runs.items()}
@@ -163,6 +177,23 @@ def check_netting(cli):
     same("netting --explain-plans at 1 and 2 threads", explained["1"], explained["2"])
 
 
+def check_funding(cli):
+    base = ("corpus/funding.dmtl", "--horizon", "0..3", "--facts")
+    runs = {
+        "batch": cli.report("funding-batch.json", *base),
+        "session": cli.report("funding-session.json", *base, "--session"),
+    }
+    same("funding facts, batch and session", runs["batch"][0], runs["session"][0])
+    for mode, (_, _, report) in runs.items():
+        got = (report["planner"]["actual_rows"],
+               sum(r["derivations"] for r in report["rules"]),
+               sum(r["components_added"] for r in report["rules"]))
+        print(f"funding {mode}: {got[0]} bindings, {got[1]} head rows, "
+              f"{got[2]} components added")
+        if got != PINNED["funding"][mode]:
+            fail(f"funding {mode}: expected {PINNED['funding'][mode]}")
+
+
 def full_plan_runs(name, report):
     full = [(p["label"], p["executions"])
             for p in report["planner"]["plans"] if p["delta_literal"] == -1]
@@ -189,6 +220,7 @@ def check_past_recursion(cli):
 def exact_counts(cli):
     check_margin(cli)
     check_netting(cli)
+    check_funding(cli)
     check_past_recursion(cli)
 
 
