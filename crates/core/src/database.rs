@@ -782,6 +782,24 @@ impl Relation {
         self.write_set(id, &set);
     }
 
+    /// Widens the last stored component of tuple `id` in place to `last`,
+    /// which holds it and, past it, exactly the teeth of `new`: a
+    /// persistence run continued by the frame phase (`engine/chain.rs`).
+    /// One arena write and one time-index note of `new`, as a merge of
+    /// `new` that extends the run in place would make; the component count
+    /// does not change.
+    pub(crate) fn extend_last(&mut self, id: u32, last: Interval, new: Interval) {
+        let h = self.store.handles[id as usize];
+        let at = (h.off + h.len)
+            .checked_sub(1)
+            .expect("only a stored run is extended") as usize;
+        debug_assert!(h.len > 0 && last.contains_interval(&self.store.arena.data[at]));
+        self.store.arena.data[at] = last;
+        if let Some(time) = self.time.as_mut() {
+            time.note(&new, id);
+        }
+    }
+
     /// Removes `ivs` from a tuple's validity; returns the part actually
     /// removed (empty when the tuple is absent or disjoint).
     ///
@@ -1043,6 +1061,12 @@ impl Database {
         if let Some(r) = self.rels.get_mut(&pred) {
             r.relink(tuple, runs);
         }
+    }
+
+    /// Widens the last component of `pred`'s tuple `id` in place; see
+    /// [`Relation::extend_last`].
+    pub(crate) fn extend_last(&mut self, pred: Symbol, id: u32, last: Interval, new: Interval) {
+        self.rel_mut(pred).extend_last(id, last, new);
     }
 
     /// Removes `ivs` from `(pred, tuple)`'s validity; returns the part

@@ -128,6 +128,11 @@ fn decompose_and_aggregate(
     // Piece `base + 2i` is the point `points[i]`, piece `base + 2i + 1` the
     // open gap after it (or the unbounded tail after the last point).
     let mut pieces: Vec<Interval> = Vec::new();
+    // No contribution has a finite endpoint: each holds on the whole line,
+    // which is the one piece.
+    if points.is_empty() && has_neg_inf {
+        pieces.push(Interval::ALL);
+    }
     if let (Some(&first), true) = (points.first(), has_neg_inf) {
         pieces.push(
             Interval::new(TimeBound::NegInf, false, first.into(), false).expect("non-empty tail"),

@@ -49,12 +49,27 @@
 //! *closed under the rule*: `op(fresh ∪ closure) ∩ P` lies inside what the
 //! tuple stores afterwards. The fixpoint driver therefore hands a self-chain
 //! rule, as its semi-naive delta, only what *other* rules added to its head
-//! predicate — re-entering its own closed run could derive nothing. It goes
-//! one step further on round 0: the self-chain rules run first, in a frame
-//! phase of their own, and what they merge there enters no other rule's
-//! delta either, because every other rule's round-0 full evaluation runs
-//! after the frame phase and reads it. A session advance in which only the
-//! frame rules derive anything therefore ends the stratum after one round.
+//! predicate — re-entering its own closed run could derive nothing.
+//!
+//! Round 0 runs the self-chain rules first, in a frame phase of their own
+//! ([`Reasoner::frame_phase`]), and no plan of theirs runs there. Each rule
+//! reads its guards once over the window, key variables unbound, into one
+//! interval set per key ([`GuardReads`]), and reads the head tuples whose
+//! validity meets the chain's look-back of the window through the time
+//! index, as its plan's first step would. A tuple whose last stored
+//! component is a point or a run of the chain's step, with nothing else
+//! stored in the look-back, continues exactly as far as its guard set
+//! `P(k)` lets the chain step through the window from that last tooth on.
+//! When `P(k)` holds at every point the chain reaches in the window —
+//! the window's closed lower end included — the tuple's last component is
+//! widened to the window's end in place ([`continuation`]): the closure, the
+//! merge and their shape are then known without computing them. Every
+//! other tuple's row `op(stored) ∩ P(k)` is closed and merged as a delta
+//! round's row is. What the frame phase merges enters no other rule's delta
+//! either, because every other rule's round-0 full evaluation runs after it
+//! and reads it. A session advance in which only the frame rules derive
+//! anything therefore ends the stratum after one round, and costs one
+//! in-place write per open run its guards do not interrupt.
 //!
 //! The shape a run is stored in must not depend on which rule merged a
 //! tooth first. Two lone points never coalesce, so [`jump`] anchors a lone
@@ -64,19 +79,36 @@
 //! (`Database::relink`).
 //!
 //! Detection is static ([`Chains::detect`] runs once per stratum in
-//! `Reasoner::new`); only the guard sets ([`GuardSets`]) are per stratum run.
+//! `Reasoner::new`); only the guard reads are per stratum run.
 
 use super::eval::{eval_matom_masked, EvalCtx};
-use super::plan::Slots;
-use super::ReasonerConfig;
+use super::plan::{frame_read_plan, RulePlan, Slots};
 use super::{budget_exceeded_components, budget_exceeded_iterations, rule_span_name};
+use super::{merge_row, CompiledStratum, Reasoner, ReasonerConfig, RunStats};
 use crate::ast::{Atom, Literal, MetricAtom, Rule, Term};
+use crate::database::{Database, IndexSpec};
 use crate::error::{Error, Result};
 use crate::hash::FxHashMap;
+use crate::intern::SemKey;
 use crate::symbol::Symbol;
 use crate::value::Value;
 use mtl_temporal::{Interval, IntervalSet, MetricInterval, Rational, TimeBound};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// One guard literal of a self-chain rule.
+struct Guard {
+    positive: bool,
+    /// Body index of the literal.
+    literal: usize,
+    /// The head variables the literal mentions, in variable order, each as
+    /// its row slot and its head position: their values key the guard's
+    /// sets.
+    key: Vec<(usize, usize)>,
+}
 
 /// The statically recognised parts of a self-chain rule, as indices into
 /// the rule's body (the rule itself stays in the program).
@@ -85,16 +117,20 @@ struct SelfChain {
     head: Symbol,
     /// Body index of the chain literal (`op p(x̄)`).
     chain: usize,
-    /// The frozen literals: `(positive, body index)`.
-    guards: Vec<(bool, usize)>,
-    /// Head variables the guards mention, sorted, each with its position
-    /// in the head: their values determine the guard set and key its cache.
-    key_vars: Vec<(Symbol, usize)>,
+    /// The frozen literals: the positive ones, then the negated ones, each
+    /// in body order (the order of the steps of `read_plan`).
+    guards: Vec<Guard>,
     /// The chain's total shift when all its operators are punctual.
     shift: Option<Rational>,
-    /// The rule's variables, numbered as its plans number them: the guards
-    /// are evaluated over a row with the key variables' slots bound.
+    /// The head's arguments are distinct variables: every head tuple is
+    /// the stored tuple the chain literal matched, so a run can be extended
+    /// where it is stored.
+    plain: bool,
+    /// The rule's variables, numbered as its plans number them.
     slots: Slots,
+    /// What round 0 reads for the rule in place of its full plan, which is
+    /// never built: counted as that plan's execution would be.
+    read_plan: Arc<RulePlan>,
 }
 
 /// The self-chain rules of one stratum, by rule index.
@@ -102,10 +138,194 @@ pub(crate) struct Chains {
     rules: BTreeMap<usize, SelfChain>,
 }
 
-/// The guard sets one stratum run has evaluated so far, keyed by `(rule,
-/// values of the guards' head variables)`. Each set remembers the window it
-/// was evaluated over; a closure starting earlier re-evaluates.
-pub(crate) type GuardSets = FxHashMap<(usize, Vec<Value>), (Interval, IntervalSet)>;
+/// One guard literal read over a stratum run's window.
+struct GuardRead {
+    positive: bool,
+    /// The head positions of the key variables the literal mentions, in
+    /// the order of the keys of `sets`.
+    positions: Vec<usize>,
+    /// Per value of those variables, by semantic class (the equivalence
+    /// unification matches under): where the literal holds.
+    sets: FxHashMap<Vec<SemKey>, IntervalSet>,
+    /// Results that leave some key variable unbound — a `since` that holds
+    /// through its right operand alone — with the classes of those they
+    /// bind: they hold for every value of the unbound ones.
+    wild: Vec<(Vec<Option<SemKey>>, IntervalSet)>,
+}
+
+/// The guards of one self-chain rule, read once over a stratum run's
+/// window with the key variables unbound.
+struct RuleGuards {
+    window: Interval,
+    guards: Vec<GuardRead>,
+    /// `P(k)` per key, combined from `guards` when the first closure asks,
+    /// if every guard keys on the same head positions or on none (every
+    /// ETH-PERP frame rule): the head positions, the set per key, and the
+    /// set of a key no guard read mentions. The closures of a batch run's
+    /// delta rounds then look their guard set up instead of combining sets
+    /// over the whole horizon per row.
+    combined: OnceCell<Option<Combined>>,
+}
+
+/// The guard sets of [`RuleGuards::combined`].
+type Combined = (Vec<usize>, FxHashMap<Vec<SemKey>, IntervalSet>, IntervalSet);
+
+impl RuleGuards {
+    /// The guard sets per key, if the guards combine.
+    fn combine(&self) -> Option<Combined> {
+        let positions = (self.guards.iter())
+            .find(|g| !g.positions.is_empty())
+            .map(|g| g.positions.clone())
+            .unwrap_or_default();
+        let combinable = (self.guards.iter())
+            .all(|g| g.wild.is_empty() && (g.positions.is_empty() || g.positions == positions));
+        if !combinable {
+            return None;
+        }
+        let keyed = self.guards.iter().filter(|g| !g.positions.is_empty());
+        let keys: HashSet<&Vec<SemKey>> = keyed.flat_map(|g| g.sets.keys()).collect();
+        let sets = (keys.into_iter())
+            .map(|key| (key.clone(), self.walk(&positions, Some(key))))
+            .collect();
+        // A key no read mentions: only the key-less guards say anything.
+        let default = self.walk(&positions, None);
+        Some((positions, sets, default))
+    }
+
+    /// The guard set `P(k)` of head tuple `tuple`, for a closure.
+    fn of(&self, tuple: &[Value]) -> Cow<'_, IntervalSet> {
+        match self.combined.get_or_init(|| self.combine()) {
+            Some((positions, sets, default)) => {
+                let mut key = KeyBuf::default();
+                let key = key.fill(positions, |at| Some(SemKey::of(&tuple[at])));
+                Cow::Borrowed(key.and_then(|k| sets.get(k)).unwrap_or(default))
+            }
+            None => Cow::Owned(self.set(tuple, |_| {})),
+        }
+    }
+
+    /// The guard set `P(k) = window ∩ ⋂ gᵢ(k) ∖ ⋃ hⱼ(k)` of head tuple
+    /// `tuple`, handing `each` the set after every guard it applies.
+    fn set(&self, tuple: &[Value], each: impl FnMut(&IntervalSet)) -> IntervalSet {
+        self.walk_classes(|at| Some(SemKey::of(&tuple[at])), each)
+    }
+
+    /// [`RuleGuards::set`] of a key of the combined guards' `positions`,
+    /// or of a key no read mentions (`None`).
+    fn walk(&self, positions: &[usize], key: Option<&[SemKey]>) -> IntervalSet {
+        let class = |at| {
+            let i = positions.iter().position(|&p| p == at);
+            key.zip(i).map(|(key, i)| key[i])
+        };
+        self.walk_classes(class, |_| {})
+    }
+
+    /// Combines the guards' sets for the key whose class at head position
+    /// `at` is `class(at)`; `None` there stands for a class no read met.
+    fn walk_classes(
+        &self,
+        class: impl Fn(usize) -> Option<SemKey>,
+        mut each: impl FnMut(&IntervalSet),
+    ) -> IntervalSet {
+        let mut set = IntervalSet::from_interval(self.window);
+        let mut buf = KeyBuf::default();
+        for g in &self.guards {
+            let key = buf.fill(&g.positions, &class);
+            let mut wild = (g.wild.iter())
+                .filter(|(w, _)| {
+                    key.is_some_and(|k| w.iter().zip(k).all(|(w, v)| w.is_none_or(|w| w == *v)))
+                })
+                .map(|(_, at)| at);
+            let exact = key.and_then(|k| g.sets.get(k));
+            let holds = match (exact, wild.next()) {
+                (None, None) => None,
+                (Some(at), None) => Some(Cow::Borrowed(at)),
+                (exact, first) => {
+                    let mut all = exact.cloned().unwrap_or_default();
+                    for at in first.into_iter().chain(wild) {
+                        all.union_with(at);
+                    }
+                    Some(Cow::Owned(all))
+                }
+            };
+            set = match (g.positive, holds) {
+                (true, None) => IntervalSet::new(),
+                (true, Some(at)) => set.intersect(&at),
+                (false, None) => set,
+                (false, Some(at)) => set.difference(&at),
+            };
+            each(&set);
+            if set.is_empty() {
+                break;
+            }
+        }
+        set
+    }
+}
+
+/// The classes of a key, on the stack up to four of them, so that a lookup
+/// allocates nothing.
+struct KeyBuf {
+    short: [SemKey; 4],
+    long: Vec<SemKey>,
+}
+
+impl Default for KeyBuf {
+    fn default() -> KeyBuf {
+        KeyBuf {
+            short: [SemKey::Bool(false); 4],
+            long: Vec::new(),
+        }
+    }
+}
+
+impl KeyBuf {
+    /// The key of `positions` whose class at head position `at` is
+    /// `class(at)`; `None` when a class is unknown.
+    fn fill(
+        &mut self,
+        positions: &[usize],
+        class: impl Fn(usize) -> Option<SemKey>,
+    ) -> Option<&[SemKey]> {
+        let key = match self.short.get_mut(..positions.len()) {
+            Some(key) => key,
+            None => {
+                self.long.resize(positions.len(), SemKey::Bool(false));
+                &mut self.long[..]
+            }
+        };
+        for (k, &at) in key.iter_mut().zip(positions) {
+            *k = class(at)?;
+        }
+        Some(key)
+    }
+}
+
+/// What one stratum run has read of its self-chain rules' guards, by rule:
+/// each rule's guards are read once, on first use, and serve every row the
+/// run closes — round 0's and the delta rounds' alike.
+#[derive(Default)]
+pub(crate) struct GuardReads {
+    rules: BTreeMap<usize, RuleGuards>,
+}
+
+impl GuardReads {
+    /// Reads the guards of self-chain rule `rule_idx` unless this stratum
+    /// run already has; returns whether it had.
+    fn read(
+        &mut self,
+        chain: &SelfChain,
+        rule_idx: usize,
+        rule: &Rule,
+        ctx: &EvalCtx<'_>,
+    ) -> Result<bool> {
+        if self.rules.contains_key(&rule_idx) {
+            return Ok(true);
+        }
+        self.rules.insert(rule_idx, chain.read_guards(rule, ctx)?);
+        Ok(false)
+    }
+}
 
 /// What closing one row produced.
 pub(crate) struct Closed {
@@ -382,10 +602,116 @@ fn step(
     Ok((out, steps))
 }
 
+/// A derived head row of a self-chain rule, to be closed.
+pub(crate) struct ChainRow<'t> {
+    pub tuple: &'t [Value],
+    /// The row's validity.
+    pub set: IntervalSet,
+    /// The tuple's guard set, when the caller has it at hand.
+    pub guard: Option<IntervalSet>,
+}
+
+/// How round 0 continues one stored run, decided without building its row.
+enum Continuation {
+    /// The chain reaches no new point in the window.
+    Held,
+    /// The run's last component widens to `last`: the teeth of `new` past
+    /// it, `steps + 1` of them, are what the closure derives.
+    Extended {
+        last: Interval,
+        new: Interval,
+        steps: u64,
+    },
+}
+
+/// How a chain that shifts by `shift` continues the run `stored` over
+/// `window` under the guard set `guard`, when that follows from the stored
+/// shape alone; `None` sends the row down the close-and-merge path.
+///
+/// It does when the last stored component is a point or a run of the
+/// chain's own step, ending at tooth `e`, and nothing else is stored where
+/// the chain reads the window from (`window ⊖ shift`). The row is then the
+/// run's own teeth moved one step along, all stored, plus `e + shift`, so
+/// the closure is the run `e + shift, e + 2·shift, …` for as long as its
+/// points lie in `guard`. When they do up to the window's end — checked
+/// from `e + shift`, which may be the window's closed lower end itself —
+/// that run is what [`jump`] derives, charged as it charges it, and what
+/// the merge makes of it is the last component widened in place: it
+/// neither anchors on nor relinks another component, and the widened
+/// component does not coalesce with the one before it.
+fn continuation(
+    shift: Rational,
+    stored: &[Interval],
+    guard: &IntervalSet,
+    window: Interval,
+    budget: &Budget<'_>,
+) -> Option<Continuation> {
+    let (last, before) = stored.split_last()?;
+    if !(last.is_punctual() || last.step() == Some(shift)) {
+        return None;
+    }
+    let back = TimeBound::Finite(shift);
+    let lookback = Interval::new(
+        window.lo().checked_sub(back)?,
+        window.lo_closed(),
+        window.hi().checked_sub(back)?,
+        window.hi_closed(),
+    )?;
+    if before.last().is_some_and(|p| !p.entirely_before(&lookback)) {
+        return None;
+    }
+    let first = last.hi().finite()?.checked_add(shift)?;
+    let teeth = window.run_length(first, shift);
+    if teeth == 0 {
+        return window
+            .entirely_before(&Interval::point(first))
+            .then_some(Continuation::Held);
+    }
+    let pieces = guard.components();
+    let at = pieces.partition_point(|p| p.entirely_before(&Interval::point(first)));
+    if teeth == u64::MAX || pieces.get(at).map_or(0, |p| p.run_length(first, shift)) < teeth {
+        return None;
+    }
+    let steps = teeth - 1;
+    if steps > 0 && (steps >= budget.steps as u64 || budget.components == 0) {
+        return None;
+    }
+    let widened = Interval::progression(
+        last.lo().finite()?,
+        shift,
+        u32::try_from(teeth).ok()?.checked_add(last.steps())?,
+    )?;
+    if before
+        .last()
+        .is_some_and(|p| p.union_if_connected(&widened).is_some())
+    {
+        return None;
+    }
+    Some(Continuation::Extended {
+        last: widened,
+        new: Interval::progression(first, shift, steps as u32)?,
+        steps,
+    })
+}
+
+/// What round 0 of a frame rule read: per head tuple, in tuple order, the
+/// row of its chain literal, `op(stored) ∩ window`, and for a plain head
+/// the id of the stored tuple.
+struct FrameRows {
+    rule: usize,
+    /// The head tuples' values, one tuple after the other.
+    values: Vec<Value>,
+    /// Per head tuple: where its values start, the stored tuple, the row.
+    rows: Vec<(usize, Option<u32>, IntervalSet)>,
+    /// The tuples the read matched: its plan's bindings.
+    bindings: u64,
+}
+
 impl SelfChain {
     /// Recognises a self-chain rule of the stratum whose head predicates
-    /// are `current`; `None` sends the rule down the ordinary path.
-    fn detect(rule: &Rule, current: &HashSet<Symbol>) -> Option<SelfChain> {
+    /// are `current`, noting in `spec` what its frame phase reads; `None`
+    /// sends the rule down the ordinary path.
+    fn detect(rule: &Rule, current: &HashSet<Symbol>, spec: &mut IndexSpec) -> Option<SelfChain> {
         let head = &rule.head;
         if !head.ops.is_empty() || head.aggregate.is_some() || head.atom.time_var.is_some() {
             return None;
@@ -411,15 +737,17 @@ impl SelfChain {
             }
         }
         let chain = chain?;
+        guards.sort_by_key(|&(positive, li)| (!positive, li));
+        let slots = Slots::of(rule);
         let head_vars = head.atom.variables();
-        let mut key_vars: Vec<Symbol> = Vec::new();
         let mut locals: HashSet<Symbol> = HashSet::new();
-        for &(_, li) in &guards {
-            let vars: HashSet<Symbol> = matom(rule, li).variables().into_iter().collect();
-            for v in vars {
+        let mut read = Vec::with_capacity(guards.len());
+        for (positive, li) in guards {
+            let mut key: Vec<Symbol> = Vec::new();
+            for v in matom(rule, li).variables() {
                 if head_vars.contains(&v) {
-                    if !key_vars.contains(&v) {
-                        key_vars.push(v);
+                    if !key.contains(&v) {
+                        key.push(v);
                     }
                 } else if !locals.insert(v) {
                     // Shared between two guards: a join variable, not an
@@ -427,116 +755,157 @@ impl SelfChain {
                     return None;
                 }
             }
+            key.sort();
+            let key = (key.into_iter())
+                .map(|v| {
+                    let at = head.atom.args.iter().position(|t| *t == Term::Var(v));
+                    let at = at.expect("a head variable has a head position");
+                    (slots.slot(v).expect("every variable has a slot"), at)
+                })
+                .collect();
+            read.push(Guard {
+                positive,
+                literal: li,
+                key,
+            });
         }
-        key_vars.sort();
-        let key_vars = key_vars
-            .into_iter()
-            .map(|v| {
-                let at = head.atom.args.iter().position(|t| *t == Term::Var(v));
-                (v, at.expect("a head variable has a head position"))
-            })
-            .collect();
+        let mut seen = HashSet::new();
+        let plain = (head.atom.args.iter()).all(|t| t.as_var().is_some_and(|v| seen.insert(v)));
+        let plan = frame_read_plan(rule, chain, read.iter().map(|g| g.literal), spec);
         Some(SelfChain {
             head: head.atom.pred,
             chain,
-            guards,
-            key_vars,
+            guards: read,
             shift: punctual_shift(matom(rule, chain)),
-            slots: Slots::of(rule),
+            plain,
+            slots,
+            read_plan: Arc::new(plan),
         })
     }
 
-    /// Evaluates the guard set of one binding of the key variables over
-    /// `window`.
-    fn eval_guards(
-        &self,
-        rule: &Rule,
-        key_vals: &[Value],
-        window: Interval,
-        ctx: &EvalCtx<'_>,
-    ) -> Result<IntervalSet> {
-        let mut row = vec![None; self.slots.width()];
-        for (&(v, _), &value) in self.key_vars.iter().zip(key_vals) {
-            row[self.slots.slot(v).expect("a key variable has a slot")] = Some(value);
-        }
-        let mut set = IntervalSet::from_interval(window);
-        for &(positive, li) in &self.guards {
-            let Some(mask) = set.hull() else { break };
-            let mut hits = IntervalSet::new();
-            let m = matom(rule, li);
+    /// Reads every guard literal over the window of `ctx` with the key
+    /// variables unbound: a positive guard's sets say where it holds, a
+    /// negated one's where it excludes. O(guard tuples meeting the window).
+    fn read_guards(&self, rule: &Rule, ctx: &EvalCtx<'_>) -> Result<RuleGuards> {
+        let row = vec![None; self.slots.width()];
+        let mut guards = Vec::with_capacity(self.guards.len());
+        for g in &self.guards {
+            let mut sets: FxHashMap<Vec<SemKey>, IntervalSet> = FxHashMap::default();
+            let mut wild = Vec::new();
+            let mut key = Vec::with_capacity(g.key.len());
+            let m = matom(rule, g.literal);
             eval_matom_masked(
                 m,
                 ctx,
                 false,
                 &self.slots,
                 &row,
-                Some(mask),
-                &mut |_, ivs| {
-                    hits.union_with(&ivs);
+                Some(ctx.horizon),
+                &mut |hit, at| {
+                    key.clear();
+                    key.extend(
+                        g.key
+                            .iter()
+                            .map_while(|&(slot, _)| hit.get(slot))
+                            .map(|v| SemKey::of(&v)),
+                    );
+                    if key.len() < g.key.len() {
+                        let of =
+                            |&(slot, _): &(usize, usize)| hit.get(slot).map(|v| SemKey::of(&v));
+                        wild.push((g.key.iter().map(of).collect(), at));
+                    } else if let Some(set) = sets.get_mut(key.as_slice()) {
+                        set.union_with(&at);
+                    } else {
+                        sets.insert(key.clone(), at);
+                    }
                     Ok(())
                 },
             )?;
-            set = if positive {
-                set.intersect(&hits)
-            } else {
-                set.difference(&hits)
-            };
+            guards.push(GuardRead {
+                positive: g.positive,
+                positions: g.key.iter().map(|&(_, at)| at).collect(),
+                sets,
+                wild,
+            });
         }
-        Ok(set)
+        Ok(RuleGuards {
+            window: ctx.horizon,
+            guards,
+            combined: OnceCell::new(),
+        })
     }
 }
 
 impl Chains {
     /// Recognises the self-chain rules among `rules` (index, rule) of the
-    /// stratum whose head predicates are `current`.
+    /// stratum whose head predicates are `current`, noting in `spec` the
+    /// indexes their frame phase reads: the head relation and every guard,
+    /// nothing bound, through their time indexes.
     pub(crate) fn detect<'r>(
         rules: impl Iterator<Item = (usize, &'r Rule)>,
         current: &HashSet<Symbol>,
+        spec: &mut IndexSpec,
     ) -> Chains {
         Chains {
             rules: rules
-                .filter_map(|(i, rule)| SelfChain::detect(rule, current).map(|c| (i, c)))
+                .filter_map(|(i, rule)| SelfChain::detect(rule, current, spec).map(|c| (i, c)))
                 .collect(),
         }
     }
 
-    /// Is rule `rule_idx` closed by [`Chains::close`]?
+    /// Is rule `rule_idx` closed by [`Chains::merge_closed`]?
     pub(crate) fn contains(&self, rule_idx: usize) -> bool {
         self.rules.contains_key(&rule_idx)
     }
 
     /// The self-chain rules over head predicate `head` other than `except`:
     /// the rules whose delta a row merged into `head` by `except` belongs to.
-    pub(crate) fn others_over(
-        &self,
-        head: Symbol,
-        except: usize,
-    ) -> impl Iterator<Item = usize> + '_ {
+    fn others_over(&self, head: Symbol, except: usize) -> impl Iterator<Item = usize> + '_ {
         self.rules
             .iter()
             .filter(move |(&i, c)| i != except && c.head == head)
             .map(|(&i, _)| i)
     }
 
+    /// Hands what a merge into `head` by rule `rule_idx` added to the next
+    /// delta of every other self-chain rule over `head`; returns whether
+    /// there was one.
+    pub(crate) fn feed_others(
+        &self,
+        next: &mut BTreeMap<usize, Database>,
+        indexes: &Arc<IndexSpec>,
+        rule_idx: usize,
+        head: Symbol,
+        tuple: &[Value],
+        added: &IntervalSet,
+    ) -> Result<bool> {
+        let mut fed = false;
+        for other in self.others_over(head, rule_idx) {
+            fed = true;
+            next.entry(other)
+                .or_insert_with(|| Database::new().declare(indexes))
+                .merge(head, tuple, added)?;
+        }
+        Ok(fed)
+    }
+
     /// Closes one derived head row of self-chain rule `rule_idx` (`rule`):
     /// drops the part of `row` the head `tuple` already stores (its
     /// consequences were, or are being, derived through the delta), then
-    /// iterates
-    /// `cur ← op(cur) ∩ P` from the rest until nothing new appears. `None`
-    /// when the row held nothing new.
+    /// iterates `cur ← op(cur) ∩ P` from the rest until nothing new
+    /// appears. `None` when the row held nothing new.
     ///
     /// Every step is charged against `max_iterations` (on top of the
     /// `iteration`s the stratum already ran) and the accumulated components
     /// against `max_components`, so an unbounded horizon errs after
     /// O(budget) work instead of never returning.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn close(
+    fn close(
         &self,
-        guard_sets: &mut GuardSets,
+        reads: &mut GuardReads,
         rule_idx: usize,
         rule: &Rule,
-        tuple: &[Value],
-        row: IntervalSet,
+        row: ChainRow<'_>,
         stored: &[Interval],
         ctx: &EvalCtx<'_>,
         config: &ReasonerConfig,
@@ -544,38 +913,27 @@ impl Chains {
     ) -> Result<Option<Closed>> {
         let chain = &self.rules[&rule_idx];
         let links = match chain.shift {
-            Some(shift) => links(shift, &row, stored)?,
+            Some(shift) => links(shift, &row.set, stored)?,
             None => IntervalSet::new(),
         };
-        let fresh = minus_stored(row, stored);
-        let Some(first) = fresh.components().first().copied() else {
+        let fresh = minus_stored(row.set, stored);
+        if fresh.is_empty() {
             return Ok((!links.is_empty()).then(|| Closed {
                 out: IntervalSet::new(),
                 steps: 0,
                 links,
             }));
-        };
+        }
         let _rule_span = ctx.profiler.map(|p| p.span(rule_span_name(rule, rule_idx)));
         let mut span = ctx.profiler.map(|p| p.span("chain"));
-        // The chain only moves forward in time, so the guards matter from
-        // the first new point on: a session advance never scans history.
-        let window = Interval::new(
-            first.lo(),
-            first.lo_closed(),
-            ctx.horizon.hi(),
-            ctx.horizon.hi_closed(),
-        )
-        .expect("a row clipped to the horizon starts inside it");
-        let key_vals: Vec<Value> = chain.key_vars.iter().map(|&(_, at)| tuple[at]).collect();
-        let key = (rule_idx, key_vals);
-        let guard_cached = guard_sets
-            .get(&key)
-            .is_some_and(|(w, _)| w.contains_interval(&window));
-        if !guard_cached {
-            let set = chain.eval_guards(rule, &key.1, window, ctx)?;
-            guard_sets.insert(key.clone(), (window, set));
-        }
-        let guard = guard_sets[&key].1.components();
+        let (guard, guard_cached) = match row.guard {
+            Some(guard) => (Cow::Owned(guard), true),
+            None => {
+                let cached = reads.read(chain, rule_idx, rule, ctx)?;
+                (reads.rules[&rule_idx].of(row.tuple), cached)
+            }
+        };
+        let guard = guard.components();
         let budget = Budget {
             steps: config.max_iterations.saturating_sub(iteration),
             components: config
@@ -597,5 +955,233 @@ impl Chains {
             s.add("guard_cached", guard_cached as u64);
         }
         Ok(Some(Closed { out, steps, links }))
+    }
+
+    /// Closes row `row` of self-chain rule `rule_idx` for head `tuple`
+    /// ([`Chains::close`]) and merges the closure into `total`, charging the
+    /// rule's stats; returns what the merge added. The guards read the
+    /// finished lower strata of `total`, and rows are merged one at a time
+    /// in a fixed order, so the closure is identical for every thread count.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn merge_closed(
+        &self,
+        reads: &mut GuardReads,
+        rule_idx: usize,
+        rule: &Rule,
+        row: ChainRow<'_>,
+        total: &mut Database,
+        stats: &mut RunStats,
+        (window, top): (Interval, Interval),
+        config: &ReasonerConfig,
+        iteration: usize,
+    ) -> Result<IntervalSet> {
+        let (head, tuple) = (rule.head.atom.pred, row.tuple);
+        let closed = {
+            let stored = (total.relation(head))
+                .and_then(|r| r.components_of(tuple))
+                .unwrap_or(&[]);
+            let ctx = EvalCtx::new(total, window, top, config.profiler.as_ref());
+            let closed = self.close(reads, rule_idx, rule, row, stored, &ctx, config, iteration);
+            stats.add_lookups(&ctx.lookups.get());
+            closed?
+        };
+        let Some(closed) = closed else {
+            return Ok(IntervalSet::new());
+        };
+        stats.rules[rule_idx].derivations += closed.steps;
+        if !closed.links.is_empty() {
+            total.relink(head, tuple, &closed.links);
+        }
+        if closed.out.is_empty() {
+            return Ok(IntervalSet::new());
+        }
+        merge_row(total, &mut stats.rules[rule_idx], head, tuple, closed.out)
+    }
+
+    /// Round 0 of frame rule `rule_idx`, its read: the head tuples whose
+    /// validity meets the chain's look-back of the window, through the time
+    /// index, each with the row `op(stored) ∩ window` — what the rule's
+    /// plan read first. Sorted by tuple, the order its head rows merged in;
+    /// a head with constants or a repeated variable unions the rows of the
+    /// stored tuples that ground it to one tuple.
+    fn read_runs(&self, rule_idx: usize, rule: &Rule, ctx: &EvalCtx<'_>) -> Result<FrameRows> {
+        let chain = &self.rules[&rule_idx];
+        let args = &rule.head.atom.args;
+        let (mut values, mut rows) = (Vec::new(), Vec::new());
+        let row = vec![None; chain.slots.width()];
+        let m = matom(rule, chain.chain);
+        eval_matom_masked(
+            m,
+            ctx,
+            false,
+            &chain.slots,
+            &row,
+            Some(ctx.horizon),
+            &mut |hit, at| {
+                let at = at.intersect_interval(&ctx.horizon);
+                if at.is_empty() {
+                    return Ok(());
+                }
+                let start = values.len();
+                values.extend(args.iter().map(|t| {
+                    match *t {
+                        Term::Val(v) => v,
+                        Term::Var(x) => (chain.slots.slot(x))
+                            .and_then(|s| hit.get(s))
+                            .expect("the chain atom binds every head variable"),
+                    }
+                }));
+                rows.push((start, hit.tuple.filter(|_| chain.plain), at));
+                Ok(())
+            },
+        )?;
+        let (n, bindings) = (args.len(), rows.len() as u64);
+        rows.sort_by(|a, b| values[a.0..a.0 + n].cmp(&values[b.0..b.0 + n]));
+        rows.dedup_by(|later, kept| {
+            let same = values[later.0..later.0 + n] == values[kept.0..kept.0 + n];
+            if same {
+                kept.2.union_with(&later.2);
+            }
+            same
+        });
+        Ok(FrameRows {
+            rule: rule_idx,
+            values,
+            rows,
+            bindings,
+        })
+    }
+}
+
+/// What the frame phase tells of every merge: `(rule, tuple, added)`.
+pub(crate) type Fed<'f> = dyn FnMut(usize, &[Value], &IntervalSet) -> Result<()> + 'f;
+
+impl Reasoner {
+    /// Round 0's frame phase of one stratum run over `window`: every frame
+    /// rule reads its head tuples from the phase-start model, as its plan
+    /// did; then, rule by rule and tuple by tuple, a run its guards do not
+    /// interrupt is extended in place ([`continuation`]) and every other
+    /// row is closed and merged ([`Chains::merge_closed`]). A rule counts
+    /// one body evaluation and one head row per non-empty row, as its plan
+    /// did. `fed(rule, tuple, added)` hears of everything merged. Returns
+    /// the tuples the reads visited.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn frame_phase(
+        &self,
+        compiled: &CompiledStratum,
+        reads: &mut GuardReads,
+        total: &mut Database,
+        stats: &mut RunStats,
+        (window, top): (Interval, Interval),
+        fed: &mut Fed<'_>,
+    ) -> Result<u64> {
+        let chains = &compiled.chains;
+        let (rules, config) = (&self.program.rules, &self.config);
+        let profiler = config.profiler.as_ref();
+        let mut visited = 0;
+        let mut read = Vec::with_capacity(chains.rules.len());
+        for &rule_idx in chains.rules.keys() {
+            let started = Instant::now();
+            let rule = &rules[rule_idx];
+            let mut span = profiler.map(|p| p.span(rule_span_name(rule, rule_idx)));
+            let ctx = EvalCtx::new(total, window, top, profiler);
+            let runs = chains.read_runs(rule_idx, rule, &ctx)?;
+            let lookups = ctx.lookups.get();
+            visited += lookups.visited();
+            stats.add_lookups(&lookups);
+            if let Some(s) = span.as_mut() {
+                s.add("rows", runs.rows.len() as u64);
+            }
+            stats.rules[rule_idx].wall += started.elapsed();
+            read.push(runs);
+        }
+        // A run one frame rule extended is another's over the same head to
+        // continue through its delta: only the first extends in place.
+        let mut written: HashSet<Symbol> = HashSet::new();
+        for runs in read {
+            let started = Instant::now();
+            let rule_idx = runs.rule;
+            let (rule, chain) = (&rules[rule_idx], &chains.rules[&rule_idx]);
+            let first = written.insert(chain.head);
+            let shift = chain.shift.filter(|_| first);
+            let mut step_rows = vec![0; chain.read_plan.steps.len()];
+            step_rows[0] = runs.bindings;
+            stats.rule_evaluations += 1;
+            stats.rules[rule_idx].body_evaluations += 1;
+            if !runs.rows.is_empty() {
+                let ctx = EvalCtx::new(total, window, top, profiler);
+                let cached = reads.read(chain, rule_idx, rule, &ctx);
+                stats.add_lookups(&ctx.lookups.get());
+                let mut cached = cached?;
+                let n = rule.head.atom.args.len();
+                // Extending a run adds no component: only a merge moves
+                // the count the component budget is charged against.
+                let mut components = total.component_count();
+                for (start, id, at) in runs.rows {
+                    let tuple = &runs.values[start..start + n];
+                    let guard_cached = std::mem::replace(&mut cached, true);
+                    let guards = &reads.rules[&rule_idx];
+                    let guard = guards.set(tuple, |_| {});
+                    let budget = Budget {
+                        steps: config.max_iterations,
+                        components: config.max_components.saturating_sub(components),
+                        config,
+                    };
+                    let stored = (total.relation(chain.head)).zip(id.filter(|_| shift.is_some()));
+                    let continued = stored.and_then(|(r, id)| {
+                        let stored = r.store().comps_of(id);
+                        continuation(shift?, stored, &guard, window, &budget).map(|c| (id, c))
+                    });
+                    if let Some((id, Continuation::Extended { last, new, steps })) = continued {
+                        // The row holds the first new tooth, which every
+                        // guard step passes.
+                        step_rows[1..].iter_mut().for_each(|rows| *rows += 1);
+                        let _rule_span = profiler.map(|p| p.span(rule_span_name(rule, rule_idx)));
+                        if let Some(mut s) = profiler.map(|p| p.span("chain")) {
+                            s.add("steps", steps);
+                            s.add("components", 1);
+                            s.add("guard_cached", guard_cached as u64);
+                        }
+                        total.extend_last(chain.head, id, last, new);
+                        let rstats = &mut stats.rules[rule_idx];
+                        rstats.derivations += 1 + steps as usize;
+                        rstats.components_emitted += 1;
+                        rstats.components_added += 1;
+                        fed(rule_idx, tuple, &IntervalSet::from_interval(new))?;
+                        continue;
+                    }
+                    // The row: what the guards, step by step, leave of the
+                    // chain literal's.
+                    let (mut row, mut step) = (at, 1);
+                    guards.set(tuple, |p| {
+                        row = row.intersect(p);
+                        step_rows[step] += u64::from(!row.is_empty());
+                        step += 1;
+                    });
+                    if row.is_empty() {
+                        continue;
+                    }
+                    stats.rules[rule_idx].derivations += 1;
+                    if continued.is_none() {
+                        let row = ChainRow {
+                            tuple,
+                            set: row,
+                            guard: Some(guard),
+                        };
+                        let bounds = (window, top);
+                        let added = chains.merge_closed(
+                            reads, rule_idx, rule, row, total, stats, bounds, config, 0,
+                        )?;
+                        components = total.component_count();
+                        if !added.is_empty() {
+                            fed(rule_idx, tuple, &added)?;
+                        }
+                    }
+                }
+            }
+            stats.add_execution(rule_idx, &chain.read_plan, &step_rows);
+            stats.rules[rule_idx].wall += started.elapsed();
+        }
+        Ok(visited)
     }
 }

@@ -791,16 +791,23 @@ pub(crate) struct Hit<'h> {
     /// The matched tuple's fresh argument variables, then the `@T` capture
     /// (which overrides a semantically equal earlier value).
     binds: &'h [(usize, Value)],
+    /// The id of the stored tuple a relation leaf matched (`None` for a
+    /// composite atom, `⊤` and `⊥`): what the frame phase extends in place.
+    pub tuple: Option<u32>,
 }
 
 impl Hit<'_> {
     /// A result that binds nothing beyond `base`.
     fn of(base: &[Slot]) -> Hit<'_> {
-        Hit { base, binds: &[] }
+        Hit {
+            base,
+            binds: &[],
+            tuple: None,
+        }
     }
 
     /// The value slot `slot` has in this result.
-    fn get(&self, slot: usize) -> Slot {
+    pub(crate) fn get(&self, slot: usize) -> Slot {
         match self.binds.iter().rev().find(|(s, _)| *s == slot) {
             Some(&(_, value)) => Some(value),
             None => self.base[slot],
@@ -1154,6 +1161,7 @@ fn eval_rel(
                 &Hit {
                     base: row,
                     binds: binds.as_slice(),
+                    tuple: Some(id),
                 },
                 clipped,
             )?,
@@ -1172,6 +1180,7 @@ fn eval_rel(
                 let existing = Hit {
                     base: row,
                     binds: binds.as_slice(),
+                    tuple: Some(id),
                 }
                 .get(tv_slot);
                 for p in points {
@@ -1185,6 +1194,7 @@ fn eval_rel(
                         &Hit {
                             base: row,
                             binds: binds.as_slice(),
+                            tuple: Some(id),
                         },
                         at,
                     )?;

@@ -18,7 +18,7 @@
 
 use super::chain::punctual_shift;
 use super::eval::{execute_rows, EvalCtx, Slot};
-use super::plan::Slots;
+use super::plan::{self, RulePlan, Slots};
 use super::{aggregate, apply_head_op, CompiledStratum, Reasoner};
 use crate::ast::{Atom, HeadOp, Literal, MetricAtom, Rule, Term};
 use crate::database::Database;
@@ -29,6 +29,7 @@ use mtl_temporal::{Interval, IntervalSet, Rational, TimeBound};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Backstop on tree height: a fact with no derivation this shallow is
 /// explained by the first way to derive each node, cut at this depth.
@@ -76,6 +77,7 @@ impl Reasoner {
             steps: HashMap::new(),
             no_derivation_at: HashMap::new(),
             shortest: HashMap::new(),
+            frame_plans: HashMap::new(),
             rule_instances: 0,
         };
         let tree = if explainer.derive(&root, MAX_DEPTH)? {
@@ -125,6 +127,9 @@ struct Explainer<'a> {
     no_derivation_at: HashMap<Key, usize>,
     /// Per fact, its shortest derivation: the height and the step.
     shortest: HashMap<Key, (usize, usize)>,
+    /// Full plans of the frame rules, whose full plans the fixpoint never
+    /// runs (its frame phase reads what they would), built on first use.
+    frame_plans: HashMap<usize, Arc<RulePlan>>,
     rule_instances: u64,
 }
 
@@ -298,8 +303,20 @@ impl<'a> Explainer<'a> {
         let compiled = (self.stratum_of(fact.0).rules.iter())
             .find(|r| r.idx == idx)
             .expect("a rule belongs to its head's stratum");
-        let plan = &compiled.full;
-        for (row, body) in execute_rows(rule, plan, &self.ctx(window), &seed)?.iter() {
+        let program = &self.reasoner.program;
+        let plan = match &compiled.full {
+            Some(plan) => Arc::clone(plan),
+            None => Arc::clone(self.frame_plans.entry(idx).or_insert_with(|| {
+                let persisted = plan::persisted_predicates(program);
+                Arc::new(plan::build_plan(
+                    rule,
+                    None,
+                    &persisted,
+                    &mut Default::default(),
+                ))
+            })),
+        };
+        for (row, body) in execute_rows(rule, &plan, &self.ctx(window), &seed)?.iter() {
             let is_fact = |atom: &Atom| {
                 ground(atom, &plan.slots, row).is_some_and(|g| same_tuple(&g, &fact.1))
             };

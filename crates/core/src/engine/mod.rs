@@ -11,16 +11,17 @@
 //! points; any other literal — a box of positive length, `since`, `until` —
 //! reads the tuples that grew, each with its whole validity.
 //!
-//! Round 0 has two phases. The frame phase evaluates the stratum's
-//! self-chain (frame) rules and merges their rows, closed over their guard
-//! sets (`engine/chain.rs`); then the other rules' full plans are evaluated
-//! against the model that already holds those rows. What the frame phase
-//! merged is in no delta but that of another frame rule over the same
-//! head: its own rule has nothing left to derive from it (the closure is
-//! closed under the rule), and every other rule read it in full. So when a
-//! session advance merely continues the open persistence runs and no other
-//! rule derives anything new, the delta stays empty and the stratum ends
-//! after one round.
+//! Round 0 has two phases. The frame phase continues the stratum's
+//! self-chain (frame) rules' runs without running their plans
+//! (`engine/chain.rs`): a run its guards do not interrupt is extended in
+//! place, every other row is closed over its guard set and merged. Then the
+//! other rules' full plans are evaluated against the model that already
+//! holds those rows. What the frame phase merged is in no delta but that
+//! of another frame rule over the same head: its own rule has nothing left
+//! to derive from it (the closure is closed under the rule), and every
+//! other rule read it in full. So when a session advance merely continues
+//! the open persistence runs and no other rule derives anything new, the
+//! delta stays empty and the stratum ends after one round.
 
 mod aggregate;
 mod chain;
@@ -41,7 +42,7 @@ use crate::error::{Error, Result};
 use crate::rewrite::{self, Query};
 use crate::symbol::Symbol;
 use crate::value::{Tuple, Value};
-use chain::{Chains, GuardSets};
+use chain::{Chains, GuardReads};
 use chronolog_obs::{Json, SpanRecorder};
 use eval::{delta_read, execute_heads, DeltaRead, EvalCtx, LookupCounts};
 use mtl_temporal::{Interval, IntervalSet};
@@ -660,8 +661,9 @@ struct Variant {
 struct CompiledRule {
     /// Index into [`Program::rules`].
     idx: usize,
-    /// The plan of a full evaluation: round 0 of every stratum run.
-    full: Arc<plan::RulePlan>,
+    /// The plan of a full evaluation: round 0 of every stratum run. A
+    /// frame rule has none: the frame phase reads what it would.
+    full: Option<Arc<plan::RulePlan>>,
     /// One variant per positive literal over a current-stratum predicate:
     /// the rounds after round 0. A rule with none runs on round 0 only.
     variants: Vec<Variant>,
@@ -713,6 +715,11 @@ impl CompiledStratum {
                 normal.push(i);
             }
         }
+        let chains = Chains::detect(
+            normal.iter().map(|&i| (i, &program.rules[i])),
+            &current_preds,
+            spec,
+        );
         let rules: Vec<CompiledRule> = normal
             .iter()
             .map(|&idx| {
@@ -733,22 +740,17 @@ impl CompiledStratum {
                         })
                     })
                     .collect();
+                let full = (!chains.contains(idx))
+                    .then(|| Arc::new(plan::build_plan(rule, None, persisted, spec)));
                 CompiledRule {
                     idx,
-                    full: Arc::new(plan::build_plan(rule, None, persisted, spec)),
+                    full,
                     variants,
                 }
             })
             .collect();
         let reads_tuples =
             (rules.iter().flat_map(|r| &r.variants)).any(|v| v.read == DeltaRead::Tuples);
-        // A self-chain rule's guard lookups need no indexes of their own:
-        // its variant over the chain literal joins every guard with the
-        // head variables bound, so that plan declares what they probe.
-        let chains = Chains::detect(
-            normal.iter().map(|&i| (i, &program.rules[i])),
-            &current_preds,
-        );
         CompiledStratum {
             agg_groups,
             rules,
@@ -780,12 +782,14 @@ struct Task<'d> {
 }
 
 impl<'d> Task<'d> {
-    fn full(rule: &'d CompiledRule) -> Task<'d> {
-        Task {
+    /// The full evaluation of a rule that has a full plan: `None` for a
+    /// frame rule.
+    fn full(rule: &'d CompiledRule) -> Option<Task<'d>> {
+        Some(Task {
             rule: rule.idx,
-            plan: &rule.full,
+            plan: rule.full.as_ref()?,
             delta: None,
-        }
+        })
     }
 }
 
@@ -1215,7 +1219,7 @@ impl Reasoner {
         }
 
         // --- Fixpoint. ---
-        let mut guard_sets = GuardSets::default();
+        let mut guard_reads = GuardReads::default();
         // A stratum whose rules read none of its own predicates (no cycle
         // passes through it) runs round 0 only, and nothing collects what
         // that round adds.
@@ -1247,145 +1251,138 @@ impl Reasoner {
             let mut next_delta = recursive.then(|| Database::new().declare(&self.indexes));
             let mut chain_next: BTreeMap<usize, Database> = BTreeMap::new();
             let mut grew = false;
-
-            // Which evaluations to run this round, as fixed-order task
-            // lists. The task order is also the merge order, so output and
-            // stats are bit-identical for every thread count. Round 0 runs
-            // in two phases: the frame rules in full, merged before the
-            // other rules' full plans are evaluated, so those read every
-            // run the frame rules continued (module docs).
-            let phases: Vec<(bool, Vec<Task<'_>>)> = match &prev {
-                None => {
-                    let (frames, rest): (Vec<_>, Vec<_>) = (compiled.rules.iter())
-                        .partition(|rule| compiled.chains.contains(rule.idx));
-                    vec![
-                        (true, frames.into_iter().map(Task::full).collect()),
-                        (false, rest.into_iter().map(Task::full).collect()),
-                    ]
-                }
-                Some((delta, chain, grown)) => {
-                    vec![(false, delta_tasks(compiled, delta, chain, grown).collect())]
-                }
-            };
-
-            // Both phases of round 0 fan out as the previous round allows.
             let fan_threads = if last_visited >= PAR_MIN_ROUND_TUPLES {
                 threads
             } else {
                 1
             };
             last_visited = 0;
-            for (frame_phase, tasks) in phases {
-                // Evaluate every task against the phase-start snapshot of
-                // `total`, fanned out over the worker budget. Each task
-                // hands back what it counted with its head rows.
-                let eval_out: Vec<_> = {
-                    let total_snapshot: &Database = total;
-                    fan_out(tasks.len(), fan_threads, &mut stats.workers, |i| {
-                        let task = &tasks[i];
-                        // One span per rule evaluation. When the rule
-                        // fan-out spawns workers this runs on a worker
-                        // thread, so the span lands on that worker's lane.
-                        let mut rule_span = profiler.map(|p| {
-                            let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
-                            if let Some(d) = task.plan.delta_literal {
-                                s.add("delta_literal", d as u64);
-                            }
-                            s
-                        });
-                        let ctx = EvalCtx {
-                            delta: task.delta,
-                            ..EvalCtx::new(total_snapshot, window, top, profiler)
-                        };
-                        let eval_start = Instant::now();
-                        let r = execute_heads(&rules[task.rule], task.plan, &ctx);
-                        if let (Some(s), Ok((rows, _))) = (rule_span.as_mut(), &r) {
-                            s.add("derivations", rows.len() as u64);
-                        }
-                        (r, ctx.lookups.get(), eval_start.elapsed())
-                    })
-                };
-                last_visited += eval_out.iter().map(|(_, l, _)| l.visited()).sum::<u64>();
-                // Merge every task's counts and head rows back in fixed
-                // task order: the one place a rule evaluation reaches
-                // `stats`.
-                for (task, (result, lookups, eval_wall)) in tasks.iter().zip(eval_out) {
-                    let rule_idx = task.rule;
-                    let rule = &rules[rule_idx];
-                    let head = rule.head.atom.pred;
-                    let merge_start = Instant::now();
-                    let (rows, step_rows) = result?;
-                    stats.add_lookups(&lookups);
-                    stats.add_execution(rule_idx, task.plan, &step_rows);
-                    stats.rule_evaluations += 1;
-                    let rstats = &mut stats.rules[rule_idx];
-                    rstats.body_evaluations += 1;
-                    rstats.wall += eval_wall;
-                    if let Some(delta) = task.delta {
-                        rstats.delta_tuples += delta.tuple_count();
-                    }
-                    rstats.derivations += rows.len();
-                    for (tuple, ivs) in rows {
-                        let mut out = head_validity(rule, ivs, window)?;
-                        if out.is_empty() {
-                            continue;
-                        }
-                        if compiled.chains.contains(rule_idx) {
-                            // Guards read the finished lower strata of
-                            // `total`; the merge phase is sequential, so the
-                            // closure is identical for every thread count.
-                            let stored = (total.relation(head))
-                                .and_then(|r| r.components_of(&tuple))
-                                .unwrap_or(&[]);
-                            let ctx = EvalCtx::new(total, window, top, profiler);
-                            let closed = compiled.chains.close(
-                                &mut guard_sets,
-                                rule_idx,
-                                rule,
-                                &tuple,
-                                out,
-                                stored,
-                                &ctx,
-                                &self.config,
-                                iteration,
-                            );
-                            stats.add_lookups(&ctx.lookups.get());
-                            let Some(closed) = closed? else {
-                                continue;
-                            };
-                            stats.rules[rule_idx].derivations += closed.steps;
-                            if !closed.links.is_empty() {
-                                total.relink(head, &tuple, &closed.links);
-                            }
-                            if closed.out.is_empty() {
-                                continue;
-                            }
-                            out = closed.out;
-                        }
-                        let added =
-                            merge_row(total, &mut stats.rules[rule_idx], head, &tuple, out)?;
-                        if added.is_empty() {
-                            continue;
-                        }
-                        // What the frame phase merged, every full plan of
-                        // the round reads: it is nobody's delta but that
-                        // of another frame rule over the same head.
-                        if !frame_phase {
-                            grew = true;
-                            if let Some(next_delta) = next_delta.as_mut() {
-                                next_delta.merge(head, &tuple, &added)?;
-                            }
-                        }
-                        for other in compiled.chains.others_over(head, rule_idx) {
-                            grew = true;
-                            chain_next
-                                .entry(other)
-                                .or_insert_with(|| Database::new().declare(&self.indexes))
-                                .merge(head, &tuple, &added)?;
-                        }
-                    }
-                    stats.rules[rule_idx].wall += merge_start.elapsed();
+
+            // Which evaluations to run this round, as a fixed-order task
+            // list. The task order is also the merge order, so output and
+            // stats are bit-identical for every thread count. Round 0 runs
+            // the frame phase first, so the other rules' full plans read
+            // every run it continued (module docs).
+            let tasks: Vec<Task<'_>> = match &prev {
+                None => {
+                    let mut fed = |rule_idx: usize, tuple: &[Value], added: &IntervalSet| {
+                        let head = rules[rule_idx].head.atom.pred;
+                        grew |= (compiled.chains).feed_others(
+                            &mut chain_next,
+                            &self.indexes,
+                            rule_idx,
+                            head,
+                            tuple,
+                            added,
+                        )?;
+                        Ok(())
+                    };
+                    last_visited += self.frame_phase(
+                        compiled,
+                        &mut guard_reads,
+                        total,
+                        stats,
+                        (window, top),
+                        &mut fed,
+                    )?;
+                    compiled.rules.iter().filter_map(Task::full).collect()
                 }
+                Some((delta, chain, grown)) => delta_tasks(compiled, delta, chain, grown).collect(),
+            };
+
+            // Evaluate every task against the round-start snapshot of
+            // `total`, fanned out over the worker budget. Each task hands
+            // back what it counted with its head rows.
+            let eval_out: Vec<_> = {
+                let total_snapshot: &Database = total;
+                fan_out(tasks.len(), fan_threads, &mut stats.workers, |i| {
+                    let task = &tasks[i];
+                    // One span per rule evaluation. When the rule fan-out
+                    // spawns workers this runs on a worker thread, so the
+                    // span lands on that worker's lane.
+                    let mut rule_span = profiler.map(|p| {
+                        let mut s = p.span(rule_span_name(&rules[task.rule], task.rule));
+                        if let Some(d) = task.plan.delta_literal {
+                            s.add("delta_literal", d as u64);
+                        }
+                        s
+                    });
+                    let ctx = EvalCtx {
+                        delta: task.delta,
+                        ..EvalCtx::new(total_snapshot, window, top, profiler)
+                    };
+                    let eval_start = Instant::now();
+                    let r = execute_heads(&rules[task.rule], task.plan, &ctx);
+                    if let (Some(s), Ok((rows, _))) = (rule_span.as_mut(), &r) {
+                        s.add("derivations", rows.len() as u64);
+                    }
+                    (r, ctx.lookups.get(), eval_start.elapsed())
+                })
+            };
+            last_visited += eval_out.iter().map(|(_, l, _)| l.visited()).sum::<u64>();
+            // Merge every task's counts and head rows back in fixed task
+            // order: the one place a rule evaluation reaches `stats`.
+            for (task, (result, lookups, eval_wall)) in tasks.iter().zip(eval_out) {
+                let rule_idx = task.rule;
+                let rule = &rules[rule_idx];
+                let head = rule.head.atom.pred;
+                let merge_start = Instant::now();
+                let (rows, step_rows) = result?;
+                stats.add_lookups(&lookups);
+                stats.add_execution(rule_idx, task.plan, &step_rows);
+                stats.rule_evaluations += 1;
+                let rstats = &mut stats.rules[rule_idx];
+                rstats.body_evaluations += 1;
+                rstats.wall += eval_wall;
+                if let Some(delta) = task.delta {
+                    rstats.delta_tuples += delta.tuple_count();
+                }
+                rstats.derivations += rows.len();
+                for (tuple, ivs) in rows {
+                    let out = head_validity(rule, ivs, window)?;
+                    if out.is_empty() {
+                        continue;
+                    }
+                    let added = if compiled.chains.contains(rule_idx) {
+                        let chains = &compiled.chains;
+                        let bounds = (window, top);
+                        let row = chain::ChainRow {
+                            tuple: &tuple,
+                            set: out,
+                            guard: None,
+                        };
+                        chains.merge_closed(
+                            &mut guard_reads,
+                            rule_idx,
+                            rule,
+                            row,
+                            total,
+                            stats,
+                            bounds,
+                            &self.config,
+                            iteration,
+                        )?
+                    } else {
+                        merge_row(total, &mut stats.rules[rule_idx], head, &tuple, out)?
+                    };
+                    if added.is_empty() {
+                        continue;
+                    }
+                    grew = true;
+                    if let Some(next_delta) = next_delta.as_mut() {
+                        next_delta.merge(head, &tuple, &added)?;
+                    }
+                    let indexes = &self.indexes;
+                    (compiled.chains).feed_others(
+                        &mut chain_next,
+                        indexes,
+                        rule_idx,
+                        head,
+                        &tuple,
+                        &added,
+                    )?;
+                }
+                stats.rules[rule_idx].wall += merge_start.elapsed();
             }
 
             if let Some(s) = iter_span.as_mut() {

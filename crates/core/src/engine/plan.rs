@@ -465,6 +465,46 @@ pub(crate) fn build_plan(
     }
 }
 
+/// The plan of what round 0's frame phase reads for frame rule `rule`
+/// (`engine/chain.rs`): the chain literal `chain`, then the positive
+/// guards, then the negated ones, in `guards` order, each read with nothing
+/// bound. The phase runs no plan and applies the guards as one set per head
+/// tuple; this one describes its reads, so that they declare their indexes
+/// in `spec` and count as the rule's execution, the rows of each step those
+/// the guards so far leave non-empty.
+pub(crate) fn frame_read_plan(
+    rule: &Rule,
+    chain: usize,
+    guards: impl Iterator<Item = usize>,
+    spec: &mut IndexSpec,
+) -> RulePlan {
+    let unbound = HashSet::new();
+    let steps = std::iter::once(chain)
+        .chain(guards)
+        .map(|literal| match &rule.body[literal] {
+            Literal::Pos(m) => {
+                note_reads(m, &unbound, spec);
+                let access = match ground_positions(m, &unbound) {
+                    None => AccessPath::Scan,
+                    Some(ground) => AccessPath::choose(INDEX_MIN_TUPLES, ground > 0, true),
+                };
+                PlanStep::new(literal, StepKind::Join { access })
+            }
+            Literal::Neg(m) => {
+                note_reads(m, &unbound, spec);
+                PlanStep::new(literal, StepKind::Negation)
+            }
+            Literal::Constraint(..) => unreachable!("a frame rule has no constraint"),
+        })
+        .collect();
+    RulePlan {
+        delta_literal: None,
+        steps,
+        slots: Slots::of(rule),
+        reordered: false,
+    }
+}
+
 /// A rendered plan for one rule variant: what `--explain-plans` prints and
 /// what the stats-json `planner.plans` array carries.
 #[derive(Clone, Debug, PartialEq)]

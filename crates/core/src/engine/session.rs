@@ -16,7 +16,13 @@
 //! semi-naive on the last round's additions. What the frame rules add in
 //! round 0 is the open persistence runs continued over the window; every
 //! other rule reads it in full, so it enters no delta, and a stratum in
-//! which only the frame rules derive anything ends after one round. Bodies
+//! which only the frame rules derive anything ends after one round. The
+//! frame rules run no plan there (`engine/chain.rs`): each reads its guards
+//! once over the window, and a run whose last stored tooth the chain
+//! continues into the window, and whose guard set holds at every point the
+//! chain reaches in it — from `now` itself on — has its last component
+//! widened to `t` in place; only the runs an exception interrupts (a
+//! blocking event, a guard run that ends) are closed and merged. Bodies
 //! are evaluated and heads clipped inside the window, and the time index
 //! keeps a full evaluation's reads inside it plus the look-back its
 //! operators reach, so an advance never rescans the session's history.

@@ -190,6 +190,10 @@ impl fmt::Display for Value {
                 let v = n.get();
                 if v == v.trunc() && v.abs() < 1e15 {
                     write!(f, "{v:.1}")
+                } else if v == v.trunc() {
+                    // `{v}` would print no fraction, which reads back as an
+                    // `Int`: the exponent keeps it a float.
+                    write!(f, "{v:e}")
                 } else {
                     write!(f, "{v}")
                 }
@@ -288,6 +292,19 @@ mod tests {
             Value::Int(1664274600)
         );
         assert_eq!(Value::from_time(Rational::new(1, 2)), Value::num(0.5));
+    }
+
+    /// A float prints in a form the lexer reads back as the same float,
+    /// also where it is integral and too large for a `.0` form.
+    #[test]
+    fn large_floats_read_back_as_floats() {
+        let big = [1e15, -1e15, 1e16, 2f64.powi(63), f64::MAX, -f64::MAX];
+        for x in big.into_iter().chain([1.5, 1e15 + 0.5, 1e14, -0.25]) {
+            let v = Value::num(x);
+            let facts = crate::parser::parse_facts(&format!("p({v})@1.")).unwrap();
+            assert_eq!(facts[0].args, vec![v], "{v} read back differently");
+        }
+        assert_eq!(Value::num(1e16).to_string(), "1e16");
     }
 
     #[test]

@@ -231,3 +231,21 @@ fn aggregate_heads_keep_one_insertion_order() {
         assert_eq!(order(), first, "aggregate heads merged in another order");
     }
 }
+
+/// An aggregate whose contributions have no finite endpoint — a fact on the
+/// whole line, no horizon — holds on the whole line too (it used to derive
+/// nothing: the timeline was cut only at finite endpoints).
+#[test]
+fn an_aggregate_over_the_whole_line_holds_on_it() {
+    let program = parse_program("c(count(X)) :- p(X).").unwrap();
+    let mut db = Database::new();
+    db.extend_facts(&parse_facts("p(a)@(-inf, inf).\np(b)@(-inf, inf).").unwrap())
+        .unwrap();
+    let out = Reasoner::new(program, ReasonerConfig::default())
+        .unwrap()
+        .materialize(&db)
+        .unwrap()
+        .database;
+    let c = out.intervals(chronolog_core::Symbol::new("c"), &[Value::Int(2)]);
+    assert_eq!(c.components(), &[Interval::ALL], "{}", out.to_facts_text());
+}

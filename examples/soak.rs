@@ -17,9 +17,11 @@
 //! and batch wall time, the ingest latency median of the first and of the
 //! last fifth of the events, the session's rule evaluations, probed tuples
 //! and derived components, the tuple and interval bytes the session and the
-//! batch model store (`Database::storage_bytes`), and the process's peak
-//! RSS right after the live replay (`VmHWM` of `/proc/self/status`, 0 where
-//! there is none). The peak is the process's high-water mark, so it also
+//! batch model store (`Database::storage_bytes`), the process's peak RSS
+//! right after the live replay (`VmHWM` of `/proc/self/status`, 0 where
+//! there is none), and the session's rules with the most wall time
+//! (`RunStats::rules`: label, wall time, body evaluations, components
+//! added). The peak is the process's high-water mark, so it also
 //! covers every smaller stretch before it: stretches run smallest first.
 //! `just soak` writes the document to `docs/bench/soak-<rev>.json`.
 
@@ -55,6 +57,9 @@ fn peak_rss_mb() -> f64 {
         .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map_or(0.0, |kb| kb / 1024.0)
 }
+
+/// How many of the session's rules the report lists, by wall time.
+const TOP_RULES: usize = 8;
 
 /// Whether every fact of `a` is a fact of `b`, tooth for tooth: a line of
 /// [`Database::to_facts_text`] is one tooth of one tuple's validity.
@@ -114,6 +119,18 @@ fn soak(factor: usize) -> Result<Json, Box<dyn std::error::Error>> {
     let first = median(&ingest_ms[..fifth]);
     let last_fifth = median(&ingest_ms[ingest_ms.len() - fifth..]);
     let stats = session.stats();
+    let mut rules: Vec<_> = stats.rules.iter().collect();
+    rules.sort_by(|a, b| b.wall.cmp(&a.wall).then(a.rule.cmp(&b.rule)));
+    let rules = (rules.into_iter().take(TOP_RULES))
+        .map(|r| {
+            Json::from_pairs([
+                ("label", Json::from(r.label.as_str())),
+                ("wall_ms", Json::from(r.wall.as_secs_f64() * 1e3)),
+                ("body_evaluations", Json::from(r.body_evaluations)),
+                ("components_added", Json::from(r.components_added)),
+            ])
+        })
+        .collect::<Vec<_>>();
     eprintln!(
         "×{factor}: {} events, live {live_s:.3} s, batch {batch_s:.3} s, ingest p50 \
          {first:.2} → {last_fifth:.2} ms",
@@ -138,6 +155,7 @@ fn soak(factor: usize) -> Result<Json, Box<dyn std::error::Error>> {
             Json::from(batch.database.storage_bytes()),
         ),
         ("live_peak_rss_mb", Json::from(live_peak_rss_mb)),
+        ("rules", Json::from(rules)),
     ]))
 }
 
