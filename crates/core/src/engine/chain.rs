@@ -94,7 +94,6 @@ use crate::symbol::Symbol;
 use crate::value::Value;
 use mtl_temporal::{Interval, IntervalSet, MetricInterval, Rational, TimeBound};
 use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,86 +157,42 @@ struct GuardRead {
 struct RuleGuards {
     window: Interval,
     guards: Vec<GuardRead>,
-    /// `P(k)` per key, combined from `guards` when the first closure asks,
-    /// if every guard keys on the same head positions or on none (every
-    /// ETH-PERP frame rule): the head positions, the set per key, and the
-    /// set of a key no guard read mentions. The closures of a batch run's
-    /// delta rounds then look their guard set up instead of combining sets
-    /// over the whole horizon per row.
-    combined: OnceCell<Option<Combined>>,
+    /// Every head position some guard keys on, in order: the classes of a
+    /// tuple's values there decide its guard set.
+    positions: Vec<usize>,
+    /// The guard sets the closures asked for, by those classes. A batch
+    /// run's delta rounds close the same key again and again over the
+    /// whole horizon; combining its sets anew for every row more than
+    /// doubles `fig3_batch`'s `batch_s` (docs/PERFORMANCE.md).
+    memo: FxHashMap<Vec<SemKey>, IntervalSet>,
 }
 
-/// The guard sets of [`RuleGuards::combined`].
-type Combined = (Vec<usize>, FxHashMap<Vec<SemKey>, IntervalSet>, IntervalSet);
-
 impl RuleGuards {
-    /// The guard sets per key, if the guards combine.
-    fn combine(&self) -> Option<Combined> {
-        let positions = (self.guards.iter())
-            .find(|g| !g.positions.is_empty())
-            .map(|g| g.positions.clone())
-            .unwrap_or_default();
-        let combinable = (self.guards.iter())
-            .all(|g| g.wild.is_empty() && (g.positions.is_empty() || g.positions == positions));
-        if !combinable {
-            return None;
-        }
-        let keyed = self.guards.iter().filter(|g| !g.positions.is_empty());
-        let keys: HashSet<&Vec<SemKey>> = keyed.flat_map(|g| g.sets.keys()).collect();
-        let sets = (keys.into_iter())
-            .map(|key| (key.clone(), self.walk(&positions, Some(key))))
+    /// The guard set `P(k)` of head tuple `tuple`, for a closure:
+    /// [`RuleGuards::set`], combined once per key.
+    fn of(&mut self, tuple: &[Value]) -> &IntervalSet {
+        let key: Vec<SemKey> = (self.positions.iter())
+            .map(|&at| SemKey::of(&tuple[at]))
             .collect();
-        // A key no read mentions: only the key-less guards say anything.
-        let default = self.walk(&positions, None);
-        Some((positions, sets, default))
-    }
-
-    /// The guard set `P(k)` of head tuple `tuple`, for a closure.
-    fn of(&self, tuple: &[Value]) -> Cow<'_, IntervalSet> {
-        match self.combined.get_or_init(|| self.combine()) {
-            Some((positions, sets, default)) => {
-                let mut key = KeyBuf::default();
-                let key = key.fill(positions, |at| Some(SemKey::of(&tuple[at])));
-                Cow::Borrowed(key.and_then(|k| sets.get(k)).unwrap_or(default))
-            }
-            None => Cow::Owned(self.set(tuple, |_| {})),
+        if !self.memo.contains_key(&key) {
+            let set = self.set(tuple, |_| {});
+            self.memo.insert(key.clone(), set);
         }
+        &self.memo[&key]
     }
 
     /// The guard set `P(k) = window ∩ ⋂ gᵢ(k) ∖ ⋃ hⱼ(k)` of head tuple
     /// `tuple`, handing `each` the set after every guard it applies.
-    fn set(&self, tuple: &[Value], each: impl FnMut(&IntervalSet)) -> IntervalSet {
-        self.walk_classes(|at| Some(SemKey::of(&tuple[at])), each)
-    }
-
-    /// [`RuleGuards::set`] of a key of the combined guards' `positions`,
-    /// or of a key no read mentions (`None`).
-    fn walk(&self, positions: &[usize], key: Option<&[SemKey]>) -> IntervalSet {
-        let class = |at| {
-            let i = positions.iter().position(|&p| p == at);
-            key.zip(i).map(|(key, i)| key[i])
-        };
-        self.walk_classes(class, |_| {})
-    }
-
-    /// Combines the guards' sets for the key whose class at head position
-    /// `at` is `class(at)`; `None` there stands for a class no read met.
-    fn walk_classes(
-        &self,
-        class: impl Fn(usize) -> Option<SemKey>,
-        mut each: impl FnMut(&IntervalSet),
-    ) -> IntervalSet {
+    fn set(&self, tuple: &[Value], mut each: impl FnMut(&IntervalSet)) -> IntervalSet {
         let mut set = IntervalSet::from_interval(self.window);
-        let mut buf = KeyBuf::default();
+        let mut key = Vec::new();
         for g in &self.guards {
-            let key = buf.fill(&g.positions, &class);
+            key.clear();
+            key.extend(g.positions.iter().map(|&at| SemKey::of(&tuple[at])));
             let mut wild = (g.wild.iter())
-                .filter(|(w, _)| {
-                    key.is_some_and(|k| w.iter().zip(k).all(|(w, v)| w.is_none_or(|w| w == *v)))
-                })
+                .filter(|(w, _)| w.iter().zip(&key).all(|(w, v)| w.is_none_or(|w| w == *v)))
                 .map(|(_, at)| at);
-            let exact = key.and_then(|k| g.sets.get(k));
-            let holds = match (exact, wild.next()) {
+            let holds = match (g.sets.get(key.as_slice()), wild.next()) {
                 (None, None) => None,
                 (Some(at), None) => Some(Cow::Borrowed(at)),
                 (exact, first) => {
@@ -260,44 +215,6 @@ impl RuleGuards {
             }
         }
         set
-    }
-}
-
-/// The classes of a key, on the stack up to four of them, so that a lookup
-/// allocates nothing.
-struct KeyBuf {
-    short: [SemKey; 4],
-    long: Vec<SemKey>,
-}
-
-impl Default for KeyBuf {
-    fn default() -> KeyBuf {
-        KeyBuf {
-            short: [SemKey::Bool(false); 4],
-            long: Vec::new(),
-        }
-    }
-}
-
-impl KeyBuf {
-    /// The key of `positions` whose class at head position `at` is
-    /// `class(at)`; `None` when a class is unknown.
-    fn fill(
-        &mut self,
-        positions: &[usize],
-        class: impl Fn(usize) -> Option<SemKey>,
-    ) -> Option<&[SemKey]> {
-        let key = match self.short.get_mut(..positions.len()) {
-            Some(key) => key,
-            None => {
-                self.long.resize(positions.len(), SemKey::Bool(false));
-                &mut self.long[..]
-            }
-        };
-        for (k, &at) in key.iter_mut().zip(positions) {
-            *k = class(at)?;
-        }
-        Some(key)
     }
 }
 
@@ -828,10 +745,16 @@ impl SelfChain {
                 wild,
             });
         }
+        let mut positions: Vec<usize> = (self.guards.iter())
+            .flat_map(|g| g.key.iter().map(|&(_, at)| at))
+            .collect();
+        positions.sort_unstable();
+        positions.dedup();
         Ok(RuleGuards {
             window: ctx.horizon,
             guards,
-            combined: OnceCell::new(),
+            positions,
+            memo: FxHashMap::default(),
         })
     }
 }
@@ -930,7 +853,8 @@ impl Chains {
             Some(guard) => (Cow::Owned(guard), true),
             None => {
                 let cached = reads.read(chain, rule_idx, rule, ctx)?;
-                (reads.rules[&rule_idx].of(row.tuple), cached)
+                let guards = reads.rules.get_mut(&rule_idx).expect("just read");
+                (Cow::Borrowed(guards.of(row.tuple)), cached)
             }
         };
         let guard = guard.components();
@@ -1121,6 +1045,9 @@ impl Reasoner {
                     let tuple = &runs.values[start..start + n];
                     let guard_cached = std::mem::replace(&mut cached, true);
                     let guards = &reads.rules[&rule_idx];
+                    // Only a row that takes the close path walks its guards
+                    // again, step by step: intersecting every row at every
+                    // step cost `fig3_live` 8 % (docs/PERFORMANCE.md).
                     let guard = guards.set(tuple, |_| {});
                     let budget = Budget {
                         steps: config.max_iterations,

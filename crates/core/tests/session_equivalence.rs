@@ -430,7 +430,9 @@ fn gen_cuts(rng: &mut SmallRng, facts: &[Fact]) -> Vec<i64> {
 /// [`gen_cuts`] says — with a retraction or a late submission halfway in
 /// some cases, so that a repair window takes the frame phase too — against
 /// one cold run over the facts that survive, compared fact for fact.
-fn frame_warm_equals_cold(case: u64) {
+/// Returns the case's stored shape: `<case> warm <counts> cold <counts>`,
+/// the components per relation of each run.
+fn frame_warm_equals_cold(case: u64) -> String {
     let mut rng = SmallRng::seed_from_u64(0xF4A3E ^ (case << 8));
     let src = gen_frame_program(&mut rng);
     let mut facts = gen_frame_facts(&mut rng);
@@ -509,19 +511,52 @@ fn frame_warm_equals_cold(case: u64) {
         cold.database.to_facts_text(),
         "frame case {case}: warm session diverged from cold run (cuts {cuts:?})\n{src}"
     );
+    let counts = |db: &Database| {
+        let counts = components_per_relation(db).into_iter();
+        let counts: Vec<String> = counts.map(|(pred, n)| format!("{pred}:{n}")).collect();
+        counts.join(",")
+    };
+    format!(
+        "{case} warm {} cold {}",
+        counts(session.database()),
+        counts(&cold.database)
+    )
 }
 
-/// 240 frame-shaped cases: warm equals cold, fact for fact.
+/// The frame-shaped cases' stored shapes, one line per case, as the engine
+/// stored them before round 0's frame phase extended runs in place
+/// (printed by `print_frame_shapes`).
+const FRAME_SHAPES: &str = include_str!("data/frame_shapes.txt");
+
+/// 240 frame-shaped cases: warm equals cold, fact for fact, and each run
+/// stores every relation in as many components as [`FRAME_SHAPES`] says.
 ///
-/// Their stored shapes are not compared. For these programs a warm and a
-/// cold run store the same teeth in different components in about two
-/// cases of five — a lone point where the other run has a progression,
-/// in either direction (ROADMAP, "Shapes that depend on the cut") — so
-/// only `a_run_is_stored_the_same_however_the_advances_cut_it` and the
-/// corpus and Figure-3 checks pin components.
+/// The warm and the cold counts are pinned apart rather than compared: for
+/// these programs a warm and a cold run store the same teeth in different
+/// components in about two cases of five — a lone point where the other
+/// run has a progression, in either direction (ROADMAP, "Shapes that
+/// depend on the cut"). Extending a run in place must leave exactly the
+/// shape the close-and-merge path leaves, warm and cold alike.
 #[test]
 fn frame_shaped_sessions_equal_cold_runs_under_any_cut() {
+    let mut golden = FRAME_SHAPES.lines();
     for case in 0..240u64 {
-        frame_warm_equals_cold(case);
+        let shape = frame_warm_equals_cold(case);
+        assert_eq!(
+            Some(shape.as_str()),
+            golden.next(),
+            "frame case {case}: stored components per relation moved"
+        );
+    }
+    assert_eq!(golden.next(), None, "more golden lines than cases");
+}
+
+/// Prints [`FRAME_SHAPES`]: `cargo test -p chronolog-core --test
+/// session_equivalence -- --ignored --nocapture print_frame_shapes`.
+#[test]
+#[ignore = "prints the golden shapes of the frame-shaped cases"]
+fn print_frame_shapes() {
+    for case in 0..240u64 {
+        println!("{}", frame_warm_equals_cold(case));
     }
 }

@@ -233,13 +233,6 @@ impl Interval {
         let TimeBound::Finite(hi) = self.hi else {
             return u64::MAX;
         };
-        // Whole seconds: the lattice is the integers, no gcd needed.
-        if let (Some(first), Some(step), Some(hi)) =
-            (first.as_integer(), step.as_integer(), hi.as_integer())
-        {
-            let most = hi as i128 - i128::from(!self.hi_closed);
-            return ((most - first as i128).div_euclid(step as i128) + 1) as u64;
-        }
         // One point at a time where the points have no common lattice.
         let Some(l) = Lattice::new(first, step, 0) else {
             return 1;
